@@ -103,8 +103,26 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def estimate_similarity(landmarks, canonical) -> SimilarityTransform:
-    """Closed-form least-squares similarity from landmarks to canonical points."""
+@dataclass(frozen=True)
+class _FitTerms:
+    """Centroids, centered coordinates and sums of the least-squares fit."""
+
+    m_x: float
+    m_y: float
+    m_xr: float
+    m_yr: float
+    X: np.ndarray
+    Y: np.ndarray
+    Xr: np.ndarray
+    Yr: np.ndarray
+    c1: float
+    c2: float
+    c3: float
+
+
+def _fit_terms(landmarks, canonical) -> _FitTerms:
+    """Validate the point sets and compute the fit's terms; raises
+    SingularTransformError when the landmarks are (near-)coincident."""
     src = _as_points(landmarks)
     dst = _as_points(canonical.points if isinstance(canonical, CanonicalShape) else canonical)
     if src.shape != dst.shape:
@@ -123,7 +141,13 @@ def estimate_similarity(landmarks, canonical) -> SimilarityTransform:
         raise SingularTransformError(
             f"coincident landmarks (squared spread {c3:g})"
         )
-    return SimilarityTransform(c1 / c3, c2 / c3, m_x, m_y, m_xr, m_yr)
+    return _FitTerms(m_x, m_y, m_xr, m_yr, X, Y, Xr, Yr, c1, c2, c3)
+
+
+def estimate_similarity(landmarks, canonical) -> SimilarityTransform:
+    """Closed-form least-squares similarity from landmarks to canonical points."""
+    f = _fit_terms(landmarks, canonical)
+    return SimilarityTransform(f.c1 / f.c3, f.c2 / f.c3, f.m_x, f.m_y, f.m_xr, f.m_yr)
 
 
 def forward_map(t: SimilarityTransform, points) -> np.ndarray:
@@ -296,21 +320,9 @@ def landmark_and_canonical_gradients(
     least-squares solution; must be called with the same point sets the
     transform was estimated from.
     """
-    src = _as_points(landmarks)
-    dst = _as_points(canonical.points if isinstance(canonical, CanonicalShape) else canonical)
-    n = len(src)
-    m_x, m_y = src.mean(axis=0)
-    m_xr, m_yr = dst.mean(axis=0)
-    X, Y = src[:, 0] - m_x, src[:, 1] - m_y
-    Xr, Yr = dst[:, 0] - m_xr, dst[:, 1] - m_yr
-    c1 = float(np.dot(Xr, X) + np.dot(Yr, Y))
-    c2 = float(np.dot(Xr, Y) - np.dot(Yr, X))
-    c3 = float(np.dot(X, X) + np.dot(Y, Y))
-    spread_sq = max(1.0, float(np.max(src[:, 0] ** 2 + src[:, 1] ** 2)))
-    if c3 <= 1e-12 * spread_sq:
-        raise SingularTransformError(
-            f"coincident landmarks (squared spread {c3:g})"
-        )
+    f = _fit_terms(landmarks, canonical)
+    X, Y, Xr, Yr, c1, c2, c3 = f.X, f.Y, f.Xr, f.Yr, f.c1, f.c2, f.c3
+    n = len(X)
     c3sq = c3 * c3
 
     # Partials of a = c1/c3 and b = c2/c3; centering makes the centroid terms

@@ -5,13 +5,14 @@ version, then typed records (layer kind byte, role tag, spec integers, raw
 float64 parameter arrays). The fern cascade is embedded as one record holding
 a "WFRN" block: fern count, patch size, then per fern eight splits of four
 int16 coordinates plus a float64 threshold, 256 float64 partition scores, and
-the float64 stage threshold. Round-trips are bit-exact.
+the float64 stage threshold. Round-trips are bit-exact; a file cut short or
+running on past its last record is rejected with ModelFormatError.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,7 +111,9 @@ class DetectorModel:
     use_concat: bool = True
     rect_size: int = 64
     point_scale: float = 48.0
-    extras: dict = field(default_factory=dict)
+    # whether joint training sends the verdict loss through the warp into the
+    # landmarks and the canonical shape
+    supervised_transform: bool = True
 
     def params(self):
         ps = self.rpn.params() + self.rcnn.params() + self.verdict.params()
@@ -237,9 +240,7 @@ def save_model(model: DetectorModel, path) -> None:
         "use_concat": float(model.use_concat),
         "rect_size": float(model.rect_size),
         "point_scale": float(model.point_scale),
-        "supervised_transform": float(
-            model.extras.get("supervised_transform", True)
-        ),
+        "supervised_transform": float(model.supervised_transform),
     }
     meta_payload = struct.pack("<H", len(meta))
     for key, value in meta.items():
@@ -271,9 +272,23 @@ def _parse_conv(view, offset):
 
 
 def load_model(path) -> DetectorModel:
+    """Read a model file; any truncation, trailing bytes or malformed record
+    raises ModelFormatError."""
     with open(path, "rb") as fh:
         buf = fh.read()
-    view = memoryview(buf)
+    try:
+        model, end = _parse_model(memoryview(buf))
+    except ModelFormatError:
+        raise
+    except (struct.error, ValueError) as exc:
+        raise ModelFormatError(f"truncated or corrupt model file: {exc}") from exc
+    if end != len(buf):
+        raise ModelFormatError(f"{len(buf) - end} unexpected bytes after the last record")
+    return model
+
+
+def _parse_model(view: memoryview):
+    """(model, offset just past the last record) from a model file's bytes."""
     if bytes(view[:4]) != MAGIC:
         raise ModelFormatError(f"bad magic {bytes(view[:4])!r}")
     (version,) = struct.unpack_from("<I", view, 4)
@@ -350,6 +365,6 @@ def load_model(path) -> DetectorModel:
         use_concat=bool(meta.get("use_concat", 1.0)),
         rect_size=int(meta.get("rect_size", 64)),
         point_scale=float(meta.get("point_scale", 48.0)),
+        supervised_transform=bool(meta.get("supervised_transform", 1.0)),
     )
-    model.extras["supervised_transform"] = bool(meta.get("supervised_transform", 1.0))
-    return model
+    return model, offset

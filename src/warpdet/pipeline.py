@@ -14,8 +14,7 @@ inside ROI masks built from a boosted-fern pre-filter's candidates.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +28,10 @@ from .align import (
     warp,
     warp_backward,
 )
-from .ferns import CascadeConfig, to_grayscale, train_cascade
+from .ferns import CascadeConfig, train_cascade
 from .ferns import scan as cascade_scan
 from .model import ConvLayer, DetectorModel, FcLayer, RcnnNet, RpnNet
-from .nn import ConvSpec, MultiTaskLoss, SgdOptimizer
+from .nn import ConvSpec, MultiTaskLoss, SgdOptimizer, ShapeError
 from .roiconv import (
     RoiMask,
     RoiPyramid,
@@ -121,7 +120,7 @@ def build_detector(config: TrainConfig, multitask: bool = True,
         config.default_canonical() if canonical_init is None else np.array(canonical_init),
         trainable=supervised_transform,
     )
-    model = DetectorModel(
+    return DetectorModel(
         rpn=rpn,
         rcnn=rcnn,
         verdict=verdict,
@@ -130,9 +129,8 @@ def build_detector(config: TrainConfig, multitask: bool = True,
         use_concat=use_concat,
         rect_size=config.rect_size,
         point_scale=config.point_scale,
+        supervised_transform=supervised_transform,
     )
-    model.extras["supervised_transform"] = supervised_transform
-    return model
 
 
 # --------------------------------------------------------------------------
@@ -298,24 +296,13 @@ def rpn_losses(state: RpnState, targets: RpnTargets, config: TrainConfig,
     if n_pos:
         pred = state.point[:, pos]
         tgt = targets.reg_targets[:, pos]
-        if multitask:
-            # error measured in box-normalized coordinates
-            norm = (config.point_scale / targets.face_size[pos])[None, :]
-            diff = (pred - tgt) * norm
-            reg_loss = float((diff**2).mean(axis=0).sum() / n_pos)
-            d_point[:, pos] = (
-                config.lambda_landmark
-                * 2.0
-                * diff
-                * norm
-                / (pred.shape[0] * n_pos)
-            )
-        else:
-            diff = pred - tgt
-            reg_loss = float((diff**2).mean(axis=0).sum() / n_pos)
-            d_point[:, pos] = (
-                config.lambda_landmark * 2.0 * diff / (pred.shape[0] * n_pos)
-            )
+        # landmark error is measured in box-normalized coordinates
+        norm = (config.point_scale / targets.face_size[pos])[None, :] if multitask else 1.0
+        diff = (pred - tgt) * norm
+        reg_loss = float((diff**2).mean(axis=0).sum() / n_pos)
+        d_point[:, pos] = (
+            config.lambda_landmark * 2.0 * diff * norm / (pred.shape[0] * n_pos)
+        )
     loss = MultiTaskLoss(cls_loss, reg_loss, config.lambda_landmark)
     return loss, d_score, d_point, probs.reshape(cells_h, cells_w, 2)
 
@@ -395,10 +382,10 @@ def verify_forward(model: DetectorModel, image: np.ndarray, transform,
 
 
 def verify_backward(model: DetectorModel, cache: VerifyCache, d_logits):
-    """Backward through verdict, verification net and (optionally) the warp.
+    """Backward through the verdict head and the verification net.
 
-    Returns (layer-parameter grads in model order, d_rpn_feat or None,
-    d_crop upstream already folded into warp terms via the caller).
+    Returns (R-CNN grads, verdict grads, each in model.params() order,
+    d_rpn_feat or None, d_crop); the caller chains d_crop into the warp.
     """
     d_joint, d_wv, d_bv = nn.fully_connected_backward(
         d_logits, cache.joint, model.verdict.weight
@@ -433,23 +420,22 @@ def verify_backward(model: DetectorModel, cache: VerifyCache, d_logits):
 # --------------------------------------------------------------------------
 # training drivers
 
-
-class _GradAccumulator:
-    def __init__(self, params):
-        self.params = params
-        self.grads = [np.zeros_like(p) for p in params]
-        self._index = {id(p): i for i, p in enumerate(params)}
-
-    def add(self, param, grad):
-        self.grads[self._index[id(param)]] += grad
-
-    def add_many(self, params, grads):
-        for p, g in zip(params, grads):
-            self.add(p, g)
+SNAPSHOT_EVERY = 500  # joint-training images between canonical-shape snapshots
 
 
-def _rpn_param_list(rpn: RpnNet):
-    return rpn.params()
+def _proposal_step(model: DetectorModel, sample, config: TrainConfig, epoch: int):
+    """Proposal forward pass, targets and multi-task loss on one image.
+
+    Returns (state, targets, loss, d_score, d_point, probs); raises
+    DivergenceError when the loss is not finite.
+    """
+    state = rpn_forward(model.rpn, sample.image)
+    ch, cw = state.score.shape[1:]
+    targets = rpn_targets(sample.faces, ch, cw, config, model.multitask)
+    loss, d_score, d_point, probs = rpn_losses(state, targets, config, model.multitask)
+    if not np.isfinite(loss.total):
+        raise DivergenceError(f"proposal loss diverged at epoch {epoch}: {loss.total}")
+    return state, targets, loss, d_score, d_point, probs
 
 
 def train_rpn(corpus, config: TrainConfig, model: DetectorModel | None = None,
@@ -462,7 +448,7 @@ def train_rpn(corpus, config: TrainConfig, model: DetectorModel | None = None,
     if model is None:
         model = build_detector(config)
     rng = np.random.default_rng(config.seed + 1)
-    params = _rpn_param_list(model.rpn)
+    params = model.rpn.params()
     opt = SgdOptimizer(config.learning_rate, config.momentum)
     history = {"epochs": []}
     n_epochs = config.epochs if epochs is None else epochs
@@ -473,29 +459,18 @@ def train_rpn(corpus, config: TrainConfig, model: DetectorModel | None = None,
         lm_errors = []
         losses = []
         for idx in order:
-            sample = corpus[idx]
-            state = rpn_forward(model.rpn, sample.image)
-            ch, cw = state.score.shape[1:]
-            targets = rpn_targets(sample.faces, ch, cw, config, model.multitask)
-            loss, d_score, d_point, probs = rpn_losses(
-                state, targets, config, model.multitask
+            state, targets, loss, d_score, d_point, probs = _proposal_step(
+                model, corpus[idx], config, epoch
             )
-            if not np.isfinite(loss.total):
-                raise DivergenceError(
-                    f"proposal loss diverged at epoch {epoch}: {loss.total}"
-                )
             losses.append(loss.total)
-            grads = rpn_backward(model.rpn, state, d_score, d_point)
-            opt.step(params, grads)
+            opt.step(params, rpn_backward(model.rpn, state, d_score, d_point))
 
             decided = targets.labels >= 0
             pred_cls = (probs[..., 1] > 0.5).astype(np.int64)
             cls_correct += int((pred_cls[decided] == targets.labels[decided]).sum())
             cls_total += int(decided.sum())
             if model.multitask:
-                lm_errors.extend(
-                    _landmark_errors(state, targets, config)
-                )
+                lm_errors.extend(_landmark_errors(state, targets, config))
         history["epochs"].append(
             {
                 "loss": float(np.mean(losses)),
@@ -519,18 +494,6 @@ def _landmark_errors(state, targets, config):
     return list(err * scale)
 
 
-def landmark_error_on_corpus(model: DetectorModel, corpus, config: TrainConfig):
-    """Mean predicted-landmark error (px, 36-px-face normalized) over the
-    ground-truth-positive cells of a held-out corpus."""
-    errors = []
-    for sample in corpus:
-        state = rpn_forward(model.rpn, sample.image)
-        ch, cw = state.score.shape[1:]
-        targets = rpn_targets(sample.faces, ch, cw, config, model.multitask)
-        errors.extend(_landmark_errors(state, targets, config))
-    return float(np.mean(errors))
-
-
 def _predicted_landmarks(state, i, j, point_scale):
     xs, ys = cell_centers(state.point.shape[1], state.point.shape[2])
     center = np.array([xs[j], ys[i]])
@@ -546,14 +509,22 @@ def _predicted_box(state, i, j, point_scale):
     return (cx - side / 2.0, cy - side / 2.0, side, side)
 
 
-def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig,
-                     snapshot_every: int = 500):
+def _candidate_transform(model: DetectorModel, landmarks, box):
+    """Map from a candidate onto the rectified grid: the similarity fit of its
+    landmarks to the canonical shape, or without a landmark head the crop of
+    its box. Raises SingularTransformError on a degenerate fit."""
+    if model.multitask:
+        return estimate_similarity(landmarks, model.canonical)
+    return crop_transform(box, model.rect_size)
+
+
+def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig):
     """Joint training of proposal net, verification net, verdict head and
     (when enabled) the canonical positions. Returns (model, history) with
     canonical-position snapshots along the run."""
     rng = np.random.default_rng(config.seed + 2)
-    supervised = bool(model.extras.get("supervised_transform", True))
     params = model.params()
+    n_rpn = len(model.rpn.params())
     opt = SgdOptimizer(config.learning_rate, config.momentum)
     history = {
         "canonical_snapshots": [model.canonical.points.copy()],
@@ -568,15 +539,10 @@ def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig,
         losses = []
         for idx in order:
             sample = corpus[idx]
-            acc = _GradAccumulator(params)
-            state = rpn_forward(model.rpn, sample.image)
-            ch, cw = state.score.shape[1:]
-            targets = rpn_targets(sample.faces, ch, cw, config, model.multitask)
-            loss, d_score, d_point, probs = rpn_losses(
-                state, targets, config, model.multitask
+            state, targets, loss, d_score, d_point, probs = _proposal_step(
+                model, sample, config, epoch
             )
-            if not np.isfinite(loss.total):
-                raise DivergenceError(f"loss diverged at epoch {epoch}")
+            grads = [np.zeros_like(p) for p in params]  # model.params() order
             d_feat_extra = np.zeros_like(state.feat)
 
             cells = _sample_cells(targets, probs, rng, config.samples_per_image)
@@ -584,28 +550,32 @@ def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig,
             loss_weight = 1.0 / max(1, len(cells))  # mean over the image's batch
             for (i, j, label) in cells:
                 out = _candidate_step(
-                    model, sample.image, state, targets, i, j, label,
-                    acc, d_point, d_feat_extra, supervised, config, loss_weight,
+                    model, sample.image, state, i, j, label,
+                    d_point, d_feat_extra, config, loss_weight,
                 )
                 if out is None:
                     history["singular_skips"] += 1
                     continue
-                vloss, correct = out
+                vloss, correct, head_grads, d_canonical = out
+                for k, g in enumerate(head_grads, start=n_rpn):
+                    grads[k] += g
+                if d_canonical is not None:
+                    grads[-1] += d_canonical
                 verdict_losses.append(vloss)
                 verdict_correct += correct
                 verdict_total += 1
 
             rpn_grads = rpn_backward(model.rpn, state, d_score, d_point, d_feat_extra)
-            acc.add_many(_rpn_param_list(model.rpn), rpn_grads)
+            for k, g in enumerate(rpn_grads):
+                grads[k] += g
             if model.canonical.trainable:
-                ci = acc._index[id(model.canonical.points)]
-                acc.grads[ci] *= config.canonical_lr_scale
-            opt.step(params, acc.grads)
+                grads[-1] *= config.canonical_lr_scale
+            opt.step(params, grads)
             if model.canonical.trainable:
                 model.canonical.clamp(model.rect_size, model.rect_size)
             losses.append(loss.total + float(np.mean(verdict_losses or [0.0])))
             seen += 1
-            if seen % snapshot_every == 0:
+            if seen % SNAPSHOT_EVERY == 0:
                 history["canonical_snapshots"].append(model.canonical.points.copy())
         history["epochs"].append(
             {
@@ -642,20 +612,23 @@ def _sample_cells(targets: RpnTargets, probs, rng, per_class: int):
     return cells
 
 
-def _candidate_step(model, image, state, targets, i, j, label, acc,
-                    d_point, d_feat_extra, supervised, config, loss_weight=1.0):
-    """Forward + backward for one sampled verification candidate. Returns
-    (verdict loss, correct flag) or None when the similarity fit is singular."""
+def _candidate_step(model, image, state, i, j, label, d_point, d_feat_extra,
+                    config, loss_weight=1.0):
+    """Forward + backward for one sampled verification candidate.
+
+    Adds the candidate's gradients on the proposal maps into d_point and
+    d_feat_extra. Returns (verdict loss, correct flag, R-CNN + verdict
+    gradients in model.params() order, canonical gradient or None), or None
+    when the similarity fit is singular.
+    """
     if model.multitask:
-        lms = _predicted_landmarks(state, i, j, model.point_scale)
-        try:
-            transform = estimate_similarity(lms, model.canonical)
-        except SingularTransformError:
-            return None
+        lms, box = _predicted_landmarks(state, i, j, model.point_scale), None
     else:
-        box = _predicted_box(state, i, j, model.point_scale)
-        transform = crop_transform(box, model.rect_size)
-        lms = None
+        lms, box = None, _predicted_box(state, i, j, model.point_scale)
+    try:
+        transform = _candidate_transform(model, lms, box)
+    except SingularTransformError:
+        return None
 
     rpn_feat = state.feat[:, i, j].copy() if model.use_concat else None
     cache = verify_forward(model, image, transform, rpn_feat)
@@ -664,12 +637,11 @@ def _candidate_step(model, image, state, targets, i, j, label, acc,
     rcnn_grads, verdict_grads, d_rpn_feat, d_crop = verify_backward(
         model, cache, d_logits
     )
-    acc.add_many(model.rcnn.params(), rcnn_grads)
-    acc.add_many(model.verdict.params(), verdict_grads)
     if d_rpn_feat is not None:
         d_feat_extra[:, i, j] += config.concat_supervision_scale * d_rpn_feat
 
-    if model.multitask and supervised and label == 1:
+    d_canonical = None
+    if model.multitask and model.supervised_transform and label == 1:
         # geometry supervision from the verdict loss applies to true faces;
         # a background candidate's landmarks carry no pose to refine
         grads = warp_backward(d_crop, image, transform)
@@ -681,9 +653,9 @@ def _candidate_step(model, image, state, targets, i, j, label, acc,
             * model.point_scale
         )
         if model.canonical.trainable:
-            acc.add(model.canonical.points, grads.d_canonical)
+            d_canonical = grads.d_canonical
     predicted = int(np.argmax(cache.logits))
-    return vloss, int(predicted == label)
+    return vloss, int(predicted == label), rcnn_grads + verdict_grads, d_canonical
 
 
 # --------------------------------------------------------------------------
@@ -702,13 +674,11 @@ def _dense_levels(image: np.ndarray, max_levels: int):
 
 
 def _roi_levels(image: np.ndarray, model: DetectorModel, options: DetectOptions):
-    gray = to_grayscale(image)
     raw = cascade_scan(
-        gray, model.cascade, threshold_offset=options.prefilter_offset
+        image[0], model.cascade, threshold_offset=options.prefilter_offset
     )
     groups = group_candidates([d.box for d in raw])
-    pyramid = RoiPyramid.build(image, groups)
-    return [(k, img, mask) for k, img, mask in pyramid.levels], raw
+    return RoiPyramid.build(image, groups).levels
 
 
 def _level_candidates(model, state, octave, options):
@@ -738,7 +708,7 @@ def _level_candidates(model, state, octave, options):
                 box=box,
                 score=float(probs[i, j]),
                 landmarks=lms,
-                extras={"feat": state.feat[:, i, j].copy(), "octave": octave},
+                feature=state.feat[:, i, j].copy(),
             )
         )
     return out
@@ -746,13 +716,15 @@ def _level_candidates(model, state, octave, options):
 
 def detect(image: np.ndarray, model: DetectorModel,
            options: DetectOptions = DetectOptions()) -> list[Detection]:
-    """Full two-stage detection on one grayscale CHW image."""
-    if image.ndim != 3:
-        raise ValueError(f"expected CHW image, got {image.shape}")
+    """Full two-stage detection on one (1, H, W) grayscale image."""
+    if image.ndim != 3 or image.shape[0] != 1:
+        raise ShapeError(f"expected a (1, H, W) grayscale image, got {image.shape}")
+    if not np.isfinite(image).all():
+        raise ValueError("image has non-finite pixels")
     if options.use_roi_conv:
         if model.cascade is None:
             raise ValueError("ROI path requires a trained cascade pre-filter")
-        levels, _ = _roi_levels(image, model, options)
+        levels = _roi_levels(image, model, options)
     else:
         levels = _dense_levels(image, options.max_levels)
 
@@ -773,21 +745,15 @@ def detect(image: np.ndarray, model: DetectorModel,
 
     final = []
     for cand in kept:
-        if model.multitask:
-            try:
-                transform = estimate_similarity(cand.landmarks, model.canonical)
-            except SingularTransformError:
-                continue
-        else:
-            transform = crop_transform(cand.box, model.rect_size)
-        rpn_feat = cand.extras["feat"] if model.use_concat else None
+        try:
+            transform = _candidate_transform(model, cand.landmarks, cand.box)
+        except SingularTransformError:
+            continue
+        rpn_feat = cand.feature if model.use_concat else None
         cache = verify_forward(model, image, transform, rpn_feat)
         prob = float(np.exp(nn.log_softmax(cache.logits))[1])
         if prob >= options.verdict_threshold:
-            final.append(
-                Detection(cand.box, prob, landmarks=cand.landmarks,
-                          extras={"proposal_score": cand.score})
-            )
+            final.append(Detection(cand.box, prob, landmarks=cand.landmarks))
     if options.final_nms:
         final = nms(final, SuppressionConfig(iou_threshold=0.5, k=1))
     return final
@@ -857,7 +823,7 @@ def evaluate(detections_per_image, truths_per_image, iou_threshold: float = 0.5
 
 
 # --------------------------------------------------------------------------
-# cascade integration and benchmarks
+# fern pre-filter training
 
 
 def crop_patch(image: np.ndarray, box, out_size: int) -> np.ndarray:
@@ -897,125 +863,3 @@ def train_prefilter(corpus, num_ferns: int = 120, candidate_pool: int = 60,
         seed=seed,
     )
     return train_cascade(pos, neg, cfg)
-
-
-def bench_roiconv(height: int, width: int, in_channels: int, out_channels: int,
-                  kernel: int, sparsities, reps: int = 5, seed: int = 0):
-    """Wall-time comparison of masked vs dense convolution at controlled
-    sparsities. Returns one row dict per sparsity."""
-    rng = np.random.default_rng(seed)
-    spec = ConvSpec(in_channels, out_channels, kernel, padding=kernel // 2)
-    x = rng.standard_normal((in_channels, height, width))
-    filters = rng.standard_normal((out_channels, in_channels, kernel, kernel))
-    oh, ow = spec.out_size(height, width)
-
-    def time_call(fn):
-        best = []
-        for _ in range(reps):
-            start = time.perf_counter()
-            fn()
-            best.append(time.perf_counter() - start)
-        return float(np.median(best)) * 1000.0
-
-    dense_ms = time_call(lambda: nn.conv2d_forward(x, filters, spec))
-    rows = []
-    for sparsity in sparsities:
-        m = int(round(sparsity * oh * ow))
-        flat = rng.choice(oh * ow, size=m, replace=False)
-        bits = np.zeros(oh * ow, dtype=bool)
-        bits[flat] = True
-        mask = RoiMask(bits.reshape(oh, ow))
-        roi_ms = time_call(lambda: roi_conv_forward(x, filters, mask, spec))
-        from .roiconv import roi_conv_macs
-
-        rows.append(
-            {
-                "sparsity": sparsity,
-                "m": mask.ones_count,
-                "macs": roi_conv_macs(mask, spec),
-                "dense_ms": dense_ms,
-                "roi_ms": roi_ms,
-                "ratio": roi_ms / dense_ms,
-            }
-        )
-    return rows
-
-
-def sparsity_mask_from_boxes(height: int, width: int, target: float,
-                             rng: np.random.Generator) -> RoiMask:
-    """Union-of-boxes mask tuned to approximately the target sparsity."""
-    from .roiconv import build_mask
-
-    if target >= 1.0:
-        return RoiMask.ones(height, width)
-    bits = np.zeros((height, width), dtype=bool)
-    while bits.mean() < target:
-        side = rng.uniform(30, 60)
-        x = rng.uniform(0, width - side)
-        y = rng.uniform(0, height - side)
-        extra = build_mask([(x, y, side / 2, side / 2)], (height, width))
-        bits |= extra.bits
-    return RoiMask(bits)
-
-
-def bench_pipeline(model: DetectorModel, samples, options: DetectOptions,
-                   reps: int = 1):
-    """Stage timings over an image set: pre-filter, proposal net (dense and
-    masked), verification, and mask sparsity."""
-    prefilter_ms = rpn_dense_ms = rpn_roi_ms = rcnn_ms = 0.0
-    sparsities = []
-    n_candidates = 0
-    for sample in samples:
-        image = sample.image
-        start = time.perf_counter()
-        levels_roi, _ = _roi_levels(image, model, options)
-        prefilter_ms += (time.perf_counter() - start) * 1000.0
-
-        start = time.perf_counter()
-        dense_states = [
-            rpn_forward(model.rpn, img) for _, img, _ in _dense_levels(image, 4)
-        ]
-        rpn_dense_ms += (time.perf_counter() - start) * 1000.0
-
-        start = time.perf_counter()
-        roi_states = [
-            (k, rpn_forward(model.rpn, img, mask)) for k, img, mask in levels_roi
-        ]
-        rpn_roi_ms += (time.perf_counter() - start) * 1000.0
-        sparsities.extend(mask.sparsity for _, _, mask in levels_roi)
-
-        cands = []
-        for k, state in roi_states:
-            cands.extend(_level_candidates(model, state, k, options))
-        kept = non_top_k(
-            cands, SuppressionConfig(iou_threshold=options.iou_threshold, k=options.k)
-        )
-        start = time.perf_counter()
-        for cand in kept:
-            try:
-                transform = (
-                    estimate_similarity(cand.landmarks, model.canonical)
-                    if model.multitask
-                    else crop_transform(cand.box, model.rect_size)
-                )
-            except SingularTransformError:
-                continue
-            verify_forward(
-                model, image, transform,
-                cand.extras["feat"] if model.use_concat else None,
-            )
-            n_candidates += 1
-        rcnn_ms += (time.perf_counter() - start) * 1000.0
-        del dense_states
-    n = max(1, len(samples))
-    return {
-        "images": len(samples),
-        "prefilter_ms": prefilter_ms / n,
-        "rpn_dense_ms": rpn_dense_ms / n,
-        "rpn_roi_ms": rpn_roi_ms / n,
-        "rpn_roi_fraction": rpn_roi_ms / max(rpn_dense_ms, 1e-9),
-        "rcnn_ms": rcnn_ms / n,
-        "total_roi_ms": (prefilter_ms + rpn_roi_ms + rcnn_ms) / n,
-        "mean_sparsity": float(np.mean(sparsities)) if sparsities else 0.0,
-        "verified_candidates": n_candidates,
-    }

@@ -10,7 +10,7 @@ to greedy NMS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class Detection:
     box: tuple  # (x, y, w, h) at original image resolution
     score: float
     landmarks: np.ndarray | None = None  # (N, 2), source-image coordinates
-    extras: dict = field(default_factory=dict)
+    feature: np.ndarray | None = None  # proposal-net feature column at the cell
 
     @property
     def x(self):

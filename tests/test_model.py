@@ -1,0 +1,81 @@
+"""Binary model format: bit-exact round trips and loud failures."""
+
+import numpy as np
+import pytest
+
+from warpdet import pipeline
+from warpdet.ferns import NUM_PARTITIONS, NUM_SPLITS, CascadeModel, Fern
+from warpdet.model import DetectorModel, ModelFormatError
+
+
+def _cascade(rng, n_ferns=3):
+    ferns = [
+        Fern(
+            rng.integers(0, 32, size=(NUM_SPLITS, 4)),
+            rng.standard_normal(NUM_SPLITS),
+            rng.standard_normal(NUM_PARTITIONS),
+        )
+        for _ in range(n_ferns)
+    ]
+    return CascadeModel(ferns, rng.standard_normal(n_ferns))
+
+
+@pytest.fixture
+def model_bytes(tmp_path, rng):
+    model = pipeline.build_detector(pipeline.TrainConfig(seed=3))
+    model.cascade = _cascade(rng)
+    path = tmp_path / "model.wcnn"
+    model.save(path)
+    return path.read_bytes()
+
+
+def _load_bytes(tmp_path, data):
+    path = tmp_path / "probe.wcnn"
+    path.write_bytes(data)
+    return DetectorModel.load(path)
+
+
+@pytest.mark.parametrize("supervised_transform", [True, False])
+def test_round_trip_is_bit_exact(tmp_path, rng, supervised_transform):
+    model = pipeline.build_detector(
+        pipeline.TrainConfig(seed=3), multitask=False, use_concat=False,
+        supervised_transform=supervised_transform,
+    )
+    # move every parameter off its initial value, biases included
+    for p in model.params():
+        p += rng.standard_normal(p.shape)
+    model.canonical.points += rng.uniform(-1, 1, model.canonical.points.shape)
+    model.cascade = _cascade(rng)
+    path = tmp_path / "model.wcnn"
+    model.save(path)
+    loaded = DetectorModel.load(path)
+
+    assert len(loaded.params()) == len(model.params())
+    for a, b in zip(model.params(), loaded.params()):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert np.array_equal(loaded.canonical.points, model.canonical.points)
+    assert loaded.canonical.trainable == model.canonical.trainable
+    assert loaded.supervised_transform is supervised_transform
+    assert (loaded.multitask, loaded.use_concat) == (False, False)
+    assert (loaded.rect_size, loaded.point_scale) == (model.rect_size, model.point_scale)
+    assert loaded.cascade.patch_size == model.cascade.patch_size
+    assert np.array_equal(loaded.cascade.stage_thresholds, model.cascade.stage_thresholds)
+    for a, b in zip(model.cascade.ferns, loaded.cascade.ferns, strict=True):
+        assert np.array_equal(a.coords, b.coords)
+        assert np.array_equal(a.thresholds, b.thresholds)
+        assert np.array_equal(a.scores, b.scores)
+
+
+@pytest.mark.parametrize("keep", [0, 3, 6, 11, 14, 200, 0.5, -9, -1])
+def test_truncated_file_raises_model_format_error(tmp_path, model_bytes, keep):
+    if isinstance(keep, float):
+        keep = int(len(model_bytes) * keep)
+    with pytest.raises(ModelFormatError):
+        _load_bytes(tmp_path, model_bytes[:keep])
+
+
+@pytest.mark.parametrize("extra", [b"\x00", b"trailing junk"])
+def test_appended_bytes_raise_model_format_error(tmp_path, model_bytes, extra):
+    _load_bytes(tmp_path, model_bytes)  # the untouched file loads
+    with pytest.raises(ModelFormatError, match="after the last record"):
+        _load_bytes(tmp_path, model_bytes + extra)

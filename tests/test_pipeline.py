@@ -1,0 +1,104 @@
+"""Seeded tiny runs of the two training phases and of detection."""
+
+import numpy as np
+import pytest
+
+from warpdet import pipeline, synthetic
+from warpdet.nn import ShapeError
+
+SEED = 5
+
+
+def _tiny_run(**variant):
+    """RPN for one epoch, then one joint epoch, on 12 images of 96 px."""
+    corpus = synthetic.generate_synthetic_corpus(SEED, 12)
+    config = pipeline.TrainConfig(epochs=1, seed=SEED)
+    model = pipeline.build_detector(config, **variant)
+    model, rpn_history = pipeline.train_rpn(corpus, config, model, epochs=1)
+    model, joint_history = pipeline.train_end_to_end(corpus, model, config)
+    return model, rpn_history, joint_history
+
+
+@pytest.fixture(scope="module")
+def tiny_run():
+    return _tiny_run()
+
+
+@pytest.fixture(scope="module")
+def held_out():
+    return synthetic.generate_synthetic_corpus(SEED + 1, 2)
+
+
+def _check_detections(dets, with_landmarks=True):
+    for d in dets:
+        assert np.all(np.isfinite(d.box))
+        assert 0.0 <= d.score <= 1.0
+        if with_landmarks:
+            assert np.all(np.isfinite(d.landmarks))
+
+
+def test_repeated_run_is_bit_identical(tiny_run):
+    model, rpn_history, joint_history = tiny_run
+    again, rpn_again, joint_again = _tiny_run()
+    for a, b in zip(model.params(), again.params(), strict=True):
+        assert np.array_equal(a, b)
+    assert rpn_history == rpn_again
+    assert joint_history["epochs"] == joint_again["epochs"]
+    assert joint_history["singular_skips"] == joint_again["singular_skips"]
+    for a, b in zip(joint_history["canonical_snapshots"],
+                    joint_again["canonical_snapshots"], strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_joint_history_layout(tiny_run):
+    _, _, history = tiny_run
+    assert len(history["epochs"]) == 1
+    epoch = history["epochs"][0]
+    assert np.isfinite(epoch["loss"])
+    assert 0.0 <= epoch["verdict_accuracy"] <= 1.0
+    assert history["singular_skips"] >= 0
+    # the initial shape, then one snapshot per epoch
+    assert len(history["canonical_snapshots"]) == 2
+    assert not np.array_equal(*history["canonical_snapshots"])
+
+
+def test_detect_outputs_are_finite_scores_in_unit_interval(tiny_run, held_out):
+    model = tiny_run[0]
+    dets = [pipeline.detect(s.image, model) for s in held_out]
+    assert sum(len(d) for d in dets) > 0
+    for image_dets in dets:
+        _check_detections(image_dets)
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [{"multitask": False}, {"use_concat": False}, {"supervised_transform": False}],
+    ids=lambda v: next(iter(v)),
+)
+def test_ablation_variant_trains_and_detects(variant, held_out):
+    model, _, history = _tiny_run(**variant)
+    assert all(np.all(np.isfinite(p)) for p in model.params())
+    assert np.isfinite(history["epochs"][0]["loss"])
+    if variant.get("supervised_transform") is False:
+        # a frozen canonical shape never moves
+        first, last = history["canonical_snapshots"]
+        assert np.array_equal(first, last)
+    for sample in held_out:
+        _check_detections(pipeline.detect(sample.image, model),
+                          with_landmarks=model.multitask)
+
+
+@pytest.mark.parametrize("shape", [(3, 64, 64), (64, 64), (2, 1, 64, 64)])
+def test_detect_rejects_non_grayscale_shapes(shape):
+    model = pipeline.build_detector(pipeline.TrainConfig())
+    with pytest.raises(ShapeError, match=r"expected a \(1, H, W\)"):
+        pipeline.detect(np.zeros(shape), model)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_detect_rejects_non_finite_pixels(bad):
+    model = pipeline.build_detector(pipeline.TrainConfig())
+    image = np.zeros((1, 64, 64))
+    image[0, 10, 20] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        pipeline.detect(image, model)
