@@ -110,14 +110,6 @@ class Fern:
             )
 
 
-def fern_index(patch: np.ndarray, fern: Fern) -> int:
-    """Partition index of one patch: bit i is set when
-    p(x1_i, y1_i) - p(x2_i, y2_i) < threshold_i."""
-    x1, y1, x2, y2 = fern.coords.T
-    bits = (patch[y1, x1] - patch[y2, x2]) < fern.thresholds
-    return int(bits @ (1 << np.arange(NUM_SPLITS)))
-
-
 def _indices_flat(patches_flat: np.ndarray, fern: Fern, patch_size: int) -> np.ndarray:
     """Partition indices for (B, patch_size*patch_size) flattened patches."""
     x1, y1, x2, y2 = fern.coords.T
@@ -277,34 +269,6 @@ def train_cascade(
         patch_size=ps,
         train_log={"stage_partition_losses": stage_losses},
     )
-
-
-def cascade_score(
-    patch: np.ndarray,
-    model: CascadeModel,
-    threshold_offset: float = 0.0,
-    early_exit: bool = True,
-):
-    """Cumulative fern score with soft-cascade early exit.
-
-    Returns (score, rejected_at_stage) where rejected_at_stage is None for an
-    accepted patch. With early_exit disabled the full chain is evaluated and
-    the decision is derived from the same thresholds afterwards.
-    """
-    if patch.shape != (model.patch_size, model.patch_size):
-        raise ValueError(
-            f"patch must be {model.patch_size}x{model.patch_size}, got {patch.shape}"
-        )
-    score = 0.0
-    rejected_at = None
-    for stage, fern in enumerate(model.ferns):
-        score += fern.scores[fern_index(patch, fern)]
-        if score < model.stage_thresholds[stage] + threshold_offset:
-            if early_exit:
-                return score, stage
-            if rejected_at is None:
-                rejected_at = stage
-    return score, rejected_at
 
 
 def _scan_level(gray_flat, level_w, wins_x, wins_y, model, stride, offset):

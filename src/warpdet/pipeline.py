@@ -337,7 +337,6 @@ def crop_transform(box, rect_size: int):
 @dataclass
 class VerifyCache:
     crop: np.ndarray
-    transform: object
     z1: np.ndarray
     a1: np.ndarray
     p1: np.ndarray
@@ -376,7 +375,7 @@ def verify_forward(model: DetectorModel, image: np.ndarray, transform,
         rpn_norm = 1.0
         joint = feat_n
     logits = nn.fully_connected(joint, model.verdict.weight, model.verdict.bias)
-    return VerifyCache(crop, transform, z1, a1, p1, idx1, z2, a2, p2, idx2,
+    return VerifyCache(crop, z1, a1, p1, idx1, z2, a2, p2, idx2,
                        flat, feat_pre, feat, feat_norm, rpn_feat, rpn_norm,
                        joint, logits)
 
@@ -708,7 +707,7 @@ def _level_candidates(model, state, octave, options):
                 box=box,
                 score=float(probs[i, j]),
                 landmarks=lms,
-                feature=state.feat[:, i, j].copy(),
+                feature=state.feat[:, i, j].copy() if model.use_concat else None,
             )
         )
     return out
@@ -749,8 +748,7 @@ def detect(image: np.ndarray, model: DetectorModel,
             transform = _candidate_transform(model, cand.landmarks, cand.box)
         except SingularTransformError:
             continue
-        rpn_feat = cand.feature if model.use_concat else None
-        cache = verify_forward(model, image, transform, rpn_feat)
+        cache = verify_forward(model, image, transform, cand.feature)
         prob = float(np.exp(nn.log_softmax(cache.logits))[1])
         if prob >= options.verdict_threshold:
             final.append(Detection(cand.box, prob, landmarks=cand.landmarks))
@@ -768,15 +766,6 @@ class EvalReport:
     scores: np.ndarray     # detection scores, descending
     tp_flags: np.ndarray   # 1 where the detection matched a ground truth
     total_gt: int
-
-    @property
-    def pr_points(self):
-        """(threshold, precision, recall) per prefix of the sorted detections."""
-        tp = np.cumsum(self.tp_flags)
-        ranks = np.arange(1, len(self.tp_flags) + 1)
-        precision = tp / ranks
-        recall = tp / max(1, self.total_gt)
-        return list(zip(self.scores.tolist(), precision.tolist(), recall.tolist()))
 
     def recall_at_false_alarms(self, budget: int) -> float:
         fp = np.cumsum(1 - self.tp_flags)

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fern_oracles import cascade_score, fern_index
 from warpdet.ferns import (
     CascadeConfig,
     CascadeModel,
     Fern,
     TrainingError,
-    cascade_score,
-    fern_index,
+    _scan_level,
     fold_sum,
     partition_scores,
     scan,
@@ -255,21 +255,48 @@ class TestCascadeScore:
                 assert s_fast == pytest.approx(prefix)
 
 
+def planted_image(rng):
+    """96x96 noise with one bright square pattern in a 40-px box at (30, 26)."""
+    img = np.clip(rng.normal(0.3, 0.1, size=(96, 96)), 0, 1.5)
+    size = 40
+    x0, y0 = 30, 26
+    inner = int(size * 0.5)
+    off = (size - inner) // 2
+    img[y0 + off : y0 + off + inner, x0 + off : x0 + off + inner] += 0.6
+    return img, (x0, y0, size, size)
+
+
 class TestScan:
+    @pytest.mark.parametrize("offset", [0.0, -2.0, -5.0])
+    def test_scan_level_matches_scalar_cascade(self, trained, rng, offset):
+        img, _ = planted_image(rng)
+        stride, ps = 4, trained.patch_size
+        wins_y = (img.shape[0] - ps) // stride + 1
+        wins_x = (img.shape[1] - ps) // stride + 1
+        alive, scores = _scan_level(
+            img.ravel(), img.shape[1], wins_x, wins_y, trained, stride, offset
+        )
+        expected, expected_scores = [], []
+        for pos in range(wins_y * wins_x):
+            wy, wx = divmod(pos, wins_x)
+            patch = img[wy * stride : wy * stride + ps, wx * stride : wx * stride + ps]
+            score, rejected_at = cascade_score(patch, trained, threshold_offset=offset)
+            if rejected_at is None:
+                expected.append(pos)
+                expected_scores.append(score)
+        assert len(expected) > 0
+        np.testing.assert_array_equal(alive, expected)
+        np.testing.assert_array_equal(scores, expected_scores)
+
     def test_blank_image_near_empty(self, trained):
         blank = np.full((80, 80), 0.3)
         dets = scan(blank, trained)
         assert len(dets) <= 5
 
     def test_planted_pattern_found(self, trained, rng):
-        img = np.clip(rng.normal(0.3, 0.1, size=(96, 96)), 0, 1.5)
-        size = 40
-        x0, y0 = 30, 26
-        inner = int(size * 0.5)
-        off = (size - inner) // 2
-        img[y0 + off : y0 + off + inner, x0 + off : x0 + off + inner] += 0.6
+        img, box = planted_image(rng)
         dets = scan(img, trained)
-        assert any(iou(d.box, (x0, y0, size, size)) >= 0.5 for d in dets)
+        assert any(iou(d.box, box) >= 0.5 for d in dets)
 
     def test_full_stride_tiles_align(self, trained, rng):
         img = np.clip(rng.normal(0.3, 0.1, size=(80, 80)), 0, 1.5)

@@ -1,11 +1,14 @@
 """Binary model format: bit-exact round trips and loud failures."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from warpdet import pipeline
 from warpdet.ferns import NUM_PARTITIONS, NUM_SPLITS, CascadeModel, Fern
-from warpdet.model import DetectorModel, ModelFormatError
+from warpdet.model import FORMAT_VERSION, MAGIC, DetectorModel, ModelFormatError
 
 
 def _cascade(rng, n_ferns=3):
@@ -79,3 +82,69 @@ def test_appended_bytes_raise_model_format_error(tmp_path, model_bytes, extra):
     _load_bytes(tmp_path, model_bytes)  # the untouched file loads
     with pytest.raises(ModelFormatError, match="after the last record"):
         _load_bytes(tmp_path, model_bytes + extra)
+
+
+def test_round_trip_without_cascade(tmp_path):
+    model = pipeline.build_detector(pipeline.TrainConfig(seed=5))
+    path = tmp_path / "model.wcnn"
+    model.save(path)
+    loaded = DetectorModel.load(path)
+    assert loaded.cascade is None
+    for a, b in zip(model.params(), loaded.params(), strict=True):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert (loaded.multitask, loaded.use_concat, loaded.supervised_transform) == (
+        True, True, True
+    )
+
+
+def _rebuild(header, body, magic=MAGIC, version=FORMAT_VERSION, header_bytes=None):
+    if header_bytes is None:
+        header_bytes = json.dumps(header).encode("utf-8")
+    return magic + struct.pack("<II", version, len(header_bytes)) + header_bytes + body
+
+
+def _edit_entry(name, field, edit):
+    """Corruption that edits field 1 (dtype) or 2 (shape) of one array entry."""
+    def corrupt(header, body):
+        (entry,) = [e for e in header["arrays"] if e[0] == name]
+        entry[field] = edit(entry[field])
+        return _rebuild(header, body)
+    return corrupt
+
+
+def _drop_last_array(header, body):
+    _, _, shape = header["arrays"].pop()
+    return _rebuild(header, body[: -8 * int(np.prod(shape))])
+
+
+# Each corruption keeps the file as long as its header says, so the length
+# check alone cannot reject it.
+CORRUPTIONS = {
+    "bad magic": lambda h, b: _rebuild(h, b, magic=b"WCNX"),
+    "format version 1": lambda h, b: _rebuild(h, b, version=1),
+    "negative shape": _edit_entry("rcnn.fc.weight", 2, lambda s: [-n for n in s]),
+    "non-integer shape": _edit_entry("verdict.bias", 2, lambda s: [float(n) for n in s]),
+    "object dtype": _edit_entry("verdict.bias", 1, lambda d: "|O"),
+    "big-endian dtype": _edit_entry("verdict.bias", 1, lambda d: ">f8"),
+    "unknown flag": lambda h, b: _rebuild(
+        {**h, "flags": {**h["flags"], "colour": True}}, b
+    ),
+    "missing flag": lambda h, b: _rebuild(
+        {**h, "flags": {k: v for k, v in h["flags"].items() if k != "rect_size"}}, b
+    ),
+    "missing array": _drop_last_array,
+    "unknown array": lambda h, b: _rebuild(
+        {**h, "arrays": h["arrays"] + [["extra", "<f8", [1]]]}, b + bytes(8)
+    ),
+    "header not JSON": lambda h, b: _rebuild(h, b, header_bytes=b"{not json"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_corrupt_header_raises_model_format_error(tmp_path, model_bytes, corruption):
+    (header_len,) = struct.unpack_from("<I", model_bytes, 8)
+    header = json.loads(model_bytes[12 : 12 + header_len])
+    body = model_bytes[12 + header_len :]
+    _load_bytes(tmp_path, _rebuild(header, body))  # the rebuilt file loads
+    with pytest.raises(ModelFormatError):
+        _load_bytes(tmp_path, CORRUPTIONS[corruption](header, body))
