@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -47,21 +48,6 @@ class ConvSpec:
         return oh, ow
 
 
-def _patch_indices(spec: ConvSpec, out_h: int, out_w: int):
-    """Index arrays mapping (out position, patch element) into the padded input.
-
-    Returns (chan, row, col), each shaped (C*K*K,) x (out_h*out_w,) compatible,
-    so that padded[chan, row, col] has shape (C*K*K, out_h*out_w).
-    """
-    c, k, s = spec.in_channels, spec.kernel, spec.stride
-    chan = np.repeat(np.arange(c), k * k).reshape(-1, 1)
-    ky = np.tile(np.repeat(np.arange(k), k), c).reshape(-1, 1)
-    kx = np.tile(np.tile(np.arange(k), k), c).reshape(-1, 1)
-    oy = s * np.repeat(np.arange(out_h), out_w).reshape(1, -1)
-    ox = s * np.tile(np.arange(out_w), out_h).reshape(1, -1)
-    return chan, ky + oy, kx + ox
-
-
 def _pad_chw(x: np.ndarray, padding: int) -> np.ndarray:
     if padding == 0:
         return x
@@ -77,18 +63,27 @@ def _check_input(x: np.ndarray, spec: ConvSpec) -> None:
         )
 
 
+def conv_windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Read-only (out_h, out_w, C, K, K) view of the stride-aligned KxK
+    windows of the zero-padded CHW input; entry [oy, ox] is the receptive
+    patch of output position (oy, ox)."""
+    _check_input(x, spec)
+    spec.out_size(x.shape[1], x.shape[2])  # rejects inputs smaller than a window
+    k, s = spec.kernel, spec.stride
+    win = sliding_window_view(_pad_chw(x, spec.padding), (k, k), axis=(1, 2))
+    return win[:, ::s, ::s].transpose(1, 2, 0, 3, 4)
+
+
 def im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Gather every stride-aligned KxK patch of a CHW input into a matrix.
 
     Row r of the result is the flattened (channel-major, then row, then col)
     receptive patch of output position r, positions enumerated row-major.
-    Output shape is (out_h*out_w, C*K*K).
+    Output shape is (out_h*out_w, C*K*K), one C-contiguous copy of the
+    conv_windows view.
     """
-    _check_input(x, spec)
-    out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
-    padded = _pad_chw(x, spec.padding)
-    chan, row, col = _patch_indices(spec, out_h, out_w)
-    return padded[chan, row, col].T.copy()
+    win = conv_windows(x, spec)
+    return np.ascontiguousarray(win.reshape(win.shape[0] * win.shape[1], -1))
 
 
 def _filters_matrix(filters: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -142,8 +137,16 @@ def conv2d_backward(
     p = spec.padding
     padded_shape = (x.shape[0], x.shape[1] + 2 * p, x.shape[2] + 2 * p)
     grad_padded = np.zeros(padded_shape, dtype=x.dtype)
-    chan, row, col = _patch_indices(spec, out_h, out_w)
-    np.add.at(grad_padded, (chan, row, col), grad_cols.T)
+    # One strided slice-add per kernel tap, ky outer and kx inner: every
+    # padded pixel receives at most one term per tap, in the order np.add.at
+    # over the im2col index arrays would add them.
+    k, s = spec.kernel, spec.stride
+    grad_win = grad_cols.reshape(out_h, out_w, x.shape[0], k, k)
+    for ky in range(k):
+        for kx in range(k):
+            grad_padded[:, ky : ky + s * out_h : s, kx : kx + s * out_w : s] += (
+                grad_win[:, :, :, ky, kx].transpose(2, 0, 1)
+            )
     grad_input = (
         grad_padded[:, p : p + x.shape[1], p : p + x.shape[2]] if p else grad_padded
     )

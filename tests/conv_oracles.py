@@ -1,0 +1,55 @@
+"""Index-array reference forms of the strided-window conv code in
+``warpdet.nn``, kept in the tests as oracles: a fancy-index patch gather and
+an ``np.add.at`` gradient scatter."""
+
+import numpy as np
+
+from warpdet.nn import ConvSpec, _pad_chw
+
+
+def patch_indices(spec: ConvSpec, out_h: int, out_w: int):
+    """Index arrays mapping (out position, patch element) into the padded input.
+
+    Returns (chan, row, col), each shaped (C*K*K,) x (out_h*out_w,) compatible,
+    so that padded[chan, row, col] has shape (C*K*K, out_h*out_w).
+    """
+    c, k, s = spec.in_channels, spec.kernel, spec.stride
+    chan = np.repeat(np.arange(c), k * k).reshape(-1, 1)
+    ky = np.tile(np.repeat(np.arange(k), k), c).reshape(-1, 1)
+    kx = np.tile(np.tile(np.arange(k), k), c).reshape(-1, 1)
+    oy = s * np.repeat(np.arange(out_h), out_w).reshape(1, -1)
+    ox = s * np.tile(np.arange(out_w), out_h).reshape(1, -1)
+    return chan, ky + oy, kx + ox
+
+
+def im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Oracle of nn.im2col: gather every patch by fancy indexing."""
+    out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
+    chan, row, col = patch_indices(spec, out_h, out_w)
+    return _pad_chw(x, spec.padding)[chan, row, col].T.copy()
+
+
+def conv2d_forward(x, filters, spec: ConvSpec, bias=None) -> np.ndarray:
+    """Oracle of nn.conv2d_forward on the fancy-index gather."""
+    out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
+    out = im2col(x, spec) @ filters.reshape(spec.out_channels, -1).T
+    if bias is not None:
+        out += bias
+    return out.T.reshape(spec.out_channels, out_h, out_w)
+
+
+def conv2d_backward(grad_out, x, filters, spec: ConvSpec):
+    """Oracle of nn.conv2d_backward(with_bias=True): the column gradients are
+    scattered into the padded input with np.add.at."""
+    out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
+    gmat = grad_out.reshape(spec.out_channels, -1)
+    grad_filters = (gmat @ im2col(x, spec)).reshape(filters.shape)
+    grad_cols = gmat.T @ filters.reshape(spec.out_channels, -1)
+    p = spec.padding
+    grad_padded = np.zeros(
+        (x.shape[0], x.shape[1] + 2 * p, x.shape[2] + 2 * p), dtype=x.dtype
+    )
+    chan, row, col = patch_indices(spec, out_h, out_w)
+    np.add.at(grad_padded, (chan, row, col), grad_cols.T)
+    grad_input = grad_padded[:, p : p + x.shape[1], p : p + x.shape[2]]
+    return grad_input, grad_filters, gmat.sum(axis=1)

@@ -4,6 +4,7 @@ finite-difference oracles."""
 import numpy as np
 import pytest
 
+import conv_oracles
 from conftest import central_diff, conv2d_reference, rel_err
 from warpdet.nn import (
     ConvSpec,
@@ -136,6 +137,26 @@ class TestConvBackward:
         assert rel_err(gx, central_diff(loss_of_x, x)) < 1e-5
         assert rel_err(gf, central_diff(loss_of_f, filters)) < 1e-5
 
+    @pytest.mark.parametrize(
+        "kernel,stride,padding", [(7, 2, 3), (5, 2, 2)], ids=["rpn.conv1", "rcnn.conv1"]
+    )
+    def test_finite_difference_agreement_strided(self, rng, kernel, stride, padding):
+        # odd extents: the last window stops short of the padded edge
+        x = rng.standard_normal((2, 9, 11))
+        filters = rng.standard_normal((3, 2, kernel, kernel))
+        spec = ConvSpec(2, 3, kernel=kernel, stride=stride, padding=padding)
+        w = rng.standard_normal((3, *spec.out_size(9, 11)))
+
+        def loss_of_x(xv):
+            return float(np.sum(conv2d_forward(xv, filters, spec) * w))
+
+        def loss_of_f(fv):
+            return float(np.sum(conv2d_forward(x, fv, spec) * w))
+
+        gx, gf = conv2d_backward(w, x, filters, spec)
+        assert rel_err(gx, central_diff(loss_of_x, x)) < 1e-5
+        assert rel_err(gf, central_diff(loss_of_f, filters)) < 1e-5
+
     def test_bias_gradient(self, rng):
         x = rng.standard_normal((2, 4, 4))
         filters = rng.standard_normal((3, 2, 3, 3))
@@ -148,6 +169,42 @@ class TestConvBackward:
 
         _, _, gb = conv2d_backward(w, x, filters, spec, with_bias=True)
         assert rel_err(gb, central_diff(loss_of_b, bias)) < 1e-5
+
+
+ORACLE_GEOMETRIES = [
+    (k, s, p, extent)
+    for k in (1, 3, 5, 7)
+    for s in (1, 2)
+    for p in sorted({0, k // 2})
+    for extent in ((11, 9), (12, 10))
+]
+
+
+@pytest.mark.parametrize(
+    "kernel,stride,padding,extent",
+    ORACLE_GEOMETRIES,
+    ids=[f"k{k}s{s}p{p}-{h}x{w}" for k, s, p, (h, w) in ORACLE_GEOMETRIES],
+)
+def test_bit_equal_to_index_gather_oracles(rng, kernel, stride, padding, extent):
+    """The strided-window gather and the slice-add backward reproduce the
+    fancy-index gather and the np.add.at scatter bit for bit."""
+    spec = ConvSpec(3, 4, kernel=kernel, stride=stride, padding=padding)
+    x = rng.standard_normal((3, *extent))
+    filters = rng.standard_normal((4, 3, kernel, kernel))
+    bias = rng.standard_normal(4)
+    g = rng.standard_normal((4, *spec.out_size(*extent)))
+
+    cols = im2col(x, spec)
+    assert cols.flags.c_contiguous
+    assert np.array_equal(cols, conv_oracles.im2col(x, spec))
+    assert np.array_equal(
+        conv2d_forward(x, filters, spec, bias=bias),
+        conv_oracles.conv2d_forward(x, filters, spec, bias=bias),
+    )
+    got = conv2d_backward(g, x, filters, spec, with_bias=True)
+    want = conv_oracles.conv2d_backward(g, x, filters, spec)
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 class TestMaxPool:

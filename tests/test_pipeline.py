@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from conftest import rel_err
 from warpdet import pipeline, synthetic
 from warpdet.nn import ShapeError
 
 SEED = 5
+# The dense-detect AP floor of the benchmark: a working detector scores well
+# above it, a broken conv or warp kernel far below it.
+AP_FLOOR = 0.5
 
 
 def _tiny_run(**variant):
@@ -102,3 +106,55 @@ def test_detect_rejects_non_finite_pixels(bad):
     image[0, 10, 20] = bad
     with pytest.raises(ValueError, match="non-finite"):
         pipeline.detect(image, model)
+
+
+def test_rpn_backward_matches_central_differences():
+    """Whole proposal chain (conv, ReLU, pooling, both heads) against central
+    differences of a fixed random projection of score and point."""
+    rng = np.random.default_rng(SEED)
+    config = pipeline.TrainConfig(rpn_channels=(3, 4, 5), seed=SEED)
+    rpn = pipeline.build_detector(config).rpn
+    image = rng.random((1, 32, 32))
+    state = pipeline.rpn_forward(rpn, image)
+    w_score = rng.standard_normal(state.score.shape)
+    w_point = rng.standard_normal(state.point.shape)
+
+    def loss():
+        out = pipeline.rpn_forward(rpn, image)
+        return float(np.sum(out.score * w_score) + np.sum(out.point * w_point))
+
+    grads = pipeline.rpn_backward(rpn, state, w_score, w_point)
+    params = rpn.params()
+    assert len(grads) == len(params) == 10
+    step = 1e-5
+    for param, grad in zip(params, grads, strict=True):
+        assert grad.shape == param.shape
+        flat = param.reshape(-1)  # a view: perturbs the net in place
+        picks = rng.choice(flat.size, size=min(flat.size, 6), replace=False)
+        numeric = np.empty(picks.size)
+        for n, i in enumerate(picks):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = loss()
+            flat[i] = orig - step
+            lo = loss()
+            flat[i] = orig
+            numeric[n] = (hi - lo) / (2.0 * step)
+        assert rel_err(grad.reshape(-1)[picks], numeric) < 1e-5
+
+
+def test_smoke_bench_scale_training_detects_faces():
+    """Seeded bench-scale training (60 images of 96 px, RPN 2 epochs, joint 1
+    epoch), then dense detect on 12 held-out 160-px images, scores an AP of
+    at least the floor."""
+    corpus = synthetic.generate_synthetic_corpus(SEED, 60)
+    config = pipeline.TrainConfig(epochs=1, seed=SEED)
+    model, _ = pipeline.train_rpn(corpus, config, epochs=2)
+    model, _ = pipeline.train_end_to_end(corpus, model, config)
+    held = synthetic.generate_synthetic_corpus(
+        SEED + 2, 12, synthetic.CorpusParams(image_size=160)
+    )
+    detections = [pipeline.detect(s.image, model) for s in held]
+    truths = [[box for box, _ in s.faces] for s in held]
+    report = pipeline.evaluate(detections, truths, iou_threshold=0.5)
+    assert report.average_precision() >= AP_FLOOR

@@ -4,6 +4,7 @@ receptive-field calculator, checked against the dense convolution oracle."""
 import numpy as np
 import pytest
 
+import conv_oracles
 from warpdet.nn import ConvSpec, ShapeError, conv2d_forward, im2col, maxpool2x2
 from warpdet.roiconv import (
     LayerRfSpec,
@@ -133,6 +134,15 @@ class TestRoiIm2col:
         cols, positions = roi_im2col(x, mask, spec)
         dense = im2col(x, spec)
         np.testing.assert_array_equal(cols, dense[positions])
+
+    @pytest.mark.parametrize("kernel,stride", [(1, 1), (3, 1), (5, 2), (7, 2)])
+    def test_rows_are_index_gather_oracle_rows(self, rng, kernel, stride):
+        x = rng.standard_normal((2, 11, 10))
+        spec = ConvSpec(2, 3, kernel=kernel, stride=stride, padding=kernel // 2)
+        mask = random_mask(rng, *spec.out_size(11, 10), 0.3)
+        cols, positions = roi_im2col(x, mask, spec)
+        assert cols.flags.c_contiguous
+        assert np.array_equal(cols, conv_oracles.im2col(x, spec)[positions])
 
     def test_extent_mismatch_rejected(self, rng):
         x = rng.standard_normal((1, 8, 8))
