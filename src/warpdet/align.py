@@ -192,43 +192,44 @@ def similarity_from_pose(
     )
 
 
-def _bilinear_taps(source: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    """Tap values, weights and indices for bilinear sampling with zero padding.
+def _sample_points(t: SimilarityTransform, out_h: int, out_w: int):
+    """inverse_map of the rectified grid, broadcast from a row u and a column v
+    of offsets from the canonical centroid. Returns (u, v, x - m_x, y - m_y)."""
+    d = t.norm_sq
+    u = np.arange(out_w, dtype=np.float64) - t.m_xr
+    v = np.arange(out_h, dtype=np.float64)[:, None] - t.m_yr
+    return u, v, (t.a * u - t.b * v) / d, (t.b * u + t.a * v) / d
 
-    Returns (values[4] each (C, *), weights[4] each (*,), index arrays).
-    Out-of-bounds taps contribute value 0 and receive no gradient.
-    """
-    _, h, w = source.shape
+
+def _bilinear_taps(source: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """Bilinear sampling of (H, W) points with zero padding, one (H, W) array
+    per tap in tl, tr, bl, br order: (values (C, H, W), weights, flat pixel
+    indices, valid masks, bx, by). Out-of-bounds taps read a clipped pixel,
+    contribute value 0 and receive no gradient."""
+    c, h, w = source.shape
     xl = np.floor(xs)
     yt = np.floor(ys)
     bx = xs - xl
     by = ys - yt
-    xl = xl.astype(np.intp)
-    yt = yt.astype(np.intp)
-    xr, yb = xl + 1, yt + 1
-
-    weights = (
-        (1.0 - bx) * (1.0 - by),  # top-left
-        bx * (1.0 - by),          # top-right
-        (1.0 - bx) * by,          # bottom-left
-        bx * by,                  # bottom-right
-    )
-    coords = ((xl, yt), (xr, yt), (xl, yb), (xr, yb))
-    values = []
-    valids = []
-    for cx, cy in coords:
-        valid = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-        cxc = np.clip(cx, 0, w - 1)
-        cyc = np.clip(cy, 0, h - 1)
-        vals = source[:, cyc, cxc] * valid
-        values.append(vals)
-        valids.append(valid)
-    return values, weights, coords, valids, bx, by
-
-
-def _rect_grid(out_h: int, out_w: int):
-    ys, xs = np.mgrid[0:out_h, 0:out_w]
-    return xs.astype(np.float64), ys.astype(np.float64)
+    step = np.arange(2).reshape(2, 1, 1)
+    cols = xl.astype(np.intp) + step  # left, right
+    rows = yt.astype(np.intp) + step  # top, bottom
+    # Negative coordinates wrap to huge unsigned values, so one comparison
+    # checks both bounds.
+    col_ok = cols.view(np.uintp) < w
+    row_ok = rows.view(np.uintp) < h
+    cols = np.clip(cols, 0, w - 1)
+    rows = np.clip(rows, 0, h - 1) * w
+    ax, ay = 1.0 - bx, 1.0 - by
+    weights = [ax * ay, bx * ay, ax * by, bx * by]
+    flat = source.reshape(c, h * w)
+    # One array per tap: stacked, a 64 x 64 crop's taps would make 128 KB
+    # temporaries, which glibc malloc serves by a fresh mmap until a larger
+    # block has been freed.
+    indices = [rows[i] + cols[j] for i in (0, 1) for j in (0, 1)]
+    valid = [row_ok[i] & col_ok[j] for i in (0, 1) for j in (0, 1)]
+    values = [np.take(flat, idx, axis=1) * ok for idx, ok in zip(indices, valid)]
+    return values, weights, indices, valid, bx, by
 
 
 def warp(source: np.ndarray, t: SimilarityTransform, out_size: tuple[int, int]) -> np.ndarray:
@@ -239,11 +240,8 @@ def warp(source: np.ndarray, t: SimilarityTransform, out_size: tuple[int, int]) 
     out_h, out_w = out_size
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output size must be positive, got {out_size}")
-    gx, gy = _rect_grid(out_h, out_w)
-    src_pts = inverse_map(t, np.stack([gx, gy], axis=-1))
-    values, weights, _, _, _, _ = _bilinear_taps(
-        source, src_pts[..., 0], src_pts[..., 1]
-    )
+    _, _, x_off, y_off = _sample_points(t, out_h, out_w)
+    values, weights, _, _, _, _ = _bilinear_taps(source, x_off + t.m_x, y_off + t.m_y)
     out = np.zeros((source.shape[0], out_h, out_w), dtype=np.float64)
     for val, wgt in zip(values, weights):
         out += val * wgt
@@ -266,10 +264,10 @@ def warp_backward(
             f"upstream {upstream.shape} incompatible with source {source.shape}"
         )
     out_h, out_w = upstream.shape[1], upstream.shape[2]
-    gx, gy = _rect_grid(out_h, out_w)
-    src_pts = inverse_map(t, np.stack([gx, gy], axis=-1))
-    xs, ys = src_pts[..., 0], src_pts[..., 1]
-    values, weights, coords, valids, bx, by = _bilinear_taps(source, xs, ys)
+    u, v, x_off, y_off = _sample_points(t, out_h, out_w)
+    values, weights, indices, valid, bx, by = _bilinear_taps(
+        source, x_off + t.m_x, y_off + t.m_y
+    )
     v_tl, v_tr, v_bl, v_br = values
 
     # Image derivatives of the interpolant at the sample points.
@@ -281,34 +279,29 @@ def warp_backward(
     gy_img = (upstream * iy).sum(axis=0)
 
     d = t.norm_sq
-    u = gx - t.m_xr
-    v = gy - t.m_yr
-    x_off = (t.a * u - t.b * v) / d  # x - m_x
-    y_off = (t.b * u + t.a * v) / d  # y - m_y
-
     dx_da = (u - 2.0 * t.a * x_off) / d
     dy_da = (v - 2.0 * t.a * y_off) / d
     dx_db = (-v - 2.0 * t.b * x_off) / d
     dy_db = (u - 2.0 * t.b * y_off) / d
 
-    grads = TransformGradients(
+    # One bincount over the taps concatenated in tl, tr, bl, br order adds
+    # each source pixel's terms from zero in the order of a tap-by-tap
+    # scatter. The zero terms of out-of-bounds taps leave every sum as is.
+    c, h, w = source.shape
+    n = out_h * out_w
+    tap_weights = np.stack([wgt * ok for wgt, ok in zip(weights, valid)])
+    contrib = upstream.reshape(c, 1, n) * tap_weights.reshape(1, 4, n)
+    flat = np.stack(indices).reshape(1, 4, n) + (h * w) * np.arange(c).reshape(c, 1, 1)
+    d_source = np.bincount(flat.ravel(), contrib.ravel(), minlength=c * h * w)
+    return TransformGradients(
         d_a=float((gx_img * dx_da + gy_img * dy_da).sum()),
         d_b=float((gx_img * dx_db + gy_img * dy_db).sum()),
         d_m_x=float(gx_img.sum()),
         d_m_y=float(gy_img.sum()),
         d_m_xr=float((gx_img * (-t.a / d) + gy_img * (-t.b / d)).sum()),
         d_m_yr=float((gx_img * (t.b / d) + gy_img * (-t.a / d)).sum()),
-        d_source=np.zeros_like(source, dtype=np.float64),
+        d_source=d_source.reshape(c, h, w),
     )
-    for wgt, (cx, cy), valid in zip(weights, coords, valids):
-        if not valid.any():
-            continue
-        contrib = upstream * (wgt * valid)
-        cxc = np.clip(cx, 0, source.shape[2] - 1)
-        cyc = np.clip(cy, 0, source.shape[1] - 1)
-        for c in range(source.shape[0]):
-            np.add.at(grads.d_source[c], (cyc, cxc), contrib[c])
-    return grads
 
 
 def landmark_and_canonical_gradients(

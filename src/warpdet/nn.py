@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeError(ValueError):
@@ -51,7 +51,10 @@ class ConvSpec:
 def _pad_chw(x: np.ndarray, padding: int) -> np.ndarray:
     if padding == 0:
         return x
-    return np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    c, h, w = x.shape
+    xp = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp[:, padding : padding + h, padding : padding + w] = x
+    return xp
 
 
 def _check_input(x: np.ndarray, spec: ConvSpec) -> None:
@@ -68,10 +71,13 @@ def conv_windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     windows of the zero-padded CHW input; entry [oy, ox] is the receptive
     patch of output position (oy, ox)."""
     _check_input(x, spec)
-    spec.out_size(x.shape[1], x.shape[2])  # rejects inputs smaller than a window
+    # out_size rejects inputs smaller than a window: keeps the view in bounds
+    out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
     k, s = spec.kernel, spec.stride
-    win = sliding_window_view(_pad_chw(x, spec.padding), (k, k), axis=(1, 2))
-    return win[:, ::s, ::s].transpose(1, 2, 0, 3, 4)
+    xp = _pad_chw(x, spec.padding)
+    sc, sy, sx = xp.strides
+    return as_strided(xp, (out_h, out_w, xp.shape[0], k, k),
+                      (s * sy, s * sx, sc, sy, sx), writeable=False)
 
 
 def im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -155,14 +161,6 @@ def conv2d_backward(
     return grad_input, grad_filters
 
 
-def _pad_to_even(x: np.ndarray) -> np.ndarray:
-    """Edge-replicate the last row/column so both spatial extents are even."""
-    _, h, w = x.shape
-    if h % 2 == 0 and w % 2 == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, h % 2), (0, w % 2)), mode="edge")
-
-
 def maxpool2x2(x: np.ndarray):
     """2x2 stride-2 max pooling of a CHW array.
 
@@ -173,13 +171,21 @@ def maxpool2x2(x: np.ndarray):
     """
     if x.ndim != 3:
         raise ShapeError(f"expected CHW input, got shape {x.shape}")
-    xp = _pad_to_even(x)
+    _, h, w = x.shape
+    if h % 2 or w % 2:
+        x = np.pad(x, ((0, 0), (0, h % 2), (0, w % 2)), mode="edge")
+    xp = np.ascontiguousarray(x)
     c, h, w = xp.shape
-    blocks = xp.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4)
-    blocks = blocks.reshape(c, h // 2, w // 2, 4)
-    argmax = blocks.argmax(axis=3)
-    out = np.take_along_axis(blocks, argmax[..., None], axis=3)[..., 0]
-    return out, argmax
+    tl, tr, bl, br = xp[:, 0::2, 0::2], xp[:, 0::2, 1::2], xp[:, 1::2, 0::2], xp[:, 1::2, 1::2]
+    # Strict comparisons pick the first index of each block maximum. The
+    # pairwise maxima only feed a comparison, where the sign of a zero tie
+    # cannot matter; the value is read back at the chosen index.
+    right_top, right_bottom = tr > tl, br > bl
+    bottom = np.maximum(bl, br) > np.maximum(tl, tr)
+    right = right_top ^ (bottom & (right_top ^ right_bottom))
+    rows = np.arange(c)[:, None, None] * h + np.arange(0, h, 2)[:, None]
+    out = xp.reshape(-1).take(rows * w + np.arange(0, w, 2) + w * bottom + right)
+    return out, np.add(2 * bottom, right, dtype=np.intp)
 
 
 def maxpool2x2_backward(

@@ -1,10 +1,15 @@
-"""Index-array reference forms of the strided-window conv code in
-``warpdet.nn``, kept in the tests as oracles: a fancy-index patch gather and
-an ``np.add.at`` gradient scatter."""
+"""Reference forms of the strided-view kernels in ``warpdet.nn``, kept in
+the tests as oracles: a fancy-index patch gather, an ``np.add.at`` gradient
+scatter and an ``argmax`` max-pool. They pad with ``np.pad`` and share no
+helper with the code they check."""
 
 import numpy as np
 
-from warpdet.nn import ConvSpec, _pad_chw
+from warpdet.nn import ConvSpec
+
+
+def pad_chw(x: np.ndarray, padding: int) -> np.ndarray:
+    return np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
 
 
 def patch_indices(spec: ConvSpec, out_h: int, out_w: int):
@@ -26,7 +31,7 @@ def im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Oracle of nn.im2col: gather every patch by fancy indexing."""
     out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
     chan, row, col = patch_indices(spec, out_h, out_w)
-    return _pad_chw(x, spec.padding)[chan, row, col].T.copy()
+    return pad_chw(x, spec.padding)[chan, row, col].T.copy()
 
 
 def conv2d_forward(x, filters, spec: ConvSpec, bias=None) -> np.ndarray:
@@ -53,3 +58,16 @@ def conv2d_backward(grad_out, x, filters, spec: ConvSpec):
     np.add.at(grad_padded, (chan, row, col), grad_cols.T)
     grad_input = grad_padded[:, p : p + x.shape[1], p : p + x.shape[2]]
     return grad_input, grad_filters, gmat.sum(axis=1)
+
+
+def maxpool2x2(x: np.ndarray):
+    """Oracle of nn.maxpool2x2: edge-replicate odd extents, gather each 2x2
+    block into a trailing axis, take its argmax (first index on ties)."""
+    _, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, h % 2), (0, w % 2)), mode="edge")
+    c, h, w = xp.shape
+    blocks = xp.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4)
+    blocks = blocks.reshape(c, h // 2, w // 2, 4)
+    argmax = blocks.argmax(axis=3)
+    out = np.take_along_axis(blocks, argmax[..., None], axis=3)[..., 0]
+    return out, argmax

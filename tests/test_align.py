@@ -10,6 +10,7 @@ integers (and from the image border) before finite differences run.
 import numpy as np
 import pytest
 
+import warp_oracles
 from conftest import rel_err
 from warpdet.align import (
     CanonicalShape,
@@ -436,6 +437,68 @@ class TestChainGradients:
             landmark_and_canonical_gradients(
                 g_dummy, np.full((3, 2), 5.0), np.zeros((3, 2))
             )
+
+
+GRADIENT_SCALARS = ("d_a", "d_b", "d_m_x", "d_m_y", "d_m_xr", "d_m_yr")
+PLACEMENTS = ("inside", "partly_outside", "wholly_outside", "two_channel_negative")
+
+
+def _oracle_case(rng, placement):
+    """Seeded source, transform, output size and upstream for one placement
+    of the crop relative to a 30 x 34 source."""
+    channels = 2 if placement == "two_channel_negative" else 1
+    src = smooth_image(rng, 30, 34, channels)
+    if placement == "two_channel_negative":
+        src = src - 3.0
+    out_size = tuple(int(n) for n in rng.integers(6, 25, size=2))
+    centre = {
+        "inside": (17.0, 15.0),
+        # on the left or right edge: the crop reaches >= 2 px past it
+        "partly_outside": (rng.choice([0.0, 33.0]), rng.uniform(0.0, 29.0)),
+        "wholly_outside": (rng.choice([-90.0, 120.0]), rng.uniform(-40.0, 70.0)),
+        "two_channel_negative": tuple(rng.uniform(0.0, 34.0, size=2)),
+    }[placement]
+    scale = rng.uniform(0.3, 0.6) if placement == "inside" else rng.uniform(0.8, 2.5)
+    t = similarity_from_pose(
+        scale, rng.uniform(-np.pi, np.pi), centre,
+        ((out_size[1] - 1) / 2.0, (out_size[0] - 1) / 2.0),
+    )
+    upstream = rng.standard_normal((channels,) + out_size)
+    return src, t, out_size, upstream
+
+
+class TestMatchesScatterOracle:
+    """warp and warp_backward against the per-tap fancy-index and np.add.at
+    forms, byte for byte, so that even a flipped zero sign fails."""
+
+    @pytest.mark.parametrize("placement", PLACEMENTS)
+    def test_bytes_equal_over_seeded_transforms(self, placement):
+        for seed in range(60):
+            rng = np.random.default_rng([seed, PLACEMENTS.index(placement)])
+            src, t, out_size, upstream = _oracle_case(rng, placement)
+            crop = warp(src, t, out_size)
+            want = warp_oracles.warp(src, t, out_size)
+            assert crop.shape == want.shape and crop.tobytes() == want.tobytes()
+            if placement == "wholly_outside":
+                assert not crop.any()
+            g = warp_backward(upstream, src, t)
+            ref = warp_oracles.warp_backward(upstream, src, t)
+            for name in GRADIENT_SCALARS:
+                got = getattr(g, name)
+                assert isinstance(got, float), name
+                assert np.float64(got).tobytes() == np.float64(getattr(ref, name)).tobytes(), name
+            assert g.d_source.dtype == ref.d_source.dtype
+            assert g.d_source.shape == src.shape
+            assert g.d_source.tobytes() == ref.d_source.tobytes()
+            assert g.d_landmarks is None and g.d_canonical is None
+
+    def test_partly_outside_cases_mix_valid_and_clipped_taps(self):
+        """The partly-outside placement really straddles the border."""
+        for seed in range(60):
+            rng = np.random.default_rng([seed, PLACEMENTS.index("partly_outside")])
+            src, t, out_size, _ = _oracle_case(rng, "partly_outside")
+            ones = warp(np.ones_like(src), t, out_size)
+            assert ones.max() > 0.5 and ones.min() == 0.0
 
 
 class TestCanonicalShape:

@@ -6,6 +6,7 @@ import pytest
 
 import conv_oracles
 from conftest import central_diff, conv2d_reference, rel_err
+from warpdet import nn
 from warpdet.nn import (
     ConvSpec,
     MultiTaskLoss,
@@ -14,6 +15,7 @@ from warpdet.nn import (
     concat_features,
     concat_features_backward,
     conv2d_backward,
+    conv_windows,
     conv2d_forward,
     fully_connected,
     fully_connected_backward,
@@ -207,7 +209,69 @@ def test_bit_equal_to_index_gather_oracles(rng, kernel, stride, padding, extent)
         assert a.shape == b.shape and np.array_equal(a, b)
 
 
+class TestConvWindows:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kernel,stride,padding", [(1, 1, 0), (3, 1, 1), (7, 2, 3)])
+    def test_read_only_view_of_window_shape(self, rng, kernel, stride, padding, dtype):
+        spec = ConvSpec(2, 1, kernel, stride=stride, padding=padding)
+        x = rng.standard_normal((2, 11, 9)).astype(dtype)
+        win = conv_windows(x, spec)
+        out_h, out_w = spec.out_size(11, 9)
+        assert win.shape == (out_h, out_w, 2, kernel, kernel)
+        assert win.dtype == dtype
+        with pytest.raises(ValueError):
+            win[0, 0, 0, 0, 0] = 1.0
+        assert np.array_equal(
+            win.reshape(out_h * out_w, -1), conv_oracles.im2col(x, spec)
+        )
+
+    @pytest.mark.parametrize("extent", [(4, 9), (9, 4), (1, 1)])
+    def test_input_smaller_than_a_window_raises_before_any_view(
+        self, monkeypatch, extent
+    ):
+        def no_view(*args, **kwargs):
+            raise AssertionError("strided view built for a too-small input")
+
+        monkeypatch.setattr(nn, "as_strided", no_view)
+        with pytest.raises(ShapeError, match="too small"):
+            conv_windows(np.zeros((1,) + extent), ConvSpec(1, 1, 7, stride=2, padding=1))
+
+
+def _assert_pool_bytes_equal_oracle(x):
+    out, argmax = maxpool2x2(x)
+    want_out, want_argmax = conv_oracles.maxpool2x2(x)
+    assert out.dtype == want_out.dtype and argmax.dtype == want_argmax.dtype
+    assert out.shape == want_out.shape and argmax.shape == want_argmax.shape
+    assert out.tobytes() == want_out.tobytes()
+    assert argmax.tobytes() == want_argmax.tobytes()
+
+
 class TestMaxPool:
+    @pytest.mark.parametrize("extent", [(8, 8), (7, 8), (8, 7), (5, 5), (1, 1), (2, 3)])
+    def test_relu_zero_ties_match_argmax_oracle_bytes(self, rng, extent):
+        for _ in range(20):
+            x = relu(rng.standard_normal((3,) + extent) - 0.5)
+            _assert_pool_bytes_equal_oracle(x)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1.5, -2.0])
+    def test_constant_blocks_match_argmax_oracle_bytes(self, value):
+        _assert_pool_bytes_equal_oracle(np.full((2, 6, 5), value))
+
+    def test_signed_zeros_keep_the_first_index_and_its_sign(self, rng):
+        for _ in range(50):
+            x = rng.choice([0.0, -0.0], size=(2, 6, 7))
+            _assert_pool_bytes_equal_oracle(x)
+        x = np.array([[[-0.0, 0.0], [0.0, -0.0]]])
+        out, argmax = maxpool2x2(x)
+        assert argmax[0, 0, 0] == 0 and np.signbit(out[0, 0, 0])
+
+    def test_float32_and_small_integer_ties_match_argmax_oracle_bytes(self, rng):
+        for _ in range(20):
+            x = np.round(rng.standard_normal((3, 9, 10)) * 2)
+            _assert_pool_bytes_equal_oracle(x)
+            _assert_pool_bytes_equal_oracle(x.astype(np.float32))
+            _assert_pool_bytes_equal_oracle(x[:, ::-1])  # non-contiguous input
+
     def test_constant_ties_route_to_first_index(self):
         x = np.ones((1, 4, 4))
         out, argmax = maxpool2x2(x)

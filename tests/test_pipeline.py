@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rel_err
-from warpdet import pipeline, synthetic
+from warpdet import nn, pipeline, synthetic
 from warpdet.nn import ShapeError
 
 SEED = 5
@@ -158,3 +160,105 @@ def test_smoke_bench_scale_training_detects_faces():
     truths = [[box for box, _ in s.faces] for s in held]
     report = pipeline.evaluate(detections, truths, iou_threshold=0.5)
     assert report.average_precision() >= AP_FLOOR
+
+
+def test_verify_backward_through_warp_matches_central_differences():
+    """Verdict loss -> verification net -> warp -> similarity fit: d_landmarks
+    and d_canonical against central differences, on a tiny net."""
+    rng = np.random.default_rng(SEED)
+    config = pipeline.TrainConfig(
+        rpn_channels=(2, 3, 4), rcnn_channels=(2, 3), rcnn_feature=6,
+        rect_size=16, seed=SEED,
+    )
+    model = pipeline.build_detector(config)
+    image = rng.random((1, 40, 40))
+    canonical = model.canonical.points.copy()
+    landmarks = 20.0 + 9.0 * synthetic.GLYPH_LANDMARKS + rng.uniform(-1, 1, (5, 2))
+    rpn_feat = rng.standard_normal(config.rpn_channels[2])
+    label = 1
+
+    def loss(lms, canon):
+        t = pipeline.estimate_similarity(lms, canon)
+        cache = pipeline.verify_forward(model, image, t, rpn_feat)
+        return nn.softmax_cross_entropy(cache.logits, label)[0]
+
+    transform = pipeline.estimate_similarity(landmarks, canonical)
+    cache = pipeline.verify_forward(model, image, transform, rpn_feat)
+    _, probs = nn.softmax_cross_entropy(cache.logits, label)
+    d_logits = nn.softmax_cross_entropy_backward(probs, label)
+    _, _, _, d_crop = pipeline.verify_backward(model, cache, d_logits)
+    grads = pipeline.warp_backward(d_crop, image, transform)
+    grads = pipeline.landmark_and_canonical_gradients(grads, landmarks, canonical)
+
+    step = 1e-5
+    for points, analytic, as_landmarks in (
+        (landmarks, grads.d_landmarks, True),
+        (canonical, grads.d_canonical, False),
+    ):
+        numeric = np.empty_like(points)
+        for idx in np.ndindex(points.shape):
+            orig = points[idx]
+            points[idx] = orig + step
+            hi = loss(landmarks, canonical)
+            points[idx] = orig - step
+            lo = loss(landmarks, canonical)
+            points[idx] = orig
+            numeric[idx] = (hi - lo) / (2.0 * step)
+        assert np.abs(analytic).max() > 1e-6, as_landmarks
+        assert rel_err(analytic, numeric) < 1e-5, as_landmarks
+
+
+# --------------------------------------------------------------------------
+# evaluate: property tests
+
+_box = st.tuples(
+    st.floats(0, 100), st.floats(0, 100), st.floats(1, 40), st.floats(1, 40)
+)
+_image = st.tuples(
+    st.lists(st.tuples(_box, st.floats(0, 1)), max_size=6),  # detections
+    st.lists(_box, max_size=4),                               # truths
+)
+
+
+def _evaluate(images):
+    dets = [[pipeline.Detection(box=b, score=s) for b, s in d] for d, _ in images]
+    return pipeline.evaluate(dets, [t for _, t in images])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_image, min_size=1, max_size=4))
+def test_evaluate_ap_lies_in_unit_interval(images):
+    ap = _evaluate(images).average_precision()
+    assert 0.0 <= ap <= 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_image, min_size=1, max_size=4))
+def test_evaluate_recall_does_not_fall_as_the_budget_grows(images):
+    report = _evaluate(images)
+    recalls = [report.recall_at_false_alarms(b) for b in range(len(report.tp_flags) + 2)]
+    assert all(0.0 <= r <= 1.0 for r in recalls)
+    assert all(a <= b for a, b in zip(recalls, recalls[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), unique=True, max_size=6),
+        st.floats(1, 40), st.floats(1, 40),
+    ),
+    min_size=1, max_size=3,
+), st.randoms(use_true_random=False))
+def test_evaluate_ap_is_one_when_every_detection_matches_a_distinct_truth(images, shuffle):
+    """Truths on a 50-px grid never overlap; detecting each exactly once, in
+    any score order, scores AP 1."""
+    dets, truths = [], []
+    for cells, w, h in images:
+        boxes = [(50.0 * i, 50.0 * j, w, h) for i, j in cells]
+        scores = [shuffle.random() for _ in boxes]
+        dets.append([pipeline.Detection(box=b, score=s) for b, s in zip(boxes, scores)])
+        truths.append(boxes)
+    report = pipeline.evaluate(dets, truths)
+    if report.total_gt:
+        assert report.average_precision() == 1.0
+        assert report.recall_at_false_alarms(0) == 1.0

@@ -1,0 +1,102 @@
+"""Reference forms of the bilinear warp in ``warpdet.align``, kept in the
+tests as oracles: the sample grid goes through ``inverse_map`` as an
+(out_h, out_w, 2) point array, every tap is a 2-D fancy-index read, and the
+source gradient is scattered tap by tap and channel by channel with
+``np.add.at``."""
+
+import numpy as np
+
+from warpdet.align import SimilarityTransform, TransformGradients, inverse_map
+
+
+def bilinear_taps(source: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """Tap values, weights, (col, row) index pairs and valid masks, in
+    top-left, top-right, bottom-left, bottom-right order, plus bx, by."""
+    _, h, w = source.shape
+    xl = np.floor(xs)
+    yt = np.floor(ys)
+    bx = xs - xl
+    by = ys - yt
+    xl = xl.astype(np.intp)
+    yt = yt.astype(np.intp)
+    xr, yb = xl + 1, yt + 1
+
+    weights = (
+        (1.0 - bx) * (1.0 - by),
+        bx * (1.0 - by),
+        (1.0 - bx) * by,
+        bx * by,
+    )
+    coords = ((xl, yt), (xr, yt), (xl, yb), (xr, yb))
+    values = []
+    valids = []
+    for cx, cy in coords:
+        valid = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
+        cxc = np.clip(cx, 0, w - 1)
+        cyc = np.clip(cy, 0, h - 1)
+        values.append(source[:, cyc, cxc] * valid)
+        valids.append(valid)
+    return values, weights, coords, valids, bx, by
+
+
+def rect_grid(out_h: int, out_w: int):
+    ys, xs = np.mgrid[0:out_h, 0:out_w]
+    return xs.astype(np.float64), ys.astype(np.float64)
+
+
+def warp(source: np.ndarray, t: SimilarityTransform, out_size) -> np.ndarray:
+    """Oracle of align.warp."""
+    out_h, out_w = out_size
+    gx, gy = rect_grid(out_h, out_w)
+    src_pts = inverse_map(t, np.stack([gx, gy], axis=-1))
+    values, weights, _, _, _, _ = bilinear_taps(source, src_pts[..., 0], src_pts[..., 1])
+    out = np.zeros((source.shape[0], out_h, out_w), dtype=np.float64)
+    for val, wgt in zip(values, weights):
+        out += val * wgt
+    return out
+
+
+def warp_backward(upstream: np.ndarray, source: np.ndarray,
+                  t: SimilarityTransform) -> TransformGradients:
+    """Oracle of align.warp_backward, scattering d_source with np.add.at."""
+    out_h, out_w = upstream.shape[1], upstream.shape[2]
+    gx, gy = rect_grid(out_h, out_w)
+    src_pts = inverse_map(t, np.stack([gx, gy], axis=-1))
+    xs, ys = src_pts[..., 0], src_pts[..., 1]
+    values, weights, coords, valids, bx, by = bilinear_taps(source, xs, ys)
+    v_tl, v_tr, v_bl, v_br = values
+
+    ix = by * (v_br - v_bl) + (1.0 - by) * (v_tr - v_tl)
+    iy = bx * (v_br - v_tr) + (1.0 - bx) * (v_bl - v_tl)
+    gx_img = (upstream * ix).sum(axis=0)
+    gy_img = (upstream * iy).sum(axis=0)
+
+    d = t.norm_sq
+    u = gx - t.m_xr
+    v = gy - t.m_yr
+    x_off = (t.a * u - t.b * v) / d
+    y_off = (t.b * u + t.a * v) / d
+
+    dx_da = (u - 2.0 * t.a * x_off) / d
+    dy_da = (v - 2.0 * t.a * y_off) / d
+    dx_db = (-v - 2.0 * t.b * x_off) / d
+    dy_db = (u - 2.0 * t.b * y_off) / d
+
+    grads = TransformGradients(
+        d_a=float((gx_img * dx_da + gy_img * dy_da).sum()),
+        d_b=float((gx_img * dx_db + gy_img * dy_db).sum()),
+        d_m_x=float(gx_img.sum()),
+        d_m_y=float(gy_img.sum()),
+        d_m_xr=float((gx_img * (-t.a / d) + gy_img * (-t.b / d)).sum()),
+        d_m_yr=float((gx_img * (t.b / d) + gy_img * (-t.a / d)).sum()),
+        d_source=np.zeros_like(source, dtype=np.float64),
+    )
+    for wgt, (cx, cy), valid in zip(weights, coords, valids):
+        if not valid.any():
+            continue
+        contrib = upstream * (wgt * valid)
+        cxc = np.clip(cx, 0, source.shape[2] - 1)
+        cyc = np.clip(cy, 0, source.shape[1] - 1)
+        for c in range(source.shape[0]):
+            np.add.at(grads.d_source[c], (cyc, cxc), contrib[c])
+    return grads
