@@ -31,18 +31,12 @@ class TrainingError(RuntimeError):
 
 
 def to_grayscale(image: np.ndarray) -> np.ndarray:
-    """Rec. 601 luma for (3, H, W) color input, integer-rounded when the
-    input is an integer type; single-channel input passes through as 2-D."""
+    """The (H, W) plane of a single-channel (H, W) or (1, H, W) image."""
     if image.ndim == 2:
         return image
     if image.ndim == 3 and image.shape[0] == 1:
         return image[0]
-    if image.ndim == 3 and image.shape[0] == 3:
-        luma = 0.299 * image[0] + 0.587 * image[1] + 0.114 * image[2]
-        if np.issubdtype(image.dtype, np.integer):
-            return np.rint(luma).astype(image.dtype)
-        return luma
-    raise ValueError(f"expected (H, W), (1, H, W) or (3, H, W), got {image.shape}")
+    raise ValueError(f"expected (H, W) or (1, H, W), got {image.shape}")
 
 
 def fold_sum(values: np.ndarray) -> float:

@@ -1,6 +1,11 @@
 """Minimal deterministic CNN kernel: im2col convolution, pooling, dense and
 softmax layers, all with hand-written backward passes.
 
+Convolution gathers its patches into a (C*K*K, out_h*out_w) matrix, one row
+per kernel tap and one column per output position, so the gather copies
+along output rows and the filter GEMM (O, C*K*K) @ (C*K*K, P) writes a
+C-contiguous CHW output that relu and max-pool read without another copy.
+
 Conventions used throughout the package:
 
 - images and feature maps are numpy arrays in CHW layout (channels, rows,
@@ -67,29 +72,32 @@ def _check_input(x: np.ndarray, spec: ConvSpec) -> None:
 
 
 def conv_windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Read-only (out_h, out_w, C, K, K) view of the stride-aligned KxK
-    windows of the zero-padded CHW input; entry [oy, ox] is the receptive
-    patch of output position (oy, ox)."""
+    """Read-only (C, K, K, out_h, out_w) view of the stride-aligned KxK
+    windows of the zero-padded CHW input; entry [c, ky, kx] is the plane of
+    tap (c, ky, kx) over every output position, so its rows run along the
+    output rows."""
     _check_input(x, spec)
     # out_size rejects inputs smaller than a window: keeps the view in bounds
     out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
     k, s = spec.kernel, spec.stride
     xp = _pad_chw(x, spec.padding)
     sc, sy, sx = xp.strides
-    return as_strided(xp, (out_h, out_w, xp.shape[0], k, k),
-                      (s * sy, s * sx, sc, sy, sx), writeable=False)
+    return as_strided(xp, (xp.shape[0], k, k, out_h, out_w),
+                      (sc, sy, sx, s * sy, s * sx), writeable=False)
 
 
 def im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Gather every stride-aligned KxK patch of a CHW input into a matrix.
 
-    Row r of the result is the flattened (channel-major, then row, then col)
-    receptive patch of output position r, positions enumerated row-major.
-    Output shape is (out_h*out_w, C*K*K), one C-contiguous copy of the
-    conv_windows view.
+    Row (c, ky, kx) of the result, rows enumerated channel-major, then
+    kernel row, then kernel col, holds that tap for every output position,
+    positions enumerated row-major. Output shape is (C*K*K, out_h*out_w),
+    one C-contiguous copy of the conv_windows view; its contiguous runs are
+    out_w long.
     """
     win = conv_windows(x, spec)
-    return np.ascontiguousarray(win.reshape(win.shape[0] * win.shape[1], -1))
+    c, k, _, out_h, out_w = win.shape
+    return np.ascontiguousarray(win).reshape(c * k * k, out_h * out_w)
 
 
 def _filters_matrix(filters: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -108,11 +116,10 @@ def conv2d_forward(
     """Convolve a CHW input with (N, C, K, K) filters via im2col + matmul."""
     fmat = _filters_matrix(filters, spec)
     out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
-    cols = im2col(x, spec)
-    out = cols @ fmat.T
+    out = fmat @ im2col(x, spec)
     if bias is not None:
-        out += bias
-    return out.T.reshape(spec.out_channels, out_h, out_w)
+        out += bias[:, None]
+    return out.reshape(spec.out_channels, out_h, out_w)
 
 
 def conv2d_backward(
@@ -136,9 +143,9 @@ def conv2d_backward(
             f"{(spec.out_channels, out_h, out_w)}"
         )
     gmat = grad_out.reshape(spec.out_channels, -1)  # (N, P)
-    cols = im2col(x, spec)  # (P, CK2)
-    grad_filters = (gmat @ cols).reshape(filters.shape)
-    grad_cols = gmat.T @ fmat  # (P, CK2)
+    cols = im2col(x, spec)  # (CK2, P)
+    grad_filters = (gmat @ cols.T).reshape(filters.shape)
+    grad_cols = fmat.T @ gmat  # (CK2, P)
 
     p = spec.padding
     padded_shape = (x.shape[0], x.shape[1] + 2 * p, x.shape[2] + 2 * p)
@@ -147,11 +154,11 @@ def conv2d_backward(
     # padded pixel receives at most one term per tap, in the order np.add.at
     # over the im2col index arrays would add them.
     k, s = spec.kernel, spec.stride
-    grad_win = grad_cols.reshape(out_h, out_w, x.shape[0], k, k)
+    grad_win = grad_cols.reshape(x.shape[0], k, k, out_h, out_w)
     for ky in range(k):
         for kx in range(k):
             grad_padded[:, ky : ky + s * out_h : s, kx : kx + s * out_w : s] += (
-                grad_win[:, :, :, ky, kx].transpose(2, 0, 1)
+                grad_win[:, ky, kx]
             )
     grad_input = (
         grad_padded[:, p : p + x.shape[1], p : p + x.shape[2]] if p else grad_padded

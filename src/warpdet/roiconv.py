@@ -3,11 +3,12 @@
 Candidate boxes from the pre-filter are bucketed into scale octaves, each
 octave gets a half-sampled pyramid level plus a binary occupancy mask, and
 convolution layers gather only the patches whose output centers fall inside
-the mask. The patches are rows of the same strided window view the dense
-im2col path copies, and the gathered matrix is multiplied against the reshaped
-filter bank like the dense path. Masked positions agree with dense convolution
-to rounding (the tests hold them to 1e-12), not bit for bit: BLAS may sum a
-product of fewer rows in another order. Skipped positions cost nothing.
+the mask. Each patch is a (C*K*K,) column read from the same strided window
+view the dense im2col path copies, and the reshaped filter bank multiplies
+the gathered (C*K*K, M) matrix like the dense path. Masked positions agree
+with dense convolution to rounding (the tests hold them to 1e-12), not bit
+for bit: BLAS may sum a product of fewer columns in another order. Skipped
+positions cost nothing.
 """
 
 from __future__ import annotations
@@ -140,8 +141,9 @@ def downsample_mask(mask: RoiMask) -> RoiMask:
 def roi_im2col(x: np.ndarray, mask: RoiMask, spec: ConvSpec):
     """Gather only the patches whose output centers are marked in the mask.
 
-    Returns (data matrix of shape (M, C*K*K), flat output positions in
-    row-major order), M being the mask's ones count.
+    Returns (data matrix of shape (C*K*K, M), flat output positions in
+    row-major order), M being the mask's ones count: column m is the patch
+    of output position positions[m], laid out as the dense im2col column.
     """
     if x.ndim != 3 or x.shape[0] != spec.in_channels:
         raise ShapeError(f"expected ({spec.in_channels}, H, W) input, got {x.shape}")
@@ -152,8 +154,8 @@ def roi_im2col(x: np.ndarray, mask: RoiMask, spec: ConvSpec):
         )
     positions = np.flatnonzero(mask.bits)
     oy, ox = np.divmod(positions, out_w)
-    cols = conv_windows(x, spec)[oy, ox]
-    return cols.reshape(positions.size, spec.in_channels * spec.kernel**2), positions
+    cols = conv_windows(x, spec)[..., oy, ox]
+    return cols.reshape(spec.in_channels * spec.kernel**2, positions.size), positions
 
 
 def roi_conv_forward(
@@ -169,10 +171,10 @@ def roi_conv_forward(
     cols, positions = roi_im2col(x, mask, spec)
     out = np.zeros((spec.out_channels, out_h * out_w), dtype=x.dtype)
     if positions.size:
-        vals = cols @ filters.reshape(spec.out_channels, -1).T
+        vals = filters.reshape(spec.out_channels, -1) @ cols
         if bias is not None:
-            vals += bias
-        out[:, positions] = vals.T
+            vals += bias[:, None]
+        out[:, positions] = vals
     return out.reshape(spec.out_channels, out_h, out_w)
 
 
@@ -180,44 +182,6 @@ def roi_conv_macs(mask: RoiMask, spec: ConvSpec) -> int:
     """Multiply-accumulate count of the masked filter product: M*C*K^2*N.
     Gather and scatter overhead is excluded; wall-clock benchmarks carry it."""
     return mask.ones_count * spec.in_channels * spec.kernel**2 * spec.out_channels
-
-
-@dataclass(frozen=True)
-class LayerRfSpec:
-    """One layer's receptive-field relationship: rf_in = alpha * rf_out + beta."""
-
-    kind: str
-    alpha: int
-    beta: int
-
-    def __post_init__(self):
-        if self.alpha < 1 or self.beta < 0:
-            raise ValueError(f"invalid receptive-field relationship: {self}")
-
-    @classmethod
-    def from_kernel_stride(cls, kind: str, kernel: int, stride: int) -> "LayerRfSpec":
-        return cls(kind, alpha=stride, beta=kernel - stride)
-
-
-def receptive_field(layers: list[LayerRfSpec]) -> list[int]:
-    """Per-layer receptive-field sizes, composed back to front from a single
-    output unit; entry i is the extent in layer i's input space."""
-    if not layers:
-        raise ValueError("layer list must be non-empty")
-    sizes = []
-    rf = 1
-    for layer in reversed(layers):
-        rf = layer.alpha * rf + layer.beta
-        sizes.append(rf)
-    return sizes[::-1]
-
-
-def pyramid_overhead(levels: int) -> float:
-    """Extra pixel cost of half-sampled pyramid levels beyond the base level:
-    sum of 4^-k for k = 1..levels-1, approaching 1/3."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    return sum(4.0**-k for k in range(1, levels))
 
 
 def resize_bilinear(image: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:

@@ -28,19 +28,20 @@ def patch_indices(spec: ConvSpec, out_h: int, out_w: int):
 
 
 def im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Oracle of nn.im2col: gather every patch by fancy indexing."""
+    """Oracle of nn.im2col: gather every patch by fancy indexing into a
+    (C*K*K, out_h*out_w) matrix, one column per output position."""
     out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
     chan, row, col = patch_indices(spec, out_h, out_w)
-    return pad_chw(x, spec.padding)[chan, row, col].T.copy()
+    return pad_chw(x, spec.padding)[chan, row, col]
 
 
 def conv2d_forward(x, filters, spec: ConvSpec, bias=None) -> np.ndarray:
     """Oracle of nn.conv2d_forward on the fancy-index gather."""
     out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
-    out = im2col(x, spec) @ filters.reshape(spec.out_channels, -1).T
+    out = filters.reshape(spec.out_channels, -1) @ im2col(x, spec)
     if bias is not None:
-        out += bias
-    return out.T.reshape(spec.out_channels, out_h, out_w)
+        out += bias[:, None]
+    return out.reshape(spec.out_channels, out_h, out_w)
 
 
 def conv2d_backward(grad_out, x, filters, spec: ConvSpec):
@@ -48,14 +49,14 @@ def conv2d_backward(grad_out, x, filters, spec: ConvSpec):
     scattered into the padded input with np.add.at."""
     out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
     gmat = grad_out.reshape(spec.out_channels, -1)
-    grad_filters = (gmat @ im2col(x, spec)).reshape(filters.shape)
-    grad_cols = gmat.T @ filters.reshape(spec.out_channels, -1)
+    grad_filters = (gmat @ im2col(x, spec).T).reshape(filters.shape)
+    grad_cols = filters.reshape(spec.out_channels, -1).T @ gmat
     p = spec.padding
     grad_padded = np.zeros(
         (x.shape[0], x.shape[1] + 2 * p, x.shape[2] + 2 * p), dtype=x.dtype
     )
     chan, row, col = patch_indices(spec, out_h, out_w)
-    np.add.at(grad_padded, (chan, row, col), grad_cols.T)
+    np.add.at(grad_padded, (chan, row, col), grad_cols)
     grad_input = grad_padded[:, p : p + x.shape[1], p : p + x.shape[2]]
     return grad_input, grad_filters, gmat.sum(axis=1)
 

@@ -310,16 +310,6 @@ class TestScan:
 
 
 class TestGrayscale:
-    def test_rgb_rounding(self):
-        img = np.zeros((3, 2, 2), dtype=np.uint8)
-        img[0] = 100  # R
-        img[1] = 50   # G
-        img[2] = 200  # B
-        gray = to_grayscale(img)
-        expected = round(0.299 * 100 + 0.587 * 50 + 0.114 * 200)
-        assert gray.dtype == np.uint8
-        assert np.all(gray == expected)
-
     def test_single_channel_passthrough(self, rng):
         img = rng.random((5, 5))
         np.testing.assert_array_equal(to_grayscale(img), img)
@@ -328,3 +318,7 @@ class TestGrayscale:
     def test_bad_shape_rejected(self, rng):
         with pytest.raises(ValueError):
             to_grayscale(rng.random((2, 5, 5)))
+
+    def test_color_rejected(self, rng):
+        with pytest.raises(ValueError):
+            to_grayscale(rng.random((3, 5, 5)))

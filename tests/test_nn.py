@@ -35,23 +35,23 @@ class TestIm2col:
     def test_single_patch_is_row_major_input(self):
         x = np.arange(9, dtype=np.float64).reshape(1, 3, 3)
         cols = im2col(x, ConvSpec(1, 1, kernel=3))
-        assert cols.shape == (1, 9)
-        np.testing.assert_array_equal(cols[0], np.arange(9))
+        assert cols.shape == (9, 1)
+        np.testing.assert_array_equal(cols[:, 0], np.arange(9))
 
     def test_non_overlapping_tiling(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
         cols = im2col(x, ConvSpec(1, 1, kernel=2, stride=2))
         assert cols.shape == (4, 4)
-        np.testing.assert_array_equal(cols[0], [0, 1, 4, 5])
-        np.testing.assert_array_equal(cols[1], [2, 3, 6, 7])
-        np.testing.assert_array_equal(cols[2], [8, 9, 12, 13])
-        np.testing.assert_array_equal(cols[3], [10, 11, 14, 15])
+        np.testing.assert_array_equal(cols[:, 0], [0, 1, 4, 5])
+        np.testing.assert_array_equal(cols[:, 1], [2, 3, 6, 7])
+        np.testing.assert_array_equal(cols[:, 2], [8, 9, 12, 13])
+        np.testing.assert_array_equal(cols[:, 3], [10, 11, 14, 15])
 
     def test_matmul_equals_nested_loop_oracle(self, rng):
         x = rng.standard_normal((3, 8, 8))
         filters = rng.standard_normal((4, 3, 3, 3))
         spec = ConvSpec(3, 4, kernel=3, stride=1, padding=1)
-        out = (im2col(x, spec) @ filters.reshape(4, -1).T).T.reshape(4, 8, 8)
+        out = (filters.reshape(4, -1) @ im2col(x, spec)).reshape(4, 8, 8)
         ref = conv2d_reference(x, filters, stride=1, padding=1)
         assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -217,12 +217,12 @@ class TestConvWindows:
         x = rng.standard_normal((2, 11, 9)).astype(dtype)
         win = conv_windows(x, spec)
         out_h, out_w = spec.out_size(11, 9)
-        assert win.shape == (out_h, out_w, 2, kernel, kernel)
+        assert win.shape == (2, kernel, kernel, out_h, out_w)
         assert win.dtype == dtype
         with pytest.raises(ValueError):
             win[0, 0, 0, 0, 0] = 1.0
         assert np.array_equal(
-            win.reshape(out_h * out_w, -1), conv_oracles.im2col(x, spec)
+            win.reshape(-1, out_h * out_w), conv_oracles.im2col(x, spec)
         )
 
     @pytest.mark.parametrize("extent", [(4, 9), (9, 4), (1, 1)])

@@ -101,6 +101,26 @@ def test_detect_rejects_non_grayscale_shapes(shape):
         pipeline.detect(np.zeros(shape), model)
 
 
+@pytest.fixture(scope="module")
+def untrained():
+    return pipeline.build_detector(pipeline.TrainConfig())
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(48, 96), st.integers(48, 96), st.integers(0, 2**32 - 1),
+    st.floats(-2.0, 2.0), st.floats(-3.0, 3.0),
+)
+def test_detect_returns_finite_boxes_and_unit_scores_on_any_finite_image(
+    untrained, height, width, seed, offset, log_contrast
+):
+    """An untrained net proposes candidates all over the image, so every
+    stage of detect runs; contrast spans six decades."""
+    pixels = np.random.default_rng(seed).random((1, height, width))
+    image = offset + 10.0**log_contrast * pixels
+    _check_detections(pipeline.detect(image, untrained))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_detect_rejects_non_finite_pixels(bad):
     model = pipeline.build_detector(pipeline.TrainConfig())

@@ -1,21 +1,22 @@
 """Tests for masked convolution, octave grouping, mask propagation, and the
-receptive-field calculator, checked against the dense convolution oracle."""
+receptive-field cap, checked against the dense convolution oracle."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import conv_oracles
 from warpdet.nn import ConvSpec, ShapeError, conv2d_forward, im2col, maxpool2x2
+from warpdet.pipeline import TrainConfig, build_detector
 from warpdet.roiconv import (
-    LayerRfSpec,
+    DEFAULT_RF_CAP,
     RoiMask,
     RoiPyramid,
     build_mask,
     downsample_image,
     downsample_mask,
     group_candidates,
-    pyramid_overhead,
-    receptive_field,
     roi_conv_forward,
     roi_conv_macs,
     roi_im2col,
@@ -24,6 +25,44 @@ from warpdet.roiconv import (
 
 def random_mask(rng, height, width, density):
     return RoiMask(rng.random((height, width)) < density)
+
+
+@dataclass(frozen=True)
+class LayerRfSpec:
+    """One layer's receptive-field relationship: rf_in = alpha * rf_out + beta."""
+
+    kind: str
+    alpha: int
+    beta: int
+
+    def __post_init__(self):
+        if self.alpha < 1 or self.beta < 0:
+            raise ValueError(f"invalid receptive-field relationship: {self}")
+
+    @classmethod
+    def from_kernel_stride(cls, kind: str, kernel: int, stride: int) -> "LayerRfSpec":
+        return cls(kind, alpha=stride, beta=kernel - stride)
+
+
+def receptive_field(layers: list[LayerRfSpec]) -> list[int]:
+    """Per-layer receptive-field sizes, composed back to front from a single
+    output unit; entry i is the extent in layer i's input space."""
+    if not layers:
+        raise ValueError("layer list must be non-empty")
+    sizes = []
+    rf = 1
+    for layer in reversed(layers):
+        rf = layer.alpha * rf + layer.beta
+        sizes.append(rf)
+    return sizes[::-1]
+
+
+def pyramid_overhead(levels: int) -> float:
+    """Extra pixel cost of half-sampled pyramid levels beyond the base level:
+    sum of 4^-k for k = 1..levels-1, approaching 1/3."""
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
+    return sum(4.0**-k for k in range(1, levels))
 
 
 class TestGrouping:
@@ -123,7 +162,7 @@ class TestRoiIm2col:
         x = rng.standard_normal((2, 6, 6))
         spec = ConvSpec(2, 2, kernel=3, padding=1)
         cols, positions = roi_im2col(x, RoiMask.zeros(6, 6), spec)
-        assert cols.shape == (0, 18)
+        assert cols.shape == (18, 0)
         assert positions.size == 0
 
     def test_rows_are_selected_dense_rows(self, rng):
@@ -133,7 +172,7 @@ class TestRoiIm2col:
         mask = random_mask(rng, oh, ow, 0.4)
         cols, positions = roi_im2col(x, mask, spec)
         dense = im2col(x, spec)
-        np.testing.assert_array_equal(cols, dense[positions])
+        np.testing.assert_array_equal(cols, dense[:, positions])
 
     @pytest.mark.parametrize("kernel,stride", [(1, 1), (3, 1), (5, 2), (7, 2)])
     def test_rows_are_index_gather_oracle_rows(self, rng, kernel, stride):
@@ -141,8 +180,8 @@ class TestRoiIm2col:
         spec = ConvSpec(2, 3, kernel=kernel, stride=stride, padding=kernel // 2)
         mask = random_mask(rng, *spec.out_size(11, 10), 0.3)
         cols, positions = roi_im2col(x, mask, spec)
-        assert cols.flags.c_contiguous
-        assert np.array_equal(cols, conv_oracles.im2col(x, spec)[positions])
+        assert cols.shape == (2 * kernel**2, positions.size)
+        assert np.array_equal(cols, conv_oracles.im2col(x, spec)[:, positions])
 
     def test_extent_mismatch_rejected(self, rng):
         x = rng.standard_normal((1, 8, 8))
@@ -188,6 +227,24 @@ class TestRoiConvForward:
         assert out.dtype == np.float32
         assert np.max(np.abs((out - dense)[:, mask.bits])) < 1e-5
         assert not out[:, ~mask.bits].any()
+
+    @pytest.mark.parametrize("kernel,stride,padding", [(1, 1, 0), (3, 1, 1), (7, 2, 3)])
+    def test_dense_and_masked_outputs_are_c_contiguous_chw(
+        self, rng, kernel, stride, padding
+    ):
+        # relu and max-pool read conv outputs without a copy only when the
+        # GEMM itself writes them in CHW order.
+        x = rng.standard_normal((2, 13, 11))
+        f = rng.standard_normal((3, 2, kernel, kernel))
+        spec = ConvSpec(2, 3, kernel=kernel, stride=stride, padding=padding)
+        oh, ow = spec.out_size(13, 11)
+        dense = conv2d_forward(x, f, spec, bias=rng.standard_normal(3))
+        masked = roi_conv_forward(
+            x, f, random_mask(rng, oh, ow, 0.5), spec, bias=rng.standard_normal(3)
+        )
+        for out in (dense, masked):
+            assert out.shape == (3, oh, ow)
+            assert out.flags.c_contiguous
 
     def test_stride_two_mask_extents(self, rng):
         x = rng.standard_normal((1, 16, 16))
@@ -270,6 +327,22 @@ class TestReceptiveField:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             receptive_field([])
+
+    def test_rpn_receptive_field_is_the_mask_cap(self):
+        # rpn_forward runs conv1, pool, conv2, pool, conv3, then the 1x1 heads;
+        # the hand-written mask cap must equal the receptive field they span.
+        rpn = build_detector(TrainConfig()).rpn
+        pool = LayerRfSpec.from_kernel_stride("pool", 2, 2)
+
+        def conv(layer):
+            return LayerRfSpec.from_kernel_stride(
+                "conv", layer.spec.kernel, layer.spec.stride
+            )
+
+        layers = [conv(rpn.conv1), pool, conv(rpn.conv2), pool,
+                  conv(rpn.conv3), conv(rpn.score_head)]
+        assert rpn.point_head.spec.kernel == rpn.score_head.spec.kernel == 1
+        assert receptive_field(layers)[0] == DEFAULT_RF_CAP == 85
 
 
 class TestPyramidOverhead:
