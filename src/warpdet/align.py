@@ -31,6 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+CANONICAL_MARGIN = 2  # pixels between a canonical point and the crop border
+
+
 class SingularTransformError(ValueError):
     """Landmarks are (near-)coincident; the similarity fit is degenerate."""
 
@@ -48,16 +51,6 @@ class SimilarityTransform:
     def norm_sq(self) -> float:
         return self.a * self.a + self.b * self.b
 
-    @property
-    def source_scale(self) -> float:
-        """Source-image pixels per rectified pixel."""
-        return 1.0 / np.sqrt(self.norm_sq)
-
-    @property
-    def angle(self) -> float:
-        """Rotation (radians) applied by the inverse map, source-from-rectified."""
-        return float(np.arctan2(self.b, self.a))
-
 
 @dataclass
 class CanonicalShape:
@@ -71,10 +64,12 @@ class CanonicalShape:
         if self.points.ndim != 2 or self.points.shape[1] != 2 or len(self.points) < 2:
             raise ValueError(f"need at least 2 (x, y) points, got {self.points.shape}")
 
-    def clamp(self, width: int, height: int, margin: int = 2) -> None:
-        """Keep every point at least `margin` pixels inside the rectified image."""
-        np.clip(self.points[:, 0], margin, width - 1 - margin, out=self.points[:, 0])
-        np.clip(self.points[:, 1], margin, height - 1 - margin, out=self.points[:, 1])
+    def clamp(self, width: int, height: int) -> None:
+        """Keep every point at least CANONICAL_MARGIN pixels inside the
+        rectified image."""
+        m = CANONICAL_MARGIN
+        np.clip(self.points[:, 0], m, width - 1 - m, out=self.points[:, 0])
+        np.clip(self.points[:, 1], m, height - 1 - m, out=self.points[:, 1])
 
     def copy(self) -> "CanonicalShape":
         return CanonicalShape(self.points.copy(), self.trainable)
@@ -148,16 +143,6 @@ def estimate_similarity(landmarks, canonical) -> SimilarityTransform:
     """Closed-form least-squares similarity from landmarks to canonical points."""
     f = _fit_terms(landmarks, canonical)
     return SimilarityTransform(f.c1 / f.c3, f.c2 / f.c3, f.m_x, f.m_y, f.m_xr, f.m_yr)
-
-
-def forward_map(t: SimilarityTransform, points) -> np.ndarray:
-    """Source-image points -> rectified-image points."""
-    pts = np.asarray(points, dtype=np.float64)
-    x = pts[..., 0] - t.m_x
-    y = pts[..., 1] - t.m_y
-    return np.stack(
-        [t.a * x + t.b * y + t.m_xr, -t.b * x + t.a * y + t.m_yr], axis=-1
-    )
 
 
 def inverse_map(t: SimilarityTransform, points) -> np.ndarray:

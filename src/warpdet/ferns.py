@@ -19,11 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .roiconv import MIN_FACE, resize_bilinear
 from .suppress import Detection
 
 PATCH_SIZE = 32
 NUM_SPLITS = 8
 NUM_PARTITIONS = 1 << NUM_SPLITS
+# Laplace smoothing of partition scores, as a fraction of the total weight
+SMOOTHING_FRACTION = 1e-4
+SCAN_SCALE_STEP = 2.0 ** (1.0 / 3.0)  # size ratio of adjacent scan pyramid levels
+SCAN_STRIDE = 4                       # window step in level pixels
 
 
 class TrainingError(RuntimeError):
@@ -113,13 +118,10 @@ def _indices_flat(patches_flat: np.ndarray, fern: Fern, patch_size: int) -> np.n
 
 
 def partition_scores(
-    partitions: np.ndarray,
-    labels: np.ndarray,
-    weights: np.ndarray,
-    smoothing_fraction: float = 1e-4,
+    partitions: np.ndarray, labels: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """Half-log-odds score per partition: 0.5*log(sum of positive weights /
-    sum of negative weights), both sums Laplace-smoothed by a fixed fraction
+    sum of negative weights), both sums Laplace-smoothed by SMOOTHING_FRACTION
     of the total weight so empty partitions score exactly zero."""
     labels = np.asarray(labels)
     weights = np.asarray(weights, dtype=np.float64)
@@ -127,7 +129,7 @@ def partition_scores(
         raise ValueError("weights must be positive")
     pos = _bucket_fold_sums(partitions[labels == 1], weights[labels == 1])
     neg = _bucket_fold_sums(partitions[labels == 0], weights[labels == 0])
-    eps = smoothing_fraction * fold_sum(weights)
+    eps = SMOOTHING_FRACTION * fold_sum(weights)
     return 0.5 * np.log((pos + eps) / (neg + eps))
 
 
@@ -154,16 +156,11 @@ class CascadeConfig:
     per-stage detection target, desk-scale runs use fewer ferns at 99%."""
 
     num_ferns: int = 1000
-    splits_per_fern: int = NUM_SPLITS
     candidate_pool: int = 200
     per_stage_detection_target: float = 0.99
-    patch_size: int = PATCH_SIZE
-    smoothing_fraction: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
-        if self.splits_per_fern != NUM_SPLITS:
-            raise ValueError("ferns are fixed at 8 splits")
         if not 0.0 < self.per_stage_detection_target <= 1.0:
             raise ValueError("detection target must be in (0, 1]")
 
@@ -199,7 +196,7 @@ def train_cascade(
     the stage threshold so at least the target fraction of training positives
     keeps a cumulative score above it.
     """
-    ps = config.patch_size
+    ps = PATCH_SIZE
     if positives.ndim != 3 or negatives.ndim != 3:
         raise ValueError("expected stacks of 2-D grayscale patches")
     if len(positives) == 0 or len(negatives) == 0:
@@ -242,9 +239,7 @@ def train_cascade(
                 f"degenerate fern pool at stage {stage}: best candidate keeps "
                 "all samples in one partition"
             )
-        fern.scores = partition_scores(
-            parts, labels, weights, config.smoothing_fraction
-        )
+        fern.scores = partition_scores(parts, labels, weights)
         ferns.append(fern)
 
         sample_scores = fern.scores[parts]
@@ -258,14 +253,11 @@ def train_cascade(
         thresholds[stage] = pos_sorted[min(allowed_rejects, n_pos - 1)]
 
     return CascadeModel(
-        ferns,
-        thresholds,
-        patch_size=ps,
-        train_log={"stage_partition_losses": stage_losses},
+        ferns, thresholds, train_log={"stage_partition_losses": stage_losses}
     )
 
 
-def _scan_level(gray_flat, level_w, wins_x, wins_y, model, stride, offset):
+def _scan_level(gray_flat, level_w, wins_x, wins_y, model, stride):
     """Vectorized soft-cascade evaluation of all windows at one pyramid level.
     Returns (alive window flat-positions, their cumulative scores)."""
     wy, wx = np.divmod(np.arange(wins_y * wins_x), wins_x)
@@ -285,54 +277,45 @@ def _scan_level(gray_flat, level_w, wins_x, wins_y, model, stride, offset):
         bits = diffs < fern.thresholds
         parts = bits @ (1 << np.arange(NUM_SPLITS))
         scores[alive] += fern.scores[parts]
-        keep = scores[alive] >= model.stage_thresholds[stage] + offset
+        keep = scores[alive] >= model.stage_thresholds[stage]
         alive = alive[keep]
     return alive, scores[alive]
 
 
-def scan(
-    image: np.ndarray,
-    model: CascadeModel,
-    scale_step: float = 2.0 ** (1.0 / 3.0),
-    window_stride: int = 4,
-    threshold_offset: float = 0.0,
-    min_face: int = 36,
-) -> list[Detection]:
+def scan(image: np.ndarray, model: CascadeModel) -> list[Detection]:
     """Slide the cascade over an image pyramid and emit accepted windows.
 
-    Pyramid levels shrink by scale_step starting from the level where the
-    32-pixel window covers a min_face-sized face; boxes map back to original
-    coordinates carrying the cumulative cascade score.
+    Pyramid levels shrink by SCAN_SCALE_STEP starting from the level where
+    the 32-pixel window covers a MIN_FACE-sized face; windows step by
+    SCAN_STRIDE level pixels. Boxes map back to original coordinates
+    carrying the cumulative cascade score.
     """
-    from .roiconv import resize_bilinear
-
     gray = to_grayscale(image).astype(np.float64)
     h, w = gray.shape
     ps = model.patch_size
+    stride = SCAN_STRIDE
     detections: list[Detection] = []
-    factor = ps / float(min_face)
+    factor = ps / float(MIN_FACE)
     while True:
         lh, lw = int(round(h * factor)), int(round(w * factor))
         if lh < ps or lw < ps:
             break
         level = resize_bilinear(gray[None], (lh, lw))[0]
-        wins_y = (lh - ps) // window_stride + 1
-        wins_x = (lw - ps) // window_stride + 1
-        alive, scores = _scan_level(
-            level.ravel(), lw, wins_x, wins_y, model, window_stride, threshold_offset
-        )
+        wins_y = (lh - ps) // stride + 1
+        wins_x = (lw - ps) // stride + 1
+        alive, scores = _scan_level(level.ravel(), lw, wins_x, wins_y, model, stride)
         for flat_pos, score in zip(alive, scores):
             wy, wx = divmod(int(flat_pos), wins_x)
             detections.append(
                 Detection(
                     box=(
-                        wx * window_stride / factor,
-                        wy * window_stride / factor,
+                        wx * stride / factor,
+                        wy * stride / factor,
                         ps / factor,
                         ps / factor,
                     ),
                     score=float(score),
                 )
             )
-        factor /= scale_step
+        factor /= SCAN_SCALE_STEP
     return detections

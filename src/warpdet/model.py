@@ -11,10 +11,13 @@ A model file is one container of named arrays:
 
 Array names are attribute paths ("rpn.score_head.filters", "rcnn.fc.weight",
 "canonical.points"); the fern cascade is stored as stacked arrays
-("cascade.coords" (F, 8, 4) int64, "cascade.scores" (F, 256), ...). Only
-"<f8" and "<i8" arrays are read, never through pickle. Round trips are
-bit-exact; a corrupt header, a file cut short or running on past its last
-array raise ModelFormatError.
+("cascade.coords" (F, 8, 4) int64, "cascade.scores" (F, 256), ...). Every
+array is "<f8" except the "<i8" cascade.coords, and none is read through
+pickle. Round trips are bit-exact. The loader raises ModelFormatError on a
+corrupt header, a file cut short or running on past its last array, a
+non-finite array, and a header or array that disagrees with the detector
+build_detector creates: its conv geometry, the layer widths that chain one
+layer into the next, the flag types and the fern patch size.
 """
 
 from __future__ import annotations
@@ -28,17 +31,27 @@ from operator import attrgetter
 import numpy as np
 
 from .align import CanonicalShape
-from .ferns import CascadeModel, Fern
+from .ferns import PATCH_SIZE, CascadeModel, Fern
 from .nn import ConvSpec, uniform_init
 
 MAGIC = b"WCNN"
 FORMAT_VERSION = 2
 
-_CONV_ROLES = ("rpn.conv1", "rpn.conv2", "rpn.conv3", "rpn.score_head",
-               "rpn.point_head", "rcnn.conv1", "rcnn.conv2")
+# Kernel, stride and padding of each conv role; TrainConfig sets only the
+# channel counts. build_detector creates this geometry and the loader accepts
+# no other: the proposal net's stride 8 and receptive field 85 rest on it.
+CONV_GEOMETRY = {
+    "rpn.conv1": (7, 2, 3),
+    "rpn.conv2": (7, 1, 3),
+    "rpn.conv3": (7, 1, 3),
+    "rpn.score_head": (1, 1, 0),
+    "rpn.point_head": (1, 1, 0),
+    "rcnn.conv1": (5, 2, 2),
+    "rcnn.conv2": (3, 1, 1),
+}
 _FC_ROLES = ("rcnn.fc", "verdict")
-_FLAGS = ("multitask", "use_concat", "rect_size", "point_scale", "supervised_transform")
-_DTYPES = ("<f8", "<i8")
+_BOOL_FLAGS = ("multitask", "use_concat", "supervised_transform")
+_FLAGS = _BOOL_FLAGS + ("rect_size", "point_scale")
 
 
 class ModelFormatError(ValueError):
@@ -49,20 +62,20 @@ class ModelFormatError(ValueError):
 class ConvLayer:
     spec: ConvSpec
     filters: np.ndarray
-    bias: np.ndarray | None = None
+    bias: np.ndarray
 
     @classmethod
-    def create(cls, rng, spec: ConvSpec, bias: bool = True) -> "ConvLayer":
+    def create(cls, rng, spec: ConvSpec) -> "ConvLayer":
         k = spec.kernel
         fan_in = spec.in_channels * k * k
         fan_out = spec.out_channels * k * k
         filters = uniform_init(
             rng, (spec.out_channels, spec.in_channels, k, k), fan_in, fan_out
         )
-        return cls(spec, filters, np.zeros(spec.out_channels) if bias else None)
+        return cls(spec, filters, np.zeros(spec.out_channels))
 
     def params(self):
-        return [self.filters] + ([self.bias] if self.bias is not None else [])
+        return [self.filters, self.bias]
 
 
 @dataclass
@@ -131,22 +144,14 @@ class DetectorModel:
             ps.append(self.canonical.points)
         return ps
 
-    def save(self, path) -> None:
-        save_model(self, path)
-
-    @classmethod
-    def load(cls, path) -> "DetectorModel":
-        return load_model(path)
-
 
 def _named_arrays(model: DetectorModel) -> dict[str, np.ndarray]:
     """Every array the model file stores, keyed by its attribute path."""
     arrays = {}
-    for role in _CONV_ROLES:
+    for role in CONV_GEOMETRY:
         layer = attrgetter(role)(model)
         arrays[role + ".filters"] = layer.filters
-        if layer.bias is not None:
-            arrays[role + ".bias"] = layer.bias
+        arrays[role + ".bias"] = layer.bias
     for role in _FC_ROLES:
         layer = attrgetter(role)(model)
         arrays[role + ".weight"] = layer.weight
@@ -167,7 +172,7 @@ def save_model(model: DetectorModel, path) -> None:
         for name, a in _named_arrays(model).items()
     }
     header = {
-        "conv": {role: asdict(attrgetter(role)(model).spec) for role in _CONV_ROLES},
+        "conv": {role: asdict(attrgetter(role)(model).spec) for role in CONV_GEOMETRY},
         "flags": {key: getattr(model, key) for key in _FLAGS},
         "canonical.trainable": model.canonical.trainable,
         "cascade.patch_size": None if model.cascade is None else model.cascade.patch_size,
@@ -183,8 +188,8 @@ def save_model(model: DetectorModel, path) -> None:
 
 
 def load_model(path) -> DetectorModel:
-    """Read a model file; any truncation, trailing bytes or malformed header
-    raises ModelFormatError."""
+    """Read a model file; any truncation, trailing bytes, malformed header or
+    model that detect could not run raises ModelFormatError."""
     with open(path, "rb") as fh:
         buf = fh.read()
     try:
@@ -207,7 +212,8 @@ def _parse_model(buf: bytes) -> DetectorModel:
     starts = []
     end = 12 + header_len
     for name, dtype, shape in entries:
-        if dtype not in _DTYPES or not all(type(n) is int and n >= 0 for n in shape):
+        want = "<i8" if name == "cascade.coords" else "<f8"
+        if dtype != want or not all(type(n) is int and n >= 0 for n in shape):
             raise ModelFormatError(f"bad array entry {name!r}: {dtype!r} {shape!r}")
         starts.append(end)
         end += 8 * math.prod(shape)
@@ -220,14 +226,18 @@ def _parse_model(buf: bytes) -> DetectorModel:
         name: np.frombuffer(buf, dtype, math.prod(shape), start).reshape(shape).copy()
         for (name, dtype, shape), start in zip(entries, starts)
     }
+    for name, a in arrays.items():
+        if a.dtype.kind == "f" and not np.isfinite(a).all():
+            raise ModelFormatError(f"array {name!r} has non-finite values")
 
     flags = header["flags"]
-    if sorted(flags) != sorted(_FLAGS):
-        raise ModelFormatError(f"model flags {sorted(flags)}, expected {sorted(_FLAGS)}")
+    _check_flags(flags, header["canonical.trainable"], header["cascade.patch_size"])
 
     def conv(role):
         spec = ConvSpec(**header["conv"][role])
-        return ConvLayer(spec, arrays.pop(role + ".filters"), arrays.pop(role + ".bias", None))
+        if not all(type(v) is int for v in asdict(spec).values()):
+            raise ModelFormatError(f"{role} geometry {spec} is not all integers")
+        return ConvLayer(spec, arrays.pop(role + ".filters"), arrays.pop(role + ".bias"))
 
     def fc(role):
         return FcLayer(arrays.pop(role + ".weight"), arrays.pop(role + ".bias"))
@@ -258,4 +268,79 @@ def _parse_model(buf: bytes) -> DetectorModel:
     )
     if arrays:
         raise ModelFormatError(f"unknown arrays {sorted(arrays)}")
+    _check_layers(model)
     return model
+
+
+def _check_flags(flags, trainable, patch_size) -> None:
+    if sorted(flags) != sorted(_FLAGS):
+        raise ModelFormatError(f"model flags {sorted(flags)}, expected {sorted(_FLAGS)}")
+    bools = {key: flags[key] for key in _BOOL_FLAGS}
+    bools["canonical.trainable"] = trainable
+    for key, value in bools.items():
+        if type(value) is not bool:
+            raise ModelFormatError(f"{key} must be true or false, got {value!r}")
+    rect_size, point_scale = flags["rect_size"], flags["point_scale"]
+    if type(rect_size) is not int or rect_size < 1:
+        raise ModelFormatError(f"rect_size must be a positive integer, got {rect_size!r}")
+    if type(point_scale) not in (int, float) or not 0 < point_scale < math.inf:
+        raise ModelFormatError(f"point_scale must be positive and finite, got {point_scale!r}")
+    if patch_size is not None and (type(patch_size) is not int or patch_size != PATCH_SIZE):
+        raise ModelFormatError(f"cascade.patch_size {patch_size!r}, expected {PATCH_SIZE}")
+
+
+def _verification_width(model: DetectorModel) -> int:
+    """Length of the flattened map the verification net computes on a
+    rect_size crop: each conv is followed by a 2x2 pooling that rounds odd
+    extents up."""
+    side = model.rect_size
+    for layer in (model.rcnn.conv1, model.rcnn.conv2):
+        side = -(-layer.spec.out_size(side, side)[0] // 2)
+    return model.rcnn.conv2.spec.out_channels * side * side
+
+
+def _check_layers(model: DetectorModel) -> None:
+    """Reject conv geometry other than CONV_GEOMETRY, arrays whose shapes
+    disagree with their layer, and layer widths that do not chain."""
+    for role, geometry in CONV_GEOMETRY.items():
+        layer = attrgetter(role)(model)
+        spec = layer.spec
+        if (spec.kernel, spec.stride, spec.padding) != geometry:
+            raise ModelFormatError(
+                f"{role} has kernel, stride, padding {spec.kernel}, {spec.stride}, "
+                f"{spec.padding}; the detector uses {geometry}"
+            )
+        want = (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)
+        if layer.filters.shape != want or layer.bias.shape != (spec.out_channels,):
+            raise ModelFormatError(
+                f"{role} filters {layer.filters.shape} and bias {layer.bias.shape} "
+                f"disagree with its spec {spec}"
+            )
+    for role in _FC_ROLES:
+        layer = attrgetter(role)(model)
+        if layer.weight.ndim != 2 or layer.bias.shape != layer.weight.shape[:1]:
+            raise ModelFormatError(
+                f"{role} weight {layer.weight.shape} and bias {layer.bias.shape} disagree"
+            )
+    rpn, rcnn = model.rpn, model.rcnn
+    feat = rpn.conv3.spec.out_channels
+    widths = {  # what: (found, expected)
+        "rpn.conv1 input channels": (rpn.conv1.spec.in_channels, 1),
+        "rpn.conv2 input channels": (rpn.conv2.spec.in_channels, rpn.conv1.spec.out_channels),
+        "rpn.conv3 input channels": (rpn.conv3.spec.in_channels, rpn.conv2.spec.out_channels),
+        "rpn.score_head input channels": (rpn.score_head.spec.in_channels, feat),
+        "rpn.point_head input channels": (rpn.point_head.spec.in_channels, feat),
+        "rpn.score_head outputs": (rpn.score_head.spec.out_channels, 2),
+        "rpn.point_head outputs": (rpn.point_head.spec.out_channels,
+                                   10 if model.multitask else 3),
+        "rcnn.conv1 input channels": (rcnn.conv1.spec.in_channels, 1),
+        "rcnn.conv2 input channels": (rcnn.conv2.spec.in_channels, rcnn.conv1.spec.out_channels),
+        "rcnn.fc input width": (rcnn.fc.weight.shape[1], _verification_width(model)),
+        "verdict input width": (model.verdict.weight.shape[1],
+                                rcnn.fc.weight.shape[0] + (feat if model.use_concat else 0)),
+        "verdict outputs": (model.verdict.weight.shape[0], 2),
+        "canonical points": (model.canonical.points.shape, (5, 2)),
+    }
+    for what, (found, expected) in widths.items():
+        if found != expected:
+            raise ModelFormatError(f"{what}: {found}, expected {expected}")

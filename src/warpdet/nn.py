@@ -9,7 +9,9 @@ C-contiguous CHW output that relu and max-pool read without another copy.
 Conventions used throughout the package:
 
 - images and feature maps are numpy arrays in CHW layout (channels, rows,
-  cols), row-major, float64 unless the caller opts into float32;
+  cols), row-major;
+- the package builds float64 models, and every kernel keeps the dtype of
+  its input;
 - a point is (x, y) = (column, row);
 - all operations are pure functions over their inputs and are deterministic
   in a single-threaded run.
@@ -286,11 +288,11 @@ def concat_features_backward(grad_out: np.ndarray, len_a: int):
     return grad_out[:len_a].copy(), grad_out[len_a:].copy()
 
 
-def uniform_init(rng: np.random.Generator, shape, fan_in: int, fan_out: int,
-                 dtype=np.float64) -> np.ndarray:
-    """Seeded uniform init on [-s, s] with s = sqrt(6 / (fan_in + fan_out))."""
+def uniform_init(rng: np.random.Generator, shape, fan_in: int,
+                 fan_out: int) -> np.ndarray:
+    """Seeded float64 uniform init on [-s, s] with s = sqrt(6 / (fan_in + fan_out))."""
     s = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-s, s, size=shape).astype(dtype)
+    return rng.uniform(-s, s, size=shape)
 
 
 def sgd_step(params, grads, velocities, learning_rate: float, momentum: float):

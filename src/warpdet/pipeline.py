@@ -28,9 +28,9 @@ from .align import (
     warp,
     warp_backward,
 )
-from .ferns import CascadeConfig, train_cascade
+from .ferns import PATCH_SIZE, CascadeConfig, train_cascade
 from .ferns import scan as cascade_scan
-from .model import ConvLayer, DetectorModel, FcLayer, RcnnNet, RpnNet
+from .model import CONV_GEOMETRY, ConvLayer, DetectorModel, FcLayer, RcnnNet, RpnNet
 from .nn import ConvSpec, MultiTaskLoss, SgdOptimizer, ShapeError
 from .roiconv import (
     RoiMask,
@@ -45,6 +45,11 @@ from .synthetic import GLYPH_LANDMARKS, box_from_landmarks
 
 CELL_STRIDE = 8
 CELL_OFFSET = 3.0
+PROPOSAL_THRESHOLD = 0.5  # face probability at which a proposal cell is a candidate
+MAX_LEVELS = 4            # octaves of the dense detection pyramid
+L2_EPS = 1e-6
+NEGATIVES_PER_IMAGE = 3   # face-free crops per corpus image for the pre-filter
+PREFILTER_POOL = 60       # random fern candidates per pre-filter stage
 
 
 class DivergenceError(RuntimeError):
@@ -80,46 +85,45 @@ class TrainConfig:
         return center + 0.68 * self.rect_size * GLYPH_LANDMARKS
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectOptions:
     use_roi_conv: bool = False
     suppression: str = "non_top_k"  # non_top_k | nms | none
-    k: int = 3
-    iou_threshold: float = 0.5
-    proposal_threshold: float = 0.5
-    prefilter_offset: float = 0.0
-    verdict_threshold: float = 0.0
-    max_levels: int = 4
-    final_nms: bool = True
+
+    def __post_init__(self):
+        if self.suppression not in ("non_top_k", "nms", "none"):
+            raise ValueError(f"unknown suppression mode {self.suppression!r}")
 
 
 def build_detector(config: TrainConfig, multitask: bool = True,
-                   use_concat: bool = True, supervised_transform: bool = True,
-                   canonical_init: np.ndarray | None = None) -> DetectorModel:
+                   use_concat: bool = True, supervised_transform: bool = True
+                   ) -> DetectorModel:
     """Randomly initialized detector; ablation switches select the variant."""
     rng = np.random.default_rng(config.seed)
     f1, f2, f3 = config.rpn_channels
     r1, r2 = config.rcnn_channels
-    point_out = 10 if multitask else 3
+
+    def conv(role, in_channels, out_channels):
+        kernel, stride, padding = CONV_GEOMETRY[role]
+        spec = ConvSpec(in_channels, out_channels, kernel, stride, padding)
+        return ConvLayer.create(rng, spec)
+
     rpn = RpnNet(
-        conv1=ConvLayer.create(rng, ConvSpec(1, f1, 7, stride=2, padding=3)),
-        conv2=ConvLayer.create(rng, ConvSpec(f1, f2, 7, stride=1, padding=3)),
-        conv3=ConvLayer.create(rng, ConvSpec(f2, f3, 7, stride=1, padding=3)),
-        score_head=ConvLayer.create(rng, ConvSpec(f3, 2, 1)),
-        point_head=ConvLayer.create(rng, ConvSpec(f3, point_out, 1)),
+        conv1=conv("rpn.conv1", 1, f1),
+        conv2=conv("rpn.conv2", f1, f2),
+        conv3=conv("rpn.conv3", f2, f3),
+        score_head=conv("rpn.score_head", f3, 2),
+        point_head=conv("rpn.point_head", f3, 10 if multitask else 3),
     )
     grid = config.rect_size // 8
     rcnn = RcnnNet(
-        conv1=ConvLayer.create(rng, ConvSpec(1, r1, 5, stride=2, padding=2)),
-        conv2=ConvLayer.create(rng, ConvSpec(r1, r2, 3, stride=1, padding=1)),
+        conv1=conv("rcnn.conv1", 1, r1),
+        conv2=conv("rcnn.conv2", r1, r2),
         fc=FcLayer.create(rng, r2 * grid * grid, config.rcnn_feature),
     )
     verdict_in = config.rcnn_feature + (f3 if use_concat else 0)
     verdict = FcLayer.create(rng, verdict_in, 2)
-    canonical = CanonicalShape(
-        config.default_canonical() if canonical_init is None else np.array(canonical_init),
-        trainable=supervised_transform,
-    )
+    canonical = CanonicalShape(config.default_canonical(), trainable=supervised_transform)
     return DetectorModel(
         rpn=rpn,
         rcnn=rcnn,
@@ -311,10 +315,10 @@ def rpn_losses(state: RpnState, targets: RpnTargets, config: TrainConfig,
 # verification path (shared by training and inference)
 
 
-def l2_normalize(x: np.ndarray, eps: float = 1e-6):
+def l2_normalize(x: np.ndarray):
     """Unit-norm feature scaling; keeps the verdict head's input bounded
     regardless of how the upstream feature magnitudes drift in training."""
-    norm = float(np.sqrt(np.dot(x, x) + eps * eps))
+    norm = float(np.sqrt(np.dot(x, x) + L2_EPS * L2_EPS))
     return x / norm, norm
 
 
@@ -661,10 +665,10 @@ def _candidate_step(model, image, state, i, j, label, d_point, d_feat_extra,
 # detection
 
 
-def _dense_levels(image: np.ndarray, max_levels: int):
+def _dense_levels(image: np.ndarray):
     levels = []
     current = image
-    for k in range(max_levels):
+    for k in range(MAX_LEVELS):
         if min(current.shape[1], current.shape[2]) < 48:
             break
         levels.append((k, current, None))
@@ -672,20 +676,18 @@ def _dense_levels(image: np.ndarray, max_levels: int):
     return levels
 
 
-def _roi_levels(image: np.ndarray, model: DetectorModel, options: DetectOptions):
-    raw = cascade_scan(
-        image[0], model.cascade, threshold_offset=options.prefilter_offset
-    )
+def _roi_levels(image: np.ndarray, model: DetectorModel):
+    raw = cascade_scan(image[0], model.cascade)
     groups = group_candidates([d.box for d in raw])
     return RoiPyramid.build(image, groups).levels
 
 
-def _level_candidates(model, state, octave, options):
+def _level_candidates(model, state, octave):
     """Detections proposed by one pyramid level's score map."""
     probs = np.exp(nn.log_softmax(state.score.reshape(2, -1).T))[:, 1]
     ch, cw = state.score.shape[1:]
     probs = probs.reshape(ch, cw)
-    eligible = probs >= options.proposal_threshold
+    eligible = probs >= PROPOSAL_THRESHOLD
     if state.head_mask is not None:
         eligible &= state.head_mask.bits
     scale = 2.0**octave
@@ -723,24 +725,21 @@ def detect(image: np.ndarray, model: DetectorModel,
     if options.use_roi_conv:
         if model.cascade is None:
             raise ValueError("ROI path requires a trained cascade pre-filter")
-        levels = _roi_levels(image, model, options)
+        levels = _roi_levels(image, model)
     else:
-        levels = _dense_levels(image, options.max_levels)
+        levels = _dense_levels(image)
 
     candidates = []
     for octave, level_img, mask in levels:
         state = rpn_forward(model.rpn, level_img, mask)
-        candidates.extend(_level_candidates(model, state, octave, options))
+        candidates.extend(_level_candidates(model, state, octave))
 
-    cfg = SuppressionConfig(iou_threshold=options.iou_threshold, k=options.k)
     if options.suppression == "non_top_k":
-        kept = non_top_k(candidates, cfg)
+        kept = non_top_k(candidates, SuppressionConfig())
     elif options.suppression == "nms":
-        kept = nms(candidates, cfg)
-    elif options.suppression == "none":
-        kept = list(candidates)
+        kept = nms(candidates, SuppressionConfig())
     else:
-        raise ValueError(f"unknown suppression mode {options.suppression!r}")
+        kept = candidates
 
     final = []
     for cand in kept:
@@ -750,11 +749,8 @@ def detect(image: np.ndarray, model: DetectorModel,
             continue
         cache = verify_forward(model, image, transform, cand.feature)
         prob = float(np.exp(nn.log_softmax(cache.logits))[1])
-        if prob >= options.verdict_threshold:
-            final.append(Detection(cand.box, prob, landmarks=cand.landmarks))
-    if options.final_nms:
-        final = nms(final, SuppressionConfig(iou_threshold=0.5, k=1))
-    return final
+        final.append(Detection(cand.box, prob, landmarks=cand.landmarks))
+    return nms(final, SuppressionConfig(k=1))
 
 
 # --------------------------------------------------------------------------
@@ -820,35 +816,28 @@ def crop_patch(image: np.ndarray, box, out_size: int) -> np.ndarray:
     return warp(image, crop_transform(box, out_size), (out_size, out_size))[0]
 
 
-def harvest_cascade_patches(corpus, rng, negatives_per_image: int = 3,
-                            patch_size: int = 32):
-    """Face crops and face-free crops from a corpus, as 32x32 patches."""
+def harvest_cascade_patches(corpus, rng):
+    """Face crops and face-free crops from a corpus, as fern-sized patches."""
     pos, neg = [], []
     for sample in corpus:
         h, w = sample.image.shape[1:]
         for box, _ in sample.faces:
-            pos.append(crop_patch(sample.image, box, patch_size))
-        for _ in range(negatives_per_image):
+            pos.append(crop_patch(sample.image, box, PATCH_SIZE))
+        for _ in range(NEGATIVES_PER_IMAGE):
             for _attempt in range(10):
                 side = rng.uniform(36, 72)
                 x = rng.uniform(0, w - side)
                 y = rng.uniform(0, h - side)
                 cand = (x, y, side, side)
                 if all(iou(cand, box) < 0.1 for box, _ in sample.faces):
-                    neg.append(crop_patch(sample.image, cand, patch_size))
+                    neg.append(crop_patch(sample.image, cand, PATCH_SIZE))
                     break
     return np.array(pos), np.array(neg)
 
 
-def train_prefilter(corpus, num_ferns: int = 120, candidate_pool: int = 60,
-                    seed: int = 0, per_stage_detection_target: float = 0.99):
+def train_prefilter(corpus, num_ferns: int = 120, seed: int = 0):
     """Train the fern cascade on corpus-derived patches."""
     rng = np.random.default_rng(seed + 3)
     pos, neg = harvest_cascade_patches(corpus, rng)
-    cfg = CascadeConfig(
-        num_ferns=num_ferns,
-        candidate_pool=candidate_pool,
-        per_stage_detection_target=per_stage_detection_target,
-        seed=seed,
-    )
+    cfg = CascadeConfig(num_ferns=num_ferns, candidate_pool=PREFILTER_POOL, seed=seed)
     return train_cascade(pos, neg, cfg)

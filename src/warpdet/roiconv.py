@@ -22,6 +22,7 @@ from .nn import ConvSpec, ShapeError, conv_windows
 # Smallest face the downstream network resolves; octave k covers sizes
 # [MIN_FACE * 2^k, 2 * MIN_FACE * 2^k).
 MIN_FACE = 36
+# Largest mask footprint side: the receptive field of one proposal cell.
 DEFAULT_RF_CAP = 85
 
 
@@ -34,14 +35,6 @@ class RoiMask:
             raise ValueError(f"mask must be 2-D, got shape {bits.shape}")
         bits.flags.writeable = False
         self.bits = bits
-
-    @classmethod
-    def zeros(cls, height: int, width: int) -> "RoiMask":
-        return cls(np.zeros((height, width), dtype=bool))
-
-    @classmethod
-    def ones(cls, height: int, width: int) -> "RoiMask":
-        return cls(np.ones((height, width), dtype=bool))
 
     @property
     def height(self) -> int:
@@ -75,21 +68,13 @@ class ScaleGroup:
     def scale_factor(self) -> float:
         return 2.0 ** (-self.octave_index)
 
-    @property
-    def min_face(self) -> int:
-        return MIN_FACE * 2**self.octave_index
-
-    @property
-    def max_face(self) -> int:
-        return 2 * self.min_face
-
     def scaled_candidates(self) -> list:
         """Candidate boxes rescaled to this octave's pyramid level."""
         s = self.scale_factor
         return [(x * s, y * s, w * s, h * s) for (x, y, w, h) in self.candidates]
 
 
-def group_candidates(candidates, image_size=None) -> list[ScaleGroup]:
+def group_candidates(candidates) -> list[ScaleGroup]:
     """Bucket boxes into scale octaves by their larger side.
 
     Boxes smaller than the detector minimum (36 px) are discarded; every
@@ -107,15 +92,15 @@ def group_candidates(candidates, image_size=None) -> list[ScaleGroup]:
     return [groups[k] for k in sorted(groups)]
 
 
-def build_mask(scaled_candidates, level_size, receptive_field_cap=DEFAULT_RF_CAP) -> RoiMask:
+def build_mask(scaled_candidates, level_size) -> RoiMask:
     """Union of candidate footprints: each box keeps its center, doubles each
     side (capped at the receptive field), and is clipped to the level bounds."""
     height, width = level_size
     bits = np.zeros((height, width), dtype=bool)
     for x, y, w, h in scaled_candidates:
         cx, cy = x + w / 2.0, y + h / 2.0
-        ww = min(2.0 * w, float(receptive_field_cap))
-        hh = min(2.0 * h, float(receptive_field_cap))
+        ww = min(2.0 * w, float(DEFAULT_RF_CAP))
+        hh = min(2.0 * h, float(DEFAULT_RF_CAP))
         x0 = int(round(cx - ww / 2.0))
         y0 = int(round(cy - hh / 2.0))
         x1 = x0 + int(round(ww))
@@ -224,12 +209,7 @@ class RoiPyramid:
     levels: list  # (octave_index, image CHW, RoiMask)
 
     @classmethod
-    def build(
-        cls,
-        image: np.ndarray,
-        groups: list[ScaleGroup],
-        receptive_field_cap: int = DEFAULT_RF_CAP,
-    ) -> "RoiPyramid":
+    def build(cls, image: np.ndarray, groups: list[ScaleGroup]) -> "RoiPyramid":
         if image.ndim != 3:
             raise ValueError(f"expected CHW image, got {image.shape}")
         levels = []
@@ -241,13 +221,6 @@ class RoiPyramid:
             while depth < group.octave_index:
                 current = downsample_image(current)
                 depth += 1
-            mask = build_mask(
-                group.scaled_candidates(),
-                (current.shape[1], current.shape[2]),
-                receptive_field_cap,
-            )
+            mask = build_mask(group.scaled_candidates(), current.shape[1:])
             levels.append((group.octave_index, current, mask))
         return cls(levels)
-
-    def total_pixels(self) -> int:
-        return sum(img.shape[1] * img.shape[2] for _, img, _ in self.levels)

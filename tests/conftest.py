@@ -15,6 +15,10 @@ for _var in (
 import numpy as np
 import pytest
 
+from warpdet import pipeline, synthetic
+
+TINY_SEED = 5
+
 
 def conv2d_reference(x, filters, stride=1, padding=0):
     """Nested-loop convolution oracle, deliberately independent of im2col."""
@@ -68,3 +72,26 @@ def rel_err(analytic, numeric):
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def train_tiny(**variant):
+    """RPN for one epoch, then one joint epoch, on 12 images of 96 px.
+    Returns (model, RPN history, joint history)."""
+    corpus = synthetic.generate_synthetic_corpus(TINY_SEED, 12)
+    config = pipeline.TrainConfig(epochs=1, seed=TINY_SEED)
+    model = pipeline.build_detector(config, **variant)
+    model, rpn_history = pipeline.train_rpn(corpus, config, model, epochs=1)
+    model, joint_history = pipeline.train_end_to_end(corpus, model, config)
+    return model, rpn_history, joint_history
+
+
+@pytest.fixture(scope="session")
+def tiny_run():
+    """The seeded tiny training run; tests that change the model copy it."""
+    return train_tiny()
+
+
+@pytest.fixture(scope="session")
+def held_out():
+    """Two 96-px images that the tiny run did not train on."""
+    return synthetic.generate_synthetic_corpus(TINY_SEED + 1, 2)

@@ -14,12 +14,7 @@ def fern_index(patch: np.ndarray, fern: Fern) -> int:
     return int(bits @ (1 << np.arange(NUM_SPLITS)))
 
 
-def cascade_score(
-    patch: np.ndarray,
-    model: CascadeModel,
-    threshold_offset: float = 0.0,
-    early_exit: bool = True,
-):
+def cascade_score(patch: np.ndarray, model: CascadeModel, early_exit: bool = True):
     """Scalar oracle of ferns._scan_level: cumulative fern score of one patch
     with soft-cascade early exit.
 
@@ -35,7 +30,7 @@ def cascade_score(
     rejected_at = None
     for stage, fern in enumerate(model.ferns):
         score += fern.scores[fern_index(patch, fern)]
-        if score < model.stage_thresholds[stage] + threshold_offset:
+        if score < model.stage_thresholds[stage]:
             if early_exit:
                 return score, stage
             if rejected_at is None:

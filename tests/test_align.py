@@ -17,7 +17,6 @@ from warpdet.align import (
     SimilarityTransform,
     SingularTransformError,
     estimate_similarity,
-    forward_map,
     inverse_map,
     landmark_and_canonical_gradients,
     similarity_from_pose,
@@ -51,6 +50,17 @@ def grid_search_ls(src, dst, span=8.0, rounds=5, points=81):
         ca, cb = aa[i], bb[j]
         span = 4.0 * (aa[1] - aa[0])
     return ca, cb
+
+
+def forward_map(t: SimilarityTransform, points) -> np.ndarray:
+    """Source-image points -> rectified-image points: the map that
+    inverse_map undoes, written out from the transform's definition."""
+    pts = np.asarray(points, dtype=np.float64)
+    x = pts[..., 0] - t.m_x
+    y = pts[..., 1] - t.m_y
+    return np.stack(
+        [t.a * x + t.b * y + t.m_xr, -t.b * x + t.a * y + t.m_yr], axis=-1
+    )
 
 
 def rotate_about(points, angle, center):
@@ -219,7 +229,8 @@ class TestInverseMap:
                 )
                 expected = (pts - dst_c) @ (s * rot).T + src_c
                 np.testing.assert_allclose(inverse_map(t, pts), expected, atol=1e-9)
-                assert t.source_scale == pytest.approx(s)
+                # source pixels per rectified pixel
+                assert 1.0 / np.sqrt(t.norm_sq) == pytest.approx(s)
 
     def test_scale_rotation_elimination(self, rng):
         canon = np.array(

@@ -1,0 +1,93 @@
+"""The benchmark's tracer still fits the package.
+
+``bench/spans.Tracer`` wraps ``warpdet`` functions by name, with the keywords
+they are called with, in the reference pass of every benchmark run. Here it
+traces one dense detect, one ROI detect and one joint training step of the
+tiny seeded model. The cascade passes every window, so the ROI path runs
+every masked layer. A renamed function or a changed keyword makes a wrapper
+raise; a new span name or an untraced call directly under an operation
+fails the checks below.
+"""
+
+import copy
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import TINY_SEED
+from warpdet import pipeline
+from warpdet.ferns import NUM_PARTITIONS, NUM_SPLITS, PATCH_SIZE, CascadeModel, Fern
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def spans():
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import spans
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    return spans
+
+
+def _open_cascade(rng, n_ferns=4):
+    """Random ferns whose stage thresholds let every window through."""
+    ferns = [
+        Fern(
+            rng.integers(0, PATCH_SIZE, size=(NUM_SPLITS, 4)),
+            rng.standard_normal(NUM_SPLITS),
+            rng.standard_normal(NUM_PARTITIONS),
+        )
+        for _ in range(n_ferns)
+    ]
+    return CascadeModel(ferns, np.full(n_ferns, -1e9))
+
+
+@pytest.fixture(scope="module")
+def traced(spans, tiny_run, held_out):
+    """A tracer that has recorded operations 0 (dense detect), 1 (ROI
+    detect) and 2 (joint training step)."""
+    model = copy.deepcopy(tiny_run[0])
+    model.cascade = _open_cascade(np.random.default_rng(TINY_SEED))
+    sample = held_out[0]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.watch(model)
+        tracer.operation(0, pipeline.detect, sample.image, model)
+        tracer.operation(1, pipeline.detect, sample.image, model,
+                         pipeline.DetectOptions(use_roi_conv=True))
+        tracer.watch(model)
+        config = pipeline.TrainConfig(epochs=1, seed=TINY_SEED)
+        tracer.operation(2, pipeline.train_end_to_end, [sample], model, config)
+    finally:
+        tracer.uninstall()
+    return tracer
+
+
+def _span_names(tracer, op_id):
+    return {name for op, name, *_ in tracer.spans if op == op_id and name != "op"}
+
+
+def test_every_span_is_a_benchmark_metric(traced):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"] for m in spec["per_layer"]}
+    names = set().union(*(_span_names(traced, op) for op in range(3)))
+    assert names <= metrics, sorted(names - metrics)
+
+
+@pytest.mark.parametrize("op_id, kind", [(0, "detect"), (1, "detect"), (2, "train_step")])
+def test_direct_children_are_accounted_for(spans, traced, op_id, kind):
+    direct = traced.span_totals([op_id])[3]
+    assert direct
+    assert direct <= set(spans.DIRECT_CHILDREN[kind]), sorted(direct)
+
+
+def test_roi_detect_records_every_masked_layer(spans, traced):
+    masked = {"roiconv.conv_ms." + role for role in spans.RPN_ROLES}
+    assert masked <= _span_names(traced, 1)
+    assert traced.count_totals([1])["ferns.survivors"] > 0

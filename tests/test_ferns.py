@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from fern_oracles import cascade_score, fern_index
 from warpdet.ferns import (
+    SCAN_STRIDE,
+    SMOOTHING_FRACTION,
     CascadeConfig,
     CascadeModel,
     Fern,
@@ -114,8 +116,10 @@ class TestPartitionScores:
         parts = np.array([7, 7])
         labels = np.array([1, 0])
         weights = np.array([0.9, 0.1])
-        scores = partition_scores(parts, labels, weights, smoothing_fraction=1e-12)
-        assert scores[7] == pytest.approx(0.5 * np.log(9.0), abs=1e-9)
+        scores = partition_scores(parts, labels, weights)
+        eps = SMOOTHING_FRACTION  # of a total weight of one
+        assert scores[7] == pytest.approx(0.5 * np.log((0.9 + eps) / (0.1 + eps)), abs=1e-12)
+        assert scores[7] == pytest.approx(0.5 * np.log(9.0), abs=1e-3)
 
     def test_empty_partition_scores_zero(self):
         parts = np.array([0, 1])
@@ -270,17 +274,19 @@ class TestScan:
     @pytest.mark.parametrize("offset", [0.0, -2.0, -5.0])
     def test_scan_level_matches_scalar_cascade(self, trained, rng, offset):
         img, _ = planted_image(rng)
-        stride, ps = 4, trained.patch_size
+        # lowering every stage threshold lets more windows through
+        cascade = CascadeModel(
+            trained.ferns, trained.stage_thresholds + offset, trained.patch_size
+        )
+        stride, ps = SCAN_STRIDE, cascade.patch_size
         wins_y = (img.shape[0] - ps) // stride + 1
         wins_x = (img.shape[1] - ps) // stride + 1
-        alive, scores = _scan_level(
-            img.ravel(), img.shape[1], wins_x, wins_y, trained, stride, offset
-        )
+        alive, scores = _scan_level(img.ravel(), img.shape[1], wins_x, wins_y, cascade, stride)
         expected, expected_scores = [], []
         for pos in range(wins_y * wins_x):
             wy, wx = divmod(pos, wins_x)
             patch = img[wy * stride : wy * stride + ps, wx * stride : wx * stride + ps]
-            score, rejected_at = cascade_score(patch, trained, threshold_offset=offset)
+            score, rejected_at = cascade_score(patch, cascade)
             if rejected_at is None:
                 expected.append(pos)
                 expected_scores.append(score)
@@ -301,12 +307,13 @@ class TestScan:
     def test_full_stride_tiles_align(self, trained, rng):
         img = np.clip(rng.normal(0.3, 0.1, size=(80, 80)), 0, 1.5)
         img[20:40, 20:40] += 0.6
-        dets = scan(img, trained, window_stride=32)
+        dets = scan(img, trained)
+        assert dets
         for d in dets:
             # window origin is a multiple of the stride at its pyramid level
             scale = 32.0 / d.w
-            assert (d.x * scale) % 32 == pytest.approx(0, abs=1e-6)
-            assert (d.y * scale) % 32 == pytest.approx(0, abs=1e-6)
+            for origin in (d.x * scale / SCAN_STRIDE, d.y * scale / SCAN_STRIDE):
+                assert origin == pytest.approx(round(origin), abs=1e-6)
 
 
 class TestGrayscale:

@@ -1,6 +1,7 @@
 """Binary model format: bit-exact round trips and loud failures."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from warpdet import pipeline
 from warpdet.ferns import NUM_PARTITIONS, NUM_SPLITS, CascadeModel, Fern
-from warpdet.model import FORMAT_VERSION, MAGIC, DetectorModel, ModelFormatError
+from warpdet.model import FORMAT_VERSION, MAGIC, ModelFormatError, load_model, save_model
 
 
 def _cascade(rng, n_ferns=3):
@@ -28,14 +29,14 @@ def model_bytes(tmp_path, rng):
     model = pipeline.build_detector(pipeline.TrainConfig(seed=3))
     model.cascade = _cascade(rng)
     path = tmp_path / "model.wcnn"
-    model.save(path)
+    save_model(model, path)
     return path.read_bytes()
 
 
 def _load_bytes(tmp_path, data):
     path = tmp_path / "probe.wcnn"
     path.write_bytes(data)
-    return DetectorModel.load(path)
+    return load_model(path)
 
 
 @pytest.mark.parametrize("supervised_transform", [True, False])
@@ -50,8 +51,8 @@ def test_round_trip_is_bit_exact(tmp_path, rng, supervised_transform):
     model.canonical.points += rng.uniform(-1, 1, model.canonical.points.shape)
     model.cascade = _cascade(rng)
     path = tmp_path / "model.wcnn"
-    model.save(path)
-    loaded = DetectorModel.load(path)
+    save_model(model, path)
+    loaded = load_model(path)
 
     assert len(loaded.params()) == len(model.params())
     for a, b in zip(model.params(), loaded.params()):
@@ -87,8 +88,8 @@ def test_appended_bytes_raise_model_format_error(tmp_path, model_bytes, extra):
 def test_round_trip_without_cascade(tmp_path):
     model = pipeline.build_detector(pipeline.TrainConfig(seed=5))
     path = tmp_path / "model.wcnn"
-    model.save(path)
-    loaded = DetectorModel.load(path)
+    save_model(model, path)
+    loaded = load_model(path)
     assert loaded.cascade is None
     for a, b in zip(model.params(), loaded.params(), strict=True):
         assert a.shape == b.shape and np.array_equal(a, b)
@@ -109,6 +110,26 @@ def _edit_entry(name, field, edit):
         (entry,) = [e for e in header["arrays"] if e[0] == name]
         entry[field] = edit(entry[field])
         return _rebuild(header, body)
+    return corrupt
+
+
+def _edit_header(edit):
+    """Corruption that edits the decoded header in place."""
+    def corrupt(header, body):
+        edit(header)
+        return _rebuild(header, body)
+    return corrupt
+
+
+def _overwrite_first(name, value):
+    """Corruption that overwrites the first element of one float array."""
+    def corrupt(header, body):
+        start = 0
+        for entry, _, shape in header["arrays"]:
+            if entry == name:
+                break
+            start += 8 * math.prod(shape)
+        return _rebuild(header, body[:start] + struct.pack("<d", value) + body[start + 8 :])
     return corrupt
 
 
@@ -137,6 +158,21 @@ CORRUPTIONS = {
         {**h, "arrays": h["arrays"] + [["extra", "<f8", [1]]]}, b + bytes(8)
     ),
     "header not JSON": lambda h, b: _rebuild(h, b, header_bytes=b"{not json"),
+    # headers that parse but disagree with the arrays or with the detector
+    "kernel 5 over 7x7 filters": _edit_header(lambda h: h["conv"]["rpn.conv1"].update(kernel=5)),
+    "float kernel": _edit_header(lambda h: h["conv"]["rpn.conv1"].update(kernel=7.0)),
+    "stride 2 in rpn.conv2": _edit_header(lambda h: h["conv"]["rpn.conv2"].update(stride=2)),
+    "input channels disagree with filters": _edit_header(
+        lambda h: h["conv"]["rpn.conv2"].update(in_channels=9)
+    ),
+    "float patch size": _edit_header(lambda h: h.update({"cascade.patch_size": 32.0})),
+    "patch size 16": _edit_header(lambda h: h.update({"cascade.patch_size": 16})),
+    "string flag": _edit_header(lambda h: h["flags"].update(multitask="yes")),
+    "integer trainable": _edit_header(lambda h: h.update({"canonical.trainable": 1})),
+    "rect_size 65": _edit_header(lambda h: h["flags"].update(rect_size=65)),
+    "float coords": _edit_entry("cascade.coords", 1, lambda d: "<f8"),
+    "NaN weight": _overwrite_first("rpn.conv2.filters", math.nan),
+    "infinite canonical point": _overwrite_first("canonical.points", math.inf),
 }
 
 

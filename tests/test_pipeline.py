@@ -1,38 +1,22 @@
 """Seeded tiny runs of the two training phases and of detection."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rel_err
+from conftest import TINY_SEED as SEED
+from conftest import rel_err, train_tiny
 from warpdet import nn, pipeline, synthetic
 from warpdet.nn import ShapeError
+from warpdet.suppress import iou
 
-SEED = 5
 # The dense-detect AP floor of the benchmark: a working detector scores well
 # above it, a broken conv or warp kernel far below it.
 AP_FLOOR = 0.5
-
-
-def _tiny_run(**variant):
-    """RPN for one epoch, then one joint epoch, on 12 images of 96 px."""
-    corpus = synthetic.generate_synthetic_corpus(SEED, 12)
-    config = pipeline.TrainConfig(epochs=1, seed=SEED)
-    model = pipeline.build_detector(config, **variant)
-    model, rpn_history = pipeline.train_rpn(corpus, config, model, epochs=1)
-    model, joint_history = pipeline.train_end_to_end(corpus, model, config)
-    return model, rpn_history, joint_history
-
-
-@pytest.fixture(scope="module")
-def tiny_run():
-    return _tiny_run()
-
-
-@pytest.fixture(scope="module")
-def held_out():
-    return synthetic.generate_synthetic_corpus(SEED + 1, 2)
 
 
 def _check_detections(dets, with_landmarks=True):
@@ -45,7 +29,7 @@ def _check_detections(dets, with_landmarks=True):
 
 def test_repeated_run_is_bit_identical(tiny_run):
     model, rpn_history, joint_history = tiny_run
-    again, rpn_again, joint_again = _tiny_run()
+    again, rpn_again, joint_again = train_tiny()
     for a, b in zip(model.params(), again.params(), strict=True):
         assert np.array_equal(a, b)
     assert rpn_history == rpn_again
@@ -76,13 +60,38 @@ def test_detect_outputs_are_finite_scores_in_unit_interval(tiny_run, held_out):
         _check_detections(image_dets)
 
 
+@pytest.mark.parametrize("mode", ["nms", "none"])
+def test_detect_in_other_suppression_modes(tiny_run, held_out, mode):
+    """Whatever the first suppression keeps, the final NMS leaves no two
+    boxes overlapping at IoU 0.5."""
+    model = tiny_run[0]
+    options = pipeline.DetectOptions(suppression=mode)
+    dets = [pipeline.detect(s.image, model, options) for s in held_out]
+    assert sum(len(d) for d in dets) > 0
+    for image_dets in dets:
+        _check_detections(image_dets)
+        for a, b in itertools.combinations(image_dets, 2):
+            assert iou(a.box, b.box) < 0.5
+
+
+def test_detect_options_reject_an_unknown_suppression_mode():
+    with pytest.raises(ValueError, match="unknown suppression mode 'soft'"):
+        pipeline.DetectOptions(suppression="soft")
+
+
+def test_detect_options_are_frozen():
+    options = pipeline.DetectOptions()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        options.suppression = "nms"
+
+
 @pytest.mark.parametrize(
     "variant",
     [{"multitask": False}, {"use_concat": False}, {"supervised_transform": False}],
     ids=lambda v: next(iter(v)),
 )
 def test_ablation_variant_trains_and_detects(variant, held_out):
-    model, _, history = _tiny_run(**variant)
+    model, _, history = train_tiny(**variant)
     assert all(np.all(np.isfinite(p)) for p in model.params())
     assert np.isfinite(history["epochs"][0]["loss"])
     if variant.get("supervised_transform") is False:
