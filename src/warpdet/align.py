@@ -77,8 +77,10 @@ class CanonicalShape:
 
 @dataclass
 class TransformGradients:
-    """Loss gradients of the alignment layer; all finite, all zero when the
-    upstream gradient is zero."""
+    """Loss gradients of the alignment layer with respect to the transform,
+    the landmarks and the canonical points; all finite, all zero when the
+    upstream gradient is zero. The source image gets no gradient: it is the
+    input, and nothing upstream of it learns."""
 
     d_a: float
     d_b: float
@@ -86,7 +88,6 @@ class TransformGradients:
     d_m_y: float
     d_m_xr: float
     d_m_yr: float
-    d_source: np.ndarray
     d_landmarks: np.ndarray | None = None
     d_canonical: np.ndarray | None = None
 
@@ -188,9 +189,8 @@ def _sample_points(t: SimilarityTransform, out_h: int, out_w: int):
 
 def _bilinear_taps(source: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     """Bilinear sampling of (H, W) points with zero padding, one (H, W) array
-    per tap in tl, tr, bl, br order: (values (C, H, W), weights, flat pixel
-    indices, valid masks, bx, by). Out-of-bounds taps read a clipped pixel,
-    contribute value 0 and receive no gradient."""
+    per tap in tl, tr, bl, br order: (values (C, H, W), weights, bx, by).
+    Out-of-bounds taps read a clipped pixel and contribute value 0."""
     c, h, w = source.shape
     xl = np.floor(xs)
     yt = np.floor(ys)
@@ -214,7 +214,7 @@ def _bilinear_taps(source: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     indices = [rows[i] + cols[j] for i in (0, 1) for j in (0, 1)]
     valid = [row_ok[i] & col_ok[j] for i in (0, 1) for j in (0, 1)]
     values = [np.take(flat, idx, axis=1) * ok for idx, ok in zip(indices, valid)]
-    return values, weights, indices, valid, bx, by
+    return values, weights, bx, by
 
 
 def warp(source: np.ndarray, t: SimilarityTransform, out_size: tuple[int, int]) -> np.ndarray:
@@ -226,7 +226,7 @@ def warp(source: np.ndarray, t: SimilarityTransform, out_size: tuple[int, int]) 
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output size must be positive, got {out_size}")
     _, _, x_off, y_off = _sample_points(t, out_h, out_w)
-    values, weights, _, _, _, _ = _bilinear_taps(source, x_off + t.m_x, y_off + t.m_y)
+    values, weights, _, _ = _bilinear_taps(source, x_off + t.m_x, y_off + t.m_y)
     out = np.zeros((source.shape[0], out_h, out_w), dtype=np.float64)
     for val, wgt in zip(values, weights):
         out += val * wgt
@@ -236,8 +236,8 @@ def warp(source: np.ndarray, t: SimilarityTransform, out_size: tuple[int, int]) 
 def warp_backward(
     upstream: np.ndarray, source: np.ndarray, t: SimilarityTransform
 ) -> TransformGradients:
-    """Backward pass of warp: gradients for (a, b), the four centroids, and
-    the source pixels.
+    """Backward pass of warp: gradients for (a, b) and the four centroids.
+    The source pixels get none.
 
     The transform-parameter gradients chain the upstream signal through the
     horizontal/vertical image derivatives of the bilinear interpolant and the
@@ -250,9 +250,7 @@ def warp_backward(
         )
     out_h, out_w = upstream.shape[1], upstream.shape[2]
     u, v, x_off, y_off = _sample_points(t, out_h, out_w)
-    values, weights, indices, valid, bx, by = _bilinear_taps(
-        source, x_off + t.m_x, y_off + t.m_y
-    )
+    values, _, bx, by = _bilinear_taps(source, x_off + t.m_x, y_off + t.m_y)
     v_tl, v_tr, v_bl, v_br = values
 
     # Image derivatives of the interpolant at the sample points.
@@ -269,15 +267,6 @@ def warp_backward(
     dx_db = (-v - 2.0 * t.b * x_off) / d
     dy_db = (u - 2.0 * t.b * y_off) / d
 
-    # One bincount over the taps concatenated in tl, tr, bl, br order adds
-    # each source pixel's terms from zero in the order of a tap-by-tap
-    # scatter. The zero terms of out-of-bounds taps leave every sum as is.
-    c, h, w = source.shape
-    n = out_h * out_w
-    tap_weights = np.stack([wgt * ok for wgt, ok in zip(weights, valid)])
-    contrib = upstream.reshape(c, 1, n) * tap_weights.reshape(1, 4, n)
-    flat = np.stack(indices).reshape(1, 4, n) + (h * w) * np.arange(c).reshape(c, 1, 1)
-    d_source = np.bincount(flat.ravel(), contrib.ravel(), minlength=c * h * w)
     return TransformGradients(
         d_a=float((gx_img * dx_da + gy_img * dy_da).sum()),
         d_b=float((gx_img * dx_db + gy_img * dy_db).sum()),
@@ -285,7 +274,6 @@ def warp_backward(
         d_m_y=float(gy_img.sum()),
         d_m_xr=float((gx_img * (-t.a / d) + gy_img * (-t.b / d)).sum()),
         d_m_yr=float((gx_img * (t.b / d) + gy_img * (-t.a / d)).sum()),
-        d_source=d_source.reshape(c, h, w),
     )
 
 

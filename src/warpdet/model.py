@@ -289,14 +289,14 @@ def _check_flags(flags, trainable, patch_size) -> None:
         raise ModelFormatError(f"cascade.patch_size {patch_size!r}, expected {PATCH_SIZE}")
 
 
-def _verification_width(model: DetectorModel) -> int:
-    """Length of the flattened map the verification net computes on a
-    rect_size crop: each conv is followed by a 2x2 pooling that rounds odd
-    extents up."""
-    side = model.rect_size
-    for layer in (model.rcnn.conv1, model.rcnn.conv2):
-        side = -(-layer.spec.out_size(side, side)[0] // 2)
-    return model.rcnn.conv2.spec.out_channels * side * side
+def verification_width(rect_size: int, conv1: ConvSpec, conv2: ConvSpec) -> int:
+    """Length of the flattened map the verification convs compute on a
+    rect_size crop, which is rcnn.fc's input width: each conv is followed by
+    a 2x2 pooling that rounds odd extents up."""
+    side = rect_size
+    for spec in (conv1, conv2):
+        side = -(-spec.out_size(side, side)[0] // 2)
+    return conv2.out_channels * side * side
 
 
 def _check_layers(model: DetectorModel) -> None:
@@ -335,7 +335,8 @@ def _check_layers(model: DetectorModel) -> None:
                                    10 if model.multitask else 3),
         "rcnn.conv1 input channels": (rcnn.conv1.spec.in_channels, 1),
         "rcnn.conv2 input channels": (rcnn.conv2.spec.in_channels, rcnn.conv1.spec.out_channels),
-        "rcnn.fc input width": (rcnn.fc.weight.shape[1], _verification_width(model)),
+        "rcnn.fc input width": (rcnn.fc.weight.shape[1], verification_width(
+            model.rect_size, rcnn.conv1.spec, rcnn.conv2.spec)),
         "verdict input width": (model.verdict.weight.shape[1],
                                 rcnn.fc.weight.shape[0] + (feat if model.use_concat else 0)),
         "verdict outputs": (model.verdict.weight.shape[0], 2),

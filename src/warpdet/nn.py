@@ -5,6 +5,10 @@ Convolution gathers its patches into a (C*K*K, out_h*out_w) matrix, one row
 per kernel tap and one column per output position, so the gather copies
 along output rows and the filter GEMM (O, C*K*K) @ (C*K*K, P) writes a
 C-contiguous CHW output that relu and max-pool read without another copy.
+Its backward frees that matrix before it forms the column gradient of the
+same shape, so one call never holds two of them, and folds the column
+gradient back into the input (col2im) with one np.bincount per input
+channel over a cached flat index of padded-input positions.
 
 Conventions used throughout the package:
 
@@ -20,6 +24,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -124,6 +129,23 @@ def conv2d_forward(
     return out.reshape(spec.out_channels, out_h, out_w)
 
 
+@lru_cache(maxsize=16)
+def _col2im_index(height: int, width: int, kernel: int, stride: int,
+                  padding: int) -> np.ndarray:
+    """Flat index, into one padded input plane, of every tap of one channel's
+    rows of the patch matrix, in their (ky, kx, oy, ox) order.
+
+    Shared between calls and never written. It is not flagged read-only:
+    np.bincount copies a read-only index on every call, which for a
+    one-channel input is a second patch matrix."""
+    out_h = (height + 2 * padding - kernel) // stride + 1
+    out_w = (width + 2 * padding - kernel) // stride + 1
+    taps = np.arange(kernel)
+    rows = taps.reshape(-1, 1, 1, 1) + stride * np.arange(out_h).reshape(-1, 1)
+    cols = taps.reshape(-1, 1, 1) + stride * np.arange(out_w)
+    return (rows * (width + 2 * padding) + cols).reshape(-1)
+
+
 def conv2d_backward(
     grad_out: np.ndarray,
     x: np.ndarray,
@@ -135,6 +157,15 @@ def conv2d_backward(
 
     Returns (grad_input, grad_filters) or (grad_input, grad_filters,
     grad_bias) when with_bias is set.
+
+    The patch matrix is freed before the column gradient of the same shape
+    is formed, so the call holds at most one (C*K*K, P) matrix. The column
+    gradient goes back to the input with one np.bincount per channel over
+    padded-input positions in (ky, kx, oy, ox) order: each pixel sums its
+    terms from zero, kernel row outer and kernel col inner, as np.add.at
+    over the im2col index arrays would. bincount sums in float64, so a
+    float32 input gets float32 gradients whose last bits may differ from
+    an in-precision scatter.
     """
     _check_input(x, spec)
     fmat = _filters_matrix(filters, spec)
@@ -147,27 +178,27 @@ def conv2d_backward(
     gmat = grad_out.reshape(spec.out_channels, -1)  # (N, P)
     cols = im2col(x, spec)  # (CK2, P)
     grad_filters = (gmat @ cols.T).reshape(filters.shape)
+    del cols
     grad_cols = fmat.T @ gmat  # (CK2, P)
 
-    p = spec.padding
-    padded_shape = (x.shape[0], x.shape[1] + 2 * p, x.shape[2] + 2 * p)
-    grad_padded = np.zeros(padded_shape, dtype=x.dtype)
-    # One strided slice-add per kernel tap, ky outer and kx inner: every
-    # padded pixel receives at most one term per tap, in the order np.add.at
-    # over the im2col index arrays would add them.
-    k, s = spec.kernel, spec.stride
-    grad_win = grad_cols.reshape(x.shape[0], k, k, out_h, out_w)
-    for ky in range(k):
-        for kx in range(k):
-            grad_padded[:, ky : ky + s * out_h : s, kx : kx + s * out_w : s] += (
-                grad_win[:, ky, kx]
-            )
-    grad_input = (
-        grad_padded[:, p : p + x.shape[1], p : p + x.shape[2]] if p else grad_padded
-    )
+    c, h, w = x.shape
+    k, p = spec.kernel, spec.padding
+    index = _col2im_index(h, w, k, spec.stride, p)
+    plane = (h + 2 * p, w + 2 * p)
+    grad_input = np.empty_like(x)
+    for ch, taps in enumerate(grad_cols.reshape(c, -1)):
+        grad_padded = np.bincount(index, taps, minlength=plane[0] * plane[1])
+        grad_input[ch] = grad_padded.reshape(plane)[p : p + h, p : p + w]
     if with_bias:
         return grad_input, grad_filters, gmat.sum(axis=1)
     return grad_input, grad_filters
+
+
+def _block_origins(c: int, h: int, w: int) -> np.ndarray:
+    """(c, h/2, w/2) flat indices of the top-left cell of every 2x2 block of
+    a C-contiguous (c, h, w) array with even extents."""
+    rows = np.arange(c)[:, None, None] * h + np.arange(0, h, 2)[:, None]
+    return rows * w + np.arange(0, w, 2)
 
 
 def maxpool2x2(x: np.ndarray):
@@ -192,21 +223,21 @@ def maxpool2x2(x: np.ndarray):
     right_top, right_bottom = tr > tl, br > bl
     bottom = np.maximum(bl, br) > np.maximum(tl, tr)
     right = right_top ^ (bottom & (right_top ^ right_bottom))
-    rows = np.arange(c)[:, None, None] * h + np.arange(0, h, 2)[:, None]
-    out = xp.reshape(-1).take(rows * w + np.arange(0, w, 2) + w * bottom + right)
+    out = xp.reshape(-1).take(_block_origins(c, h, w) + w * bottom + right)
     return out, np.add(2 * bottom, right, dtype=np.intp)
 
 
 def maxpool2x2_backward(
     grad_out: np.ndarray, argmax: np.ndarray, in_shape: tuple[int, int, int]
 ) -> np.ndarray:
-    """Route pooled gradients back to each block's argmax position."""
+    """Route pooled gradients back to each block's argmax position: one flat
+    scatter into a zeroed edge-replicated input, cropped to in_shape."""
     c, h, w = in_shape
     he, we = h + h % 2, w + w % 2
-    grad = np.zeros((c, he // 2, we // 2, 4), dtype=grad_out.dtype)
-    np.put_along_axis(grad, argmax[..., None], grad_out[..., None], axis=3)
-    grad = grad.reshape(c, he // 2, we // 2, 2, 2).transpose(0, 1, 3, 2, 4)
-    return grad.reshape(c, he, we)[:, :h, :w]
+    grad = np.zeros((c, he, we), dtype=grad_out.dtype)
+    tap = _block_origins(c, he, we) + we * (argmax >> 1) + (argmax & 1)
+    grad.reshape(-1)[tap] = grad_out
+    return grad[:, :h, :w]
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,15 @@ from .align import (
 )
 from .ferns import PATCH_SIZE, CascadeConfig, train_cascade
 from .ferns import scan as cascade_scan
-from .model import CONV_GEOMETRY, ConvLayer, DetectorModel, FcLayer, RcnnNet, RpnNet
+from .model import (
+    CONV_GEOMETRY,
+    ConvLayer,
+    DetectorModel,
+    FcLayer,
+    RcnnNet,
+    RpnNet,
+    verification_width,
+)
 from .nn import ConvSpec, MultiTaskLoss, SgdOptimizer, ShapeError
 from .roiconv import (
     RoiMask,
@@ -115,11 +123,13 @@ def build_detector(config: TrainConfig, multitask: bool = True,
         score_head=conv("rpn.score_head", f3, 2),
         point_head=conv("rpn.point_head", f3, 10 if multitask else 3),
     )
-    grid = config.rect_size // 8
+    rcnn_conv1 = conv("rcnn.conv1", 1, r1)
+    rcnn_conv2 = conv("rcnn.conv2", r1, r2)
+    fc_in = verification_width(config.rect_size, rcnn_conv1.spec, rcnn_conv2.spec)
     rcnn = RcnnNet(
-        conv1=conv("rcnn.conv1", 1, r1),
-        conv2=conv("rcnn.conv2", r1, r2),
-        fc=FcLayer.create(rng, r2 * grid * grid, config.rcnn_feature),
+        conv1=rcnn_conv1,
+        conv2=rcnn_conv2,
+        fc=FcLayer.create(rng, fc_in, config.rcnn_feature),
     )
     verdict_in = config.rcnn_feature + (f3 if use_concat else 0)
     verdict = FcLayer.create(rng, verdict_in, 2)

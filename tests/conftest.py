@@ -2,15 +2,16 @@
 
 import os
 
-# Pin BLAS to one thread before numpy loads anywhere: keeps timing-sensitive
-# tests stable and matches the single-thread benchmark protocol.
+# Pin BLAS to one thread before numpy loads anywhere, overriding any
+# inherited setting: keeps timing-sensitive tests stable and matches the
+# single-thread benchmark protocol.
 for _var in (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 ):
-    os.environ.setdefault(_var, "1")
+    os.environ[_var] = "1"
 
 import numpy as np
 import pytest

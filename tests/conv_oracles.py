@@ -1,7 +1,7 @@
 """Reference forms of the strided-view kernels in ``warpdet.nn``, kept in
 the tests as oracles: a fancy-index patch gather, an ``np.add.at`` gradient
-scatter and an ``argmax`` max-pool. They pad with ``np.pad`` and share no
-helper with the code they check."""
+scatter, an ``argmax`` max-pool and a ``put_along_axis`` max-pool backward.
+They pad with ``np.pad`` and share no helper with the code they check."""
 
 import numpy as np
 
@@ -72,3 +72,14 @@ def maxpool2x2(x: np.ndarray):
     argmax = blocks.argmax(axis=3)
     out = np.take_along_axis(blocks, argmax[..., None], axis=3)[..., 0]
     return out, argmax
+
+
+def maxpool2x2_backward(grad_out, argmax, in_shape):
+    """Oracle of nn.maxpool2x2_backward: put each gradient at its argmax slot
+    of a (C, H/2, W/2, 4) block array, then undo the block gather."""
+    c, h, w = in_shape
+    he, we = h + h % 2, w + w % 2
+    grad = np.zeros((c, he // 2, we // 2, 4), dtype=grad_out.dtype)
+    np.put_along_axis(grad, argmax[..., None], grad_out[..., None], axis=3)
+    grad = grad.reshape(c, he // 2, we // 2, 2, 2).transpose(0, 1, 3, 2, 4)
+    return grad.reshape(c, he, we)[:, :h, :w]

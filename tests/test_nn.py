@@ -1,12 +1,15 @@
 """Tests for the dense CNN kernel, checked against nested-loop and
 finite-difference oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import conv_oracles
 from conftest import central_diff, conv2d_reference, rel_err
 from warpdet import nn
+from warpdet.model import CONV_GEOMETRY
 from warpdet.nn import (
     ConvSpec,
     MultiTaskLoss,
@@ -209,6 +212,83 @@ def test_bit_equal_to_index_gather_oracles(rng, kernel, stride, padding, extent)
         assert a.shape == b.shape and np.array_equal(a, b)
 
 
+# (in channels, out channels, input extent) of each conv in a joint step of
+# the benchmark: the proposal net on a 96-px image, the verification net on
+# a 64-px crop. Kernel, stride and padding come from CONV_GEOMETRY.
+BENCH_GEOMETRIES = {
+    "rpn.conv1": (1, 8, (96, 96)),
+    "rpn.conv2": (8, 12, (24, 24)),
+    "rpn.conv3": (12, 16, (12, 12)),
+    "rpn.score_head": (16, 2, (12, 12)),
+    "rpn.point_head": (16, 10, (12, 12)),
+    "rcnn.conv1": (1, 8, (64, 64)),
+    "rcnn.conv2": (8, 16, (16, 16)),
+}
+
+
+def _bench_case(rng, role, dtype=np.float64):
+    """Spec, input, filters and upstream gradient of one bench conv; the
+    gradient holds signed zeros, as relu_backward gives."""
+    c, n, extent = BENCH_GEOMETRIES[role]
+    spec = ConvSpec(c, n, *CONV_GEOMETRY[role])
+    x = rng.standard_normal((c, *extent))
+    filters = rng.standard_normal((n, c, spec.kernel, spec.kernel))
+    g = rng.standard_normal((n, *spec.out_size(*extent)))
+    g[g < -1.0] = -0.0
+    g[np.abs(g) < 0.2] = 0.0
+    return spec, x.astype(dtype), filters.astype(dtype), g.astype(dtype)
+
+
+class TestConvBackwardAtBenchGeometries:
+    @pytest.mark.parametrize("role", BENCH_GEOMETRIES)
+    def test_bit_equal_to_scatter_oracle(self, rng, role):
+        spec, x, filters, g = _bench_case(rng, role)
+        got = conv2d_backward(g, x, filters, spec, with_bias=True)
+        want = conv_oracles.conv2d_backward(g, x, filters, spec)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("role", ["rpn.conv2", "rcnn.conv1", "rpn.point_head"])
+    def test_float32_stays_float32_within_single_precision(self, rng, role):
+        spec, x, filters, g = _bench_case(rng, role, np.float32)
+        got = conv2d_backward(g, x, filters, spec, with_bias=True)
+        want = conv2d_backward(
+            g.astype(np.float64), x.astype(np.float64),
+            filters.astype(np.float64), spec, with_bias=True,
+        )
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == np.float32 and a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-5 * np.max(np.abs(b))
+
+    def test_col2im_index_is_built_once_per_geometry(self, rng):
+        spec, x, filters, g = _bench_case(rng, "rpn.conv2")
+        conv2d_backward(g, x, filters, spec)
+        index = nn._col2im_index(24, 24, 7, 1, 3)
+        assert index is nn._col2im_index(24, 24, 7, 1, 3)
+        assert index.shape == (7 * 7 * 24 * 24,) and index.dtype == np.intp
+        before = index.copy()
+        conv2d_backward(g, x, filters, spec)
+        assert np.array_equal(index, before)
+
+    @pytest.mark.parametrize("role", ["rpn.conv1", "rpn.conv2"])
+    def test_peak_allocation_is_one_patch_matrix(self, rng, role):
+        """The patch matrix is freed before the column gradient, the other
+        (C*K*K, P) matrix, is allocated, and np.bincount reads the cached
+        index without copying it (a copy is one more patch matrix when
+        C = 1)."""
+        spec, x, filters, g = _bench_case(rng, role)
+        patch_matrix_bytes = im2col(x, spec).nbytes
+        conv2d_backward(g, x, filters, spec, with_bias=True)  # fills the index cache
+        tracemalloc.start()
+        try:
+            conv2d_backward(g, x, filters, spec, with_bias=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * patch_matrix_bytes
+
+
 class TestConvWindows:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("kernel,stride,padding", [(1, 1, 0), (3, 1, 1), (7, 2, 3)])
@@ -306,6 +386,23 @@ class TestMaxPool:
         grad = maxpool2x2_backward(np.ones((1, 3, 3)), argmax, (1, 5, 5))
         assert grad.shape == (1, 5, 5)
         assert grad.sum() == 9.0  # nothing lost to replicated cells
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "extent", [(8, 8), (7, 8), (8, 7), (5, 5), (1, 1), (1, 4), (2, 3), (48, 48)]
+    )
+    def test_backward_bytes_equal_put_along_axis_oracle(self, rng, extent, dtype):
+        for _ in range(10):
+            x = relu(rng.standard_normal((3,) + extent) - 0.5).astype(dtype)
+            _, argmax = maxpool2x2(x)
+            g = rng.standard_normal(argmax.shape)
+            g[g < -0.5] = -0.0
+            g[np.abs(g) < 0.2] = 0.0
+            g = g.astype(dtype)
+            got = maxpool2x2_backward(g, argmax, x.shape)
+            want = conv_oracles.maxpool2x2_backward(g, argmax, x.shape)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_backward_finite_difference(self, rng):
         x = rng.standard_normal((2, 4, 4))

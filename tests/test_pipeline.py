@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import TINY_SEED as SEED
 from conftest import rel_err, train_tiny
 from warpdet import nn, pipeline, synthetic
+from warpdet.model import load_model, save_model
 from warpdet.nn import ShapeError
 from warpdet.suppress import iou
 
@@ -101,6 +102,27 @@ def test_ablation_variant_trains_and_detects(variant, held_out):
     for sample in held_out:
         _check_detections(pipeline.detect(sample.image, model),
                           with_landmarks=model.multitask)
+
+
+def test_rect_size_off_a_multiple_of_8_trains_detects_and_round_trips(tmp_path, held_out):
+    """rcnn.fc takes the width of the pooled verification map, whose
+    poolings round odd extents up: 60 -> 30 -> 15 -> 8."""
+    config = pipeline.TrainConfig(epochs=1, rect_size=60, seed=SEED)
+    model = pipeline.build_detector(config)
+    assert model.rcnn.fc.weight.shape[1] == config.rcnn_channels[1] * 8 * 8
+    corpus = synthetic.generate_synthetic_corpus(SEED, 2)
+    model, history = pipeline.train_end_to_end(corpus, model, config)
+    assert np.isfinite(history["epochs"][0]["loss"])
+    image = held_out[0].image
+    dets = pipeline.detect(image, model)
+    assert dets
+    _check_detections(dets)
+    save_model(model, tmp_path / "model.wcnn")
+    loaded = load_model(tmp_path / "model.wcnn")
+    assert loaded.rect_size == 60
+    for a, b in zip(pipeline.detect(image, loaded), dets, strict=True):
+        assert a.box == b.box and a.score == b.score
+        assert np.array_equal(a.landmarks, b.landmarks)
 
 
 @pytest.mark.parametrize("shape", [(3, 64, 64), (64, 64), (2, 1, 64, 64)])

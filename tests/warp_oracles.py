@@ -1,8 +1,6 @@
 """Reference forms of the bilinear warp in ``warpdet.align``, kept in the
 tests as oracles: the sample grid goes through ``inverse_map`` as an
-(out_h, out_w, 2) point array, every tap is a 2-D fancy-index read, and the
-source gradient is scattered tap by tap and channel by channel with
-``np.add.at``."""
+(out_h, out_w, 2) point array and every tap is a 2-D fancy-index read."""
 
 import numpy as np
 
@@ -58,12 +56,12 @@ def warp(source: np.ndarray, t: SimilarityTransform, out_size) -> np.ndarray:
 
 def warp_backward(upstream: np.ndarray, source: np.ndarray,
                   t: SimilarityTransform) -> TransformGradients:
-    """Oracle of align.warp_backward, scattering d_source with np.add.at."""
+    """Oracle of align.warp_backward."""
     out_h, out_w = upstream.shape[1], upstream.shape[2]
     gx, gy = rect_grid(out_h, out_w)
     src_pts = inverse_map(t, np.stack([gx, gy], axis=-1))
     xs, ys = src_pts[..., 0], src_pts[..., 1]
-    values, weights, coords, valids, bx, by = bilinear_taps(source, xs, ys)
+    values, _, _, _, bx, by = bilinear_taps(source, xs, ys)
     v_tl, v_tr, v_bl, v_br = values
 
     ix = by * (v_br - v_bl) + (1.0 - by) * (v_tr - v_tl)
@@ -82,21 +80,11 @@ def warp_backward(upstream: np.ndarray, source: np.ndarray,
     dx_db = (-v - 2.0 * t.b * x_off) / d
     dy_db = (u - 2.0 * t.b * y_off) / d
 
-    grads = TransformGradients(
+    return TransformGradients(
         d_a=float((gx_img * dx_da + gy_img * dy_da).sum()),
         d_b=float((gx_img * dx_db + gy_img * dy_db).sum()),
         d_m_x=float(gx_img.sum()),
         d_m_y=float(gy_img.sum()),
         d_m_xr=float((gx_img * (-t.a / d) + gy_img * (-t.b / d)).sum()),
         d_m_yr=float((gx_img * (t.b / d) + gy_img * (-t.a / d)).sum()),
-        d_source=np.zeros_like(source, dtype=np.float64),
     )
-    for wgt, (cx, cy), valid in zip(weights, coords, valids):
-        if not valid.any():
-            continue
-        contrib = upstream * (wgt * valid)
-        cxc = np.clip(cx, 0, source.shape[2] - 1)
-        cyc = np.clip(cy, 0, source.shape[1] - 1)
-        for c in range(source.shape[0]):
-            np.add.at(grads.d_source[c], (cyc, cxc), contrib[c])
-    return grads
