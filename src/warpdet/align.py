@@ -7,6 +7,13 @@ differentiable, so a classification loss on the rectified crop produces
 gradients for the transform parameters, the detected landmarks, and the
 canonical positions themselves (which makes the canonical layout learnable).
 
+The sampler is the bilinear one of Spatial Transformer Networks (Jaderberg et
+al., 2015). warp and warp_backward share one tap gather, which reads a
+zero-bordered window of the source over the crop's footprint, so no tap
+needs a validity mask. The backward pass recomputes the sample positions and
+taps from the transform and the source, so warp stores nothing for a
+backward pass that detection never runs.
+
 The transform is parameterized as
 
     [xr - mxr]   [ a  b] [x - mx]
@@ -187,34 +194,41 @@ def _sample_points(t: SimilarityTransform, out_h: int, out_w: int):
     return u, v, (t.a * u - t.b * v) / d, (t.b * u + t.a * v) / d
 
 
-def _bilinear_taps(source: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    """Bilinear sampling of (H, W) points with zero padding, one (H, W) array
-    per tap in tl, tr, bl, br order: (values (C, H, W), weights, bx, by).
-    Out-of-bounds taps read a clipped pixel and contribute value 0."""
+# Tap coordinates are clipped to the image plus this many pixels on each side.
+# A tap pair clipped to -2 or to the far edge reads two border zeros, as the
+# unclipped pair reads two pixels outside the image.
+TAP_BORDER = 2
+
+
+def _window_taps(source: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """Bilinear taps of (H, W) sample points with zero padding: one
+    (C, H, W) array per tap in tl, tr, bl, br order, then bx and by.
+
+    The taps come from a zero-bordered copy of the source window that
+    covers their footprint, clipped to the image plus TAP_BORDER pixels, so
+    no tap needs a validity mask and the window is at most (H+4) x (W+4)
+    however far the footprint reaches."""
     c, h, w = source.shape
     xl = np.floor(xs)
     yt = np.floor(ys)
     bx = xs - xl
     by = ys - yt
-    step = np.arange(2).reshape(2, 1, 1)
-    cols = xl.astype(np.intp) + step  # left, right
-    rows = yt.astype(np.intp) + step  # top, bottom
-    # Negative coordinates wrap to huge unsigned values, so one comparison
-    # checks both bounds.
-    col_ok = cols.view(np.uintp) < w
-    row_ok = rows.view(np.uintp) < h
-    cols = np.clip(cols, 0, w - 1)
-    rows = np.clip(rows, 0, h - 1) * w
-    ax, ay = 1.0 - bx, 1.0 - by
-    weights = [ax * ay, bx * ay, ax * by, bx * by]
-    flat = source.reshape(c, h * w)
-    # One array per tap: stacked, a 64 x 64 crop's taps would make 128 KB
-    # temporaries, which glibc malloc serves by a fresh mmap until a larger
-    # block has been freed.
-    indices = [rows[i] + cols[j] for i in (0, 1) for j in (0, 1)]
-    valid = [row_ok[i] & col_ok[j] for i in (0, 1) for j in (0, 1)]
-    values = [np.take(flat, idx, axis=1) * ok for idx, ok in zip(indices, valid)]
-    return values, weights, bx, by
+    cols = np.clip(xl, -TAP_BORDER, w, out=xl).astype(np.intp)
+    rows = np.clip(yt, -TAP_BORDER, h, out=yt).astype(np.intp)
+    x0, y0 = int(cols.min()), int(rows.min())
+    win_w = int(cols.max()) - x0 + 2
+    win_h = int(rows.max()) - y0 + 2
+    window = np.zeros((c, win_h, win_w), dtype=source.dtype)
+    top, left = max(y0, 0), max(x0, 0)
+    bottom, right = min(y0 + win_h, h), min(x0 + win_w, w)
+    window[:, top - y0 : bottom - y0, left - x0 : right - x0] = (
+        source[:, top:bottom, left:right]
+    )
+    index = (rows - y0) * win_w + (cols - x0)
+    flat = window.reshape(c, -1)
+    values = [np.take(flat[:, offset:], index, axis=1)
+              for offset in (0, 1, win_w, win_w + 1)]
+    return values, bx, by
 
 
 def warp(source: np.ndarray, t: SimilarityTransform, out_size: tuple[int, int]) -> np.ndarray:
@@ -226,9 +240,10 @@ def warp(source: np.ndarray, t: SimilarityTransform, out_size: tuple[int, int]) 
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output size must be positive, got {out_size}")
     _, _, x_off, y_off = _sample_points(t, out_h, out_w)
-    values, weights, _, _ = _bilinear_taps(source, x_off + t.m_x, y_off + t.m_y)
+    values, bx, by = _window_taps(source, x_off + t.m_x, y_off + t.m_y)
+    ax, ay = 1.0 - bx, 1.0 - by
     out = np.zeros((source.shape[0], out_h, out_w), dtype=np.float64)
-    for val, wgt in zip(values, weights):
+    for val, wgt in zip(values, (ax * ay, bx * ay, ax * by, bx * by)):
         out += val * wgt
     return out
 
@@ -250,8 +265,9 @@ def warp_backward(
         )
     out_h, out_w = upstream.shape[1], upstream.shape[2]
     u, v, x_off, y_off = _sample_points(t, out_h, out_w)
-    values, _, bx, by = _bilinear_taps(source, x_off + t.m_x, y_off + t.m_y)
-    v_tl, v_tr, v_bl, v_br = values
+    (v_tl, v_tr, v_bl, v_br), bx, by = _window_taps(
+        source, x_off + t.m_x, y_off + t.m_y
+    )
 
     # Image derivatives of the interpolant at the sample points.
     ix = by * (v_br - v_bl) + (1.0 - by) * (v_tr - v_tl)

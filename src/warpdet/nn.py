@@ -10,6 +10,11 @@ same shape, so one call never holds two of them, and folds the column
 gradient back into the input (col2im) with one np.bincount per input
 channel over a cached flat index of padded-input positions.
 
+Forward kernels compute only what the forward result needs. Max-pool
+returns the pooled values and no argmax: its backward re-derives each
+block's winner from the stored input and output, so detection, which never
+runs a backward pass, pays nothing for one.
+
 Conventions used throughout the package:
 
 - images and feature maps are numpy arrays in CHW layout (channels, rows,
@@ -194,49 +199,59 @@ def conv2d_backward(
     return grad_input, grad_filters
 
 
-def _block_origins(c: int, h: int, w: int) -> np.ndarray:
-    """(c, h/2, w/2) flat indices of the top-left cell of every 2x2 block of
-    a C-contiguous (c, h, w) array with even extents."""
-    rows = np.arange(c)[:, None, None] * h + np.arange(0, h, 2)[:, None]
-    return rows * w + np.arange(0, w, 2)
-
-
-def maxpool2x2(x: np.ndarray):
-    """2x2 stride-2 max pooling of a CHW array.
-
-    Odd extents are edge-replicated first. Returns (output, argmax) where
-    argmax holds, per output cell, the index 0..3 of the block maximum in
-    row-major block order (ties resolve to the first index, so a replicated
-    edge cell never wins over its source).
-    """
+def block_taps(x: np.ndarray):
+    """The four (C, ceil(H/2), ceil(W/2)) taps of every 2x2 block of a CHW
+    array, in tl, tr, bl, br order, as strided views. Odd extents are
+    edge-replicated first, so a block on the last row or column reads its
+    source cell twice."""
     if x.ndim != 3:
         raise ShapeError(f"expected CHW input, got shape {x.shape}")
     _, h, w = x.shape
     if h % 2 or w % 2:
         x = np.pad(x, ((0, 0), (0, h % 2), (0, w % 2)), mode="edge")
-    xp = np.ascontiguousarray(x)
-    c, h, w = xp.shape
-    tl, tr, bl, br = xp[:, 0::2, 0::2], xp[:, 0::2, 1::2], xp[:, 1::2, 0::2], xp[:, 1::2, 1::2]
-    # Strict comparisons pick the first index of each block maximum. The
-    # pairwise maxima only feed a comparison, where the sign of a zero tie
-    # cannot matter; the value is read back at the chosen index.
-    right_top, right_bottom = tr > tl, br > bl
-    bottom = np.maximum(bl, br) > np.maximum(tl, tr)
-    right = right_top ^ (bottom & (right_top ^ right_bottom))
-    out = xp.reshape(-1).take(_block_origins(c, h, w) + w * bottom + right)
-    return out, np.add(2 * bottom, right, dtype=np.intp)
+    return x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
 
 
-def maxpool2x2_backward(
-    grad_out: np.ndarray, argmax: np.ndarray, in_shape: tuple[int, int, int]
-) -> np.ndarray:
-    """Route pooled gradients back to each block's argmax position: one flat
-    scatter into a zeroed edge-replicated input, cropped to in_shape."""
-    c, h, w = in_shape
-    he, we = h + h % 2, w + w % 2
+@lru_cache(maxsize=32)
+def _block_origins(c: int, h: int, w: int) -> np.ndarray:
+    """Read-only (c, h/2, w/2) flat indices of the top-left cell of every
+    2x2 block of a C-contiguous (c, h, w) array with even extents."""
+    rows = np.arange(c)[:, None, None] * h + np.arange(0, h, 2)[:, None]
+    origins = rows * w + np.arange(0, w, 2)
+    origins.flags.writeable = False
+    return origins
+
+
+def maxpool2x2(x: np.ndarray) -> np.ndarray:
+    """2x2 stride-2 max pooling of a CHW array; odd extents are
+    edge-replicated first.
+
+    Returns only the pooled values: the backward pass re-derives each
+    block's winner from the input and this output, so detection stores
+    nothing for it. On a tie np.maximum returns its second argument, so
+    maximum(maximum(br, bl), maximum(tr, tl)) keeps the first tap in tl,
+    tr, bl, br order, and with it the sign of a tied zero.
+    """
+    tl, tr, bl, br = block_taps(x)
+    return np.maximum(np.maximum(br, bl), np.maximum(tr, tl))
+
+
+def maxpool2x2_backward(grad_out: np.ndarray, x: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+    """Route pooled gradients back through maxpool2x2(x) == out.
+
+    Each block's gradient goes to its first tap, in tl, tr, bl, br order,
+    that equals the pooled value: the tap the forward kept, so a replicated
+    edge cell never takes it from its source. One flat scatter into a
+    zeroed edge-replicated input, cropped to x's shape.
+    """
+    c, h, w = x.shape
+    tl, tr, bl, br = block_taps(x)
+    he, we = 2 * tl.shape[1], 2 * tl.shape[2]
+    bottom = ~((tl == out) | (tr == out))
+    right = np.where(bottom, bl, tl) != out
     grad = np.zeros((c, he, we), dtype=grad_out.dtype)
-    tap = _block_origins(c, he, we) + we * (argmax >> 1) + (argmax & 1)
-    grad.reshape(-1)[tap] = grad_out
+    grad.reshape(-1)[_block_origins(c, he, we) + we * bottom + right] = grad_out
     return grad[:, :h, :w]
 
 

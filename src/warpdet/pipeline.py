@@ -153,15 +153,19 @@ def build_detector(config: TrainConfig, multitask: bool = True,
 
 @dataclass
 class RpnState:
+    """Every activation of one proposal-net pass, kept for rpn_backward.
+
+    z* are conv outputs, a* their relus and p* the pooled maps. A pooling
+    stores no argmax: rpn_backward re-derives it from a* and p*, which is
+    exact on the dense path, the only one it runs."""
+
     image: np.ndarray
     z1: np.ndarray
     a1: np.ndarray
     p1: np.ndarray
-    idx1: np.ndarray
     z2: np.ndarray
     a2: np.ndarray
     p2: np.ndarray
-    idx2: np.ndarray
     z3: np.ndarray
     feat: np.ndarray
     score: np.ndarray
@@ -185,20 +189,20 @@ def rpn_forward(rpn: RpnNet, image: np.ndarray, mask: RoiMask | None = None) -> 
         mp2 = downsample_mask(mp1)        # after pool 2
     z1 = _conv(rpn.conv1, image, m1)
     a1 = nn.relu(z1)
-    p1, idx1 = nn.maxpool2x2(a1)
+    p1 = nn.maxpool2x2(a1)
     if mp1 is not None:
         p1 = p1 * mp1.bits
     z2 = _conv(rpn.conv2, p1, mp1)
     a2 = nn.relu(z2)
-    p2, idx2 = nn.maxpool2x2(a2)
+    p2 = nn.maxpool2x2(a2)
     if mp2 is not None:
         p2 = p2 * mp2.bits
     z3 = _conv(rpn.conv3, p2, mp2)
     feat = nn.relu(z3)
     score = _conv(rpn.score_head, feat, mp2)
     point = _conv(rpn.point_head, feat, mp2)
-    return RpnState(image, z1, a1, p1, idx1, z2, a2, p2, idx2, z3, feat,
-                    score, point, head_mask=mp2)
+    return RpnState(image, z1, a1, p1, z2, a2, p2, z3, feat, score, point,
+                    head_mask=mp2)
 
 
 def rpn_backward(rpn: RpnNet, state: RpnState, d_score, d_point, d_feat_extra=None):
@@ -216,12 +220,12 @@ def rpn_backward(rpn: RpnNet, state: RpnState, d_score, d_point, d_feat_extra=No
     d_p2, d_w3, d_b3 = nn.conv2d_backward(
         d_z3, state.p2, rpn.conv3.filters, rpn.conv3.spec, with_bias=True
     )
-    d_a2 = nn.maxpool2x2_backward(d_p2, state.idx2, state.a2.shape)
+    d_a2 = nn.maxpool2x2_backward(d_p2, state.a2, state.p2)
     d_z2 = nn.relu_backward(d_a2, state.z2)
     d_p1, d_w2, d_b2 = nn.conv2d_backward(
         d_z2, state.p1, rpn.conv2.filters, rpn.conv2.spec, with_bias=True
     )
-    d_a1 = nn.maxpool2x2_backward(d_p1, state.idx1, state.a1.shape)
+    d_a1 = nn.maxpool2x2_backward(d_p1, state.a1, state.p1)
     d_z1 = nn.relu_backward(d_a1, state.z1)
     _, d_w1, d_b1 = nn.conv2d_backward(
         d_z1, state.image, rpn.conv1.filters, rpn.conv1.spec, with_bias=True
@@ -350,15 +354,18 @@ def crop_transform(box, rect_size: int):
 
 @dataclass
 class VerifyCache:
+    """Every activation of one verification pass, kept for verify_backward.
+
+    The pooled maps p1 and p2 stand in for an argmax: verify_backward
+    re-derives each pooling's routing from (a1, p1) and (a2, p2)."""
+
     crop: np.ndarray
     z1: np.ndarray
     a1: np.ndarray
     p1: np.ndarray
-    idx1: np.ndarray
     z2: np.ndarray
     a2: np.ndarray
     p2: np.ndarray
-    idx2: np.ndarray
     flat: np.ndarray
     feat_pre: np.ndarray
     feat: np.ndarray
@@ -374,10 +381,10 @@ def verify_forward(model: DetectorModel, image: np.ndarray, transform,
     crop = warp(image, transform, (model.rect_size, model.rect_size))
     z1 = _conv(model.rcnn.conv1, crop)
     a1 = nn.relu(z1)
-    p1, idx1 = nn.maxpool2x2(a1)
+    p1 = nn.maxpool2x2(a1)
     z2 = _conv(model.rcnn.conv2, p1)
     a2 = nn.relu(z2)
-    p2, idx2 = nn.maxpool2x2(a2)
+    p2 = nn.maxpool2x2(a2)
     flat = p2.reshape(-1)
     feat_pre = nn.fully_connected(flat, model.rcnn.fc.weight, model.rcnn.fc.bias)
     feat = nn.relu(feat_pre)
@@ -389,9 +396,8 @@ def verify_forward(model: DetectorModel, image: np.ndarray, transform,
         rpn_norm = 1.0
         joint = feat_n
     logits = nn.fully_connected(joint, model.verdict.weight, model.verdict.bias)
-    return VerifyCache(crop, z1, a1, p1, idx1, z2, a2, p2, idx2,
-                       flat, feat_pre, feat, feat_norm, rpn_feat, rpn_norm,
-                       joint, logits)
+    return VerifyCache(crop, z1, a1, p1, z2, a2, p2, flat, feat_pre, feat,
+                       feat_norm, rpn_feat, rpn_norm, joint, logits)
 
 
 def verify_backward(model: DetectorModel, cache: VerifyCache, d_logits):
@@ -415,12 +421,12 @@ def verify_backward(model: DetectorModel, cache: VerifyCache, d_logits):
         d_feat_pre, cache.flat, model.rcnn.fc.weight
     )
     d_p2 = d_flat.reshape(cache.p2.shape)
-    d_a2 = nn.maxpool2x2_backward(d_p2, cache.idx2, cache.a2.shape)
+    d_a2 = nn.maxpool2x2_backward(d_p2, cache.a2, cache.p2)
     d_z2 = nn.relu_backward(d_a2, cache.z2)
     d_p1, d_w2, d_b2 = nn.conv2d_backward(
         d_z2, cache.p1, model.rcnn.conv2.filters, model.rcnn.conv2.spec, with_bias=True
     )
-    d_a1 = nn.maxpool2x2_backward(d_p1, cache.idx1, cache.a1.shape)
+    d_a1 = nn.maxpool2x2_backward(d_p1, cache.a1, cache.p1)
     d_z1 = nn.relu_backward(d_a1, cache.z1)
     d_crop, d_w1, d_b1 = nn.conv2d_backward(
         d_z1, cache.crop, model.rcnn.conv1.filters, model.rcnn.conv1.spec,

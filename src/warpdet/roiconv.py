@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import ConvSpec, ShapeError, conv_windows
+from .nn import ConvSpec, ShapeError, block_taps, conv_windows
 
 # Smallest face the downstream network resolves; octave k covers sizes
 # [MIN_FACE * 2^k, 2 * MIN_FACE * 2^k).
@@ -195,11 +195,18 @@ def resize_bilinear(image: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
 
 def downsample_image(image: np.ndarray) -> np.ndarray:
     """Half-sample a CHW image by 2x2 box averaging; odd extents replicate
-    their last row/column so the output measures ceil(input / 2)."""
-    c, h, w = image.shape
-    padded = np.pad(image, ((0, 0), (0, h % 2), (0, w % 2)), mode="edge")
-    blocks = padded.reshape(c, padded.shape[1] // 2, 2, padded.shape[2] // 2, 2)
-    return blocks.mean(axis=(2, 4))
+    their last row/column so the output measures ceil(input / 2).
+
+    Each block sums as ((tl + tr) + (bl + br)) / 4, the order in which
+    np.mean over the block axes sums it, so the result matches that mean bit
+    for bit. The one exception is an output 1 px wide, where np.mean adds
+    the four taps in sequence and the last bits may differ; no detector
+    level is that narrow. Integer pixels are averaged in float64, as
+    np.mean averages them."""
+    if image.dtype.kind != "f":
+        image = image.astype(np.float64)
+    tl, tr, bl, br = block_taps(image)
+    return ((tl + tr) + (bl + br)) / 4
 
 
 @dataclass

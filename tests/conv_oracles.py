@@ -1,6 +1,7 @@
-"""Reference forms of the strided-view kernels in ``warpdet.nn``, kept in
-the tests as oracles: a fancy-index patch gather, an ``np.add.at`` gradient
-scatter, an ``argmax`` max-pool and a ``put_along_axis`` max-pool backward.
+"""Reference forms of the strided-view kernels in ``warpdet.nn`` and of
+``roiconv.downsample_image``, kept in the tests as oracles: a fancy-index
+patch gather, an ``np.add.at`` gradient scatter, an ``argmax`` max-pool, a
+``put_along_axis`` max-pool backward and a block-``mean`` half-sampling.
 They pad with ``np.pad`` and share no helper with the code they check."""
 
 import numpy as np
@@ -83,3 +84,12 @@ def maxpool2x2_backward(grad_out, argmax, in_shape):
     np.put_along_axis(grad, argmax[..., None], grad_out[..., None], axis=3)
     grad = grad.reshape(c, he // 2, we // 2, 2, 2).transpose(0, 1, 3, 2, 4)
     return grad.reshape(c, he, we)[:, :h, :w]
+
+
+def downsample_image(image: np.ndarray) -> np.ndarray:
+    """Oracle of roiconv.downsample_image: edge-replicate odd extents, then
+    np.mean over the two axes of each 2x2 block."""
+    c, h, w = image.shape
+    padded = np.pad(image, ((0, 0), (0, h % 2), (0, w % 2)), mode="edge")
+    blocks = padded.reshape(c, padded.shape[1] // 2, 2, padded.shape[2] // 2, 2)
+    return blocks.mean(axis=(2, 4))

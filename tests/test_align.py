@@ -7,6 +7,8 @@ so every gradient-check case is screened to keep sample points well away from
 integers (and from the image border) before finite differences run.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -491,6 +493,114 @@ class TestMatchesScatterOracle:
             src, t, out_size, _ = _oracle_case(rng, "partly_outside")
             ones = warp(np.ones_like(src), t, out_size)
             assert ones.max() > 0.5 and ones.min() == 0.0
+
+
+def _assert_bytes_equal_oracles(src, t, out_size, upstream):
+    crop = warp(src, t, out_size)
+    want = warp_oracles.warp(src, t, out_size)
+    assert crop.shape == want.shape and crop.tobytes() == want.tobytes()
+    g = warp_backward(upstream, src, t)
+    ref = warp_oracles.warp_backward(upstream, src, t)
+    for name in GRADIENT_SCALARS:
+        got, exp = np.float64(getattr(g, name)), np.float64(getattr(ref, name))
+        assert got.tobytes() == exp.tobytes(), name
+    return crop
+
+
+# Crop centres around a 30 x 34 source (x, y): far past each side, then on
+# each edge and each corner.
+OUTSIDE = {"left": (-60.0, 15.0), "right": (100.0, 15.0),
+           "above": (17.0, -60.0), "below": (17.0, 95.0)}
+STRADDLING = {"left": (0.0, 15.0), "right": (33.0, 15.0), "top": (17.0, 0.0),
+              "bottom": (17.0, 29.0), "top_left": (0.0, 0.0),
+              "top_right": (33.0, 0.0), "bottom_left": (0.0, 29.0),
+              "bottom_right": (33.0, 29.0)}
+
+
+class TestWindowedGather:
+    """The taps are read from a zero-bordered window over the crop's
+    footprint, clipped to the image plus a 2-px border. Wherever the
+    footprint lies, warp and warp_backward equal the masked oracles byte
+    for byte."""
+
+    @staticmethod
+    def _case(seed, centre, scale, channels=1):
+        rng = np.random.default_rng(seed)
+        src = smooth_image(rng, 30, 34, channels)
+        out_size = (12, 14)
+        t = similarity_from_pose(scale, rng.uniform(-np.pi, np.pi), centre,
+                                 ((out_size[1] - 1) / 2.0, (out_size[0] - 1) / 2.0))
+        return src, t, out_size, rng.standard_normal((channels,) + out_size)
+
+    @pytest.mark.parametrize("side", sorted(OUTSIDE))
+    def test_footprint_wholly_outside_gives_zero_crop(self, side):
+        for seed in range(10):
+            case = self._case(seed, OUTSIDE[side], 1.5, channels=1 + seed % 2)
+            crop = _assert_bytes_equal_oracles(*case)
+            assert not crop.any()
+
+    def test_footprint_just_past_an_edge_reads_only_border_zeros(self):
+        """Translations whose taps end one column left of the image, and
+        one row below it: clipped or not, every tap is a zero."""
+        src = smooth_image(np.random.default_rng(0), 30, 34)
+        upstream = np.random.default_rng(1).standard_normal((1, 6, 7))
+        for t in (SimilarityTransform(1.0, 0.0, -7.75, 10.0, 0.0, 0.0),
+                  SimilarityTransform(1.0, 0.0, 5.0, 30.25, 0.0, 0.0)):
+            crop = _assert_bytes_equal_oracles(src, t, (6, 7), upstream)
+            assert not crop.any()
+
+    @pytest.mark.parametrize("where", sorted(STRADDLING))
+    def test_footprint_straddling_an_edge_or_corner(self, where):
+        for seed in range(10):
+            case = self._case(seed, STRADDLING[where], 1.3, channels=1 + seed % 2)
+            _assert_bytes_equal_oracles(*case)
+            ones = warp(np.ones_like(case[0]), case[1], case[2])
+            assert ones.max() > 0.5 and ones.min() == 0.0
+
+    def test_huge_footprint(self):
+        """a = 1e-3: 1,000 source pixels per rectified pixel, so nearly every
+        tap lies far outside and gets clipped."""
+        rng = np.random.default_rng(3)
+        src = smooth_image(rng, 30, 34)
+        for m_x, m_y in ((17.0, 15.0), (0.4, 29.6), (-3.0, 40.0)):
+            t = SimilarityTransform(1e-3, 0.0, m_x, m_y, 31.5, 31.5)
+            upstream = rng.standard_normal((1, 64, 64))
+            crop = _assert_bytes_equal_oracles(src, t, (64, 64), upstream)
+            assert np.count_nonzero(crop) <= 4
+
+    @staticmethod
+    def _peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # Arrays of the output's size that one call may hold at once: both
+    # calls peak at about 17 on a 16 x 16 crop (sample grids, tap values,
+    # weights or derivatives, and numpy's small-array overhead).
+    OUTPUT_ARRAYS = 24
+
+    @pytest.mark.parametrize("a", [1e-3, 1.0])
+    def test_peak_allocation_is_the_window_plus_output_sized_arrays(self, a):
+        h, w, out = 300, 280, (16, 16)
+        src = smooth_image(np.random.default_rng(4), h, w)
+        t = SimilarityTransform(a, 0.3 * a, 140.0, 150.0, 7.5, 7.5)
+        upstream = np.ones((1,) + out)
+        warp(src, t, out)  # warm up numpy's caches outside the trace
+        bound = (h + 4) * (w + 4) * 8 + self.OUTPUT_ARRAYS * out[0] * out[1] * 8
+        assert self._peak_bytes(lambda: warp(src, t, out)) <= bound
+        assert self._peak_bytes(lambda: warp_backward(upstream, src, t)) <= bound
+
+    def test_small_footprint_copies_a_small_window(self):
+        """A 16 x 16 crop at unit scale inside a 300 x 280 image copies
+        about 18 x 18 pixels, not the image."""
+        src = smooth_image(np.random.default_rng(5), 300, 280)
+        t = SimilarityTransform(1.0, 0.0, 140.0, 150.0, 7.5, 7.5)
+        warp(src, t, (16, 16))
+        peak = self._peak_bytes(lambda: warp(src, t, (16, 16)))
+        assert peak <= self.OUTPUT_ARRAYS * 16 * 16 * 8 < src.nbytes // 10
 
 
 class TestCanonicalShape:

@@ -317,13 +317,26 @@ class TestConvWindows:
             conv_windows(np.zeros((1,) + extent), ConvSpec(1, 1, 7, stride=2, padding=1))
 
 
-def _assert_pool_bytes_equal_oracle(x):
-    out, argmax = maxpool2x2(x)
-    want_out, want_argmax = conv_oracles.maxpool2x2(x)
-    assert out.dtype == want_out.dtype and argmax.dtype == want_argmax.dtype
-    assert out.shape == want_out.shape and argmax.shape == want_argmax.shape
+def _signed_zero_grad(rng, shape, dtype=np.float64):
+    """Upstream gradient with +0 and -0 entries among the nonzero ones."""
+    g = rng.standard_normal(shape)
+    g[g < -0.5] = -0.0
+    g[np.abs(g) < 0.2] = 0.0
+    return g.astype(dtype)
+
+
+def _assert_pool_bytes_equal_oracle(x, rng=None):
+    """Forward bytes equal the argmax oracle's output; the backward, from
+    the input and output alone, equals the oracle's argmax scatter."""
+    out = maxpool2x2(x)
+    want_out, argmax = conv_oracles.maxpool2x2(x)
+    assert out.dtype == want_out.dtype and out.shape == want_out.shape
     assert out.tobytes() == want_out.tobytes()
-    assert argmax.tobytes() == want_argmax.tobytes()
+    g = _signed_zero_grad(rng or np.random.default_rng(0), out.shape, x.dtype)
+    got = maxpool2x2_backward(g, x, out)
+    want = conv_oracles.maxpool2x2_backward(g, argmax, x.shape)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestMaxPool:
@@ -331,7 +344,7 @@ class TestMaxPool:
     def test_relu_zero_ties_match_argmax_oracle_bytes(self, rng, extent):
         for _ in range(20):
             x = relu(rng.standard_normal((3,) + extent) - 0.5)
-            _assert_pool_bytes_equal_oracle(x)
+            _assert_pool_bytes_equal_oracle(x, rng)
 
     @pytest.mark.parametrize("value", [0.0, -0.0, 1.5, -2.0])
     def test_constant_blocks_match_argmax_oracle_bytes(self, value):
@@ -340,37 +353,51 @@ class TestMaxPool:
     def test_signed_zeros_keep_the_first_index_and_its_sign(self, rng):
         for _ in range(50):
             x = rng.choice([0.0, -0.0], size=(2, 6, 7))
-            _assert_pool_bytes_equal_oracle(x)
+            _assert_pool_bytes_equal_oracle(x, rng)
         x = np.array([[[-0.0, 0.0], [0.0, -0.0]]])
-        out, argmax = maxpool2x2(x)
-        assert argmax[0, 0, 0] == 0 and np.signbit(out[0, 0, 0])
+        out = maxpool2x2(x)
+        assert np.signbit(out[0, 0, 0])
+        grad = maxpool2x2_backward(np.ones((1, 1, 1)), x, out)
+        np.testing.assert_array_equal(grad, [[[1.0, 0.0], [0.0, 0.0]]])
 
     def test_float32_and_small_integer_ties_match_argmax_oracle_bytes(self, rng):
         for _ in range(20):
             x = np.round(rng.standard_normal((3, 9, 10)) * 2)
-            _assert_pool_bytes_equal_oracle(x)
-            _assert_pool_bytes_equal_oracle(x.astype(np.float32))
-            _assert_pool_bytes_equal_oracle(x[:, ::-1])  # non-contiguous input
+            _assert_pool_bytes_equal_oracle(x, rng)
+            _assert_pool_bytes_equal_oracle(x.astype(np.float32), rng)
+            _assert_pool_bytes_equal_oracle(x[:, ::-1], rng)  # non-contiguous input
+
+    def test_np_maximum_returns_its_second_argument_on_a_tie(self):
+        """maxpool2x2's first-index rule rests on this; a numpy that breaks
+        it fails here rather than silently flipping pooled zero signs."""
+        for dtype in (np.float64, np.float32):
+            pos, neg = np.zeros(16, dtype), np.full(16, -0.0, dtype)
+            assert np.signbit(np.maximum(pos, neg)).all()
+            assert not np.signbit(np.maximum(neg, pos)).any()
+            assert np.signbit(np.maximum(pos[0], neg[0]))
+            assert not np.signbit(np.maximum(neg[0], pos[0]))
 
     def test_constant_ties_route_to_first_index(self):
         x = np.ones((1, 4, 4))
-        out, argmax = maxpool2x2(x)
+        out = maxpool2x2(x)
         np.testing.assert_array_equal(out, np.ones((1, 2, 2)))
-        assert (argmax == 0).all()
-        grad = maxpool2x2_backward(np.ones((1, 2, 2)), argmax, (1, 4, 4))
+        grad = maxpool2x2_backward(np.ones((1, 2, 2)), x, out)
         expected = np.zeros((1, 4, 4))
         expected[0, ::2, ::2] = 1.0
         np.testing.assert_array_equal(grad, expected)
 
     def test_increasing_ramp_picks_bottom_right(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
-        out, argmax = maxpool2x2(x)
+        out = maxpool2x2(x)
         np.testing.assert_array_equal(out[0], [[5, 7], [13, 15]])
-        assert (argmax == 3).all()
+        grad = maxpool2x2_backward(np.ones((1, 2, 2)), x, out)
+        expected = np.zeros((1, 4, 4))
+        expected[0, 1::2, 1::2] = 1.0
+        np.testing.assert_array_equal(grad, expected)
 
     def test_matches_exhaustive_blocks(self, rng):
         x = rng.standard_normal((3, 4, 4))
-        out, _ = maxpool2x2(x)
+        out = maxpool2x2(x)
         for c in range(3):
             for by in range(2):
                 for bx in range(2):
@@ -379,11 +406,11 @@ class TestMaxPool:
 
     def test_odd_extent_replication(self, rng):
         x = rng.standard_normal((1, 5, 5))
-        out, argmax = maxpool2x2(x)
+        out = maxpool2x2(x)
         assert out.shape == (1, 3, 3)
         # bottom-right output comes from the single original corner value
         assert out[0, 2, 2] == x[0, 4, 4]
-        grad = maxpool2x2_backward(np.ones((1, 3, 3)), argmax, (1, 5, 5))
+        grad = maxpool2x2_backward(np.ones((1, 3, 3)), x, out)
         assert grad.shape == (1, 5, 5)
         assert grad.sum() == 9.0  # nothing lost to replicated cells
 
@@ -394,26 +421,27 @@ class TestMaxPool:
     def test_backward_bytes_equal_put_along_axis_oracle(self, rng, extent, dtype):
         for _ in range(10):
             x = relu(rng.standard_normal((3,) + extent) - 0.5).astype(dtype)
-            _, argmax = maxpool2x2(x)
-            g = rng.standard_normal(argmax.shape)
-            g[g < -0.5] = -0.0
-            g[np.abs(g) < 0.2] = 0.0
-            g = g.astype(dtype)
-            got = maxpool2x2_backward(g, argmax, x.shape)
-            want = conv_oracles.maxpool2x2_backward(g, argmax, x.shape)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+            _assert_pool_bytes_equal_oracle(x, rng)
 
     def test_backward_finite_difference(self, rng):
         x = rng.standard_normal((2, 4, 4))
         w = rng.standard_normal((2, 2, 2))
 
         def loss(xv):
-            return float(np.sum(maxpool2x2(xv)[0] * w))
+            return float(np.sum(maxpool2x2(xv) * w))
 
-        _, argmax = maxpool2x2(x)
-        grad = maxpool2x2_backward(w, argmax, x.shape)
+        grad = maxpool2x2_backward(w, x, maxpool2x2(x))
         assert rel_err(grad, central_diff(loss, x)) < 1e-5
+
+    def test_block_origins_are_cached_read_only_per_shape(self, rng):
+        x = rng.standard_normal((3, 8, 6))
+        maxpool2x2_backward(np.ones((3, 4, 3)), x, maxpool2x2(x))
+        origins = nn._block_origins(3, 8, 6)
+        assert origins is nn._block_origins(3, 8, 6)
+        assert not origins.flags.writeable
+        with pytest.raises(ValueError):
+            origins[0, 0, 0] = 1
+        assert nn._block_origins.cache_info().maxsize is not None
 
 
 class TestSimpleOps:

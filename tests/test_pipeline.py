@@ -1,6 +1,8 @@
 """Seeded tiny runs of the two training phases and of detection."""
 
+import copy
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conv_oracles
+import warp_oracles
 from conftest import TINY_SEED as SEED
 from conftest import rel_err, train_tiny
-from warpdet import nn, pipeline, synthetic
+from warpdet import nn, pipeline, roiconv, synthetic
 from warpdet.model import load_model, save_model
 from warpdet.nn import ShapeError
 from warpdet.suppress import iou
@@ -257,6 +261,69 @@ def test_verify_backward_through_warp_matches_central_differences():
             numeric[idx] = (hi - lo) / (2.0 * step)
         assert np.abs(analytic).max() > 1e-6, as_landmarks
         assert rel_err(analytic, numeric) < 1e-5, as_landmarks
+
+
+def _chain_fingerprint(model, images, corpus, config):
+    """SHA-256 of dense detect on the images, then of one joint training
+    step on a copy of the model: the step's loss history and its weights."""
+    digest = hashlib.sha256()
+    for image in images:
+        for det in pipeline.detect(image, model):
+            digest.update(np.asarray(det.box, dtype=np.float64).tobytes())
+            digest.update(np.float64(det.score).tobytes())
+            digest.update(np.asarray(det.landmarks).tobytes())
+    trained, history = pipeline.train_end_to_end(corpus, copy.deepcopy(model), config)
+    digest.update(repr(history["epochs"]).encode())
+    for p in trained.params():
+        digest.update(p.tobytes())
+    digest.update(trained.canonical.points.tobytes())
+    return digest.hexdigest()
+
+
+def test_detect_and_joint_step_bytes_equal_with_the_kernel_oracles(
+    tiny_run, held_out, monkeypatch
+):
+    """The whole chain, run once on the kernels and once with max-pool, its
+    backward, the warp, its backward and the pyramid's half-sampling
+    replaced by the reference forms in tests/, gives the same bytes, so a
+    kernel change that moves a bit fails here first."""
+    model = tiny_run[0]
+    images = [s.image for s in held_out] + [
+        synthetic.generate_synthetic_corpus(
+            SEED + 3, 1, synthetic.CorpusParams(image_size=160)
+        )[0].image
+    ]
+    corpus = held_out[:1]
+    config = pipeline.TrainConfig(epochs=1, seed=SEED)
+    kernels = _chain_fingerprint(model, images, corpus, config)
+
+    calls = dict.fromkeys(
+        ["maxpool", "maxpool_backward", "warp", "warp_backward", "downsample"], 0
+    )
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def pool_backward(grad_out, x, out):
+        _, argmax = conv_oracles.maxpool2x2(x)
+        return conv_oracles.maxpool2x2_backward(grad_out, argmax, x.shape)
+
+    downsample = counted("downsample", conv_oracles.downsample_image)
+    for target, name, fn in (
+        (nn, "maxpool2x2", counted("maxpool", lambda x: conv_oracles.maxpool2x2(x)[0])),
+        (nn, "maxpool2x2_backward", counted("maxpool_backward", pool_backward)),
+        (pipeline, "warp", counted("warp", warp_oracles.warp)),
+        (pipeline, "warp_backward", counted("warp_backward", warp_oracles.warp_backward)),
+        (pipeline, "downsample_image", downsample),
+        (roiconv, "downsample_image", downsample),
+    ):
+        monkeypatch.setattr(target, name, fn)
+    oracles = _chain_fingerprint(model, images, corpus, config)
+    assert all(calls.values()), calls
+    assert oracles == kernels
 
 
 # --------------------------------------------------------------------------

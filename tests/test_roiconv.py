@@ -281,11 +281,10 @@ class TestMaskPropagationSoundness:
         m1 = downsample_mask(m0)
 
         r1 = roi_conv_forward(x, f1, m0, s1)
-        r1p, _ = maxpool2x2(r1)
-        r1p = r1p * m1.bits
+        r1p = maxpool2x2(r1) * m1.bits
         r2 = roi_conv_forward(r1p, f2, m1, s2)
 
-        d2 = conv2d_forward(maxpool2x2(conv2d_forward(x, f1, s1))[0], f2, s2)
+        d2 = conv2d_forward(maxpool2x2(conv2d_forward(x, f1, s1)), f2, s2)
 
         covered = 0
         for qy, qx in zip(*np.nonzero(m1.bits)):
@@ -387,3 +386,39 @@ class TestPyramid:
         half = downsample_image(img)
         assert half.shape == (1, 3, 3)
         np.testing.assert_allclose(half, 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "extent", [(160, 160), (96, 96), (8, 6), (7, 8), (8, 7), (5, 5), (13, 4), (2, 3)]
+    )
+    def test_downsample_image_bytes_equal_mean_oracle(self, rng, extent, dtype):
+        """Covers the benchmark's 160 -> 80 px level and odd extents."""
+        for channels in (1, 2):
+            img = rng.standard_normal((channels,) + extent).astype(dtype)
+            got = downsample_image(img)
+            want = conv_oracles.downsample_image(img)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_downsample_image_one_pixel_wide_output_within_rounding(
+        self, rng, width, dtype
+    ):
+        """The documented exception: for a 1-px-wide output np.mean sums the
+        four taps in sequence, so the last bits may differ, by no more than
+        two orders of rounding a 4-term sum can."""
+        img = rng.standard_normal((2, 31, width)).astype(dtype)
+        got = downsample_image(img)
+        want = conv_oracles.downsample_image(img)
+        assert got.dtype == want.dtype and got.shape == want.shape == (2, 16, 1)
+        bound = 3 * np.finfo(dtype).eps * conv_oracles.downsample_image(np.abs(img))
+        assert (np.abs(got - want) <= bound).all()
+
+    def test_downsample_image_averages_integer_pixels_in_float64(self):
+        img = np.full((1, 4, 6), 250, dtype=np.uint8)
+        img[0, 0, 0] = 255
+        got = downsample_image(img)
+        want = conv_oracles.downsample_image(img)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
