@@ -103,11 +103,14 @@ class RpnNet:
     score_head: ConvLayer
     point_head: ConvLayer
 
-    def layers(self):
-        return [self.conv1, self.conv2, self.conv3, self.score_head, self.point_head]
+    def trunk(self):
+        """The (conv, pooled) blocks of the trunk in order: conv -> relu,
+        then a 2x2 max-pool where pooled is set."""
+        return [(self.conv1, True), (self.conv2, True), (self.conv3, False)]
 
     def params(self):
-        return [p for layer in self.layers() for p in layer.params()]
+        layers = [layer for layer, _ in self.trunk()] + [self.score_head, self.point_head]
+        return [p for layer in layers for p in layer.params()]
 
 
 @dataclass
@@ -119,8 +122,12 @@ class RcnnNet:
     conv2: ConvLayer
     fc: FcLayer
 
+    def trunk(self):
+        """The (conv, pooled) blocks of the trunk in order, as RpnNet.trunk."""
+        return [(self.conv1, True), (self.conv2, True)]
+
     def params(self):
-        return self.conv1.params() + self.conv2.params() + self.fc.params()
+        return [p for layer, _ in self.trunk() for p in layer.params()] + self.fc.params()
 
 
 @dataclass
@@ -289,14 +296,16 @@ def _check_flags(flags, trainable, patch_size) -> None:
         raise ModelFormatError(f"cascade.patch_size {patch_size!r}, expected {PATCH_SIZE}")
 
 
-def verification_width(rect_size: int, conv1: ConvSpec, conv2: ConvSpec) -> int:
-    """Length of the flattened map the verification convs compute on a
-    rect_size crop, which is rcnn.fc's input width: each conv is followed by
-    a 2x2 pooling that rounds odd extents up."""
+def verification_width(rect_size: int, trunk) -> int:
+    """Length of the flattened map a verification trunk (RcnnNet.trunk)
+    computes on a rect_size crop, which is rcnn.fc's input width; a 2x2
+    pooling rounds odd extents up."""
     side = rect_size
-    for spec in (conv1, conv2):
-        side = -(-spec.out_size(side, side)[0] // 2)
-    return conv2.out_channels * side * side
+    for layer, pooled in trunk:
+        side = layer.spec.out_size(side, side)[0]
+        if pooled:
+            side = -(-side // 2)
+    return trunk[-1][0].spec.out_channels * side * side
 
 
 def _check_layers(model: DetectorModel) -> None:
@@ -335,8 +344,8 @@ def _check_layers(model: DetectorModel) -> None:
                                    10 if model.multitask else 3),
         "rcnn.conv1 input channels": (rcnn.conv1.spec.in_channels, 1),
         "rcnn.conv2 input channels": (rcnn.conv2.spec.in_channels, rcnn.conv1.spec.out_channels),
-        "rcnn.fc input width": (rcnn.fc.weight.shape[1], verification_width(
-            model.rect_size, rcnn.conv1.spec, rcnn.conv2.spec)),
+        "rcnn.fc input width": (rcnn.fc.weight.shape[1],
+                                verification_width(model.rect_size, rcnn.trunk())),
         "verdict input width": (model.verdict.weight.shape[1],
                                 rcnn.fc.weight.shape[0] + (feat if model.use_concat else 0)),
         "verdict outputs": (model.verdict.weight.shape[0], 2),

@@ -324,16 +324,6 @@ def softmax_cross_entropy_backward(
     return pm[0] if single else pm
 
 
-def concat_features(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Concatenate two flat feature vectors."""
-    return np.concatenate([np.ravel(a), np.ravel(b)])
-
-
-def concat_features_backward(grad_out: np.ndarray, len_a: int):
-    """Split the concatenated gradient back into its two parts."""
-    return grad_out[:len_a].copy(), grad_out[len_a:].copy()
-
-
 def uniform_init(rng: np.random.Generator, shape, fan_in: int,
                  fan_out: int) -> np.ndarray:
     """Seeded float64 uniform init on [-s, s] with s = sqrt(6 / (fan_in + fan_out))."""

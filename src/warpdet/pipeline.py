@@ -1,15 +1,22 @@
 """End-to-end two-stage detector over the synthetic corpus.
 
-Stage one is a proposal net: a small convolution trunk (stride 8, receptive
-field 85) with a per-cell face score and a per-cell five-landmark regression.
+Stage one is a proposal net: a convolution trunk (stride 8, receptive field
+85) with a per-cell face score and a per-cell five-landmark regression.
 Stage two warps each surviving candidate to a canonical 64x64 pose using the
-closed-form similarity fit, runs a small verification net on the crop, and
+closed-form similarity fit, runs a verification net on the crop, and
 arbitrates face/non-face over the concatenated proposal + verification
 features. Joint training backpropagates the verdict loss through the warp
 into the predicted landmarks and the canonical positions.
 
-Inference can run the proposal trunk densely over an image pyramid, or only
-inside ROI masks built from a boosted-fern pre-filter's candidates.
+Both nets open with a trunk of conv -> relu -> optional 2x2 max-pool
+blocks, given as a (layer, pooled) table by RpnNet.trunk and RcnnNet.trunk.
+One loop runs either table forward, keeping one record per block, and one
+walks the records back. Inference runs the proposal trunk densely over an
+image pyramid, or only inside ROI masks built from a boosted-fern
+pre-filter's candidates; the same forward loop halves the mask at each
+stride-2 conv and each pooling. The four net functions add only what
+differs: the 1x1 heads in the proposal net, and the fc feature, l2
+normalisation, concatenation and verdict head in the verification net.
 """
 
 from __future__ import annotations
@@ -123,14 +130,10 @@ def build_detector(config: TrainConfig, multitask: bool = True,
         score_head=conv("rpn.score_head", f3, 2),
         point_head=conv("rpn.point_head", f3, 10 if multitask else 3),
     )
-    rcnn_conv1 = conv("rcnn.conv1", 1, r1)
-    rcnn_conv2 = conv("rcnn.conv2", r1, r2)
-    fc_in = verification_width(config.rect_size, rcnn_conv1.spec, rcnn_conv2.spec)
-    rcnn = RcnnNet(
-        conv1=rcnn_conv1,
-        conv2=rcnn_conv2,
-        fc=FcLayer.create(rng, fc_in, config.rcnn_feature),
-    )
+    rcnn = RcnnNet(conv1=conv("rcnn.conv1", 1, r1), conv2=conv("rcnn.conv2", r1, r2),
+                   fc=None)
+    fc_in = verification_width(config.rect_size, rcnn.trunk())
+    rcnn.fc = FcLayer.create(rng, fc_in, config.rcnn_feature)
     verdict_in = config.rcnn_feature + (f3 if use_concat else 0)
     verdict = FcLayer.create(rng, verdict_in, 2)
     canonical = CanonicalShape(config.default_canonical(), trainable=supervised_transform)
@@ -148,29 +151,7 @@ def build_detector(config: TrainConfig, multitask: bool = True,
 
 
 # --------------------------------------------------------------------------
-# proposal net forward/backward
-
-
-@dataclass
-class RpnState:
-    """Every activation of one proposal-net pass, kept for rpn_backward.
-
-    z* are conv outputs, a* their relus and p* the pooled maps. A pooling
-    stores no argmax: rpn_backward re-derives it from a* and p*, which is
-    exact on the dense path, the only one it runs."""
-
-    image: np.ndarray
-    z1: np.ndarray
-    a1: np.ndarray
-    p1: np.ndarray
-    z2: np.ndarray
-    a2: np.ndarray
-    p2: np.ndarray
-    z3: np.ndarray
-    feat: np.ndarray
-    score: np.ndarray
-    point: np.ndarray
-    head_mask: RoiMask | None = None
+# conv trunks, shared by both nets
 
 
 def _conv(layer: ConvLayer, x, mask=None):
@@ -179,30 +160,75 @@ def _conv(layer: ConvLayer, x, mask=None):
     return roi_conv_forward(x, layer.filters, mask, layer.spec, bias=layer.bias)
 
 
+def _trunk_forward(trunk, x, mask: RoiMask | None = None):
+    """Run a net's (conv, pooled) blocks on x: conv -> relu, then a 2x2
+    max-pool where pooled is set.
+
+    With an ROI mask at x's resolution, the mask halves at each stride-2 conv
+    and each pooling, every conv runs only inside it, and each pooled map is
+    zeroed outside it. Returns (output, the mask at the output's resolution
+    or None, one (input, conv output, relu, pooled or None) record per block).
+    """
+    records = []
+    for layer, pooled in trunk:
+        if mask is not None and layer.spec.stride == 2:
+            mask = downsample_mask(mask)
+        z = _conv(layer, x, mask)
+        a = nn.relu(z)
+        p = None
+        if pooled:
+            p = nn.maxpool2x2(a)
+            if mask is not None:
+                mask = downsample_mask(mask)
+                p = p * mask.bits
+        records.append((x, z, a, p))
+        x = a if p is None else p
+    return x, mask, records
+
+
+def _trunk_backward(trunk, records, d_out):
+    """Backward through the blocks _trunk_forward ran, last to first.
+
+    A pooling stores no argmax: its backward re-derives the routing from the
+    relu and pooled maps, which is exact on the dense path, the only one
+    training runs. Returns (gradient of the trunk's input, [d_w, d_b] of
+    each block in block order)."""
+    grads = []
+    for (layer, _), (x, z, a, p) in zip(reversed(trunk), reversed(records)):
+        if p is not None:
+            d_out = nn.maxpool2x2_backward(d_out, a, p)
+        d_z = nn.relu_backward(d_out, z)
+        d_out, d_w, d_b = nn.conv2d_backward(
+            d_z, x, layer.filters, layer.spec, with_bias=True
+        )
+        grads[:0] = [d_w, d_b]
+    return d_out, grads
+
+
+# --------------------------------------------------------------------------
+# proposal net forward/backward
+
+
+@dataclass
+class RpnState:
+    """One proposal-net pass, kept for rpn_backward: the trunk's block
+    records, its feature map, both head maps, and on the ROI path the mask
+    at head resolution, outside which both head maps are zero."""
+
+    trunk: list
+    feat: np.ndarray
+    score: np.ndarray
+    point: np.ndarray
+    head_mask: RoiMask | None = None
+
+
 def rpn_forward(rpn: RpnNet, image: np.ndarray, mask: RoiMask | None = None) -> RpnState:
-    """Run the proposal trunk densely, or inside an input-resolution ROI mask
-    whose halvings track each stride-2 stage."""
-    m1 = mp1 = mp2 = None
-    if mask is not None:
-        m1 = downsample_mask(mask)        # conv1 output (stride 2)
-        mp1 = downsample_mask(m1)         # after pool 1
-        mp2 = downsample_mask(mp1)        # after pool 2
-    z1 = _conv(rpn.conv1, image, m1)
-    a1 = nn.relu(z1)
-    p1 = nn.maxpool2x2(a1)
-    if mp1 is not None:
-        p1 = p1 * mp1.bits
-    z2 = _conv(rpn.conv2, p1, mp1)
-    a2 = nn.relu(z2)
-    p2 = nn.maxpool2x2(a2)
-    if mp2 is not None:
-        p2 = p2 * mp2.bits
-    z3 = _conv(rpn.conv3, p2, mp2)
-    feat = nn.relu(z3)
-    score = _conv(rpn.score_head, feat, mp2)
-    point = _conv(rpn.point_head, feat, mp2)
-    return RpnState(image, z1, a1, p1, z2, a2, p2, z3, feat, score, point,
-                    head_mask=mp2)
+    """Run the proposal trunk and heads densely, or inside an
+    input-resolution ROI mask."""
+    feat, head_mask, records = _trunk_forward(rpn.trunk(), image, mask)
+    score = _conv(rpn.score_head, feat, head_mask)
+    point = _conv(rpn.point_head, feat, head_mask)
+    return RpnState(records, feat, score, point, head_mask)
 
 
 def rpn_backward(rpn: RpnNet, state: RpnState, d_score, d_point, d_feat_extra=None):
@@ -216,21 +242,8 @@ def rpn_backward(rpn: RpnNet, state: RpnState, d_score, d_point, d_feat_extra=No
     d_feat = d_feat + d_feat_p
     if d_feat_extra is not None:
         d_feat = d_feat + d_feat_extra
-    d_z3 = nn.relu_backward(d_feat, state.z3)
-    d_p2, d_w3, d_b3 = nn.conv2d_backward(
-        d_z3, state.p2, rpn.conv3.filters, rpn.conv3.spec, with_bias=True
-    )
-    d_a2 = nn.maxpool2x2_backward(d_p2, state.a2, state.p2)
-    d_z2 = nn.relu_backward(d_a2, state.z2)
-    d_p1, d_w2, d_b2 = nn.conv2d_backward(
-        d_z2, state.p1, rpn.conv2.filters, rpn.conv2.spec, with_bias=True
-    )
-    d_a1 = nn.maxpool2x2_backward(d_p1, state.a1, state.p1)
-    d_z1 = nn.relu_backward(d_a1, state.z1)
-    _, d_w1, d_b1 = nn.conv2d_backward(
-        d_z1, state.image, rpn.conv1.filters, rpn.conv1.spec, with_bias=True
-    )
-    return [d_w1, d_b1, d_w2, d_b2, d_w3, d_b3, d_ws, d_bs, d_wp, d_bp]
+    _, grads = _trunk_backward(rpn.trunk(), state.trunk, d_feat)
+    return grads + [d_ws, d_bs, d_wp, d_bp]
 
 
 def cell_centers(cells_h: int, cells_w: int):
@@ -354,19 +367,12 @@ def crop_transform(box, rect_size: int):
 
 @dataclass
 class VerifyCache:
-    """Every activation of one verification pass, kept for verify_backward.
+    """One verification pass, kept for verify_backward: the trunk's block
+    records (the first input is the crop) and output, the fc feature before
+    and after its relu, the l2 norms, the verdict head's input and logits."""
 
-    The pooled maps p1 and p2 stand in for an argmax: verify_backward
-    re-derives each pooling's routing from (a1, p1) and (a2, p2)."""
-
-    crop: np.ndarray
-    z1: np.ndarray
-    a1: np.ndarray
-    p1: np.ndarray
-    z2: np.ndarray
-    a2: np.ndarray
-    p2: np.ndarray
-    flat: np.ndarray
+    trunk: list
+    trunk_out: np.ndarray
     feat_pre: np.ndarray
     feat: np.ndarray
     feat_norm: float
@@ -379,25 +385,19 @@ class VerifyCache:
 def verify_forward(model: DetectorModel, image: np.ndarray, transform,
                    rpn_feat: np.ndarray | None) -> VerifyCache:
     crop = warp(image, transform, (model.rect_size, model.rect_size))
-    z1 = _conv(model.rcnn.conv1, crop)
-    a1 = nn.relu(z1)
-    p1 = nn.maxpool2x2(a1)
-    z2 = _conv(model.rcnn.conv2, p1)
-    a2 = nn.relu(z2)
-    p2 = nn.maxpool2x2(a2)
-    flat = p2.reshape(-1)
-    feat_pre = nn.fully_connected(flat, model.rcnn.fc.weight, model.rcnn.fc.bias)
+    out, _, records = _trunk_forward(model.rcnn.trunk(), crop)
+    feat_pre = nn.fully_connected(out.reshape(-1), model.rcnn.fc.weight, model.rcnn.fc.bias)
     feat = nn.relu(feat_pre)
     feat_n, feat_norm = l2_normalize(feat)
     if model.use_concat:
         rpn_n, rpn_norm = l2_normalize(rpn_feat)
-        joint = nn.concat_features(rpn_n, feat_n)
+        joint = np.concatenate([rpn_n, feat_n])
     else:
         rpn_norm = 1.0
         joint = feat_n
     logits = nn.fully_connected(joint, model.verdict.weight, model.verdict.bias)
-    return VerifyCache(crop, z1, a1, p1, z2, a2, p2, flat, feat_pre, feat,
-                       feat_norm, rpn_feat, rpn_norm, joint, logits)
+    return VerifyCache(records, out, feat_pre, feat, feat_norm, rpn_feat, rpn_norm,
+                       joint, logits)
 
 
 def verify_backward(model: DetectorModel, cache: VerifyCache, d_logits):
@@ -411,29 +411,19 @@ def verify_backward(model: DetectorModel, cache: VerifyCache, d_logits):
     )
     if model.use_concat:
         n_rpn = cache.rpn_feat.shape[0]
-        d_rpn_n, d_feat_n = nn.concat_features_backward(d_joint, n_rpn)
-        d_rpn_feat = l2_normalize_backward(d_rpn_n, cache.rpn_feat, cache.rpn_norm)
+        d_rpn_feat = l2_normalize_backward(d_joint[:n_rpn], cache.rpn_feat, cache.rpn_norm)
+        d_feat_n = d_joint[n_rpn:]
     else:
         d_rpn_feat, d_feat_n = None, d_joint
     d_feat = l2_normalize_backward(d_feat_n, cache.feat, cache.feat_norm)
     d_feat_pre = nn.relu_backward(d_feat, cache.feat_pre)
     d_flat, d_wfc, d_bfc = nn.fully_connected_backward(
-        d_feat_pre, cache.flat, model.rcnn.fc.weight
+        d_feat_pre, cache.trunk_out.reshape(-1), model.rcnn.fc.weight
     )
-    d_p2 = d_flat.reshape(cache.p2.shape)
-    d_a2 = nn.maxpool2x2_backward(d_p2, cache.a2, cache.p2)
-    d_z2 = nn.relu_backward(d_a2, cache.z2)
-    d_p1, d_w2, d_b2 = nn.conv2d_backward(
-        d_z2, cache.p1, model.rcnn.conv2.filters, model.rcnn.conv2.spec, with_bias=True
+    d_crop, conv_grads = _trunk_backward(
+        model.rcnn.trunk(), cache.trunk, d_flat.reshape(cache.trunk_out.shape)
     )
-    d_a1 = nn.maxpool2x2_backward(d_p1, cache.a1, cache.p1)
-    d_z1 = nn.relu_backward(d_a1, cache.z1)
-    d_crop, d_w1, d_b1 = nn.conv2d_backward(
-        d_z1, cache.crop, model.rcnn.conv1.filters, model.rcnn.conv1.spec,
-        with_bias=True,
-    )
-    rcnn_grads = [d_w1, d_b1, d_w2, d_b2, d_wfc, d_bfc]
-    return rcnn_grads, [d_wv, d_bv], d_rpn_feat, d_crop
+    return conv_grads + [d_wfc, d_bfc], [d_wv, d_bv], d_rpn_feat, d_crop
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ to greedy NMS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,13 +74,9 @@ def _sorted_order(detections) -> list[int]:
 
 def nms(detections, config: SuppressionConfig = SuppressionConfig()) -> list[Detection]:
     """Greedy non-maximum suppression: walk in score order, keep a detection
-    iff it overlaps every already-kept detection below the IoU threshold."""
-    kept: list[Detection] = []
-    for i in _sorted_order(detections):
-        d = detections[i]
-        if all(iou(d.box, k.box) < config.iou_threshold for k in kept):
-            kept.append(d)
-    return kept
+    iff it overlaps every already-kept detection below the IoU threshold.
+    This is non_top_k with K = 1; config.k is ignored."""
+    return non_top_k(detections, replace(config, k=1))
 
 
 def non_top_k(
@@ -88,8 +84,9 @@ def non_top_k(
 ) -> list[Detection]:
     """Keep the top-K detections per greedy IoU cluster, in score order.
 
-    Every NMS survivor at the same threshold seeds a cluster and is therefore
-    always kept, so the result is a superset of the NMS output.
+    Every NMS survivor at the same threshold seeds a cluster and heads it,
+    even a zero-area box, whose IoU with itself is 0; so the result is a
+    superset of the NMS output.
     """
     order = _sorted_order(detections)
     assigned = [False] * len(detections)
@@ -98,8 +95,8 @@ def non_top_k(
         if assigned[seed_idx]:
             continue
         seed = detections[seed_idx]
-        cluster = []
-        for other_idx in order[pos:]:
+        cluster = [seed]
+        for other_idx in order[pos + 1 :]:
             if assigned[other_idx]:
                 continue
             if iou(seed.box, detections[other_idx].box) >= config.iou_threshold:

@@ -1,0 +1,112 @@
+"""Print one SHA-256 over the detector's seeded outputs.
+
+Run from the repository root:
+
+    python tests/fingerprint.py
+
+The digest covers set-up training of the full model and of the three
+ablation variants, dense, ROI, NMS and unsuppressed ``detect`` on seeded
+160-px images, five joint training steps, and the model those steps leave.
+Two commits that print the same digest compute the same bytes on all of it,
+so a refactor that claims to change no output can be checked by running this
+script before and after. Pytest does not collect this file.
+"""
+
+import os
+import sys
+from pathlib import Path
+
+# One BLAS thread, as in the test suite: a thread count can change the order
+# in which a product sums, and with it the last bits of every output.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import copy  # noqa: E402
+import hashlib  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from warpdet import pipeline, synthetic  # noqa: E402
+
+SEED = 0
+SETUP_IMAGES = 60
+RPN_EPOCHS = 2
+FERNS = 40
+DETECT_IMAGES = 6
+JOINT_STEPS = 5
+VARIANTS = ({"multitask": False}, {"use_concat": False},
+            {"supervised_transform": False})
+
+
+def trained(corpus, config, **variant):
+    model = pipeline.build_detector(config, **variant)
+    model, rpn_history = pipeline.train_rpn(corpus, config, model, epochs=RPN_EPOCHS)
+    model, joint_history = pipeline.train_end_to_end(corpus, model, config)
+    return model, [rpn_history, joint_history["epochs"], joint_history["singular_skips"]]
+
+
+def open_cascade(cascade):
+    """The cascade with every early rejection removed: a window survives when
+    its whole-cascade score is positive. The trained cascade passes no window
+    of these images, which would leave the masked path unrun."""
+    opened = copy.deepcopy(cascade)
+    opened.stage_thresholds = np.full_like(cascade.stage_thresholds, -np.inf)
+    opened.stage_thresholds[-1] = 0.0
+    return opened
+
+
+def update_model(digest, model):
+    for p in model.params():
+        digest.update(p.tobytes())
+
+
+def update_detections(digest, detections):
+    digest.update(len(detections).to_bytes(4, "little"))
+    for d in detections:
+        digest.update(np.asarray(d.box, dtype=np.float64).tobytes())
+        digest.update(np.float64(d.score).tobytes())
+        digest.update(np.asarray(d.landmarks, dtype=np.float64).tobytes())
+
+
+def fingerprint() -> str:
+    digest = hashlib.sha256()
+    corpus = synthetic.generate_synthetic_corpus(SEED, SETUP_IMAGES)
+    config = pipeline.TrainConfig(epochs=1, seed=SEED)
+
+    model, history = trained(corpus, config)
+    model.cascade = pipeline.train_prefilter(corpus, num_ferns=FERNS, seed=SEED)
+    update_model(digest, model)
+    digest.update(repr(history).encode())
+    for variant in VARIANTS:
+        variant_model, history = trained(corpus, config, **variant)
+        update_model(digest, variant_model)
+        digest.update(repr(history).encode())
+
+    held = synthetic.generate_synthetic_corpus(
+        SEED + 1, DETECT_IMAGES, synthetic.CorpusParams(image_size=160)
+    )
+    roi_model = copy.copy(model)
+    roi_model.cascade = open_cascade(model.cascade)
+    runs = (
+        (model, pipeline.DetectOptions()),
+        (roi_model, pipeline.DetectOptions(use_roi_conv=True)),
+        (model, pipeline.DetectOptions(suppression="nms")),
+        (model, pipeline.DetectOptions(suppression="none")),
+    )
+    for run_model, options in runs:
+        for sample in held:
+            update_detections(digest, pipeline.detect(sample.image, run_model, options))
+
+    steps = synthetic.generate_synthetic_corpus(SEED + 2, JOINT_STEPS)
+    stepped = copy.deepcopy(model)
+    for sample in steps:
+        _, history = pipeline.train_end_to_end([sample], stepped, config)
+        digest.update(repr(history["epochs"]).encode())
+    update_model(digest, stepped)
+    return digest.hexdigest()
+
+
+if __name__ == "__main__":
+    print(fingerprint())

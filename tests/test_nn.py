@@ -15,8 +15,6 @@ from warpdet.nn import (
     MultiTaskLoss,
     ShapeError,
     SgdOptimizer,
-    concat_features,
-    concat_features_backward,
     conv2d_backward,
     conv_windows,
     conv2d_forward,
@@ -491,18 +489,6 @@ class TestSimpleOps:
         assert rel_err(gx, central_diff(loss_x, x)) < 1e-5
         assert rel_err(gw, central_diff(loss_w, weight)) < 1e-5
         np.testing.assert_allclose(gb, w)
-
-    def test_concat(self, rng):
-        np.testing.assert_array_equal(
-            concat_features(np.array([1.0, 2.0]), np.array([3.0])), [1, 2, 3]
-        )
-        x = np.array([4.0, 5.0])
-        np.testing.assert_array_equal(concat_features(x, np.array([])), x)
-        ga, gb = concat_features_backward(np.ones(3), 2)
-        assert ga.shape == (2,) and gb.shape == (1,)
-        # gradient of sum splits into ones of each length
-        np.testing.assert_array_equal(ga, [1.0, 1.0])
-        np.testing.assert_array_equal(gb, [1.0])
 
 
 class TestSgd:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import conv_oracles
 import warp_oracles
 from conftest import TINY_SEED as SEED
-from conftest import rel_err, train_tiny
+from conftest import central_diff, rel_err, train_tiny
 from warpdet import nn, pipeline, roiconv, synthetic
 from warpdet.model import load_model, save_model
 from warpdet.nn import ShapeError
@@ -219,7 +219,8 @@ def test_smoke_bench_scale_training_detects_faces():
 
 def test_verify_backward_through_warp_matches_central_differences():
     """Verdict loss -> verification net -> warp -> similarity fit: d_landmarks
-    and d_canonical against central differences, on a tiny net."""
+    and d_canonical against central differences, on a tiny net; and the
+    verdict loss's gradient on the concatenated proposal feature."""
     rng = np.random.default_rng(SEED)
     config = pipeline.TrainConfig(
         rpn_channels=(2, 3, 4), rcnn_channels=(2, 3), rcnn_feature=6,
@@ -241,7 +242,7 @@ def test_verify_backward_through_warp_matches_central_differences():
     cache = pipeline.verify_forward(model, image, transform, rpn_feat)
     _, probs = nn.softmax_cross_entropy(cache.logits, label)
     d_logits = nn.softmax_cross_entropy_backward(probs, label)
-    _, _, _, d_crop = pipeline.verify_backward(model, cache, d_logits)
+    _, _, d_rpn_feat, d_crop = pipeline.verify_backward(model, cache, d_logits)
     grads = pipeline.warp_backward(d_crop, image, transform)
     grads = pipeline.landmark_and_canonical_gradients(grads, landmarks, canonical)
 
@@ -261,6 +262,13 @@ def test_verify_backward_through_warp_matches_central_differences():
             numeric[idx] = (hi - lo) / (2.0 * step)
         assert np.abs(analytic).max() > 1e-6, as_landmarks
         assert rel_err(analytic, numeric) < 1e-5, as_landmarks
+
+    def loss_of_feat(feat):
+        cache = pipeline.verify_forward(model, image, transform, feat)
+        return nn.softmax_cross_entropy(cache.logits, label)[0]
+
+    assert np.abs(d_rpn_feat).max() > 1e-6
+    assert rel_err(d_rpn_feat, central_diff(loss_of_feat, rpn_feat.copy())) < 1e-5
 
 
 def _chain_fingerprint(model, images, corpus, config):

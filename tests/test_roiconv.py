@@ -8,7 +8,13 @@ import pytest
 
 import conv_oracles
 from warpdet.nn import ConvSpec, ShapeError, conv2d_forward, im2col, maxpool2x2
-from warpdet.pipeline import TrainConfig, build_detector
+from warpdet.pipeline import (
+    CELL_OFFSET,
+    CELL_STRIDE,
+    TrainConfig,
+    build_detector,
+    rpn_forward,
+)
 from warpdet.roiconv import (
     DEFAULT_RF_CAP,
     RoiMask,
@@ -297,6 +303,38 @@ class TestMaskPropagationSoundness:
         assert covered >= 0.25 * m1.ones_count  # coverage is the common case
         assert not r2[:, ~m1.bits].any()
 
+    def test_rpn_forward_matches_dense_where_the_mask_covers_the_receptive_field(
+        self, rng
+    ):
+        """The masked proposal trunk and heads: every head cell whose 85-px
+        receptive field (clipped to the image) lies inside the input mask
+        matches the dense pass, and both head maps are zero outside the head
+        mask. The odd extents exercise pooling's round-up."""
+        h, w = 100, 92
+        rpn = build_detector(TrainConfig()).rpn
+        image = rng.standard_normal((1, h, w))
+        mask = build_mask([(10, 12, 40, 40), (62, 58, 24, 30)], (h, w))
+        dense = rpn_forward(rpn, image)
+        roi = rpn_forward(rpn, image, mask)
+        assert roi.score.shape == dense.score.shape
+
+        half = DEFAULT_RF_CAP // 2
+        covered = 0
+        for qy, qx in np.ndindex(roi.score.shape[1:]):
+            cy, cx = CELL_OFFSET + CELL_STRIDE * qy, CELL_OFFSET + CELL_STRIDE * qx
+            y0, y1 = int(max(0, cy - half)), int(min(h, cy + half + 1))
+            x0, x1 = int(max(0, cx - half)), int(min(w, cx + half + 1))
+            if mask.bits[y0:y1, x0:x1].all():
+                covered += 1
+                for a, b in ((roi.score, dense.score), (roi.point, dense.point)):
+                    np.testing.assert_allclose(a[:, qy, qx], b[:, qy, qx],
+                                               rtol=0, atol=1e-12)
+        assert covered >= 8
+        outside = ~roi.head_mask.bits
+        assert outside.any()
+        assert not roi.score[:, outside].any()
+        assert not roi.point[:, outside].any()
+
     def test_or_keeps_what_subsampling_starves(self):
         bits = np.zeros((10, 10), dtype=bool)
         bits[5, 7] = True
@@ -328,8 +366,8 @@ class TestReceptiveField:
             receptive_field([])
 
     def test_rpn_receptive_field_is_the_mask_cap(self):
-        # rpn_forward runs conv1, pool, conv2, pool, conv3, then the 1x1 heads;
-        # the hand-written mask cap must equal the receptive field they span.
+        # rpn_forward runs the trunk's blocks, then the 1x1 heads; the
+        # hand-written mask cap must equal the receptive field they span.
         rpn = build_detector(TrainConfig()).rpn
         pool = LayerRfSpec.from_kernel_stride("pool", 2, 2)
 
@@ -338,10 +376,19 @@ class TestReceptiveField:
                 "conv", layer.spec.kernel, layer.spec.stride
             )
 
-        layers = [conv(rpn.conv1), pool, conv(rpn.conv2), pool,
-                  conv(rpn.conv3), conv(rpn.score_head)]
+        layers = []
+        for layer, pooled in rpn.trunk():
+            layers += [conv(layer), pool] if pooled else [conv(layer)]
+        layers.append(conv(rpn.score_head))
         assert rpn.point_head.spec.kernel == rpn.score_head.spec.kernel == 1
         assert receptive_field(layers)[0] == DEFAULT_RF_CAP == 85
+
+    def test_cell_stride_is_the_rpn_trunk_stride(self):
+        rpn = build_detector(TrainConfig()).rpn
+        stride = 1
+        for layer, pooled in rpn.trunk():
+            stride *= layer.spec.stride * (2 if pooled else 1)
+        assert stride == CELL_STRIDE == 8
 
 
 class TestPyramidOverhead:

@@ -100,7 +100,16 @@ class TestNonTopK:
             rng = np.random.default_rng(seed)
             dets = random_detections(rng, 70)
             cfg = SuppressionConfig(iou_threshold=0.5, k=1)
-            assert det_keys(non_top_k(dets, cfg)) == det_keys(nms(dets, cfg))
+            assert det_keys(non_top_k(dets, cfg)) == det_keys(reference_nms(dets, 0.5))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_zero_area_seed_heads_its_own_cluster(self, k):
+        """A zero-area box has IoU 0 with itself, yet it seeds a cluster and
+        is kept, as greedy NMS keeps it."""
+        dets = [Detection((5, 5, 0, 0), 0.9), Detection((0, 0, 10, 10), 0.5)]
+        kept = non_top_k(dets, SuppressionConfig(k=k))
+        assert kept == dets == nms(dets)
+        assert det_keys(kept) == det_keys(reference_nms(dets, 0.5))
 
     def test_coincident_boxes_keep_top_three(self):
         dets = [Detection((5, 5, 20, 20), s) for s in (0.1, 0.9, 0.5, 0.3, 0.7)]
