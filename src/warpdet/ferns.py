@@ -4,7 +4,9 @@ A fern is a depth-8 stack of pixel-difference tests on a 32x32 grayscale
 patch; its 8 bits index one of 256 partitions, each carrying a half-log-odds
 score. Ferns are trained stagewise with RealBoost, every fern gets a soft
 rejection threshold, and a sliding-window scan over an image pyramid turns
-the cascade into a candidate generator.
+the cascade into a candidate generator. Training scores each stage's whole
+candidate pool at once: one gather of pixel differences, one sort for the
+thresholds and one fold for the per-partition weight sums of every candidate.
 
 All weight reductions go through an adjacent-pair folding sum. Folding halves
 exactly commute with scaling by powers of two in IEEE arithmetic, so a
@@ -65,21 +67,29 @@ def fold_sum(values: np.ndarray) -> float:
 
 
 def _bucket_fold_sums(partitions: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-partition folding sums of weights, order-preserving within each
-    partition. Returns an array of NUM_PARTITIONS sums."""
-    if partitions.size == 0:
-        return np.zeros(NUM_PARTITIONS)
-    order = np.argsort(partitions, kind="stable")
-    sorted_parts = partitions[order]
-    counts = np.bincount(sorted_parts, minlength=NUM_PARTITIONS)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    ranks = np.arange(partitions.size) - offsets[sorted_parts]
-    width = 1 << max(0, int(np.ceil(np.log2(max(1, counts.max())))))
-    mat = np.zeros((NUM_PARTITIONS, width))
-    mat[sorted_parts, ranks] = weights[order]
-    while mat.shape[1] > 1:
-        mat = mat[:, 0::2] + mat[:, 1::2]
-    return mat[:, 0]
+    """Per-partition folding sums of weights for each column of (n, P)
+    partition indices: (P, NUM_PARTITIONS) sums, each folding its partition's
+    weights in sample order.
+
+    One segmented fold serves every column: with entries sorted by (column,
+    partition, sample), each odd-ranked entry of a partition adds into its
+    even-ranked predecessor, and the even ones stay at half their rank. That
+    is fold_sum over each partition zero-padded to a power of two, since
+    x + 0 == x.
+    """
+    n, cols = partitions.shape
+    keys = (partitions.T + NUM_PARTITIONS * np.arange(cols)[:, None]).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], weights[order % n]
+    counts = np.bincount(keys, minlength=cols * NUM_PARTITIONS)
+    ranks = np.arange(keys.size) - (np.cumsum(counts) - counts)[keys]
+    while ranks.any():
+        odd = (ranks & 1).astype(bool)
+        values[np.flatnonzero(odd) - 1] += values[odd]
+        keys, values, ranks = keys[~odd], values[~odd], ranks[~odd] >> 1
+    sums = np.zeros(cols * NUM_PARTITIONS)
+    sums[keys] = values
+    return sums.reshape(cols, NUM_PARTITIONS)
 
 
 @dataclass
@@ -109,12 +119,10 @@ class Fern:
             )
 
 
-def _indices_flat(patches_flat: np.ndarray, fern: Fern, patch_size: int) -> np.ndarray:
-    """Partition indices for (B, patch_size*patch_size) flattened patches."""
-    x1, y1, x2, y2 = fern.coords.T
-    diffs = patches_flat[:, y1 * patch_size + x1] - patches_flat[:, y2 * patch_size + x2]
-    bits = diffs < fern.thresholds
-    return bits @ (1 << np.arange(NUM_SPLITS))
+def _partitions(diffs: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Partition indices from (..., 8) pixel differences: bit i is set where
+    difference i is below threshold i."""
+    return (diffs < thresholds) @ (1 << np.arange(NUM_SPLITS))
 
 
 def partition_scores(
@@ -127,8 +135,9 @@ def partition_scores(
     weights = np.asarray(weights, dtype=np.float64)
     if np.any(weights <= 0):
         raise ValueError("weights must be positive")
-    pos = _bucket_fold_sums(partitions[labels == 1], weights[labels == 1])
-    neg = _bucket_fold_sums(partitions[labels == 0], weights[labels == 0])
+    column = np.asarray(partitions)[:, None]
+    pos = _bucket_fold_sums(column[labels == 1], weights[labels == 1])[0]
+    neg = _bucket_fold_sums(column[labels == 0], weights[labels == 0])[0]
     eps = SMOOTHING_FRACTION * fold_sum(weights)
     return 0.5 * np.log((pos + eps) / (neg + eps))
 
@@ -152,8 +161,9 @@ class CascadeModel:
 
 @dataclass
 class CascadeConfig:
-    """Training knobs; the full-scale default is 1000 ferns with a 99.9%
-    per-stage detection target, desk-scale runs use fewer ferns at 99%."""
+    """Training knobs; the full-scale default is 1000 ferns from pools of 200
+    candidates at a 99% per-stage detection target, desk-scale runs use fewer
+    ferns and smaller pools."""
 
     num_ferns: int = 1000
     candidate_pool: int = 200
@@ -161,28 +171,30 @@ class CascadeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.num_ferns < 1 or self.candidate_pool < 1:
+            raise ValueError("num_ferns and candidate_pool must be at least 1")
         if not 0.0 < self.per_stage_detection_target <= 1.0:
             raise ValueError("detection target must be in (0, 1]")
 
 
-def _draw_candidate(rng, patches_flat, patch_size):
-    """One random fern candidate: uniform coordinates, thresholds drawn from
-    the empirical pixel-difference distribution's quantiles (inverted CDF, so
-    the draw only depends on the difference multiset's distribution)."""
-    coords = rng.integers(0, patch_size, size=(NUM_SPLITS, 4))
-    x1, y1, x2, y2 = coords.T
-    diffs = (
-        patches_flat[:, y1 * patch_size + x1] - patches_flat[:, y2 * patch_size + x2]
-    )
-    qs = rng.uniform(0.05, 0.95, size=NUM_SPLITS)
-    thresholds = np.array(
-        [
-            np.quantile(diffs[:, i], qs[i], method="inverted_cdf")
-            for i in range(NUM_SPLITS)
-        ],
-        dtype=np.float64,
-    )
-    return coords, thresholds
+def _draw_pool(rng, flat, size):
+    """A stage's random fern candidates and each sample's partition under
+    each. Every candidate draws uniform coordinates, then uniform quantiles of
+    the empirical pixel-difference distribution; each threshold is the order
+    statistic np.quantile(method="inverted_cdf") takes, n*q - 1 rounded up
+    (never below 0, as q > 0), so it depends only on the difference multiset.
+    Returns (coords (P, 8, 4), thresholds (P, 8), partitions (n, P))."""
+    coords = np.empty((size, NUM_SPLITS, 4), dtype=np.int64)
+    qs = np.empty((size, NUM_SPLITS))
+    for c in range(size):
+        coords[c] = rng.integers(0, PATCH_SIZE, size=(NUM_SPLITS, 4))
+        qs[c] = rng.uniform(0.05, 0.95, size=NUM_SPLITS)
+    x1, y1, x2, y2 = np.moveaxis(coords, -1, 0)
+    diffs = flat[:, y1 * PATCH_SIZE + x1]
+    diffs -= flat[:, y2 * PATCH_SIZE + x2]
+    rank = np.ceil(len(diffs) * qs - 1).astype(np.intp)
+    thresholds = np.take_along_axis(np.sort(diffs, axis=0), rank[None], axis=0)[0]
+    return coords, thresholds, _partitions(diffs, thresholds)
 
 
 def train_cascade(
@@ -205,7 +217,7 @@ def train_cascade(
         raise ValueError(f"patches must be {ps}x{ps}")
 
     rng = np.random.default_rng(config.seed)
-    patches = np.concatenate([positives, negatives]).astype(np.float64)
+    patches = np.concatenate([positives, negatives], dtype=np.float64)
     flat = patches.reshape(len(patches), -1)
     labels = np.concatenate(
         [np.ones(len(positives), dtype=np.int64), np.zeros(len(negatives), dtype=np.int64)]
@@ -222,24 +234,21 @@ def train_cascade(
     allowed_rejects = int(np.floor((1.0 - config.per_stage_detection_target) * n_pos))
 
     for stage in range(config.num_ferns):
-        best = None
-        for _ in range(config.candidate_pool):
-            coords, threshs = _draw_candidate(rng, flat, ps)
-            cand = Fern(coords, threshs, np.zeros(NUM_PARTITIONS))
-            parts = _indices_flat(flat, cand, ps)
-            pos_sums = _bucket_fold_sums(parts[labels == 1], weights[labels == 1])
-            neg_sums = _bucket_fold_sums(parts[labels == 0], weights[labels == 0])
-            error = fold_sum(2.0 * np.sqrt(pos_sums * neg_sums))
-            occupied = int(np.count_nonzero(pos_sums + neg_sums))
-            if best is None or error < best[0]:
-                best = (error, cand, parts, occupied)
-        error, fern, parts, occupied = best
-        if occupied <= 1:
+        coords, threshs, parts = _draw_pool(rng, flat, config.candidate_pool)
+        pos_sums = _bucket_fold_sums(parts[labels == 1], weights[labels == 1])
+        neg_sums = _bucket_fold_sums(parts[labels == 0], weights[labels == 0])
+        errors = 2.0 * np.sqrt(pos_sums * neg_sums)
+        while errors.shape[1] > 1:  # fold_sum of each row
+            errors = errors[:, 0::2] + errors[:, 1::2]
+        best = int(np.argmin(errors[:, 0]))
+        if np.count_nonzero(pos_sums[best] + neg_sums[best]) <= 1:
             raise TrainingError(
                 f"degenerate fern pool at stage {stage}: best candidate keeps "
                 "all samples in one partition"
             )
-        fern.scores = partition_scores(parts, labels, weights)
+        parts = parts[:, best]
+        fern = Fern(coords[best].copy(), threshs[best].copy(),
+                    partition_scores(parts, labels, weights))
         ferns.append(fern)
 
         sample_scores = fern.scores[parts]
@@ -274,9 +283,7 @@ def _scan_level(gray_flat, level_w, wins_x, wins_y, model, stride):
             gray_flat[base + (y1 * level_w + x1)]
             - gray_flat[base + (y2 * level_w + x2)]
         )
-        bits = diffs < fern.thresholds
-        parts = bits @ (1 << np.arange(NUM_SPLITS))
-        scores[alive] += fern.scores[parts]
+        scores[alive] += fern.scores[_partitions(diffs, fern.thresholds)]
         keep = scores[alive] >= model.stage_thresholds[stage]
         alive = alive[keep]
     return alive, scores[alive]

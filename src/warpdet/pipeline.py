@@ -165,9 +165,11 @@ def _trunk_forward(trunk, x, mask: RoiMask | None = None):
     max-pool where pooled is set.
 
     With an ROI mask at x's resolution, the mask halves at each stride-2 conv
-    and each pooling, every conv runs only inside it, and each pooled map is
-    zeroed outside it. Returns (output, the mask at the output's resolution
-    or None, one (input, conv output, relu, pooled or None) record per block).
+    and each pooling, and every conv runs only inside it. Each pooled map is
+    then zero outside its mask: the conv writes zeros outside the mask, and a
+    cell outside the OR-halved mask pools only such zeros. Returns (output,
+    the mask at the output's resolution or None, one (input, conv output,
+    relu, pooled or None) record per block).
     """
     records = []
     for layer, pooled in trunk:
@@ -180,7 +182,6 @@ def _trunk_forward(trunk, x, mask: RoiMask | None = None):
             p = nn.maxpool2x2(a)
             if mask is not None:
                 mask = downsample_mask(mask)
-                p = p * mask.bits
         records.append((x, z, a, p))
         x = a if p is None else p
     return x, mask, records

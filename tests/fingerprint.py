@@ -1,15 +1,25 @@
-"""Print one SHA-256 over the detector's seeded outputs.
+"""Print SHA-256 digests of the detector's seeded outputs, one per part.
 
 Run from the repository root:
 
     python tests/fingerprint.py
 
-The digest covers set-up training of the full model and of the three
-ablation variants, dense, ROI, NMS and unsuppressed ``detect`` on seeded
-160-px images, five joint training steps, and the model those steps leave.
-Two commits that print the same digest compute the same bytes on all of it,
-so a refactor that claims to change no output can be checked by running this
-script before and after. Pytest does not collect this file.
+The parts are:
+
+- setup models: set-up training of the full model and of the three ablation
+  variants (parameters and training histories);
+- cascade: the fern pre-filter trained on the set-up corpus (every fern's
+  coordinates, thresholds and scores, the stage thresholds and the training
+  log);
+- detect runs: dense, ROI, NMS and unsuppressed ``detect`` on seeded 160-px
+  images;
+- joint steps: five joint training steps and the model they leave.
+
+The last line is one digest over all parts. Two commits that print the same
+lines compute the same bytes on all of it, so a refactor that claims to
+change no output can be checked by running this script before and after,
+and a change that means to move one part shows which parts moved. Pytest
+does not collect this file.
 """
 
 import os
@@ -38,6 +48,7 @@ DETECT_IMAGES = 6
 JOINT_STEPS = 5
 VARIANTS = ({"multitask": False}, {"use_concat": False},
             {"supervised_transform": False})
+PARTS = ("setup models", "cascade", "detect runs", "joint steps")
 
 
 def trained(corpus, config, **variant):
@@ -62,6 +73,17 @@ def update_model(digest, model):
         digest.update(p.tobytes())
 
 
+def update_cascade(digest, cascade):
+    for fern in cascade.ferns:
+        for array in (fern.coords, fern.thresholds, fern.scores):
+            digest.update(array.tobytes())
+    digest.update(cascade.stage_thresholds.tobytes())
+    digest.update(cascade.patch_size.to_bytes(4, "little"))
+    for key in sorted(cascade.train_log):
+        digest.update(key.encode())
+        digest.update(np.asarray(cascade.train_log[key], dtype=np.float64).tobytes())
+
+
 def update_detections(digest, detections):
     digest.update(len(detections).to_bytes(4, "little"))
     for d in detections:
@@ -70,19 +92,23 @@ def update_detections(digest, detections):
         digest.update(np.asarray(d.landmarks, dtype=np.float64).tobytes())
 
 
-def fingerprint() -> str:
-    digest = hashlib.sha256()
+def fingerprint() -> list[tuple[str, str]]:
+    """(part, hex digest) pairs, the overall digest last."""
+    parts = {name: hashlib.sha256() for name in PARTS}
     corpus = synthetic.generate_synthetic_corpus(SEED, SETUP_IMAGES)
     config = pipeline.TrainConfig(epochs=1, seed=SEED)
 
+    setup = parts["setup models"]
     model, history = trained(corpus, config)
-    model.cascade = pipeline.train_prefilter(corpus, num_ferns=FERNS, seed=SEED)
-    update_model(digest, model)
-    digest.update(repr(history).encode())
+    update_model(setup, model)
+    setup.update(repr(history).encode())
     for variant in VARIANTS:
         variant_model, history = trained(corpus, config, **variant)
-        update_model(digest, variant_model)
-        digest.update(repr(history).encode())
+        update_model(setup, variant_model)
+        setup.update(repr(history).encode())
+
+    model.cascade = pipeline.train_prefilter(corpus, num_ferns=FERNS, seed=SEED)
+    update_cascade(parts["cascade"], model.cascade)
 
     held = synthetic.generate_synthetic_corpus(
         SEED + 1, DETECT_IMAGES, synthetic.CorpusParams(image_size=160)
@@ -97,16 +123,24 @@ def fingerprint() -> str:
     )
     for run_model, options in runs:
         for sample in held:
-            update_detections(digest, pipeline.detect(sample.image, run_model, options))
+            update_detections(parts["detect runs"],
+                              pipeline.detect(sample.image, run_model, options))
 
     steps = synthetic.generate_synthetic_corpus(SEED + 2, JOINT_STEPS)
     stepped = copy.deepcopy(model)
     for sample in steps:
         _, history = pipeline.train_end_to_end([sample], stepped, config)
-        digest.update(repr(history["epochs"]).encode())
-    update_model(digest, stepped)
-    return digest.hexdigest()
+        parts["joint steps"].update(repr(history["epochs"]).encode())
+    update_model(parts["joint steps"], stepped)
+
+    overall = hashlib.sha256()
+    for digest in parts.values():
+        overall.update(digest.digest())
+    return [(name, parts[name].hexdigest()) for name in PARTS] + [
+        ("overall", overall.hexdigest())
+    ]
 
 
 if __name__ == "__main__":
-    print(fingerprint())
+    for name, digest in fingerprint():
+        print(f"{name:<13} {digest}")

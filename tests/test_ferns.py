@@ -1,20 +1,25 @@
 """Tests for the boosted-fern cascade: split indexing against an independent
 re-implementation, RealBoost partition scores, training behavior on separable
-synthetic data, soft-cascade early exit, and the sliding-window scan."""
+synthetic data, pooled training against the per-candidate oracle, soft-cascade
+early exit, and the sliding-window scan."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fern_oracles import cascade_score, fern_index
+import fern_oracles
+from fern_oracles import cascade_score, fern_index, train_cascade_reference
 from warpdet.ferns import (
+    NUM_PARTITIONS,
     SCAN_STRIDE,
     SMOOTHING_FRACTION,
     CascadeConfig,
     CascadeModel,
     Fern,
     TrainingError,
+    _bucket_fold_sums,
+    _draw_pool,
     _scan_level,
     fold_sum,
     partition_scores,
@@ -203,6 +208,119 @@ class TestTrainCascade:
         pos, _ = separable_patches(rng, 5, 5)
         with pytest.raises(ValueError):
             train_cascade(pos, np.zeros((0, 32, 32)), CascadeConfig(num_ferns=1))
+
+
+class TestCascadeConfig:
+    @pytest.mark.parametrize("field", ["num_ferns", "candidate_pool"])
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_sizes_below_one_rejected(self, field, size):
+        with pytest.raises(ValueError):
+            CascadeConfig(**{field: size})
+
+    def test_smallest_sizes_train(self, rng):
+        pos, neg = separable_patches(rng, 10, 12)
+        model = train_cascade(pos, neg, CascadeConfig(num_ferns=1, candidate_pool=1))
+        assert len(model.ferns) == 1
+
+
+def assert_same_cascade(a, b):
+    """Byte equality of every trained array and of the stage losses."""
+    assert len(a.ferns) == len(b.ferns)
+    for fa, fb in zip(a.ferns, b.ferns):
+        for attr in ("coords", "thresholds", "scores"):
+            x, y = getattr(fa, attr), getattr(fb, attr)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), attr
+    assert a.stage_thresholds.tobytes() == b.stage_thresholds.tobytes()
+    losses_a = np.array(a.train_log["stage_partition_losses"])
+    losses_b = np.array(b.train_log["stage_partition_losses"])
+    assert losses_a.tobytes() == losses_b.tobytes()
+
+
+class TestPooledTrainingMatchesOracle:
+    """train_cascade scores a stage's whole candidate pool at once; the
+    per-candidate trainer in fern_oracles must produce the same bytes."""
+
+    @pytest.mark.parametrize(
+        "n_pos, n_neg, duplicated, num_ferns, pool, seed",
+        [
+            (30, 40, False, 10, 1, 4),    # a pool of one candidate
+            (37, 51, False, 12, 25, 6),   # 88 samples: no power of two
+            (20, 26, True, 8, 20, 11),    # every sample duplicated in place
+            (40, 50, False, 6, 60, 0),    # a pool as large as the pre-filter's
+        ],
+    )
+    def test_byte_equal_cascades(self, n_pos, n_neg, duplicated, num_ferns, pool, seed):
+        rng = np.random.default_rng(seed)
+        pos, neg = separable_patches(rng, n_pos, n_neg, jitter=2)
+        if duplicated:
+            pos, neg = np.repeat(pos, 2, axis=0), np.repeat(neg, 2, axis=0)
+        cfg = CascadeConfig(num_ferns=num_ferns, candidate_pool=pool, seed=seed)
+        assert_same_cascade(
+            train_cascade(pos, neg, cfg), train_cascade_reference(pos, neg, cfg)
+        )
+
+    @pytest.mark.parametrize("n_pos, n_neg", [(5, 6), (37, 51)])
+    def test_every_pool_candidate_matches_the_oracle_draw(self, n_pos, n_neg):
+        """Coordinates and inverted-CDF thresholds of every candidate, not
+        only the kept ones; at 11 samples the lowest quantiles take the
+        minimum."""
+        pos, neg = separable_patches(np.random.default_rng(n_pos), n_pos, n_neg)
+        flat = np.concatenate([pos, neg]).reshape(n_pos + n_neg, -1)
+        coords, thresholds, _ = _draw_pool(np.random.default_rng(9), flat, 200)
+        oracle_rng = np.random.default_rng(9)
+        for c in range(200):
+            want_coords, want_thresholds = fern_oracles._draw_candidate(
+                oracle_rng, flat, 32
+            )
+            assert coords[c].tobytes() == want_coords.tobytes()
+            assert thresholds[c].tobytes() == want_thresholds.tobytes()
+
+    @pytest.mark.parametrize("varying_row", [False, True])
+    def test_degenerate_pool_raises_at_the_same_stage(self, varying_row):
+        """Flat patches fail at stage 0; with one varying pixel row and pools
+        of two, pooled and oracle training both fail at a later stage."""
+        rng = np.random.default_rng(5)
+        pos = np.full((20, 32, 32), 0.5)
+        neg = np.full((24, 32, 32), 0.5)
+        if varying_row:
+            pos[:, 0, :] = rng.uniform(0.6, 1.0, size=(20, 32))
+            neg[:, 0, :] = rng.uniform(0.0, 0.4, size=(24, 32))
+        cfg = CascadeConfig(num_ferns=30, candidate_pool=2, seed=5)
+        with pytest.raises(TrainingError) as pooled:
+            train_cascade(pos, neg, cfg)
+        with pytest.raises(TrainingError) as reference:
+            train_cascade_reference(pos, neg, cfg)
+        assert str(pooled.value) == str(reference.value)
+        assert ("at stage 0:" in str(pooled.value)) != varying_row
+
+
+@st.composite
+def partition_columns(draw):
+    """(n, P) partition indices and n positive weights; a span of one gives
+    one-partition columns, and n may be 0."""
+    n = draw(st.integers(0, 40))
+    cols = draw(st.integers(1, 4))
+    span = draw(st.sampled_from([1, 2, 5, NUM_PARTITIONS]))
+    parts = draw(st.lists(st.integers(0, span - 1), min_size=n * cols,
+                          max_size=n * cols))
+    weights = draw(st.lists(
+        st.floats(1e-9, 1e9, allow_nan=False, allow_infinity=False),
+        min_size=n, max_size=n,
+    ))
+    return (np.array(parts, dtype=np.int64).reshape(n, cols),
+            np.array(weights, dtype=np.float64))
+
+
+class TestPooledFold:
+    @settings(max_examples=150, deadline=None)
+    @given(partition_columns())
+    def test_each_column_equals_the_scalar_fold(self, columns):
+        parts, weights = columns
+        pooled = _bucket_fold_sums(parts, weights)
+        assert pooled.shape == (parts.shape[1], NUM_PARTITIONS)
+        for c in range(parts.shape[1]):
+            scalar = fern_oracles._bucket_fold_sums(parts[:, c], weights)
+            assert pooled[c].tobytes() == scalar.tobytes()
 
 
 @pytest.fixture(scope="module")

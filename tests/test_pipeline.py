@@ -14,7 +14,7 @@ import conv_oracles
 import warp_oracles
 from conftest import TINY_SEED as SEED
 from conftest import central_diff, rel_err, train_tiny
-from warpdet import nn, pipeline, roiconv, synthetic
+from warpdet import ferns, nn, pipeline, roiconv, synthetic
 from warpdet.model import load_model, save_model
 from warpdet.nn import ShapeError
 from warpdet.suppress import iou
@@ -388,3 +388,76 @@ def test_evaluate_ap_is_one_when_every_detection_matches_a_distinct_truth(images
     if report.total_gt:
         assert report.average_precision() == 1.0
         assert report.recall_at_false_alarms(0) == 1.0
+
+
+# --------------------------------------------------------------------------
+# fern pre-filter training
+
+
+@pytest.fixture(scope="module")
+def prefilter_corpus():
+    """Ten 96-px images, some of them face-free."""
+    return synthetic.generate_synthetic_corpus(
+        SEED, 10, synthetic.CorpusParams(no_face_rate=0.3)
+    )
+
+
+def test_harvest_crops_every_face_once_and_only_face_free_negatives(
+    prefilter_corpus, monkeypatch
+):
+    """One 32x32 positive per face, in corpus order; then at most
+    NEGATIVES_PER_IMAGE crops per image, each overlapping no face."""
+    crops = []
+    real_crop = pipeline.crop_patch
+
+    def recording_crop(image, box, out_size):
+        crops.append((image, tuple(box), real_crop(image, box, out_size)))
+        return crops[-1][2]
+
+    monkeypatch.setattr(pipeline, "crop_patch", recording_crop)
+    pos, neg = pipeline.harvest_cascade_patches(
+        prefilter_corpus, np.random.default_rng(0)
+    )
+    faces = [tuple(box) for sample in prefilter_corpus for box, _ in sample.faces]
+    assert 0 < len(faces) < len(prefilter_corpus)
+    assert pos.shape == (len(faces), ferns.PATCH_SIZE, ferns.PATCH_SIZE)
+    assert [box for _, box, _ in crops if box in faces] == faces
+
+    negatives = []
+    for sample in prefilter_corpus:
+        sample_faces = [box for box, _ in sample.faces]
+        drawn = [(box, patch) for image, box, patch in crops
+                 if image is sample.image and tuple(box) not in faces]
+        assert len(drawn) <= pipeline.NEGATIVES_PER_IMAGE
+        for box, _ in drawn:
+            assert all(iou(box, face) < 0.1 for face in sample_faces)
+        negatives += [patch for _, patch in drawn]
+    assert len(negatives) > 0
+    assert np.array_equal(neg, np.array(negatives))
+    assert np.array_equal(pos, np.array([p for _, box, p in crops if box in faces]))
+
+
+def _cascade_arrays(cascade):
+    return [cascade.stage_thresholds] + [
+        getattr(fern, attr) for fern in cascade.ferns
+        for attr in ("coords", "thresholds", "scores")
+    ]
+
+
+def test_train_prefilter_is_reproducible_and_round_trips(prefilter_corpus, tmp_path):
+    cascade = pipeline.train_prefilter(prefilter_corpus, num_ferns=8, seed=SEED)
+    assert len(cascade.ferns) == 8
+    assert len(cascade.train_log["stage_partition_losses"]) == 8
+    again = pipeline.train_prefilter(prefilter_corpus, num_ferns=8, seed=SEED)
+    for a, b in zip(_cascade_arrays(cascade), _cascade_arrays(again), strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert (cascade.train_log["stage_partition_losses"]
+            == again.train_log["stage_partition_losses"])
+
+    model = pipeline.build_detector(pipeline.TrainConfig(seed=SEED))
+    model.cascade = cascade
+    save_model(model, tmp_path / "model.wcnn")
+    loaded = load_model(tmp_path / "model.wcnn").cascade
+    assert loaded.patch_size == cascade.patch_size
+    for a, b in zip(_cascade_arrays(cascade), _cascade_arrays(loaded), strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -335,6 +335,28 @@ class TestMaskPropagationSoundness:
         assert not roi.score[:, outside].any()
         assert not roi.point[:, outside].any()
 
+    def test_masked_pooled_maps_are_zero_outside_the_halved_mask(self, rng):
+        """Every pooled map of a masked proposal pass is exactly zero outside
+        the input mask halved down to that map: the masked conv writes zeros
+        there, and a cell outside the OR-halved mask pools only those zeros."""
+        h, w = 100, 92
+        rpn = build_detector(TrainConfig()).rpn
+        image = rng.standard_normal((1, h, w))
+        mask = build_mask([(10, 12, 40, 40), (62, 58, 24, 30)], (h, w))
+        state = rpn_forward(rpn, image, mask)
+        pooled_maps = 0
+        for (layer, pooled), (_, _, _, p) in zip(rpn.trunk(), state.trunk):
+            if layer.spec.stride == 2:
+                mask = downsample_mask(mask)
+            if pooled:
+                mask = downsample_mask(mask)
+                outside = ~mask.bits
+                assert p.shape[1:] == outside.shape
+                assert outside.any() and p[:, ~outside].any()
+                assert not p[:, outside].any()
+                pooled_maps += 1
+        assert pooled_maps >= 1
+
     def test_or_keeps_what_subsampling_starves(self):
         bits = np.zeros((10, 10), dtype=bool)
         bits[5, 7] = True
