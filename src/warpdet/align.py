@@ -64,7 +64,6 @@ class CanonicalShape:
     """Learnable target landmark layout in rectified-image pixel coordinates."""
 
     points: np.ndarray  # (N, 2) float64
-    trainable: bool = True
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
@@ -77,9 +76,6 @@ class CanonicalShape:
         m = CANONICAL_MARGIN
         np.clip(self.points[:, 0], m, width - 1 - m, out=self.points[:, 0])
         np.clip(self.points[:, 1], m, height - 1 - m, out=self.points[:, 1])
-
-    def copy(self) -> "CanonicalShape":
-        return CanonicalShape(self.points.copy(), self.trainable)
 
 
 @dataclass

@@ -138,6 +138,12 @@ def partition_scores(
     column = np.asarray(partitions)[:, None]
     pos = _bucket_fold_sums(column[labels == 1], weights[labels == 1])[0]
     neg = _bucket_fold_sums(column[labels == 0], weights[labels == 0])[0]
+    return _half_log_odds(pos, neg, weights)
+
+
+def _half_log_odds(pos: np.ndarray, neg: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """partition_scores from the per-partition positive and negative weight
+    sums and all the weights."""
     eps = SMOOTHING_FRACTION * fold_sum(weights)
     return 0.5 * np.log((pos + eps) / (neg + eps))
 
@@ -209,10 +215,10 @@ def train_cascade(
     keeps a cumulative score above it.
     """
     ps = PATCH_SIZE
+    if positives.size == 0 or negatives.size == 0:
+        raise ValueError("both classes must be non-empty")
     if positives.ndim != 3 or negatives.ndim != 3:
         raise ValueError("expected stacks of 2-D grayscale patches")
-    if len(positives) == 0 or len(negatives) == 0:
-        raise ValueError("both classes must be non-empty")
     if positives.shape[1:] != (ps, ps) or negatives.shape[1:] != (ps, ps):
         raise ValueError(f"patches must be {ps}x{ps}")
 
@@ -246,12 +252,11 @@ def train_cascade(
                 f"degenerate fern pool at stage {stage}: best candidate keeps "
                 "all samples in one partition"
             )
-        parts = parts[:, best]
         fern = Fern(coords[best].copy(), threshs[best].copy(),
-                    partition_scores(parts, labels, weights))
+                    _half_log_odds(pos_sums[best], neg_sums[best], weights))
         ferns.append(fern)
 
-        sample_scores = fern.scores[parts]
+        sample_scores = fern.scores[parts[:, best]]
         weights = weights * np.exp(-signs * sample_scores)
         total = fold_sum(weights)
         stage_losses.append(total)

@@ -1,23 +1,26 @@
-"""Detector model structures and versioned serialization.
+"""Detector model structures, their one constructor, and versioned
+serialization.
 
-A model file is one container of named arrays:
+create_detector builds the detector from its layer widths and flags;
+pipeline.build_detector and load_model both call it.
+
+A model file (format 3) is one container of named arrays:
 
 - the magic b"WCNN", then two little-endian u32 fields: the format version
   and the byte length of the header;
-- a UTF-8 JSON header holding the conv geometry keyed by role, the model
-  flags, whether the canonical shape is trainable, the cascade patch size
-  (null without a cascade), and a [name, dtype, shape] entry per array;
+- a UTF-8 JSON header {"flags": {...}, "arrays": [[name, dtype, shape], ...]};
 - the raw little-endian bytes of each array, in header order.
 
 Array names are attribute paths ("rpn.score_head.filters", "rcnn.fc.weight",
 "canonical.points"); the fern cascade is stored as stacked arrays
 ("cascade.coords" (F, 8, 4) int64, "cascade.scores" (F, 256), ...). Every
 array is "<f8" except the "<i8" cascade.coords, and none is read through
-pickle. Round trips are bit-exact. The loader raises ModelFormatError on a
-corrupt header, a file cut short or running on past its last array, a
-non-finite array, and a header or array that disagrees with the detector
-build_detector creates: its conv geometry, the layer widths that chain one
-layer into the next, the flag types and the fern patch size.
+pickle. Round trips are bit-exact. The loader takes the layer widths from the
+leading extents of the conv filters and rcnn.fc.weight, builds a skeleton
+from them and the flags, and requires the file's array names and shapes to
+equal the skeleton's. It raises ModelFormatError on a corrupt header, a file
+cut short or running on past its last array, an array listed twice, a
+non-finite array, or arrays that differ from the skeleton's.
 """
 
 from __future__ import annotations
@@ -25,21 +28,22 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
 from .align import CanonicalShape
-from .ferns import PATCH_SIZE, CascadeModel, Fern
+from .ferns import CascadeModel, Fern
 from .nn import ConvSpec, uniform_init
+from .synthetic import GLYPH_LANDMARKS
 
 MAGIC = b"WCNN"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-# Kernel, stride and padding of each conv role; TrainConfig sets only the
-# channel counts. build_detector creates this geometry and the loader accepts
-# no other: the proposal net's stride 8 and receptive field 85 rest on it.
+# Kernel, stride and padding of each conv role; only the channel counts vary.
+# The model file stores no geometry, so every loaded model has this one: the
+# proposal net's stride 8 and receptive field 85 rest on it.
 CONV_GEOMETRY = {
     "rpn.conv1": (7, 2, 3),
     "rpn.conv2": (7, 1, 3),
@@ -64,16 +68,6 @@ class ConvLayer:
     filters: np.ndarray
     bias: np.ndarray
 
-    @classmethod
-    def create(cls, rng, spec: ConvSpec) -> "ConvLayer":
-        k = spec.kernel
-        fan_in = spec.in_channels * k * k
-        fan_out = spec.out_channels * k * k
-        filters = uniform_init(
-            rng, (spec.out_channels, spec.in_channels, k, k), fan_in, fan_out
-        )
-        return cls(spec, filters, np.zeros(spec.out_channels))
-
     def params(self):
         return [self.filters, self.bias]
 
@@ -82,10 +76,6 @@ class ConvLayer:
 class FcLayer:
     weight: np.ndarray
     bias: np.ndarray
-
-    @classmethod
-    def create(cls, rng, n_in: int, n_out: int) -> "FcLayer":
-        return cls(uniform_init(rng, (n_out, n_in), n_in, n_out), np.zeros(n_out))
 
     def params(self):
         return [self.weight, self.bias]
@@ -142,14 +132,71 @@ class DetectorModel:
     rect_size: int = 64
     point_scale: float = 48.0
     # whether joint training sends the verdict loss through the warp into the
-    # landmarks and the canonical shape
+    # landmarks and trains the canonical shape
     supervised_transform: bool = True
 
     def params(self):
         ps = self.rpn.params() + self.rcnn.params() + self.verdict.params()
-        if self.canonical.trainable:
+        if self.supervised_transform:
             ps.append(self.canonical.points)
         return ps
+
+
+def verification_width(rect_size: int, trunk) -> int:
+    """Length of the flattened map a verification trunk (RcnnNet.trunk)
+    computes on a rect_size crop, which is rcnn.fc's input width; a 2x2
+    pooling rounds odd extents up."""
+    side = rect_size
+    for layer, pooled in trunk:
+        side = layer.spec.out_size(side, side)[0]
+        if pooled:
+            side = -(-side // 2)
+    return trunk[-1][0].spec.out_channels * side * side
+
+
+def create_detector(rng, rpn_channels, rcnn_channels, rcnn_feature: int, *,
+                    multitask: bool, use_concat: bool, supervised_transform: bool,
+                    rect_size: int, point_scale: float) -> DetectorModel:
+    """The detector with the given layer widths and flags. Weights draw from
+    rng in the order rpn conv1-3, score head, point head, rcnn conv1-2, fc,
+    verdict; biases start at zero and the canonical shape at the glyph's
+    landmark layout, scaled to the rect_size crop."""
+    f1, f2, f3 = rpn_channels
+    r1, r2 = rcnn_channels
+
+    def conv(role, in_channels, out_channels):
+        spec = ConvSpec(in_channels, out_channels, *CONV_GEOMETRY[role])
+        k = spec.kernel
+        filters = uniform_init(rng, (out_channels, in_channels, k, k),
+                               in_channels * k * k, out_channels * k * k)
+        return ConvLayer(spec, filters, np.zeros(out_channels))
+
+    def fc(n_in, n_out):
+        return FcLayer(uniform_init(rng, (n_out, n_in), n_in, n_out), np.zeros(n_out))
+
+    rpn = RpnNet(
+        conv1=conv("rpn.conv1", 1, f1),
+        conv2=conv("rpn.conv2", f1, f2),
+        conv3=conv("rpn.conv3", f2, f3),
+        score_head=conv("rpn.score_head", f3, 2),
+        point_head=conv("rpn.point_head", f3, 10 if multitask else 3),
+    )
+    rcnn = RcnnNet(conv1=conv("rcnn.conv1", 1, r1), conv2=conv("rcnn.conv2", r1, r2),
+                   fc=None)
+    rcnn.fc = fc(verification_width(rect_size, rcnn.trunk()), rcnn_feature)
+    verdict = fc(rcnn_feature + (f3 if use_concat else 0), 2)
+    center = (rect_size - 1) / 2.0
+    return DetectorModel(
+        rpn=rpn,
+        rcnn=rcnn,
+        verdict=verdict,
+        canonical=CanonicalShape(center + 0.68 * rect_size * GLYPH_LANDMARKS),
+        multitask=multitask,
+        use_concat=use_concat,
+        rect_size=rect_size,
+        point_scale=point_scale,
+        supervised_transform=supervised_transform,
+    )
 
 
 def _named_arrays(model: DetectorModel) -> dict[str, np.ndarray]:
@@ -179,10 +226,7 @@ def save_model(model: DetectorModel, path) -> None:
         for name, a in _named_arrays(model).items()
     }
     header = {
-        "conv": {role: asdict(attrgetter(role)(model).spec) for role in CONV_GEOMETRY},
         "flags": {key: getattr(model, key) for key in _FLAGS},
-        "canonical.trainable": model.canonical.trainable,
-        "cascade.patch_size": None if model.cascade is None else model.cascade.patch_size,
         "arrays": [[name, a.dtype.str, list(a.shape)] for name, a in arrays.items()],
     }
     header_bytes = json.dumps(header).encode("utf-8")
@@ -203,8 +247,20 @@ def load_model(path) -> DetectorModel:
         return _parse_model(buf)
     except ModelFormatError:
         raise
-    except (ValueError, KeyError, TypeError, struct.error) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, MemoryError,
+            struct.error) as exc:
         raise ModelFormatError(f"corrupt model file: {exc!r}") from exc
+
+
+class _ShapeOnly:
+    """Stands in for the rng when the loader builds its skeleton, whose
+    weights are only compared by shape and then replaced. Each weight is a
+    zero-stride view, so a crafted file's widths cost memory only for the
+    zero biases; load_model reports a MemoryError there as a corrupt file."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.broadcast_to(0.0, size)
 
 
 def _parse_model(buf: bytes) -> DetectorModel:
@@ -229,28 +285,19 @@ def _parse_model(buf: bytes) -> DetectorModel:
             f"file is {len(buf)} bytes, its header ends at byte {end}: "
             "truncated, or bytes after the last record"
         )
-    arrays = {
-        name: np.frombuffer(buf, dtype, math.prod(shape), start).reshape(shape).copy()
-        for (name, dtype, shape), start in zip(entries, starts)
-    }
-    for name, a in arrays.items():
+    arrays = {}
+    for (name, dtype, shape), start in zip(entries, starts):
+        if name in arrays:
+            raise ModelFormatError(f"array {name!r} is listed twice")
+        a = np.frombuffer(buf, dtype, math.prod(shape), start).reshape(shape).copy()
         if a.dtype.kind == "f" and not np.isfinite(a).all():
             raise ModelFormatError(f"array {name!r} has non-finite values")
+        arrays[name] = a
 
     flags = header["flags"]
-    _check_flags(flags, header["canonical.trainable"], header["cascade.patch_size"])
-
-    def conv(role):
-        spec = ConvSpec(**header["conv"][role])
-        if not all(type(v) is int for v in asdict(spec).values()):
-            raise ModelFormatError(f"{role} geometry {spec} is not all integers")
-        return ConvLayer(spec, arrays.pop(role + ".filters"), arrays.pop(role + ".bias"))
-
-    def fc(role):
-        return FcLayer(arrays.pop(role + ".weight"), arrays.pop(role + ".bias"))
-
+    _check_flags(flags)
     cascade = None
-    if header["cascade.patch_size"] is not None:
+    if "cascade.coords" in arrays:
         parts = zip(
             arrays.pop("cascade.coords"),
             arrays.pop("cascade.thresholds"),
@@ -258,99 +305,37 @@ def _parse_model(buf: bytes) -> DetectorModel:
             strict=True,
         )
         cascade = CascadeModel(
-            [Fern(*p) for p in parts],
-            arrays.pop("cascade.stage_thresholds"),
-            header["cascade.patch_size"],
+            [Fern(*p) for p in parts], arrays.pop("cascade.stage_thresholds")
         )
-    model = DetectorModel(
-        rpn=RpnNet(conv("rpn.conv1"), conv("rpn.conv2"), conv("rpn.conv3"),
-                   conv("rpn.score_head"), conv("rpn.point_head")),
-        rcnn=RcnnNet(conv("rcnn.conv1"), conv("rcnn.conv2"), fc("rcnn.fc")),
-        verdict=fc("verdict"),
-        canonical=CanonicalShape(
-            arrays.pop("canonical.points"), header["canonical.trainable"]
-        ),
-        cascade=cascade,
+    model = create_detector(
+        _ShapeOnly(),
+        [len(arrays[f"rpn.conv{i}.filters"]) for i in (1, 2, 3)],
+        [len(arrays[f"rcnn.conv{i}.filters"]) for i in (1, 2)],
+        len(arrays["rcnn.fc.weight"]),
         **flags,
     )
-    if arrays:
-        raise ModelFormatError(f"unknown arrays {sorted(arrays)}")
-    _check_layers(model)
+    expected = {name: a.shape for name, a in _named_arrays(model).items()}
+    found = {name: a.shape for name, a in arrays.items()}
+    if found != expected:
+        differ = sorted(set(found.items()) ^ set(expected.items()), key=str)
+        raise ModelFormatError(
+            f"arrays disagree with the detector their widths and flags build: {differ}"
+        )
+    for name, a in arrays.items():
+        owner, attr = name.rsplit(".", 1)
+        setattr(attrgetter(owner)(model), attr, a)
+    model.cascade = cascade
     return model
 
 
-def _check_flags(flags, trainable, patch_size) -> None:
+def _check_flags(flags) -> None:
     if sorted(flags) != sorted(_FLAGS):
         raise ModelFormatError(f"model flags {sorted(flags)}, expected {sorted(_FLAGS)}")
-    bools = {key: flags[key] for key in _BOOL_FLAGS}
-    bools["canonical.trainable"] = trainable
-    for key, value in bools.items():
-        if type(value) is not bool:
-            raise ModelFormatError(f"{key} must be true or false, got {value!r}")
+    for key in _BOOL_FLAGS:
+        if type(flags[key]) is not bool:
+            raise ModelFormatError(f"{key} must be true or false, got {flags[key]!r}")
     rect_size, point_scale = flags["rect_size"], flags["point_scale"]
     if type(rect_size) is not int or rect_size < 1:
         raise ModelFormatError(f"rect_size must be a positive integer, got {rect_size!r}")
     if type(point_scale) not in (int, float) or not 0 < point_scale < math.inf:
         raise ModelFormatError(f"point_scale must be positive and finite, got {point_scale!r}")
-    if patch_size is not None and (type(patch_size) is not int or patch_size != PATCH_SIZE):
-        raise ModelFormatError(f"cascade.patch_size {patch_size!r}, expected {PATCH_SIZE}")
-
-
-def verification_width(rect_size: int, trunk) -> int:
-    """Length of the flattened map a verification trunk (RcnnNet.trunk)
-    computes on a rect_size crop, which is rcnn.fc's input width; a 2x2
-    pooling rounds odd extents up."""
-    side = rect_size
-    for layer, pooled in trunk:
-        side = layer.spec.out_size(side, side)[0]
-        if pooled:
-            side = -(-side // 2)
-    return trunk[-1][0].spec.out_channels * side * side
-
-
-def _check_layers(model: DetectorModel) -> None:
-    """Reject conv geometry other than CONV_GEOMETRY, arrays whose shapes
-    disagree with their layer, and layer widths that do not chain."""
-    for role, geometry in CONV_GEOMETRY.items():
-        layer = attrgetter(role)(model)
-        spec = layer.spec
-        if (spec.kernel, spec.stride, spec.padding) != geometry:
-            raise ModelFormatError(
-                f"{role} has kernel, stride, padding {spec.kernel}, {spec.stride}, "
-                f"{spec.padding}; the detector uses {geometry}"
-            )
-        want = (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)
-        if layer.filters.shape != want or layer.bias.shape != (spec.out_channels,):
-            raise ModelFormatError(
-                f"{role} filters {layer.filters.shape} and bias {layer.bias.shape} "
-                f"disagree with its spec {spec}"
-            )
-    for role in _FC_ROLES:
-        layer = attrgetter(role)(model)
-        if layer.weight.ndim != 2 or layer.bias.shape != layer.weight.shape[:1]:
-            raise ModelFormatError(
-                f"{role} weight {layer.weight.shape} and bias {layer.bias.shape} disagree"
-            )
-    rpn, rcnn = model.rpn, model.rcnn
-    feat = rpn.conv3.spec.out_channels
-    widths = {  # what: (found, expected)
-        "rpn.conv1 input channels": (rpn.conv1.spec.in_channels, 1),
-        "rpn.conv2 input channels": (rpn.conv2.spec.in_channels, rpn.conv1.spec.out_channels),
-        "rpn.conv3 input channels": (rpn.conv3.spec.in_channels, rpn.conv2.spec.out_channels),
-        "rpn.score_head input channels": (rpn.score_head.spec.in_channels, feat),
-        "rpn.point_head input channels": (rpn.point_head.spec.in_channels, feat),
-        "rpn.score_head outputs": (rpn.score_head.spec.out_channels, 2),
-        "rpn.point_head outputs": (rpn.point_head.spec.out_channels,
-                                   10 if model.multitask else 3),
-        "rcnn.conv1 input channels": (rcnn.conv1.spec.in_channels, 1),
-        "rcnn.conv2 input channels": (rcnn.conv2.spec.in_channels, rcnn.conv1.spec.out_channels),
-        "rcnn.fc input width": (rcnn.fc.weight.shape[1],
-                                verification_width(model.rect_size, rcnn.trunk())),
-        "verdict input width": (model.verdict.weight.shape[1],
-                                rcnn.fc.weight.shape[0] + (feat if model.use_concat else 0)),
-        "verdict outputs": (model.verdict.weight.shape[0], 2),
-        "canonical points": (model.canonical.points.shape, (5, 2)),
-    }
-    for what, (found, expected) in widths.items():
-        if found != expected:
-            raise ModelFormatError(f"{what}: {found}, expected {expected}")

@@ -50,7 +50,8 @@ class ConvSpec:
     padding: int = 0
 
     def __post_init__(self):
-        if self.kernel < 1 or self.stride < 1 or self.padding < 0:
+        if (min(self.in_channels, self.out_channels, self.kernel, self.stride) < 1
+                or self.padding < 0):
             raise ValueError(f"invalid conv spec: {self}")
 
     def out_size(self, height: int, width: int) -> tuple[int, int]:

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import nn
 from .align import (
-    CanonicalShape,
     SingularTransformError,
     estimate_similarity,
     landmark_and_canonical_gradients,
@@ -37,16 +36,8 @@ from .align import (
 )
 from .ferns import PATCH_SIZE, CascadeConfig, train_cascade
 from .ferns import scan as cascade_scan
-from .model import (
-    CONV_GEOMETRY,
-    ConvLayer,
-    DetectorModel,
-    FcLayer,
-    RcnnNet,
-    RpnNet,
-    verification_width,
-)
-from .nn import ConvSpec, MultiTaskLoss, SgdOptimizer, ShapeError
+from .model import ConvLayer, DetectorModel, RpnNet, create_detector
+from .nn import MultiTaskLoss, SgdOptimizer, ShapeError
 from .roiconv import (
     RoiMask,
     RoiPyramid,
@@ -56,7 +47,7 @@ from .roiconv import (
     roi_conv_forward,
 )
 from .suppress import Detection, SuppressionConfig, iou, nms, non_top_k
-from .synthetic import GLYPH_LANDMARKS, box_from_landmarks
+from .synthetic import box_from_landmarks
 
 CELL_STRIDE = 8
 CELL_OFFSET = 3.0
@@ -95,10 +86,6 @@ class TrainConfig:
     samples_per_image: int = 2  # positives and negatives each, per image
     seed: int = 0
 
-    def default_canonical(self) -> np.ndarray:
-        center = (self.rect_size - 1) / 2.0
-        return center + 0.68 * self.rect_size * GLYPH_LANDMARKS
-
 
 @dataclass(frozen=True)
 class DetectOptions:
@@ -114,39 +101,11 @@ def build_detector(config: TrainConfig, multitask: bool = True,
                    use_concat: bool = True, supervised_transform: bool = True
                    ) -> DetectorModel:
     """Randomly initialized detector; ablation switches select the variant."""
-    rng = np.random.default_rng(config.seed)
-    f1, f2, f3 = config.rpn_channels
-    r1, r2 = config.rcnn_channels
-
-    def conv(role, in_channels, out_channels):
-        kernel, stride, padding = CONV_GEOMETRY[role]
-        spec = ConvSpec(in_channels, out_channels, kernel, stride, padding)
-        return ConvLayer.create(rng, spec)
-
-    rpn = RpnNet(
-        conv1=conv("rpn.conv1", 1, f1),
-        conv2=conv("rpn.conv2", f1, f2),
-        conv3=conv("rpn.conv3", f2, f3),
-        score_head=conv("rpn.score_head", f3, 2),
-        point_head=conv("rpn.point_head", f3, 10 if multitask else 3),
-    )
-    rcnn = RcnnNet(conv1=conv("rcnn.conv1", 1, r1), conv2=conv("rcnn.conv2", r1, r2),
-                   fc=None)
-    fc_in = verification_width(config.rect_size, rcnn.trunk())
-    rcnn.fc = FcLayer.create(rng, fc_in, config.rcnn_feature)
-    verdict_in = config.rcnn_feature + (f3 if use_concat else 0)
-    verdict = FcLayer.create(rng, verdict_in, 2)
-    canonical = CanonicalShape(config.default_canonical(), trainable=supervised_transform)
-    return DetectorModel(
-        rpn=rpn,
-        rcnn=rcnn,
-        verdict=verdict,
-        canonical=canonical,
-        multitask=multitask,
-        use_concat=use_concat,
-        rect_size=config.rect_size,
-        point_scale=config.point_scale,
-        supervised_transform=supervised_transform,
+    return create_detector(
+        np.random.default_rng(config.seed), config.rpn_channels,
+        config.rcnn_channels, config.rcnn_feature, multitask=multitask,
+        use_concat=use_concat, supervised_transform=supervised_transform,
+        rect_size=config.rect_size, point_scale=config.point_scale,
     )
 
 
@@ -455,6 +414,8 @@ def train_rpn(corpus, config: TrainConfig, model: DetectorModel | None = None,
     Returns (model, history); history carries per-epoch classification
     accuracy and mean landmark error in pixels normalized to a 36-px face.
     """
+    if len(corpus) == 0:
+        raise ValueError("empty training corpus")
     if model is None:
         model = build_detector(config)
     rng = np.random.default_rng(config.seed + 1)
@@ -532,6 +493,8 @@ def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig):
     """Joint training of proposal net, verification net, verdict head and
     (when enabled) the canonical positions. Returns (model, history) with
     canonical-position snapshots along the run."""
+    if len(corpus) == 0:
+        raise ValueError("empty training corpus")
     rng = np.random.default_rng(config.seed + 2)
     params = model.params()
     n_rpn = len(model.rpn.params())
@@ -578,10 +541,10 @@ def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig):
             rpn_grads = rpn_backward(model.rpn, state, d_score, d_point, d_feat_extra)
             for k, g in enumerate(rpn_grads):
                 grads[k] += g
-            if model.canonical.trainable:
+            if model.supervised_transform:
                 grads[-1] *= config.canonical_lr_scale
             opt.step(params, grads)
-            if model.canonical.trainable:
+            if model.supervised_transform:
                 model.canonical.clamp(model.rect_size, model.rect_size)
             losses.append(loss.total + float(np.mean(verdict_losses or [0.0])))
             seen += 1
@@ -662,8 +625,7 @@ def _candidate_step(model, image, state, i, j, label, d_point, d_feat_extra,
             * grads.d_landmarks.reshape(-1)
             * model.point_scale
         )
-        if model.canonical.trainable:
-            d_canonical = grads.d_canonical
+        d_canonical = grads.d_canonical
     predicted = int(np.argmax(cache.logits))
     return vloss, int(predicted == label), rcnn_grads + verdict_grads, d_canonical
 

@@ -15,6 +15,10 @@ The parts are:
   images;
 - joint steps: five joint training steps and the model they leave.
 
+The detect runs and the joint steps start from the set-up full model as
+``save_model`` writes it and ``load_model`` reads it back, so their digests
+also cover the model file.
+
 The last line is one digest over all parts. Two commits that print the same
 lines compute the same bytes on all of it, so a refactor that claims to
 change no output can be checked by running this script before and after,
@@ -35,10 +39,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import copy  # noqa: E402
 import hashlib  # noqa: E402
+import tempfile  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from warpdet import pipeline, synthetic  # noqa: E402
+from warpdet.model import load_model, save_model  # noqa: E402
 
 SEED = 0
 SETUP_IMAGES = 60
@@ -56,6 +62,14 @@ def trained(corpus, config, **variant):
     model, rpn_history = pipeline.train_rpn(corpus, config, model, epochs=RPN_EPOCHS)
     model, joint_history = pipeline.train_end_to_end(corpus, model, config)
     return model, [rpn_history, joint_history["epochs"], joint_history["singular_skips"]]
+
+
+def round_trip(model):
+    """The model as load_model reads back the file save_model writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.wcnn"
+        save_model(model, path)
+        return load_model(path)
 
 
 def open_cascade(cascade):
@@ -109,6 +123,7 @@ def fingerprint() -> list[tuple[str, str]]:
 
     model.cascade = pipeline.train_prefilter(corpus, num_ferns=FERNS, seed=SEED)
     update_cascade(parts["cascade"], model.cascade)
+    model = round_trip(model)
 
     held = synthetic.generate_synthetic_corpus(
         SEED + 1, DETECT_IMAGES, synthetic.CorpusParams(image_size=160)

@@ -3,9 +3,12 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpdet import pipeline
 from warpdet.ferns import NUM_PARTITIONS, NUM_SPLITS, CascadeModel, Fern
@@ -24,11 +27,11 @@ def _cascade(rng, n_ferns=3):
     return CascadeModel(ferns, rng.standard_normal(n_ferns))
 
 
-@pytest.fixture
-def model_bytes(tmp_path, rng):
+@pytest.fixture(scope="module")
+def model_bytes(tmp_path_factory):
     model = pipeline.build_detector(pipeline.TrainConfig(seed=3))
-    model.cascade = _cascade(rng)
-    path = tmp_path / "model.wcnn"
+    model.cascade = _cascade(np.random.default_rng(42))
+    path = tmp_path_factory.mktemp("model") / "model.wcnn"
     save_model(model, path)
     return path.read_bytes()
 
@@ -58,7 +61,6 @@ def test_round_trip_is_bit_exact(tmp_path, rng, supervised_transform):
     for a, b in zip(model.params(), loaded.params()):
         assert a.shape == b.shape and np.array_equal(a, b)
     assert np.array_equal(loaded.canonical.points, model.canonical.points)
-    assert loaded.canonical.trainable == model.canonical.trainable
     assert loaded.supervised_transform is supervised_transform
     assert (loaded.multitask, loaded.use_concat) == (False, False)
     assert (loaded.rect_size, loaded.point_scale) == (model.rect_size, model.point_scale)
@@ -98,6 +100,11 @@ def test_round_trip_without_cascade(tmp_path):
     )
 
 
+def _split(data):
+    (header_len,) = struct.unpack_from("<I", data, 8)
+    return json.loads(data[12 : 12 + header_len]), data[12 + header_len :]
+
+
 def _rebuild(header, body, magic=MAGIC, version=FORMAT_VERSION, header_bytes=None):
     if header_bytes is None:
         header_bytes = json.dumps(header).encode("utf-8")
@@ -121,16 +128,41 @@ def _edit_header(edit):
     return corrupt
 
 
+def _span(header, name):
+    """Byte offset and byte length of one array in the body."""
+    start = 0
+    for entry, _, shape in header["arrays"]:
+        size = 8 * math.prod(shape)
+        if entry == name:
+            return start, size
+        start += size
+    raise KeyError(name)
+
+
 def _overwrite_first(name, value):
     """Corruption that overwrites the first element of one float array."""
     def corrupt(header, body):
-        start = 0
-        for entry, _, shape in header["arrays"]:
-            if entry == name:
-                break
-            start += 8 * math.prod(shape)
+        start, _ = _span(header, name)
         return _rebuild(header, body[:start] + struct.pack("<d", value) + body[start + 8 :])
     return corrupt
+
+
+def _reshape(header, body, shapes):
+    """The file with each named array given a new shape, its bytes cut or
+    zero-padded to the new size."""
+    for name, shape in shapes.items():
+        start, size = _span(header, name)
+        new_size = 8 * math.prod(shape)
+        data = body[start : start + min(size, new_size)].ljust(new_size, b"\0")
+        body = body[:start] + data + body[start + size :]
+        (entry,) = [e for e in header["arrays"] if e[0] == name]
+        entry[2] = list(shape)
+    return _rebuild(header, body)
+
+
+def _reshaped(shapes):
+    """Corruption that gives the named arrays new shapes."""
+    return lambda h, b: _reshape(h, b, shapes)
 
 
 def _drop_last_array(header, body):
@@ -143,6 +175,7 @@ def _drop_last_array(header, body):
 CORRUPTIONS = {
     "bad magic": lambda h, b: _rebuild(h, b, magic=b"WCNX"),
     "format version 1": lambda h, b: _rebuild(h, b, version=1),
+    "format version 2": lambda h, b: _rebuild(h, b, version=2),
     "negative shape": _edit_entry("rcnn.fc.weight", 2, lambda s: [-n for n in s]),
     "non-integer shape": _edit_entry("verdict.bias", 2, lambda s: [float(n) for n in s]),
     "object dtype": _edit_entry("verdict.bias", 1, lambda d: "|O"),
@@ -154,22 +187,25 @@ CORRUPTIONS = {
         {**h, "flags": {k: v for k, v in h["flags"].items() if k != "rect_size"}}, b
     ),
     "missing array": _drop_last_array,
+    "array listed twice": lambda h, b: _rebuild(
+        {**h, "arrays": h["arrays"] + [["verdict.bias", "<f8", [2]]]}, b + bytes(16)
+    ),
     "unknown array": lambda h, b: _rebuild(
         {**h, "arrays": h["arrays"] + [["extra", "<f8", [1]]]}, b + bytes(8)
     ),
     "header not JSON": lambda h, b: _rebuild(h, b, header_bytes=b"{not json"),
-    # headers that parse but disagree with the arrays or with the detector
-    "kernel 5 over 7x7 filters": _edit_header(lambda h: h["conv"]["rpn.conv1"].update(kernel=5)),
-    "float kernel": _edit_header(lambda h: h["conv"]["rpn.conv1"].update(kernel=7.0)),
-    "stride 2 in rpn.conv2": _edit_header(lambda h: h["conv"]["rpn.conv2"].update(stride=2)),
-    "input channels disagree with filters": _edit_header(
-        lambda h: h["conv"]["rpn.conv2"].update(in_channels=9)
-    ),
-    "float patch size": _edit_header(lambda h: h.update({"cascade.patch_size": 32.0})),
-    "patch size 16": _edit_header(lambda h: h.update({"cascade.patch_size": 16})),
+    # files that parse but disagree with the detector
+    "kernel 5 over 7x7 filters": _reshaped({"rpn.conv1.filters": [8, 1, 5, 5]}),
+    "input channels disagree with filters": _reshaped({"rpn.conv2.filters": [12, 9, 7, 7]}),
     "string flag": _edit_header(lambda h: h["flags"].update(multitask="yes")),
-    "integer trainable": _edit_header(lambda h: h.update({"canonical.trainable": 1})),
     "rect_size 65": _edit_header(lambda h: h["flags"].update(rect_size=65)),
+    "zero-width rpn.conv1 and rpn.conv2": _reshaped(
+        {"rpn.conv1.filters": [0, 1, 7, 7], "rpn.conv2.filters": [0, 0, 7, 7]}
+    ),
+    # widths whose skeleton would not fit in memory, or rect_size in a float
+    "rect_size 100000": _edit_header(lambda h: h["flags"].update(rect_size=100_000)),
+    "rect_size 10**400": _edit_header(lambda h: h["flags"].update(rect_size=10**400)),
+    "empty filters 2**40 wide": _reshaped({"rpn.conv1.filters": [2**40, 0, 7, 7]}),
     "float coords": _edit_entry("cascade.coords", 1, lambda d: "<f8"),
     "NaN weight": _overwrite_first("rpn.conv2.filters", math.nan),
     "infinite canonical point": _overwrite_first("canonical.points", math.inf),
@@ -178,9 +214,76 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 def test_corrupt_header_raises_model_format_error(tmp_path, model_bytes, corruption):
-    (header_len,) = struct.unpack_from("<I", model_bytes, 8)
-    header = json.loads(model_bytes[12 : 12 + header_len])
-    body = model_bytes[12 + header_len :]
+    header, body = _split(model_bytes)
     _load_bytes(tmp_path, _rebuild(header, body))  # the rebuilt file loads
     with pytest.raises(ModelFormatError):
         _load_bytes(tmp_path, CORRUPTIONS[corruption](header, body))
+
+
+def test_zero_width_layer_is_rejected_at_build():
+    with pytest.raises(ValueError, match="invalid conv spec"):
+        pipeline.build_detector(pipeline.TrainConfig(rpn_channels=(0, 0, 4)))
+
+
+def test_skeleton_costs_no_memory_of_its_widths(tmp_path, model_bytes):
+    """A rect_size of 1200 asks for a 138 MB rcnn.fc; the loader must reject
+    the file without allocating it."""
+    header, body = _split(model_bytes)
+    header["flags"]["rect_size"] = 1200
+    data = _rebuild(header, body)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelFormatError, match="disagree"):
+            _load_bytes(tmp_path, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(data)
+
+
+LEAF_VALUES = [None, True, 0, -1, 1.5, "x", [], {}, [0], 2**63]
+
+
+def _leaf_paths(node, path=()):
+    """Key paths of every non-container value in a decoded JSON header."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for key, child in items for p in _leaf_paths(child, path + (key,))]
+
+
+@pytest.fixture(scope="module")
+def probe_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("probe") / "probe.wcnn"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_edited_file_loads_or_raises_model_format_error(model_bytes, probe_path, data):
+    """One header leaf replaced, or one array reshaped with its bytes
+    resized: the loader returns a model or raises ModelFormatError."""
+    header, body = _split(model_bytes)
+    if data.draw(st.booleans(), label="edit a leaf"):
+        *parents, key = data.draw(st.sampled_from(_leaf_paths(header)), label="leaf")
+        node = header
+        for parent in parents:
+            node = node[parent]
+        node[key] = data.draw(st.sampled_from(LEAF_VALUES), label="value")
+        edited = _rebuild(header, body)
+    else:
+        name, _, shape = data.draw(st.sampled_from(header["arrays"]), label="array")
+        resized = st.builds(
+            lambda i, n: shape[:i] + [n] + shape[i + 1 :],
+            st.integers(0, max(0, len(shape) - 1)), st.integers(0, 2 * max(shape, default=1)),
+        )
+        arbitrary = st.lists(st.integers(0, 12), max_size=4)
+        new_shape = data.draw(st.one_of(resized, arbitrary), label="shape")
+        edited = _reshape(header, body, {name: new_shape})
+    probe_path.write_bytes(edited)
+    try:
+        load_model(probe_path)
+    except ModelFormatError:
+        pass

@@ -461,3 +461,13 @@ def test_train_prefilter_is_reproducible_and_round_trips(prefilter_corpus, tmp_p
     assert loaded.patch_size == cascade.patch_size
     for a, b in zip(_cascade_arrays(cascade), _cascade_arrays(loaded), strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("train", [
+    lambda config: pipeline.train_rpn([], config),
+    lambda config: pipeline.train_end_to_end([], pipeline.build_detector(config), config),
+    lambda config: pipeline.train_prefilter([]),
+], ids=["train_rpn", "train_end_to_end", "train_prefilter"])
+def test_training_on_an_empty_corpus_raises(train):
+    with pytest.raises(ValueError, match="empty"):
+        train(pipeline.TrainConfig())
