@@ -159,7 +159,9 @@ class CascadeModel:
 
     def __post_init__(self):
         self.stage_thresholds = np.asarray(self.stage_thresholds, dtype=np.float64)
-        if len(self.stage_thresholds) != len(self.ferns):
+        if not self.ferns:
+            raise ValueError("a cascade needs at least one fern")
+        if self.stage_thresholds.shape != (len(self.ferns),):
             raise ValueError("one stage threshold per fern required")
         for fern in self.ferns:
             fern.validate_coords(self.patch_size)

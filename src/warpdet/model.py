@@ -4,7 +4,7 @@ serialization.
 create_detector builds the detector from its layer widths and flags;
 pipeline.build_detector and load_model both call it.
 
-A model file (format 3) is one container of named arrays:
+A model file (format 4) is one container of named arrays:
 
 - the magic b"WCNN", then two little-endian u32 fields: the format version
   and the byte length of the header;
@@ -39,7 +39,7 @@ from .nn import ConvSpec, uniform_init
 from .synthetic import GLYPH_LANDMARKS
 
 MAGIC = b"WCNN"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # Kernel, stride and padding of each conv role; only the channel counts vary.
 # The model file stores no geometry, so every loaded model has this one: the
@@ -55,7 +55,7 @@ CONV_GEOMETRY = {
 }
 _FC_ROLES = ("rcnn.fc", "verdict")
 _BOOL_FLAGS = ("multitask", "use_concat", "supervised_transform")
-_FLAGS = _BOOL_FLAGS + ("rect_size", "point_scale")
+_FLAGS = _BOOL_FLAGS + ("rect_size",)
 
 
 class ModelFormatError(ValueError):
@@ -130,7 +130,6 @@ class DetectorModel:
     multitask: bool = True
     use_concat: bool = True
     rect_size: int = 64
-    point_scale: float = 48.0
     # whether joint training sends the verdict loss through the warp into the
     # landmarks and trains the canonical shape
     supervised_transform: bool = True
@@ -156,7 +155,7 @@ def verification_width(rect_size: int, trunk) -> int:
 
 def create_detector(rng, rpn_channels, rcnn_channels, rcnn_feature: int, *,
                     multitask: bool, use_concat: bool, supervised_transform: bool,
-                    rect_size: int, point_scale: float) -> DetectorModel:
+                    rect_size: int) -> DetectorModel:
     """The detector with the given layer widths and flags. Weights draw from
     rng in the order rpn conv1-3, score head, point head, rcnn conv1-2, fc,
     verdict; biases start at zero and the canonical shape at the glyph's
@@ -194,7 +193,6 @@ def create_detector(rng, rpn_channels, rcnn_channels, rcnn_feature: int, *,
         multitask=multitask,
         use_concat=use_concat,
         rect_size=rect_size,
-        point_scale=point_scale,
         supervised_transform=supervised_transform,
     )
 
@@ -334,8 +332,6 @@ def _check_flags(flags) -> None:
     for key in _BOOL_FLAGS:
         if type(flags[key]) is not bool:
             raise ModelFormatError(f"{key} must be true or false, got {flags[key]!r}")
-    rect_size, point_scale = flags["rect_size"], flags["point_scale"]
+    rect_size = flags["rect_size"]
     if type(rect_size) is not int or rect_size < 1:
         raise ModelFormatError(f"rect_size must be a positive integer, got {rect_size!r}")
-    if type(point_scale) not in (int, float) or not 0 < point_scale < math.inf:
-        raise ModelFormatError(f"point_scale must be positive and finite, got {point_scale!r}")

@@ -56,6 +56,14 @@ MAX_LEVELS = 4            # octaves of the dense detection pyramid
 L2_EPS = 1e-6
 NEGATIVES_PER_IMAGE = 3   # face-free crops per corpus image for the pre-filter
 PREFILTER_POOL = 60       # random fern candidates per pre-filter stage
+# The proposal stage's fixed choices. The regression head's outputs are
+# offsets in units of POINT_SCALE px, which the targets, the loss, the decode
+# and the warp supervision all read.
+POINT_SCALE = 48.0
+POS_RADIUS = 0.15         # cells this near a face, as a share of its side, are positives
+IGNORE_RADIUS = 0.55      # other cells this near are neither positive nor negative
+LAMBDA_LANDMARK = 3.0     # weight of the landmark loss against the score loss
+VERIFY_SAMPLES = 2        # positive and negative verification cells each, per image
 
 
 class DivergenceError(RuntimeError):
@@ -68,7 +76,6 @@ class TrainConfig:
     rcnn_channels: tuple[int, int] = (8, 16)
     rcnn_feature: int = 48
     rect_size: int = 64
-    point_scale: float = 48.0
     learning_rate: float = 0.01
     momentum: float = 0.9
     canonical_lr_scale: float = 2.0
@@ -80,10 +87,6 @@ class TrainConfig:
     # damps the multi-task tug-of-war that otherwise erodes landmark accuracy
     concat_supervision_scale: float = 0.1
     epochs: int = 3
-    lambda_landmark: float = 3.0
-    pos_radius: float = 0.15
-    ignore_radius: float = 0.55
-    samples_per_image: int = 2  # positives and negatives each, per image
     seed: int = 0
 
 
@@ -105,7 +108,7 @@ def build_detector(config: TrainConfig, multitask: bool = True,
         np.random.default_rng(config.seed), config.rpn_channels,
         config.rcnn_channels, config.rcnn_feature, multitask=multitask,
         use_concat=use_concat, supervised_transform=supervised_transform,
-        rect_size=config.rect_size, point_scale=config.point_scale,
+        rect_size=config.rect_size,
     )
 
 
@@ -225,22 +228,21 @@ class RpnTargets:
     face_size: np.ndarray     # (Hc, Wc) matched face size for normalization
 
 
-def rpn_targets(faces, cells_h, cells_w, config: TrainConfig,
-                multitask: bool = True) -> RpnTargets:
+def rpn_targets(faces, cells_h, cells_w, multitask: bool = True) -> RpnTargets:
     xs, ys = cell_centers(cells_h, cells_w)
     cx_grid, cy_grid = np.meshgrid(xs, ys)
     labels = np.zeros((cells_h, cells_w), dtype=np.int64)
     reg_dim = 10 if multitask else 3
     reg = np.zeros((reg_dim, cells_h, cells_w))
-    sizes = np.full((cells_h, cells_w), config.point_scale)
+    sizes = np.full((cells_h, cells_w), POINT_SCALE)
 
     for box, lms in faces:
         bx, by, bw, bh = box
         fcx, fcy = bx + bw / 2.0, by + bh / 2.0
         size = max(bw, bh)
         dist = np.hypot(cx_grid - fcx, cy_grid - fcy)
-        ignore = dist <= config.ignore_radius * size
-        pos = dist <= config.pos_radius * size
+        ignore = dist <= IGNORE_RADIUS * size
+        pos = dist <= POS_RADIUS * size
         nearest = np.unravel_index(np.argmin(dist), dist.shape)
         pos[nearest] = True
         labels[ignore & (labels == 0)] = -1
@@ -250,11 +252,11 @@ def rpn_targets(faces, cells_h, cells_w, config: TrainConfig,
         if multitask:
             centers = np.stack([cx_grid[sel], cy_grid[sel]], axis=1)
             offs = lms.reshape(-1)[None, :] - np.tile(centers, (1, 5))
-            reg[:, sel] = (offs / config.point_scale).T
+            reg[:, sel] = (offs / POINT_SCALE).T
         else:
-            reg[0, sel] = (fcx - cx_grid[sel]) / config.point_scale
-            reg[1, sel] = (fcy - cy_grid[sel]) / config.point_scale
-            reg[2, sel] = np.log(size / config.point_scale)
+            reg[0, sel] = (fcx - cx_grid[sel]) / POINT_SCALE
+            reg[1, sel] = (fcy - cy_grid[sel]) / POINT_SCALE
+            reg[2, sel] = np.log(size / POINT_SCALE)
 
     weights = np.zeros((cells_h, cells_w))
     n_pos = int((labels == 1).sum())
@@ -269,8 +271,7 @@ def rpn_targets(faces, cells_h, cells_w, config: TrainConfig,
     return RpnTargets(labels, weights, reg, sizes)
 
 
-def rpn_losses(state: RpnState, targets: RpnTargets, config: TrainConfig,
-               multitask: bool = True):
+def rpn_losses(state: RpnState, targets: RpnTargets, multitask: bool = True):
     """Multi-task proposal loss and the gradients of both head maps."""
     cells_h, cells_w = targets.labels.shape
     logits = state.score.reshape(2, -1).T
@@ -288,13 +289,13 @@ def rpn_losses(state: RpnState, targets: RpnTargets, config: TrainConfig,
         pred = state.point[:, pos]
         tgt = targets.reg_targets[:, pos]
         # landmark error is measured in box-normalized coordinates
-        norm = (config.point_scale / targets.face_size[pos])[None, :] if multitask else 1.0
+        norm = (POINT_SCALE / targets.face_size[pos])[None, :] if multitask else 1.0
         diff = (pred - tgt) * norm
         reg_loss = float((diff**2).mean(axis=0).sum() / n_pos)
         d_point[:, pos] = (
-            config.lambda_landmark * 2.0 * diff * norm / (pred.shape[0] * n_pos)
+            LAMBDA_LANDMARK * 2.0 * diff * norm / (pred.shape[0] * n_pos)
         )
-    loss = MultiTaskLoss(cls_loss, reg_loss, config.lambda_landmark)
+    loss = MultiTaskLoss(cls_loss, reg_loss, LAMBDA_LANDMARK)
     return loss, d_score, d_point, probs.reshape(cells_h, cells_w, 2)
 
 
@@ -392,7 +393,7 @@ def verify_backward(model: DetectorModel, cache: VerifyCache, d_logits):
 SNAPSHOT_EVERY = 500  # joint-training images between canonical-shape snapshots
 
 
-def _proposal_step(model: DetectorModel, sample, config: TrainConfig, epoch: int):
+def _proposal_step(model: DetectorModel, sample, epoch: int):
     """Proposal forward pass, targets and multi-task loss on one image.
 
     Returns (state, targets, loss, d_score, d_point, probs); raises
@@ -400,8 +401,8 @@ def _proposal_step(model: DetectorModel, sample, config: TrainConfig, epoch: int
     """
     state = rpn_forward(model.rpn, sample.image)
     ch, cw = state.score.shape[1:]
-    targets = rpn_targets(sample.faces, ch, cw, config, model.multitask)
-    loss, d_score, d_point, probs = rpn_losses(state, targets, config, model.multitask)
+    targets = rpn_targets(sample.faces, ch, cw, model.multitask)
+    loss, d_score, d_point, probs = rpn_losses(state, targets, model.multitask)
     if not np.isfinite(loss.total):
         raise DivergenceError(f"proposal loss diverged at epoch {epoch}: {loss.total}")
     return state, targets, loss, d_score, d_point, probs
@@ -431,7 +432,7 @@ def train_rpn(corpus, config: TrainConfig, model: DetectorModel | None = None,
         losses = []
         for idx in order:
             state, targets, loss, d_score, d_point, probs = _proposal_step(
-                model, corpus[idx], config, epoch
+                model, corpus[idx], epoch
             )
             losses.append(loss.total)
             opt.step(params, rpn_backward(model.rpn, state, d_score, d_point))
@@ -441,7 +442,7 @@ def train_rpn(corpus, config: TrainConfig, model: DetectorModel | None = None,
             cls_correct += int((pred_cls[decided] == targets.labels[decided]).sum())
             cls_total += int(decided.sum())
             if model.multitask:
-                lm_errors.extend(_landmark_errors(state, targets, config))
+                lm_errors.extend(_landmark_errors(state, targets))
         history["epochs"].append(
             {
                 "loss": float(np.mean(losses)),
@@ -452,32 +453,33 @@ def train_rpn(corpus, config: TrainConfig, model: DetectorModel | None = None,
     return model, history
 
 
-def _landmark_errors(state, targets, config):
+def _landmark_errors(state, targets):
     """Per-positive-cell mean landmark error, rescaled to a 36-px face."""
     pos = targets.labels == 1
     if not pos.any():
         return []
-    pred = state.point[:, pos] * config.point_scale
-    tgt = targets.reg_targets[:, pos] * config.point_scale
+    pred = state.point[:, pos] * POINT_SCALE
+    tgt = targets.reg_targets[:, pos] * POINT_SCALE
     diff = (pred - tgt).T.reshape(-1, 5, 2)
     err = np.linalg.norm(diff, axis=2).mean(axis=1)
     scale = 36.0 / targets.face_size[pos]
     return list(err * scale)
 
 
-def _predicted_landmarks(state, i, j, point_scale):
+def _decode_cell(state: RpnState, i, j, multitask: bool, scale: float = 1.0):
+    """The regression at proposal cell (i, j), in pixels of the level's
+    input times scale: (five landmarks, None) from the landmark head, or
+    (None, square box) from the box head."""
     xs, ys = cell_centers(state.point.shape[1], state.point.shape[2])
-    center = np.array([xs[j], ys[i]])
-    return state.point[:, i, j].reshape(5, 2) * point_scale + center
-
-
-def _predicted_box(state, i, j, point_scale):
-    xs, ys = cell_centers(state.point.shape[1], state.point.shape[2])
+    if multitask:
+        center = np.array([xs[j], ys[i]])
+        return (state.point[:, i, j].reshape(5, 2) * POINT_SCALE + center) * scale, None
     dx, dy, dlog = state.point[:, i, j]
-    cx = xs[j] + dx * point_scale
-    cy = ys[i] + dy * point_scale
-    side = point_scale * np.exp(dlog)
-    return (cx - side / 2.0, cy - side / 2.0, side, side)
+    cx = xs[j] + dx * POINT_SCALE
+    cy = ys[i] + dy * POINT_SCALE
+    side = POINT_SCALE * np.exp(dlog)
+    x, y = cx - side / 2.0, cy - side / 2.0
+    return None, (x * scale, y * scale, side * scale, side * scale)
 
 
 def _candidate_transform(model: DetectorModel, landmarks, box):
@@ -513,12 +515,12 @@ def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig):
         for idx in order:
             sample = corpus[idx]
             state, targets, loss, d_score, d_point, probs = _proposal_step(
-                model, sample, config, epoch
+                model, sample, epoch
             )
             grads = [np.zeros_like(p) for p in params]  # model.params() order
             d_feat_extra = np.zeros_like(state.feat)
 
-            cells = _sample_cells(targets, probs, rng, config.samples_per_image)
+            cells = _sample_cells(targets, probs, rng)
             verdict_losses = []
             loss_weight = 1.0 / max(1, len(cells))  # mean over the image's batch
             for (i, j, label) in cells:
@@ -560,24 +562,24 @@ def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig):
     return model, history
 
 
-def _sample_cells(targets: RpnTargets, probs, rng, per_class: int):
+def _sample_cells(targets: RpnTargets, probs, rng):
     """Pick positive and negative cells for verification training; half the
     negatives are drawn by current face probability (hard negatives), the
     rest uniformly."""
     cells = []
     pos = np.argwhere(targets.labels == 1)
     if len(pos):
-        take = pos[rng.choice(len(pos), size=min(per_class, len(pos)), replace=False)]
+        take = pos[rng.choice(len(pos), size=min(VERIFY_SAMPLES, len(pos)), replace=False)]
         cells.extend((int(i), int(j), 1) for i, j in take)
     neg = np.argwhere(targets.labels == 0)
     if len(neg):
-        n_hard = min((per_class + 1) // 2, len(neg))
+        n_hard = min((VERIFY_SAMPLES + 1) // 2, len(neg))
         weights = probs[neg[:, 0], neg[:, 1], 1] + 1e-3
         weights = weights / weights.sum()
         hard = rng.choice(len(neg), size=n_hard, replace=False, p=weights)
         chosen = set(hard.tolist())
         remaining = [k for k in range(len(neg)) if k not in chosen]
-        n_rand = min(per_class - n_hard, len(remaining))
+        n_rand = min(VERIFY_SAMPLES - n_hard, len(remaining))
         if n_rand > 0:
             rand = rng.choice(len(remaining), size=n_rand, replace=False)
             chosen.update(remaining[r] for r in rand)
@@ -594,10 +596,7 @@ def _candidate_step(model, image, state, i, j, label, d_point, d_feat_extra,
     gradients in model.params() order, canonical gradient or None), or None
     when the similarity fit is singular.
     """
-    if model.multitask:
-        lms, box = _predicted_landmarks(state, i, j, model.point_scale), None
-    else:
-        lms, box = None, _predicted_box(state, i, j, model.point_scale)
+    lms, box = _decode_cell(state, i, j, model.multitask)
     try:
         transform = _candidate_transform(model, lms, box)
     except SingularTransformError:
@@ -619,11 +618,11 @@ def _candidate_step(model, image, state, i, j, label, d_point, d_feat_extra,
         # a background candidate's landmarks carry no pose to refine
         grads = warp_backward(d_crop, image, transform)
         grads = landmark_and_canonical_gradients(grads, lms, model.canonical.points)
-        # landmarks came from the head as offsets scaled by point_scale
+        # landmarks came from the head as offsets scaled by POINT_SCALE
         d_point[:, i, j] += (
             config.warp_supervision_scale
             * grads.d_landmarks.reshape(-1)
-            * model.point_scale
+            * POINT_SCALE
         )
         d_canonical = grads.d_canonical
     predicted = int(np.argmax(cache.logits))
@@ -659,20 +658,14 @@ def _level_candidates(model, state, octave):
     eligible = probs >= PROPOSAL_THRESHOLD
     if state.head_mask is not None:
         eligible &= state.head_mask.bits
-    scale = 2.0**octave
     out = []
     for i, j in np.argwhere(eligible):
-        if model.multitask:
-            lms_level = _predicted_landmarks(state, i, j, model.point_scale)
-            lms = lms_level * scale
+        lms, box = _decode_cell(state, i, j, model.multitask, 2.0**octave)
+        if box is None:
             try:
                 box = box_from_landmarks(lms)
             except SingularTransformError:
                 continue
-        else:
-            lms = None
-            bx, by, bw, bh = _predicted_box(state, i, j, model.point_scale)
-            box = (bx * scale, by * scale, bw * scale, bh * scale)
         out.append(
             Detection(
                 box=box,

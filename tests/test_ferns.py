@@ -108,6 +108,16 @@ class TestFernIndex:
         with pytest.raises(ValueError):
             CascadeModel([fern], np.zeros(1))
 
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_stage_thresholds_of_another_shape_rejected(self, rng, columns):
+        ferns = [make_fern(rng) for _ in range(3)]
+        with pytest.raises(ValueError, match="one stage threshold per fern"):
+            CascadeModel(ferns, np.zeros((3, columns)))
+
+    def test_empty_cascade_rejected(self):
+        with pytest.raises(ValueError, match="at least one fern"):
+            CascadeModel([], np.zeros(0))
+
 
 class TestPartitionScores:
     def test_balanced_partition_scores_zero(self):

@@ -63,7 +63,7 @@ def test_round_trip_is_bit_exact(tmp_path, rng, supervised_transform):
     assert np.array_equal(loaded.canonical.points, model.canonical.points)
     assert loaded.supervised_transform is supervised_transform
     assert (loaded.multitask, loaded.use_concat) == (False, False)
-    assert (loaded.rect_size, loaded.point_scale) == (model.rect_size, model.point_scale)
+    assert loaded.rect_size == model.rect_size
     assert loaded.cascade.patch_size == model.cascade.patch_size
     assert np.array_equal(loaded.cascade.stage_thresholds, model.cascade.stage_thresholds)
     for a, b in zip(model.cascade.ferns, loaded.cascade.ferns, strict=True):
@@ -176,6 +176,10 @@ CORRUPTIONS = {
     "bad magic": lambda h, b: _rebuild(h, b, magic=b"WCNX"),
     "format version 1": lambda h, b: _rebuild(h, b, version=1),
     "format version 2": lambda h, b: _rebuild(h, b, version=2),
+    # a format-3 file: the same arrays, and point_scale among the flags
+    "format version 3": lambda h, b: _rebuild(
+        {**h, "flags": {**h["flags"], "point_scale": 48.0}}, b, version=3
+    ),
     "negative shape": _edit_entry("rcnn.fc.weight", 2, lambda s: [-n for n in s]),
     "non-integer shape": _edit_entry("verdict.bias", 2, lambda s: [float(n) for n in s]),
     "object dtype": _edit_entry("verdict.bias", 1, lambda d: "|O"),
@@ -207,9 +211,21 @@ CORRUPTIONS = {
     "rect_size 10**400": _edit_header(lambda h: h["flags"].update(rect_size=10**400)),
     "empty filters 2**40 wide": _reshaped({"rpn.conv1.filters": [2**40, 0, 7, 7]}),
     "float coords": _edit_entry("cascade.coords", 1, lambda d: "<f8"),
+    "stage thresholds (3, 2)": _reshaped({"cascade.stage_thresholds": [3, 2]}),
+    "zero ferns": _reshaped({
+        "cascade.coords": [0, NUM_SPLITS, 4], "cascade.thresholds": [0, NUM_SPLITS],
+        "cascade.scores": [0, NUM_PARTITIONS], "cascade.stage_thresholds": [0],
+    }),
     "NaN weight": _overwrite_first("rpn.conv2.filters", math.nan),
     "infinite canonical point": _overwrite_first("canonical.points", math.inf),
 }
+
+
+def test_header_carries_four_flags(model_bytes):
+    header, _ = _split(model_bytes)
+    assert sorted(header["flags"]) == [
+        "multitask", "rect_size", "supervised_transform", "use_concat"
+    ]
 
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))

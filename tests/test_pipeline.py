@@ -200,6 +200,33 @@ def test_rpn_backward_matches_central_differences():
         assert rel_err(grad.reshape(-1)[picks], numeric) < 1e-5
 
 
+@pytest.mark.parametrize("multitask", [True, False])
+def test_cell_decode_of_the_regression_targets_gives_back_the_face(multitask):
+    """The targets and the decode read the regression at one scale: every
+    positive cell's targets, decoded, give the face's five landmarks, or with
+    the box head its centre and side."""
+    for sample in synthetic.generate_synthetic_corpus(SEED, 3):
+        ((x, y, w, h), landmarks), = sample.faces
+        cells = sample.image.shape[1] // pipeline.CELL_STRIDE
+        targets = pipeline.rpn_targets(sample.faces, cells, cells, multitask)
+        state = pipeline.RpnState([], None, None, targets.reg_targets)
+        positives = np.argwhere(targets.labels == 1)
+        assert len(positives) > 0
+        for i, j in positives:
+            lms, box = pipeline._decode_cell(state, i, j, multitask)
+            if multitask:
+                assert box is None
+                np.testing.assert_allclose(lms, landmarks, rtol=0, atol=1e-9)
+            else:
+                assert lms is None
+                bx, by, side, side_y = box
+                assert side == side_y
+                np.testing.assert_allclose(
+                    [bx + side / 2, by + side / 2, side],
+                    [x + w / 2, y + h / 2, max(w, h)], rtol=0, atol=1e-9,
+                )
+
+
 def test_smoke_bench_scale_training_detects_faces():
     """Seeded bench-scale training (60 images of 96 px, RPN 2 epochs, joint 1
     epoch), then dense detect on 12 held-out 160-px images, scores an AP of
