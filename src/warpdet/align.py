@@ -119,32 +119,39 @@ class _FitTerms:
     c3: float
 
 
+def _centered(points: np.ndarray, name: str):
+    """Centroid, centered coordinates and squared spread of (N, 2) points;
+    raises SingularTransformError when the points are (near-)coincident."""
+    m_x, m_y = points.mean(axis=0)
+    X, Y = points[:, 0] - m_x, points[:, 1] - m_y
+    spread = float(np.dot(X, X) + np.dot(Y, Y))
+    reach = max(1.0, float(np.max(points[:, 0] ** 2 + points[:, 1] ** 2)))
+    if spread <= 1e-12 * reach:
+        raise SingularTransformError(f"coincident {name} (squared spread {spread:g})")
+    return m_x, m_y, X, Y, spread
+
+
 def _fit_terms(landmarks, canonical) -> _FitTerms:
-    """Validate the point sets and compute the fit's terms; raises
-    SingularTransformError when the landmarks are (near-)coincident."""
+    """Validate the two (N, 2) point sets and compute the fit's terms; raises
+    SingularTransformError when either set is (near-)coincident: coincident
+    landmarks give no scale to fit, and a coincident canonical layout gives
+    a = b = 0, whose inverse map divides by zero."""
     src = _as_points(landmarks)
-    dst = _as_points(canonical.points if isinstance(canonical, CanonicalShape) else canonical)
+    dst = _as_points(canonical)
     if src.shape != dst.shape:
         raise ValueError(f"point sets differ: {src.shape} vs {dst.shape}")
     if len(src) < 2:
         raise ValueError("need at least 2 landmark pairs")
-    m_x, m_y = src.mean(axis=0)
-    m_xr, m_yr = dst.mean(axis=0)
-    X, Y = src[:, 0] - m_x, src[:, 1] - m_y
-    Xr, Yr = dst[:, 0] - m_xr, dst[:, 1] - m_yr
+    m_xr, m_yr, Xr, Yr, _ = _centered(dst, "canonical points")
+    m_x, m_y, X, Y, c3 = _centered(src, "landmarks")
     c1 = float(np.dot(Xr, X) + np.dot(Yr, Y))
     c2 = float(np.dot(Xr, Y) - np.dot(Yr, X))
-    c3 = float(np.dot(X, X) + np.dot(Y, Y))
-    spread_sq = max(1.0, float(np.max(src[:, 0] ** 2 + src[:, 1] ** 2)))
-    if c3 <= 1e-12 * spread_sq:
-        raise SingularTransformError(
-            f"coincident landmarks (squared spread {c3:g})"
-        )
     return _FitTerms(m_x, m_y, m_xr, m_yr, X, Y, Xr, Yr, c1, c2, c3)
 
 
 def estimate_similarity(landmarks, canonical) -> SimilarityTransform:
-    """Closed-form least-squares similarity from landmarks to canonical points."""
+    """Closed-form least-squares similarity from (N, 2) landmarks to (N, 2)
+    canonical points."""
     f = _fit_terms(landmarks, canonical)
     return SimilarityTransform(f.c1 / f.c3, f.c2 / f.c3, f.m_x, f.m_y, f.m_xr, f.m_yr)
 

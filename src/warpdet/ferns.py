@@ -37,15 +37,6 @@ class TrainingError(RuntimeError):
     pass
 
 
-def to_grayscale(image: np.ndarray) -> np.ndarray:
-    """The (H, W) plane of a single-channel (H, W) or (1, H, W) image."""
-    if image.ndim == 2:
-        return image
-    if image.ndim == 3 and image.shape[0] == 1:
-        return image[0]
-    raise ValueError(f"expected (H, W) or (1, H, W), got {image.shape}")
-
-
 def fold_sum(values: np.ndarray) -> float:
     """Adjacent-pair folding sum (pad to a power of two, halve repeatedly).
 
@@ -125,25 +116,11 @@ def _partitions(diffs: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return (diffs < thresholds) @ (1 << np.arange(NUM_SPLITS))
 
 
-def partition_scores(
-    partitions: np.ndarray, labels: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Half-log-odds score per partition: 0.5*log(sum of positive weights /
-    sum of negative weights), both sums Laplace-smoothed by SMOOTHING_FRACTION
-    of the total weight so empty partitions score exactly zero."""
-    labels = np.asarray(labels)
-    weights = np.asarray(weights, dtype=np.float64)
-    if np.any(weights <= 0):
-        raise ValueError("weights must be positive")
-    column = np.asarray(partitions)[:, None]
-    pos = _bucket_fold_sums(column[labels == 1], weights[labels == 1])[0]
-    neg = _bucket_fold_sums(column[labels == 0], weights[labels == 0])[0]
-    return _half_log_odds(pos, neg, weights)
-
-
 def _half_log_odds(pos: np.ndarray, neg: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """partition_scores from the per-partition positive and negative weight
-    sums and all the weights."""
+    """Half-log-odds score per partition, 0.5*log(pos / neg), from the
+    per-partition positive and negative weight sums; both are
+    Laplace-smoothed by SMOOTHING_FRACTION of the total weight, so an empty
+    partition scores exactly zero."""
     eps = SMOOTHING_FRACTION * fold_sum(weights)
     return 0.5 * np.log((pos + eps) / (neg + eps))
 
@@ -302,9 +279,12 @@ def scan(image: np.ndarray, model: CascadeModel) -> list[Detection]:
     Pyramid levels shrink by SCAN_SCALE_STEP starting from the level where
     the 32-pixel window covers a MIN_FACE-sized face; windows step by
     SCAN_STRIDE level pixels. Boxes map back to original coordinates
-    carrying the cumulative cascade score.
+    carrying the cumulative cascade score. image is one (H, W) grayscale
+    plane.
     """
-    gray = to_grayscale(image).astype(np.float64)
+    if image.ndim != 2:
+        raise ValueError(f"expected an (H, W) grayscale plane, got {image.shape}")
+    gray = image.astype(np.float64)
     h, w = gray.shape
     ps = model.patch_size
     stride = SCAN_STRIDE

@@ -20,7 +20,8 @@ leading extents of the conv filters and rcnn.fc.weight, builds a skeleton
 from them and the flags, and requires the file's array names and shapes to
 equal the skeleton's. It raises ModelFormatError on a corrupt header, a file
 cut short or running on past its last array, an array listed twice, a
-non-finite array, or arrays that differ from the skeleton's.
+non-finite array, arrays that differ from the skeleton's, or canonical
+points that coincide, onto which no candidate could be aligned.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .align import CanonicalShape
+from .align import CanonicalShape, estimate_similarity
 from .ferns import CascadeModel, Fern
 from .nn import ConvSpec, uniform_init
 from .synthetic import GLYPH_LANDMARKS
@@ -322,6 +323,8 @@ def _parse_model(buf: bytes) -> DetectorModel:
     for name, a in arrays.items():
         owner, attr = name.rsplit(".", 1)
         setattr(attrgetter(owner)(model), attr, a)
+    # a coincident layout raises SingularTransformError, a ValueError
+    estimate_similarity(model.canonical.points, model.canonical.points)
     model.cascade = cascade
     return model
 

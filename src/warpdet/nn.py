@@ -157,12 +157,10 @@ def conv2d_backward(
     x: np.ndarray,
     filters: np.ndarray,
     spec: ConvSpec,
-    with_bias: bool = False,
 ):
     """Gradients of a scalar loss through conv2d_forward.
 
-    Returns (grad_input, grad_filters) or (grad_input, grad_filters,
-    grad_bias) when with_bias is set.
+    Returns (grad_input, grad_filters, grad_bias).
 
     The patch matrix is freed before the column gradient of the same shape
     is formed, so the call holds at most one (C*K*K, P) matrix. The column
@@ -195,9 +193,7 @@ def conv2d_backward(
     for ch, taps in enumerate(grad_cols.reshape(c, -1)):
         grad_padded = np.bincount(index, taps, minlength=plane[0] * plane[1])
         grad_input[ch] = grad_padded.reshape(plane)[p : p + h, p : p + w]
-    if with_bias:
-        return grad_input, grad_filters, gmat.sum(axis=1)
-    return grad_input, grad_filters
+    return grad_input, grad_filters, gmat.sum(axis=1)
 
 
 def block_taps(x: np.ndarray):
@@ -372,16 +368,3 @@ class SgdOptimizer:
             vels.append(self._velocities[i])
         sgd_step(params, grads, vels, self.learning_rate, self.momentum)
 
-
-@dataclass
-class MultiTaskLoss:
-    """Joint proposal-stage objective: face/non-face cross-entropy plus a
-    landmark regression term in box-normalized [0, 1] coordinates."""
-
-    classification: float
-    landmark: float
-    lam: float = 1.0
-
-    @property
-    def total(self) -> float:
-        return self.classification + self.lam * self.landmark

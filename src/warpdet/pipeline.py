@@ -37,7 +37,7 @@ from .align import (
 from .ferns import PATCH_SIZE, CascadeConfig, train_cascade
 from .ferns import scan as cascade_scan
 from .model import ConvLayer, DetectorModel, RpnNet, create_detector
-from .nn import MultiTaskLoss, SgdOptimizer, ShapeError
+from .nn import SgdOptimizer, ShapeError
 from .roiconv import (
     RoiMask,
     RoiPyramid,
@@ -46,7 +46,7 @@ from .roiconv import (
     group_candidates,
     roi_conv_forward,
 )
-from .suppress import Detection, SuppressionConfig, iou, nms, non_top_k
+from .suppress import Detection, iou, nms, non_top_k
 from .synthetic import box_from_landmarks
 
 CELL_STRIDE = 8
@@ -161,9 +161,7 @@ def _trunk_backward(trunk, records, d_out):
         if p is not None:
             d_out = nn.maxpool2x2_backward(d_out, a, p)
         d_z = nn.relu_backward(d_out, z)
-        d_out, d_w, d_b = nn.conv2d_backward(
-            d_z, x, layer.filters, layer.spec, with_bias=True
-        )
+        d_out, d_w, d_b = nn.conv2d_backward(d_z, x, layer.filters, layer.spec)
         grads[:0] = [d_w, d_b]
     return d_out, grads
 
@@ -197,10 +195,10 @@ def rpn_forward(rpn: RpnNet, image: np.ndarray, mask: RoiMask | None = None) -> 
 def rpn_backward(rpn: RpnNet, state: RpnState, d_score, d_point, d_feat_extra=None):
     """Gradients for every proposal-net parameter (dense path only)."""
     d_feat, d_ws, d_bs = nn.conv2d_backward(
-        d_score, state.feat, rpn.score_head.filters, rpn.score_head.spec, with_bias=True
+        d_score, state.feat, rpn.score_head.filters, rpn.score_head.spec
     )
     d_feat_p, d_wp, d_bp = nn.conv2d_backward(
-        d_point, state.feat, rpn.point_head.filters, rpn.point_head.spec, with_bias=True
+        d_point, state.feat, rpn.point_head.filters, rpn.point_head.spec
     )
     d_feat = d_feat + d_feat_p
     if d_feat_extra is not None:
@@ -272,7 +270,9 @@ def rpn_targets(faces, cells_h, cells_w, multitask: bool = True) -> RpnTargets:
 
 
 def rpn_losses(state: RpnState, targets: RpnTargets, multitask: bool = True):
-    """Multi-task proposal loss and the gradients of both head maps."""
+    """Multi-task proposal loss, the face/non-face cross-entropy plus
+    LAMBDA_LANDMARK times the landmark regression loss, and the gradients of
+    both head maps."""
     cells_h, cells_w = targets.labels.shape
     logits = state.score.reshape(2, -1).T
     flat_labels = np.clip(targets.labels.reshape(-1), 0, 1)
@@ -295,7 +295,7 @@ def rpn_losses(state: RpnState, targets: RpnTargets, multitask: bool = True):
         d_point[:, pos] = (
             LAMBDA_LANDMARK * 2.0 * diff * norm / (pred.shape[0] * n_pos)
         )
-    loss = MultiTaskLoss(cls_loss, reg_loss, LAMBDA_LANDMARK)
+    loss = cls_loss + LAMBDA_LANDMARK * reg_loss
     return loss, d_score, d_point, probs.reshape(cells_h, cells_w, 2)
 
 
@@ -403,8 +403,8 @@ def _proposal_step(model: DetectorModel, sample, epoch: int):
     ch, cw = state.score.shape[1:]
     targets = rpn_targets(sample.faces, ch, cw, model.multitask)
     loss, d_score, d_point, probs = rpn_losses(state, targets, model.multitask)
-    if not np.isfinite(loss.total):
-        raise DivergenceError(f"proposal loss diverged at epoch {epoch}: {loss.total}")
+    if not np.isfinite(loss):
+        raise DivergenceError(f"proposal loss diverged at epoch {epoch}: {loss}")
     return state, targets, loss, d_score, d_point, probs
 
 
@@ -434,7 +434,7 @@ def train_rpn(corpus, config: TrainConfig, model: DetectorModel | None = None,
             state, targets, loss, d_score, d_point, probs = _proposal_step(
                 model, corpus[idx], epoch
             )
-            losses.append(loss.total)
+            losses.append(loss)
             opt.step(params, rpn_backward(model.rpn, state, d_score, d_point))
 
             decided = targets.labels >= 0
@@ -487,7 +487,7 @@ def _candidate_transform(model: DetectorModel, landmarks, box):
     landmarks to the canonical shape, or without a landmark head the crop of
     its box. Raises SingularTransformError on a degenerate fit."""
     if model.multitask:
-        return estimate_similarity(landmarks, model.canonical)
+        return estimate_similarity(landmarks, model.canonical.points)
     return crop_transform(box, model.rect_size)
 
 
@@ -548,7 +548,7 @@ def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig):
             opt.step(params, grads)
             if model.supervised_transform:
                 model.canonical.clamp(model.rect_size, model.rect_size)
-            losses.append(loss.total + float(np.mean(verdict_losses or [0.0])))
+            losses.append(loss + float(np.mean(verdict_losses or [0.0])))
             seen += 1
             if seen % SNAPSHOT_EVERY == 0:
                 history["canonical_snapshots"].append(model.canonical.points.copy())
@@ -697,9 +697,9 @@ def detect(image: np.ndarray, model: DetectorModel,
         candidates.extend(_level_candidates(model, state, octave))
 
     if options.suppression == "non_top_k":
-        kept = non_top_k(candidates, SuppressionConfig())
+        kept = non_top_k(candidates)
     elif options.suppression == "nms":
-        kept = nms(candidates, SuppressionConfig())
+        kept = nms(candidates)
     else:
         kept = candidates
 
@@ -712,7 +712,7 @@ def detect(image: np.ndarray, model: DetectorModel,
         cache = verify_forward(model, image, transform, cand.feature)
         prob = float(np.exp(nn.log_softmax(cache.logits))[1])
         final.append(Detection(cand.box, prob, landmarks=cand.landmarks))
-    return nms(final, SuppressionConfig(k=1))
+    return nms(final)
 
 
 # --------------------------------------------------------------------------

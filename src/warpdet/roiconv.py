@@ -13,7 +13,7 @@ positions cost nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,39 +57,23 @@ class RoiMask:
         return isinstance(other, RoiMask) and np.array_equal(self.bits, other.bits)
 
 
-@dataclass
-class ScaleGroup:
-    """Candidates whose sizes span one factor-of-two octave."""
-
-    octave_index: int
-    candidates: list = field(default_factory=list)  # (x, y, w, h) at original res
-
-    @property
-    def scale_factor(self) -> float:
-        return 2.0 ** (-self.octave_index)
-
-    def scaled_candidates(self) -> list:
-        """Candidate boxes rescaled to this octave's pyramid level."""
-        s = self.scale_factor
-        return [(x * s, y * s, w * s, h * s) for (x, y, w, h) in self.candidates]
-
-
-def group_candidates(candidates) -> list[ScaleGroup]:
+def group_candidates(candidates) -> list[tuple[int, list]]:
     """Bucket boxes into scale octaves by their larger side.
 
+    Returns (octave k, boxes at original resolution) pairs in octave order.
     Boxes smaller than the detector minimum (36 px) are discarded; every
     retained box lands in exactly one octave and measures within [36, 72)
-    after downsampling by the octave's scale factor.
+    after downsampling by 2^-k.
     """
-    groups: dict[int, ScaleGroup] = {}
+    groups: dict[int, list] = {}
     for box in candidates:
         x, y, w, h = box
         size = max(w, h)
         if size < MIN_FACE:
             continue
         k = int(np.floor(np.log2(size / MIN_FACE)))
-        groups.setdefault(k, ScaleGroup(k)).candidates.append((x, y, w, h))
-    return [groups[k] for k in sorted(groups)]
+        groups.setdefault(k, []).append((x, y, w, h))
+    return sorted(groups.items())
 
 
 def build_mask(scaled_candidates, level_size) -> RoiMask:
@@ -216,18 +200,20 @@ class RoiPyramid:
     levels: list  # (octave_index, image CHW, RoiMask)
 
     @classmethod
-    def build(cls, image: np.ndarray, groups: list[ScaleGroup]) -> "RoiPyramid":
+    def build(cls, image: np.ndarray, groups) -> "RoiPyramid":
+        """One level per (octave, boxes) pair of group_candidates: the image
+        half-sampled octave times, and the mask of the boxes scaled by
+        2^-octave."""
         if image.ndim != 3:
             raise ValueError(f"expected CHW image, got {image.shape}")
         levels = []
-        if not groups:
-            return cls(levels)
         current = image
         depth = 0
-        for group in sorted(groups, key=lambda g: g.octave_index):
-            while depth < group.octave_index:
+        for octave, boxes in sorted(groups):
+            while depth < octave:
                 current = downsample_image(current)
                 depth += 1
-            mask = build_mask(group.scaled_candidates(), current.shape[1:])
-            levels.append((group.octave_index, current, mask))
+            s = 2.0 ** (-octave)
+            scaled = [(x * s, y * s, w * s, h * s) for x, y, w, h in boxes]
+            levels.append((octave, current, build_mask(scaled, current.shape[1:])))
         return cls(levels)

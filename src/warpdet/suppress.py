@@ -5,26 +5,18 @@ instead of only the cluster maximum, so a downstream verifier gets several
 shots at every potential face. Clusters are grown greedily: the best-scoring
 unassigned detection seeds a cluster and absorbs every unassigned detection
 overlapping it by at least the IoU threshold. With K = 1 this reduces exactly
-to greedy NMS.
+to greedy NMS. The IoU threshold (0.5) and K (3) are the paper's fixed
+choices, held as the constants IOU_THRESHOLD and TOP_K.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class SuppressionConfig:
-    iou_threshold: float = 0.5
-    k: int = 3
-
-    def __post_init__(self):
-        if not 0.0 < self.iou_threshold <= 1.0:
-            raise ValueError(f"iou_threshold must be in (0, 1], got {self.iou_threshold}")
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
+IOU_THRESHOLD = 0.5  # overlap at which a detection joins a cluster
+TOP_K = 3            # detections kept per cluster by non-top-K
 
 
 @dataclass
@@ -72,22 +64,22 @@ def _sorted_order(detections) -> list[int]:
     )
 
 
-def nms(detections, config: SuppressionConfig = SuppressionConfig()) -> list[Detection]:
+def nms(detections) -> list[Detection]:
     """Greedy non-maximum suppression: walk in score order, keep a detection
     iff it overlaps every already-kept detection below the IoU threshold.
-    This is non_top_k with K = 1; config.k is ignored."""
-    return non_top_k(detections, replace(config, k=1))
+    This is non_top_k with K = 1."""
+    return non_top_k(detections, 1)
 
 
-def non_top_k(
-    detections, config: SuppressionConfig = SuppressionConfig()
-) -> list[Detection]:
-    """Keep the top-K detections per greedy IoU cluster, in score order.
+def non_top_k(detections, k: int = TOP_K) -> list[Detection]:
+    """Keep the top-k detections per greedy IoU cluster, in score order.
 
     Every NMS survivor at the same threshold seeds a cluster and heads it,
     even a zero-area box, whose IoU with itself is 0; so the result is a
     superset of the NMS output.
     """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     order = _sorted_order(detections)
     assigned = [False] * len(detections)
     kept: list[Detection] = []
@@ -99,8 +91,8 @@ def non_top_k(
         for other_idx in order[pos + 1 :]:
             if assigned[other_idx]:
                 continue
-            if iou(seed.box, detections[other_idx].box) >= config.iou_threshold:
+            if iou(seed.box, detections[other_idx].box) >= IOU_THRESHOLD:
                 assigned[other_idx] = True
                 cluster.append(detections[other_idx])
-        kept.extend(cluster[: config.k])  # cluster is already in score order
+        kept.extend(cluster[:k])  # cluster is already in score order
     return kept

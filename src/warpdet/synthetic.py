@@ -9,7 +9,7 @@ render parameters, so every annotation is analytically exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -46,7 +46,7 @@ def conv2d_forward(x, filters, spec: ConvSpec, bias=None) -> np.ndarray:
 
 
 def conv2d_backward(grad_out, x, filters, spec: ConvSpec):
-    """Oracle of nn.conv2d_backward(with_bias=True): the column gradients are
+    """Oracle of nn.conv2d_backward: the column gradients are
     scattered into the padded input with np.add.at."""
     out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
     gmat = grad_out.reshape(spec.out_channels, -1)

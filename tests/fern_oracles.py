@@ -13,8 +13,10 @@ from warpdet.ferns import (
     CascadeModel,
     Fern,
     TrainingError,
+    _half_log_odds,
     fold_sum,
 )
+from warpdet.ferns import _bucket_fold_sums as _pooled_fold_sums
 
 
 def fern_index(patch: np.ndarray, fern: Fern) -> int:
@@ -77,6 +79,22 @@ def _indices_flat(patches_flat: np.ndarray, fern: Fern, patch_size: int) -> np.n
     diffs = patches_flat[:, y1 * patch_size + x1] - patches_flat[:, y2 * patch_size + x2]
     bits = diffs < fern.thresholds
     return bits @ (1 << np.arange(NUM_SPLITS))
+
+
+def partition_scores(
+    partitions: np.ndarray, labels: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """The fern scores train_cascade gives one column of partition indices:
+    the half-log-odds of each class's weight sums, through the pooled fold
+    of ferns._bucket_fold_sums."""
+    labels = np.asarray(labels)
+    weights = np.asarray(weights, dtype=np.float64)
+    if np.any(weights <= 0):
+        raise ValueError("weights must be positive")
+    column = np.asarray(partitions)[:, None]
+    pos = _pooled_fold_sums(column[labels == 1], weights[labels == 1])[0]
+    neg = _pooled_fold_sums(column[labels == 0], weights[labels == 0])[0]
+    return _half_log_odds(pos, neg, weights)
 
 
 def partition_scores_reference(

@@ -178,6 +178,14 @@ class TestEstimateSimilarity:
         with pytest.raises(SingularTransformError):
             estimate_similarity(lms, canon)
 
+    def test_coincident_canonical_points_rejected(self):
+        """A layout with no spread would give a = b = 0, and every inverse
+        map would divide by zero."""
+        lms = np.arange(10, dtype=np.float64).reshape(5, 2)
+        canon = np.full((5, 2), 31.5)
+        with pytest.raises(SingularTransformError, match="canonical"):
+            estimate_similarity(lms, canon)
+
     def test_mismatched_sets_rejected(self):
         with pytest.raises(ValueError):
             estimate_similarity(np.zeros((3, 2)), np.zeros((4, 2)))

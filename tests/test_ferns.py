@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fern_oracles
-from fern_oracles import cascade_score, fern_index, train_cascade_reference
+from fern_oracles import (
+    cascade_score,
+    fern_index,
+    partition_scores,
+    train_cascade_reference,
+)
 from warpdet.ferns import (
     NUM_PARTITIONS,
     SCAN_STRIDE,
@@ -22,9 +27,7 @@ from warpdet.ferns import (
     _draw_pool,
     _scan_level,
     fold_sum,
-    partition_scores,
     scan,
-    to_grayscale,
     train_cascade,
 )
 from warpdet.suppress import iou
@@ -445,15 +448,20 @@ class TestScan:
 
 
 class TestGrayscale:
-    def test_single_channel_passthrough(self, rng):
-        img = rng.random((5, 5))
-        np.testing.assert_array_equal(to_grayscale(img), img)
-        np.testing.assert_array_equal(to_grayscale(img[None]), img)
+    """scan takes the one (H, W) plane of a grayscale image."""
 
-    def test_bad_shape_rejected(self, rng):
-        with pytest.raises(ValueError):
-            to_grayscale(rng.random((2, 5, 5)))
+    def test_single_channel_passthrough(self, trained, rng):
+        img, _ = planted_image(rng)
+        img = img.astype(np.float32)
+        dets = [(d.box, d.score) for d in scan(img, trained)]
+        assert dets
+        assert dets == [(d.box, d.score) for d in scan(img.astype(np.float64), trained)]
 
-    def test_color_rejected(self, rng):
-        with pytest.raises(ValueError):
-            to_grayscale(rng.random((3, 5, 5)))
+    def test_bad_shape_rejected(self, trained):
+        for shape in [(1, 40, 40), (2, 40, 40), (40,)]:
+            with pytest.raises(ValueError, match="grayscale plane"):
+                scan(np.zeros(shape), trained)
+
+    def test_color_rejected(self, trained, rng):
+        with pytest.raises(ValueError, match="grayscale plane"):
+            scan(rng.random((3, 40, 40)), trained)

@@ -147,6 +147,15 @@ def _overwrite_first(name, value):
     return corrupt
 
 
+def _fill(name, value):
+    """Corruption that sets every element of one float array to value."""
+    def corrupt(header, body):
+        start, size = _span(header, name)
+        filled = struct.pack("<d", value) * (size // 8)
+        return _rebuild(header, body[:start] + filled + body[start + size :])
+    return corrupt
+
+
 def _reshape(header, body, shapes):
     """The file with each named array given a new shape, its bytes cut or
     zero-padded to the new size."""
@@ -218,6 +227,8 @@ CORRUPTIONS = {
     }),
     "NaN weight": _overwrite_first("rpn.conv2.filters", math.nan),
     "infinite canonical point": _overwrite_first("canonical.points", math.inf),
+    # every similarity fit onto this layout would divide by zero
+    "coincident canonical points": _fill("canonical.points", 31.5),
 }
 
 

@@ -12,7 +12,6 @@ from warpdet import nn
 from warpdet.model import CONV_GEOMETRY
 from warpdet.nn import (
     ConvSpec,
-    MultiTaskLoss,
     ShapeError,
     SgdOptimizer,
     conv2d_backward,
@@ -114,14 +113,14 @@ class TestConvBackward:
         x = rng.standard_normal((2, 5, 5))
         f = rng.standard_normal((3, 2, 3, 3))
         spec = ConvSpec(2, 3, kernel=3)
-        gx, gf = conv2d_backward(np.zeros((3, 3, 3)), x, f, spec)
-        assert not gx.any() and not gf.any()
+        gx, gf, gb = conv2d_backward(np.zeros((3, 3, 3)), x, f, spec)
+        assert not gx.any() and not gf.any() and not gb.any()
 
     def test_identity_filter_passes_gradient(self, rng):
         x = rng.standard_normal((1, 4, 4))
         f = np.ones((1, 1, 1, 1))
         g = rng.standard_normal((1, 4, 4))
-        gx, _ = conv2d_backward(g, x, f, ConvSpec(1, 1, kernel=1))
+        gx, _, _ = conv2d_backward(g, x, f, ConvSpec(1, 1, kernel=1))
         np.testing.assert_allclose(gx, g, atol=1e-15)
 
     def test_finite_difference_agreement(self, rng):
@@ -136,7 +135,7 @@ class TestConvBackward:
         def loss_of_f(fv):
             return float(np.sum(conv2d_forward(x, fv, spec) * w))
 
-        gx, gf = conv2d_backward(w, x, filters, spec)
+        gx, gf, _ = conv2d_backward(w, x, filters, spec)
         assert rel_err(gx, central_diff(loss_of_x, x)) < 1e-5
         assert rel_err(gf, central_diff(loss_of_f, filters)) < 1e-5
 
@@ -156,7 +155,7 @@ class TestConvBackward:
         def loss_of_f(fv):
             return float(np.sum(conv2d_forward(x, fv, spec) * w))
 
-        gx, gf = conv2d_backward(w, x, filters, spec)
+        gx, gf, _ = conv2d_backward(w, x, filters, spec)
         assert rel_err(gx, central_diff(loss_of_x, x)) < 1e-5
         assert rel_err(gf, central_diff(loss_of_f, filters)) < 1e-5
 
@@ -170,7 +169,7 @@ class TestConvBackward:
         def loss_of_b(bv):
             return float(np.sum(conv2d_forward(x, filters, spec, bias=bv) * w))
 
-        _, _, gb = conv2d_backward(w, x, filters, spec, with_bias=True)
+        _, _, gb = conv2d_backward(w, x, filters, spec)
         assert rel_err(gb, central_diff(loss_of_b, bias)) < 1e-5
 
 
@@ -204,7 +203,7 @@ def test_bit_equal_to_index_gather_oracles(rng, kernel, stride, padding, extent)
         conv2d_forward(x, filters, spec, bias=bias),
         conv_oracles.conv2d_forward(x, filters, spec, bias=bias),
     )
-    got = conv2d_backward(g, x, filters, spec, with_bias=True)
+    got = conv2d_backward(g, x, filters, spec)
     want = conv_oracles.conv2d_backward(g, x, filters, spec)
     for a, b in zip(got, want, strict=True):
         assert a.shape == b.shape and np.array_equal(a, b)
@@ -241,7 +240,7 @@ class TestConvBackwardAtBenchGeometries:
     @pytest.mark.parametrize("role", BENCH_GEOMETRIES)
     def test_bit_equal_to_scatter_oracle(self, rng, role):
         spec, x, filters, g = _bench_case(rng, role)
-        got = conv2d_backward(g, x, filters, spec, with_bias=True)
+        got = conv2d_backward(g, x, filters, spec)
         want = conv_oracles.conv2d_backward(g, x, filters, spec)
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape
@@ -250,10 +249,10 @@ class TestConvBackwardAtBenchGeometries:
     @pytest.mark.parametrize("role", ["rpn.conv2", "rcnn.conv1", "rpn.point_head"])
     def test_float32_stays_float32_within_single_precision(self, rng, role):
         spec, x, filters, g = _bench_case(rng, role, np.float32)
-        got = conv2d_backward(g, x, filters, spec, with_bias=True)
+        got = conv2d_backward(g, x, filters, spec)
         want = conv2d_backward(
             g.astype(np.float64), x.astype(np.float64),
-            filters.astype(np.float64), spec, with_bias=True,
+            filters.astype(np.float64), spec,
         )
         for a, b in zip(got, want, strict=True):
             assert a.dtype == np.float32 and a.shape == b.shape
@@ -277,10 +276,10 @@ class TestConvBackwardAtBenchGeometries:
         C = 1)."""
         spec, x, filters, g = _bench_case(rng, role)
         patch_matrix_bytes = im2col(x, spec).nbytes
-        conv2d_backward(g, x, filters, spec, with_bias=True)  # fills the index cache
+        conv2d_backward(g, x, filters, spec)  # fills the index cache
         tracemalloc.start()
         try:
-            conv2d_backward(g, x, filters, spec, with_bias=True)
+            conv2d_backward(g, x, filters, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -539,8 +538,3 @@ class TestInitAndLoss:
         np.testing.assert_array_equal(a, b)
         s = np.sqrt(6.0 / 70.0)
         assert np.all(np.abs(a) <= s)
-
-    def test_multi_task_total(self):
-        loss = MultiTaskLoss(classification=0.7, landmark=0.2, lam=1.0)
-        assert loss.total == pytest.approx(0.9)
-        assert loss.total >= 0

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -296,6 +297,119 @@ def test_verify_backward_through_warp_matches_central_differences():
 
     assert np.abs(d_rpn_feat).max() > 1e-6
     assert rel_err(d_rpn_feat, central_diff(loss_of_feat, rpn_feat.copy())) < 1e-5
+
+
+def test_candidate_step_matches_central_differences_of_the_verdict_loss():
+    """The last link of the joint chain: one positive cell's regression,
+    decoded with POINT_SCALE into landmarks, fitted onto the canonical
+    layout, warped, verified and judged. With both supervision scales at 1,
+    _candidate_step's additions to d_point[:, i, j] and d_feat_extra[:, i, j]
+    are the verdict loss's gradients on state.point[:, i, j] and
+    state.feat[:, i, j]."""
+    config = pipeline.TrainConfig(
+        rpn_channels=(2, 3, 4), rcnn_channels=(2, 3), rcnn_feature=6,
+        rect_size=16, warp_supervision_scale=1.0, concat_supervision_scale=1.0,
+        seed=SEED,
+    )
+    model = pipeline.build_detector(config)
+    sample = synthetic.generate_synthetic_corpus(SEED, 1)[0]
+    state = pipeline.rpn_forward(model.rpn, sample.image)
+    targets = pipeline.rpn_targets(sample.faces, *state.point.shape[1:])
+    (i, j), *_ = np.argwhere(targets.labels == 1)
+    # the cell regresses the face exactly, so the crop lands on it
+    state.point[:, i, j] = targets.reg_targets[:, i, j]
+
+    def step():
+        d_point = np.zeros_like(state.point)
+        d_feat_extra = np.zeros_like(state.feat)
+        out = pipeline._candidate_step(
+            model, sample.image, state, i, j, 1, d_point, d_feat_extra, config
+        )
+        return out[0], d_point[:, i, j], d_feat_extra[:, i, j]
+
+    _, d_point, d_feat = step()
+    for column, analytic, step_size in (
+        (state.point[:, i, j], d_point, 1e-7),  # a landmark moves POINT_SCALE times as far
+        (state.feat[:, i, j], d_feat, 1e-5),
+    ):
+        numeric = np.empty_like(analytic)
+        for k in range(column.size):
+            orig = column[k]
+            column[k] = orig + step_size
+            hi = step()[0]
+            column[k] = orig - step_size
+            lo = step()[0]
+            column[k] = orig
+            numeric[k] = (hi - lo) / (2.0 * step_size)
+        assert np.abs(analytic).max() > 1e-6
+        assert rel_err(analytic, numeric) < 1e-5
+
+
+def test_rpn_loss_is_the_score_loss_plus_weighted_landmark_loss():
+    """rpn_losses returns cross-entropy + LAMBDA_LANDMARK * landmark loss, the
+    landmark loss being each positive cell's mean squared box-normalized
+    error, averaged over the positive cells."""
+    model = pipeline.build_detector(pipeline.TrainConfig(seed=SEED))
+    sample = synthetic.generate_synthetic_corpus(SEED, 1)[0]
+    state = pipeline.rpn_forward(model.rpn, sample.image)
+    targets = pipeline.rpn_targets(sample.faces, *state.score.shape[1:])
+    loss, *_ = pipeline.rpn_losses(state, targets)
+
+    cls_loss, _ = nn.softmax_cross_entropy(
+        state.score.reshape(2, -1).T, np.clip(targets.labels.reshape(-1), 0, 1),
+        targets.cls_weights.reshape(-1),
+    )
+    positives = np.argwhere(targets.labels == 1)
+    assert len(positives) > 0
+    reg_loss = np.mean([
+        np.mean(((state.point[:, i, j] - targets.reg_targets[:, i, j])
+                 * pipeline.POINT_SCALE / targets.face_size[i, j]) ** 2)
+        for i, j in positives
+    ])
+    assert type(loss) is float
+    assert loss == pytest.approx(cls_loss + pipeline.LAMBDA_LANDMARK * reg_loss, rel=1e-12)
+
+
+def _coincident_layout_model():
+    """An untrained detector, which proposes candidates all over an image,
+    whose canonical points all sit at the crop centre."""
+    model = pipeline.build_detector(pipeline.TrainConfig(seed=SEED))
+    model.canonical.points[:] = 31.5
+    return model
+
+
+def test_coincident_canonical_layout_skips_every_candidate_in_detect(held_out):
+    """No candidate can be aligned onto the layout: detect returns no box,
+    and no NaN score, and warns of nothing."""
+    model = _coincident_layout_model()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sample in held_out:
+            assert pipeline.detect(sample.image, model) == []
+
+
+def test_coincident_canonical_layout_counts_every_candidate_as_singular(monkeypatch):
+    """A joint step on that layout skips each verification candidate and
+    counts it in singular_skips, without a ZeroDivisionError or a warning."""
+    model = _coincident_layout_model()
+    sampled = []
+
+    def sample_cells(*args):
+        cells = real_sample_cells(*args)
+        sampled.extend(cells)
+        return cells
+
+    real_sample_cells = pipeline._sample_cells
+    monkeypatch.setattr(pipeline, "_sample_cells", sample_cells)
+    corpus = synthetic.generate_synthetic_corpus(SEED, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, history = pipeline.train_end_to_end(
+            corpus, model, pipeline.TrainConfig(epochs=1, seed=SEED)
+        )
+    assert len(sampled) > 0
+    assert history["singular_skips"] == len(sampled)
+    assert history["epochs"][0]["verdict_accuracy"] == 0.0
 
 
 def _chain_fingerprint(model, images, corpus, config):

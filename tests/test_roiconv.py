@@ -79,12 +79,7 @@ class TestGrouping:
     def test_octave_assignment(self):
         boxes = [(10, 10, 50, 50), (30, 30, 100, 100), (5, 5, 20, 20)]
         groups = group_candidates(boxes)
-        assert [g.octave_index for g in groups] == [0, 1]
-        assert groups[0].candidates == [(10, 10, 50, 50)]
-        assert groups[1].candidates == [(30, 30, 100, 100)]
-        assert groups[0].scale_factor == 1.0
-        (x, y, w, h) = groups[1].scaled_candidates()[0]
-        assert (w, h) == (50.0, 50.0)
+        assert groups == [(0, [(10, 10, 50, 50)]), (1, [(30, 30, 100, 100)])]
 
     def test_small_faces_discarded(self):
         assert group_candidates([(0, 0, 20, 20), (0, 0, 35, 35)]) == []
@@ -93,11 +88,11 @@ class TestGrouping:
         sizes = rng.uniform(36, 400, size=200)
         boxes = [(0, 0, s, s) for s in sizes]
         groups = group_candidates(boxes)
-        total = sum(len(g.candidates) for g in groups)
+        total = sum(len(members) for _, members in groups)
         assert total == len(boxes)
-        for g in groups:
-            for _, _, w, h in g.scaled_candidates():
-                assert 36.0 <= max(w, h) < 72.0 + 1e-9
+        for octave, members in groups:
+            for _, _, w, h in members:
+                assert 36.0 <= max(w, h) * 2.0**-octave < 72.0 + 1e-9
 
     def test_empty_input(self):
         assert group_candidates([]) == []

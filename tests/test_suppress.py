@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpdet.suppress import Detection, SuppressionConfig, iou, nms, non_top_k
+from warpdet.suppress import IOU_THRESHOLD, TOP_K, Detection, iou, nms, non_top_k
 
 
 def reference_nms(detections, threshold):
@@ -85,8 +85,7 @@ class TestNms:
     def test_matches_reference(self, seed):
         rng = np.random.default_rng(seed)
         dets = random_detections(rng, 60)
-        cfg = SuppressionConfig(iou_threshold=0.5)
-        assert det_keys(nms(dets, cfg)) == det_keys(reference_nms(dets, 0.5))
+        assert det_keys(nms(dets)) == det_keys(reference_nms(dets, 0.5))
 
     def test_idempotent(self, rng):
         dets = random_detections(rng, 80)
@@ -99,69 +98,64 @@ class TestNonTopK:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             dets = random_detections(rng, 70)
-            cfg = SuppressionConfig(iou_threshold=0.5, k=1)
-            assert det_keys(non_top_k(dets, cfg)) == det_keys(reference_nms(dets, 0.5))
+            assert det_keys(non_top_k(dets, 1)) == det_keys(reference_nms(dets, 0.5))
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_zero_area_seed_heads_its_own_cluster(self, k):
         """A zero-area box has IoU 0 with itself, yet it seeds a cluster and
         is kept, as greedy NMS keeps it."""
         dets = [Detection((5, 5, 0, 0), 0.9), Detection((0, 0, 10, 10), 0.5)]
-        kept = non_top_k(dets, SuppressionConfig(k=k))
+        kept = non_top_k(dets, k)
         assert kept == dets == nms(dets)
         assert det_keys(kept) == det_keys(reference_nms(dets, 0.5))
 
     def test_coincident_boxes_keep_top_three(self):
         dets = [Detection((5, 5, 20, 20), s) for s in (0.1, 0.9, 0.5, 0.3, 0.7)]
-        kept = non_top_k(dets, SuppressionConfig(k=3))
+        kept = non_top_k(dets, 3)
         assert sorted(d.score for d in kept) == [0.5, 0.7, 0.9]
 
     def test_large_k_keeps_everything(self, rng):
         dets = random_detections(rng, 40)
-        kept = non_top_k(dets, SuppressionConfig(k=40))
+        kept = non_top_k(dets, 40)
         assert det_keys(kept) == det_keys(dets)
 
     def test_superset_of_nms(self, rng):
         for _ in range(10):
             dets = random_detections(rng, 50)
-            cfg = SuppressionConfig(k=3)
-            kept_keys = set(det_keys(non_top_k(dets, cfg)))
-            assert set(det_keys(nms(dets, cfg))) <= kept_keys
+            kept_keys = set(det_keys(non_top_k(dets)))
+            assert set(det_keys(nms(dets))) <= kept_keys
 
     def test_budget_bound(self, rng):
         for _ in range(10):
             dets = random_detections(rng, 50)
-            cfg = SuppressionConfig(k=3)
-            assert len(non_top_k(dets, cfg)) <= cfg.k * len(nms(dets, cfg))
+            assert len(non_top_k(dets, 3)) <= 3 * len(nms(dets))
 
     def test_idempotent(self, rng):
         for _ in range(10):
             dets = random_detections(rng, 60)
-            cfg = SuppressionConfig(k=3)
-            once = non_top_k(dets, cfg)
-            assert det_keys(non_top_k(once, cfg)) == det_keys(once)
+            once = non_top_k(dets, 3)
+            assert det_keys(non_top_k(once, 3)) == det_keys(once)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
     def test_properties_hold_randomly(self, seed, k):
         rng = np.random.default_rng(seed)
         dets = random_detections(rng, 30)
-        cfg = SuppressionConfig(k=k)
-        kept = non_top_k(dets, cfg)
-        nms_kept = nms(dets, cfg)
+        kept = non_top_k(dets, k)
+        nms_kept = nms(dets)
         assert set(det_keys(nms_kept)) <= set(det_keys(kept))
         assert len(kept) <= k * len(nms_kept)
-        assert det_keys(non_top_k(kept, cfg)) == det_keys(kept)
+        assert det_keys(non_top_k(kept, k)) == det_keys(kept)
 
 
 class TestConfig:
     def test_defaults(self):
-        cfg = SuppressionConfig()
-        assert cfg.iou_threshold == 0.5
-        assert cfg.k == 3
+        assert (IOU_THRESHOLD, TOP_K) == (0.5, 3)
+        dets = [Detection((5, 5, 20, 20), s) for s in (0.1, 0.9, 0.5, 0.3, 0.7)]
+        assert non_top_k(dets) == non_top_k(dets, TOP_K)
+        assert len(non_top_k(dets)) == TOP_K
 
     def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            SuppressionConfig(iou_threshold=0.0)
-        with pytest.raises(ValueError):
-            SuppressionConfig(k=0)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be positive"):
+                non_top_k([Detection((0, 0, 10, 10), 0.5)], k)
