@@ -102,37 +102,22 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-@dataclass(frozen=True)
-class _FitTerms:
-    """Centroids, centered coordinates and sums of the least-squares fit."""
-
-    m_x: float
-    m_y: float
-    m_xr: float
-    m_yr: float
-    X: np.ndarray
-    Y: np.ndarray
-    Xr: np.ndarray
-    Yr: np.ndarray
-    c1: float
-    c2: float
-    c3: float
-
-
 def _centered(points: np.ndarray, name: str):
     """Centroid, centered coordinates and squared spread of (N, 2) points;
-    raises SingularTransformError when the points are (near-)coincident."""
-    m_x, m_y = points.mean(axis=0)
+    raises SingularTransformError when the points are (near-)coincident.
+    The centroid is np.mean's: the column sums divided by the count."""
+    m_x, m_y = points.sum(axis=0) / len(points)
     X, Y = points[:, 0] - m_x, points[:, 1] - m_y
     spread = float(np.dot(X, X) + np.dot(Y, Y))
-    reach = max(1.0, float(np.max(points[:, 0] ** 2 + points[:, 1] ** 2)))
+    reach = max(1.0, float((points[:, 0] ** 2 + points[:, 1] ** 2).max()))
     if spread <= 1e-12 * reach:
         raise SingularTransformError(f"coincident {name} (squared spread {spread:g})")
     return m_x, m_y, X, Y, spread
 
 
-def _fit_terms(landmarks, canonical) -> _FitTerms:
-    """Validate the two (N, 2) point sets and compute the fit's terms; raises
+def _fit_terms(landmarks, canonical):
+    """Validate the two (N, 2) point sets and compute the fit's terms, as
+    (m_x, m_y, m_xr, m_yr, X, Y, Xr, Yr, c1, c2, c3); raises
     SingularTransformError when either set is (near-)coincident: coincident
     landmarks give no scale to fit, and a coincident canonical layout gives
     a = b = 0, whose inverse map divides by zero."""
@@ -146,29 +131,14 @@ def _fit_terms(landmarks, canonical) -> _FitTerms:
     m_x, m_y, X, Y, c3 = _centered(src, "landmarks")
     c1 = float(np.dot(Xr, X) + np.dot(Yr, Y))
     c2 = float(np.dot(Xr, Y) - np.dot(Yr, X))
-    return _FitTerms(m_x, m_y, m_xr, m_yr, X, Y, Xr, Yr, c1, c2, c3)
+    return m_x, m_y, m_xr, m_yr, X, Y, Xr, Yr, c1, c2, c3
 
 
 def estimate_similarity(landmarks, canonical) -> SimilarityTransform:
     """Closed-form least-squares similarity from (N, 2) landmarks to (N, 2)
     canonical points."""
-    f = _fit_terms(landmarks, canonical)
-    return SimilarityTransform(f.c1 / f.c3, f.c2 / f.c3, f.m_x, f.m_y, f.m_xr, f.m_yr)
-
-
-def inverse_map(t: SimilarityTransform, points) -> np.ndarray:
-    """Rectified-image points -> source-image points."""
-    pts = np.asarray(points, dtype=np.float64)
-    d = t.norm_sq
-    u = pts[..., 0] - t.m_xr
-    v = pts[..., 1] - t.m_yr
-    return np.stack(
-        [
-            (t.a * u - t.b * v) / d + t.m_x,
-            (t.b * u + t.a * v) / d + t.m_y,
-        ],
-        axis=-1,
-    )
+    m_x, m_y, m_xr, m_yr, _, _, _, _, c1, c2, c3 = _fit_terms(landmarks, canonical)
+    return SimilarityTransform(c1 / c3, c2 / c3, m_x, m_y, m_xr, m_yr)
 
 
 def similarity_from_pose(
@@ -189,12 +159,17 @@ def similarity_from_pose(
 
 
 def _sample_points(t: SimilarityTransform, out_h: int, out_w: int):
-    """inverse_map of the rectified grid, broadcast from a row u and a column v
-    of offsets from the canonical centroid. Returns (u, v, x - m_x, y - m_y)."""
+    """The inverse map of the rectified grid, broadcast from a row u and a
+    column v of offsets from the canonical centroid. Returns (u, v, x - m_x,
+    y - m_y)."""
     d = t.norm_sq
     u = np.arange(out_w, dtype=np.float64) - t.m_xr
     v = np.arange(out_h, dtype=np.float64)[:, None] - t.m_yr
-    return u, v, (t.a * u - t.b * v) / d, (t.b * u + t.a * v) / d
+    x_off = t.a * u - t.b * v
+    x_off /= d
+    y_off = t.b * u + t.a * v
+    y_off /= d
+    return u, v, x_off, y_off
 
 
 # Tap coordinates are clipped to the image plus this many pixels on each side.
@@ -203,31 +178,37 @@ def _sample_points(t: SimilarityTransform, out_h: int, out_w: int):
 TAP_BORDER = 2
 
 
-def _window_taps(source: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    """Bilinear taps of (H, W) sample points with zero padding: one
-    (C, H, W) array per tap in tl, tr, bl, br order, then bx and by.
+def _window_taps(source: np.ndarray, xs: np.ndarray, ys: np.ndarray, dtype):
+    """Bilinear taps of (H, W) sample points with zero padding: one new
+    (C, H, W) array per tap in tl, tr, bl, br order, read as dtype, then bx
+    and by.
 
     The taps come from a zero-bordered copy of the source window that
     covers their footprint, clipped to the image plus TAP_BORDER pixels, so
     no tap needs a validity mask and the window is at most (H+4) x (W+4)
-    however far the footprint reaches."""
+    however far the footprint reaches. The flat tap index is formed in
+    place, in float64, where every window offset is an exact integer."""
     c, h, w = source.shape
-    xl = np.floor(xs)
-    yt = np.floor(ys)
-    bx = xs - xl
-    by = ys - yt
-    cols = np.clip(xl, -TAP_BORDER, w, out=xl).astype(np.intp)
-    rows = np.clip(yt, -TAP_BORDER, h, out=yt).astype(np.intp)
+    cols = np.floor(xs)
+    rows = np.floor(ys)
+    bx = xs - cols
+    by = ys - rows
+    np.clip(cols, -TAP_BORDER, w, out=cols)
+    np.clip(rows, -TAP_BORDER, h, out=rows)
     x0, y0 = int(cols.min()), int(rows.min())
     win_w = int(cols.max()) - x0 + 2
     win_h = int(rows.max()) - y0 + 2
-    window = np.zeros((c, win_h, win_w), dtype=source.dtype)
+    window = np.zeros((c, win_h, win_w), dtype=dtype)
     top, left = max(y0, 0), max(x0, 0)
     bottom, right = min(y0 + win_h, h), min(x0 + win_w, w)
     window[:, top - y0 : bottom - y0, left - x0 : right - x0] = (
         source[:, top:bottom, left:right]
     )
-    index = (rows - y0) * win_w + (cols - x0)
+    rows -= y0
+    rows *= win_w
+    cols -= x0
+    rows += cols
+    index = rows.astype(np.intp)
     flat = window.reshape(c, -1)
     values = [np.take(flat[:, offset:], index, axis=1)
               for offset in (0, 1, win_w, win_w + 1)]
@@ -236,18 +217,27 @@ def _window_taps(source: np.ndarray, xs: np.ndarray, ys: np.ndarray):
 
 def warp(source: np.ndarray, t: SimilarityTransform, out_size: tuple[int, int]) -> np.ndarray:
     """Rectify a CHW image: sample the source at the inverse map of every
-    rectified grid point, bilinearly, with zero padding outside the image."""
+    rectified grid point, bilinearly, with zero padding outside the image.
+
+    The taps, read as float64, are weighted in place and summed in tl, tr,
+    bl, br order from the first weighted tap, not from zero: only a crop
+    pixel whose four products are zeros and whose top-left tap reads a -0.0
+    source pixel comes out -0.0 rather than +0.0."""
     if source.ndim != 3:
         raise ValueError(f"expected CHW source, got shape {source.shape}")
     out_h, out_w = out_size
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output size must be positive, got {out_size}")
-    _, _, x_off, y_off = _sample_points(t, out_h, out_w)
-    values, bx, by = _window_taps(source, x_off + t.m_x, y_off + t.m_y)
+    _, _, xs, ys = _sample_points(t, out_h, out_w)
+    xs += t.m_x
+    ys += t.m_y
+    (out, v_tr, v_bl, v_br), bx, by = _window_taps(source, xs, ys, np.float64)
     ax, ay = 1.0 - bx, 1.0 - by
-    out = np.zeros((source.shape[0], out_h, out_w), dtype=np.float64)
-    for val, wgt in zip(values, (ax * ay, bx * ay, ax * by, bx * by)):
-        out += val * wgt
+    weight = ax * ay
+    out *= weight
+    for val, first, second in ((v_tr, bx, ay), (v_bl, ax, by), (v_br, bx, by)):
+        val *= np.multiply(first, second, out=weight)
+        out += val
     return out
 
 
@@ -269,7 +259,7 @@ def warp_backward(
     out_h, out_w = upstream.shape[1], upstream.shape[2]
     u, v, x_off, y_off = _sample_points(t, out_h, out_w)
     (v_tl, v_tr, v_bl, v_br), bx, by = _window_taps(
-        source, x_off + t.m_x, y_off + t.m_y
+        source, x_off + t.m_x, y_off + t.m_y, source.dtype
     )
 
     # Image derivatives of the interpolant at the sample points.
@@ -305,8 +295,7 @@ def landmark_and_canonical_gradients(
     least-squares solution; must be called with the same point sets the
     transform was estimated from.
     """
-    f = _fit_terms(landmarks, canonical)
-    X, Y, Xr, Yr, c1, c2, c3 = f.X, f.Y, f.Xr, f.Yr, f.c1, f.c2, f.c3
+    *_, X, Y, Xr, Yr, c1, c2, c3 = _fit_terms(landmarks, canonical)
     n = len(X)
     c3sq = c3 * c3
 

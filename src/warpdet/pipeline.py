@@ -17,6 +17,8 @@ pre-filter's candidates; the same forward loop halves the mask at each
 stride-2 conv and each pooling. The four net functions add only what
 differs: the 1x1 heads in the proposal net, and the fc feature, l2
 normalisation, concatenation and verdict head in the verification net.
+Inference decodes each level's eligible cells as arrays, one fancy index
+per head map, and fits all their landmark boxes in one closed-form pass.
 """
 
 from __future__ import annotations
@@ -466,20 +468,21 @@ def _landmark_errors(state, targets):
     return list(err * scale)
 
 
-def _decode_cell(state: RpnState, i, j, multitask: bool, scale: float = 1.0):
-    """The regression at proposal cell (i, j), in pixels of the level's
-    input times scale: (five landmarks, None) from the landmark head, or
-    (None, square box) from the box head."""
+def _decode_cells(state: RpnState, ii, jj, multitask: bool, scale: float = 1.0):
+    """The regressions at proposal cells (ii[n], jj[n]), in pixels of the
+    level's input times scale, each from one fancy index over all cells:
+    ((N, 5, 2) landmarks, None) from the landmark head, or (None, (N, 4)
+    square boxes) from the box head."""
     xs, ys = cell_centers(state.point.shape[1], state.point.shape[2])
+    reg = state.point[:, ii, jj]
     if multitask:
-        center = np.array([xs[j], ys[i]])
-        return (state.point[:, i, j].reshape(5, 2) * POINT_SCALE + center) * scale, None
-    dx, dy, dlog = state.point[:, i, j]
-    cx = xs[j] + dx * POINT_SCALE
-    cy = ys[i] + dy * POINT_SCALE
+        centers = np.stack([xs[jj], ys[ii]], axis=1)[:, None, :]
+        return (reg.T.reshape(-1, 5, 2) * POINT_SCALE + centers) * scale, None
+    dx, dy, dlog = reg
     side = POINT_SCALE * np.exp(dlog)
-    x, y = cx - side / 2.0, cy - side / 2.0
-    return None, (x * scale, y * scale, side * scale, side * scale)
+    x = xs[jj] + dx * POINT_SCALE - side / 2.0
+    y = ys[ii] + dy * POINT_SCALE - side / 2.0
+    return None, np.stack([x * scale, y * scale, side * scale, side * scale], axis=1)
 
 
 def _candidate_transform(model: DetectorModel, landmarks, box):
@@ -596,7 +599,8 @@ def _candidate_step(model, image, state, i, j, label, d_point, d_feat_extra,
     gradients in model.params() order, canonical gradient or None), or None
     when the similarity fit is singular.
     """
-    lms, box = _decode_cell(state, i, j, model.multitask)
+    lms, box = _decode_cells(state, [i], [j], model.multitask)
+    lms, box = (lms[0], None) if box is None else (None, box[0])
     try:
         transform = _candidate_transform(model, lms, box)
     except SingularTransformError:
@@ -651,30 +655,24 @@ def _roi_levels(image: np.ndarray, model: DetectorModel):
 
 
 def _level_candidates(model, state, octave):
-    """Detections proposed by one pyramid level's score map."""
+    """Detections proposed by one pyramid level's score map: its eligible
+    cells decoded as arrays and, with the landmark head, their boxes fitted
+    in one pass, which drops each cell whose landmarks coincide."""
     probs = np.exp(nn.log_softmax(state.score.reshape(2, -1).T))[:, 1]
-    ch, cw = state.score.shape[1:]
-    probs = probs.reshape(ch, cw)
+    probs = probs.reshape(state.score.shape[1:])
     eligible = probs >= PROPOSAL_THRESHOLD
     if state.head_mask is not None:
         eligible &= state.head_mask.bits
-    out = []
-    for i, j in np.argwhere(eligible):
-        lms, box = _decode_cell(state, i, j, model.multitask, 2.0**octave)
-        if box is None:
-            try:
-                box = box_from_landmarks(lms)
-            except SingularTransformError:
-                continue
-        out.append(
-            Detection(
-                box=box,
-                score=float(probs[i, j]),
-                landmarks=lms,
-                feature=state.feat[:, i, j].copy() if model.use_concat else None,
-            )
-        )
-    return out
+    ii, jj = np.nonzero(eligible)
+    lms, boxes = _decode_cells(state, ii, jj, model.multitask, 2.0**octave)
+    ok = np.ones(len(ii), dtype=bool)
+    if boxes is None:
+        boxes, ok = box_from_landmarks(lms)
+    lms = [None] * len(ii) if lms is None else lms
+    feats = state.feat[:, ii, jj].T.copy() if model.use_concat else [None] * len(ii)
+    scores = probs[ii, jj].tolist()
+    return [Detection(tuple(boxes[n].tolist()), scores[n], lms[n], feats[n])
+            for n in np.flatnonzero(ok)]
 
 
 def detect(image: np.ndarray, model: DetectorModel,

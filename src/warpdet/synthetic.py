@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import estimate_similarity, inverse_map
-
 # Landmark layout in face-local units (x right, y down, face spans ~[-0.5, 0.5]).
 GLYPH_LANDMARKS = np.array(
     [
@@ -70,21 +68,53 @@ def glyph_box(center, size: float, angle: float) -> tuple:
     return (cx - hw, cy - hh, 2 * hw, 2 * hh)
 
 
-def box_from_landmarks(landmarks) -> tuple:
-    """Recover a face box from five landmarks by fitting the glyph layout.
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.dot of each row of (N, K) x with the same row of y, or with (K,) y.
+    A stacked matmul of vectors calls np.dot's BLAS routine per row, so each
+    result equals np.dot's bit for bit; a summed product rounds differently."""
+    return (x[:, None, :] @ y[..., None])[:, 0, 0]
 
-    The similarity fit against GLYPH_LANDMARKS yields the face frame (scale,
-    rotation, center); the box is the rotated-ellipse bounding box in that
-    frame, so exact landmarks reproduce the generator's ground-truth box.
+
+def box_from_landmarks(landmarks) -> tuple[np.ndarray, np.ndarray]:
+    """Recover face boxes from (N, 5, 2) landmarks by fitting the glyph layout.
+
+    The similarity fit of each row against GLYPH_LANDMARKS yields the face
+    frame (scale, rotation, center); the box is the rotated-ellipse bounding
+    box in that frame, so exact landmarks reproduce the generator's
+    ground-truth box. Returns (N, 4) boxes (x, y, w, h) and an (N,) flag
+    that is False, and the box meaningless, where the landmarks are
+    (near-)coincident. All rows are fitted at once, in the arithmetic order
+    of align.estimate_similarity on one row, so each box is bit-identical
+    to a per-row fit.
     """
-    t = estimate_similarity(np.asarray(landmarks), GLYPH_LANDMARKS)
-    origin = inverse_map(t, np.array([0.0, 0.0]))
-    e1 = inverse_map(t, np.array([1.0, 0.0])) - origin
-    e2 = inverse_map(t, np.array([0.0, 1.0])) - origin
-    ax, ay = ELLIPSE_AXES
-    hw = np.hypot(ax * e1[0], ay * e2[0])
-    hh = np.hypot(ax * e1[1], ay * e2[1])
-    return (origin[0] - hw, origin[1] - hh, 2 * hw, 2 * hh)
+    pts = np.asarray(landmarks, dtype=np.float64)
+    n = len(GLYPH_LANDMARKS)
+    if pts.ndim != 3 or pts.shape[1:] != (n, 2):
+        raise ValueError(f"expected (N, {n}, 2) landmarks, got shape {pts.shape}")
+    m_xr, m_yr = GLYPH_LANDMARKS.sum(axis=0) / n
+    Xr, Yr = GLYPH_LANDMARKS[:, 0] - m_xr, GLYPH_LANDMARKS[:, 1] - m_yr
+    m_x, m_y = (pts.sum(axis=1) / n).T
+    X, Y = pts[:, :, 0] - m_x[:, None], pts[:, :, 1] - m_y[:, None]
+    c3 = _row_dots(X, X) + _row_dots(Y, Y)
+    reach = np.maximum(1.0, (pts[:, :, 0] ** 2 + pts[:, :, 1] ** 2).max(axis=1))
+    ok = ~(c3 <= 1e-12 * reach)
+    c1 = _row_dots(X, Xr) + _row_dots(Y, Yr)
+    c2 = _row_dots(Y, Xr) - _row_dots(X, Yr)
+    with np.errstate(divide="ignore", invalid="ignore"):  # singular rows
+        a, b = c1 / c3, c2 / c3
+        d = a * a + b * b
+
+        def inverse_map(px, py):
+            u, v = px - m_xr, py - m_yr
+            return (a * u - b * v) / d + m_x, (b * u + a * v) / d + m_y
+
+        ox, oy = inverse_map(0.0, 0.0)
+        x1, y1 = inverse_map(1.0, 0.0)
+        x2, y2 = inverse_map(0.0, 1.0)
+        ax, ay = ELLIPSE_AXES
+        hw = np.hypot(ax * (x1 - ox), ay * (x2 - ox))
+        hh = np.hypot(ax * (y1 - oy), ay * (y2 - oy))
+        return np.stack([ox - hw, oy - hh, 2 * hw, 2 * hh], axis=1), ok
 
 
 def _soft_edge(distance: np.ndarray, width: float = 0.9) -> np.ndarray:

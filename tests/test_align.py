@@ -14,12 +14,12 @@ import pytest
 
 import warp_oracles
 from conftest import rel_err
+from warp_oracles import inverse_map
 from warpdet.align import (
     CanonicalShape,
     SimilarityTransform,
     SingularTransformError,
     estimate_similarity,
-    inverse_map,
     landmark_and_canonical_gradients,
     similarity_from_pose,
     warp,
@@ -501,6 +501,21 @@ class TestMatchesScatterOracle:
             src, t, out_size, _ = _oracle_case(rng, "partly_outside")
             ones = warp(np.ones_like(src), t, out_size)
             assert ones.max() > 0.5 and ones.min() == 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.int64])
+def test_a_source_of_another_dtype_gives_the_oracle_float64_crop(dtype):
+    """The crop is float64 whatever the source's dtype, and equals the
+    oracle's, which promotes each tap as it weights it."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        src = (30.0 * (smooth_image(rng, 30, 34, 2) + 4.0)).astype(dtype)  # in [0, 240]
+        t = similarity_from_pose(rng.uniform(0.5, 2.0), rng.uniform(-np.pi, np.pi),
+                                 rng.uniform(0.0, 34.0, size=2), (7.5, 6.5))
+        crop = warp(src, t, (14, 16))
+        want = warp_oracles.warp(src, t, (14, 16))
+        assert crop.dtype == np.float64
+        assert crop.tobytes() == want.tobytes()
 
 
 def _assert_bytes_equal_oracles(src, t, out_size, upstream):

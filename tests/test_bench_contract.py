@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import decode_oracles
 from conftest import TINY_SEED
 from warpdet import pipeline
 from warpdet.ferns import NUM_PARTITIONS, NUM_SPLITS, PATCH_SIZE, CascadeModel, Fern
@@ -91,3 +92,21 @@ def test_roi_detect_records_every_masked_layer(spans, traced):
     masked = {"roiconv.conv_ms." + role for role in spans.RPN_ROLES}
     assert masked <= _span_names(traced, 1)
     assert traced.count_totals([1])["ferns.survivors"] > 0
+
+
+def test_dense_detect_counts_match_the_per_cell_oracle(traced, tiny_run, held_out):
+    """Every candidate that non-top-K keeps is verified or counted as a
+    singular fit, and the proposals are the eligible cells, over all dense
+    levels, that the per-cell oracle decodes and fits."""
+    counts = traced.count_totals([0])
+    assert counts["suppress.kept"] > 0
+    assert counts["suppress.kept"] == (
+        counts["pipeline.verified"] + counts["align.singular_skips"]
+    )
+    model = tiny_run[0]
+    proposals = sum(
+        len(decode_oracles.level_candidates(
+            model, pipeline.rpn_forward(model.rpn, level), octave))
+        for octave, level, _ in pipeline._dense_levels(held_out[0].image)
+    )
+    assert counts["suppress.proposals"] == proposals

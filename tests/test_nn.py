@@ -307,9 +307,9 @@ class TestConvWindows:
         self, monkeypatch, extent
     ):
         def no_view(*args, **kwargs):
-            raise AssertionError("strided view built for a too-small input")
+            raise AssertionError("window view built for a too-small input")
 
-        monkeypatch.setattr(nn, "as_strided", no_view)
+        monkeypatch.setattr(nn, "_read_only_view", no_view)
         with pytest.raises(ShapeError, match="too small"):
             conv_windows(np.zeros((1,) + extent), ConvSpec(1, 1, 7, stride=2, padding=1))
 

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conv_oracles
+import decode_oracles
 import warp_oracles
 from conftest import TINY_SEED as SEED
 from conftest import central_diff, rel_err, train_tiny
@@ -211,21 +213,111 @@ def test_cell_decode_of_the_regression_targets_gives_back_the_face(multitask):
         cells = sample.image.shape[1] // pipeline.CELL_STRIDE
         targets = pipeline.rpn_targets(sample.faces, cells, cells, multitask)
         state = pipeline.RpnState([], None, None, targets.reg_targets)
-        positives = np.argwhere(targets.labels == 1)
-        assert len(positives) > 0
-        for i, j in positives:
-            lms, box = pipeline._decode_cell(state, i, j, multitask)
+        ii, jj = np.nonzero(targets.labels == 1)
+        assert len(ii) > 0
+        lms, boxes = pipeline._decode_cells(state, ii, jj, multitask)
+        for n, (i, j) in enumerate(zip(ii, jj)):
+            want_lms, want_box = decode_oracles.decode_cell(state, i, j, multitask)
             if multitask:
-                assert box is None
-                np.testing.assert_allclose(lms, landmarks, rtol=0, atol=1e-9)
+                assert boxes is None and lms.shape == (len(ii), 5, 2)
+                assert lms[n].tobytes() == want_lms.tobytes()
+                np.testing.assert_allclose(lms[n], landmarks, rtol=0, atol=1e-9)
             else:
-                assert lms is None
-                bx, by, side, side_y = box
+                assert lms is None and boxes.shape == (len(ii), 4)
+                assert boxes[n].tobytes() == np.array(want_box).tobytes()
+                bx, by, side, side_y = boxes[n]
                 assert side == side_y
                 np.testing.assert_allclose(
                     [bx + side / 2, by + side / 2, side],
                     [x + w / 2, y + h / 2, max(w, h)], rtol=0, atol=1e-9,
                 )
+
+
+def _assert_same_detections(got, want):
+    """Two candidate lists agree in order and in every byte of each box,
+    score, landmark set and feature column."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.asarray(g.box, dtype=np.float64).tobytes() == \
+            np.asarray(w.box, dtype=np.float64).tobytes()
+        assert np.float64(g.score).tobytes() == np.float64(w.score).tobytes()
+        for name in ("landmarks", "feature"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert (a is None) == (b is None), name
+            if a is not None:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _seeded_level(rng, multitask, masked, shape=(9, 11), channels=4):
+    """A proposal level of random head maps, about half its cells over the
+    threshold, and with the landmark head eight eligible cells whose five
+    landmarks coincide, exactly or to within 1e-12 px."""
+    h, w = shape
+    score = rng.standard_normal((2, h, w))
+    point = 0.4 * rng.standard_normal((10 if multitask else 3, h, w))
+    feat = rng.standard_normal((channels, h, w))
+    mask = roiconv.RoiMask(rng.random(shape) < 0.6) if masked else None
+    if multitask:
+        cells = np.unravel_index(rng.permutation(h * w)[:8], shape)
+        for n, (i, j) in enumerate(zip(*cells)):
+            score[:, i, j] = (-2.0, 2.0)
+            jitter = 1e-14 * rng.standard_normal(10) if n % 2 else 0.0
+            point[:, i, j] = np.tile(rng.standard_normal(2), 5) + jitter
+    return pipeline.RpnState([], feat, score, point, mask)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["dense", "roi"])
+@pytest.mark.parametrize("multitask", [True, False], ids=["landmarks", "box_head"])
+def test_level_candidates_match_the_per_cell_oracle_on_seeded_maps(multitask, masked):
+    """Every eligible cell of seeded score maps, decoded as arrays and
+    fitted in one pass, gives the per-cell oracle's candidates bit for bit;
+    a cell is dropped exactly where the oracle's fit raises."""
+    rng = np.random.default_rng([SEED, multitask, masked])
+    dropped = 0
+    for octave in range(3):
+        for use_concat in (True, False):
+            model = SimpleNamespace(multitask=multitask, use_concat=use_concat)
+            state = _seeded_level(rng, multitask, masked)
+            got = pipeline._level_candidates(model, state, octave)
+            want = decode_oracles.level_candidates(model, state, octave)
+            _assert_same_detections(got, want)
+            probs = np.exp(nn.log_softmax(state.score.reshape(2, -1).T))[:, 1]
+            eligible = (probs >= pipeline.PROPOSAL_THRESHOLD).reshape(state.score.shape[1:])
+            if masked:
+                eligible &= state.head_mask.bits
+            assert len(want) > 0
+            dropped += int(eligible.sum()) - len(want)
+    assert (dropped > 0) == multitask
+
+
+@pytest.fixture(scope="module")
+def box_head_model():
+    return train_tiny(multitask=False)[0]
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["dense", "roi"])
+@pytest.mark.parametrize("head", ["landmarks", "box_head"])
+def test_level_candidates_match_the_per_cell_oracle_on_trained_nets(
+    tiny_run, box_head_model, held_out, head, masked
+):
+    """The same on the proposal maps of the tiny trained nets over each
+    dense level, or inside an ROI mask of two blocks."""
+    model = tiny_run[0] if head == "landmarks" else box_head_model
+    found = 0
+    for sample in held_out:
+        for octave, level, _ in pipeline._dense_levels(sample.image):
+            mask = None
+            if masked:
+                bits = np.zeros(level.shape[1:], dtype=bool)
+                bits[4:40, 8:44] = bits[50:, 30:70] = True
+                mask = roiconv.RoiMask(bits)
+            state = pipeline.rpn_forward(model.rpn, level, mask)
+            got = pipeline._level_candidates(model, state, octave)
+            _assert_same_detections(
+                got, decode_oracles.level_candidates(model, state, octave)
+            )
+            found += len(got)
+    assert found > 0
 
 
 def test_smoke_bench_scale_training_detects_faces():
@@ -433,9 +525,9 @@ def test_detect_and_joint_step_bytes_equal_with_the_kernel_oracles(
     tiny_run, held_out, monkeypatch
 ):
     """The whole chain, run once on the kernels and once with max-pool, its
-    backward, the warp, its backward and the pyramid's half-sampling
-    replaced by the reference forms in tests/, gives the same bytes, so a
-    kernel change that moves a bit fails here first."""
+    backward, the warp, its backward, the pyramid's half-sampling and the
+    candidate decode replaced by the reference forms in tests/, gives the
+    same bytes, so a kernel change that moves a bit fails here first."""
     model = tiny_run[0]
     images = [s.image for s in held_out] + [
         synthetic.generate_synthetic_corpus(
@@ -447,7 +539,8 @@ def test_detect_and_joint_step_bytes_equal_with_the_kernel_oracles(
     kernels = _chain_fingerprint(model, images, corpus, config)
 
     calls = dict.fromkeys(
-        ["maxpool", "maxpool_backward", "warp", "warp_backward", "downsample"], 0
+        ["maxpool", "maxpool_backward", "warp", "warp_backward", "downsample",
+         "level_candidates"], 0
     )
 
     def counted(name, fn):
@@ -468,6 +561,8 @@ def test_detect_and_joint_step_bytes_equal_with_the_kernel_oracles(
         (pipeline, "warp_backward", counted("warp_backward", warp_oracles.warp_backward)),
         (pipeline, "downsample_image", downsample),
         (roiconv, "downsample_image", downsample),
+        (pipeline, "_level_candidates",
+         counted("level_candidates", decode_oracles.level_candidates)),
     ):
         monkeypatch.setattr(target, name, fn)
     oracles = _chain_fingerprint(model, images, corpus, config)

@@ -1,5 +1,6 @@
-"""Static checks on the package source that no linter in the test
-environment makes: every name a module imports is read by that module."""
+"""Static checks on the source that no linter in the test environment
+makes: every name a module of the package, the tests or the benchmark
+imports is read by that module. The check only reads the files."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,11 @@ import pytest
 
 import warpdet
 
-MODULES = sorted(Path(warpdet.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    [*Path(warpdet.__file__).parent.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+     *(ROOT / "bench").glob("*.py")]
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,7 +37,8 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_modules_are_found():
-    assert {"align.py", "nn.py", "pipeline.py"} <= {m.name for m in MODULES}
+    found = {f"{m.parent.name}/{m.name}" for m in MODULES}
+    assert {"warpdet/pipeline.py", "tests/conftest.py", "bench/run.py"} <= found
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[m.stem for m in MODULES])

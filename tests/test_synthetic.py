@@ -4,6 +4,8 @@ placement, and pixel-support agreement of the ground-truth boxes."""
 import numpy as np
 import pytest
 
+import decode_oracles
+from warpdet.align import SingularTransformError
 from warpdet.suppress import iou
 from warpdet.synthetic import (
     GLYPH_LANDMARKS,
@@ -73,14 +75,71 @@ class TestAnalyticLayout:
 
     def test_box_from_exact_landmarks_roundtrips(self):
         rng = np.random.default_rng(9)
+        lms, expected = [], []
         for _ in range(20):
             center = rng.uniform(30, 70, size=2)
             size = rng.uniform(38, 64)
             angle = np.deg2rad(rng.uniform(-45, 45))
-            lms = glyph_landmarks(center, size, angle)
-            recovered = box_from_landmarks(lms)
-            expected = glyph_box(center, size, angle)
-            np.testing.assert_allclose(recovered, expected, atol=1e-6)
+            lms.append(glyph_landmarks(center, size, angle))
+            expected.append(glyph_box(center, size, angle))
+        for row, box in zip(lms, expected):
+            np.testing.assert_allclose(decode_oracles.box_from_landmarks(row), box, atol=1e-6)
+        boxes, ok = box_from_landmarks(np.array(lms))
+        assert ok.all()
+        np.testing.assert_allclose(boxes, expected, atol=1e-6)
+
+
+def _assert_fit_matches_oracle(landmarks):
+    """Every row of the batched fit equals the per-row oracle bit for bit,
+    and is flagged exactly where the oracle raises. Returns the flags."""
+    boxes, ok = box_from_landmarks(landmarks)
+    assert boxes.shape == (len(landmarks), 4) and ok.shape == (len(landmarks),)
+    for row, box, fitted in zip(landmarks, boxes, ok):
+        try:
+            want = decode_oracles.box_from_landmarks(row)
+        except SingularTransformError:
+            assert not fitted
+            continue
+        assert fitted
+        assert box.tobytes() == np.array(want).tobytes()
+    return ok
+
+
+class TestBatchedBoxFit:
+    def test_random_rows_match_the_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        n = 3000
+        centers = rng.uniform(-20, 180, size=(n, 1, 2))
+        spreads = 10.0 ** rng.uniform(-3, 2, size=(n, 1, 1))
+        ok = _assert_fit_matches_oracle(
+            centers + spreads * rng.standard_normal((n, 5, 2))
+        )
+        assert ok.all()
+
+    def test_coincident_rows_are_flagged_where_the_oracle_raises(self):
+        """Exactly coincident landmarks, landmarks 1e-9 px apart far from
+        the origin, and a row just above the spread threshold, among good
+        rows."""
+        rng = np.random.default_rng(23)
+        good = glyph_landmarks((50.0, 60.0), 40.0, 0.2)
+        rows = [
+            good,
+            np.full((5, 2), 3.0),
+            np.zeros((5, 2)),
+            np.tile([1e3, -2e3], (5, 1)) + 1e-9 * rng.standard_normal((5, 2)),
+            good + 7.0,
+            np.tile([0.5, 0.5], (5, 1)) + 1e-4 * rng.standard_normal((5, 2)),
+        ]
+        ok = _assert_fit_matches_oracle(np.array(rows))
+        assert ok.tolist() == [True, False, False, False, True, True]
+
+    def test_no_rows(self):
+        boxes, ok = box_from_landmarks(np.empty((0, 5, 2)))
+        assert boxes.shape == (0, 4) and ok.shape == (0,)
+
+    def test_one_landmark_set_without_a_row_axis_is_rejected(self):
+        with pytest.raises(ValueError, match="expected"):
+            box_from_landmarks(GLYPH_LANDMARKS)
 
 
 class TestCorpusShape:

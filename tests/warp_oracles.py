@@ -4,7 +4,23 @@ tests as oracles: the sample grid goes through ``inverse_map`` as an
 
 import numpy as np
 
-from warpdet.align import SimilarityTransform, TransformGradients, inverse_map
+from warpdet.align import SimilarityTransform, TransformGradients
+
+
+def inverse_map(t: SimilarityTransform, points) -> np.ndarray:
+    """Rectified-image points -> source-image points, one point at a time
+    along the last axis of an (..., 2) array."""
+    pts = np.asarray(points, dtype=np.float64)
+    d = t.norm_sq
+    u = pts[..., 0] - t.m_xr
+    v = pts[..., 1] - t.m_yr
+    return np.stack(
+        [
+            (t.a * u - t.b * v) / d + t.m_x,
+            (t.b * u + t.a * v) / d + t.m_y,
+        ],
+        axis=-1,
+    )
 
 
 def bilinear_taps(source: np.ndarray, xs: np.ndarray, ys: np.ndarray):
