@@ -178,10 +178,11 @@ def _sample_points(t: SimilarityTransform, out_h: int, out_w: int):
 TAP_BORDER = 2
 
 
-def _window_taps(source: np.ndarray, xs: np.ndarray, ys: np.ndarray, dtype):
+def _window_taps(source: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     """Bilinear taps of (H, W) sample points with zero padding: one new
-    (C, H, W) array per tap in tl, tr, bl, br order, read as dtype, then bx
-    and by.
+    (C, H, W) array per tap in tl, tr, bl, br order, read as float64 whatever
+    the source's dtype, so an integer source's tap differences cannot wrap;
+    then bx and by.
 
     The taps come from a zero-bordered copy of the source window that
     covers their footprint, clipped to the image plus TAP_BORDER pixels, so
@@ -198,7 +199,7 @@ def _window_taps(source: np.ndarray, xs: np.ndarray, ys: np.ndarray, dtype):
     x0, y0 = int(cols.min()), int(rows.min())
     win_w = int(cols.max()) - x0 + 2
     win_h = int(rows.max()) - y0 + 2
-    window = np.zeros((c, win_h, win_w), dtype=dtype)
+    window = np.zeros((c, win_h, win_w))
     top, left = max(y0, 0), max(x0, 0)
     bottom, right = min(y0 + win_h, h), min(x0 + win_w, w)
     window[:, top - y0 : bottom - y0, left - x0 : right - x0] = (
@@ -231,7 +232,7 @@ def warp(source: np.ndarray, t: SimilarityTransform, out_size: tuple[int, int]) 
     _, _, xs, ys = _sample_points(t, out_h, out_w)
     xs += t.m_x
     ys += t.m_y
-    (out, v_tr, v_bl, v_br), bx, by = _window_taps(source, xs, ys, np.float64)
+    (out, v_tr, v_bl, v_br), bx, by = _window_taps(source, xs, ys)
     ax, ay = 1.0 - bx, 1.0 - by
     weight = ax * ay
     out *= weight
@@ -259,7 +260,7 @@ def warp_backward(
     out_h, out_w = upstream.shape[1], upstream.shape[2]
     u, v, x_off, y_off = _sample_points(t, out_h, out_w)
     (v_tl, v_tr, v_bl, v_br), bx, by = _window_taps(
-        source, x_off + t.m_x, y_off + t.m_y, source.dtype
+        source, x_off + t.m_x, y_off + t.m_y
     )
 
     # Image derivatives of the interpolant at the sample points.

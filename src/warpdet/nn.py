@@ -19,8 +19,10 @@ Conventions used throughout the package:
 
 - images and feature maps are numpy arrays in CHW layout (channels, rows,
   cols), row-major;
-- the package builds float64 models, and every kernel keeps the dtype of
-  its input;
+- the package builds float64 models, and every kernel computes in the
+  dtype of its input: a convolution casts its filters and bias to a
+  floating input's dtype, so a float32 map runs float32 GEMMs on the
+  float64 model, and on a float64 map the cast moves no byte;
 - a point is (x, y) = (column, row);
 - all operations are pure functions over their inputs and are deterministic
   in a single-threaded run.
@@ -122,6 +124,15 @@ def im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return np.ascontiguousarray(win).reshape(c * k * k, out_h * out_w)
 
 
+def as_input_dtype(param: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A conv parameter in the dtype of a floating input x, the same array
+    when it already has it; a non-floating input leaves it as it is, so
+    numpy promotes the product as before."""
+    if x.dtype.kind != "f":
+        return param
+    return param.astype(x.dtype, copy=False)
+
+
 def _filters_matrix(filters: np.ndarray, spec: ConvSpec) -> np.ndarray:
     expected = (spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)
     if filters.shape != expected:
@@ -135,13 +146,13 @@ def conv2d_forward(
     spec: ConvSpec,
     bias: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Convolve a CHW input with (N, C, K, K) filters via im2col + matmul;
-    conv_windows checks the input once."""
-    fmat = _filters_matrix(filters, spec)
+    """Convolve a CHW input with (N, C, K, K) filters via im2col + matmul,
+    in the input's floating dtype; conv_windows checks the input once."""
+    fmat = as_input_dtype(_filters_matrix(filters, spec), x)
     win = conv_windows(x, spec)
     out = fmat @ np.ascontiguousarray(win).reshape(fmat.shape[1], -1)
     if bias is not None:
-        out += bias[:, None]
+        out += as_input_dtype(bias, x)[:, None]
     return out.reshape((spec.out_channels,) + win.shape[3:])
 
 
@@ -167,10 +178,12 @@ def conv2d_backward(
     x: np.ndarray,
     filters: np.ndarray,
     spec: ConvSpec,
+    input_grad: bool = True,
 ):
     """Gradients of a scalar loss through conv2d_forward.
 
-    Returns (grad_input, grad_filters, grad_bias).
+    Returns (grad_input, grad_filters, grad_bias); grad_input is None when
+    input_grad is False, and then neither its GEMM nor its scatter runs.
 
     The patch matrix is freed before the column gradient of the same shape
     is formed, so the call holds at most one (C*K*K, P) matrix. The column
@@ -193,6 +206,9 @@ def conv2d_backward(
     cols = im2col(x, spec)  # (CK2, P)
     grad_filters = (gmat @ cols.T).reshape(filters.shape)
     del cols
+    grad_bias = gmat.sum(axis=1)
+    if not input_grad:
+        return None, grad_filters, grad_bias
     grad_cols = fmat.T @ gmat  # (CK2, P)
 
     c, h, w = x.shape
@@ -203,7 +219,7 @@ def conv2d_backward(
     for ch, taps in enumerate(grad_cols.reshape(c, -1)):
         grad_padded = np.bincount(index, taps, minlength=plane[0] * plane[1])
         grad_input[ch] = grad_padded.reshape(plane)[p : p + h, p : p + w]
-    return grad_input, grad_filters, gmat.sum(axis=1)
+    return grad_input, grad_filters, grad_bias
 
 
 def block_taps(x: np.ndarray):

@@ -19,6 +19,11 @@ differs: the 1x1 heads in the proposal net, and the fc feature, l2
 normalisation, concatenation and verdict head in the verification net.
 Inference decodes each level's eligible cells as arrays, one fancy index
 per head map, and fits all their landmark boxes in one closed-form pass.
+
+Training runs in float64. Detection runs both nets in INFERENCE_DTYPE,
+float32: detect casts the image once, and the conv kernels cast the float64
+model's filters to the dtype of the map they convolve. The fern pre-filter
+scans the caller's image.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ POS_RADIUS = 0.15         # cells this near a face, as a share of its side, are 
 IGNORE_RADIUS = 0.55      # other cells this near are neither positive nor negative
 LAMBDA_LANDMARK = 3.0     # weight of the landmark loss against the score loss
 VERIFY_SAMPLES = 2        # positive and negative verification cells each, per image
+INFERENCE_DTYPE = np.float32  # dtype in which detect runs the proposal and verification nets
 
 
 class DivergenceError(RuntimeError):
@@ -151,19 +157,21 @@ def _trunk_forward(trunk, x, mask: RoiMask | None = None):
     return x, mask, records
 
 
-def _trunk_backward(trunk, records, d_out):
+def _trunk_backward(trunk, records, d_out, input_grad):
     """Backward through the blocks _trunk_forward ran, last to first.
 
     A pooling stores no argmax: its backward re-derives the routing from the
     relu and pooled maps, which is exact on the dense path, the only one
-    training runs. Returns (gradient of the trunk's input, [d_w, d_b] of
-    each block in block order)."""
+    training runs. Returns (gradient of the trunk's input, or None unless
+    input_grad is set, [d_w, d_b] of each block in block order)."""
     grads = []
-    for (layer, _), (x, z, a, p) in zip(reversed(trunk), reversed(records)):
+    for n, ((layer, _), (x, z, a, p)) in enumerate(
+            zip(reversed(trunk), reversed(records)), start=1):
         if p is not None:
             d_out = nn.maxpool2x2_backward(d_out, a, p)
         d_z = nn.relu_backward(d_out, z)
-        d_out, d_w, d_b = nn.conv2d_backward(d_z, x, layer.filters, layer.spec)
+        d_out, d_w, d_b = nn.conv2d_backward(
+            d_z, x, layer.filters, layer.spec, input_grad or n < len(trunk))
         grads[:0] = [d_w, d_b]
     return d_out, grads
 
@@ -205,7 +213,7 @@ def rpn_backward(rpn: RpnNet, state: RpnState, d_score, d_point, d_feat_extra=No
     d_feat = d_feat + d_feat_p
     if d_feat_extra is not None:
         d_feat = d_feat + d_feat_extra
-    _, grads = _trunk_backward(rpn.trunk(), state.trunk, d_feat)
+    _, grads = _trunk_backward(rpn.trunk(), state.trunk, d_feat, False)
     return grads + [d_ws, d_bs, d_wp, d_bp]
 
 
@@ -347,7 +355,11 @@ class VerifyCache:
 
 def verify_forward(model: DetectorModel, image: np.ndarray, transform,
                    rpn_feat: np.ndarray | None) -> VerifyCache:
+    """Warp a candidate and run the verification net on the crop, in the
+    image's dtype up to the fc layer, which numpy promotes against the
+    float64 weight."""
     crop = warp(image, transform, (model.rect_size, model.rect_size))
+    crop = crop.astype(image.dtype, copy=False)
     out, _, records = _trunk_forward(model.rcnn.trunk(), crop)
     feat_pre = nn.fully_connected(out.reshape(-1), model.rcnn.fc.weight, model.rcnn.fc.bias)
     feat = nn.relu(feat_pre)
@@ -363,11 +375,13 @@ def verify_forward(model: DetectorModel, image: np.ndarray, transform,
                        joint, logits)
 
 
-def verify_backward(model: DetectorModel, cache: VerifyCache, d_logits):
+def verify_backward(model: DetectorModel, cache: VerifyCache, d_logits,
+                    need_crop: bool):
     """Backward through the verdict head and the verification net.
 
     Returns (R-CNN grads, verdict grads, each in model.params() order,
     d_rpn_feat or None, d_crop); the caller chains d_crop into the warp.
+    d_crop is None unless need_crop is set.
     """
     d_joint, d_wv, d_bv = nn.fully_connected_backward(
         d_logits, cache.joint, model.verdict.weight
@@ -384,7 +398,8 @@ def verify_backward(model: DetectorModel, cache: VerifyCache, d_logits):
         d_feat_pre, cache.trunk_out.reshape(-1), model.rcnn.fc.weight
     )
     d_crop, conv_grads = _trunk_backward(
-        model.rcnn.trunk(), cache.trunk, d_flat.reshape(cache.trunk_out.shape)
+        model.rcnn.trunk(), cache.trunk, d_flat.reshape(cache.trunk_out.shape),
+        need_crop,
     )
     return conv_grads + [d_wfc, d_bfc], [d_wv, d_bv], d_rpn_feat, d_crop
 
@@ -610,16 +625,17 @@ def _candidate_step(model, image, state, i, j, label, d_point, d_feat_extra,
     cache = verify_forward(model, image, transform, rpn_feat)
     vloss, probs_v = nn.softmax_cross_entropy(cache.logits, label)
     d_logits = nn.softmax_cross_entropy_backward(probs_v, label) * loss_weight
+    # geometry supervision from the verdict loss applies to true faces; a
+    # background candidate's landmarks carry no pose to refine
+    supervise = model.multitask and model.supervised_transform and label == 1
     rcnn_grads, verdict_grads, d_rpn_feat, d_crop = verify_backward(
-        model, cache, d_logits
+        model, cache, d_logits, supervise
     )
     if d_rpn_feat is not None:
         d_feat_extra[:, i, j] += config.concat_supervision_scale * d_rpn_feat
 
     d_canonical = None
-    if model.multitask and model.supervised_transform and label == 1:
-        # geometry supervision from the verdict loss applies to true faces;
-        # a background candidate's landmarks carry no pose to refine
+    if supervise:
         grads = warp_backward(d_crop, image, transform)
         grads = landmark_and_canonical_gradients(grads, lms, model.canonical.points)
         # landmarks came from the head as offsets scaled by POINT_SCALE
@@ -648,10 +664,11 @@ def _dense_levels(image: np.ndarray):
     return levels
 
 
-def _roi_levels(image: np.ndarray, model: DetectorModel):
+def _roi_levels(image: np.ndarray, work: np.ndarray, model: DetectorModel):
+    """ROI levels of work, masked by the pre-filter's scan of image."""
     raw = cascade_scan(image[0], model.cascade)
     groups = group_candidates([d.box for d in raw])
-    return RoiPyramid.build(image, groups).levels
+    return RoiPyramid.build(work, groups).levels
 
 
 def _level_candidates(model, state, octave):
@@ -677,17 +694,24 @@ def _level_candidates(model, state, octave):
 
 def detect(image: np.ndarray, model: DetectorModel,
            options: DetectOptions = DetectOptions()) -> list[Detection]:
-    """Full two-stage detection on one (1, H, W) grayscale image."""
+    """Full two-stage detection on one (1, H, W) grayscale image.
+
+    The proposal and verification nets run on one INFERENCE_DTYPE copy of
+    the image; the fern pre-filter scans the image as given. A pixel that
+    is not finite in either raises ValueError."""
     if image.ndim != 3 or image.shape[0] != 1:
         raise ShapeError(f"expected a (1, H, W) grayscale image, got {image.shape}")
-    if not np.isfinite(image).all():
+    # a pixel beyond the copy's range becomes inf, so one check covers both
+    with np.errstate(over="ignore"):
+        work = image.astype(INFERENCE_DTYPE)
+    if not np.isfinite(work).all():
         raise ValueError("image has non-finite pixels")
     if options.use_roi_conv:
         if model.cascade is None:
             raise ValueError("ROI path requires a trained cascade pre-filter")
-        levels = _roi_levels(image, model)
+        levels = _roi_levels(image, work, model)
     else:
-        levels = _dense_levels(image)
+        levels = _dense_levels(work)
 
     candidates = []
     for octave, level_img, mask in levels:
@@ -707,7 +731,7 @@ def detect(image: np.ndarray, model: DetectorModel,
             transform = _candidate_transform(model, cand.landmarks, cand.box)
         except SingularTransformError:
             continue
-        cache = verify_forward(model, image, transform, cand.feature)
+        cache = verify_forward(model, work, transform, cand.feature)
         prob = float(np.exp(nn.log_softmax(cache.logits))[1])
         final.append(Detection(cand.box, prob, landmarks=cand.landmarks))
     return nms(final)

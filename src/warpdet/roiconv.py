@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ConvSpec, ShapeError, block_taps, conv_windows
+from .nn import ConvSpec, ShapeError, as_input_dtype, block_taps, conv_windows
 
 # Smallest face the downstream network resolves; octave k covers sizes
 # [MIN_FACE * 2^k, 2 * MIN_FACE * 2^k).
@@ -134,15 +134,16 @@ def roi_conv_forward(
     spec: ConvSpec,
     bias: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Convolution evaluated only at masked output positions; all other
-    positions are exactly zero."""
+    """Convolution evaluated only at masked output positions, in the
+    input's floating dtype as conv2d_forward; all other positions are
+    exactly zero."""
     out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
     cols, positions = roi_im2col(x, mask, spec)
     out = np.zeros((spec.out_channels, out_h * out_w), dtype=x.dtype)
     if positions.size:
-        vals = filters.reshape(spec.out_channels, -1) @ cols
+        vals = as_input_dtype(filters.reshape(spec.out_channels, -1), x) @ cols
         if bias is not None:
-            vals += bias[:, None]
+            vals += as_input_dtype(bias, x)[:, None]
         out[:, positions] = vals
     return out.reshape(spec.out_channels, out_h, out_w)
 

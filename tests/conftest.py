@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from warpdet import pipeline, synthetic
+from warpdet.ferns import NUM_PARTITIONS, NUM_SPLITS, PATCH_SIZE, CascadeModel, Fern
 
 TINY_SEED = 5
 
@@ -68,6 +69,19 @@ def rel_err(analytic, numeric):
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def open_cascade(rng, n_ferns=4):
+    """Random ferns whose stage thresholds let every window through."""
+    ferns = [
+        Fern(
+            rng.integers(0, PATCH_SIZE, size=(NUM_SPLITS, 4)),
+            rng.standard_normal(NUM_SPLITS),
+            rng.standard_normal(NUM_PARTITIONS),
+        )
+        for _ in range(n_ferns)
+    ]
+    return CascadeModel(ferns, np.full(n_ferns, -1e9))
 
 
 @pytest.fixture

@@ -518,6 +518,26 @@ def test_a_source_of_another_dtype_gives_the_oracle_float64_crop(dtype):
         assert crop.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float32])
+def test_a_source_of_another_dtype_gives_the_gradients_of_its_float64_copy(dtype):
+    """warp_backward reads the taps as float64, as warp does, so a uint8
+    source's tap differences do not wrap: its gradients are the bytes of
+    its float64 copy's, and the oracle's."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        src = (30.0 * (smooth_image(rng, 30, 34, 2) + 4.0)).astype(dtype)  # in [0, 240]
+        t = similarity_from_pose(rng.uniform(0.5, 2.0), rng.uniform(-np.pi, np.pi),
+                                 rng.uniform(0.0, 34.0, size=2), (7.5, 6.5))
+        upstream = rng.standard_normal((2, 14, 16))
+        got = warp_backward(upstream, src, t)
+        want = warp_backward(upstream, src.astype(np.float64), t)
+        ref = warp_oracles.warp_backward(upstream, src, t)
+        for name in GRADIENT_SCALARS:
+            value = np.float64(getattr(got, name)).tobytes()
+            assert value == np.float64(getattr(want, name)).tobytes(), name
+            assert value == np.float64(getattr(ref, name)).tobytes(), name
+
+
 def _assert_bytes_equal_oracles(src, t, out_size, upstream):
     crop = warp(src, t, out_size)
     want = warp_oracles.warp(src, t, out_size)

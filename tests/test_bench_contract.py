@@ -18,9 +18,8 @@ import numpy as np
 import pytest
 
 import decode_oracles
-from conftest import TINY_SEED
+from conftest import TINY_SEED, open_cascade
 from warpdet import pipeline
-from warpdet.ferns import NUM_PARTITIONS, NUM_SPLITS, PATCH_SIZE, CascadeModel, Fern
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,25 +34,12 @@ def spans():
     return spans
 
 
-def _open_cascade(rng, n_ferns=4):
-    """Random ferns whose stage thresholds let every window through."""
-    ferns = [
-        Fern(
-            rng.integers(0, PATCH_SIZE, size=(NUM_SPLITS, 4)),
-            rng.standard_normal(NUM_SPLITS),
-            rng.standard_normal(NUM_PARTITIONS),
-        )
-        for _ in range(n_ferns)
-    ]
-    return CascadeModel(ferns, np.full(n_ferns, -1e9))
-
-
 @pytest.fixture(scope="module")
 def traced(spans, tiny_run, held_out):
     """A tracer that has recorded operations 0 (dense detect), 1 (ROI
     detect) and 2 (joint training step)."""
     model = copy.deepcopy(tiny_run[0])
-    model.cascade = _open_cascade(np.random.default_rng(TINY_SEED))
+    model.cascade = open_cascade(np.random.default_rng(TINY_SEED))
     sample = held_out[0]
     tracer = spans.Tracer()
     tracer.install()
@@ -96,8 +82,9 @@ def test_roi_detect_records_every_masked_layer(spans, traced):
 
 def test_dense_detect_counts_match_the_per_cell_oracle(traced, tiny_run, held_out):
     """Every candidate that non-top-K keeps is verified or counted as a
-    singular fit, and the proposals are the eligible cells, over all dense
-    levels, that the per-cell oracle decodes and fits."""
+    singular fit, and the proposals are the eligible cells that the
+    per-cell oracle decodes and fits over all dense levels of the
+    INFERENCE_DTYPE copy on which detect runs the nets."""
     counts = traced.count_totals([0])
     assert counts["suppress.kept"] > 0
     assert counts["suppress.kept"] == (
@@ -107,6 +94,7 @@ def test_dense_detect_counts_match_the_per_cell_oracle(traced, tiny_run, held_ou
     proposals = sum(
         len(decode_oracles.level_candidates(
             model, pipeline.rpn_forward(model.rpn, level), octave))
-        for octave, level, _ in pipeline._dense_levels(held_out[0].image)
+        for octave, level, _ in pipeline._dense_levels(
+            held_out[0].image.astype(pipeline.INFERENCE_DTYPE))
     )
     assert counts["suppress.proposals"] == proposals

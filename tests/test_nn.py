@@ -258,6 +258,29 @@ class TestConvBackwardAtBenchGeometries:
             assert a.dtype == np.float32 and a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-5 * np.max(np.abs(b))
 
+    @pytest.mark.parametrize("role", BENCH_GEOMETRIES)
+    def test_without_input_grad_gives_none_and_the_same_parameter_grads(
+        self, rng, role
+    ):
+        spec, x, filters, g = _bench_case(rng, role)
+        _, want_filters, want_bias = conv2d_backward(g, x, filters, spec)
+        grad_input, grad_filters, grad_bias = conv2d_backward(
+            g, x, filters, spec, False)
+        assert grad_input is None
+        assert grad_filters.tobytes() == want_filters.tobytes()
+        assert grad_bias.tobytes() == want_bias.tobytes()
+
+    def test_without_input_grad_builds_no_col2im_index(self, rng):
+        spec = ConvSpec(1, 2, kernel=3, padding=1)
+        x = rng.standard_normal((1, 29, 31))
+        filters = rng.standard_normal((2, 1, 3, 3))
+        g = rng.standard_normal((2, 29, 31))
+        misses = nn._col2im_index.cache_info().misses
+        conv2d_backward(g, x, filters, spec, False)
+        assert nn._col2im_index.cache_info().misses == misses
+        conv2d_backward(g, x, filters, spec)
+        assert nn._col2im_index.cache_info().misses == misses + 1
+
     def test_col2im_index_is_built_once_per_geometry(self, rng):
         spec, x, filters, g = _bench_case(rng, "rpn.conv2")
         conv2d_backward(g, x, filters, spec)
@@ -284,6 +307,42 @@ class TestConvBackwardAtBenchGeometries:
         finally:
             tracemalloc.stop()
         assert peak < 1.3 * patch_matrix_bytes
+
+
+class TestConvInInputDtype:
+    """A conv computes in its input's floating dtype: a float32 map on the
+    float64 model gives the oracle's bytes on the model cast to float32,
+    and a float64 map casts nothing."""
+
+    @pytest.mark.parametrize("role", BENCH_GEOMETRIES)
+    def test_float32_input_equals_oracle_on_float32_parameters(self, rng, role):
+        spec, x, filters, _ = _bench_case(rng, role)
+        bias = rng.standard_normal(spec.out_channels)
+        x = x.astype(np.float32)
+        got = conv2d_forward(x, filters, spec, bias=bias)
+        want = conv_oracles.conv2d_forward(
+            x, filters.astype(np.float32), spec, bias=bias.astype(np.float32))
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_float64_input_casts_no_parameter(self, rng):
+        x = rng.standard_normal((2, 5, 5))
+        filters = rng.standard_normal((3, 2, 3, 3))
+        assert nn.as_input_dtype(filters, x) is filters
+        assert nn.as_input_dtype(filters, x.astype(np.float32)).dtype == np.float32
+
+    def test_integer_input_keeps_the_parameters_dtype(self, rng):
+        """An integer map is not a compute dtype: the product is promoted
+        to float64, as numpy promotes it, rather than run on truncated
+        filters."""
+        spec = ConvSpec(1, 2, kernel=3, padding=1)
+        x = rng.integers(0, 256, size=(1, 7, 6)).astype(np.uint8)
+        filters = rng.standard_normal((2, 1, 3, 3))
+        bias = rng.standard_normal(2)
+        got = conv2d_forward(x, filters, spec, bias=bias)
+        want = conv2d_forward(x.astype(np.float64), filters, spec, bias=bias)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 class TestConvWindows:

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 import conv_oracles
 import decode_oracles
+import detect_oracles
 import warp_oracles
 from conftest import TINY_SEED as SEED
-from conftest import central_diff, rel_err, train_tiny
+from conftest import central_diff, open_cascade, rel_err, train_tiny
 from warpdet import ferns, nn, pipeline, roiconv, synthetic
 from warpdet.model import load_model, save_model
 from warpdet.nn import ShapeError
@@ -159,13 +160,90 @@ def test_detect_returns_finite_boxes_and_unit_scores_on_any_finite_image(
     _check_detections(pipeline.detect(image, untrained))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])
 def test_detect_rejects_non_finite_pixels(bad):
+    """1e39 is finite in float64 but not in float32, where detect runs both
+    nets: it raises the same error rather than return NaN scores, and no
+    pixel warns of anything."""
     model = pipeline.build_detector(pipeline.TrainConfig())
     image = np.zeros((1, 64, 64))
     image[0, 10, 20] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        pipeline.detect(image, model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            pipeline.detect(image, model)
+
+
+DETECT_OPTIONS = [
+    pipeline.DetectOptions(),
+    pipeline.DetectOptions(suppression="nms"),
+    pipeline.DetectOptions(suppression="none"),
+    pipeline.DetectOptions(use_roi_conv=True),
+]
+
+
+@pytest.mark.parametrize(
+    "options", DETECT_OPTIONS,
+    ids=["non_top_k", "nms", "none", "roi"],
+)
+def test_detect_matches_the_float64_reference_to_float32_rounding(
+    tiny_run, held_out, options
+):
+    """detect, which runs both nets in float32, against the float64
+    reference of tests/detect_oracles.py on seeded held-out images: the
+    same boxes, in the same order, to float32 rounding. The cascade passes
+    every window, so the ROI path runs every masked layer."""
+    model = copy.copy(tiny_run[0])
+    model.cascade = open_cascade(np.random.default_rng(SEED))
+    images = [s.image for s in held_out] + [
+        s.image for s in synthetic.generate_synthetic_corpus(
+            SEED + 4, 3, synthetic.CorpusParams(image_size=160))
+    ]
+    boxes = 0
+    for image in images:
+        got = pipeline.detect(image, model, options)
+        want = detect_oracles.detect(image, model, options)
+        assert len(got) == len(want)
+        boxes += len(got)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(np.subtract(g.box, w.box))) <= 1e-3
+            assert np.max(np.abs(g.landmarks - w.landmarks)) <= 1e-3
+            assert abs(g.score - w.score) <= 1e-4
+    assert boxes > 0
+
+
+def test_training_passes_run_in_float64_and_detect_nets_in_float32(
+    tiny_run, held_out, monkeypatch
+):
+    """The nets compute in the dtype of the image they are given: training
+    hands them the float64 corpus image, detect its float32 copy. Only the
+    verdict head's fc layer promotes a float32 feature to float64."""
+    model = tiny_run[0]
+    image = held_out[0].image
+    transform = pipeline.crop_transform((20.0, 24.0, 40.0, 40.0), model.rect_size)
+    for dtype in (np.dtype(np.float64), np.dtype(np.float32)):
+        state = pipeline.rpn_forward(model.rpn, image.astype(dtype))
+        assert {state.feat.dtype, state.score.dtype, state.point.dtype} == {dtype}
+        cache = pipeline.verify_forward(model, image.astype(dtype), transform,
+                                        state.feat[:, 3, 3].copy())
+        assert cache.trunk[0][0].dtype == cache.trunk_out.dtype == dtype
+        assert cache.logits.dtype == np.float64
+
+    seen = []
+
+    def spy(name):
+        real = getattr(pipeline, name)
+
+        def wrapper(net, image, *args):
+            seen.append((name, image.dtype))
+            return real(net, image, *args)
+        return wrapper
+
+    for name in ("rpn_forward", "verify_forward"):
+        monkeypatch.setattr(pipeline, name, spy(name))
+    assert pipeline.detect(image, model)
+    assert {name for name, _ in seen} == {"rpn_forward", "verify_forward"}
+    assert {dtype for _, dtype in seen} == {np.dtype(pipeline.INFERENCE_DTYPE)}
 
 
 def test_rpn_backward_matches_central_differences():
@@ -362,7 +440,7 @@ def test_verify_backward_through_warp_matches_central_differences():
     cache = pipeline.verify_forward(model, image, transform, rpn_feat)
     _, probs = nn.softmax_cross_entropy(cache.logits, label)
     d_logits = nn.softmax_cross_entropy_backward(probs, label)
-    _, _, d_rpn_feat, d_crop = pipeline.verify_backward(model, cache, d_logits)
+    _, _, d_rpn_feat, d_crop = pipeline.verify_backward(model, cache, d_logits, True)
     grads = pipeline.warp_backward(d_crop, image, transform)
     grads = pipeline.landmark_and_canonical_gradients(grads, landmarks, canonical)
 

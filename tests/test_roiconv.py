@@ -229,6 +229,30 @@ class TestRoiConvForward:
         assert np.max(np.abs((out - dense)[:, mask.bits])) < 1e-5
         assert not out[:, ~mask.bits].any()
 
+    @pytest.mark.parametrize("density", [0.4, 1.0])
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 1), (7, 2, 3)])
+    def test_float32_input_on_float64_parameters_runs_float32(
+        self, rng, kernel, stride, padding, density
+    ):
+        """The masked conv computes in its input's dtype, as the dense one:
+        it gives the bytes of the same call on the parameters cast to
+        float32, and the dense oracle's float32 values to rounding (the
+        gathered matrix is column-major, so BLAS may sum in another order
+        even under a full mask)."""
+        x = rng.standard_normal((2, 13, 11)).astype(np.float32)
+        f = rng.standard_normal((3, 2, kernel, kernel))
+        b = rng.standard_normal(3)
+        spec = ConvSpec(2, 3, kernel=kernel, stride=stride, padding=padding)
+        f32, b32 = f.astype(np.float32), b.astype(np.float32)
+        mask = random_mask(rng, *spec.out_size(13, 11), density)
+        out = roi_conv_forward(x, f, mask, spec, bias=b)
+        want = roi_conv_forward(x, f32, mask, spec, bias=b32)
+        assert out.dtype == np.float32 and out.tobytes() == want.tobytes()
+        dense = conv_oracles.conv2d_forward(x, f32, spec, bias=b32)
+        assert dense.dtype == np.float32
+        assert np.max(np.abs((out - dense)[:, mask.bits])) < 1e-5 * np.abs(dense).max()
+        assert not out[:, ~mask.bits].any()
+
     @pytest.mark.parametrize("kernel,stride,padding", [(1, 1, 0), (3, 1, 1), (7, 2, 3)])
     def test_dense_and_masked_outputs_are_c_contiguous_chw(
         self, rng, kernel, stride, padding

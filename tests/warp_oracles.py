@@ -78,7 +78,8 @@ def warp_backward(upstream: np.ndarray, source: np.ndarray,
     src_pts = inverse_map(t, np.stack([gx, gy], axis=-1))
     xs, ys = src_pts[..., 0], src_pts[..., 1]
     values, _, _, _, bx, by = bilinear_taps(source, xs, ys)
-    v_tl, v_tr, v_bl, v_br = values
+    # each tap promoted to float64, as warp promotes it by its weight
+    v_tl, v_tr, v_bl, v_br = (val.astype(np.float64) for val in values)
 
     ix = by * (v_br - v_bl) + (1.0 - by) * (v_tr - v_tl)
     iy = bx * (v_br - v_tr) + (1.0 - bx) * (v_bl - v_tl)
