@@ -1,11 +1,27 @@
 """Minimal deterministic CNN kernel: im2col convolution, pooling, dense and
 softmax layers, all with hand-written backward passes.
 
-Convolution gathers its patches into a (C*K*K, out_h*out_w) matrix, one row
-per kernel tap and one column per output position, so the gather copies
-along output rows and the filter GEMM (O, C*K*K) @ (C*K*K, P) writes a
-C-contiguous CHW output that relu and max-pool read without another copy.
-Its backward frees that matrix before it forms the column gradient of the
+The forward convolution has two lowerings, and the byte size of the input's
+patch matrix, C*K*K*out_h*out_w elements of the input's dtype, picks one:
+
+- im2col, while that matrix fits in IM2COL_BUDGET_BYTES (512 KB, a quarter
+  of a 2 MB L2 cache): the patches are gathered into a (C*K*K, P) matrix,
+  one row per kernel tap and one column per output position, so the gather
+  copies along output rows, and one GEMM (O, C*K*K) @ (C*K*K, P) writes the
+  output;
+- kernel rows, above the budget: each row phase of the padded input is
+  copied once, without the K row taps (about K/s times smaller than the
+  patch matrix), and the output is the sum over kernel rows of K GEMMs
+  (O, C*K) @ (C*K, P), each reading a unit-stride view of that copy in
+  place. A large patch matrix spills out of the cache, and its GEMM then
+  runs at half speed or less; this lowering's copy stays in it. Its sums
+  run per kernel row, so its output agrees with im2col's to rounding, not
+  bit for bit.
+
+Either way the output is C-contiguous CHW, which relu and max-pool read
+without another copy. The rule reads only the input's geometry and dtype:
+no caller picks a lowering. The backward pass always uses im2col. It
+frees that matrix before it forms the column gradient of the
 same shape, so one call never holds two of them, and folds the column
 gradient back into the input (col2im) with one np.bincount per input
 channel over a cached flat index of padded-input positions.
@@ -34,6 +50,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+
+# Largest im2col patch matrix, in bytes, that conv2d_forward builds: a
+# quarter of a 2 MB L2 cache, so the matrix, the filters and the output stay
+# in it while the GEMM reads them.
+IM2COL_BUDGET_BYTES = 512 * 1024
 
 
 class ShapeError(ValueError):
@@ -86,13 +108,29 @@ def _check_input(x: np.ndarray, spec: ConvSpec) -> None:
         )
 
 
-def _read_only_view(base: np.ndarray, shape, strides) -> np.ndarray:
-    """Read-only view of a C-contiguous array's buffer. The ndarray
-    constructor refuses a view that reaches past the buffer, and costs a
-    fraction of as_strided's Python wrapper."""
-    view = np.ndarray(shape, base.dtype, base, 0, strides)
+def _read_only_view(base: np.ndarray, shape, strides, offset: int = 0) -> np.ndarray:
+    """Read-only view of a C-contiguous array's buffer, starting offset
+    bytes in. The ndarray constructor refuses a view that reaches past the
+    buffer, and costs a fraction of as_strided's Python wrapper."""
+    view = np.ndarray(shape, base.dtype, base, offset, strides)
     view.flags.writeable = False
     return view
+
+
+def _padded_input(x: np.ndarray, spec: ConvSpec):
+    """(zero-padded C-contiguous input, out_h, out_w), after the shape
+    checks. out_size rejects inputs smaller than a window, which keeps every
+    view of the padded input in bounds."""
+    _check_input(x, spec)
+    out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
+    return _pad_chw(x, spec.padding), out_h, out_w
+
+
+def _windows(xp: np.ndarray, spec: ConvSpec, out_h: int, out_w: int) -> np.ndarray:
+    k, s = spec.kernel, spec.stride
+    sc, sy, sx = xp.strides
+    return _read_only_view(xp, (xp.shape[0], k, k, out_h, out_w),
+                           (sc, sy, sx, s * sy, s * sx))
 
 
 def conv_windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -100,14 +138,8 @@ def conv_windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     windows of the zero-padded CHW input; entry [c, ky, kx] is the plane of
     tap (c, ky, kx) over every output position, so its rows run along the
     output rows. The shapes are checked before the view is made."""
-    _check_input(x, spec)
-    # out_size rejects inputs smaller than a window: keeps the view in bounds
-    out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
-    k, s = spec.kernel, spec.stride
-    xp = _pad_chw(x, spec.padding)
-    sc, sy, sx = xp.strides
-    return _read_only_view(xp, (xp.shape[0], k, k, out_h, out_w),
-                           (sc, sy, sx, s * sy, s * sx))
+    xp, out_h, out_w = _padded_input(x, spec)
+    return _windows(xp, spec, out_h, out_w)
 
 
 def im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -146,14 +178,50 @@ def conv2d_forward(
     spec: ConvSpec,
     bias: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Convolve a CHW input with (N, C, K, K) filters via im2col + matmul,
-    in the input's floating dtype; conv_windows checks the input once."""
+    """Convolve a CHW input with (N, C, K, K) filters in the input's
+    floating dtype: one im2col GEMM while the patch matrix fits in
+    IM2COL_BUDGET_BYTES, one GEMM per kernel row above it."""
     fmat = as_input_dtype(_filters_matrix(filters, spec), x)
-    win = conv_windows(x, spec)
-    out = fmat @ np.ascontiguousarray(win).reshape(fmat.shape[1], -1)
+    xp, out_h, out_w = _padded_input(x, spec)
+    if fmat.shape[1] * out_h * out_w * xp.itemsize <= IM2COL_BUDGET_BYTES:
+        cols = np.ascontiguousarray(_windows(xp, spec, out_h, out_w))
+        out = fmat @ cols.reshape(fmat.shape[1], -1)
+    else:
+        out = _kernel_row_product(xp, fmat, spec, out_h, out_w)
     if bias is not None:
         out += as_input_dtype(bias, x)[:, None]
-    return out.reshape((spec.out_channels,) + win.shape[3:])
+    return out.reshape(spec.out_channels, out_h, out_w)
+
+
+def _kernel_row_product(xp: np.ndarray, fmat: np.ndarray, spec: ConvSpec,
+                        out_h: int, out_w: int) -> np.ndarray:
+    """fmat @ im2col, the (N, out_h*out_w) product, without the patch matrix.
+
+    Row phase ph < min(s, K) of the padded input is copied once as the
+    C-contiguous (C, K, rows, out_w) array L_ph[c, kx, r, ox] =
+    xp[c, s*r + ph, kx + s*ox], about K/s times smaller than the patch
+    matrix. Kernel row ky = s*q + ph reads rows q .. q + out_h of L_ph: a
+    (C*K, out_h*out_w) view with unit inner stride, which BLAS reads in
+    place against that row's (N, C*K) filter slice. The K products are
+    summed in kernel-row order, each written into one reused buffer."""
+    c, k, s = spec.in_channels, spec.kernel, spec.stride
+    sc, sy, sx = xp.strides
+    phases = [
+        np.ascontiguousarray(_read_only_view(
+            xp, (c, k, (k - 1 - ph) // s + out_h, out_w),
+            (sc, sx, s * sy, s * sx), ph * sy))
+        for ph in range(min(s, k))
+    ]
+    rows = np.ascontiguousarray(
+        fmat.reshape(-1, c, k, k).transpose(2, 0, 1, 3)).reshape(k, -1, c * k)
+    out = rows[0] @ phases[0][:, :, :out_h].reshape(c * k, -1)
+    term = np.empty_like(out)
+    for ky in range(1, k):
+        q, ph = divmod(ky, s)
+        np.matmul(rows[ky], phases[ph][:, :, q : q + out_h].reshape(c * k, -1),
+                  out=term)
+        out += term
+    return out
 
 
 @lru_cache(maxsize=16)

@@ -801,7 +801,9 @@ def crop_patch(image: np.ndarray, box, out_size: int) -> np.ndarray:
 
 
 def harvest_cascade_patches(corpus, rng):
-    """Face crops and face-free crops from a corpus, as fern-sized patches."""
+    """Face crops and face-free crops from a corpus, as fern-sized patches:
+    every face, and per image NEGATIVES_PER_IMAGE slots of up to ten draws
+    each; a slot whose draws all overlap a face is left empty."""
     pos, neg = [], []
     for sample in corpus:
         h, w = sample.image.shape[1:]
@@ -820,8 +822,13 @@ def harvest_cascade_patches(corpus, rng):
 
 
 def train_prefilter(corpus, num_ferns: int = 120, seed: int = 0):
-    """Train the fern cascade on corpus-derived patches."""
+    """Train the fern cascade on corpus-derived patches. The cascade's
+    train_log records the negative crops requested and those harvested:
+    a slot whose draws all overlap a face is dropped, and the log shows it."""
     rng = np.random.default_rng(seed + 3)
     pos, neg = harvest_cascade_patches(corpus, rng)
     cfg = CascadeConfig(num_ferns=num_ferns, candidate_pool=PREFILTER_POOL, seed=seed)
-    return train_cascade(pos, neg, cfg)
+    cascade = train_cascade(pos, neg, cfg)
+    cascade.train_log["negatives_requested"] = NEGATIVES_PER_IMAGE * len(corpus)
+    cascade.train_log["negatives_harvested"] = len(neg)
+    return cascade

@@ -135,17 +135,19 @@ def roi_conv_forward(
     bias: np.ndarray | None = None,
 ) -> np.ndarray:
     """Convolution evaluated only at masked output positions, in the
-    input's floating dtype as conv2d_forward; all other positions are
-    exactly zero."""
-    out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
+    input's floating dtype as conv2d_forward, and in float64 for an integer
+    input, as numpy promotes that product; all other positions are exactly
+    zero."""
     cols, positions = roi_im2col(x, mask, spec)
-    out = np.zeros((spec.out_channels, out_h * out_w), dtype=x.dtype)
+    fmat = as_input_dtype(filters.reshape(spec.out_channels, -1), x)
+    out = np.zeros((spec.out_channels, mask.bits.size),
+                   dtype=np.result_type(fmat, cols))
     if positions.size:
-        vals = as_input_dtype(filters.reshape(spec.out_channels, -1), x) @ cols
+        vals = fmat @ cols
         if bias is not None:
             vals += as_input_dtype(bias, x)[:, None]
         out[:, positions] = vals
-    return out.reshape(spec.out_channels, out_h, out_w)
+    return out.reshape(spec.out_channels, mask.height, mask.width)
 
 
 def roi_conv_macs(mask: RoiMask, spec: ConvSpec) -> int:

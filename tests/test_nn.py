@@ -311,11 +311,15 @@ class TestConvBackwardAtBenchGeometries:
 
 class TestConvInInputDtype:
     """A conv computes in its input's floating dtype: a float32 map on the
-    float64 model gives the oracle's bytes on the model cast to float32,
+    float64 model gives the oracle's values on the model cast to float32,
     and a float64 map casts nothing."""
 
     @pytest.mark.parametrize("role", BENCH_GEOMETRIES)
     def test_float32_input_equals_oracle_on_float32_parameters(self, rng, role):
+        """The oracle's bytes while the patch matrix fits the budget. Above
+        it (rpn.conv2, whose float32 matrix is 903 KB) the products are
+        summed one kernel row at a time, so the oracle's values to float32
+        rounding."""
         spec, x, filters, _ = _bench_case(rng, role)
         bias = rng.standard_normal(spec.out_channels)
         x = x.astype(np.float32)
@@ -323,7 +327,10 @@ class TestConvInInputDtype:
         want = conv_oracles.conv2d_forward(
             x, filters.astype(np.float32), spec, bias=bias.astype(np.float32))
         assert got.dtype == np.float32 and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        if im2col(x, spec).nbytes <= nn.IM2COL_BUDGET_BYTES:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(got - want) <= _rounding_bound(x, filters, spec, bias))
 
     def test_float64_input_casts_no_parameter(self, rng):
         x = rng.standard_normal((2, 5, 5))
@@ -343,6 +350,115 @@ class TestConvInInputDtype:
         want = conv2d_forward(x.astype(np.float64), filters, spec, bias=bias)
         assert got.dtype == np.float64
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def _rounding_bound(x, filters, spec, bias):
+    """Elementwise bound on the difference between two summation orders of
+    a conv output in x's dtype: n * eps * (|x| conv |filters| + |bias|),
+    n = C*K*K + 1 terms, each partial sum rounded at most once."""
+    magnitude = conv_oracles.conv2d_forward(
+        np.abs(x.astype(np.float64)), np.abs(filters), spec, bias=np.abs(bias))
+    n = spec.in_channels * spec.kernel**2 + 1
+    return 2 * n * np.finfo(x.dtype).eps * magnitude
+
+
+# (channels, kernel, stride, padding): stride 1 and 2, and stride 3 with a
+# kernel larger and smaller than it; one and several channels.
+LOWERING_GEOMETRIES = [
+    (c, k, s, p)
+    for c in (1, 3)
+    for k, s, p in ((3, 1, 0), (3, 1, 1), (7, 1, 3), (5, 2, 0), (7, 2, 3),
+                    (1, 2, 0), (7, 3, 2), (2, 3, 0))
+]
+
+# (channels, out channels, input extent) of the proposal convs on the
+# 160-px level of a detect pyramid, whose patch matrices exceed the budget.
+DETECT_GEOMETRIES = {
+    "rpn.conv1": (1, 8, (160, 160)),
+    "rpn.conv2": (8, 12, (40, 40)),
+    "rpn.conv3": (12, 16, (20, 20)),
+}
+
+
+class TestKernelRowLowering:
+    """Above IM2COL_BUDGET_BYTES conv2d_forward sums one GEMM per kernel row
+    over a column-only copy of the padded input: the oracle's values to the
+    rounding of the other summation order, in the input's dtype."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("extent", [(11, 9), (12, 10)])
+    @pytest.mark.parametrize(
+        "channels,kernel,stride,padding", LOWERING_GEOMETRIES,
+        ids=[f"c{c}k{k}s{s}p{p}" for c, k, s, p in LOWERING_GEOMETRIES])
+    def test_forced_lowering_matches_oracle_within_rounding(
+        self, rng, monkeypatch, channels, kernel, stride, padding, extent, dtype
+    ):
+        spec = ConvSpec(channels, 4, kernel, stride=stride, padding=padding)
+        x = rng.standard_normal((channels, *extent)).astype(dtype)
+        filters = rng.standard_normal((4, channels, kernel, kernel))
+        bias = rng.standard_normal(4)
+        want = conv_oracles.conv2d_forward(
+            x, filters.astype(dtype), spec, bias=bias.astype(dtype))
+        monkeypatch.setattr(nn, "IM2COL_BUDGET_BYTES", 0)
+        got = conv2d_forward(x, filters, spec, bias=bias)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert np.all(np.abs(got - want) <= _rounding_bound(x, filters, spec, bias))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("role", DETECT_GEOMETRIES)
+    def test_detect_geometries_match_oracle_within_rounding(self, rng, role, dtype):
+        c, n, extent = DETECT_GEOMETRIES[role]
+        spec = ConvSpec(c, n, *CONV_GEOMETRY[role])
+        x = rng.standard_normal((c, *extent)).astype(dtype)
+        filters = rng.standard_normal((n, c, spec.kernel, spec.kernel))
+        bias = rng.standard_normal(n)
+        assert im2col(x, spec).nbytes > nn.IM2COL_BUDGET_BYTES
+        got = conv2d_forward(x, filters, spec, bias=bias)
+        want = conv_oracles.conv2d_forward(
+            x, filters.astype(dtype), spec, bias=bias.astype(dtype))
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.all(np.abs(got - want) <= _rounding_bound(x, filters, spec, bias))
+
+    @pytest.mark.parametrize("width,lowered", [(256, False), (257, True)])
+    def test_the_patch_bytes_pick_the_lowering(self, rng, monkeypatch, width, lowered):
+        """A 1x1 float64 conv over 256 x 256 positions has a patch matrix
+        of exactly the budget and runs im2col, bit for bit the oracle; one
+        column more runs the kernel-row product."""
+        spec = ConvSpec(1, 2, kernel=1)
+        x = rng.standard_normal((1, 256, width))
+        filters = rng.standard_normal((2, 1, 1, 1))
+        bias = rng.standard_normal(2)
+        calls = []
+        real = nn._kernel_row_product
+        monkeypatch.setattr(nn, "_kernel_row_product",
+                            lambda *a: calls.append(a) or real(*a))
+        got = conv2d_forward(x, filters, spec, bias=bias)
+        assert (im2col(x, spec).nbytes > nn.IM2COL_BUDGET_BYTES) == lowered
+        assert bool(calls) == lowered
+        want = conv_oracles.conv2d_forward(x, filters, spec, bias=bias)
+        if lowered:
+            assert np.all(np.abs(got - want) <= _rounding_bound(x, filters, spec, bias))
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_allocation_is_under_half_the_patch_matrix(self, rng):
+        """At the 160-px float32 rpn.conv2 geometry the call holds the
+        column-only copy, K/s = 7 times smaller than the 2.5 MB patch
+        matrix, and two output-sized buffers."""
+        c, n, extent = DETECT_GEOMETRIES["rpn.conv2"]
+        spec = ConvSpec(c, n, *CONV_GEOMETRY["rpn.conv2"])
+        x = rng.standard_normal((c, *extent)).astype(np.float32)
+        filters = rng.standard_normal((n, c, spec.kernel, spec.kernel))
+        bias = rng.standard_normal(n)
+        patch_matrix_bytes = im2col(x, spec).nbytes
+        tracemalloc.start()
+        try:
+            conv2d_forward(x, filters, spec, bias=bias)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < patch_matrix_bytes / 2
 
 
 class TestConvWindows:

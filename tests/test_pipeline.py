@@ -777,6 +777,22 @@ def test_train_prefilter_is_reproducible_and_round_trips(prefilter_corpus, tmp_p
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def test_train_prefilter_logs_the_negative_shortfall(prefilter_corpus):
+    """On this corpus some negative slots find no face-free crop in their
+    draws. The log records the slots requested and the crops harvested,
+    and the ferns are the cascade trained on that harvest."""
+    cascade = pipeline.train_prefilter(prefilter_corpus, num_ferns=8, seed=SEED)
+    pos, neg = pipeline.harvest_cascade_patches(
+        prefilter_corpus, np.random.default_rng(SEED + 3))
+    requested = pipeline.NEGATIVES_PER_IMAGE * len(prefilter_corpus)
+    assert cascade.train_log["negatives_requested"] == requested
+    assert cascade.train_log["negatives_harvested"] == len(neg) < requested
+    direct = ferns.train_cascade(pos, neg, ferns.CascadeConfig(
+        num_ferns=8, candidate_pool=pipeline.PREFILTER_POOL, seed=SEED))
+    for a, b in zip(_cascade_arrays(cascade), _cascade_arrays(direct), strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("train", [
     lambda config: pipeline.train_rpn([], config),
     lambda config: pipeline.train_end_to_end([], pipeline.build_detector(config), config),

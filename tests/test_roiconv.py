@@ -253,6 +253,28 @@ class TestRoiConvForward:
         assert np.max(np.abs((out - dense)[:, mask.bits])) < 1e-5 * np.abs(dense).max()
         assert not out[:, ~mask.bits].any()
 
+    @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+    def test_integer_input_is_promoted_to_float64_as_the_dense_conv(self, rng, density):
+        """An integer map is not truncated into its own dtype: the masked
+        output is the float64 dense output at masked positions."""
+        x = rng.integers(0, 256, size=(1, 8, 8)).astype(np.uint8)
+        f = rng.standard_normal((2, 1, 3, 3))
+        b = rng.standard_normal(2)
+        spec = ConvSpec(1, 2, kernel=3, padding=1)
+        mask = random_mask(rng, 8, 8, density)
+        out = roi_conv_forward(x, f, mask, spec, bias=b)
+        dense = conv2d_forward(x, f, spec, bias=b)
+        assert out.dtype == dense.dtype == np.float64
+        np.testing.assert_allclose(out[:, mask.bits], dense[:, mask.bits], rtol=1e-12)
+        assert not out[:, ~mask.bits].any()
+
+    @pytest.mark.parametrize("shape", [(8, 8), (1, 1, 8, 8)])
+    def test_input_that_is_not_chw_raises_shape_error(self, rng, shape):
+        spec = ConvSpec(1, 2, kernel=3, padding=1)
+        with pytest.raises(ShapeError, match="input"):
+            roi_conv_forward(rng.standard_normal(shape),
+                             rng.standard_normal((2, 1, 3, 3)), full_mask(8, 8), spec)
+
     @pytest.mark.parametrize("kernel,stride,padding", [(1, 1, 0), (3, 1, 1), (7, 2, 3)])
     def test_dense_and_masked_outputs_are_c_contiguous_chw(
         self, rng, kernel, stride, padding
