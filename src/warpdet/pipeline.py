@@ -822,9 +822,9 @@ def harvest_cascade_patches(corpus, rng):
 
 
 def train_prefilter(corpus, num_ferns: int = 120, seed: int = 0):
-    """Train the fern cascade on corpus-derived patches. The cascade's
-    train_log records the negative crops requested and those harvested:
-    a slot whose draws all overlap a face is dropped, and the log shows it."""
+    """Train the fern cascade on corpus-derived patches. Its train_log
+    also records the negative slots requested and the crops harvested, so
+    a shortfall shows."""
     rng = np.random.default_rng(seed + 3)
     pos, neg = harvest_cascade_patches(corpus, rng)
     cfg = CascadeConfig(num_ferns=num_ferns, candidate_pool=PREFILTER_POOL, seed=seed)
