@@ -42,7 +42,7 @@ CANONICAL_MARGIN = 2  # pixels between a canonical point and the crop border
 
 
 class SingularTransformError(ValueError):
-    """Landmarks are (near-)coincident; the similarity fit is degenerate."""
+    """Landmarks are (near-)coincident or not finite; the fit is degenerate."""
 
 
 @dataclass(frozen=True)
@@ -104,14 +104,15 @@ def _as_points(points) -> np.ndarray:
 
 def _centered(points: np.ndarray, name: str):
     """Centroid, centered coordinates and squared spread of (N, 2) points;
-    raises SingularTransformError when the points are (near-)coincident.
-    The centroid is np.mean's: the column sums divided by the count."""
+    raises SingularTransformError when they are (near-)coincident or not
+    finite. The centroid is np.mean's: the column sums divided by the count."""
     m_x, m_y = points.sum(axis=0) / len(points)
     X, Y = points[:, 0] - m_x, points[:, 1] - m_y
     spread = float(np.dot(X, X) + np.dot(Y, Y))
     reach = max(1.0, float((points[:, 0] ** 2 + points[:, 1] ** 2).max()))
-    if spread <= 1e-12 * reach:
-        raise SingularTransformError(f"coincident {name} (squared spread {spread:g})")
+    if not spread > 1e-12 * reach:
+        kind = "coincident" if np.isfinite(spread) else "non-finite"
+        raise SingularTransformError(f"{kind} {name} (squared spread {spread:g})")
     return m_x, m_y, X, Y, spread
 
 

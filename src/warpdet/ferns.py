@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .roiconv import MIN_FACE, resize_bilinear
-from .suppress import Detection
 
 PATCH_SIZE = 32
 NUM_SPLITS = 8
@@ -273,14 +272,14 @@ def _scan_level(gray_flat, level_w, wins_x, wins_y, model, stride):
     return alive, scores[alive]
 
 
-def scan(image: np.ndarray, model: CascadeModel) -> list[Detection]:
-    """Slide the cascade over an image pyramid and emit accepted windows.
+def scan(image: np.ndarray, model: CascadeModel) -> np.ndarray:
+    """Slide the cascade over an image pyramid; return the accepted windows
+    as one (N, 5) float64 array of [x, y, w, h, cumulative score] rows.
 
     Pyramid levels shrink by SCAN_SCALE_STEP starting from the level where
     the 32-pixel window covers a MIN_FACE-sized face; windows step by
-    SCAN_STRIDE level pixels. Boxes map back to original coordinates
-    carrying the cumulative cascade score. image is one (H, W) grayscale
-    plane.
+    SCAN_STRIDE level pixels. Rows run level by level in row-major window
+    order, in original coordinates. image is one (H, W) grayscale plane.
     """
     if image.ndim != 2:
         raise ValueError(f"expected an (H, W) grayscale plane, got {image.shape}")
@@ -288,7 +287,7 @@ def scan(image: np.ndarray, model: CascadeModel) -> list[Detection]:
     h, w = gray.shape
     ps = model.patch_size
     stride = SCAN_STRIDE
-    detections: list[Detection] = []
+    rows = []
     factor = ps / float(MIN_FACE)
     while True:
         lh, lw = int(round(h * factor)), int(round(w * factor))
@@ -298,18 +297,10 @@ def scan(image: np.ndarray, model: CascadeModel) -> list[Detection]:
         wins_y = (lh - ps) // stride + 1
         wins_x = (lw - ps) // stride + 1
         alive, scores = _scan_level(level.ravel(), lw, wins_x, wins_y, model, stride)
-        for flat_pos, score in zip(alive, scores):
-            wy, wx = divmod(int(flat_pos), wins_x)
-            detections.append(
-                Detection(
-                    box=(
-                        wx * stride / factor,
-                        wy * stride / factor,
-                        ps / factor,
-                        ps / factor,
-                    ),
-                    score=float(score),
-                )
-            )
+        if alive.size:
+            wy, wx = np.divmod(alive, wins_x)
+            side = np.full(alive.size, ps / factor)
+            rows.append(np.column_stack(
+                [wx * stride / factor, wy * stride / factor, side, side, scores]))
         factor /= SCAN_SCALE_STEP
-    return detections
+    return np.concatenate(rows) if rows else np.empty((0, 5))

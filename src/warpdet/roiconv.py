@@ -37,14 +37,6 @@ class RoiMask:
         self.bits = bits
 
     @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
     def ones_count(self) -> int:
         return int(self.bits.sum())
 
@@ -97,14 +89,11 @@ def downsample_mask(mask: RoiMask) -> RoiMask:
     """Half-sample a mask: a low-res cell is 1 iff any of its 2x2 block is 1.
 
     OR-pooling is the only halving rule that never starves a later layer of
-    an input the dense stack would have computed.
+    an input the dense stack would have computed. nn.block_taps replicates
+    an odd edge, which under OR gives what zero padding would.
     """
-    bits = mask.bits
-    h, w = bits.shape
-    padded = np.zeros((h + h % 2, w + w % 2), dtype=bool)
-    padded[:h, :w] = bits
-    blocks = padded.reshape(padded.shape[0] // 2, 2, padded.shape[1] // 2, 2)
-    return RoiMask(blocks.any(axis=(1, 3)))
+    tl, tr, bl, br = block_taps(mask.bits[None])
+    return RoiMask(((tl | tr) | (bl | br))[0])
 
 
 def roi_im2col(x: np.ndarray, mask: RoiMask, spec: ConvSpec):
@@ -117,9 +106,9 @@ def roi_im2col(x: np.ndarray, mask: RoiMask, spec: ConvSpec):
     if x.ndim != 3 or x.shape[0] != spec.in_channels:
         raise ShapeError(f"expected ({spec.in_channels}, H, W) input, got {x.shape}")
     out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
-    if (mask.height, mask.width) != (out_h, out_w):
+    if mask.bits.shape != (out_h, out_w):
         raise ShapeError(
-            f"mask is {mask.height}x{mask.width}, convolution output is {out_h}x{out_w}"
+            f"mask is {mask.bits.shape}, convolution output is {(out_h, out_w)}"
         )
     positions = np.flatnonzero(mask.bits)
     oy, ox = np.divmod(positions, out_w)
@@ -147,7 +136,7 @@ def roi_conv_forward(
         if bias is not None:
             vals += as_input_dtype(bias, x)[:, None]
         out[:, positions] = vals
-    return out.reshape(spec.out_channels, mask.height, mask.width)
+    return out.reshape(spec.out_channels, *mask.bits.shape)
 
 
 def roi_conv_macs(mask: RoiMask, spec: ConvSpec) -> int:

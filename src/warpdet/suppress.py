@@ -21,28 +21,12 @@ TOP_K = 3            # detections kept per cluster by non-top-K
 
 @dataclass
 class Detection:
-    """Scored candidate box, optionally carrying predicted landmarks."""
+    """Scored box, optionally carrying predicted landmarks and a feature."""
 
     box: tuple  # (x, y, w, h) at original image resolution
     score: float
     landmarks: np.ndarray | None = None  # (N, 2), source-image coordinates
     feature: np.ndarray | None = None  # proposal-net feature column at the cell
-
-    @property
-    def x(self):
-        return self.box[0]
-
-    @property
-    def y(self):
-        return self.box[1]
-
-    @property
-    def w(self):
-        return self.box[2]
-
-    @property
-    def h(self):
-        return self.box[3]
 
 
 def iou(a, b) -> float:
@@ -60,7 +44,7 @@ def _sorted_order(detections) -> list[int]:
     # score descending; ties broken by lower box x, then y, for determinism
     return sorted(
         range(len(detections)),
-        key=lambda i: (-detections[i].score, detections[i].x, detections[i].y),
+        key=lambda i: (-detections[i].score, detections[i].box[0], detections[i].box[1]),
     )
 
 

@@ -83,9 +83,9 @@ def box_from_landmarks(landmarks) -> tuple[np.ndarray, np.ndarray]:
     box in that frame, so exact landmarks reproduce the generator's
     ground-truth box. Returns (N, 4) boxes (x, y, w, h) and an (N,) flag
     that is False, and the box meaningless, where the landmarks are
-    (near-)coincident. All rows are fitted at once, in the arithmetic order
-    of align.estimate_similarity on one row, so each box is bit-identical
-    to a per-row fit.
+    (near-)coincident or not finite. All rows are fitted at once, in the
+    arithmetic order of align.estimate_similarity on one row, so each box
+    is bit-identical to a per-row fit.
     """
     pts = np.asarray(landmarks, dtype=np.float64)
     n = len(GLYPH_LANDMARKS)
@@ -97,7 +97,7 @@ def box_from_landmarks(landmarks) -> tuple[np.ndarray, np.ndarray]:
     X, Y = pts[:, :, 0] - m_x[:, None], pts[:, :, 1] - m_y[:, None]
     c3 = _row_dots(X, X) + _row_dots(Y, Y)
     reach = np.maximum(1.0, (pts[:, :, 0] ** 2 + pts[:, :, 1] ** 2).max(axis=1))
-    ok = ~(c3 <= 1e-12 * reach)
+    ok = c3 > 1e-12 * reach
     c1 = _row_dots(X, Xr) + _row_dots(Y, Yr)
     c2 = _row_dots(Y, Xr) - _row_dots(X, Yr)
     with np.errstate(divide="ignore", invalid="ignore"):  # singular rows

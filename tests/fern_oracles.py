@@ -1,6 +1,6 @@
 """Scalar reference forms of the vectorized fern code in ``warpdet.ferns``,
-kept in the tests as oracles: one patch, one fern and one training candidate
-at a time."""
+kept in the tests as oracles: one patch, one fern, one scan window and one
+training candidate at a time."""
 
 import numpy as np
 
@@ -8,15 +8,19 @@ from warpdet.ferns import (
     NUM_PARTITIONS,
     NUM_SPLITS,
     PATCH_SIZE,
+    SCAN_SCALE_STEP,
+    SCAN_STRIDE,
     SMOOTHING_FRACTION,
     CascadeConfig,
     CascadeModel,
     Fern,
     TrainingError,
     _half_log_odds,
+    _scan_level,
     fold_sum,
 )
 from warpdet.ferns import _bucket_fold_sums as _pooled_fold_sums
+from warpdet.roiconv import MIN_FACE, resize_bilinear
 
 
 def fern_index(patch: np.ndarray, fern: Fern) -> int:
@@ -49,6 +53,32 @@ def cascade_score(patch: np.ndarray, model: CascadeModel, early_exit: bool = Tru
             if rejected_at is None:
                 rejected_at = stage
     return score, rejected_at
+
+
+def scan(image: np.ndarray, model: CascadeModel) -> np.ndarray:
+    """Per-window oracle of ferns.scan: each surviving window of each
+    pyramid level becomes one (x, y, w, h, score) row of Python floats, in
+    the scan's order; the rows come back as an (N, 5) float64 array."""
+    gray = image.astype(np.float64)
+    h, w = gray.shape
+    ps = model.patch_size
+    stride = SCAN_STRIDE
+    rows = []
+    factor = ps / float(MIN_FACE)
+    while True:
+        lh, lw = int(round(h * factor)), int(round(w * factor))
+        if lh < ps or lw < ps:
+            break
+        level = resize_bilinear(gray[None], (lh, lw))[0]
+        wins_y = (lh - ps) // stride + 1
+        wins_x = (lw - ps) // stride + 1
+        alive, scores = _scan_level(level.ravel(), lw, wins_x, wins_y, model, stride)
+        for flat_pos, score in zip(alive, scores):
+            wy, wx = divmod(int(flat_pos), wins_x)
+            rows.append((wx * stride / factor, wy * stride / factor,
+                         ps / factor, ps / factor, float(score)))
+        factor /= SCAN_SCALE_STEP
+    return np.array(rows, dtype=np.float64).reshape(-1, 5)
 
 
 # --------------------------------------------------------------------------

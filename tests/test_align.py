@@ -186,6 +186,25 @@ class TestEstimateSimilarity:
         with pytest.raises(SingularTransformError, match="canonical"):
             estimate_similarity(lms, canon)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_landmarks_rejected(self, bad):
+        lms = np.arange(10, dtype=np.float64).reshape(5, 2)
+        lms[2, 1] = bad
+        canon = lms[::-1].copy()
+        canon[2, 1] = 3.0
+        with pytest.raises(SingularTransformError, match="non-finite landmarks"):
+            estimate_similarity(lms, canon)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_canonical_points_rejected(self, bad):
+        lms = np.arange(10, dtype=np.float64).reshape(5, 2)
+        canon = lms + 1.0
+        canon[0, 0] = bad
+        with pytest.raises(SingularTransformError, match="non-finite canonical"):
+            estimate_similarity(lms, canon)
+
     def test_mismatched_sets_rejected(self):
         with pytest.raises(ValueError):
             estimate_similarity(np.zeros((3, 2)), np.zeros((4, 2)))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fern_oracles
+from conftest import open_cascade
 from fern_oracles import (
     cascade_score,
     fern_index,
@@ -425,6 +426,29 @@ class TestScan:
         np.testing.assert_array_equal(alive, expected)
         np.testing.assert_array_equal(scores, expected_scores)
 
+    @pytest.mark.parametrize("seed, shape", [(0, (64, 64)), (1, (96, 80)),
+                                             (2, (50, 130)), (3, (120, 90))])
+    def test_scan_matches_the_per_window_oracle_byte_for_byte(self, seed, shape):
+        """On a cascade that passes every window, every row of every level
+        equals the oracle's Python-float row."""
+        rng = np.random.default_rng(seed)
+        cascade = open_cascade(rng)
+        img = rng.random(shape)
+        got = scan(img, cascade)
+        want = fern_oracles.scan(img, cascade)
+        assert len(want) > 0
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(80, 80), (30, 30)])
+    def test_an_empty_scan_is_0_by_5(self, rng, shape):
+        """No window survives a cascade whose first stage rejects all, and
+        an image below one window at the first level has no level."""
+        opened = open_cascade(rng)
+        closed = CascadeModel(opened.ferns, np.full(len(opened.ferns), 1e9))
+        empty = scan(rng.random(shape), closed)
+        assert empty.shape == (0, 5) and empty.dtype == np.float64
+
     def test_blank_image_near_empty(self, trained):
         blank = np.full((80, 80), 0.3)
         dets = scan(blank, trained)
@@ -433,17 +457,17 @@ class TestScan:
     def test_planted_pattern_found(self, trained, rng):
         img, box = planted_image(rng)
         dets = scan(img, trained)
-        assert any(iou(d.box, box) >= 0.5 for d in dets)
+        assert any(iou(row[:4], box) >= 0.5 for row in dets)
 
     def test_full_stride_tiles_align(self, trained, rng):
         img = np.clip(rng.normal(0.3, 0.1, size=(80, 80)), 0, 1.5)
         img[20:40, 20:40] += 0.6
         dets = scan(img, trained)
-        assert dets
-        for d in dets:
+        assert len(dets)
+        for x, y, w, _, _ in dets:
             # window origin is a multiple of the stride at its pyramid level
-            scale = 32.0 / d.w
-            for origin in (d.x * scale / SCAN_STRIDE, d.y * scale / SCAN_STRIDE):
+            scale = 32.0 / w
+            for origin in (x * scale / SCAN_STRIDE, y * scale / SCAN_STRIDE):
                 assert origin == pytest.approx(round(origin), abs=1e-6)
 
 
@@ -453,9 +477,9 @@ class TestGrayscale:
     def test_single_channel_passthrough(self, trained, rng):
         img, _ = planted_image(rng)
         img = img.astype(np.float32)
-        dets = [(d.box, d.score) for d in scan(img, trained)]
-        assert dets
-        assert dets == [(d.box, d.score) for d in scan(img.astype(np.float64), trained)]
+        dets = scan(img, trained)
+        assert len(dets)
+        np.testing.assert_array_equal(dets, scan(img.astype(np.float64), trained))
 
     def test_bad_shape_rejected(self, trained):
         for shape in [(1, 40, 40), (2, 40, 40), (40,)]:

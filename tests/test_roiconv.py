@@ -116,7 +116,7 @@ class TestBuildMask:
     def test_no_candidates(self):
         mask = build_mask([], (64, 48))
         assert mask.sparsity == 0.0
-        assert (mask.height, mask.width) == (64, 48)
+        assert mask.bits.shape == (64, 48)
 
     def test_clipping_at_borders(self):
         mask = build_mask([(0, 0, 40, 40)], (100, 100))
@@ -482,7 +482,7 @@ class TestPyramid:
             eh = int(np.ceil(100 / 2**k))
             ew = int(np.ceil(90 / 2**k))
             assert level_img.shape == (1, eh, ew)
-            assert (mask.height, mask.width) == (eh, ew)
+            assert mask.bits.shape == (eh, ew)
         total_pixels = sum(img.shape[1] * img.shape[2] for _, img, _ in pyramid.levels)
         assert total_pixels <= (1 + 1 / 3 + 0.05) * 100 * 90
 

@@ -133,6 +133,18 @@ class TestBatchedBoxFit:
         ok = _assert_fit_matches_oracle(np.array(rows))
         assert ok.tolist() == [True, False, False, False, True, True]
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_rows_are_flagged_where_the_oracle_raises(self):
+        """A NaN or infinite coordinate makes the spread NaN, which no
+        threshold comparison passes."""
+        good = glyph_landmarks((50.0, 60.0), 40.0, 0.2)
+        rows = [good, good.copy(), good.copy(), good.copy()]
+        rows[1][3, 0] = np.nan
+        rows[2][0, 1] = np.inf
+        rows[3][4, 0] = -np.inf
+        ok = _assert_fit_matches_oracle(np.array(rows))
+        assert ok.tolist() == [True, False, False, False]
+
     def test_no_rows(self):
         boxes, ok = box_from_landmarks(np.empty((0, 5, 2)))
         assert boxes.shape == (0, 4) and ok.shape == (0,)
