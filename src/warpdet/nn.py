@@ -20,11 +20,16 @@ patch matrix, C*K*K*out_h*out_w elements of the input's dtype, picks one:
 
 Either way the output is C-contiguous CHW, which relu and max-pool read
 without another copy. The rule reads only the input's geometry and dtype:
-no caller picks a lowering. The backward pass always uses im2col. It
-frees that matrix before it forms the column gradient of the
-same shape, so one call never holds two of them, and folds the column
-gradient back into the input (col2im) with one np.bincount per input
-channel over a cached flat index of padded-input positions.
+no caller picks a lowering.
+
+The backward pass runs on the same rule. The filter gradient is the
+im2col product below the budget and one GEMM per kernel row above it,
+over the same row-phase copies. The input gradient of a stride-1 conv is
+itself a convolution: the forward product of the output gradient with the
+filters flipped in both kernel axes and transposed, at padding K-1-p, with
+no scatter. Only a strided conv forms a column gradient and folds it back
+into the input (col2im) with one np.bincount per input channel over a
+cached flat index of padded-input positions.
 
 Forward kernels compute only what the forward result needs. Max-pool
 returns the pooled values and no argmax: its backward re-derives each
@@ -151,9 +156,14 @@ def im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     one C-contiguous copy of the conv_windows view; its contiguous runs are
     out_w long.
     """
-    win = conv_windows(x, spec)
-    c, k, _, out_h, out_w = win.shape
-    return np.ascontiguousarray(win).reshape(c * k * k, out_h * out_w)
+    xp, out_h, out_w = _padded_input(x, spec)
+    return _patch_matrix(xp, spec, out_h, out_w)
+
+
+def _patch_matrix(xp: np.ndarray, spec: ConvSpec, out_h: int, out_w: int) -> np.ndarray:
+    """im2col of the padded input xp: one C-contiguous copy of its windows."""
+    cols = np.ascontiguousarray(_windows(xp, spec, out_h, out_w))
+    return cols.reshape(-1, out_h * out_w)
 
 
 def as_input_dtype(param: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -183,52 +193,93 @@ def conv2d_forward(
     IM2COL_BUDGET_BYTES, one GEMM per kernel row above it."""
     fmat = as_input_dtype(_filters_matrix(filters, spec), x)
     xp, out_h, out_w = _padded_input(x, spec)
-    if fmat.shape[1] * out_h * out_w * xp.itemsize <= IM2COL_BUDGET_BYTES:
-        cols = np.ascontiguousarray(_windows(xp, spec, out_h, out_w))
-        out = fmat @ cols.reshape(fmat.shape[1], -1)
-    else:
-        out = _kernel_row_product(xp, fmat, spec, out_h, out_w)
+    out = _conv_product(xp, fmat, spec, out_h, out_w)
     if bias is not None:
         out += as_input_dtype(bias, x)[:, None]
     return out.reshape(spec.out_channels, out_h, out_w)
+
+
+def _im2col_fits(xp: np.ndarray, spec: ConvSpec, out_h: int, out_w: int) -> bool:
+    """Whether the patch matrix of the padded input xp, C*K*K*out_h*out_w
+    elements of its dtype, fits in IM2COL_BUDGET_BYTES."""
+    patch_bytes = spec.in_channels * spec.kernel**2 * out_h * out_w * xp.itemsize
+    return patch_bytes <= IM2COL_BUDGET_BYTES
+
+
+def _conv_product(xp: np.ndarray, fmat: np.ndarray, spec: ConvSpec,
+                  out_h: int, out_w: int) -> np.ndarray:
+    """fmat @ im2col of the padded input xp, the (N, out_h*out_w) product:
+    one im2col GEMM while the patch matrix fits the budget, kernel rows
+    above it. The forward and the stride-1 input gradient both run on it."""
+    if _im2col_fits(xp, spec, out_h, out_w):
+        return fmat @ _patch_matrix(xp, spec, out_h, out_w)
+    return _kernel_row_product(xp, fmat, spec, out_h, out_w)
+
+
+def _row_phases(xp: np.ndarray, spec: ConvSpec, out_h: int,
+                out_w: int) -> list[np.ndarray]:
+    """Row phase ph < min(s, K) of the padded input, each copied once as the
+    C-contiguous (C, K, rows, out_w) array L_ph[c, kx, r, ox] =
+    xp[c, s*r + ph, kx + s*ox], about K/s times smaller than the patch
+    matrix."""
+    c, k, s = spec.in_channels, spec.kernel, spec.stride
+    sc, sy, sx = xp.strides
+    return [
+        np.ascontiguousarray(_read_only_view(
+            xp, (c, k, (k - 1 - ph) // s + out_h, out_w),
+            (sc, sx, s * sy, s * sx), ph * sy))
+        for ph in range(min(s, k))
+    ]
+
+
+def _kernel_row(phases: list[np.ndarray], ky: int, spec: ConvSpec,
+                out_h: int) -> np.ndarray:
+    """Kernel row ky's rows of the patch matrix, a (C*K, out_h*out_w) view
+    of rows q .. q + out_h of L_ph, ky = s*q + ph, with unit inner stride,
+    which BLAS reads in place."""
+    q, ph = divmod(ky, spec.stride)
+    return phases[ph][:, :, q : q + out_h].reshape(spec.in_channels * spec.kernel, -1)
 
 
 def _kernel_row_product(xp: np.ndarray, fmat: np.ndarray, spec: ConvSpec,
                         out_h: int, out_w: int) -> np.ndarray:
     """fmat @ im2col, the (N, out_h*out_w) product, without the patch matrix.
 
-    Row phase ph < min(s, K) of the padded input is copied once as the
-    C-contiguous (C, K, rows, out_w) array L_ph[c, kx, r, ox] =
-    xp[c, s*r + ph, kx + s*ox], about K/s times smaller than the patch
-    matrix. Kernel row ky = s*q + ph reads rows q .. q + out_h of L_ph: a
-    (C*K, out_h*out_w) view with unit inner stride, which BLAS reads in
-    place against that row's (N, C*K) filter slice. The K products are
-    summed in kernel-row order, each written into one reused buffer."""
-    c, k, s = spec.in_channels, spec.kernel, spec.stride
-    sc, sy, sx = xp.strides
-    phases = [
-        np.ascontiguousarray(_read_only_view(
-            xp, (c, k, (k - 1 - ph) // s + out_h, out_w),
-            (sc, sx, s * sy, s * sx), ph * sy))
-        for ph in range(min(s, k))
-    ]
+    Each kernel row's (C*K, P) view of the row phases meets that row's
+    (N, C*K) filter slice in one GEMM. The K products are summed in
+    kernel-row order, each written into one reused buffer."""
+    c, k = spec.in_channels, spec.kernel
+    phases = _row_phases(xp, spec, out_h, out_w)
     rows = np.ascontiguousarray(
         fmat.reshape(-1, c, k, k).transpose(2, 0, 1, 3)).reshape(k, -1, c * k)
-    out = rows[0] @ phases[0][:, :, :out_h].reshape(c * k, -1)
+    out = rows[0] @ _kernel_row(phases, 0, spec, out_h)
     term = np.empty_like(out)
     for ky in range(1, k):
-        q, ph = divmod(ky, s)
-        np.matmul(rows[ky], phases[ph][:, :, q : q + out_h].reshape(c * k, -1),
-                  out=term)
+        np.matmul(rows[ky], _kernel_row(phases, ky, spec, out_h), out=term)
         out += term
     return out
+
+
+def _kernel_row_filter_grad(xp: np.ndarray, gmat: np.ndarray, spec: ConvSpec,
+                            out_h: int, out_w: int) -> np.ndarray:
+    """gmat @ im2col.T in the filters' (N, C, K, K) shape, without the patch
+    matrix: the adjoint of _kernel_row_product. Kernel row ky's (N, C*K)
+    slice of the filter gradient is one GEMM of the (N, P) output gradient
+    with the transpose of that row's view of the row phases."""
+    c, k = spec.in_channels, spec.kernel
+    phases = _row_phases(xp, spec, out_h, out_w)
+    grad_rows = np.empty((k, gmat.shape[0], c * k), np.result_type(gmat, xp))
+    for ky in range(k):
+        np.matmul(gmat, _kernel_row(phases, ky, spec, out_h).T, out=grad_rows[ky])
+    return np.ascontiguousarray(grad_rows.reshape(k, -1, c, k).transpose(1, 2, 0, 3))
 
 
 @lru_cache(maxsize=16)
 def _col2im_index(height: int, width: int, kernel: int, stride: int,
                   padding: int) -> np.ndarray:
     """Flat index, into one padded input plane, of every tap of one channel's
-    rows of the patch matrix, in their (ky, kx, oy, ox) order.
+    rows of the patch matrix, in their (ky, kx, oy, ox) order. Only strided
+    convs build it: a stride-1 input gradient is a convolution.
 
     Shared between calls and never written. It is not flagged read-only:
     np.bincount copies a read-only index on every call, which for a
@@ -241,6 +292,22 @@ def _col2im_index(height: int, width: int, kernel: int, stride: int,
     return (rows * (width + 2 * padding) + cols).reshape(-1)
 
 
+def _flipped_filter_product(grad_out: np.ndarray, filters: np.ndarray,
+                            spec: ConvSpec) -> np.ndarray:
+    """Input gradient of a stride-1 conv: the forward product of grad_out
+    with the filters flipped in both kernel axes and transposed (N <-> C),
+    at padding K-1-p. A padding p above K-1 would make that negative, so
+    the product runs unpadded and its p-(K-1) outer rings are cropped."""
+    k, p = spec.kernel, spec.padding
+    tspec = ConvSpec(spec.out_channels, spec.in_channels, k, padding=max(k - 1 - p, 0))
+    flipped = filters[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    fmat = as_input_dtype(flipped.reshape(spec.in_channels, -1), grad_out)
+    gp, h, w = _padded_input(grad_out, tspec)
+    grad = _conv_product(gp, fmat, tspec, h, w).reshape(spec.in_channels, h, w)
+    crop = max(p - (k - 1), 0)
+    return grad[:, crop : h - crop, crop : w - crop]
+
+
 def conv2d_backward(
     grad_out: np.ndarray,
     x: np.ndarray,
@@ -251,39 +318,51 @@ def conv2d_backward(
     """Gradients of a scalar loss through conv2d_forward.
 
     Returns (grad_input, grad_filters, grad_bias); grad_input is None when
-    input_grad is False, and then neither its GEMM nor its scatter runs.
+    input_grad is False, and then none of its work runs.
 
-    The patch matrix is freed before the column gradient of the same shape
-    is formed, so the call holds at most one (C*K*K, P) matrix. The column
-    gradient goes back to the input with one np.bincount per channel over
-    padded-input positions in (ky, kx, oy, ox) order: each pixel sums its
-    terms from zero, kernel row outer and kernel col inner, as np.add.at
-    over the im2col index arrays would. bincount sums in float64, so a
-    float32 input gets float32 gradients whose last bits may differ from
-    an in-precision scatter.
+    The filter gradient is gmat @ im2col(x).T under the forward's rule:
+    from the patch matrix while it fits IM2COL_BUDGET_BYTES, by kernel rows
+    above it. Its copy of the input is freed before the input gradient
+    starts.
+
+    The input gradient is formed in the dtype of its product, grad_out's
+    when that is floating, whatever x's dtype. Of a stride-1 conv it is the
+    forward product of grad_out with the flipped, transposed filters,
+    under the same budget rule, with no scatter. Of a strided conv it is
+    the (C*K*K, P) column gradient fmat.T @ gmat folded back into the input
+    (col2im) with one np.bincount per channel over padded-input positions
+    in (ky, kx, oy, ox) order: each pixel sums its terms from zero, kernel
+    row outer and kernel col inner, as np.add.at over the im2col index
+    arrays would. bincount sums in float64, so a float32 gradient's last
+    bits may differ from an in-precision scatter.
     """
-    _check_input(x, spec)
+    xp, out_h, out_w = _padded_input(x, spec)
     fmat = _filters_matrix(filters, spec)
-    out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
     if grad_out.shape != (spec.out_channels, out_h, out_w):
         raise ShapeError(
             f"grad_out shape {grad_out.shape}, expected "
             f"{(spec.out_channels, out_h, out_w)}"
         )
     gmat = grad_out.reshape(spec.out_channels, -1)  # (N, P)
-    cols = im2col(x, spec)  # (CK2, P)
-    grad_filters = (gmat @ cols.T).reshape(filters.shape)
-    del cols
+    if _im2col_fits(xp, spec, out_h, out_w):
+        cols = _patch_matrix(xp, spec, out_h, out_w)
+        grad_filters = (gmat @ cols.T).reshape(filters.shape)
+        del cols
+    else:
+        grad_filters = _kernel_row_filter_grad(xp, gmat, spec, out_h, out_w)
+    del xp
     grad_bias = gmat.sum(axis=1)
     if not input_grad:
         return None, grad_filters, grad_bias
-    grad_cols = fmat.T @ gmat  # (CK2, P)
+    if spec.stride == 1:
+        return _flipped_filter_product(grad_out, filters, spec), grad_filters, grad_bias
+    grad_cols = as_input_dtype(fmat, grad_out).T @ gmat  # (CK2, P)
 
     c, h, w = x.shape
     k, p = spec.kernel, spec.padding
     index = _col2im_index(h, w, k, spec.stride, p)
     plane = (h + 2 * p, w + 2 * p)
-    grad_input = np.empty_like(x)
+    grad_input = np.empty(x.shape, grad_cols.dtype)
     for ch, taps in enumerate(grad_cols.reshape(c, -1)):
         grad_padded = np.bincount(index, taps, minlength=plane[0] * plane[1])
         grad_input[ch] = grad_padded.reshape(plane)[p : p + h, p : p + w]

@@ -173,11 +173,14 @@ class TestConvBackward:
         assert rel_err(gb, central_diff(loss_of_b, bias)) < 1e-5
 
 
+# Every kernel at padding 0 and K//2, and two paddings of at least the
+# kernel, above the K-1 at which a stride-1 input gradient's flipped-filter
+# product would need a negative padding.
 ORACLE_GEOMETRIES = [
     (k, s, p, extent)
-    for k in (1, 3, 5, 7)
+    for k, p in [(k, p) for k in (1, 3, 5, 7) for p in sorted({0, k // 2})]
+    + [(1, 1), (3, 3)]
     for s in (1, 2)
-    for p in sorted({0, k // 2})
     for extent in ((11, 9), (12, 10))
 ]
 
@@ -187,9 +190,12 @@ ORACLE_GEOMETRIES = [
     ORACLE_GEOMETRIES,
     ids=[f"k{k}s{s}p{p}-{h}x{w}" for k, s, p, (h, w) in ORACLE_GEOMETRIES],
 )
-def test_bit_equal_to_index_gather_oracles(rng, kernel, stride, padding, extent):
-    """The strided-window gather and the slice-add backward reproduce the
-    fancy-index gather and the np.add.at scatter bit for bit."""
+def test_matches_index_gather_oracles(rng, kernel, stride, padding, extent):
+    """The strided-window gather, the forward, and the filter and bias
+    gradients reproduce the fancy-index oracles bit for bit, as does the
+    bincount input gradient of a strided conv. A stride-1 input gradient
+    is a convolution, summed in another order than the np.add.at scatter:
+    the oracle's values to rounding."""
     spec = ConvSpec(3, 4, kernel=kernel, stride=stride, padding=padding)
     x = rng.standard_normal((3, *extent))
     filters = rng.standard_normal((4, 3, kernel, kernel))
@@ -203,10 +209,44 @@ def test_bit_equal_to_index_gather_oracles(rng, kernel, stride, padding, extent)
         conv2d_forward(x, filters, spec, bias=bias),
         conv_oracles.conv2d_forward(x, filters, spec, bias=bias),
     )
+    _assert_backward_matches_oracle(g, x, filters, spec)
+
+
+def _assert_backward_matches_oracle(g, x, filters, spec):
+    """conv2d_backward against the scatter oracle: the bias gradient bit for
+    bit; the filter gradient bit for bit while the patch matrix fits the
+    budget, to rounding above it; the input gradient bit for bit for a
+    strided float64 conv, to rounding for a stride-1 conv and for float32,
+    whose bincount sums in float64."""
     got = conv2d_backward(g, x, filters, spec)
     want = conv_oracles.conv2d_backward(g, x, filters, spec)
     for a, b in zip(got, want, strict=True):
-        assert a.shape == b.shape and np.array_equal(a, b)
+        assert a.dtype == b.dtype and a.shape == b.shape
+    (gx, gf, gb), (wx, wf, wb) = got, want
+    input_bound, filter_bound = _backward_rounding_bounds(g, x, filters, spec)
+    assert gb.tobytes() == wb.tobytes()
+    if im2col(x, spec).nbytes <= nn.IM2COL_BUDGET_BYTES:
+        assert gf.tobytes() == wf.tobytes()
+    else:
+        assert np.all(np.abs(gf - wf) <= filter_bound)
+    if spec.stride > 1 and g.dtype == np.float64:
+        assert gx.tobytes() == wx.tobytes()
+    else:
+        assert np.all(np.abs(gx - wx) <= input_bound)
+
+
+def _backward_rounding_bounds(g, x, filters, spec):
+    """Elementwise bounds on the difference between two summation orders of
+    the input and filter gradients in g's dtype: 2 * n * eps * magnitude,
+    the magnitude being the oracle's gradients of |g| through |x| and
+    |filters|, and n the terms of each sum, N*K*K per input pixel and
+    out_h*out_w per filter tap."""
+    grad_input, grad_filters, _ = conv_oracles.conv2d_backward(
+        *(np.abs(a.astype(np.float64)) for a in (g, x, filters)), spec)
+    eps = np.finfo(g.dtype).eps
+    n_input = spec.out_channels * spec.kernel**2
+    n_filter = g.shape[1] * g.shape[2]
+    return 2 * n_input * eps * grad_input, 2 * n_filter * eps * grad_filters
 
 
 # (in channels, out channels, input extent) of each conv in a joint step of
@@ -238,18 +278,21 @@ def _bench_case(rng, role, dtype=np.float64):
 
 class TestConvBackwardAtBenchGeometries:
     @pytest.mark.parametrize("role", BENCH_GEOMETRIES)
-    def test_bit_equal_to_scatter_oracle(self, rng, role):
+    def test_matches_scatter_oracle(self, rng, role):
+        """rpn.conv1-conv3 take the kernel-row filter gradient; rpn.conv1
+        and rcnn.conv1 the bincount input gradient."""
         spec, x, filters, g = _bench_case(rng, role)
-        got = conv2d_backward(g, x, filters, spec)
-        want = conv_oracles.conv2d_backward(g, x, filters, spec)
-        for a, b in zip(got, want, strict=True):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+        _assert_backward_matches_oracle(g, x, filters, spec)
 
+    @pytest.mark.parametrize("filter_dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("role", ["rpn.conv2", "rcnn.conv1", "rpn.point_head"])
-    def test_float32_stays_float32_within_single_precision(self, rng, role):
+    def test_float32_stays_float32_within_single_precision(
+        self, rng, role, filter_dtype
+    ):
+        """Float32 maps give float32 gradients, on float32 filters and on
+        the float64 model's, which the input gradient casts."""
         spec, x, filters, g = _bench_case(rng, role, np.float32)
-        got = conv2d_backward(g, x, filters, spec)
+        got = conv2d_backward(g, x, filters.astype(filter_dtype), spec)
         want = conv2d_backward(
             g.astype(np.float64), x.astype(np.float64),
             filters.astype(np.float64), spec,
@@ -271,22 +314,30 @@ class TestConvBackwardAtBenchGeometries:
         assert grad_bias.tobytes() == want_bias.tobytes()
 
     def test_without_input_grad_builds_no_col2im_index(self, rng):
-        spec = ConvSpec(1, 2, kernel=3, padding=1)
+        spec = ConvSpec(1, 2, kernel=3, stride=2, padding=1)
         x = rng.standard_normal((1, 29, 31))
         filters = rng.standard_normal((2, 1, 3, 3))
-        g = rng.standard_normal((2, 29, 31))
+        g = rng.standard_normal((2, *spec.out_size(29, 31)))
         misses = nn._col2im_index.cache_info().misses
         conv2d_backward(g, x, filters, spec, False)
         assert nn._col2im_index.cache_info().misses == misses
         conv2d_backward(g, x, filters, spec)
         assert nn._col2im_index.cache_info().misses == misses + 1
 
+    @pytest.mark.parametrize("role", ["rpn.conv2", "rcnn.conv2", "rpn.score_head"])
+    def test_stride_1_input_grad_reads_no_col2im_index(self, rng, role):
+        spec, x, filters, g = _bench_case(rng, role)
+        before = nn._col2im_index.cache_info()
+        grad_input, _, _ = conv2d_backward(g, x, filters, spec)
+        assert grad_input.shape == x.shape
+        assert nn._col2im_index.cache_info() == before
+
     def test_col2im_index_is_built_once_per_geometry(self, rng):
-        spec, x, filters, g = _bench_case(rng, "rpn.conv2")
+        spec, x, filters, g = _bench_case(rng, "rpn.conv1")
         conv2d_backward(g, x, filters, spec)
-        index = nn._col2im_index(24, 24, 7, 1, 3)
-        assert index is nn._col2im_index(24, 24, 7, 1, 3)
-        assert index.shape == (7 * 7 * 24 * 24,) and index.dtype == np.intp
+        index = nn._col2im_index(96, 96, 7, 2, 3)
+        assert index is nn._col2im_index(96, 96, 7, 2, 3)
+        assert index.shape == (7 * 7 * 48 * 48,) and index.dtype == np.intp
         before = index.copy()
         conv2d_backward(g, x, filters, spec)
         assert np.array_equal(index, before)
@@ -307,6 +358,26 @@ class TestConvBackwardAtBenchGeometries:
         finally:
             tracemalloc.stop()
         assert peak < 1.3 * patch_matrix_bytes
+
+    @pytest.mark.parametrize("role,input_grad,share", [
+        ("rpn.conv1", False, 0.5), ("rpn.conv2", True, 1.0)])
+    def test_peak_allocation_above_the_budget(self, rng, role, input_grad, share):
+        """Above the budget no patch matrix is built. rpn.conv1's filter
+        gradient holds two row phases of its padded input, under half its
+        882 KB patch matrix; rpn.conv2 frees its filter gradient's phase
+        copy before the input gradient's product copies the padded output
+        gradient's, and stays under one 1,764 KB patch matrix."""
+        spec, x, filters, g = _bench_case(rng, role)
+        patch_matrix_bytes = im2col(x, spec).nbytes
+        assert patch_matrix_bytes > nn.IM2COL_BUDGET_BYTES
+        conv2d_backward(g, x, filters, spec, input_grad)
+        tracemalloc.start()
+        try:
+            conv2d_backward(g, x, filters, spec, input_grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < share * patch_matrix_bytes
 
 
 class TestConvInInputDtype:
@@ -350,6 +421,20 @@ class TestConvInInputDtype:
         want = conv2d_forward(x.astype(np.float64), filters, spec, bias=bias)
         assert got.dtype == np.float64
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_integer_input_gets_gradients_in_the_products_dtype(self, rng, stride):
+        """An integer map's input gradient is float64, the dtype of its
+        product, rather than truncated and wrapped into the map's dtype."""
+        spec = ConvSpec(1, 2, kernel=3, stride=stride, padding=1)
+        x = rng.integers(0, 256, size=(1, 7, 6)).astype(np.uint8)
+        filters = rng.standard_normal((2, 1, 3, 3))
+        g = rng.standard_normal((2, *spec.out_size(7, 6)))
+        got = conv2d_backward(g, x, filters, spec)
+        want = conv2d_backward(g, x.astype(np.float64), filters, spec)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == np.float64
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 def _rounding_bound(x, filters, spec, bias):
@@ -404,6 +489,8 @@ class TestKernelRowLowering:
         assert got.dtype == dtype and got.shape == want.shape
         assert got.flags.c_contiguous
         assert np.all(np.abs(got - want) <= _rounding_bound(x, filters, spec, bias))
+        g = rng.standard_normal(want.shape).astype(dtype)
+        _assert_backward_matches_oracle(g, x, filters.astype(dtype), spec)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("role", DETECT_GEOMETRIES)
