@@ -24,12 +24,13 @@ no caller picks a lowering.
 
 The backward pass runs on the same rule. The filter gradient is the
 im2col product below the budget and one GEMM per kernel row above it,
-over the same row-phase copies. The input gradient of a stride-1 conv is
-itself a convolution: the forward product of the output gradient with the
-filters flipped in both kernel axes and transposed, at padding K-1-p, with
-no scatter. Only a strided conv forms a column gradient and folds it back
-into the input (col2im) with one np.bincount per input channel over a
-cached flat index of padded-input positions.
+over the same row-phase copies. The input gradient of a conv of any
+stride s is itself one stride-1 convolution, with no scatter: the forward
+product of the output gradient with the filters split into their s*s
+stride phases of ceil(K/s) taps a side, flipped in both kernel axes and
+transposed, whose C*s*s output planes are interleaved depth to space and
+cropped to the input. At s = 1 that is the flipped filters at padding
+K-1-p.
 
 Forward kernels compute only what the forward result needs. Max-pool
 returns the pooled values and no argmax: its backward re-derives each
@@ -147,19 +148,6 @@ def conv_windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return _windows(xp, spec, out_h, out_w)
 
 
-def im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Gather every stride-aligned KxK patch of a CHW input into a matrix.
-
-    Row (c, ky, kx) of the result, rows enumerated channel-major, then
-    kernel row, then kernel col, holds that tap for every output position,
-    positions enumerated row-major. Output shape is (C*K*K, out_h*out_w),
-    one C-contiguous copy of the conv_windows view; its contiguous runs are
-    out_w long.
-    """
-    xp, out_h, out_w = _padded_input(x, spec)
-    return _patch_matrix(xp, spec, out_h, out_w)
-
-
 def _patch_matrix(xp: np.ndarray, spec: ConvSpec, out_h: int, out_w: int) -> np.ndarray:
     """im2col of the padded input xp: one C-contiguous copy of its windows."""
     cols = np.ascontiguousarray(_windows(xp, spec, out_h, out_w))
@@ -210,7 +198,7 @@ def _conv_product(xp: np.ndarray, fmat: np.ndarray, spec: ConvSpec,
                   out_h: int, out_w: int) -> np.ndarray:
     """fmat @ im2col of the padded input xp, the (N, out_h*out_w) product:
     one im2col GEMM while the patch matrix fits the budget, kernel rows
-    above it. The forward and the stride-1 input gradient both run on it."""
+    above it. The forward and the input gradient both run on it."""
     if _im2col_fits(xp, spec, out_h, out_w):
         return fmat @ _patch_matrix(xp, spec, out_h, out_w)
     return _kernel_row_product(xp, fmat, spec, out_h, out_w)
@@ -274,38 +262,42 @@ def _kernel_row_filter_grad(xp: np.ndarray, gmat: np.ndarray, spec: ConvSpec,
     return np.ascontiguousarray(grad_rows.reshape(k, -1, c, k).transpose(1, 2, 0, 3))
 
 
-@lru_cache(maxsize=16)
-def _col2im_index(height: int, width: int, kernel: int, stride: int,
-                  padding: int) -> np.ndarray:
-    """Flat index, into one padded input plane, of every tap of one channel's
-    rows of the patch matrix, in their (ky, kx, oy, ox) order. Only strided
-    convs build it: a stride-1 input gradient is a convolution.
-
-    Shared between calls and never written. It is not flagged read-only:
-    np.bincount copies a read-only index on every call, which for a
-    one-channel input is a second patch matrix."""
-    out_h = (height + 2 * padding - kernel) // stride + 1
-    out_w = (width + 2 * padding - kernel) // stride + 1
-    taps = np.arange(kernel)
-    rows = taps.reshape(-1, 1, 1, 1) + stride * np.arange(out_h).reshape(-1, 1)
-    cols = taps.reshape(-1, 1, 1) + stride * np.arange(out_w)
-    return (rows * (width + 2 * padding) + cols).reshape(-1)
-
-
 def _flipped_filter_product(grad_out: np.ndarray, filters: np.ndarray,
-                            spec: ConvSpec) -> np.ndarray:
-    """Input gradient of a stride-1 conv: the forward product of grad_out
-    with the filters flipped in both kernel axes and transposed (N <-> C),
-    at padding K-1-p. A padding p above K-1 would make that negative, so
-    the product runs unpadded and its p-(K-1) outer rings are cropped."""
-    k, p = spec.kernel, spec.padding
-    tspec = ConvSpec(spec.out_channels, spec.in_channels, k, padding=max(k - 1 - p, 0))
-    flipped = filters[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    fmat = as_input_dtype(flipped.reshape(spec.in_channels, -1), grad_out)
-    gp, h, w = _padded_input(grad_out, tspec)
-    grad = _conv_product(gp, fmat, tspec, h, w).reshape(spec.in_channels, h, w)
-    crop = max(p - (k - 1), 0)
-    return grad[:, crop : h - crop, crop : w - crop]
+                            spec: ConvSpec, height: int, width: int) -> np.ndarray:
+    """Input gradient of a conv on a (C, height, width) input, as one
+    stride-1 forward product of grad_out (Shi et al. 2016).
+
+    Padded-input pixel (s*a + r, s*b + q) takes its gradient from output
+    position (a - t, b - u) through filter tap (s*t + r, s*u + q). So each
+    filter is split into its s*s phases (r, q), zero-padded to T = ceil(K/s)
+    taps a side, flipped in both kernel axes and transposed (N <-> C): one
+    bank of C*s*s filters over grad_out, padded by T-1-floor(p/s) (at
+    least 0) and, where the last phase row or column would fall short of
+    the input, more at the bottom and right. The phases are interleaved
+    depth to space and the padding p is cropped. At s = 1 this is the
+    flipped filters at padding K-1-p; a padding p above K-1 runs unpadded
+    and crops the p-(K-1) outer rings."""
+    n, c, k, s, p = (spec.out_channels, spec.in_channels, spec.kernel,
+                     spec.stride, spec.padding)
+    taps = -(-k // s)
+    phased = np.zeros((n, c, s * taps, s * taps), filters.dtype)
+    phased[:, :, :k, :k] = filters
+    bank = phased.reshape(n, c, taps, s, taps, s)[:, :, ::-1, :, ::-1]
+    fmat = as_input_dtype(
+        bank.transpose(1, 3, 5, 0, 2, 4).reshape(c * s * s, -1), grad_out)
+    pad = max(taps - 1 - p // s, 0)
+    crop = p - s * (taps - 1 - pad)
+    out_h, out_w = grad_out.shape[1:]
+    # padded extents that reach input row crop + height and column crop + width
+    ext_h, ext_w = (max(out + 2 * pad, -(-(crop + size) // s) + taps - 1)
+                    for out, size in ((out_h, height), (out_w, width)))
+    gp = np.zeros((n, ext_h, ext_w), grad_out.dtype)
+    gp[:, pad : pad + out_h, pad : pad + out_w] = grad_out
+    rows, cols = ext_h - taps + 1, ext_w - taps + 1
+    grad = _conv_product(gp, fmat, ConvSpec(n, c * s * s, taps), rows, cols)
+    grad = grad.reshape(c, s, s, rows, cols).transpose(0, 3, 1, 4, 2)
+    grad = grad.reshape(c, s * rows, s * cols)
+    return grad[:, crop : crop + height, crop : crop + width]
 
 
 def conv2d_backward(
@@ -325,19 +317,14 @@ def conv2d_backward(
     above it. Its copy of the input is freed before the input gradient
     starts.
 
-    The input gradient is formed in the dtype of its product, grad_out's
-    when that is floating, whatever x's dtype. Of a stride-1 conv it is the
-    forward product of grad_out with the flipped, transposed filters,
-    under the same budget rule, with no scatter. Of a strided conv it is
-    the (C*K*K, P) column gradient fmat.T @ gmat folded back into the input
-    (col2im) with one np.bincount per channel over padded-input positions
-    in (ky, kx, oy, ox) order: each pixel sums its terms from zero, kernel
-    row outer and kernel col inner, as np.add.at over the im2col index
-    arrays would. bincount sums in float64, so a float32 gradient's last
-    bits may differ from an in-precision scatter.
+    The input gradient, at every stride, is the forward product of grad_out
+    with the filters split into stride phases, flipped and transposed,
+    under the same budget rule, with no scatter (_flipped_filter_product).
+    It is formed in the dtype of that product, grad_out's when that is
+    floating, whatever x's dtype.
     """
     xp, out_h, out_w = _padded_input(x, spec)
-    fmat = _filters_matrix(filters, spec)
+    _filters_matrix(filters, spec)  # rejects filters of another shape
     if grad_out.shape != (spec.out_channels, out_h, out_w):
         raise ShapeError(
             f"grad_out shape {grad_out.shape}, expected "
@@ -354,18 +341,7 @@ def conv2d_backward(
     grad_bias = gmat.sum(axis=1)
     if not input_grad:
         return None, grad_filters, grad_bias
-    if spec.stride == 1:
-        return _flipped_filter_product(grad_out, filters, spec), grad_filters, grad_bias
-    grad_cols = as_input_dtype(fmat, grad_out).T @ gmat  # (CK2, P)
-
-    c, h, w = x.shape
-    k, p = spec.kernel, spec.padding
-    index = _col2im_index(h, w, k, spec.stride, p)
-    plane = (h + 2 * p, w + 2 * p)
-    grad_input = np.empty(x.shape, grad_cols.dtype)
-    for ch, taps in enumerate(grad_cols.reshape(c, -1)):
-        grad_padded = np.bincount(index, taps, minlength=plane[0] * plane[1])
-        grad_input[ch] = grad_padded.reshape(plane)[p : p + h, p : p + w]
+    grad_input = _flipped_filter_product(grad_out, filters, spec, *x.shape[1:])
     return grad_input, grad_filters, grad_bias
 
 

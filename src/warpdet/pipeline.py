@@ -325,9 +325,13 @@ def l2_normalize_backward(d_out: np.ndarray, x: np.ndarray, norm: float):
 
 
 def crop_transform(box, rect_size: int):
-    """Axis-aligned crop of a box's bounding square onto the rectified grid."""
+    """Axis-aligned crop of a box's bounding square onto the rectified grid.
+    Raises SingularTransformError when that square's side is not finite and
+    positive."""
     x, y, w, h = box
     side = max(w, h)
+    if not 0.0 < side < np.inf:
+        raise SingularTransformError(f"box side {side:g}")
     return similarity_from_pose(
         side / rect_size,
         0.0,
@@ -494,7 +498,9 @@ def _decode_cells(state: RpnState, ii, jj, multitask: bool, scale: float = 1.0):
         centers = np.stack([xs[jj], ys[ii]], axis=1)[:, None, :]
         return (reg.T.reshape(-1, 5, 2) * POINT_SCALE + centers) * scale, None
     dx, dy, dlog = reg
-    side = POINT_SCALE * np.exp(dlog)
+    # an overflowing side decodes to inf, which crop_transform rejects
+    with np.errstate(over="ignore"):
+        side = POINT_SCALE * np.exp(dlog)
     x = xs[jj] + dx * POINT_SCALE - side / 2.0
     y = ys[ii] + dy * POINT_SCALE - side / 2.0
     return None, np.stack([x * scale, y * scale, side * scale, side * scale], axis=1)

@@ -29,8 +29,9 @@ def patch_indices(spec: ConvSpec, out_h: int, out_w: int):
 
 
 def im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Oracle of nn.im2col: gather every patch by fancy indexing into a
-    (C*K*K, out_h*out_w) matrix, one column per output position."""
+    """Oracle of the patch matrix, the layout of nn.conv_windows: gather
+    every patch by fancy indexing into a (C*K*K, out_h*out_w) matrix, one
+    column per output position."""
     out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
     chan, row, col = patch_indices(spec, out_h, out_w)
     return pad_chw(x, spec.padding)[chan, row, col]
@@ -47,14 +48,15 @@ def conv2d_forward(x, filters, spec: ConvSpec, bias=None) -> np.ndarray:
 
 def conv2d_backward(grad_out, x, filters, spec: ConvSpec):
     """Oracle of nn.conv2d_backward: the column gradients are
-    scattered into the padded input with np.add.at."""
+    scattered into the padded input with np.add.at, in their own dtype,
+    so an integer input's gradient is not truncated to the input's."""
     out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
     gmat = grad_out.reshape(spec.out_channels, -1)
     grad_filters = (gmat @ im2col(x, spec).T).reshape(filters.shape)
     grad_cols = filters.reshape(spec.out_channels, -1).T @ gmat
     p = spec.padding
     grad_padded = np.zeros(
-        (x.shape[0], x.shape[1] + 2 * p, x.shape[2] + 2 * p), dtype=x.dtype
+        (x.shape[0], x.shape[1] + 2 * p, x.shape[2] + 2 * p), dtype=grad_cols.dtype
     )
     chan, row, col = patch_indices(spec, out_h, out_w)
     np.add.at(grad_padded, (chan, row, col), grad_cols)

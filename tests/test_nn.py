@@ -19,7 +19,6 @@ from warpdet.nn import (
     conv2d_forward,
     fully_connected,
     fully_connected_backward,
-    im2col,
     maxpool2x2,
     maxpool2x2_backward,
     relu,
@@ -31,16 +30,30 @@ from warpdet.nn import (
 )
 
 
+def _patch_matrix(x, spec):
+    """The (C*K*K, out_h*out_w) patch matrix of x, as conv_windows lays it
+    out: row (c, ky, kx) holds that tap for every output position."""
+    out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
+    return conv_windows(x, spec).reshape(-1, out_h * out_w)
+
+
+def _patch_bytes(x, spec):
+    """Bytes of x's patch matrix, C*K*K*out_h*out_w items of x's dtype: the
+    size the lowering rule compares with IM2COL_BUDGET_BYTES."""
+    out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
+    return spec.in_channels * spec.kernel**2 * out_h * out_w * x.itemsize
+
+
 class TestIm2col:
     def test_single_patch_is_row_major_input(self):
         x = np.arange(9, dtype=np.float64).reshape(1, 3, 3)
-        cols = im2col(x, ConvSpec(1, 1, kernel=3))
+        cols = _patch_matrix(x, ConvSpec(1, 1, kernel=3))
         assert cols.shape == (9, 1)
         np.testing.assert_array_equal(cols[:, 0], np.arange(9))
 
     def test_non_overlapping_tiling(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
-        cols = im2col(x, ConvSpec(1, 1, kernel=2, stride=2))
+        cols = _patch_matrix(x, ConvSpec(1, 1, kernel=2, stride=2))
         assert cols.shape == (4, 4)
         np.testing.assert_array_equal(cols[:, 0], [0, 1, 4, 5])
         np.testing.assert_array_equal(cols[:, 1], [2, 3, 6, 7])
@@ -51,13 +64,13 @@ class TestIm2col:
         x = rng.standard_normal((3, 8, 8))
         filters = rng.standard_normal((4, 3, 3, 3))
         spec = ConvSpec(3, 4, kernel=3, stride=1, padding=1)
-        out = (filters.reshape(4, -1) @ im2col(x, spec)).reshape(4, 8, 8)
+        out = (filters.reshape(4, -1) @ _patch_matrix(x, spec)).reshape(4, 8, 8)
         ref = conv2d_reference(x, filters, stride=1, padding=1)
         assert np.max(np.abs(out - ref)) < 1e-12
 
     def test_channel_mismatch_rejected(self, rng):
         with pytest.raises(ShapeError):
-            im2col(rng.standard_normal((2, 4, 4)), ConvSpec(3, 1, kernel=3))
+            conv_windows(rng.standard_normal((2, 4, 4)), ConvSpec(3, 1, kernel=3))
 
 
 class TestConvForward:
@@ -173,38 +186,44 @@ class TestConvBackward:
         assert rel_err(gb, central_diff(loss_of_b, bias)) < 1e-5
 
 
-# Every kernel at padding 0 and K//2, and two paddings of at least the
-# kernel, above the K-1 at which a stride-1 input gradient's flipped-filter
-# product would need a negative padding.
+# Odd and even kernels at padding 0 and K//2, and paddings of at least the
+# kernel, above the K-1 at which a flipped-filter product would need a
+# negative padding, at strides 1 to 3. A stride splits each filter into
+# stride**2 phases of ceil(K/s) taps: one tap when K < s, zero-padded taps
+# when K is no multiple of s.
 ORACLE_GEOMETRIES = [
     (k, s, p, extent)
-    for k, p in [(k, p) for k in (1, 3, 5, 7) for p in sorted({0, k // 2})]
-    + [(1, 1), (3, 3)]
-    for s in (1, 2)
+    for k, p in [(k, p) for k in (1, 2, 3, 4, 5, 7) for p in sorted({0, k // 2})]
+    + [(1, 1), (2, 2), (3, 3), (2, 4)]
+    for s in (1, 2, 3)
     for extent in ((11, 9), (12, 10))
 ]
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8])
 @pytest.mark.parametrize(
     "kernel,stride,padding,extent",
     ORACLE_GEOMETRIES,
     ids=[f"k{k}s{s}p{p}-{h}x{w}" for k, s, p, (h, w) in ORACLE_GEOMETRIES],
 )
-def test_matches_index_gather_oracles(rng, kernel, stride, padding, extent):
+def test_matches_index_gather_oracles(rng, kernel, stride, padding, extent, dtype):
     """The strided-window gather, the forward, and the filter and bias
-    gradients reproduce the fancy-index oracles bit for bit, as does the
-    bincount input gradient of a strided conv. A stride-1 input gradient
-    is a convolution, summed in another order than the np.add.at scatter:
-    the oracle's values to rounding."""
+    gradients reproduce the fancy-index oracles bit for bit. The input
+    gradient is a convolution, summed in another order than the np.add.at
+    scatter: the oracle's values to rounding. A uint8 map computes in the
+    float64 parameters' dtype."""
     spec = ConvSpec(3, 4, kernel=kernel, stride=stride, padding=padding)
-    x = rng.standard_normal((3, *extent))
-    filters = rng.standard_normal((4, 3, kernel, kernel))
-    bias = rng.standard_normal(4)
-    g = rng.standard_normal((4, *spec.out_size(*extent)))
+    if dtype == np.uint8:
+        x = rng.integers(0, 256, size=(3, *extent)).astype(dtype)
+        param_dtype = np.float64
+    else:
+        x = rng.standard_normal((3, *extent)).astype(dtype)
+        param_dtype = dtype
+    filters = rng.standard_normal((4, 3, kernel, kernel)).astype(param_dtype)
+    bias = rng.standard_normal(4).astype(param_dtype)
+    g = rng.standard_normal((4, *spec.out_size(*extent))).astype(param_dtype)
 
-    cols = im2col(x, spec)
-    assert cols.flags.c_contiguous
-    assert np.array_equal(cols, conv_oracles.im2col(x, spec))
+    assert np.array_equal(_patch_matrix(x, spec), conv_oracles.im2col(x, spec))
     assert np.array_equal(
         conv2d_forward(x, filters, spec, bias=bias),
         conv_oracles.conv2d_forward(x, filters, spec, bias=bias),
@@ -215,9 +234,7 @@ def test_matches_index_gather_oracles(rng, kernel, stride, padding, extent):
 def _assert_backward_matches_oracle(g, x, filters, spec):
     """conv2d_backward against the scatter oracle: the bias gradient bit for
     bit; the filter gradient bit for bit while the patch matrix fits the
-    budget, to rounding above it; the input gradient bit for bit for a
-    strided float64 conv, to rounding for a stride-1 conv and for float32,
-    whose bincount sums in float64."""
+    budget, to rounding above it; the input gradient to rounding."""
     got = conv2d_backward(g, x, filters, spec)
     want = conv_oracles.conv2d_backward(g, x, filters, spec)
     for a, b in zip(got, want, strict=True):
@@ -225,14 +242,11 @@ def _assert_backward_matches_oracle(g, x, filters, spec):
     (gx, gf, gb), (wx, wf, wb) = got, want
     input_bound, filter_bound = _backward_rounding_bounds(g, x, filters, spec)
     assert gb.tobytes() == wb.tobytes()
-    if im2col(x, spec).nbytes <= nn.IM2COL_BUDGET_BYTES:
+    if _patch_bytes(x, spec) <= nn.IM2COL_BUDGET_BYTES:
         assert gf.tobytes() == wf.tobytes()
     else:
         assert np.all(np.abs(gf - wf) <= filter_bound)
-    if spec.stride > 1 and g.dtype == np.float64:
-        assert gx.tobytes() == wx.tobytes()
-    else:
-        assert np.all(np.abs(gx - wx) <= input_bound)
+    assert np.all(np.abs(gx - wx) <= input_bound)
 
 
 def _backward_rounding_bounds(g, x, filters, spec):
@@ -280,7 +294,7 @@ class TestConvBackwardAtBenchGeometries:
     @pytest.mark.parametrize("role", BENCH_GEOMETRIES)
     def test_matches_scatter_oracle(self, rng, role):
         """rpn.conv1-conv3 take the kernel-row filter gradient; rpn.conv1
-        and rcnn.conv1 the bincount input gradient."""
+        and rcnn.conv1 the strided, phase-split input gradient."""
         spec, x, filters, g = _bench_case(rng, role)
         _assert_backward_matches_oracle(g, x, filters, spec)
 
@@ -313,44 +327,25 @@ class TestConvBackwardAtBenchGeometries:
         assert grad_filters.tobytes() == want_filters.tobytes()
         assert grad_bias.tobytes() == want_bias.tobytes()
 
-    def test_without_input_grad_builds_no_col2im_index(self, rng):
-        spec = ConvSpec(1, 2, kernel=3, stride=2, padding=1)
-        x = rng.standard_normal((1, 29, 31))
-        filters = rng.standard_normal((2, 1, 3, 3))
-        g = rng.standard_normal((2, *spec.out_size(29, 31)))
-        misses = nn._col2im_index.cache_info().misses
+    def test_without_input_grad_runs_no_input_gradient_product(self, rng, monkeypatch):
+        spec, x, filters, g = _bench_case(rng, "rcnn.conv1")
+        calls = []
+        real = nn._flipped_filter_product
+        monkeypatch.setattr(nn, "_flipped_filter_product",
+                            lambda *a: calls.append(a) or real(*a))
         conv2d_backward(g, x, filters, spec, False)
-        assert nn._col2im_index.cache_info().misses == misses
+        assert not calls
         conv2d_backward(g, x, filters, spec)
-        assert nn._col2im_index.cache_info().misses == misses + 1
-
-    @pytest.mark.parametrize("role", ["rpn.conv2", "rcnn.conv2", "rpn.score_head"])
-    def test_stride_1_input_grad_reads_no_col2im_index(self, rng, role):
-        spec, x, filters, g = _bench_case(rng, role)
-        before = nn._col2im_index.cache_info()
-        grad_input, _, _ = conv2d_backward(g, x, filters, spec)
-        assert grad_input.shape == x.shape
-        assert nn._col2im_index.cache_info() == before
-
-    def test_col2im_index_is_built_once_per_geometry(self, rng):
-        spec, x, filters, g = _bench_case(rng, "rpn.conv1")
-        conv2d_backward(g, x, filters, spec)
-        index = nn._col2im_index(96, 96, 7, 2, 3)
-        assert index is nn._col2im_index(96, 96, 7, 2, 3)
-        assert index.shape == (7 * 7 * 48 * 48,) and index.dtype == np.intp
-        before = index.copy()
-        conv2d_backward(g, x, filters, spec)
-        assert np.array_equal(index, before)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("role", ["rpn.conv1", "rpn.conv2"])
     def test_peak_allocation_is_one_patch_matrix(self, rng, role):
-        """The patch matrix is freed before the column gradient, the other
-        (C*K*K, P) matrix, is allocated, and np.bincount reads the cached
-        index without copying it (a copy is one more patch matrix when
-        C = 1)."""
+        """The filter gradient's copy of the input is freed before the input
+        gradient's product, whose copy of the padded output gradient and
+        phase outputs stay under one patch matrix of the input."""
         spec, x, filters, g = _bench_case(rng, role)
-        patch_matrix_bytes = im2col(x, spec).nbytes
-        conv2d_backward(g, x, filters, spec)  # fills the index cache
+        patch_matrix_bytes = _patch_bytes(x, spec)
+        conv2d_backward(g, x, filters, spec)
         tracemalloc.start()
         try:
             conv2d_backward(g, x, filters, spec)
@@ -368,7 +363,7 @@ class TestConvBackwardAtBenchGeometries:
         copy before the input gradient's product copies the padded output
         gradient's, and stays under one 1,764 KB patch matrix."""
         spec, x, filters, g = _bench_case(rng, role)
-        patch_matrix_bytes = im2col(x, spec).nbytes
+        patch_matrix_bytes = _patch_bytes(x, spec)
         assert patch_matrix_bytes > nn.IM2COL_BUDGET_BYTES
         conv2d_backward(g, x, filters, spec, input_grad)
         tracemalloc.start()
@@ -398,7 +393,7 @@ class TestConvInInputDtype:
         want = conv_oracles.conv2d_forward(
             x, filters.astype(np.float32), spec, bias=bias.astype(np.float32))
         assert got.dtype == np.float32 and got.shape == want.shape
-        if im2col(x, spec).nbytes <= nn.IM2COL_BUDGET_BYTES:
+        if _patch_bytes(x, spec) <= nn.IM2COL_BUDGET_BYTES:
             assert got.tobytes() == want.tobytes()
         else:
             assert np.all(np.abs(got - want) <= _rounding_bound(x, filters, spec, bias))
@@ -500,7 +495,7 @@ class TestKernelRowLowering:
         x = rng.standard_normal((c, *extent)).astype(dtype)
         filters = rng.standard_normal((n, c, spec.kernel, spec.kernel))
         bias = rng.standard_normal(n)
-        assert im2col(x, spec).nbytes > nn.IM2COL_BUDGET_BYTES
+        assert _patch_bytes(x, spec) > nn.IM2COL_BUDGET_BYTES
         got = conv2d_forward(x, filters, spec, bias=bias)
         want = conv_oracles.conv2d_forward(
             x, filters.astype(dtype), spec, bias=bias.astype(dtype))
@@ -521,7 +516,7 @@ class TestKernelRowLowering:
         monkeypatch.setattr(nn, "_kernel_row_product",
                             lambda *a: calls.append(a) or real(*a))
         got = conv2d_forward(x, filters, spec, bias=bias)
-        assert (im2col(x, spec).nbytes > nn.IM2COL_BUDGET_BYTES) == lowered
+        assert (_patch_bytes(x, spec) > nn.IM2COL_BUDGET_BYTES) == lowered
         assert bool(calls) == lowered
         want = conv_oracles.conv2d_forward(x, filters, spec, bias=bias)
         if lowered:
@@ -538,7 +533,7 @@ class TestKernelRowLowering:
         x = rng.standard_normal((c, *extent)).astype(np.float32)
         filters = rng.standard_normal((n, c, spec.kernel, spec.kernel))
         bias = rng.standard_normal(n)
-        patch_matrix_bytes = im2col(x, spec).nbytes
+        patch_matrix_bytes = _patch_bytes(x, spec)
         tracemalloc.start()
         try:
             conv2d_forward(x, filters, spec, bias=bias)

@@ -548,20 +548,17 @@ def _coincident_layout_model():
     return model
 
 
-def test_coincident_canonical_layout_skips_every_candidate_in_detect(held_out):
-    """No candidate can be aligned onto the layout: detect returns no box,
-    and no NaN score, and warns of nothing."""
-    model = _coincident_layout_model()
+def _assert_detect_finds_nothing_without_a_warning(model, images):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for sample in held_out:
+        for sample in images:
             assert pipeline.detect(sample.image, model) == []
 
 
-def test_coincident_canonical_layout_counts_every_candidate_as_singular(monkeypatch):
-    """A joint step on that layout skips each verification candidate and
-    counts it in singular_skips, without a ZeroDivisionError or a warning."""
-    model = _coincident_layout_model()
+def _joint_epoch_counting_every_candidate_as_singular(model, monkeypatch):
+    """One joint epoch on two images, under warnings as errors; asserts that
+    every sampled verification candidate was skipped and counted in
+    singular_skips. Returns the history."""
     sampled = []
 
     def sample_cells(*args):
@@ -579,7 +576,48 @@ def test_coincident_canonical_layout_counts_every_candidate_as_singular(monkeypa
         )
     assert len(sampled) > 0
     assert history["singular_skips"] == len(sampled)
+    return history
+
+
+def test_coincident_canonical_layout_skips_every_candidate_in_detect(held_out):
+    """No candidate can be aligned onto the layout: detect returns no box,
+    and no NaN score, and warns of nothing."""
+    _assert_detect_finds_nothing_without_a_warning(_coincident_layout_model(), held_out)
+
+
+def test_coincident_canonical_layout_counts_every_candidate_as_singular(monkeypatch):
+    """A joint step on that layout skips each verification candidate and
+    counts it in singular_skips, without a ZeroDivisionError or a warning."""
+    history = _joint_epoch_counting_every_candidate_as_singular(
+        _coincident_layout_model(), monkeypatch)
     assert history["epochs"][0]["verdict_accuracy"] == 0.0
+
+
+def _degenerate_box_head_model(log_side):
+    """A box-head detector that proposes every cell, each with the side
+    POINT_SCALE * exp(log_side): 0 at -1000, an overflow to inf at +1000."""
+    model = pipeline.build_detector(pipeline.TrainConfig(seed=0), multitask=False)
+    model.rpn.score_head.bias[:] = [-10.0, 10.0]
+    model.rpn.point_head.bias[2] = log_side
+    return model
+
+
+@pytest.mark.parametrize("log_side", [-1000.0, 1000.0], ids=["zero", "inf"])
+def test_degenerate_box_head_sides_skip_every_candidate_in_detect(held_out, log_side):
+    """No box without a finite positive side can be cropped: detect returns
+    no box and warns of nothing."""
+    _assert_detect_finds_nothing_without_a_warning(
+        _degenerate_box_head_model(log_side), held_out)
+
+
+@pytest.mark.parametrize("log_side", [-1000.0, 1000.0], ids=["zero", "inf"])
+def test_degenerate_box_head_sides_count_every_candidate_as_singular(
+    monkeypatch, log_side
+):
+    """A joint step skips each such candidate and counts it in
+    singular_skips, without a ValueError from the crop or the warp."""
+    _joint_epoch_counting_every_candidate_as_singular(
+        _degenerate_box_head_model(log_side), monkeypatch)
 
 
 def _chain_fingerprint(model, images, corpus, config):

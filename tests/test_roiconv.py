@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import conv_oracles
-from warpdet.nn import ConvSpec, ShapeError, conv2d_forward, im2col, maxpool2x2
+from warpdet.nn import ConvSpec, ShapeError, conv2d_forward, maxpool2x2
 from warpdet.pipeline import (
     CELL_OFFSET,
     CELL_STRIDE,
@@ -156,7 +156,7 @@ class TestRoiIm2col:
         x = rng.standard_normal((3, 8, 8))
         spec = ConvSpec(3, 4, kernel=3, padding=1)
         cols, positions = roi_im2col(x, full_mask(8, 8), spec)
-        np.testing.assert_array_equal(cols, im2col(x, spec))
+        np.testing.assert_array_equal(cols, conv_oracles.im2col(x, spec))
         np.testing.assert_array_equal(positions, np.arange(64))
 
     def test_all_zero_mask(self, rng):
@@ -172,7 +172,7 @@ class TestRoiIm2col:
         oh, ow = spec.out_size(9, 7)
         mask = random_mask(rng, oh, ow, 0.4)
         cols, positions = roi_im2col(x, mask, spec)
-        dense = im2col(x, spec)
+        dense = conv_oracles.im2col(x, spec)
         np.testing.assert_array_equal(cols, dense[:, positions])
 
     @pytest.mark.parametrize("kernel,stride", [(1, 1), (3, 1), (5, 2), (7, 2)])

@@ -1,8 +1,9 @@
 """Static checks on the source that no linter in the test environment
 makes: every name a module of the package, the tests or the benchmark
-imports is read by that module, and every dataclass field and property the
-package defines is read as an attribute somewhere. The checks only read the
-files."""
+imports is read by that module, every dataclass field and property the
+package defines is read as an attribute somewhere, and every top-level
+function and class of the package is read by the package or the
+benchmark. The checks only read the files."""
 
 import ast
 from pathlib import Path
@@ -13,9 +14,12 @@ import warpdet
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(Path(warpdet.__file__).parent.glob("*.py"))
-MODULES = sorted(
-    [*PACKAGE, *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
-)
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py"), *BENCH])
+
+# The model file's writer and reader: the package's entry points for its
+# users, which neither the package nor the benchmark calls.
+ENTRY_POINTS = {"save_model", "load_model"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -124,3 +128,56 @@ def test_an_unread_field_or_property_is_reported():
     )
     assert defined_attributes(source) == ["A.x", "A.y", "A.z"]
     assert read_attributes(source) == {"x"}
+
+
+def top_level_definitions(source: str) -> list[str]:
+    """Names of the functions and classes the module defines at top level."""
+    return [
+        node.name for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+
+
+def read_names(source: str) -> set[str]:
+    """Names the module reads: as a name, as an attribute of any object, or
+    by importing them from another module."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_top_level_definition_is_read_by_the_package_or_the_benchmark():
+    """A function or class only the tests call is a second copy of what
+    the package already does, or dead code. The match is by name only, so
+    a definition read under its name anywhere, by itself included, passes."""
+    read = set().union(*(read_names(m.read_text()) for m in [*PACKAGE, *BENCH]))
+    unread = [
+        f"{path.name}: {name}" for path in PACKAGE
+        for name in top_level_definitions(path.read_text())
+        if name not in read | ENTRY_POINTS
+    ]
+    assert unread == []
+
+
+def test_an_unread_definition_is_reported():
+    source = (
+        "from .ferns import scan as cascade_scan\n"
+        "import numpy as np\n"
+        "class A:\n"
+        "    def method(self):\n"
+        "        return np.zeros(1)\n"
+        "def f(a):\n"
+        "    return cascade_scan(a).size\n"
+        "def g():\n"
+        "    return f\n"
+    )
+    assert top_level_definitions(source) == ["A", "f", "g"]
+    read = read_names(source)
+    assert {"scan", "cascade_scan", "np", "zeros", "f", "size"} <= read
+    assert not {"A", "g", "method"} & read
