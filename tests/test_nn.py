@@ -341,8 +341,8 @@ class TestConvBackwardAtBenchGeometries:
     @pytest.mark.parametrize("role", ["rpn.conv1", "rpn.conv2"])
     def test_peak_allocation_is_one_patch_matrix(self, rng, role):
         """The filter gradient's copy of the input is freed before the input
-        gradient's product, whose copy of the padded output gradient and
-        phase outputs stay under one patch matrix of the input."""
+        gradient's product, whose copies of the padded output gradient and
+        its phase outputs stay under one patch matrix of the input."""
         spec, x, filters, g = _bench_case(rng, role)
         patch_matrix_bytes = _patch_bytes(x, spec)
         conv2d_backward(g, x, filters, spec)
