@@ -48,9 +48,9 @@ from .nn import SgdOptimizer, ShapeError
 from .roiconv import (
     RoiMask,
     RoiPyramid,
-    downsample_image,
     downsample_mask,
     group_candidates,
+    octave_levels,
     roi_conv_forward,
 )
 from .suppress import Detection, iou, nms, non_top_k
@@ -59,7 +59,6 @@ from .synthetic import box_from_landmarks
 CELL_STRIDE = 8
 CELL_OFFSET = 3.0
 PROPOSAL_THRESHOLD = 0.5  # face probability at which a proposal cell is a candidate
-MAX_LEVELS = 4            # octaves of the dense detection pyramid
 L2_EPS = 1e-6
 NEGATIVES_PER_IMAGE = 3   # face-free crops per corpus image for the pre-filter
 PREFILTER_POOL = 60       # random fern candidates per pre-filter stage
@@ -660,21 +659,13 @@ def _candidate_step(model, image, state, i, j, label, d_point, d_feat_extra,
 
 
 def _dense_levels(image: np.ndarray):
-    levels = []
-    current = image
-    for k in range(MAX_LEVELS):
-        if min(current.shape[1], current.shape[2]) < 48:
-            break
-        levels.append((k, current, None))
-        current = downsample_image(current)
-    return levels
+    """Every octave level of image, unmasked."""
+    return [(octave, level, None) for octave, level in octave_levels(image)]
 
 
 def _roi_levels(image: np.ndarray, work: np.ndarray, model: DetectorModel):
     """ROI levels of work, masked by the pre-filter's scan of image."""
-    raw = cascade_scan(image[0], model.cascade)
-    # as Python floats: the per-box arithmetic costs twice as much on numpy scalars
-    groups = group_candidates(raw[:, :4].tolist())
+    groups = group_candidates(cascade_scan(image[0], model.cascade))
     return RoiPyramid.build(work, groups).levels
 
 

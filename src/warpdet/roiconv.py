@@ -1,13 +1,15 @@
 """ROI-masked convolution and its supporting geometry.
 
-Candidate boxes from the pre-filter are bucketed into scale octaves, each
-octave gets a half-sampled pyramid level plus a binary occupancy mask, and
-convolution layers gather only the patches whose output centers fall inside
-the mask. Each patch is a (C*K*K,) column read from the same strided window
-view the dense im2col path copies, and the reshaped filter bank multiplies
-the gathered (C*K*K, M) matrix like the dense path. Masked positions agree
-with dense convolution to rounding (the tests hold them to 1e-12), not bit
-for bit: BLAS may sum a product of fewer columns in another order. Skipped
+The pre-filter's candidate boxes stay one float64 array from the scan to
+the masks: group_candidates buckets them into scale octaves, and each
+octave gets its level of octave_levels, the one pyramid both detect paths
+run, plus a binary occupancy mask. Convolution layers gather only the
+patches whose output centers fall inside the mask. Each patch is a
+(C*K*K,) column read from the same strided window view the dense im2col
+path copies, and the reshaped filter bank multiplies the gathered
+(C*K*K, M) matrix like the dense path. Masked positions agree with dense
+convolution to rounding (the tests hold them to 1e-12), not bit for bit:
+BLAS may sum a product of fewer columns in another order. Skipped
 positions cost nothing.
 """
 
@@ -24,13 +26,16 @@ from .nn import ConvSpec, ShapeError, as_input_dtype, block_taps, conv_windows
 MIN_FACE = 36
 # Largest mask footprint side: the receptive field of one proposal cell.
 DEFAULT_RF_CAP = 85
+# octave_levels' rule: at most MAX_LEVELS octaves, no side under MIN_LEVEL_SIDE px.
+MAX_LEVELS = 4
+MIN_LEVEL_SIDE = 48
 
 
 class RoiMask:
-    """Immutable binary occupancy grid over an image plane."""
+    """Immutable copy of a binary occupancy grid over an image plane."""
 
     def __init__(self, bits: np.ndarray):
-        bits = np.ascontiguousarray(np.asarray(bits, dtype=bool))
+        bits = np.array(bits, dtype=bool, order="C")
         if bits.ndim != 2:
             raise ValueError(f"mask must be 2-D, got shape {bits.shape}")
         bits.flags.writeable = False
@@ -49,40 +54,39 @@ class RoiMask:
         return isinstance(other, RoiMask) and np.array_equal(self.bits, other.bits)
 
 
-def group_candidates(candidates) -> list[tuple[int, list]]:
-    """Bucket boxes into scale octaves by their larger side.
-
-    Returns (octave k, boxes at original resolution) pairs in octave order.
-    Boxes smaller than the detector minimum (36 px) are discarded; every
-    retained box lands in exactly one octave and measures within [36, 72)
-    after downsampling by 2^-k.
-    """
-    groups: dict[int, list] = {}
-    for box in candidates:
-        x, y, w, h = box
-        size = max(w, h)
-        if size < MIN_FACE:
-            continue
-        k = int(np.floor(np.log2(size / MIN_FACE)))
-        groups.setdefault(k, []).append((x, y, w, h))
-    return sorted(groups.items())
+def group_candidates(candidates) -> list[tuple[int, np.ndarray]]:
+    """Bucket boxes into scale octaves by their larger side, in one pass:
+    (octave k, (M, 4) float64 boxes) pairs in octave order, rows in input
+    order, from [x, y, w, h, ...] rows such as the pre-filter scan's. Boxes
+    under the detector minimum (36 px) are discarded; every other box lands
+    in octave floor(log2(side / 36)), within [36, 72) px at scale 2^-k."""
+    if len(candidates) == 0:
+        return []
+    boxes = np.asarray(candidates, dtype=np.float64)[:, :4]
+    side = boxes[:, 2:].max(axis=1)
+    boxes, side = boxes[side >= MIN_FACE], side[side >= MIN_FACE]
+    octaves = np.floor(np.log2(side / MIN_FACE))
+    return [(int(k), boxes[octaves == k]) for k in np.unique(octaves)]
 
 
 def build_mask(scaled_candidates, level_size) -> RoiMask:
     """Union of candidate footprints: each box keeps its center, doubles each
-    side (capped at the receptive field), and is clipped to the level bounds."""
+    side (capped at the receptive field), and is clipped to the level bounds.
+    The (M, 4) boxes are placed in one float64 pass, edges rounded half to
+    even; with +1 at each footprint's top-left and bottom-right corners and
+    -1 at the other two, running sums count the footprints over each pixel."""
     height, width = level_size
-    bits = np.zeros((height, width), dtype=bool)
-    for x, y, w, h in scaled_candidates:
-        cx, cy = x + w / 2.0, y + h / 2.0
-        ww = min(2.0 * w, float(DEFAULT_RF_CAP))
-        hh = min(2.0 * h, float(DEFAULT_RF_CAP))
-        x0 = int(round(cx - ww / 2.0))
-        y0 = int(round(cy - hh / 2.0))
-        x1 = x0 + int(round(ww))
-        y1 = y0 + int(round(hh))
-        bits[max(0, y0) : max(0, min(y1, height)), max(0, x0) : max(0, min(x1, width))] = True
-    return RoiMask(bits)
+    x, y, w, h = np.asarray(scaled_candidates, dtype=np.float64).reshape(-1, 4).T
+    ww, hh = np.minimum([2.0 * w, 2.0 * h], float(DEFAULT_RF_CAP))
+    x0, y0 = np.round([x + w / 2.0 - ww / 2.0, y + h / 2.0 - hh / 2.0])
+    x0, x1 = np.clip([x0, x0 + np.round(ww)], 0, width).astype(np.intp)
+    y0, y1 = np.clip([y0, y0 + np.round(hh)], 0, height).astype(np.intp)
+    signed = np.zeros((height + 1, width + 1), dtype=np.intp)
+    on = (x0 < x1) & (y0 < y1)
+    for ys, xs, sign in ((y0, x0, 1), (y1, x1, 1), (y0, x1, -1), (y1, x0, -1)):
+        np.add.at(signed, (ys[on], xs[on]), sign)
+    cover = signed.cumsum(0).cumsum(1)
+    return RoiMask(cover[:height, :width] > 0)
 
 
 def downsample_mask(mask: RoiMask) -> RoiMask:
@@ -171,18 +175,25 @@ def resize_bilinear(image: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
 
 def downsample_image(image: np.ndarray) -> np.ndarray:
     """Half-sample a CHW image by 2x2 box averaging; odd extents replicate
-    their last row/column so the output measures ceil(input / 2).
-
-    Each block sums as ((tl + tr) + (bl + br)) / 4, the order in which
-    np.mean over the block axes sums it, so the result matches that mean bit
-    for bit. The one exception is an output 1 px wide, where np.mean adds
-    the four taps in sequence and the last bits may differ; no detector
-    level is that narrow. Integer pixels are averaged in float64, as
-    np.mean averages them."""
+    their last row/column, so the output measures ceil(input / 2). Blocks
+    sum as ((tl + tr) + (bl + br)) / 4, as np.mean does, bit for bit, on
+    every output wider than 1 px. Integer pixels average in float64."""
     if image.dtype.kind != "f":
         image = image.astype(np.float64)
     tl, tr, bl, br = block_taps(image)
     return ((tl + tr) + (bl + br)) / 4
+
+
+def octave_levels(image: np.ndarray):
+    """Yield (octave k, image half-sampled k times) under the level rule,
+    downsampling only when the next level is asked for."""
+    level = image
+    for octave in range(MAX_LEVELS):
+        if octave:
+            level = downsample_image(level)
+        if min(level.shape[1:]) < MIN_LEVEL_SIDE:
+            return
+        yield octave, level
 
 
 @dataclass
@@ -193,19 +204,16 @@ class RoiPyramid:
 
     @classmethod
     def build(cls, image: np.ndarray, groups) -> "RoiPyramid":
-        """One level per (octave, boxes) pair of group_candidates: the image
-        half-sampled octave times, and the mask of the boxes scaled by
-        2^-octave."""
+        """One level per (octave, boxes) pair of group_candidates, in octave
+        order, whose octave octave_levels yields: that level image, and the
+        mask of the boxes scaled by 2^-octave in one multiply."""
         if image.ndim != 3:
             raise ValueError(f"expected CHW image, got {image.shape}")
         levels = []
-        current = image
-        depth = 0
-        for octave, boxes in sorted(groups):
-            while depth < octave:
-                current = downsample_image(current)
-                depth += 1
-            s = 2.0 ** (-octave)
-            scaled = [(x * s, y * s, w * s, h * s) for x, y, w, h in boxes]
-            levels.append((octave, current, build_mask(scaled, current.shape[1:])))
+        pyramid = octave_levels(image)
+        for octave, boxes in groups:
+            level = next((lv for k, lv in pyramid if k == octave), None)
+            if level is None:  # past the last level, as every later group
+                break
+            levels.append((octave, level, build_mask(boxes * 2.0**-octave, level.shape[1:])))
         return cls(levels)

@@ -13,6 +13,7 @@ import copy
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,11 +38,27 @@ def spans():
 @pytest.fixture(scope="module")
 def traced(spans, tiny_run, held_out):
     """A tracer that has recorded operations 0 (dense detect), 1 (ROI
-    detect) and 2 (joint training step)."""
+    detect) and 2 (joint training step). Its ``pyramid_calls`` lists, for
+    each call of ``group_candidates`` and ``RoiPyramid.build``, the
+    operation, the function, the span just opened around it and the
+    keywords it was called with."""
     model = copy.deepcopy(tiny_run[0])
     model.cascade = open_cascade(np.random.default_rng(TINY_SEED))
     sample = held_out[0]
     tracer = spans.Tracer()
+    tracer.pyramid_calls = []
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            _, span, _, _, end = tracer.spans[-1]
+            tracer.pyramid_calls.append((tracer.op_id, name, span, end, kwargs))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    saved = pipeline.group_candidates, pipeline.RoiPyramid
+    pipeline.group_candidates = recorded("group_candidates", saved[0])
+    pipeline.RoiPyramid = SimpleNamespace(
+        build=recorded("RoiPyramid.build", saved[1].build))
     tracer.install()
     try:
         tracer.watch(model)
@@ -53,6 +70,7 @@ def traced(spans, tiny_run, held_out):
         tracer.operation(2, pipeline.train_end_to_end, [sample], model, config)
     finally:
         tracer.uninstall()
+        pipeline.group_candidates, pipeline.RoiPyramid = saved
     return tracer
 
 
@@ -78,6 +96,18 @@ def test_roi_detect_records_every_masked_layer(spans, traced):
     masked = {"roiconv.conv_ms." + role for role in spans.RPN_ROLES}
     assert masked <= _span_names(traced, 1)
     assert traced.count_totals([1])["ferns.survivors"] > 0
+
+
+def test_roi_detect_records_one_grouping_and_one_pyramid_span(traced):
+    """The ROI detect groups its candidates once and builds its pyramid once,
+    each with positional arguments inside a span of its own; the dense
+    detect and the training step record no pyramid span."""
+    assert traced.pyramid_calls == [
+        (1, "group_candidates", "roiconv.pyramid_ms", 0.0, {}),
+        (1, "RoiPyramid.build", "roiconv.pyramid_ms", 0.0, {}),
+    ]
+    pyramid = [op for op, name, *_ in traced.spans if name == "roiconv.pyramid_ms"]
+    assert pyramid == [1, 1]
 
 
 def test_dense_detect_counts_match_the_per_cell_oracle(traced, tiny_run, held_out):

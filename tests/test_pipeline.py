@@ -669,14 +669,12 @@ def test_detect_and_joint_step_bytes_equal_with_the_kernel_oracles(
         _, argmax = conv_oracles.maxpool2x2(x)
         return conv_oracles.maxpool2x2_backward(grad_out, argmax, x.shape)
 
-    downsample = counted("downsample", conv_oracles.downsample_image)
     for target, name, fn in (
         (nn, "maxpool2x2", counted("maxpool", lambda x: conv_oracles.maxpool2x2(x)[0])),
         (nn, "maxpool2x2_backward", counted("maxpool_backward", pool_backward)),
         (pipeline, "warp", counted("warp", warp_oracles.warp)),
         (pipeline, "warp_backward", counted("warp_backward", warp_oracles.warp_backward)),
-        (pipeline, "downsample_image", downsample),
-        (roiconv, "downsample_image", downsample),
+        (roiconv, "downsample_image", counted("downsample", conv_oracles.downsample_image)),
         (pipeline, "_level_candidates",
          counted("level_candidates", decode_oracles.level_candidates)),
     ):

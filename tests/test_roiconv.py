@@ -2,11 +2,16 @@
 receptive-field cap, checked against the dense convolution oracle."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import conv_oracles
+import roi_oracles
+from conftest import open_cascade
+from warpdet import pipeline, synthetic
+from warpdet.ferns import scan
 from warpdet.nn import ConvSpec, ShapeError, conv2d_forward, maxpool2x2
 from warpdet.pipeline import (
     CELL_OFFSET,
@@ -17,12 +22,16 @@ from warpdet.pipeline import (
 )
 from warpdet.roiconv import (
     DEFAULT_RF_CAP,
+    MAX_LEVELS,
+    MIN_FACE,
+    MIN_LEVEL_SIDE,
     RoiMask,
     RoiPyramid,
     build_mask,
     downsample_image,
     downsample_mask,
     group_candidates,
+    octave_levels,
     roi_conv_forward,
     roi_conv_macs,
     roi_im2col,
@@ -75,27 +84,137 @@ def pyramid_overhead(levels: int) -> float:
     return sum(4.0**-k for k in range(1, levels))
 
 
+def boxes(rows):
+    return np.asarray(rows, dtype=np.float64).reshape(-1, 4)
+
+
+def assert_same_groups(got, want):
+    """Array groups equal the per-box oracle's, octave for octave, byte for
+    byte."""
+    assert [k for k, _ in got] == [k for k, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a.dtype == np.float64 and a.shape == (len(b), 4)
+        assert a.tobytes() == boxes(b).tobytes()
+
+
+def assert_same_levels(got, want):
+    assert [k for k, _, _ in got] == [k for k, _, _ in want]
+    for (_, image, mask), (_, oracle_image, oracle_bits) in zip(got, want):
+        assert image.dtype == oracle_image.dtype and image.shape == oracle_image.shape
+        assert image.tobytes() == oracle_image.tobytes()
+        assert mask.bits.shape == oracle_bits.shape
+        assert mask.bits.tobytes() == oracle_bits.tobytes()
+
+
 class TestGrouping:
     def test_octave_assignment(self):
-        boxes = [(10, 10, 50, 50), (30, 30, 100, 100), (5, 5, 20, 20)]
-        groups = group_candidates(boxes)
-        assert groups == [(0, [(10, 10, 50, 50)]), (1, [(30, 30, 100, 100)])]
+        groups = group_candidates(boxes([(10, 10, 50, 50), (30, 30, 100, 100), (5, 5, 20, 20)]))
+        assert [k for k, _ in groups] == [0, 1]
+        assert groups[0][1].tolist() == [[10, 10, 50, 50]]
+        assert groups[1][1].tolist() == [[30, 30, 100, 100]]
+
+    def test_scan_rows_keep_their_box_columns_in_input_order(self):
+        rows = np.array([[1, 2, 40, 40, 0.5], [3, 4, 90, 90, -1.0], [5, 6, 50, 50, 2.0]])
+        groups = group_candidates(rows)
+        assert [k for k, _ in groups] == [0, 1]
+        assert groups[0][1].tolist() == [[1, 2, 40, 40], [5, 6, 50, 50]]
+        assert groups[1][1].tolist() == [[3, 4, 90, 90]]
 
     def test_small_faces_discarded(self):
-        assert group_candidates([(0, 0, 20, 20), (0, 0, 35, 35)]) == []
+        assert group_candidates(boxes([(0, 0, 20, 20), (0, 0, 35, 35)])) == []
 
     def test_totality_every_box_in_exactly_one_octave(self, rng):
         sizes = rng.uniform(36, 400, size=200)
-        boxes = [(0, 0, s, s) for s in sizes]
-        groups = group_candidates(boxes)
-        total = sum(len(members) for _, members in groups)
-        assert total == len(boxes)
+        groups = group_candidates(np.column_stack([np.zeros((200, 2)), sizes, sizes]))
+        assert sum(len(members) for _, members in groups) == len(sizes)
         for octave, members in groups:
-            for _, _, w, h in members:
-                assert 36.0 <= max(w, h) * 2.0**-octave < 72.0 + 1e-9
+            side = np.maximum(members[:, 2], members[:, 3]) * 2.0**-octave
+            assert (side >= 36.0).all() and (side < 72.0 + 1e-9).all()
 
     def test_empty_input(self):
+        assert group_candidates(np.empty((0, 5))) == []
         assert group_candidates([]) == []
+
+
+class TestArrayCandidatesMatchPerBoxOracles:
+    """group_candidates, build_mask and RoiPyramid.build against the per-box
+    forms in tests/roi_oracles.py, byte for byte."""
+
+    @pytest.mark.parametrize("size", [96, 160, 320])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_open_cascade_survivors(self, size, dtype):
+        image = synthetic.generate_synthetic_corpus(
+            11, 1, synthetic.CorpusParams(image_size=size)
+        )[0].image
+        raw = scan(image[0], open_cascade(np.random.default_rng(size)))
+        assert len(raw) > 0
+        groups = group_candidates(raw)
+        oracle_groups = roi_oracles.group_candidates(raw[:, :4].tolist())
+        assert_same_groups(groups, oracle_groups)
+        work = image.astype(dtype)
+        levels = RoiPyramid.build(work, groups).levels
+        assert levels
+        assert_same_levels(levels, roi_oracles.pyramid_levels(work, oracle_groups))
+
+    def test_boxes_partly_or_wholly_off_the_level(self, rng):
+        xy = rng.uniform(-150, 200, size=(400, 2))
+        wh = rng.uniform(0.5, 120, size=(400, 2))
+        rows = np.column_stack([xy, wh])
+        outside = ((xy + 2 * wh < 0) | (xy - wh > [80, 64])).any(axis=1)
+        assert outside.sum() >= 20 and (~outside).sum() >= 20
+        for chunk in np.array_split(rows, 40):
+            got = build_mask(chunk, (64, 80)).bits
+            want = roi_oracles.build_mask(chunk.tolist(), (64, 80))
+            assert got.tobytes() == want.tobytes()
+        for row in rows[outside][:10]:
+            assert not build_mask(row[None], (64, 80)).bits.any()
+
+    def test_boxes_with_a_zero_or_negative_side_draw_nothing(self):
+        rows = boxes([(10, 10, 0, 30), (10, 10, -20, 30), (20, 5, 30, -40), (5, 5, 20, 20)])
+        got = build_mask(rows, (64, 80)).bits
+        assert got.tobytes() == roi_oracles.build_mask(rows.tolist(), (64, 80)).tobytes()
+        assert got.tobytes() == build_mask(rows[3:], (64, 80)).bits.tobytes()
+
+    def test_sides_at_and_above_the_receptive_field_cap(self):
+        half = DEFAULT_RF_CAP / 2.0
+        sides = [42.0, np.nextafter(half, 0), half, np.nextafter(half, np.inf), 43.0,
+                 60.0, 200.0]
+        for w in sides:
+            for h in sides:
+                rows = [(30.25, 20.5, w, h), (-10.0, 70.0, h, w)]
+                got = build_mask(boxes(rows), (120, 140)).bits
+                assert got.tobytes() == roi_oracles.build_mask(rows, (120, 140)).tobytes()
+
+    def test_footprint_edges_on_half_pixel_ties(self, rng):
+        rows = np.column_stack([
+            rng.integers(-40, 240, size=(300, 2)) / 4.0,
+            rng.integers(1, 100, size=(300, 2)) / 2.0,
+        ])
+        x, _, w, _ = rows.T
+        edge = x + w / 2.0 - np.minimum(2.0 * w, DEFAULT_RF_CAP) / 2.0
+        assert (edge % 1.0 == 0.5).sum() >= 50
+        for chunk in np.array_split(rows, 30):
+            got = build_mask(chunk, (50, 60)).bits
+            assert got.tobytes() == roi_oracles.build_mask(chunk.tolist(), (50, 60)).tobytes()
+
+    def test_sides_at_octave_bounds_and_one_ulp_below(self):
+        rows = []
+        for k in range(7):
+            side = MIN_FACE * 2.0**k
+            for s in (side, np.nextafter(side, 0)):
+                rows += [(k, 2 * k, s, s), (k, 0.0, s, 1.0), (0.0, k, 20.0, s)]
+        rows = np.array(rows)
+        groups = group_candidates(rows)
+        assert_same_groups(groups, roi_oracles.group_candidates(rows.tolist()))
+        assert [k for k, _ in groups] == list(range(7))
+        for k, members in groups:
+            assert MIN_FACE * 2.0**k in np.maximum(members[:, 2], members[:, 3])
+
+    def test_empty_input(self):
+        assert group_candidates(np.empty((0, 5))) == roi_oracles.group_candidates([]) == []
+        got = build_mask(np.empty((0, 4)), (5, 7)).bits
+        assert got.tobytes() == roi_oracles.build_mask([], (5, 7)).tobytes()
+        assert RoiPyramid.build(np.zeros((1, 64, 64)), []).levels == []
 
 
 class TestBuildMask:
@@ -122,6 +241,21 @@ class TestBuildMask:
         mask = build_mask([(0, 0, 40, 40)], (100, 100))
         assert mask.bits[0, 0]
         assert mask.ones_count == 60 * 60  # doubled box clipped at the origin
+
+
+class TestRoiMask:
+    def test_copies_the_callers_array(self):
+        bits = np.zeros((4, 4), dtype=bool)
+        mask = RoiMask(bits)
+        bits[0, 0] = True
+        assert not mask.bits[0, 0]
+        assert not mask.bits.flags.writeable
+
+    def test_fortran_ordered_bits_are_held_c_contiguous(self):
+        bits = np.asfortranarray(np.eye(3, 5, dtype=bool))
+        mask = RoiMask(bits)
+        assert mask.bits.flags.c_contiguous
+        assert np.array_equal(mask.bits, bits)
 
 
 class TestDownsampleMask:
@@ -473,18 +607,50 @@ class TestPyramidOverhead:
 
 class TestPyramid:
     def test_level_extents_and_budget(self, rng):
-        img = rng.random((1, 100, 90))
-        boxes = [(5, 5, 40, 40), (10, 10, 80, 80), (0, 0, 45, 160)]
-        pyramid = RoiPyramid.build(img, group_candidates(boxes))
+        # the dense pyramid of a 200 x 190 image has three octaves, the
+        # third 50 x 48
+        img = rng.random((1, 200, 190))
+        rows = boxes([(5, 5, 40, 40), (10, 10, 80, 80), (0, 0, 45, 160)])
+        pyramid = RoiPyramid.build(img, group_candidates(rows))
         octaves = [k for k, _, _ in pyramid.levels]
         assert octaves == [0, 1, 2]
+        assert octaves == [k for k, _, _ in pipeline._dense_levels(img)]
         for k, level_img, mask in pyramid.levels:
-            eh = int(np.ceil(100 / 2**k))
-            ew = int(np.ceil(90 / 2**k))
+            eh = int(np.ceil(200 / 2**k))
+            ew = int(np.ceil(190 / 2**k))
             assert level_img.shape == (1, eh, ew)
             assert mask.bits.shape == (eh, ew)
         total_pixels = sum(img.shape[1] * img.shape[2] for _, img, _ in pyramid.levels)
-        assert total_pixels <= (1 + 1 / 3 + 0.05) * 100 * 90
+        assert total_pixels <= (1 + 1 / 3 + 0.05) * 200 * 190
+
+    def test_roi_octaves_are_dense_octaves(self):
+        """Under the one level rule, an open cascade's survivors on a 160-px
+        image, the largest 144 px or more (octave 2, a 40 x 40 level), run
+        only octaves the dense path runs, on the dense path's level images."""
+        image = synthetic.generate_synthetic_corpus(
+            11, 1, synthetic.CorpusParams(image_size=160)
+        )[0].image
+        model = SimpleNamespace(cascade=open_cascade(np.random.default_rng(0)))
+        work = image.astype(pipeline.INFERENCE_DTYPE)
+        grouped = [k for k, _ in group_candidates(scan(image[0], model.cascade))]
+        assert max(grouped) >= 2
+        dense = {k: level for k, level, _ in pipeline._dense_levels(work)}
+        roi = pipeline._roi_levels(image, work, model)
+        assert roi and all(k in dense for k, _, _ in roi)
+        for k, level, _ in roi:
+            assert level.tobytes() == dense[k].tobytes()
+
+    def test_levels_stop_at_max_levels(self):
+        img = np.zeros((1, 48 * 2**MAX_LEVELS, 48 * 2**MAX_LEVELS))
+        octaves = [k for k, _ in octave_levels(img)]
+        assert octaves == list(range(MAX_LEVELS))
+        groups = group_candidates(boxes([(0, 0, MIN_FACE * 2.0**k, 40) for k in range(6)]))
+        assert [k for k, _, _ in RoiPyramid.build(img, groups).levels] == octaves
+
+    def test_an_image_under_the_floor_has_no_levels(self):
+        img = np.zeros((1, MIN_LEVEL_SIDE - 1, 200))
+        assert list(octave_levels(img)) == []
+        assert RoiPyramid.build(img, group_candidates(boxes([(0, 0, 40, 40)]))).levels == []
 
     def test_downsample_image_box_average(self):
         img = np.arange(16, dtype=np.float64).reshape(1, 4, 4)
