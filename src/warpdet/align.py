@@ -28,7 +28,12 @@ The least-squares solution is a = c1/c3, b = c2/c3 with
 over centered coordinates. A rectified point maps back to the source via
 
     x = ( a*(xr - mxr) - b*(yr - myr)) / (a^2 + b^2) + mx
-    y = ( b*(xr - mxr) + a*(yr - myr)) / (a^2 + b^2) + my.
+    y = ( b*(xr - mxr) + a*(yr - myr)) / (a^2 + b^2) + my
+
+(inverse_offsets). The one fit, fit_similarity, takes one (N, 2) landmark
+set, for the warp, or a (..., N, 2) stack, for synthetic.box_from_landmarks.
+A set fits to the same bits alone or stacked: its sums are np.vecdot over
+C-contiguous rows, equal to np.dot bit for bit (strided views round apart).
 """
 
 from __future__ import annotations
@@ -95,50 +100,59 @@ class TransformGradients:
     d_canonical: np.ndarray | None = None
 
 
-def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"expected (N, 2) points, got shape {pts.shape}")
-    return pts
-
-
-def _centered(points: np.ndarray, name: str):
-    """Centroid, centered coordinates and squared spread of (N, 2) points;
-    raises SingularTransformError when they are (near-)coincident or not
-    finite. The centroid is np.mean's: the column sums divided by the count."""
-    m_x, m_y = points.sum(axis=0) / len(points)
-    X, Y = points[:, 0] - m_x, points[:, 1] - m_y
-    spread = float(np.dot(X, X) + np.dot(Y, Y))
-    reach = max(1.0, float((points[:, 0] ** 2 + points[:, 1] ** 2).max()))
-    if not spread > 1e-12 * reach:
+def _center(points: np.ndarray, name: str):
+    """Centroid (..., 2) of (..., N, 2) points, their centered coordinates as
+    C-contiguous (..., 2, N) rows [X, Y], their squared spread (...), and a
+    flag (...), False where the spread is not above 1e-12 * max(1, largest
+    squared norm): (near-)coincident or non-finite points. One flagged
+    (N, 2) set raises SingularTransformError instead."""
+    mean = points.sum(axis=-2) / points.shape[-2]  # np.mean's arithmetic
+    rows = np.subtract(points.swapaxes(-1, -2), mean[..., None], order="C")
+    squares = np.vecdot(rows, rows)
+    spread = squares[..., 0] + squares[..., 1]
+    ok = spread > 1e-12 * np.square(points).sum(axis=-1).max(axis=-1, initial=1.0)
+    if points.ndim == 2 and not ok:
         kind = "coincident" if np.isfinite(spread) else "non-finite"
         raise SingularTransformError(f"{kind} {name} (squared spread {spread:g})")
-    return m_x, m_y, X, Y, spread
+    return mean, rows, spread, ok
 
 
-def _fit_terms(landmarks, canonical):
-    """Validate the two (N, 2) point sets and compute the fit's terms, as
-    (m_x, m_y, m_xr, m_yr, X, Y, Xr, Yr, c1, c2, c3); raises
-    SingularTransformError when either set is (near-)coincident: coincident
-    landmarks give no scale to fit, and a coincident canonical layout gives
-    a = b = 0, whose inverse map divides by zero."""
-    src = _as_points(landmarks)
-    dst = _as_points(canonical)
-    if src.shape != dst.shape:
-        raise ValueError(f"point sets differ: {src.shape} vs {dst.shape}")
-    if len(src) < 2:
+def fit_similarity(landmarks, canonical):
+    """Fit one (N, 2) landmark set, or each set of a (..., N, 2) stack, to
+    one (N, 2) canonical layout. Returns the centroids (..., 2) and (2,),
+    the centered rows (..., 2, N) and (2, N), c1, c2, c3 (...), and the
+    landmarks' flag of _center (...): flagged sets give no scale to fit.
+    A flagged layout raises, as its a = b = 0 would make the inverse map
+    divide by zero; so does one flagged landmark set."""
+    src = np.asarray(landmarks, dtype=np.float64)
+    dst = np.asarray(canonical, dtype=np.float64)
+    if dst.ndim != 2 or dst.shape[1] != 2 or src.shape[-2:] != dst.shape:
+        raise ValueError(f"expected (..., N, 2) and (N, 2) points, "
+                         f"got shapes {src.shape} and {dst.shape}")
+    if len(dst) < 2:
         raise ValueError("need at least 2 landmark pairs")
-    m_xr, m_yr, Xr, Yr, _ = _centered(dst, "canonical points")
-    m_x, m_y, X, Y, c3 = _centered(src, "landmarks")
-    c1 = float(np.dot(Xr, X) + np.dot(Yr, Y))
-    c2 = float(np.dot(Xr, Y) - np.dot(Yr, X))
-    return m_x, m_y, m_xr, m_yr, X, Y, Xr, Yr, c1, c2, c3
+    m_r, rows_r, _, _ = _center(dst, "canonical points")
+    m, rows, c3, ok = _center(src, "landmarks")
+    straight = np.vecdot(rows, rows_r)        # X.Xr, Y.Yr
+    crossed = np.vecdot(rows, rows_r[::-1])  # X.Yr, Y.Xr
+    c1 = straight[..., 0] + straight[..., 1]
+    c2 = crossed[..., 1] - crossed[..., 0]
+    return m, m_r, rows, rows_r, c1, c2, c3, ok
+
+
+def _fit_one(landmarks, canonical):
+    """fit_similarity of one (N, 2) set, with c1, c2, c3 as floats."""
+    src = np.asarray(landmarks, dtype=np.float64)
+    if src.ndim != 2:
+        raise ValueError(f"expected (N, 2) points, got shape {src.shape}")
+    m, m_r, rows, rows_r, c1, c2, c3, _ = fit_similarity(src, canonical)
+    return m, m_r, rows, rows_r, float(c1), float(c2), float(c3)
 
 
 def estimate_similarity(landmarks, canonical) -> SimilarityTransform:
     """Closed-form least-squares similarity from (N, 2) landmarks to (N, 2)
     canonical points."""
-    m_x, m_y, m_xr, m_yr, _, _, _, _, c1, c2, c3 = _fit_terms(landmarks, canonical)
+    (m_x, m_y), (m_xr, m_yr), _, _, c1, c2, c3 = _fit_one(landmarks, canonical)
     return SimilarityTransform(c1 / c3, c2 / c3, m_x, m_y, m_xr, m_yr)
 
 
@@ -159,18 +173,23 @@ def similarity_from_pose(
     )
 
 
+def inverse_offsets(a, b, u, v):
+    """Source offsets (x - m_x, y - m_y) of rectified offsets (u, v) =
+    (xr - m_xr, yr - m_yr) under the similarity (a, b), all four broadcast."""
+    d = a * a + b * b
+    x_off = a * u - b * v
+    x_off /= d
+    y_off = b * u + a * v
+    y_off /= d
+    return x_off, y_off
+
+
 def _sample_points(t: SimilarityTransform, out_h: int, out_w: int):
-    """The inverse map of the rectified grid, broadcast from a row u and a
-    column v of offsets from the canonical centroid. Returns (u, v, x - m_x,
-    y - m_y)."""
-    d = t.norm_sq
+    """The inverse map of the rectified grid, from a row u and a column v of
+    offsets from the canonical centroid. Returns (u, v, x - m_x, y - m_y)."""
     u = np.arange(out_w, dtype=np.float64) - t.m_xr
     v = np.arange(out_h, dtype=np.float64)[:, None] - t.m_yr
-    x_off = t.a * u - t.b * v
-    x_off /= d
-    y_off = t.b * u + t.a * v
-    y_off /= d
-    return u, v, x_off, y_off
+    return (u, v, *inverse_offsets(t.a, t.b, u, v))
 
 
 # Tap coordinates are clipped to the image plus this many pixels on each side.
@@ -297,7 +316,7 @@ def landmark_and_canonical_gradients(
     least-squares solution; must be called with the same point sets the
     transform was estimated from.
     """
-    *_, X, Y, Xr, Yr, c1, c2, c3 = _fit_terms(landmarks, canonical)
+    _, _, (X, Y), (Xr, Yr), c1, c2, c3 = _fit_one(landmarks, canonical)
     n = len(X)
     c3sq = c3 * c3
 
@@ -307,17 +326,15 @@ def landmark_and_canonical_gradients(
     da_dy = (Yr * c3 - c1 * 2.0 * Y) / c3sq
     db_dx = (-Yr * c3 - c2 * 2.0 * X) / c3sq
     db_dy = (Xr * c3 - c2 * 2.0 * Y) / c3sq
-    da_dxr = X / c3
-    da_dyr = Y / c3
-    db_dxr = Y / c3
-    db_dyr = -X / c3
+    # da/dxr = -db/dyr = X/c3 and da/dyr = db/dxr = Y/c3
+    x3, y3 = X / c3, Y / c3
 
     d_landmarks = np.empty((n, 2), dtype=np.float64)
     d_landmarks[:, 0] = grads.d_a * da_dx + grads.d_b * db_dx + grads.d_m_x / n
     d_landmarks[:, 1] = grads.d_a * da_dy + grads.d_b * db_dy + grads.d_m_y / n
     d_canonical = np.empty((n, 2), dtype=np.float64)
-    d_canonical[:, 0] = grads.d_a * da_dxr + grads.d_b * db_dxr + grads.d_m_xr / n
-    d_canonical[:, 1] = grads.d_a * da_dyr + grads.d_b * db_dyr + grads.d_m_yr / n
+    d_canonical[:, 0] = grads.d_a * x3 + grads.d_b * y3 + grads.d_m_xr / n
+    d_canonical[:, 1] = grads.d_a * y3 - grads.d_b * x3 + grads.d_m_yr / n
 
     grads.d_landmarks = d_landmarks
     grads.d_canonical = d_canonical

@@ -280,8 +280,10 @@ def _flipped_filter_product(grad_out: np.ndarray, filters: np.ndarray,
     n, c, k, s, p = (spec.out_channels, spec.in_channels, spec.kernel,
                      spec.stride, spec.padding)
     taps = -(-k // s)
-    phased = np.zeros((n, c, s * taps, s * taps), filters.dtype)
-    phased[:, :, :k, :k] = filters
+    phased = filters
+    if s * taps != k:  # zero taps complete the last phase
+        phased = np.zeros((n, c, s * taps, s * taps), filters.dtype)
+        phased[:, :, :k, :k] = filters
     bank = phased.reshape(n, c, taps, s, taps, s)[:, :, ::-1, :, ::-1]
     fmat = as_input_dtype(
         bank.transpose(1, 3, 5, 0, 2, 4).reshape(c * s * s, -1), grad_out)

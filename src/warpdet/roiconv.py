@@ -186,14 +186,15 @@ def downsample_image(image: np.ndarray) -> np.ndarray:
 
 def octave_levels(image: np.ndarray):
     """Yield (octave k, image half-sampled k times) under the level rule,
-    downsampling only when the next level is asked for."""
-    level = image
+    half-sampling, to ceil(side / 2), only a level asked for that passes."""
+    level, side = image, min(image.shape[1:])
     for octave in range(MAX_LEVELS):
+        if side < MIN_LEVEL_SIDE:
+            return
         if octave:
             level = downsample_image(level)
-        if min(level.shape[1:]) < MIN_LEVEL_SIDE:
-            return
         yield octave, level
+        side = -(-side // 2)
 
 
 @dataclass

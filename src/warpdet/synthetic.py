@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .align import fit_similarity, inverse_offsets
+
 # Landmark layout in face-local units (x right, y down, face spans ~[-0.5, 0.5]).
 GLYPH_LANDMARKS = np.array(
     [
@@ -68,49 +70,25 @@ def glyph_box(center, size: float, angle: float) -> tuple:
     return (cx - hw, cy - hh, 2 * hw, 2 * hh)
 
 
-def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.dot of each row of (N, K) x with the same row of y, or with (K,) y.
-    A stacked matmul of vectors calls np.dot's BLAS routine per row, so each
-    result equals np.dot's bit for bit; a summed product rounds differently."""
-    return (x[:, None, :] @ y[..., None])[:, 0, 0]
-
-
 def box_from_landmarks(landmarks) -> tuple[np.ndarray, np.ndarray]:
-    """Recover face boxes from (N, 5, 2) landmarks by fitting the glyph layout.
-
-    The similarity fit of each row against GLYPH_LANDMARKS yields the face
-    frame (scale, rotation, center); the box is the rotated-ellipse bounding
-    box in that frame, so exact landmarks reproduce the generator's
-    ground-truth box. Returns (N, 4) boxes (x, y, w, h) and an (N,) flag
-    that is False, and the box meaningless, where the landmarks are
-    (near-)coincident or not finite. All rows are fitted at once, in the
-    arithmetic order of align.estimate_similarity on one row, so each box
-    is bit-identical to a per-row fit.
-    """
+    """Recover face boxes from (N, 5, 2) landmarks: one align.fit_similarity
+    call fits every row to GLYPH_LANDMARKS, each to the bits of its fit
+    alone, giving the face frame (scale, rotation, center); the box bounds
+    the rotated ellipse in that frame, so exact landmarks reproduce the
+    generator's box. Returns (N, 4) boxes (x, y, w, h) and the fit's (N,)
+    flag, False where the box is meaningless: (near-)coincident or
+    non-finite landmarks."""
     pts = np.asarray(landmarks, dtype=np.float64)
-    n = len(GLYPH_LANDMARKS)
-    if pts.ndim != 3 or pts.shape[1:] != (n, 2):
-        raise ValueError(f"expected (N, {n}, 2) landmarks, got shape {pts.shape}")
-    m_xr, m_yr = GLYPH_LANDMARKS.sum(axis=0) / n
-    Xr, Yr = GLYPH_LANDMARKS[:, 0] - m_xr, GLYPH_LANDMARKS[:, 1] - m_yr
-    m_x, m_y = (pts.sum(axis=1) / n).T
-    X, Y = pts[:, :, 0] - m_x[:, None], pts[:, :, 1] - m_y[:, None]
-    c3 = _row_dots(X, X) + _row_dots(Y, Y)
-    reach = np.maximum(1.0, (pts[:, :, 0] ** 2 + pts[:, :, 1] ** 2).max(axis=1))
-    ok = c3 > 1e-12 * reach
-    c1 = _row_dots(X, Xr) + _row_dots(Y, Yr)
-    c2 = _row_dots(Y, Xr) - _row_dots(X, Yr)
+    if pts.ndim != 3:
+        raise ValueError(f"expected (N, 5, 2) landmarks, got shape {pts.shape}")
+    m, (m_xr, m_yr), _, _, c1, c2, c3, ok = fit_similarity(pts, GLYPH_LANDMARKS)
     with np.errstate(divide="ignore", invalid="ignore"):  # singular rows
         a, b = c1 / c3, c2 / c3
-        d = a * a + b * b
-
-        def inverse_map(px, py):
-            u, v = px - m_xr, py - m_yr
-            return (a * u - b * v) / d + m_x, (b * u + a * v) / d + m_y
-
-        ox, oy = inverse_map(0.0, 0.0)
-        x1, y1 = inverse_map(1.0, 0.0)
-        x2, y2 = inverse_map(0.0, 1.0)
+        # the face-local origin and unit points (0, 0), (1, 0), (0, 1)
+        x_off, y_off = inverse_offsets(a[:, None], b[:, None],
+                                       np.array([0.0, 1.0, 0.0]) - m_xr,
+                                       np.array([0.0, 0.0, 1.0]) - m_yr)
+        (ox, x1, x2), (oy, y1, y2) = (x_off + m[:, :1]).T, (y_off + m[:, 1:]).T
         ax, ay = ELLIPSE_AXES
         hw = np.hypot(ax * (x1 - ox), ay * (x2 - ox))
         hh = np.hypot(ax * (y1 - oy), ay * (y2 - oy))

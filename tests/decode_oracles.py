@@ -4,9 +4,9 @@ oracles: one cell is decoded, and one landmark set fitted, at a time."""
 
 import numpy as np
 
-from warp_oracles import inverse_map
+from warp_oracles import estimate_similarity, inverse_map
 from warpdet import nn
-from warpdet.align import SingularTransformError, estimate_similarity
+from warpdet.align import SingularTransformError
 from warpdet.pipeline import POINT_SCALE, PROPOSAL_THRESHOLD, cell_centers
 from warpdet.suppress import Detection
 from warpdet.synthetic import ELLIPSE_AXES, GLYPH_LANDMARKS

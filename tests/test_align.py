@@ -19,7 +19,9 @@ from warpdet.align import (
     CanonicalShape,
     SimilarityTransform,
     SingularTransformError,
+    TransformGradients,
     estimate_similarity,
+    fit_similarity,
     landmark_and_canonical_gradients,
     similarity_from_pose,
     warp,
@@ -208,6 +210,122 @@ class TestEstimateSimilarity:
     def test_mismatched_sets_rejected(self):
         with pytest.raises(ValueError):
             estimate_similarity(np.zeros((3, 2)), np.zeros((4, 2)))
+
+
+def _spoiled(rng, points):
+    """A copy of (N, 2) points made coincident, one of them nudged 1e-9 off
+    a far point, or one coordinate made NaN or infinite, by turns."""
+    points = points.copy()
+    kind = rng.integers(4)
+    if kind == 0:
+        points[:] = points[0]
+    elif kind == 1:
+        points[:] = [1e3, -2e3]
+        points[rng.integers(len(points))] += 1e-9
+    else:
+        points[rng.integers(len(points)), rng.integers(2)] = rng.choice(
+            [np.nan, np.inf, -np.inf])
+    return points
+
+
+def _raised_by(f, *args):
+    """f's result, or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def _assert_same_bytes(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestFitMatchesScalarOracle:
+    """align's fit against warp_oracles' scalar np.dot form, byte for byte,
+    raising and flagging where the oracle raises, with its messages."""
+
+    def test_single_sets(self):
+        rng = np.random.default_rng(31)
+        for case in range(1500):
+            n = int(rng.integers(2, 11))
+            lms = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-6, 3) + rng.uniform(-200, 200, 2)
+            canon = rng.uniform(0, 60, size=(n, 2))
+            if case % 4 == 1:
+                lms = _spoiled(rng, lms)
+            elif case % 4 == 2:
+                canon = _spoiled(rng, canon)
+            got = _raised_by(estimate_similarity, lms, canon)
+            want = _raised_by(warp_oracles.estimate_similarity, lms, canon)
+            if isinstance(want, tuple):
+                assert got == want
+                continue
+            assert type(got.a) is type(want.a) and type(got.m_x) is type(want.m_x)
+            _assert_same_bytes([getattr(got, k) for k in ("a", "b", "m_x", "m_y", "m_xr", "m_yr")],
+                               [getattr(want, k) for k in ("a", "b", "m_x", "m_y", "m_xr", "m_yr")])
+            upstream = rng.standard_normal(6)
+            got = landmark_and_canonical_gradients(TransformGradients(*upstream), lms, canon)
+            want = warp_oracles.landmark_and_canonical_gradients(
+                TransformGradients(*upstream), lms, canon)
+            _assert_same_bytes([got.d_landmarks, got.d_canonical],
+                               [want.d_landmarks, want.d_canonical])
+
+    @pytest.mark.parametrize("count", [0, 1, 3000])
+    def test_stacks(self, count):
+        """Every set of a stack fits to the oracle's bytes, and is flagged
+        exactly where the oracle raises on it."""
+        rng = np.random.default_rng(37 + count)
+        canon = rng.uniform(0, 60, size=(5, 2))
+        lms = (rng.uniform(-20, 180, size=(count, 1, 2))
+               + 10.0 ** rng.uniform(-3, 2, size=(count, 1, 1))
+               * rng.standard_normal((count, 5, 2)))
+        spoiled = range(1, count, 7)
+        for i in spoiled:
+            lms[i] = _spoiled(rng, lms[i])
+        m, m_r, rows, rows_r, c1, c2, c3, ok = fit_similarity(lms, canon)
+        assert ok.shape == c1.shape == (count,) and rows.shape == (count, 2, 5)
+        for i, row in enumerate(lms):
+            try:
+                m_x, m_y, m_xr, m_yr, X, Y, Xr, Yr, *c = warp_oracles.fit_terms(row, canon)
+            except SingularTransformError as err:
+                assert not ok[i] and "landmarks" in str(err)
+                continue
+            assert ok[i]
+            _assert_same_bytes([m[i], m_r, rows[i], rows_r, c1[i], c2[i], c3[i]],
+                               [[m_x, m_y], [m_xr, m_yr], [X, Y], [Xr, Yr], *c])
+        assert ok.sum() == count - len(spoiled)
+
+    @pytest.mark.parametrize("bad, message", [
+        (31.5, "coincident canonical points"),
+        (np.nan, "non-finite canonical points"),
+        (np.inf, "non-finite canonical points"),
+    ])
+    def test_a_singular_layout_raises_for_a_stack_as_for_one_set(self, bad, message):
+        lms = np.arange(30, dtype=np.float64).reshape(3, 5, 2)
+        canon = np.full((5, 2), 31.5)
+        canon[2, 1] = bad
+        want = _raised_by(warp_oracles.estimate_similarity, lms[0], canon)
+        assert message in want[1]
+        assert _raised_by(fit_similarity, lms, canon) == want
+        assert _raised_by(estimate_similarity, lms[0], canon) == want
+
+    def test_one_set_must_not_be_a_stack(self):
+        with pytest.raises(ValueError, match="expected"):
+            estimate_similarity(np.zeros((1, 5, 2)), np.zeros((5, 2)))
+
+
+def test_vecdot_of_contiguous_rows_equals_np_dot():
+    """The fit's sums are np.vecdot over contiguous rows, which the oracle's
+    np.dot must match byte for byte: a numpy or BLAS that sums the two
+    differently would move every fit, and fails here first."""
+    rng = np.random.default_rng(41)
+    for length in range(2, 11):
+        x, y = (rng.choice([-1.0, 1.0], size=(2, 500, length))
+                * 10.0 ** rng.uniform(-9, 6, size=(2, 500, length)))
+        got = np.vecdot(x, y)
+        want = [np.dot(a, b) for a, b in zip(x, y)]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestInverseMap:

@@ -10,7 +10,7 @@ import pytest
 import conv_oracles
 import roi_oracles
 from conftest import open_cascade
-from warpdet import pipeline, synthetic
+from warpdet import pipeline, roiconv, synthetic
 from warpdet.ferns import scan
 from warpdet.nn import ConvSpec, ShapeError, conv2d_forward, maxpool2x2
 from warpdet.pipeline import (
@@ -646,6 +646,32 @@ class TestPyramid:
         assert octaves == list(range(MAX_LEVELS))
         groups = group_candidates(boxes([(0, 0, MIN_FACE * 2.0**k, 40) for k in range(6)]))
         assert [k for k, _, _ in RoiPyramid.build(img, groups).levels] == octaves
+
+    @pytest.mark.parametrize("height, width, count", [
+        (160, 160, 1), (160, 200, 1), (95, 95, 1), (96, 400, 1), (48, 48, 0),
+        (400, 400, 3)])
+    def test_no_level_is_half_sampled_only_to_be_rejected(
+            self, monkeypatch, height, width, count):
+        """A 160-px image has levels 160 and 80 and half-samples once: its
+        40-px level would fall under the floor. The levels are the
+        half-samplings of the image up to the first under the floor."""
+        calls = []
+
+        def counted(level):
+            calls.append(level.shape)
+            return downsample_image(level)
+
+        img = np.random.default_rng(3).random((1, height, width)).astype(np.float32)
+        monkeypatch.setattr(roiconv, "downsample_image", counted)
+        levels = list(octave_levels(img))
+        assert len(calls) == count and len(levels) == count + 1
+        want = img
+        for octave, level in levels:
+            if octave:
+                want = conv_oracles.downsample_image(want)
+            assert level.tobytes() == want.tobytes()
+        assert min(conv_oracles.downsample_image(want).shape[1:]) < MIN_LEVEL_SIDE or (
+            len(levels) == MAX_LEVELS)
 
     def test_an_image_under_the_floor_has_no_levels(self):
         img = np.zeros((1, MIN_LEVEL_SIDE - 1, 200))

@@ -1,10 +1,76 @@
-"""Reference forms of the bilinear warp in ``warpdet.align``, kept in the
-tests as oracles: the sample grid goes through ``inverse_map`` as an
-(out_h, out_w, 2) point array and every tap is a 2-D fancy-index read."""
+"""Reference forms of the similarity fit and the bilinear warp in
+``warpdet.align``, kept in the tests as oracles: the fit handles one point
+set at a time with scalar np.dot sums over column views, the sample grid
+goes through ``inverse_map`` as an (out_h, out_w, 2) point array and every
+tap is a 2-D fancy-index read."""
 
 import numpy as np
 
-from warpdet.align import SimilarityTransform, TransformGradients
+from warpdet.align import SimilarityTransform, SingularTransformError, TransformGradients
+
+
+def _as_points(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"expected (N, 2) points, got shape {pts.shape}")
+    return pts
+
+
+def _centered(points: np.ndarray, name: str):
+    """Centroid, centered coordinates and squared spread of (N, 2) points;
+    raises SingularTransformError when they are (near-)coincident or not
+    finite."""
+    m_x, m_y = points.sum(axis=0) / len(points)
+    X, Y = points[:, 0] - m_x, points[:, 1] - m_y
+    spread = float(np.dot(X, X) + np.dot(Y, Y))
+    reach = max(1.0, float((points[:, 0] ** 2 + points[:, 1] ** 2).max()))
+    if not spread > 1e-12 * reach:
+        kind = "coincident" if np.isfinite(spread) else "non-finite"
+        raise SingularTransformError(f"{kind} {name} (squared spread {spread:g})")
+    return m_x, m_y, X, Y, spread
+
+
+def fit_terms(landmarks, canonical):
+    """(m_x, m_y, m_xr, m_yr, X, Y, Xr, Yr, c1, c2, c3) of the fit of one
+    (N, 2) landmark set to (N, 2) canonical points, the canonical points
+    checked first."""
+    src = _as_points(landmarks)
+    dst = _as_points(canonical)
+    if src.shape != dst.shape:
+        raise ValueError(f"point sets differ: {src.shape} vs {dst.shape}")
+    if len(src) < 2:
+        raise ValueError("need at least 2 landmark pairs")
+    m_xr, m_yr, Xr, Yr, _ = _centered(dst, "canonical points")
+    m_x, m_y, X, Y, c3 = _centered(src, "landmarks")
+    c1 = float(np.dot(Xr, X) + np.dot(Yr, Y))
+    c2 = float(np.dot(Xr, Y) - np.dot(Yr, X))
+    return m_x, m_y, m_xr, m_yr, X, Y, Xr, Yr, c1, c2, c3
+
+
+def estimate_similarity(landmarks, canonical) -> SimilarityTransform:
+    """Oracle of align.estimate_similarity."""
+    m_x, m_y, m_xr, m_yr, _, _, _, _, c1, c2, c3 = fit_terms(landmarks, canonical)
+    return SimilarityTransform(c1 / c3, c2 / c3, m_x, m_y, m_xr, m_yr)
+
+
+def landmark_and_canonical_gradients(grads: TransformGradients, landmarks,
+                                     canonical) -> TransformGradients:
+    """Oracle of align.landmark_and_canonical_gradients."""
+    *_, X, Y, Xr, Yr, c1, c2, c3 = fit_terms(landmarks, canonical)
+    n = len(X)
+    c3sq = c3 * c3
+    da_dx = (Xr * c3 - c1 * 2.0 * X) / c3sq
+    da_dy = (Yr * c3 - c1 * 2.0 * Y) / c3sq
+    db_dx = (-Yr * c3 - c2 * 2.0 * X) / c3sq
+    db_dy = (Xr * c3 - c2 * 2.0 * Y) / c3sq
+    d_landmarks = np.empty((n, 2), dtype=np.float64)
+    d_landmarks[:, 0] = grads.d_a * da_dx + grads.d_b * db_dx + grads.d_m_x / n
+    d_landmarks[:, 1] = grads.d_a * da_dy + grads.d_b * db_dy + grads.d_m_y / n
+    d_canonical = np.empty((n, 2), dtype=np.float64)
+    d_canonical[:, 0] = grads.d_a * (X / c3) + grads.d_b * (Y / c3) + grads.d_m_xr / n
+    d_canonical[:, 1] = grads.d_a * (Y / c3) + grads.d_b * (-X / c3) + grads.d_m_yr / n
+    return TransformGradients(grads.d_a, grads.d_b, grads.d_m_x, grads.d_m_y,
+                              grads.d_m_xr, grads.d_m_yr, d_landmarks, d_canonical)
 
 
 def inverse_map(t: SimilarityTransform, points) -> np.ndarray:
