@@ -72,9 +72,9 @@ def glyph_box(center, size: float, angle: float) -> tuple:
 
 def box_from_landmarks(landmarks) -> tuple[np.ndarray, np.ndarray]:
     """Recover face boxes from (N, 5, 2) landmarks: one align.fit_similarity
-    call fits every row to GLYPH_LANDMARKS, each to the bits of its fit
-    alone, giving the face frame (scale, rotation, center); the box bounds
-    the rotated ellipse in that frame, so exact landmarks reproduce the
+    call fits every row to GLYPH_LANDMARKS, to the bits of a fit of that row
+    alone, for the face frame (scale, rotation, center); the box bounds the
+    rotated ellipse in that frame, so exact landmarks reproduce the
     generator's box. Returns (N, 4) boxes (x, y, w, h) and the fit's (N,)
     flag, False where the box is meaningless: (near-)coincident or
     non-finite landmarks."""

@@ -250,7 +250,8 @@ class TestFitMatchesScalarOracle:
         rng = np.random.default_rng(31)
         for case in range(1500):
             n = int(rng.integers(2, 11))
-            lms = rng.standard_normal((n, 2)) * 10.0 ** rng.uniform(-6, 3) + rng.uniform(-200, 200, 2)
+            spread = 10.0 ** rng.uniform(-6, 3)
+            lms = rng.standard_normal((n, 2)) * spread + rng.uniform(-200, 200, 2)
             canon = rng.uniform(0, 60, size=(n, 2))
             if case % 4 == 1:
                 lms = _spoiled(rng, lms)
@@ -261,9 +262,9 @@ class TestFitMatchesScalarOracle:
             if isinstance(want, tuple):
                 assert got == want
                 continue
-            assert type(got.a) is type(want.a) and type(got.m_x) is type(want.m_x)
-            _assert_same_bytes([getattr(got, k) for k in ("a", "b", "m_x", "m_y", "m_xr", "m_yr")],
-                               [getattr(want, k) for k in ("a", "b", "m_x", "m_y", "m_xr", "m_yr")])
+            fields = ("a", "b", "m_x", "m_y", "m_xr", "m_yr")
+            assert [type(getattr(got, k)) for k in fields] == [type(getattr(want, k)) for k in fields]
+            _assert_same_bytes([getattr(got, k) for k in fields], [getattr(want, k) for k in fields])
             upstream = rng.standard_normal(6)
             got = landmark_and_canonical_gradients(TransformGradients(*upstream), lms, canon)
             want = warp_oracles.landmark_and_canonical_gradients(
