@@ -18,7 +18,8 @@ stride-2 conv and each pooling. The four net functions add only what
 differs: the 1x1 heads in the proposal net, and the fc feature, l2
 normalisation, concatenation and verdict head in the verification net.
 Inference decodes each level's eligible cells as arrays, one fancy index
-per head map, and fits all their landmark boxes in one closed-form pass.
+per head map, and fits all their landmark boxes in one closed-form pass; a
+joint training step decodes its sampled cells in the same one call.
 
 Training runs in float64. Detection runs both nets in INFERENCE_DTYPE,
 float32: detect casts the image once, and the conv kernels cast the float64
@@ -543,22 +544,22 @@ def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig):
             grads = [np.zeros_like(p) for p in params]  # model.params() order
             d_feat_extra = np.zeros_like(state.feat)
 
-            cells = _sample_cells(targets, probs, rng)
+            cells, labels = _sample_cells(targets, probs, rng)
+            lms, boxes = _decode_cells(state, cells[:, 0], cells[:, 1], model.multitask)
+            lms = [None] * len(cells) if lms is None else lms
+            boxes = [None] * len(cells) if boxes is None else boxes
             verdict_losses = []
             loss_weight = 1.0 / max(1, len(cells))  # mean over the image's batch
-            for (i, j, label) in cells:
-                out = _candidate_step(
-                    model, sample.image, state, i, j, label,
-                    d_point, d_feat_extra, config, loss_weight,
-                )
-                if out is None:
+            for cell, label, landmarks, box in zip(cells, labels.tolist(), lms, boxes):
+                try:
+                    transform = _candidate_transform(model, landmarks, box)
+                except SingularTransformError:
                     history["singular_skips"] += 1
                     continue
-                vloss, correct, head_grads, d_canonical = out
-                for k, g in enumerate(head_grads, start=n_rpn):
-                    grads[k] += g
-                if d_canonical is not None:
-                    grads[-1] += d_canonical
+                vloss, correct = _candidate_step(
+                    model, sample.image, state, cell, label, landmarks, transform,
+                    grads[n_rpn:], d_point, d_feat_extra, config, loss_weight,
+                )
                 verdict_losses.append(vloss)
                 verdict_correct += correct
                 verdict_total += 1
@@ -588,44 +589,34 @@ def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig):
 def _sample_cells(targets: RpnTargets, probs, rng):
     """Pick positive and negative cells for verification training; half the
     negatives are drawn by current face probability (hard negatives), the
-    rest uniformly."""
-    cells = []
+    rest uniformly. Returns ((M, 2) cells, (M,) labels): the positives in
+    draw order, then the negatives in cell order."""
     pos = np.argwhere(targets.labels == 1)
-    if len(pos):
-        take = pos[rng.choice(len(pos), size=min(VERIFY_SAMPLES, len(pos)), replace=False)]
-        cells.extend((int(i), int(j), 1) for i, j in take)
+    pos = pos[rng.choice(len(pos), size=min(VERIFY_SAMPLES, len(pos)), replace=False)]
     neg = np.argwhere(targets.labels == 0)
     if len(neg):
         n_hard = min((VERIFY_SAMPLES + 1) // 2, len(neg))
         weights = probs[neg[:, 0], neg[:, 1], 1] + 1e-3
-        weights = weights / weights.sum()
-        hard = rng.choice(len(neg), size=n_hard, replace=False, p=weights)
-        chosen = set(hard.tolist())
-        remaining = [k for k in range(len(neg)) if k not in chosen]
-        n_rand = min(VERIFY_SAMPLES - n_hard, len(remaining))
-        if n_rand > 0:
-            rand = rng.choice(len(remaining), size=n_rand, replace=False)
-            chosen.update(remaining[r] for r in rand)
-        cells.extend((int(neg[k][0]), int(neg[k][1]), 0) for k in sorted(chosen))
-    return cells
+        hard = rng.choice(len(neg), size=n_hard, replace=False, p=weights / weights.sum())
+        rest = np.delete(np.arange(len(neg)), hard)
+        n_rand = min(VERIFY_SAMPLES - n_hard, len(rest))
+        rand = rest[rng.choice(len(rest), size=n_rand, replace=False)]
+        neg = neg[np.sort(np.concatenate([hard, rand]))]
+    return np.concatenate([pos, neg]), np.repeat([1, 0], [len(pos), len(neg)])
 
 
-def _candidate_step(model, image, state, i, j, label, d_point, d_feat_extra,
-                    config, loss_weight=1.0):
-    """Forward + backward for one sampled verification candidate.
+def _candidate_step(model, image, state, cell, label, lms, transform, head_grads,
+                    d_point, d_feat_extra, config, loss_weight=1.0):
+    """Forward + backward for one sampled verification candidate: proposal
+    cell (i, j), its label, its decoded landmarks (None from the box head)
+    and its map onto the rectified grid.
 
-    Adds the candidate's gradients on the proposal maps into d_point and
-    d_feat_extra. Returns (verdict loss, correct flag, R-CNN + verdict
-    gradients in model.params() order, canonical gradient or None), or None
-    when the similarity fit is singular.
+    Adds every gradient it makes into the step's accumulators in place: the
+    R-CNN, verdict and canonical ones into head_grads, the accumulators of
+    model.params() past the proposal net's, and those on the proposal maps
+    into d_point and d_feat_extra. Returns (verdict loss, correct flag).
     """
-    lms, box = _decode_cells(state, [i], [j], model.multitask)
-    lms, box = (lms[0], None) if box is None else (None, box[0])
-    try:
-        transform = _candidate_transform(model, lms, box)
-    except SingularTransformError:
-        return None
-
+    i, j = cell
     rpn_feat = state.feat[:, i, j].copy() if model.use_concat else None
     cache = verify_forward(model, image, transform, rpn_feat)
     vloss, probs_v = nn.softmax_cross_entropy(cache.logits, label)
@@ -636,10 +627,11 @@ def _candidate_step(model, image, state, i, j, label, d_point, d_feat_extra,
     rcnn_grads, verdict_grads, d_rpn_feat, d_crop = verify_backward(
         model, cache, d_logits, supervise
     )
+    # zip stops before the canonical accumulator, head_grads' last with a learned layout
+    for acc, g in zip(head_grads, rcnn_grads + verdict_grads):
+        acc += g
     if d_rpn_feat is not None:
         d_feat_extra[:, i, j] += config.concat_supervision_scale * d_rpn_feat
-
-    d_canonical = None
     if supervise:
         grads = warp_backward(d_crop, image, transform)
         grads = landmark_and_canonical_gradients(grads, lms, model.canonical.points)
@@ -649,9 +641,8 @@ def _candidate_step(model, image, state, i, j, label, d_point, d_feat_extra,
             * grads.d_landmarks.reshape(-1)
             * POINT_SCALE
         )
-        d_canonical = grads.d_canonical
-    predicted = int(np.argmax(cache.logits))
-    return vloss, int(predicted == label), rcnn_grads + verdict_grads, d_canonical
+        head_grads[-1] += grads.d_canonical
+    return vloss, int(np.argmax(cache.logits) == label)
 
 
 # --------------------------------------------------------------------------

@@ -164,13 +164,10 @@ def resize_bilinear(image: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     by = np.clip(ys - y0, 0.0, 1.0)[:, None]
     bx = np.clip(xs - x0, 0.0, 1.0)[None, :]
-    top = image[:, y0[:, None], x0[None, :]] * (1 - bx) + image[
-        :, y0[:, None], x1[None, :]
-    ] * bx
-    bot = image[:, y1[:, None], x0[None, :]] * (1 - bx) + image[
-        :, y1[:, None], x1[None, :]
-    ] * bx
-    return top * (1 - by) + bot * by
+    # each input row blends its column taps once, then each output row its
+    # two row taps: per pixel the arithmetic of a 2-D gather, bit for bit
+    cols = image.take(x0, axis=2) * (1 - bx) + image.take(x1, axis=2) * bx
+    return cols.take(y0, axis=1) * (1 - by) + cols.take(y1, axis=1) * by
 
 
 def downsample_image(image: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Scalar reference forms of the vectorized fern code in ``warpdet.ferns``,
 kept in the tests as oracles: one patch, one fern, one scan window and one
-training candidate at a time."""
+training candidate at a time; and the 2-D-gather form of the scan's
+resampler, ``roiconv.resize_bilinear``."""
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from warpdet.ferns import (
     fold_sum,
 )
 from warpdet.ferns import _bucket_fold_sums as _pooled_fold_sums
-from warpdet.roiconv import MIN_FACE, resize_bilinear
+from warpdet.roiconv import MIN_FACE
 
 
 def fern_index(patch: np.ndarray, fern: Fern) -> int:
@@ -53,6 +54,30 @@ def cascade_score(patch: np.ndarray, model: CascadeModel, early_exit: bool = Tru
             if rejected_at is None:
                 rejected_at = stage
     return score, rejected_at
+
+
+def resize_bilinear(image: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
+    """Oracle of roiconv.resize_bilinear: each of the four taps of every
+    output pixel read in one 2-D gather."""
+    c, h, w = image.shape
+    out_h, out_w = out_size
+    if out_h < 1 or out_w < 1:
+        raise ValueError(f"output size must be positive, got {out_size}")
+    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    y0 = np.clip(np.floor(ys), 0, h - 1).astype(np.intp)
+    x0 = np.clip(np.floor(xs), 0, w - 1).astype(np.intp)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    by = np.clip(ys - y0, 0.0, 1.0)[:, None]
+    bx = np.clip(xs - x0, 0.0, 1.0)[None, :]
+    top = image[:, y0[:, None], x0[None, :]] * (1 - bx) + image[
+        :, y0[:, None], x1[None, :]
+    ] * bx
+    bot = image[:, y1[:, None], x0[None, :]] * (1 - bx) + image[
+        :, y1[:, None], x1[None, :]
+    ] * bx
+    return top * (1 - by) + bot * by
 
 
 def scan(image: np.ndarray, model: CascadeModel) -> np.ndarray:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import conv_oracles
 import decode_oracles
 import detect_oracles
+import joint_oracles
 import warp_oracles
 from conftest import TINY_SEED as SEED
 from conftest import central_diff, open_cascade, rel_err, train_tiny
@@ -490,10 +491,14 @@ def test_candidate_step_matches_central_differences_of_the_verdict_loss():
     state.point[:, i, j] = targets.reg_targets[:, i, j]
 
     def step():
+        (lms,), _ = pipeline._decode_cells(state, [i], [j], model.multitask)
+        transform = pipeline._candidate_transform(model, lms, None)
+        head_grads = [np.zeros_like(p) for p in model.params()[len(model.rpn.params()):]]
         d_point = np.zeros_like(state.point)
         d_feat_extra = np.zeros_like(state.feat)
         out = pipeline._candidate_step(
-            model, sample.image, state, i, j, 1, d_point, d_feat_extra, config
+            model, sample.image, state, (i, j), 1, lms, transform, head_grads,
+            d_point, d_feat_extra, config,
         )
         return out[0], d_point[:, i, j], d_feat_extra[:, i, j]
 
@@ -513,6 +518,106 @@ def test_candidate_step_matches_central_differences_of_the_verdict_loss():
             numeric[k] = (hi - lo) / (2.0 * step_size)
         assert np.abs(analytic).max() > 1e-6
         assert rel_err(analytic, numeric) < 1e-5
+
+
+def _assert_sample_cells_match_the_oracle(labels, probs, seed):
+    """The array sampler returns the oracle's cells and labels, as integer
+    arrays, and leaves the generator where the oracle leaves it."""
+    targets = SimpleNamespace(labels=labels)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    cells, cell_labels = pipeline._sample_cells(targets, probs, got_rng)
+    want = joint_oracles.sample_cells(targets, probs, want_rng)
+    assert cells.shape == (len(want), 2) and cell_labels.shape == (len(want),)
+    assert cells.dtype.kind == cell_labels.dtype.kind == "i"
+    assert [(*cell, label) for cell, label in zip(cells.tolist(), cell_labels.tolist())] == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert got_rng.random() == want_rng.random()
+
+
+def _random_probs(rng, shape):
+    face = rng.random(shape)
+    return np.stack([1.0 - face, face], axis=-1)
+
+
+@pytest.mark.parametrize("label_map", [
+    [[0, 0, -1], [0, -1, 0]],     # no positives
+    [[1, 1, -1], [1, -1, 1]],     # no negatives
+    [[1, -1, -1], [-1, 1, 0]],    # one negative, fewer than VERIFY_SAMPLES
+    [[-1, 1], [-1, -1]],          # one positive and no negative
+    [[-1, -1], [-1, -1]],         # nothing to sample
+    [[1, 0, 0, 0], [0, 1, 0, 0]],
+], ids=["no-pos", "no-neg", "one-neg", "one-pos", "none", "both"])
+def test_sample_cells_matches_the_list_oracle_at_the_edges(label_map):
+    labels = np.array(label_map)
+    assert pipeline.VERIFY_SAMPLES == 2  # the ids above count against it
+    for seed in range(20):
+        probs = _random_probs(np.random.default_rng(seed), labels.shape)
+        _assert_sample_cells_match_the_oracle(labels, probs, seed)
+
+
+def test_sample_cells_matches_the_list_oracle_on_tied_probabilities():
+    """Every negative equally likely: the weighted draw meets ties."""
+    labels = np.zeros((6, 7), dtype=np.int64)
+    labels[2, 3] = labels[4, 1] = 1
+    for value in (0.0, 0.5, 1.0):
+        probs = np.full((6, 7, 2), value)
+        for seed in range(20):
+            _assert_sample_cells_match_the_oracle(labels, probs, seed)
+
+
+def test_sample_cells_matches_the_list_oracle_on_random_label_maps():
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 13, size=2))
+        shares = rng.dirichlet(np.ones(3))
+        labels = rng.choice([1, 0, -1], size=shape, p=shares)
+        _assert_sample_cells_match_the_oracle(labels, _random_probs(rng, shape), seed)
+
+
+def test_joint_step_calls_the_traced_functions_once_per_candidate(tiny_run, monkeypatch):
+    """bench/spans.py traces the joint step by patching these names on
+    pipeline, and its counts and callbacks read positional arguments: every
+    sampled cell is fitted once, every non-singular one verified forward and
+    back once, and every supervised positive warped back and differentiated
+    once, each with positional arguments only; the sampled cells are decoded
+    in one call per image."""
+    calls = {}
+
+    def record(name):
+        real = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, wrapper)
+
+    for name in ("estimate_similarity", "verify_forward", "verify_backward",
+                 "warp_backward", "landmark_and_canonical_gradients", "_decode_cells"):
+        record(name)
+    sampled = []
+    real_sample_cells = pipeline._sample_cells
+
+    def sample_cells(*args):
+        cells, labels = real_sample_cells(*args)
+        sampled.append(labels)
+        return cells, labels
+
+    monkeypatch.setattr(pipeline, "_sample_cells", sample_cells)
+    corpus = synthetic.generate_synthetic_corpus(SEED + 2, 2)
+    _, history = pipeline.train_end_to_end(
+        corpus, copy.deepcopy(tiny_run[0]), pipeline.TrainConfig(epochs=1, seed=SEED))
+
+    labels = np.concatenate(sampled)
+    assert len(sampled) == len(corpus) and labels.sum() > 0 and (labels == 0).sum() > 0
+    assert history["singular_skips"] == 0
+    assert len(calls.pop("_decode_cells")) == len(corpus)
+    positives = int(labels.sum())
+    assert {name: len(made) for name, made in calls.items()} == {
+        "estimate_similarity": len(labels), "verify_forward": len(labels),
+        "verify_backward": len(labels), "warp_backward": positives,
+        "landmark_and_canonical_gradients": positives}
+    assert all(kwargs == {} for made in calls.values() for kwargs in made)
 
 
 def test_rpn_loss_is_the_score_loss_plus_weighted_landmark_loss():
@@ -562,9 +667,9 @@ def _joint_epoch_counting_every_candidate_as_singular(model, monkeypatch):
     sampled = []
 
     def sample_cells(*args):
-        cells = real_sample_cells(*args)
+        cells, labels = real_sample_cells(*args)
         sampled.extend(cells)
-        return cells
+        return cells, labels
 
     real_sample_cells = pipeline._sample_cells
     monkeypatch.setattr(pipeline, "_sample_cells", sample_cells)

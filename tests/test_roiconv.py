@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import conv_oracles
+import fern_oracles
 import roi_oracles
 from conftest import open_cascade
 from warpdet import pipeline, roiconv, synthetic
@@ -724,3 +725,31 @@ class TestPyramid:
         want = conv_oracles.downsample_image(img)
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
+
+
+class TestResizeBilinearMatchesGatherOracle:
+    """resize_bilinear blends every input row across its column taps, then
+    takes and blends two rows per output row; the oracle gathers each of the
+    four taps in 2-D. Every output pixel sums the same products in the same
+    order, so the bytes agree."""
+
+    # with each input below: up- and down-sampling, odd and even extents,
+    # 1-px rows, columns and images
+    OUT_SIZES = [(1, 1), (1, 6), (7, 1), (3, 4), (8, 8), (9, 15), (16, 5), (31, 40), (48, 33)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint8])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 7, 9), (2, 8, 8), (1, 16, 5), (3, 31, 40)])
+    def test_equal_bytes(self, rng, dtype, shape):
+        image = (rng.random(shape) * 255).astype(dtype)
+        for out_size in self.OUT_SIZES:
+            got = roiconv.resize_bilinear(image, out_size)
+            want = fern_oracles.resize_bilinear(image, out_size)
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape == (shape[0], *out_size)
+            assert got.tobytes() == want.tobytes(), out_size
+
+    @pytest.mark.parametrize("out_size", [(0, 4), (4, 0), (-1, 3)])
+    def test_empty_output_is_rejected(self, out_size):
+        with pytest.raises(ValueError, match="output size must be positive"):
+            roiconv.resize_bilinear(np.zeros((1, 4, 4)), out_size)
+
