@@ -36,24 +36,21 @@ class TrainingError(RuntimeError):
     pass
 
 
-def fold_sum(values: np.ndarray) -> float:
-    """Adjacent-pair folding sum (pad to a power of two, halve repeatedly).
+def fold_sum(values: np.ndarray) -> float | np.ndarray:
+    """Adjacent-pair folding sum over the last axis (pad to a power of two,
+    halve repeatedly): a float for a vector, one sum per row for a matrix.
 
     Unlike a sequential sum, fold_sum([a, a, b, b, ...]) is exactly twice
     fold_sum([a, b, ...]), which the duplicated-training-set invariance of
     cascade training relies on.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        return 0.0
-    size = 1 << int(np.ceil(np.log2(v.size)))
-    if size != v.size:
-        v = np.concatenate([v, np.zeros(size - v.size)])
-    else:
-        v = v.copy()
-    while v.size > 1:
-        v = v[0::2] + v[1::2]
-    return float(v[0])
+    v = np.asarray(values, dtype=np.float64)
+    n = v.shape[-1]
+    size = 1 << int(np.ceil(np.log2(max(n, 1))))
+    v = np.concatenate([v, np.zeros(v.shape[:-1] + (size - n,))], axis=-1)
+    while v.shape[-1] > 1:
+        v = v[..., 0::2] + v[..., 1::2]
+    return v[..., 0] if v.ndim > 1 else float(v[0])
 
 
 def _bucket_fold_sums(partitions: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -221,10 +218,7 @@ def train_cascade(
         coords, threshs, parts = _draw_pool(rng, flat, config.candidate_pool)
         pos_sums = _bucket_fold_sums(parts[labels == 1], weights[labels == 1])
         neg_sums = _bucket_fold_sums(parts[labels == 0], weights[labels == 0])
-        errors = 2.0 * np.sqrt(pos_sums * neg_sums)
-        while errors.shape[1] > 1:  # fold_sum of each row
-            errors = errors[:, 0::2] + errors[:, 1::2]
-        best = int(np.argmin(errors[:, 0]))
+        best = int(np.argmin(fold_sum(2.0 * np.sqrt(pos_sums * neg_sums))))
         if np.count_nonzero(pos_sums[best] + neg_sums[best]) <= 1:
             raise TrainingError(
                 f"degenerate fern pool at stage {stage}: best candidate keeps "

@@ -19,7 +19,11 @@ differs: the 1x1 heads in the proposal net, and the fc feature, l2
 normalisation, concatenation and verdict head in the verification net.
 Inference decodes each level's eligible cells as arrays, one fancy index
 per head map, and fits all their landmark boxes in one closed-form pass; a
-joint training step decodes its sampled cells in the same one call.
+joint training step decodes its sampled cells in the same one call. An
+image's proposals then travel as one (N, 5) [x, y, w, h, score] row array,
+with their landmarks and proposal features as arrays beside it, through
+non-top-K, which returns the indices of the rows it keeps, into
+verification. Detection is only detect's output record.
 
 Training runs in float64. Detection runs both nets in INFERENCE_DTYPE,
 float32: detect casts the image once, and the conv kernels cast the float64
@@ -54,7 +58,7 @@ from .roiconv import (
     octave_levels,
     roi_conv_forward,
 )
-from .suppress import Detection, iou, nms, non_top_k
+from .suppress import iou, nms, non_top_k
 from .synthetic import box_from_landmarks
 
 CELL_STRIDE = 8
@@ -138,21 +142,20 @@ def _trunk_forward(trunk, x, mask: RoiMask | None = None):
     and each pooling, and every conv runs only inside it. Each pooled map is
     then zero outside its mask: the conv writes zeros outside the mask, and a
     cell outside the OR-halved mask pools only such zeros. Returns (output,
-    the mask at the output's resolution or None, one (input, conv output,
-    relu, pooled or None) record per block).
+    the mask at the output's resolution or None, one (input, relu output,
+    pooled or None) record per block).
     """
     records = []
     for layer, pooled in trunk:
         if mask is not None and layer.spec.stride == 2:
             mask = downsample_mask(mask)
-        z = _conv(layer, x, mask)
-        a = nn.relu(z)
+        a = nn.relu(_conv(layer, x, mask))
         p = None
         if pooled:
             p = nn.maxpool2x2(a)
             if mask is not None:
                 mask = downsample_mask(mask)
-        records.append((x, z, a, p))
+        records.append((x, a, p))
         x = a if p is None else p
     return x, mask, records
 
@@ -162,14 +165,15 @@ def _trunk_backward(trunk, records, d_out, input_grad):
 
     A pooling stores no argmax: its backward re-derives the routing from the
     relu and pooled maps, which is exact on the dense path, the only one
-    training runs. Returns (gradient of the trunk's input, or None unless
-    input_grad is set, [d_w, d_b] of each block in block order)."""
+    training runs. The relu's backward reads its output, which is positive
+    exactly where its input is. Returns (gradient of the trunk's input, or
+    None unless input_grad is set, [d_w, d_b] of each block in block order)."""
     grads = []
-    for n, ((layer, _), (x, z, a, p)) in enumerate(
+    for n, ((layer, _), (x, a, p)) in enumerate(
             zip(reversed(trunk), reversed(records)), start=1):
         if p is not None:
             d_out = nn.maxpool2x2_backward(d_out, a, p)
-        d_z = nn.relu_backward(d_out, z)
+        d_z = nn.relu_backward(d_out, a)
         d_out, d_w, d_b = nn.conv2d_backward(
             d_z, x, layer.filters, layer.spec, input_grad or n < len(trunk))
         grads[:0] = [d_w, d_b]
@@ -343,12 +347,11 @@ def crop_transform(box, rect_size: int):
 @dataclass
 class VerifyCache:
     """One verification pass, kept for verify_backward: the trunk's block
-    records (the first input is the crop) and output, the fc feature before
-    and after its relu, the l2 norms, the verdict head's input and logits."""
+    records (the first input is the crop, the last pooled map the trunk's
+    output), the fc feature after its relu, the l2 norms, the verdict head's
+    input and logits."""
 
     trunk: list
-    trunk_out: np.ndarray
-    feat_pre: np.ndarray
     feat: np.ndarray
     feat_norm: float
     rpn_feat: np.ndarray | None
@@ -365,8 +368,8 @@ def verify_forward(model: DetectorModel, image: np.ndarray, transform,
     crop = warp(image, transform, (model.rect_size, model.rect_size))
     crop = crop.astype(image.dtype, copy=False)
     out, _, records = _trunk_forward(model.rcnn.trunk(), crop)
-    feat_pre = nn.fully_connected(out.reshape(-1), model.rcnn.fc.weight, model.rcnn.fc.bias)
-    feat = nn.relu(feat_pre)
+    feat = nn.relu(nn.fully_connected(out.reshape(-1), model.rcnn.fc.weight,
+                                      model.rcnn.fc.bias))
     feat_n, feat_norm = l2_normalize(feat)
     if model.use_concat:
         rpn_n, rpn_norm = l2_normalize(rpn_feat)
@@ -375,8 +378,7 @@ def verify_forward(model: DetectorModel, image: np.ndarray, transform,
         rpn_norm = 1.0
         joint = feat_n
     logits = nn.fully_connected(joint, model.verdict.weight, model.verdict.bias)
-    return VerifyCache(records, out, feat_pre, feat, feat_norm, rpn_feat, rpn_norm,
-                       joint, logits)
+    return VerifyCache(records, feat, feat_norm, rpn_feat, rpn_norm, joint, logits)
 
 
 def verify_backward(model: DetectorModel, cache: VerifyCache, d_logits,
@@ -397,13 +399,12 @@ def verify_backward(model: DetectorModel, cache: VerifyCache, d_logits,
     else:
         d_rpn_feat, d_feat_n = None, d_joint
     d_feat = l2_normalize_backward(d_feat_n, cache.feat, cache.feat_norm)
-    d_feat_pre = nn.relu_backward(d_feat, cache.feat_pre)
+    trunk_out = cache.trunk[-1][2]
     d_flat, d_wfc, d_bfc = nn.fully_connected_backward(
-        d_feat_pre, cache.trunk_out.reshape(-1), model.rcnn.fc.weight
+        nn.relu_backward(d_feat, cache.feat), trunk_out.reshape(-1), model.rcnn.fc.weight
     )
     d_crop, conv_grads = _trunk_backward(
-        model.rcnn.trunk(), cache.trunk, d_flat.reshape(cache.trunk_out.shape),
-        need_crop,
+        model.rcnn.trunk(), cache.trunk, d_flat.reshape(trunk_out.shape), need_crop,
     )
     return conv_grads + [d_wfc, d_bfc], [d_wv, d_bv], d_rpn_feat, d_crop
 
@@ -661,9 +662,12 @@ def _roi_levels(image: np.ndarray, work: np.ndarray, model: DetectorModel):
 
 
 def _level_candidates(model, state, octave):
-    """Detections proposed by one pyramid level's score map: its eligible
+    """Candidates proposed by one pyramid level's score map: its eligible
     cells decoded as arrays and, with the landmark head, their boxes fitted
-    in one pass, which drops each cell whose landmarks coincide."""
+    in one pass, which drops each cell whose landmarks coincide. Returns
+    ((N, 5) float64 [x, y, w, h, score] rows, (N, 5, 2) landmarks or None
+    from the box head, (N, C) proposal features or None without the
+    concatenation), in row-major cell order."""
     probs = np.exp(nn.log_softmax(state.score.reshape(2, -1).T))[:, 1]
     probs = probs.reshape(state.score.shape[1:])
     eligible = probs >= PROPOSAL_THRESHOLD
@@ -671,14 +675,27 @@ def _level_candidates(model, state, octave):
         eligible &= state.head_mask.bits
     ii, jj = np.nonzero(eligible)
     lms, boxes = _decode_cells(state, ii, jj, model.multitask, 2.0**octave)
-    ok = np.ones(len(ii), dtype=bool)
     if boxes is None:
         boxes, ok = box_from_landmarks(lms)
-    lms = [None] * len(ii) if lms is None else lms
-    feats = state.feat[:, ii, jj].T.copy() if model.use_concat else [None] * len(ii)
-    scores = probs[ii, jj].tolist()
-    return [Detection(tuple(boxes[n].tolist()), scores[n], lms[n], feats[n])
-            for n in np.flatnonzero(ok)]
+        ii, jj, lms, boxes = ii[ok], jj[ok], lms[ok], boxes[ok]
+    feats = state.feat[:, ii, jj].T.copy() if model.use_concat else None
+    return np.column_stack([boxes, probs[ii, jj]]), lms, feats
+
+
+def _concat(parts):
+    """The levels' arrays of one kind stacked, or None where the model
+    gives none."""
+    return None if parts[0] is None else np.concatenate(parts)
+
+
+@dataclass
+class Detection:
+    """One box of detect's output: its verdict score and, from the
+    landmark head, its five landmarks."""
+
+    box: tuple  # (x, y, w, h) at original image resolution
+    score: float
+    landmarks: np.ndarray | None = None  # (5, 2), source-image coordinates
 
 
 def detect(image: np.ndarray, model: DetectorModel,
@@ -702,28 +719,30 @@ def detect(image: np.ndarray, model: DetectorModel,
     else:
         levels = _dense_levels(work)
 
-    candidates = []
-    for octave, level_img, mask in levels:
-        state = rpn_forward(model.rpn, level_img, mask)
-        candidates.extend(_level_candidates(model, state, octave))
+    found = [_level_candidates(model, rpn_forward(model.rpn, level_img, mask), octave)
+             for octave, level_img, mask in levels]
+    rows, lms, feats = (map(_concat, zip(*found)) if found
+                        else (np.empty((0, 5)), None, None))
 
     if options.suppression == "non_top_k":
-        kept = non_top_k(candidates)
+        kept = non_top_k(rows)
     elif options.suppression == "nms":
-        kept = nms(candidates)
+        kept = nms(rows)
     else:
-        kept = candidates
+        kept = range(len(rows))
+    lms = [None] * len(kept) if lms is None else lms[kept]
+    feats = [None] * len(kept) if feats is None else feats[kept]
 
     final = []
-    for cand in kept:
+    for (x, y, w, h, _), landmarks, feature in zip(rows[kept].tolist(), lms, feats):
         try:
-            transform = _candidate_transform(model, cand.landmarks, cand.box)
+            transform = _candidate_transform(model, landmarks, (x, y, w, h))
         except SingularTransformError:
             continue
-        cache = verify_forward(model, work, transform, cand.feature)
+        cache = verify_forward(model, work, transform, feature)
         prob = float(np.exp(nn.log_softmax(cache.logits))[1])
-        final.append(Detection(cand.box, prob, landmarks=cand.landmarks))
-    return nms(final)
+        final.append(Detection((x, y, w, h), prob, landmarks))
+    return [final[n] for n in nms([(*d.box, d.score) for d in final])]
 
 
 # --------------------------------------------------------------------------

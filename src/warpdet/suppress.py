@@ -1,32 +1,22 @@
 """Candidate filtering: IoU, greedy NMS, and non-top-K suppression.
 
-Non-top-K keeps the K highest-scoring candidates inside each local cluster
-instead of only the cluster maximum, so a downstream verifier gets several
-shots at every potential face. Clusters are grown greedily: the best-scoring
-unassigned detection seeds a cluster and absorbs every unassigned detection
-overlapping it by at least the IoU threshold. With K = 1 this reduces exactly
-to greedy NMS. The IoU threshold (0.5) and K (3) are the paper's fixed
-choices, held as the constants IOU_THRESHOLD and TOP_K.
+Candidates are one (N, 5) float64 array of [x, y, w, h, score] rows, the
+layout ferns.scan also returns; each filter returns the indices of the rows
+it keeps, in output order. Non-top-K keeps the K highest-scoring candidates
+inside each local cluster instead of only the cluster maximum, so a
+downstream verifier gets several shots at every potential face. Clusters are
+grown greedily: the best-scoring unassigned row seeds a cluster and absorbs
+every unassigned row overlapping it by at least the IoU threshold. With K = 1
+this reduces exactly to greedy NMS. The IoU threshold (0.5) and K (3) are the
+paper's fixed choices, held as the constants IOU_THRESHOLD and TOP_K.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-IOU_THRESHOLD = 0.5  # overlap at which a detection joins a cluster
-TOP_K = 3            # detections kept per cluster by non-top-K
-
-
-@dataclass
-class Detection:
-    """Scored box, optionally carrying predicted landmarks and a feature."""
-
-    box: tuple  # (x, y, w, h) at original image resolution
-    score: float
-    landmarks: np.ndarray | None = None  # (N, 2), source-image coordinates
-    feature: np.ndarray | None = None  # proposal-net feature column at the cell
+IOU_THRESHOLD = 0.5  # overlap at which a candidate joins a cluster
+TOP_K = 3            # candidates kept per cluster by non-top-K
 
 
 def iou(a, b) -> float:
@@ -40,43 +30,36 @@ def iou(a, b) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def _sorted_order(detections) -> list[int]:
-    # score descending; ties broken by lower box x, then y, for determinism
-    return sorted(
-        range(len(detections)),
-        key=lambda i: (-detections[i].score, detections[i].box[0], detections[i].box[1]),
-    )
+def nms(rows) -> list[int]:
+    """Greedy non-maximum suppression: walk in score order, keep a row iff
+    it overlaps every already-kept row below the IoU threshold. This is
+    non_top_k with K = 1."""
+    return non_top_k(rows, 1)
 
 
-def nms(detections) -> list[Detection]:
-    """Greedy non-maximum suppression: walk in score order, keep a detection
-    iff it overlaps every already-kept detection below the IoU threshold.
-    This is non_top_k with K = 1."""
-    return non_top_k(detections, 1)
+def non_top_k(rows, k: int = TOP_K) -> list[int]:
+    """Indices of the top-k rows of each greedy IoU cluster, in score order.
 
-
-def non_top_k(detections, k: int = TOP_K) -> list[Detection]:
-    """Keep the top-k detections per greedy IoU cluster, in score order.
-
-    Every NMS survivor at the same threshold seeds a cluster and heads it,
-    even a zero-area box, whose IoU with itself is 0; so the result is a
-    superset of the NMS output.
+    Rows are walked by score descending, ties going to the lower x, then the
+    lower y, then the lower index. Every NMS survivor at the same threshold
+    seeds a cluster and heads it, even a zero-area box, whose IoU with itself
+    is 0; so the result is a superset of the NMS output. The IoUs are Python
+    float arithmetic, so a box with an infinite side raises no warning.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    order = _sorted_order(detections)
-    assigned = [False] * len(detections)
-    kept: list[Detection] = []
-    for pos, seed_idx in enumerate(order):
-        if assigned[seed_idx]:
+    rows = np.asarray(rows).tolist()
+    boxes = [row[:4] for row in rows]
+    order = sorted(range(len(rows)), key=lambda i: (-rows[i][4], rows[i][0], rows[i][1]))
+    assigned = [False] * len(rows)
+    kept: list[int] = []
+    for pos, seed in enumerate(order):
+        if assigned[seed]:
             continue
-        seed = detections[seed_idx]
         cluster = [seed]
-        for other_idx in order[pos + 1 :]:
-            if assigned[other_idx]:
-                continue
-            if iou(seed.box, detections[other_idx].box) >= IOU_THRESHOLD:
-                assigned[other_idx] = True
-                cluster.append(detections[other_idx])
+        for other in order[pos + 1 :]:
+            if not assigned[other] and iou(boxes[seed], boxes[other]) >= IOU_THRESHOLD:
+                assigned[other] = True
+                cluster.append(other)
         kept.extend(cluster[:k])  # cluster is already in score order
     return kept

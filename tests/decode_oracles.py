@@ -1,14 +1,15 @@
 """Per-cell reference forms of the proposal decode in ``warpdet.pipeline``
 and of the batched box fit in ``warpdet.synthetic``, kept in the tests as
-oracles: one cell is decoded, and one landmark set fitted, at a time."""
+oracles: one cell is decoded, and one landmark set fitted, at a time, and
+each candidate is one record."""
 
 import numpy as np
 
+from suppress_oracles import Candidate
 from warp_oracles import estimate_similarity, inverse_map
 from warpdet import nn
 from warpdet.align import SingularTransformError
 from warpdet.pipeline import POINT_SCALE, PROPOSAL_THRESHOLD, cell_centers
-from warpdet.suppress import Detection
 from warpdet.synthetic import ELLIPSE_AXES, GLYPH_LANDMARKS
 
 
@@ -59,7 +60,7 @@ def level_candidates(model, state, octave):
             except SingularTransformError:
                 continue
         out.append(
-            Detection(
+            Candidate(
                 box=box,
                 score=float(probs[i, j]),
                 landmarks=lms,
@@ -67,3 +68,18 @@ def level_candidates(model, state, octave):
             )
         )
     return out
+
+
+def level_candidate_rows(model, state, octave):
+    """level_candidates in the arrays that pipeline._level_candidates
+    returns: (N, 5) rows, (N, 5, 2) landmarks or None, (N, C) features in
+    the maps' dtype or None."""
+    cands = level_candidates(model, state, octave)
+    lms = feats = None
+    if model.multitask:
+        lms = np.array([c.landmarks for c in cands], dtype=np.float64).reshape(-1, 5, 2)
+    if model.use_concat:
+        feats = np.array([c.feature for c in cands], dtype=state.feat.dtype)
+        feats = feats.reshape(len(cands), len(state.feat))
+    rows = np.array([[*c.box, c.score] for c in cands], dtype=np.float64)
+    return rows.reshape(-1, 5), lms, feats

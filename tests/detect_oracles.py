@@ -1,13 +1,16 @@
 """Float64 reference form of ``warpdet.pipeline.detect``, kept in the tests
-as an oracle: the package's own stage functions, run on the caller's image
-as given. A float64 image then runs both nets in float64, as training runs
-them, where ``detect`` runs them on a float32 copy."""
+as an oracle: the package's own net and fit functions, run on the caller's
+image as given, with one record per candidate from the per-cell decode of
+``decode_oracles`` through the record-list suppression of
+``suppress_oracles``. A float64 image then runs both nets in float64, as
+training runs them, where ``detect`` runs them on a float32 copy."""
 
 import numpy as np
 
+from decode_oracles import level_candidates
+from suppress_oracles import Candidate, nms, non_top_k
 from warpdet import nn, pipeline
 from warpdet.align import SingularTransformError
-from warpdet.suppress import Detection, nms, non_top_k
 
 
 def detect(image, model, options=pipeline.DetectOptions()):
@@ -19,7 +22,7 @@ def detect(image, model, options=pipeline.DetectOptions()):
     candidates = []
     for octave, level, mask in levels:
         state = pipeline.rpn_forward(model.rpn, level, mask)
-        candidates.extend(pipeline._level_candidates(model, state, octave))
+        candidates.extend(level_candidates(model, state, octave))
     if options.suppression == "non_top_k":
         candidates = non_top_k(candidates)
     elif options.suppression == "nms":
@@ -32,5 +35,5 @@ def detect(image, model, options=pipeline.DetectOptions()):
             continue
         cache = pipeline.verify_forward(model, image, transform, cand.feature)
         prob = float(np.exp(nn.log_softmax(cache.logits))[1])
-        final.append(Detection(cand.box, prob, landmarks=cand.landmarks))
+        final.append(Candidate(cand.box, prob, landmarks=cand.landmarks))
     return nms(final)

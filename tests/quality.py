@@ -5,6 +5,7 @@ Run from the repository root:
     python tests/quality.py [--images N] [--rpn-epochs N] [--joint-epochs N]
         [--seeds S ...] [--no-multitask] [--no-concat]
         [--no-supervised-transform] [--suppression MODE] [--reference] [--test]
+        [--out PATH]
 
 For each init seed it trains a detector on the first --images images of the
 benchmark's set-up corpus (96 px, corpus seed 0): the proposal net for
@@ -20,7 +21,10 @@ scores ``tests/detect_oracles.detect``, which runs both nets in float64 as
 training does, beside ``pipeline.detect``, which runs them in float32.
 
 The table gives one row per seed, then the median and the minimum over the
-seeds; the last line is the run as one JSON object. Pytest does not collect
+seeds; the last line is the run as one JSON object. --out also writes that
+object to PATH as one line, with the commit checked out, the tracked files
+that differ from it, the command-line arguments, the numpy version and the
+wall seconds: a ``QUALITY_<n>.json`` ledger entry. Pytest does not collect
 this file.
 """
 
@@ -37,6 +41,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import subprocess  # noqa: E402
+import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -69,7 +75,14 @@ def parse_args(argv=None):
                         help="also score the float64 reference detect")
     parser.add_argument("--test", action="store_true",
                         help="score the benchmark's test images, not the validation corpus")
+    parser.add_argument("--out", type=Path,
+                        help="also write the JSON line, with its provenance, to this file")
     return parser.parse_args(argv)
+
+
+def git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
 
 
 def quality(samples, detect, model, options) -> dict:
@@ -92,6 +105,7 @@ def print_row(first, scores, forms):
 
 
 def main(argv=None):
+    start = time.perf_counter()
     args = parse_args(argv)
     corpus = synthetic.generate_synthetic_corpus(workloads.SETUP_SEED, args.images)
     stream = workloads.DETECT_STREAM if args.test else VALIDATION_STREAM
@@ -125,8 +139,19 @@ def main(argv=None):
     }
     for stat, scores in summary.items():
         print_row(stat, scores, detects)
-    print(json.dumps({"workload_seed": WORKLOAD_SEED, "stream": stream, **vars(args),
-                      "rows": rows, **summary}))
+    record = {"workload_seed": WORKLOAD_SEED, "stream": stream,
+              **{key: value for key, value in vars(args).items() if key != "out"},
+              "rows": rows, **summary}
+    print(json.dumps(record))
+    if args.out is not None:
+        record.update(
+            commit=git("rev-parse", "HEAD"),
+            modified=git("diff", "--name-only", "HEAD").split(),
+            argv=sys.argv[1:] if argv is None else list(argv),
+            numpy=np.__version__,
+            wall_s=time.perf_counter() - start,
+        )
+        args.out.write_text(json.dumps(record) + "\n")
 
 
 if __name__ == "__main__":

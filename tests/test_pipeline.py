@@ -227,7 +227,7 @@ def test_training_passes_run_in_float64_and_detect_nets_in_float32(
         assert {state.feat.dtype, state.score.dtype, state.point.dtype} == {dtype}
         cache = pipeline.verify_forward(model, image.astype(dtype), transform,
                                         state.feat[:, 3, 3].copy())
-        assert cache.trunk[0][0].dtype == cache.trunk_out.dtype == dtype
+        assert cache.trunk[0][0].dtype == cache.trunk[-1][2].dtype == dtype
         assert cache.logits.dtype == np.float64
 
     seen = []
@@ -312,18 +312,21 @@ def test_cell_decode_of_the_regression_targets_gives_back_the_face(multitask):
                 )
 
 
-def _assert_same_detections(got, want):
-    """Two candidate lists agree in order and in every byte of each box,
+def _assert_same_candidates(got, want):
+    """The (rows, landmarks, features) arrays of _level_candidates agree with
+    the oracle's candidate list in order and in every byte of each box,
     score, landmark set and feature column."""
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert np.asarray(g.box, dtype=np.float64).tobytes() == \
-            np.asarray(w.box, dtype=np.float64).tobytes()
-        assert np.float64(g.score).tobytes() == np.float64(w.score).tobytes()
-        for name in ("landmarks", "feature"):
-            a, b = getattr(g, name), getattr(w, name)
-            assert (a is None) == (b is None), name
-            if a is not None:
+    rows, lms, feats = got
+    assert rows.dtype == np.float64
+    assert len(rows) == len(want)
+    for n, w in enumerate(want):
+        assert rows[n, :4].tobytes() == np.asarray(w.box, dtype=np.float64).tobytes()
+        assert rows[n, 4].tobytes() == np.float64(w.score).tobytes()
+        for name, arrays in (("landmarks", lms), ("feature", feats)):
+            b = getattr(w, name)
+            assert (arrays is None) == (b is None), name
+            if arrays is not None:
+                a = arrays[n]
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
@@ -359,7 +362,7 @@ def test_level_candidates_match_the_per_cell_oracle_on_seeded_maps(multitask, ma
             state = _seeded_level(rng, multitask, masked)
             got = pipeline._level_candidates(model, state, octave)
             want = decode_oracles.level_candidates(model, state, octave)
-            _assert_same_detections(got, want)
+            _assert_same_candidates(got, want)
             probs = np.exp(nn.log_softmax(state.score.reshape(2, -1).T))[:, 1]
             eligible = (probs >= pipeline.PROPOSAL_THRESHOLD).reshape(state.score.shape[1:])
             if masked:
@@ -392,10 +395,10 @@ def test_level_candidates_match_the_per_cell_oracle_on_trained_nets(
                 mask = roiconv.RoiMask(bits)
             state = pipeline.rpn_forward(model.rpn, level, mask)
             got = pipeline._level_candidates(model, state, octave)
-            _assert_same_detections(
+            _assert_same_candidates(
                 got, decode_oracles.level_candidates(model, state, octave)
             )
-            found += len(got)
+            found += len(got[0])
     assert found > 0
 
 
@@ -781,7 +784,7 @@ def test_detect_and_joint_step_bytes_equal_with_the_kernel_oracles(
         (pipeline, "warp_backward", counted("warp_backward", warp_oracles.warp_backward)),
         (roiconv, "downsample_image", counted("downsample", conv_oracles.downsample_image)),
         (pipeline, "_level_candidates",
-         counted("level_candidates", decode_oracles.level_candidates)),
+         counted("level_candidates", decode_oracles.level_candidate_rows)),
     ):
         monkeypatch.setattr(target, name, fn)
     oracles = _chain_fingerprint(model, images, corpus, config)

@@ -521,7 +521,7 @@ class TestMaskPropagationSoundness:
         mask = build_mask([(10, 12, 40, 40), (62, 58, 24, 30)], (h, w))
         state = rpn_forward(rpn, image, mask)
         pooled_maps = 0
-        for (layer, pooled), (_, _, _, p) in zip(rpn.trunk(), state.trunk):
+        for (layer, pooled), (_, _, p) in zip(rpn.trunk(), state.trunk):
             if layer.spec.stride == 2:
                 mask = downsample_mask(mask)
             if pooled:
