@@ -107,6 +107,13 @@ def print_row(first, scores, forms):
 def main(argv=None):
     start = time.perf_counter()
     args = parse_args(argv)
+    # read before training, so a checkout without git fails at once
+    provenance = {} if args.out is None else {
+        "commit": git("rev-parse", "HEAD"),
+        "modified": git("diff", "--name-only", "HEAD").split(),
+        "argv": sys.argv[1:] if argv is None else list(argv),
+        "numpy": np.__version__,
+    }
     corpus = synthetic.generate_synthetic_corpus(workloads.SETUP_SEED, args.images)
     stream = workloads.DETECT_STREAM if args.test else VALIDATION_STREAM
     samples = synthetic.generate_synthetic_corpus(
@@ -144,13 +151,7 @@ def main(argv=None):
               "rows": rows, **summary}
     print(json.dumps(record))
     if args.out is not None:
-        record.update(
-            commit=git("rev-parse", "HEAD"),
-            modified=git("diff", "--name-only", "HEAD").split(),
-            argv=sys.argv[1:] if argv is None else list(argv),
-            numpy=np.__version__,
-            wall_s=time.perf_counter() - start,
-        )
+        record.update(provenance, wall_s=time.perf_counter() - start)
         args.out.write_text(json.dumps(record) + "\n")
 
 
