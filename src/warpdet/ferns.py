@@ -66,6 +66,7 @@ def _bucket_fold_sums(partitions: np.ndarray, weights: np.ndarray) -> np.ndarray
     """
     n, cols = partitions.shape
     keys = (partitions.T + NUM_PARTITIONS * np.arange(cols)[:, None]).ravel()
+    keys = keys.astype(np.min_scalar_type(cols * NUM_PARTITIONS - 1))  # radix sort to 16 bits
     order = np.argsort(keys, kind="stable")
     keys, values = keys[order], weights[order % n]
     counts = np.bincount(keys, minlength=cols * NUM_PARTITIONS)
@@ -107,9 +108,10 @@ class Fern:
 
 
 def _partitions(diffs: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Partition indices from (..., 8) pixel differences: bit i is set where
-    difference i is below threshold i."""
-    return (diffs < thresholds) @ (1 << np.arange(NUM_SPLITS))
+    """uint8 partition indices from (..., 8) pixel differences, bit i set where
+    difference i is below threshold i, packed from a C-ordered copy of the bits."""
+    bits = np.ascontiguousarray(diffs < thresholds)
+    return np.packbits(bits, bitorder="little").reshape(bits.shape[:-1])
 
 
 def _half_log_odds(pos: np.ndarray, neg: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -158,24 +160,23 @@ class CascadeConfig:
             raise ValueError("detection target must be in (0, 1]")
 
 
-def _draw_pool(rng, flat, size):
-    """A stage's random fern candidates and each sample's partition under
-    each. Every candidate draws uniform coordinates, then uniform quantiles of
-    the empirical pixel-difference distribution; each threshold is the order
+def _draw_pool(rng, pixels, size):
+    """A stage's random fern candidates and the partition of each of n
+    samples, given as (PATCH_SIZE**2, n) pixel rows, under each. Every
+    candidate draws uniform coordinates, then uniform quantiles of the
+    empirical pixel-difference distribution; each threshold is the order
     statistic np.quantile(method="inverted_cdf") takes, n*q - 1 rounded up
     (never below 0, as q > 0), so it depends only on the difference multiset.
     Returns (coords (P, 8, 4), thresholds (P, 8), partitions (n, P))."""
-    coords = np.empty((size, NUM_SPLITS, 4), dtype=np.int64)
-    qs = np.empty((size, NUM_SPLITS))
-    for c in range(size):
-        coords[c] = rng.integers(0, PATCH_SIZE, size=(NUM_SPLITS, 4))
-        qs[c] = rng.uniform(0.05, 0.95, size=NUM_SPLITS)
+    draws = [(rng.integers(0, PATCH_SIZE, size=(NUM_SPLITS, 4)),
+              rng.uniform(0.05, 0.95, size=NUM_SPLITS)) for _ in range(size)]
+    coords, qs = map(np.array, zip(*draws))
     x1, y1, x2, y2 = np.moveaxis(coords, -1, 0)
-    diffs = flat[:, y1 * PATCH_SIZE + x1]
-    diffs -= flat[:, y2 * PATCH_SIZE + x2]
-    rank = np.ceil(len(diffs) * qs - 1).astype(np.intp)
-    thresholds = np.take_along_axis(np.sort(diffs, axis=0), rank[None], axis=0)[0]
-    return coords, thresholds, _partitions(diffs, thresholds)
+    diffs = pixels[y1 * PATCH_SIZE + x1]  # (P, 8, n): one row per test
+    diffs -= pixels[y2 * PATCH_SIZE + x2]
+    rank = np.ceil(diffs.shape[-1] * qs - 1).astype(np.intp)
+    thresholds = np.take_along_axis(np.sort(diffs), rank[..., None], axis=-1)[..., 0]
+    return coords, thresholds, _partitions(diffs.transpose(0, 2, 1), thresholds[:, None]).T
 
 
 def train_cascade(
@@ -199,7 +200,7 @@ def train_cascade(
 
     rng = np.random.default_rng(config.seed)
     patches = np.concatenate([positives, negatives], dtype=np.float64)
-    flat = patches.reshape(len(patches), -1)
+    pixels = np.ascontiguousarray(patches.reshape(len(patches), -1).T)
     labels = np.concatenate(
         [np.ones(len(positives), dtype=np.int64), np.zeros(len(negatives), dtype=np.int64)]
     )
@@ -215,7 +216,7 @@ def train_cascade(
     allowed_rejects = int(np.floor((1.0 - config.per_stage_detection_target) * n_pos))
 
     for stage in range(config.num_ferns):
-        coords, threshs, parts = _draw_pool(rng, flat, config.candidate_pool)
+        coords, threshs, parts = _draw_pool(rng, pixels, config.candidate_pool)
         pos_sums = _bucket_fold_sums(parts[labels == 1], weights[labels == 1])
         neg_sums = _bucket_fold_sums(parts[labels == 0], weights[labels == 0])
         best = int(np.argmin(fold_sum(2.0 * np.sqrt(pos_sums * neg_sums))))

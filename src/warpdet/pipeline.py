@@ -23,7 +23,8 @@ joint training step decodes its sampled cells in the same one call. An
 image's proposals then travel as one (N, 5) [x, y, w, h, score] row array,
 with their landmarks and proposal features as arrays beside it, through
 non-top-K, which returns the indices of the rows it keeps, into
-verification. Detection is only detect's output record.
+verification; the verified rows, scored by their verdicts, go on as one
+such array into the final NMS. Detection is only detect's output record.
 
 Training runs in float64. Detection runs both nets in INFERENCE_DTYPE,
 float32: detect casts the image once, and the conv kernels cast the float64
@@ -682,12 +683,6 @@ def _level_candidates(model, state, octave):
     return np.column_stack([boxes, probs[ii, jj]]), lms, feats
 
 
-def _concat(parts):
-    """The levels' arrays of one kind stacked, or None where the model
-    gives none."""
-    return None if parts[0] is None else np.concatenate(parts)
-
-
 @dataclass
 class Detection:
     """One box of detect's output: its verdict score and, from the
@@ -721,8 +716,8 @@ def detect(image: np.ndarray, model: DetectorModel,
 
     found = [_level_candidates(model, rpn_forward(model.rpn, level_img, mask), octave)
              for octave, level_img, mask in levels]
-    rows, lms, feats = (map(_concat, zip(*found)) if found
-                        else (np.empty((0, 5)), None, None))
+    rows, lms, feats = ([None if p[0] is None else np.concatenate(p) for p in zip(*found)]
+                        if found else (np.empty((0, 5)), None, None))
 
     if options.suppression == "non_top_k":
         kept = non_top_k(rows)
@@ -730,19 +725,22 @@ def detect(image: np.ndarray, model: DetectorModel,
         kept = nms(rows)
     else:
         kept = range(len(rows))
-    lms = [None] * len(kept) if lms is None else lms[kept]
-    feats = [None] * len(kept) if feats is None else feats[kept]
+    rows = rows[kept]
+    lms = [None] * len(rows) if lms is None else lms[kept]
+    feats = [None] * len(rows) if feats is None else feats[kept]
 
-    final = []
-    for (x, y, w, h, _), landmarks, feature in zip(rows[kept].tolist(), lms, feats):
+    verified, logits = [], []
+    for n, ((x, y, w, h, _), landmarks, feature) in enumerate(zip(rows.tolist(), lms, feats)):
         try:
             transform = _candidate_transform(model, landmarks, (x, y, w, h))
         except SingularTransformError:
             continue
-        cache = verify_forward(model, work, transform, feature)
-        prob = float(np.exp(nn.log_softmax(cache.logits))[1])
-        final.append(Detection((x, y, w, h), prob, landmarks))
-    return [final[n] for n in nms([(*d.box, d.score) for d in final])]
+        verified.append(n)
+        logits.append(verify_forward(model, work, transform, feature).logits)
+    rows = rows[verified]
+    rows[:, 4] = np.exp(nn.log_softmax(np.reshape(logits, (-1, 2))))[:, 1]
+    return [Detection(tuple(rows[n, :4].tolist()), float(rows[n, 4]), lms[verified[n]])
+            for n in nms(rows)]
 
 
 # --------------------------------------------------------------------------

@@ -277,10 +277,12 @@ class TestPooledTrainingMatchesOracle:
     def test_every_pool_candidate_matches_the_oracle_draw(self, n_pos, n_neg):
         """Coordinates and inverted-CDF thresholds of every candidate, not
         only the kept ones; at 11 samples the lowest quantiles take the
-        minimum."""
+        minimum. The pool reads the pixel-major copy train_cascade keeps, the
+        oracle the sample-major patches."""
         pos, neg = separable_patches(np.random.default_rng(n_pos), n_pos, n_neg)
         flat = np.concatenate([pos, neg]).reshape(n_pos + n_neg, -1)
-        coords, thresholds, _ = _draw_pool(np.random.default_rng(9), flat, 200)
+        coords, thresholds, parts = _draw_pool(
+            np.random.default_rng(9), np.ascontiguousarray(flat.T), 200)
         oracle_rng = np.random.default_rng(9)
         for c in range(200):
             want_coords, want_thresholds = fern_oracles._draw_candidate(
@@ -288,6 +290,8 @@ class TestPooledTrainingMatchesOracle:
             )
             assert coords[c].tobytes() == want_coords.tobytes()
             assert thresholds[c].tobytes() == want_thresholds.tobytes()
+            fern = Fern(want_coords, want_thresholds, np.zeros(NUM_PARTITIONS))
+            assert np.array_equal(parts[:, c], fern_oracles._indices_flat(flat, fern, 32))
 
     @pytest.mark.parametrize("varying_row", [False, True])
     def test_degenerate_pool_raises_at_the_same_stage(self, varying_row):
@@ -333,6 +337,21 @@ class TestPooledFold:
         pooled = _bucket_fold_sums(parts, weights)
         assert pooled.shape == (parts.shape[1], NUM_PARTITIONS)
         for c in range(parts.shape[1]):
+            scalar = fern_oracles._bucket_fold_sums(parts[:, c], weights)
+            assert pooled[c].tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("cols", [256, 257])
+    def test_keys_past_sixteen_bits_equal_the_scalar_fold(self, cols):
+        """256 columns of uint8 partitions are the most whose sort keys fit
+        in 16 bits; at 257 they take 32. Each column's span is 256 shifted
+        right by 0 to 7 bits, so some partitions hold many samples."""
+        rng = np.random.default_rng(cols)
+        parts = rng.integers(0, NUM_PARTITIONS, size=(60, cols), dtype=np.uint8)
+        parts >>= rng.integers(0, 8, size=cols, dtype=np.uint8)
+        weights = rng.uniform(1e-3, 1.0, size=60)
+        pooled = _bucket_fold_sums(parts, weights)
+        assert pooled.shape == (cols, NUM_PARTITIONS)
+        for c in range(cols):
             scalar = fern_oracles._bucket_fold_sums(parts[:, c], weights)
             assert pooled[c].tobytes() == scalar.tobytes()
 

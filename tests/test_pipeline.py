@@ -20,6 +20,7 @@ import warp_oracles
 from conftest import TINY_SEED as SEED
 from conftest import central_diff, open_cascade, rel_err, train_tiny
 from warpdet import ferns, nn, pipeline, roiconv, synthetic
+from warpdet.align import SingularTransformError
 from warpdet.model import load_model, save_model
 from warpdet.nn import ShapeError
 from warpdet.suppress import iou
@@ -210,6 +211,106 @@ def test_detect_matches_the_float64_reference_to_float32_rounding(
             assert np.max(np.abs(np.subtract(g.box, w.box))) <= 1e-3
             assert np.max(np.abs(g.landmarks - w.landmarks)) <= 1e-3
             assert abs(g.score - w.score) <= 1e-4
+    assert boxes > 0
+
+
+def _spy_on_detect(monkeypatch):
+    """Wrap the functions detect calls between the proposal levels and its
+    output; returns the list each call appends (name, arguments, result or
+    None where it raised) to."""
+    calls = []
+
+    def spy(name):
+        real = getattr(pipeline, name)
+
+        def wrapper(*args):
+            try:
+                result = real(*args)
+            except SingularTransformError:
+                calls.append((name, args, None))
+                raise
+            calls.append((name, args, result))
+            return result
+        return wrapper
+
+    for name in ("_level_candidates", "non_top_k", "nms", "_candidate_transform",
+                 "verify_forward"):
+        monkeypatch.setattr(pipeline, name, spy(name))
+    return calls
+
+
+@pytest.fixture(scope="module")
+def box_head_model():
+    return train_tiny(multitask=False)[0]
+
+
+@pytest.mark.parametrize("every_other_singular", [False, True], ids=["fits", "skips"])
+@pytest.mark.parametrize("mode", ["non_top_k", "nms", "none"])
+@pytest.mark.parametrize("head", ["landmark", "box"])
+def test_final_nms_takes_the_verified_rows_with_their_verdicts(
+    tiny_run, box_head_model, held_out, monkeypatch, head, mode, every_other_singular
+):
+    """detect's last nms call gets one (M, 5) float64 array: the box of
+    each kept candidate whose fit succeeded, in kept order, with the verdict
+    exp(log_softmax(logits))[1] of its verify_forward call. detect returns
+    the records of exactly the rows that call keeps, in its order: the box
+    as a tuple of floats, the verdict as a float, and the candidate's
+    landmarks, None from the box head. With every other fit made singular,
+    the verified rows are not a prefix of the kept ones."""
+    model = tiny_run[0] if head == "landmark" else box_head_model
+    if every_other_singular:
+        real_transform = pipeline._candidate_transform
+        fitted = itertools.count()
+
+        def transform(*args):
+            if next(fitted) % 2:
+                raise SingularTransformError("every other candidate")
+            return real_transform(*args)
+        monkeypatch.setattr(pipeline, "_candidate_transform", transform)
+    calls = _spy_on_detect(monkeypatch)
+    boxes = 0
+    for image in [s.image for s in held_out] + [
+        s.image for s in synthetic.generate_synthetic_corpus(
+            SEED + 4, 3, synthetic.CorpusParams(image_size=160))
+    ]:
+        calls.clear()
+        dets = pipeline.detect(image, model, pipeline.DetectOptions(suppression=mode))
+        proposals = np.concatenate(
+            [result[0] for name, _, result in calls if name == "_level_candidates"])
+        *first, (name, (final,), keep) = [
+            call for call in calls if call[0] in ("non_top_k", "nms")]
+        assert name == "nms"
+        assert [call[0] for call in first] == ([] if mode == "none" else [mode])
+        kept = first[0][2] if first else range(len(proposals))
+
+        fits = [call for call in calls if call[0] == "_candidate_transform"]
+        assert [args[2] for _, args, _ in fits] == [
+            tuple(box) for box in proposals[kept, :4].tolist()]
+        verified = [(args, transform) for _, args, transform in fits
+                    if transform is not None]
+        verifies = [(args, cache) for name, args, cache in calls
+                    if name == "verify_forward"]
+        assert len(verifies) == len(verified)
+        for (_, transform), (args, _) in zip(verified, verifies):
+            assert args[2] is transform
+
+        assert type(final) is np.ndarray
+        assert final.dtype == np.float64 and final.shape == (len(verified), 5)
+        assert final[:, :4].tolist() == [list(args[2]) for args, _ in verified]
+        assert final[:, 4].tolist() == [
+            float(np.exp(nn.log_softmax(cache.logits))[1]) for _, cache in verifies]
+
+        assert len(dets) == len(keep)
+        for det, n in zip(dets, keep):
+            assert type(det.box) is tuple and {type(v) for v in det.box} == {float}
+            assert det.box == tuple(final[n, :4].tolist())
+            assert type(det.score) is float and det.score == final[n, 4]
+            landmarks = verified[n][0][1]
+            if head == "box":
+                assert landmarks is None and det.landmarks is None
+            else:
+                assert np.array_equal(det.landmarks, landmarks)
+        boxes += len(dets)
     assert boxes > 0
 
 
@@ -656,11 +757,20 @@ def _coincident_layout_model():
     return model
 
 
-def _assert_detect_finds_nothing_without_a_warning(model, images):
+def _assert_detect_finds_nothing_without_a_warning(model, images, monkeypatch):
+    """Every kept candidate's fit raises, so the final nms gets a (0, 5)
+    float64 array and detect returns []."""
+    calls = _spy_on_detect(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for sample in images:
+            calls.clear()
             assert pipeline.detect(sample.image, model) == []
+            (_, _, kept), (_, (final,), _) = [
+                call for call in calls if call[0] in ("non_top_k", "nms")]
+            assert kept
+            assert type(final) is np.ndarray
+            assert final.dtype == np.float64 and final.shape == (0, 5)
 
 
 def _joint_epoch_counting_every_candidate_as_singular(model, monkeypatch):
@@ -687,10 +797,13 @@ def _joint_epoch_counting_every_candidate_as_singular(model, monkeypatch):
     return history
 
 
-def test_coincident_canonical_layout_skips_every_candidate_in_detect(held_out):
+def test_coincident_canonical_layout_skips_every_candidate_in_detect(
+    held_out, monkeypatch
+):
     """No candidate can be aligned onto the layout: detect returns no box,
     and no NaN score, and warns of nothing."""
-    _assert_detect_finds_nothing_without_a_warning(_coincident_layout_model(), held_out)
+    _assert_detect_finds_nothing_without_a_warning(
+        _coincident_layout_model(), held_out, monkeypatch)
 
 
 def test_coincident_canonical_layout_counts_every_candidate_as_singular(monkeypatch):
@@ -711,11 +824,13 @@ def _degenerate_box_head_model(log_side):
 
 
 @pytest.mark.parametrize("log_side", [-1000.0, 1000.0], ids=["zero", "inf"])
-def test_degenerate_box_head_sides_skip_every_candidate_in_detect(held_out, log_side):
+def test_degenerate_box_head_sides_skip_every_candidate_in_detect(
+    held_out, monkeypatch, log_side
+):
     """No box without a finite positive side can be cropped: detect returns
     no box and warns of nothing."""
     _assert_detect_finds_nothing_without_a_warning(
-        _degenerate_box_head_model(log_side), held_out)
+        _degenerate_box_head_model(log_side), held_out, monkeypatch)
 
 
 @pytest.mark.parametrize("log_side", [-1000.0, 1000.0], ids=["zero", "inf"])
