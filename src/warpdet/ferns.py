@@ -6,13 +6,8 @@ score. Ferns are trained stagewise with RealBoost, every fern gets a soft
 rejection threshold, and a sliding-window scan over an image pyramid turns
 the cascade into a candidate generator. Training scores each stage's whole
 candidate pool at once: one gather of pixel differences, one sort for the
-thresholds and one fold for the per-partition weight sums of every candidate.
-
-All weight reductions go through an adjacent-pair folding sum. Folding halves
-exactly commute with scaling by powers of two in IEEE arithmetic, so a
-training set with every sample duplicated in place produces bit-identical
-partition sums after weight normalization, and therefore a bit-identical
-model.
+thresholds and, per class, one bincount for the per-partition weight sums of
+every candidate, each sum adding its partition's weights in sample order.
 """
 
 from __future__ import annotations
@@ -36,47 +31,13 @@ class TrainingError(RuntimeError):
     pass
 
 
-def fold_sum(values: np.ndarray) -> float | np.ndarray:
-    """Adjacent-pair folding sum over the last axis (pad to a power of two,
-    halve repeatedly): a float for a vector, one sum per row for a matrix.
-
-    Unlike a sequential sum, fold_sum([a, a, b, b, ...]) is exactly twice
-    fold_sum([a, b, ...]), which the duplicated-training-set invariance of
-    cascade training relies on.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    n = v.shape[-1]
-    size = 1 << int(np.ceil(np.log2(max(n, 1))))
-    v = np.concatenate([v, np.zeros(v.shape[:-1] + (size - n,))], axis=-1)
-    while v.shape[-1] > 1:
-        v = v[..., 0::2] + v[..., 1::2]
-    return v[..., 0] if v.ndim > 1 else float(v[0])
-
-
-def _bucket_fold_sums(partitions: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-partition folding sums of weights for each column of (n, P)
-    partition indices: (P, NUM_PARTITIONS) sums, each folding its partition's
-    weights in sample order.
-
-    One segmented fold serves every column: with entries sorted by (column,
-    partition, sample), each odd-ranked entry of a partition adds into its
-    even-ranked predecessor, and the even ones stay at half their rank. That
-    is fold_sum over each partition zero-padded to a power of two, since
-    x + 0 == x.
-    """
-    n, cols = partitions.shape
-    keys = (partitions.T + NUM_PARTITIONS * np.arange(cols)[:, None]).ravel()
-    keys = keys.astype(np.min_scalar_type(cols * NUM_PARTITIONS - 1))  # radix sort to 16 bits
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], weights[order % n]
-    counts = np.bincount(keys, minlength=cols * NUM_PARTITIONS)
-    ranks = np.arange(keys.size) - (np.cumsum(counts) - counts)[keys]
-    while ranks.any():
-        odd = (ranks & 1).astype(bool)
-        values[np.flatnonzero(odd) - 1] += values[odd]
-        keys, values, ranks = keys[~odd], values[~odd], ranks[~odd] >> 1
-    sums = np.zeros(cols * NUM_PARTITIONS)
-    sums[keys] = values
+def _partition_sums(partitions: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-partition weight sums for each column of (n, P) partition indices:
+    (P, NUM_PARTITIONS) sums from one bincount over column-offset keys, each
+    adding its partition's weights in sample order."""
+    cols = partitions.shape[1]
+    keys = partitions.T + NUM_PARTITIONS * np.arange(cols)[:, None]
+    sums = np.bincount(keys.ravel(), np.tile(weights, cols), minlength=cols * NUM_PARTITIONS)
     return sums.reshape(cols, NUM_PARTITIONS)
 
 
@@ -119,7 +80,7 @@ def _half_log_odds(pos: np.ndarray, neg: np.ndarray, weights: np.ndarray) -> np.
     per-partition positive and negative weight sums; both are
     Laplace-smoothed by SMOOTHING_FRACTION of the total weight, so an empty
     partition scores exactly zero."""
-    eps = SMOOTHING_FRACTION * fold_sum(weights)
+    eps = SMOOTHING_FRACTION * weights.sum()
     return 0.5 * np.log((pos + eps) / (neg + eps))
 
 
@@ -200,26 +161,24 @@ def train_cascade(
 
     rng = np.random.default_rng(config.seed)
     patches = np.concatenate([positives, negatives], dtype=np.float64)
+    if not np.isfinite(patches).all():
+        raise ValueError("patches must be finite")
     pixels = np.ascontiguousarray(patches.reshape(len(patches), -1).T)
-    labels = np.concatenate(
-        [np.ones(len(positives), dtype=np.int64), np.zeros(len(negatives), dtype=np.int64)]
-    )
-    signs = np.where(labels == 1, 1.0, -1.0)
-    n = len(patches)
+    n_pos, n = len(positives), len(patches)  # positives come first
+    signs = np.repeat([1.0, -1.0], [n_pos, n - n_pos])
     weights = np.full(n, 1.0 / n)
 
     ferns: list[Fern] = []
     thresholds = np.empty(config.num_ferns)
     cumulative = np.zeros(n)
     stage_losses = []
-    n_pos = len(positives)
     allowed_rejects = int(np.floor((1.0 - config.per_stage_detection_target) * n_pos))
 
     for stage in range(config.num_ferns):
         coords, threshs, parts = _draw_pool(rng, pixels, config.candidate_pool)
-        pos_sums = _bucket_fold_sums(parts[labels == 1], weights[labels == 1])
-        neg_sums = _bucket_fold_sums(parts[labels == 0], weights[labels == 0])
-        best = int(np.argmin(fold_sum(2.0 * np.sqrt(pos_sums * neg_sums))))
+        pos_sums = _partition_sums(parts[:n_pos], weights[:n_pos])
+        neg_sums = _partition_sums(parts[n_pos:], weights[n_pos:])
+        best = int(np.argmin(np.sqrt(pos_sums * neg_sums).sum(axis=1)))
         if np.count_nonzero(pos_sums[best] + neg_sums[best]) <= 1:
             raise TrainingError(
                 f"degenerate fern pool at stage {stage}: best candidate keeps "
@@ -231,13 +190,12 @@ def train_cascade(
 
         sample_scores = fern.scores[parts[:, best]]
         weights = weights * np.exp(-signs * sample_scores)
-        total = fold_sum(weights)
+        total = weights.sum()
         stage_losses.append(total)
         weights = weights / total
 
         cumulative = cumulative + sample_scores
-        pos_sorted = np.sort(cumulative[labels == 1])
-        thresholds[stage] = pos_sorted[min(allowed_rejects, n_pos - 1)]
+        thresholds[stage] = np.sort(cumulative[:n_pos])[min(allowed_rejects, n_pos - 1)]
 
     return CascadeModel(
         ferns, thresholds, train_log={"stage_partition_losses": stage_losses}

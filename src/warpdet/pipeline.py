@@ -808,15 +808,19 @@ def crop_patch(image: np.ndarray, box, out_size: int) -> np.ndarray:
 def harvest_cascade_patches(corpus, rng):
     """Face crops and face-free crops from a corpus, as fern-sized patches:
     every face, and per image NEGATIVES_PER_IMAGE slots of up to ten draws
-    each; a slot whose draws all overlap a face is left empty."""
+    each; a slot whose draws all overlap a face is left empty. Negative
+    squares have sides in [36, 72), capped at the image's shorter side so
+    each lies inside its image; an image under 36 px leaves its slots empty."""
     pos, neg = [], []
     for sample in corpus:
         h, w = sample.image.shape[1:]
         for box, _ in sample.faces:
             pos.append(crop_patch(sample.image, box, PATCH_SIZE))
+        if min(w, h) < 36:
+            continue
         for _ in range(NEGATIVES_PER_IMAGE):
             for _attempt in range(10):
-                side = rng.uniform(36, 72)
+                side = rng.uniform(36, min(72, w, h))
                 x = rng.uniform(0, w - side)
                 y = rng.uniform(0, h - side)
                 cand = (x, y, side, side)

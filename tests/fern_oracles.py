@@ -17,10 +17,9 @@ from warpdet.ferns import (
     Fern,
     TrainingError,
     _half_log_odds,
+    _partition_sums,
     _scan_level,
-    fold_sum,
 )
-from warpdet.ferns import _bucket_fold_sums as _pooled_fold_sums
 from warpdet.roiconv import MIN_FACE
 
 
@@ -110,22 +109,14 @@ def scan(image: np.ndarray, model: CascadeModel) -> np.ndarray:
 # per-candidate cascade training, the oracle of ferns.train_cascade
 
 
-def _bucket_fold_sums(partitions: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-partition folding sums of weights, order-preserving within each
-    partition. Returns an array of NUM_PARTITIONS sums."""
-    if partitions.size == 0:
-        return np.zeros(NUM_PARTITIONS)
-    order = np.argsort(partitions, kind="stable")
-    sorted_parts = partitions[order]
-    counts = np.bincount(sorted_parts, minlength=NUM_PARTITIONS)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    ranks = np.arange(partitions.size) - offsets[sorted_parts]
-    width = 1 << max(0, int(np.ceil(np.log2(max(1, counts.max())))))
-    mat = np.zeros((NUM_PARTITIONS, width))
-    mat[sorted_parts, ranks] = weights[order]
-    while mat.shape[1] > 1:
-        mat = mat[:, 0::2] + mat[:, 1::2]
-    return mat[:, 0]
+def _bucket_sums(partitions: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-partition sums of weights, one sample at a time: each weight adds
+    into its partition's sum in sample order. Returns an array of
+    NUM_PARTITIONS sums."""
+    sums = np.zeros(NUM_PARTITIONS)
+    for part, weight in zip(partitions, weights):
+        sums[part] += weight
+    return sums
 
 
 def _indices_flat(patches_flat: np.ndarray, fern: Fern, patch_size: int) -> np.ndarray:
@@ -140,15 +131,15 @@ def partition_scores(
     partitions: np.ndarray, labels: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """The fern scores train_cascade gives one column of partition indices:
-    the half-log-odds of each class's weight sums, through the pooled fold
-    of ferns._bucket_fold_sums."""
+    the half-log-odds of each class's weight sums, through the pooled
+    bincount of ferns._partition_sums."""
     labels = np.asarray(labels)
     weights = np.asarray(weights, dtype=np.float64)
     if np.any(weights <= 0):
         raise ValueError("weights must be positive")
     column = np.asarray(partitions)[:, None]
-    pos = _pooled_fold_sums(column[labels == 1], weights[labels == 1])[0]
-    neg = _pooled_fold_sums(column[labels == 0], weights[labels == 0])[0]
+    pos = _partition_sums(column[labels == 1], weights[labels == 1])[0]
+    neg = _partition_sums(column[labels == 0], weights[labels == 0])[0]
     return _half_log_odds(pos, neg, weights)
 
 
@@ -162,9 +153,9 @@ def partition_scores_reference(
     weights = np.asarray(weights, dtype=np.float64)
     if np.any(weights <= 0):
         raise ValueError("weights must be positive")
-    pos = _bucket_fold_sums(partitions[labels == 1], weights[labels == 1])
-    neg = _bucket_fold_sums(partitions[labels == 0], weights[labels == 0])
-    eps = SMOOTHING_FRACTION * fold_sum(weights)
+    pos = _bucket_sums(partitions[labels == 1], weights[labels == 1])
+    neg = _bucket_sums(partitions[labels == 0], weights[labels == 0])
+    eps = SMOOTHING_FRACTION * weights.sum()
     return 0.5 * np.log((pos + eps) / (neg + eps))
 
 
@@ -230,9 +221,9 @@ def train_cascade_reference(
             coords, threshs = _draw_candidate(rng, flat, ps)
             cand = Fern(coords, threshs, np.zeros(NUM_PARTITIONS))
             parts = _indices_flat(flat, cand, ps)
-            pos_sums = _bucket_fold_sums(parts[labels == 1], weights[labels == 1])
-            neg_sums = _bucket_fold_sums(parts[labels == 0], weights[labels == 0])
-            error = fold_sum(2.0 * np.sqrt(pos_sums * neg_sums))
+            pos_sums = _bucket_sums(parts[labels == 1], weights[labels == 1])
+            neg_sums = _bucket_sums(parts[labels == 0], weights[labels == 0])
+            error = np.sqrt(pos_sums * neg_sums).sum()
             occupied = int(np.count_nonzero(pos_sums + neg_sums))
             if best is None or error < best[0]:
                 best = (error, cand, parts, occupied)
@@ -247,7 +238,7 @@ def train_cascade_reference(
 
         sample_scores = fern.scores[parts]
         weights = weights * np.exp(-signs * sample_scores)
-        total = fold_sum(weights)
+        total = weights.sum()
         stage_losses.append(total)
         weights = weights / total
 

@@ -1010,6 +1010,50 @@ def test_harvest_crops_every_face_once_and_only_face_free_negatives(
     assert np.array_equal(pos, np.array([p for _, box, p in crops if box in faces]))
 
 
+def _negative_boxes(corpus, monkeypatch):
+    """Harvest the corpus; return each negative crop as an (image, box) pair."""
+    faces = {tuple(box) for sample in corpus for box, _ in sample.faces}
+    crops = []
+    real_crop = pipeline.crop_patch
+
+    def recording_crop(image, box, out_size):
+        crops.append((image, tuple(box)))
+        return real_crop(image, box, out_size)
+
+    monkeypatch.setattr(pipeline, "crop_patch", recording_crop)
+    pipeline.harvest_cascade_patches(corpus, np.random.default_rng(0))
+    return [(image, box) for image, box in crops if box not in faces]
+
+
+def test_harvest_draws_every_negative_inside_a_small_image(monkeypatch):
+    """On 64-px images a 36-72 px square can be wider than the image; each
+    negative's side is capped so the box lies inside its image."""
+    corpus = synthetic.generate_synthetic_corpus(
+        SEED, 8, synthetic.CorpusParams(image_size=64, size_range=(20.0, 30.0)))
+    negatives = _negative_boxes(corpus, monkeypatch)
+    assert len(negatives) > 0
+    for image, (x, y, w, h) in negatives:
+        assert w == h and 36 <= w <= 64
+        assert 0 <= x and x + w <= image.shape[2]
+        assert 0 <= y and y + h <= image.shape[1]
+
+
+def test_harvest_leaves_the_slots_of_an_image_under_36_px_empty():
+    corpus = synthetic.generate_synthetic_corpus(
+        SEED, 3, synthetic.CorpusParams(image_size=32, size_range=(12.0, 16.0)))
+    pos, neg = pipeline.harvest_cascade_patches(corpus, np.random.default_rng(0))
+    assert len(pos) == 3 and len(neg) == 0
+
+
+def test_train_prefilter_rejects_a_face_crop_holding_a_nan(prefilter_corpus):
+    corpus = copy.deepcopy(prefilter_corpus)
+    sample = next(s for s in corpus if s.faces)
+    x, y, w, h = sample.faces[0][0]
+    sample.image[0, int(y + h / 2), int(x + w / 2)] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        pipeline.train_prefilter(corpus, num_ferns=2, seed=SEED)
+
+
 def _cascade_arrays(cascade):
     return [cascade.stage_thresholds] + [
         getattr(fern, attr) for fern in cascade.ferns
