@@ -1010,27 +1010,22 @@ def test_harvest_crops_every_face_once_and_only_face_free_negatives(
     assert np.array_equal(pos, np.array([p for _, box, p in crops if box in faces]))
 
 
-def _negative_boxes(corpus, monkeypatch):
-    """Harvest the corpus; return each negative crop as an (image, box) pair."""
-    faces = {tuple(box) for sample in corpus for box, _ in sample.faces}
-    crops = []
-    real_crop = pipeline.crop_patch
-
-    def recording_crop(image, box, out_size):
-        crops.append((image, tuple(box)))
-        return real_crop(image, box, out_size)
-
-    monkeypatch.setattr(pipeline, "crop_patch", recording_crop)
-    pipeline.harvest_cascade_patches(corpus, np.random.default_rng(0))
-    return [(image, box) for image, box in crops if box not in faces]
-
-
 def test_harvest_draws_every_negative_inside_a_small_image(monkeypatch):
     """On 64-px images a 36-72 px square can be wider than the image; each
     negative's side is capped so the box lies inside its image."""
     corpus = synthetic.generate_synthetic_corpus(
         SEED, 8, synthetic.CorpusParams(image_size=64, size_range=(20.0, 30.0)))
-    negatives = _negative_boxes(corpus, monkeypatch)
+    faces = {tuple(box) for sample in corpus for box, _ in sample.faces}
+    negatives = []
+    real_crop = pipeline.crop_patch
+
+    def recording_crop(image, box, out_size):
+        if tuple(box) not in faces:
+            negatives.append((image, tuple(box)))
+        return real_crop(image, box, out_size)
+
+    monkeypatch.setattr(pipeline, "crop_patch", recording_crop)
+    pipeline.harvest_cascade_patches(corpus, np.random.default_rng(0))
     assert len(negatives) > 0
     for image, (x, y, w, h) in negatives:
         assert w == h and 36 <= w <= 64
