@@ -233,6 +233,12 @@ def scan(image: np.ndarray, model: CascadeModel) -> np.ndarray:
     the 32-pixel window covers a MIN_FACE-sized face; windows step by
     SCAN_STRIDE level pixels. Rows run level by level in row-major window
     order, in original coordinates. image is one (H, W) grayscale plane.
+
+    A box spans exactly the image its window samples: level pixel i of an
+    lw-px-wide level reads image coordinate (i + 0.5) * w / lw - 0.5, so
+    window (wx, wy) of an lw x lh level is the box (wx * stride * w / lw -
+    0.5, wy * stride * h / lh - 0.5, ps * w / lw, ps * h / lh), and on a
+    square image crop_patch of it samples the window's own pixels.
     """
     if image.ndim != 2:
         raise ValueError(f"expected an (H, W) grayscale plane, got {image.shape}")
@@ -252,8 +258,9 @@ def scan(image: np.ndarray, model: CascadeModel) -> np.ndarray:
         alive, scores = _scan_level(level.ravel(), lw, wins_x, wins_y, model, stride)
         if alive.size:
             wy, wx = np.divmod(alive, wins_x)
-            side = np.full(alive.size, ps / factor)
             rows.append(np.column_stack(
-                [wx * stride / factor, wy * stride / factor, side, side, scores]))
+                [wx * stride * w / lw - 0.5, wy * stride * h / lh - 0.5,
+                 np.full(alive.size, ps * w / lw), np.full(alive.size, ps * h / lh),
+                 scores]))
         factor /= SCAN_SCALE_STEP
     return np.concatenate(rows) if rows else np.empty((0, 5))

@@ -26,10 +26,14 @@ non-top-K, which returns the indices of the rows it keeps, into
 verification; the verified rows, scored by their verdicts, go on as one
 such array into the final NMS. Detection is only detect's output record.
 
-Training runs in float64. Detection runs both nets in INFERENCE_DTYPE,
-float32: detect casts the image once, and the conv kernels cast the float64
-model's filters to the dtype of the map they convolve. The fern pre-filter
-scans the caller's image.
+Training runs in float64. Detection runs every convolution of both nets in
+INFERENCE_DTYPE, float32: detect casts the image once, and the conv kernels
+cast the float64 model's filters to the dtype of the map they convolve. warp
+samples each candidate crop in float64, which verify_forward casts back to
+float32 for the verification trunk; the verification net's fc layer, l2
+normalisation and verdict then run in float64, as numpy promotes the float32
+trunk output against the float64 weights. The fern pre-filter scans the
+caller's image.
 """
 
 from __future__ import annotations

@@ -5,6 +5,21 @@ mouth bar, rendered at a random size, rotation and position over a noisy
 background with optional featureless clutter. Ground-truth boxes and the five
 landmarks (eye centers, nose tip, mouth corners) come straight from the
 render parameters, so every annotation is analytically exact.
+
+Each glyph is drawn into the canvas view over its footprint, clipped to the
+canvas: for a face, the square of half-side 0.48 * size + FOOTPRINT_MARGIN
+around its center (its larger ellipse semi-axis plus the margin; the eyes,
+nose and mouth lie inside the ellipse); for a distractor, the square of
+half-side size + FOOTPRINT_MARGIN. This is exact. The view's coordinates are
+the float64 values a full-canvas grid holds there, and every glyph term is a
+_soft_edge, exactly 0 from 0.45 px beyond its boundary. An ellipse's edge
+distance is scaled by its smaller semi-axis, so its nonzero ring ends within
+0.45 * (larger / smaller semi-axis) px of the larger one: 0.52 px for a face,
+0.65 px for a distractor ellipse; the disk and the bars end well inside
+their squares. So every nonzero term lies over 1 px inside the footprint, and
+the view receives the full-canvas sums bit for bit. A face costs in
+proportion to its own size, not the canvas's. The background gradient is one
+row plus one column, the same sums as over a full grid.
 """
 
 from __future__ import annotations
@@ -30,6 +45,9 @@ GLYPH_LANDMARKS = np.array(
 # axis-aligned bounding box of this ellipse after rotation.
 ELLIPSE_AXES = (0.42, 0.48)
 
+# Pixels added around each glyph's extent on every side of its footprint.
+FOOTPRINT_MARGIN = 2.0
+
 
 @dataclass
 class CorpusParams:
@@ -41,6 +59,22 @@ class CorpusParams:
     face_contrast: float = 0.35
     max_clutter: int = 3
     no_face_rate: float = 0.0
+
+    def __post_init__(self):
+        """Reject, naming the field, what generate_sample cannot draw."""
+        low, high = self.size_range
+        if not 0 < low <= high:
+            raise ValueError(f"size_range must hold 0 < low <= high, got {self.size_range}")
+        if not self.image_size >= 1.1 * high:  # a face keeps 0.55 * size off each side
+            raise ValueError(f"image_size {self.image_size} is under 1.1 * size_range[1]")
+        if not self.max_clutter >= 0:
+            raise ValueError(f"max_clutter must be >= 0, got {self.max_clutter}")
+        if self.max_clutter > 0 and self.image_size < 16:  # centers lie in [8, n - 8]
+            raise ValueError(f"image_size {self.image_size} is under 16 with clutter")
+        if not self.noise >= 0:
+            raise ValueError(f"noise must be >= 0, got {self.noise}")
+        if not 0 <= self.no_face_rate <= 1:
+            raise ValueError(f"no_face_rate must lie in [0, 1], got {self.no_face_rate}")
 
 
 @dataclass
@@ -106,11 +140,24 @@ def _bar(u, v, cx, cy, half_len, half_thick):
     )
 
 
+def _footprint(canvas: np.ndarray, center, half: float):
+    """The view of a 2-D canvas over the pixels within `half` of center on
+    both axes, clipped to the canvas, and the np.mgrid of its rows and
+    columns offset by the view's origin, in float64: the values a
+    full-canvas grid holds there."""
+    spans = []
+    for c, n in zip((center[1], center[0]), canvas.shape):
+        lo = min(max(int(np.ceil(c - half)), 0), n)
+        spans.append(slice(lo, max(lo, min(int(np.floor(c + half)) + 1, n))))
+    ys, xs = np.mgrid[spans[0], spans[1]].astype(np.float64)
+    return canvas[spans[0], spans[1]], xs, ys
+
+
 def render_face(canvas: np.ndarray, center, size: float, angle: float,
                 contrast: float = 0.35) -> None:
-    """Additively render one face glyph onto a 2-D canvas."""
-    h, w = canvas.shape
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    """Additively render one face glyph onto a 2-D canvas, inside its
+    footprint."""
+    canvas, xs, ys = _footprint(canvas, center, max(ELLIPSE_AXES) * size + FOOTPRINT_MARGIN)
     dx = xs - center[0]
     dy = ys - center[1]
     c, s = np.cos(angle), np.sin(angle)
@@ -134,9 +181,8 @@ def render_face(canvas: np.ndarray, center, size: float, angle: float,
 def _render_clutter(canvas: np.ndarray, rng: np.random.Generator,
                     face_box, contrast: float) -> None:
     """One featureless distractor (bare ellipse, dark disk, or bar) placed
-    away from the face."""
+    away from the face, drawn inside its footprint."""
     h, w = canvas.shape
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     for _ in range(10):
         cx, cy = rng.uniform(8, w - 8), rng.uniform(8, h - 8)
         size = rng.uniform(8, 30)
@@ -148,6 +194,7 @@ def _render_clutter(canvas: np.ndarray, rng: np.random.Generator,
     else:
         return
     kind = rng.integers(0, 3)
+    canvas, xs, ys = _footprint(canvas, (cx, cy), size + FOOTPRINT_MARGIN)
     dx, dy = xs - cx, ys - cy
     if kind == 0:  # bare bright ellipse, a featureless face-sized decoy
         a = size * rng.uniform(0.7, 1.0)
@@ -171,9 +218,9 @@ def generate_sample(rng: np.random.Generator, params: CorpusParams,
                     provenance: str = "") -> AnnotatedSample:
     """Render one annotated image with params-driven randomness."""
     n = params.image_size
-    ys, xs = np.mgrid[0:n, 0:n].astype(np.float64)
+    line = np.arange(n, dtype=np.float64)
     gx, gy = rng.uniform(-0.06, 0.06, size=2)
-    canvas = params.background + gx * (xs / n - 0.5) + gy * (ys / n - 0.5)
+    canvas = (params.background + gx * (line / n - 0.5)) + gy * (line[:, None] / n - 0.5)
 
     faces = []
     face_box = None

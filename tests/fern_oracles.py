@@ -99,8 +99,8 @@ def scan(image: np.ndarray, model: CascadeModel) -> np.ndarray:
         alive, scores = _scan_level(level.ravel(), lw, wins_x, wins_y, model, stride)
         for flat_pos, score in zip(alive, scores):
             wy, wx = divmod(int(flat_pos), wins_x)
-            rows.append((wx * stride / factor, wy * stride / factor,
-                         ps / factor, ps / factor, float(score)))
+            rows.append((wx * stride * w / lw - 0.5, wy * stride * h / lh - 0.5,
+                         ps * w / lw, ps * h / lh, float(score)))
         factor /= SCAN_SCALE_STEP
     return np.array(rows, dtype=np.float64).reshape(-1, 5)
 

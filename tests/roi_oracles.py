@@ -5,18 +5,25 @@ bucketed, scaled and drawn on its own, in Python floats."""
 import numpy as np
 
 import conv_oracles
-from warpdet.roiconv import DEFAULT_RF_CAP, MAX_LEVELS, MIN_FACE, MIN_LEVEL_SIDE
+from warpdet.roiconv import (
+    DEFAULT_RF_CAP,
+    MAX_LEVELS,
+    MIN_CANDIDATE_SIDE,
+    MIN_FACE,
+    MIN_LEVEL_SIDE,
+)
 
 
 def group_candidates(candidates):
     """(octave, list of (x, y, w, h)) pairs in octave order, from boxes given
-    one at a time; boxes under MIN_FACE are discarded."""
+    one at a time; boxes under MIN_CANDIDATE_SIDE are discarded, and those
+    under MIN_FACE join octave 0."""
     groups = {}
     for x, y, w, h in candidates:
         size = max(w, h)
-        if size < MIN_FACE:
+        if size < MIN_CANDIDATE_SIDE:
             continue
-        k = int(np.floor(np.log2(size / MIN_FACE)))
+        k = max(0, int(np.floor(np.log2(size / MIN_FACE))))
         groups.setdefault(k, []).append((x, y, w, h))
     return sorted(groups.items())
 

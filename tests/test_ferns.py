@@ -30,6 +30,8 @@ from warpdet.ferns import (
     scan,
     train_cascade,
 )
+from warpdet.pipeline import crop_patch
+from warpdet.roiconv import resize_bilinear
 from warpdet.suppress import iou
 
 
@@ -461,15 +463,35 @@ class TestScan:
         dets = scan(img, trained)
         assert any(iou(row[:4], box) >= 0.5 for row in dets)
 
+    def test_a_window_box_recrops_the_pixels_its_level_scanned(self):
+        """crop_patch of an interior window's box on a 160-px image samples
+        the image exactly where the window's pyramid level did."""
+        rng = np.random.default_rng(160)
+        img = rng.random((160, 160))
+        levels, checked = {}, 0
+        for x, y, w, h, _ in scan(img, open_cascade(rng)):
+            if x < 0 or y < 0 or x + w > 159 or y + h > 159:
+                continue  # the level clamps at the image edge, the crop pads
+            lw, lh = round(32 * 160 / w), round(32 * 160 / h)
+            wx, wy = round((x + 0.5) * lw / 160), round((y + 0.5) * lh / 160)
+            if (lh, lw) not in levels:
+                levels[lh, lw] = resize_bilinear(img[None], (lh, lw))[0]
+            window = levels[lh, lw][wy : wy + 32, wx : wx + 32]
+            crop = crop_patch(img[None], (x, y, w, h), 32)
+            np.testing.assert_allclose(crop, window, rtol=0, atol=1e-13)
+            checked += 1
+        assert len(levels) >= 5 and checked > 500
+
     def test_full_stride_tiles_align(self, trained, rng):
         img = np.clip(rng.normal(0.3, 0.1, size=(80, 80)), 0, 1.5)
         img[20:40, 20:40] += 0.6
         dets = scan(img, trained)
         assert len(dets)
         for x, y, w, _, _ in dets:
-            # window origin is a multiple of the stride at its pyramid level
+            # window origin is a multiple of the stride at its pyramid level,
+            # whose pixel i reads image coordinate (i + 0.5) / scale - 0.5
             scale = 32.0 / w
-            for origin in (x * scale / SCAN_STRIDE, y * scale / SCAN_STRIDE):
+            for origin in ((x + 0.5) * scale / SCAN_STRIDE, (y + 0.5) * scale / SCAN_STRIDE):
                 assert origin == pytest.approx(round(origin), abs=1e-6)
 
 

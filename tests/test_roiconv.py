@@ -24,6 +24,7 @@ from warpdet.pipeline import (
 from warpdet.roiconv import (
     DEFAULT_RF_CAP,
     MAX_LEVELS,
+    MIN_CANDIDATE_SIDE,
     MIN_FACE,
     MIN_LEVEL_SIDE,
     RoiMask,
@@ -123,6 +124,25 @@ class TestGrouping:
 
     def test_small_faces_discarded(self):
         assert group_candidates(boxes([(0, 0, 20, 20), (0, 0, 35, 35)])) == []
+
+    def test_a_side_rounded_just_under_36_joins_octave_0(self):
+        rows = boxes([(0, 0, 35.96, 35.96), (1, 2, MIN_CANDIDATE_SIDE, 30), (0, 0, 35.43, 35.43)])
+        groups = group_candidates(rows)
+        assert [k for k, _ in groups] == [0]
+        assert groups[0][1].tolist() == rows[:2].tolist()
+
+    def test_every_window_of_the_finest_scan_level_joins_octave_0(self):
+        """The finest level is round(n * 32 / 36) px wide, so its windows
+        span 32 * n / lw image px: 35.96 px at n = 100 and 200. On every
+        n x n image from 48 to 400 px, they all join octave 0."""
+        cascade = open_cascade(np.random.default_rng(1), n_ferns=1)
+        for n in range(48, 401):
+            rows = scan(np.zeros((n, n)), cascade)
+            finest = rows[rows[:, 2] == rows[0, 2]]
+            if n in (100, 200):
+                assert finest[0, 2] < MIN_FACE
+            groups = group_candidates(finest)
+            assert [k for k, _ in groups] == [0] and len(groups[0][1]) == len(finest)
 
     def test_totality_every_box_in_exactly_one_octave(self, rng):
         sizes = rng.uniform(36, 400, size=200)
@@ -625,11 +645,12 @@ class TestPyramid:
         assert total_pixels <= (1 + 1 / 3 + 0.05) * 200 * 190
 
     def test_roi_octaves_are_dense_octaves(self):
-        """Under the one level rule, an open cascade's survivors on a 160-px
+        """Under the one level rule, an open cascade's survivors on a 159-px
         image, the largest 144 px or more (octave 2, a 40 x 40 level), run
-        only octaves the dense path runs, on the dense path's level images."""
+        only octaves the dense path runs, on the dense path's level images.
+        (At 160 px the coarsest window spans 32 * 160 / 36 = 142.2 px.)"""
         image = synthetic.generate_synthetic_corpus(
-            11, 1, synthetic.CorpusParams(image_size=160)
+            11, 1, synthetic.CorpusParams(image_size=159)
         )[0].image
         model = SimpleNamespace(cascade=open_cascade(np.random.default_rng(0)))
         work = image.astype(pipeline.INFERENCE_DTYPE)

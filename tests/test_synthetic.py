@@ -1,16 +1,25 @@
 """Tests for the synthetic corpus generator: determinism, analytic landmark
-placement, and pixel-support agreement of the ground-truth boxes."""
+placement, pixel-support agreement of the ground-truth boxes, parameter
+checks, and byte equality of the footprint renderer with the full-canvas
+oracle in tests/synthetic_oracles.py."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import decode_oracles
+import synthetic_oracles
 from warpdet.align import SingularTransformError
 from warpdet.suppress import iou
 from warpdet.synthetic import (
+    ELLIPSE_AXES,
+    FOOTPRINT_MARGIN,
     GLYPH_LANDMARKS,
     AnnotatedSample,
     CorpusParams,
+    _footprint,
+    _render_clutter,
     box_from_landmarks,
     generate_synthetic_corpus,
     glyph_box,
@@ -170,3 +179,173 @@ class TestCorpusShape:
         sample = generate_synthetic_corpus(13, 1)[0]
         assert isinstance(sample, AnnotatedSample)
         assert "seed=13" in sample.provenance
+
+
+class TestCorpusParamsRejections:
+    def test_every_default_and_boundary_setting_constructs(self):
+        CorpusParams()
+        CorpusParams(image_size=44, size_range=(30.0, 40.0))
+        CorpusParams(image_size=15, size_range=(5.0, 10.0), max_clutter=0)
+        CorpusParams(image_size=16, size_range=(5.0, 10.0))
+        CorpusParams(noise=0.0, no_face_rate=1.0)
+
+    @pytest.mark.parametrize("size_range", [(0.0, 10.0), (-5.0, 10.0), (20.0, 10.0)])
+    def test_size_range_outside_0_lt_low_le_high(self, size_range):
+        with pytest.raises(ValueError, match="size_range"):
+            CorpusParams(size_range=size_range)
+
+    def test_a_face_wider_than_the_image_allows(self):
+        """Its margin of 0.55 * size on each side leaves no room for the
+        center: the draw used to fail mid-corpus inside numpy."""
+        with pytest.raises(ValueError, match="image_size"):
+            CorpusParams(image_size=40, size_range=(30.0, 40.0))
+
+    def test_clutter_on_an_image_under_16_px(self):
+        with pytest.raises(ValueError, match="image_size"):
+            CorpusParams(image_size=15, size_range=(5.0, 10.0), max_clutter=1)
+
+    def test_negative_max_clutter(self):
+        with pytest.raises(ValueError, match="max_clutter"):
+            CorpusParams(max_clutter=-1)
+
+    @pytest.mark.parametrize("noise", [-0.01, float("nan")])
+    def test_negative_noise(self, noise):
+        with pytest.raises(ValueError, match="noise"):
+            CorpusParams(noise=noise)
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5])
+    def test_no_face_rate_outside_0_1(self, rate):
+        with pytest.raises(ValueError, match="no_face_rate"):
+            CorpusParams(no_face_rate=rate)
+
+
+def largest_face(n: int) -> float:
+    """The largest face side CorpusParams admits on an n-px image."""
+    high = n / 1.1
+    while 1.1 * high > n:
+        high = np.nextafter(high, 0.0)
+    return high
+
+
+def assert_same_corpus(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.image.tobytes() == b.image.tobytes()
+        assert a.provenance == b.provenance and len(a.faces) == len(b.faces)
+        for (box_a, lms_a), (box_b, lms_b) in zip(a.faces, b.faces):
+            assert np.array(box_a).tobytes() == np.array(box_b).tobytes()
+            assert lms_a.tobytes() == lms_b.tobytes()
+
+
+@st.composite
+def corpus_params(draw):
+    n = draw(st.integers(32, 320))
+    high = draw(st.floats(2.0, largest_face(n)))
+    low = draw(st.floats(1.0, high))
+    return CorpusParams(
+        image_size=n, size_range=(low, high),
+        rotation_deg=draw(st.floats(0.0, 180.0)),
+        noise=draw(st.sampled_from([0.0, 0.03])),
+        max_clutter=draw(st.integers(0, 6)),
+        no_face_rate=draw(st.sampled_from([0.0, 0.3])),
+    )
+
+
+class ScriptedRng:
+    """Hands out the given draws in order, whatever bounds are asked for."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def uniform(self, low, high):
+        return next(self.draws)
+
+    def integers(self, low, high):
+        return next(self.draws)
+
+
+# 480 x 640 canvas: the corners, points across every edge and just outside it
+EDGE_CENTERS = [(0.0, 0.0), (639.0, 0.0), (0.0, 479.0), (639.0, 479.0),
+                (-3.7, -2.2), (642.5, 483.1), (320.4, 0.3), (320.4, 479.6),
+                (0.6, 240.2), (638.8, 240.2), (-10.5, 240.0), (320.0, 490.25),
+                (17.3, 11.9), (621.2, 466.6)]
+
+
+def distractor_draws(kind, center, size, rng):
+    """The draws _render_clutter makes for one distractor of `kind` with no
+    face to avoid: center, size, kind, then the kind's own parameters."""
+    if kind == 0:  # axes, gain
+        own = [rng.uniform(0.7, 1.0), rng.uniform(0.7, 1.0), rng.uniform(0.6, 1.0)]
+    elif kind == 1:  # gain
+        own = [rng.uniform(0.5, 1.0)]
+    else:  # angle, gain
+        own = [rng.uniform(0, np.pi), rng.uniform(-1.0, 1.0)]
+    return [*center, size, kind, *own]
+
+
+class TestFootprintMatchesFullCanvasOracle:
+    """Every glyph drawn inside its footprint equals the full-canvas oracle's
+    render byte for byte, and no oracle glyph reaches past its footprint."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=corpus_params(), seed=st.integers(0, 2**32 - 1))
+    def test_seeded_corpora_equal_the_oracle_byte_for_byte(self, params, seed):
+        assert_same_corpus(generate_synthetic_corpus(seed, 3, params),
+                           synthetic_oracles.generate_synthetic_corpus(seed, 3, params))
+
+    @pytest.mark.parametrize("n", [32, 33, 96, 159, 160, 319, 320])
+    def test_the_largest_face_at_any_rotation_equals_the_oracle(self, n):
+        high = largest_face(n)
+        params = CorpusParams(image_size=n, size_range=(high, high), rotation_deg=180.0,
+                              max_clutter=6, no_face_rate=0.3)
+        assert_same_corpus(generate_synthetic_corpus(n, 8, params),
+                           synthetic_oracles.generate_synthetic_corpus(n, 8, params))
+
+    @pytest.mark.parametrize("size", [6.0, 37.3, 80.0, 250.0])
+    def test_faces_at_the_corners_and_across_every_edge(self, size):
+        rng = np.random.default_rng(int(size))
+        base = rng.random((480, 640))
+        for center in EDGE_CENTERS:
+            angle = rng.uniform(-np.pi, np.pi)
+            got, want = base.copy(), base.copy()
+            render_face(got, center, size, angle, 0.35)
+            synthetic_oracles.render_face(want, center, size, angle, 0.35)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", [0, 1, 2])
+    @pytest.mark.parametrize("size", [8.0, 19.6, 30.0])
+    def test_distractors_at_the_corners_and_across_every_edge(self, kind, size):
+        rng = np.random.default_rng(kind * 100 + int(size))
+        base = rng.random((480, 640))
+        for center in EDGE_CENTERS:
+            draws = distractor_draws(kind, center, size, rng)
+            got, want = base.copy(), base.copy()
+            _render_clutter(got, ScriptedRng(draws), None, 0.35)
+            synthetic_oracles._render_clutter(want, ScriptedRng(draws), None, 0.35)
+            assert got.tobytes() == want.tobytes()
+
+    def test_every_nonzero_oracle_pixel_lies_over_1_px_inside_its_footprint(self):
+        """On a zero canvas, each oracle glyph's nonzero pixels lie inside
+        the view _footprint gives the renderer, and at least 1 px inside the
+        footprint square on both axes."""
+        rng = np.random.default_rng(29)
+        for trial in range(300):
+            size = rng.uniform(4.0, 90.0)
+            center = rng.uniform(0.0, 200.0, size=2)
+            canvas = np.zeros((200, 200))
+            if trial % 2:
+                half = max(ELLIPSE_AXES) * size + FOOTPRINT_MARGIN
+                synthetic_oracles.render_face(canvas, center, size, rng.uniform(-np.pi, np.pi))
+            else:
+                size = min(size, 30.0)
+                half = size + FOOTPRINT_MARGIN
+                kind = int(rng.integers(0, 3))
+                synthetic_oracles._render_clutter(
+                    canvas, ScriptedRng(distractor_draws(kind, center, size, rng)), None, 0.35)
+            inside = np.zeros(canvas.shape, dtype=bool)
+            _footprint(inside, center, half)[0][...] = True
+            assert not canvas[~inside].any()
+            ys, xs = np.nonzero(canvas)
+            assert len(xs)
+            assert np.abs(xs - center[0]).max() <= half - 1.0
+            assert np.abs(ys - center[1]).max() <= half - 1.0
