@@ -20,7 +20,9 @@ patch matrix, C*K*K*out_h*out_w elements of the input's dtype, picks one:
 
 Either way the output is C-contiguous CHW, which relu and max-pool read
 without another copy. The rule reads only the input's geometry and dtype:
-no caller picks a lowering.
+no caller picks a lowering. The masked convolution of roiconv runs on the
+same rule: it lowers each band of its mask as this forward lowers a whole
+input.
 
 The backward pass runs on the same rule. The filter gradient is the
 im2col product below the budget and one GEMM per kernel row above it,
@@ -137,15 +139,6 @@ def _windows(xp: np.ndarray, spec: ConvSpec, out_h: int, out_w: int) -> np.ndarr
     sc, sy, sx = xp.strides
     return _read_only_view(xp, (xp.shape[0], k, k, out_h, out_w),
                            (sc, sy, sx, s * sy, s * sx))
-
-
-def conv_windows(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Read-only (C, K, K, out_h, out_w) view of the stride-aligned KxK
-    windows of the zero-padded CHW input; entry [c, ky, kx] is the plane of
-    tap (c, ky, kx) over every output position, so its rows run along the
-    output rows. The shapes are checked before the view is made."""
-    xp, out_h, out_w = _padded_input(x, spec)
-    return _windows(xp, spec, out_h, out_w)
 
 
 def _patch_matrix(xp: np.ndarray, spec: ConvSpec, out_h: int, out_w: int) -> np.ndarray:

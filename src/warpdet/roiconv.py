@@ -3,14 +3,15 @@
 The pre-filter's candidate boxes stay one float64 array from the scan to
 the masks: group_candidates buckets them into scale octaves, and each
 octave gets its level of octave_levels, the one pyramid both detect paths
-run, plus a binary occupancy mask. Convolution layers gather only the
-patches whose output centers fall inside the mask. Each patch is a
-(C*K*K,) column read from the same strided window view the dense im2col
-path copies, and the reshaped filter bank multiplies the gathered
-(C*K*K, M) matrix like the dense path. Masked positions agree with dense
-convolution to rounding (the tests hold them to 1e-12), not bit for bit:
-BLAS may sum a product of fewer columns in another order. Skipped
-positions cost nothing.
+run, plus a binary occupancy mask. A masked convolution runs the dense
+conv's own lowering, under the same im2col/kernel-row byte rule, once per
+band: a run of output rows holding a mask bit, over the columns between
+its first and last bit. It then writes the band's masked positions, so
+every other position stays +0.0. Rows without a bit cost nothing, and a
+band computes its whole rectangle. Under a full mask the one band is the
+dense conv, bit for bit; otherwise masked positions agree with it to
+rounding (the tests hold them to 1e-12), as a smaller product, or another
+lowering, may sum in another order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import ConvSpec, ShapeError, as_input_dtype, block_taps, conv_windows
+from .nn import (ConvSpec, ShapeError, _conv_product, _filters_matrix, _padded_input,
+                 as_input_dtype, block_taps)
 
 # Smallest face the downstream network resolves; octave k covers sizes
 # [MIN_FACE * 2^k, 2 * MIN_FACE * 2^k).
@@ -107,26 +109,6 @@ def downsample_mask(mask: RoiMask) -> RoiMask:
     return RoiMask(((tl | tr) | (bl | br))[0])
 
 
-def roi_im2col(x: np.ndarray, mask: RoiMask, spec: ConvSpec):
-    """Gather only the patches whose output centers are marked in the mask.
-
-    Returns (data matrix of shape (C*K*K, M), flat output positions in
-    row-major order), M being the mask's ones count: column m is the patch
-    of output position positions[m], laid out as the dense im2col column.
-    """
-    if x.ndim != 3 or x.shape[0] != spec.in_channels:
-        raise ShapeError(f"expected ({spec.in_channels}, H, W) input, got {x.shape}")
-    out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
-    if mask.bits.shape != (out_h, out_w):
-        raise ShapeError(
-            f"mask is {mask.bits.shape}, convolution output is {(out_h, out_w)}"
-        )
-    positions = np.flatnonzero(mask.bits)
-    oy, ox = np.divmod(positions, out_w)
-    cols = conv_windows(x, spec)[..., oy, ox]
-    return cols.reshape(spec.in_channels * spec.kernel**2, positions.size), positions
-
-
 def roi_conv_forward(
     x: np.ndarray,
     filters: np.ndarray,
@@ -137,22 +119,34 @@ def roi_conv_forward(
     """Convolution evaluated only at masked output positions, in the
     input's floating dtype as conv2d_forward, and in float64 for an integer
     input, as numpy promotes that product; all other positions are exactly
-    zero."""
-    cols, positions = roi_im2col(x, mask, spec)
-    fmat = as_input_dtype(filters.reshape(spec.out_channels, -1), x)
-    out = np.zeros((spec.out_channels, mask.bits.size),
-                   dtype=np.result_type(fmat, cols))
-    if positions.size:
-        vals = fmat @ cols
+    +0.0. Each run of mask rows is one band through the dense lowering."""
+    fmat = as_input_dtype(_filters_matrix(filters, spec), x)
+    xp, out_h, out_w = _padded_input(x, spec)
+    if mask.bits.shape != (out_h, out_w):
+        raise ShapeError(
+            f"mask is {mask.bits.shape}, convolution output is {(out_h, out_w)}"
+        )
+    out = np.zeros((spec.out_channels, out_h, out_w), np.result_type(fmat, xp))
+    k, s = spec.kernel, spec.stride
+    edges = np.diff(mask.bits.any(axis=1), prepend=False, append=False)
+    for y0, y1 in np.flatnonzero(edges).reshape(-1, 2):
+        cols = np.flatnonzero(mask.bits[y0:y1].any(axis=0))
+        x0, x1 = cols[0], cols[-1] + 1
+        slab = np.ascontiguousarray(
+            xp[:, s * y0 : s * (y1 - 1) + k, s * x0 : s * (x1 - 1) + k])
+        band = _conv_product(slab, fmat, spec, y1 - y0, x1 - x0)
         if bias is not None:
-            vals += as_input_dtype(bias, x)[:, None]
-        out[:, positions] = vals
-    return out.reshape(spec.out_channels, *mask.bits.shape)
+            band += as_input_dtype(bias, x)[:, None]
+        np.copyto(out[:, y0:y1, x0:x1], band.reshape(-1, y1 - y0, x1 - x0),
+                  where=mask.bits[y0:y1, x0:x1])
+    return out
 
 
 def roi_conv_macs(mask: RoiMask, spec: ConvSpec) -> int:
-    """Multiply-accumulate count of the masked filter product: M*C*K^2*N.
-    Gather and scatter overhead is excluded; wall-clock benchmarks carry it."""
+    """Multiply-accumulate count of the masked positions: M*C*K^2*N, M being
+    the mask's ones count. roi_conv_forward computes each band's whole
+    rectangle, so it runs at least this many; wall-clock benchmarks carry
+    the difference and the slab copies."""
     return mask.ones_count * spec.in_channels * spec.kernel**2 * spec.out_channels
 
 

@@ -29,9 +29,9 @@ def patch_indices(spec: ConvSpec, out_h: int, out_w: int):
 
 
 def im2col(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Oracle of the patch matrix, the layout of nn.conv_windows: gather
+    """Oracle of the patch matrix nn's im2col lowering multiplies: gather
     every patch by fancy indexing into a (C*K*K, out_h*out_w) matrix, one
-    column per output position."""
+    row per kernel tap (c, ky, kx) and one column per output position."""
     out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
     chan, row, col = patch_indices(spec, out_h, out_w)
     return pad_chw(x, spec.padding)[chan, row, col]

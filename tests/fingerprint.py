@@ -19,10 +19,12 @@ The detect runs and the joint steps start from the set-up full model as
 ``save_model`` writes it and ``load_model`` reads it back, so their digests
 also cover the model file.
 
-The last line is one digest over all parts. Two commits that print the same
-lines compute the same bytes on all of it, so a refactor that claims to
-change no output can be checked by running this script before and after,
-and a change that means to move one part shows which parts moved. Pytest
+The fifth line is one digest over all parts. Two commits that print the
+same lines compute the same bytes on all of it, so a refactor that claims
+to change no output can be checked by running this script before and
+after, and a change that means to move one part shows which parts moved.
+Below it, one line per detect run (dense, roi, nms, none) splits the detect
+runs digest, so a moved detect runs line shows which run moved it. Pytest
 does not collect this file.
 """
 
@@ -55,6 +57,7 @@ JOINT_STEPS = 5
 VARIANTS = ({"multitask": False}, {"use_concat": False},
             {"supervised_transform": False})
 PARTS = ("setup models", "cascade", "detect runs", "joint steps")
+DETECT_RUNS = ("dense", "roi", "nms", "none")
 
 
 def trained(corpus, config, **variant):
@@ -107,7 +110,8 @@ def update_detections(digest, detections):
 
 
 def fingerprint() -> list[tuple[str, str]]:
-    """(part, hex digest) pairs, the overall digest last."""
+    """(part, hex digest) pairs, the overall digest after the parts, then
+    one digest per detect run."""
     parts = {name: hashlib.sha256() for name in PARTS}
     corpus = synthetic.generate_synthetic_corpus(SEED, SETUP_IMAGES)
     config = pipeline.TrainConfig(epochs=1, seed=SEED)
@@ -136,10 +140,12 @@ def fingerprint() -> list[tuple[str, str]]:
         (model, pipeline.DetectOptions(suppression="nms")),
         (model, pipeline.DetectOptions(suppression="none")),
     )
-    for run_model, options in runs:
+    run_digests = {name: hashlib.sha256() for name in DETECT_RUNS}
+    for name, (run_model, options) in zip(DETECT_RUNS, runs):
         for sample in held:
-            update_detections(parts["detect runs"],
-                              pipeline.detect(sample.image, run_model, options))
+            detections = pipeline.detect(sample.image, run_model, options)
+            update_detections(parts["detect runs"], detections)
+            update_detections(run_digests[name], detections)
 
     steps = synthetic.generate_synthetic_corpus(SEED + 2, JOINT_STEPS)
     stepped = copy.deepcopy(model)
@@ -153,7 +159,7 @@ def fingerprint() -> list[tuple[str, str]]:
         overall.update(digest.digest())
     return [(name, parts[name].hexdigest()) for name in PARTS] + [
         ("overall", overall.hexdigest())
-    ]
+    ] + [(f"detect {name}", run_digests[name].hexdigest()) for name in DETECT_RUNS]
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from warpdet.nn import (
     ShapeError,
     SgdOptimizer,
     conv2d_backward,
-    conv_windows,
     conv2d_forward,
     fully_connected,
     fully_connected_backward,
@@ -31,10 +30,11 @@ from warpdet.nn import (
 
 
 def _patch_matrix(x, spec):
-    """The (C*K*K, out_h*out_w) patch matrix of x, as conv_windows lays it
-    out: row (c, ky, kx) holds that tap for every output position."""
-    out_h, out_w = spec.out_size(x.shape[1], x.shape[2])
-    return conv_windows(x, spec).reshape(-1, out_h * out_w)
+    """The package's (C*K*K, out_h*out_w) patch matrix of x, the one its
+    im2col lowering multiplies: row (c, ky, kx) holds that tap for every
+    output position."""
+    xp, out_h, out_w = nn._padded_input(x, spec)
+    return nn._patch_matrix(xp, spec, out_h, out_w)
 
 
 def _patch_bytes(x, spec):
@@ -67,10 +67,6 @@ class TestIm2col:
         out = (filters.reshape(4, -1) @ _patch_matrix(x, spec)).reshape(4, 8, 8)
         ref = conv2d_reference(x, filters, stride=1, padding=1)
         assert np.max(np.abs(out - ref)) < 1e-12
-
-    def test_channel_mismatch_rejected(self, rng):
-        with pytest.raises(ShapeError):
-            conv_windows(rng.standard_normal((2, 4, 4)), ConvSpec(3, 1, kernel=3))
 
 
 class TestConvForward:
@@ -119,6 +115,18 @@ class TestConvForward:
                 rng.standard_normal((1, 3, 3, 3)),
                 ConvSpec(3, 1, kernel=3),
             )
+
+    @pytest.mark.parametrize("extent", [(4, 9), (9, 4), (1, 1)])
+    def test_input_smaller_than_a_window_raises_before_any_view(
+        self, monkeypatch, extent
+    ):
+        def no_view(*args, **kwargs):
+            raise AssertionError("window view built for a too-small input")
+
+        monkeypatch.setattr(nn, "_read_only_view", no_view)
+        with pytest.raises(ShapeError, match="too small"):
+            conv2d_forward(np.zeros((1,) + extent), np.zeros((1, 1, 7, 7)),
+                           ConvSpec(1, 1, 7, stride=2, padding=1))
 
 
 class TestConvBackward:
@@ -541,34 +549,6 @@ class TestKernelRowLowering:
         finally:
             tracemalloc.stop()
         assert peak < patch_matrix_bytes / 2
-
-
-class TestConvWindows:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("kernel,stride,padding", [(1, 1, 0), (3, 1, 1), (7, 2, 3)])
-    def test_read_only_view_of_window_shape(self, rng, kernel, stride, padding, dtype):
-        spec = ConvSpec(2, 1, kernel, stride=stride, padding=padding)
-        x = rng.standard_normal((2, 11, 9)).astype(dtype)
-        win = conv_windows(x, spec)
-        out_h, out_w = spec.out_size(11, 9)
-        assert win.shape == (2, kernel, kernel, out_h, out_w)
-        assert win.dtype == dtype
-        with pytest.raises(ValueError):
-            win[0, 0, 0, 0, 0] = 1.0
-        assert np.array_equal(
-            win.reshape(-1, out_h * out_w), conv_oracles.im2col(x, spec)
-        )
-
-    @pytest.mark.parametrize("extent", [(4, 9), (9, 4), (1, 1)])
-    def test_input_smaller_than_a_window_raises_before_any_view(
-        self, monkeypatch, extent
-    ):
-        def no_view(*args, **kwargs):
-            raise AssertionError("window view built for a too-small input")
-
-        monkeypatch.setattr(nn, "_read_only_view", no_view)
-        with pytest.raises(ShapeError, match="too small"):
-            conv_windows(np.zeros((1,) + extent), ConvSpec(1, 1, 7, stride=2, padding=1))
 
 
 def _signed_zero_grad(rng, shape, dtype=np.float64):

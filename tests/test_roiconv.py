@@ -11,7 +11,7 @@ import conv_oracles
 import fern_oracles
 import roi_oracles
 from conftest import open_cascade
-from warpdet import pipeline, roiconv, synthetic
+from warpdet import nn, pipeline, roiconv, synthetic
 from warpdet.ferns import scan
 from warpdet.nn import ConvSpec, ShapeError, conv2d_forward, maxpool2x2
 from warpdet.pipeline import (
@@ -36,7 +36,6 @@ from warpdet.roiconv import (
     octave_levels,
     roi_conv_forward,
     roi_conv_macs,
-    roi_im2col,
 )
 
 
@@ -306,52 +305,45 @@ class TestDownsampleMask:
                     assert half.bits[by, bx] == block.any()
 
 
-class TestRoiIm2col:
-    def test_all_ones_reduces_to_dense(self, rng):
-        x = rng.standard_normal((3, 8, 8))
-        spec = ConvSpec(3, 4, kernel=3, padding=1)
-        cols, positions = roi_im2col(x, full_mask(8, 8), spec)
-        np.testing.assert_array_equal(cols, conv_oracles.im2col(x, spec))
-        np.testing.assert_array_equal(positions, np.arange(64))
+def assert_positive_zero_outside(out, mask):
+    """Every position outside the mask holds +0.0 in every channel."""
+    outside = out[:, ~mask.bits]
+    assert not outside.any() and not np.signbit(outside).any()
 
-    def test_all_zero_mask(self, rng):
-        x = rng.standard_normal((2, 6, 6))
-        spec = ConvSpec(2, 2, kernel=3, padding=1)
-        cols, positions = roi_im2col(x, full_mask(6, 6, False), spec)
-        assert cols.shape == (18, 0)
-        assert positions.size == 0
 
-    def test_rows_are_selected_dense_rows(self, rng):
-        x = rng.standard_normal((3, 9, 7))
-        spec = ConvSpec(3, 2, kernel=3, stride=2, padding=1)
-        oh, ow = spec.out_size(9, 7)
-        mask = random_mask(rng, oh, ow, 0.4)
-        cols, positions = roi_im2col(x, mask, spec)
-        dense = conv_oracles.im2col(x, spec)
-        np.testing.assert_array_equal(cols, dense[:, positions])
-
-    @pytest.mark.parametrize("kernel,stride", [(1, 1), (3, 1), (5, 2), (7, 2)])
-    def test_rows_are_index_gather_oracle_rows(self, rng, kernel, stride):
-        x = rng.standard_normal((2, 11, 10))
-        spec = ConvSpec(2, 3, kernel=kernel, stride=stride, padding=kernel // 2)
-        mask = random_mask(rng, *spec.out_size(11, 10), 0.3)
-        cols, positions = roi_im2col(x, mask, spec)
-        assert cols.shape == (2 * kernel**2, positions.size)
-        assert np.array_equal(cols, conv_oracles.im2col(x, spec)[:, positions])
+class TestRoiConvForward:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 1), (7, 2, 3)])
+    def test_all_ones_is_the_dense_conv_bit_for_bit(self, rng, kernel, stride,
+                                                    padding, dtype):
+        """Under a full mask the one band is the whole input, run through
+        the dense conv's lowering: the same bytes, bias included."""
+        x = rng.standard_normal((3, 10, 11)).astype(dtype)
+        f = rng.standard_normal((5, 3, kernel, kernel)).astype(dtype)
+        b = rng.standard_normal(5).astype(dtype)
+        spec = ConvSpec(3, 5, kernel=kernel, stride=stride, padding=padding)
+        out = roi_conv_forward(x, f, full_mask(*spec.out_size(10, 11)), spec, bias=b)
+        dense = conv2d_forward(x, f, spec, bias=b)
+        assert out.dtype == dense.dtype == dtype
+        assert out.tobytes() == dense.tobytes()
 
     def test_extent_mismatch_rejected(self, rng):
         x = rng.standard_normal((1, 8, 8))
         with pytest.raises(ShapeError):
-            roi_im2col(x, full_mask(8, 8), ConvSpec(1, 1, kernel=3))
+            roi_conv_forward(x, rng.standard_normal((1, 1, 3, 3)), full_mask(8, 8),
+                             ConvSpec(1, 1, kernel=3))
 
-
-class TestRoiConvForward:
-    def test_all_ones_equals_dense(self, rng):
-        x = rng.standard_normal((3, 10, 10))
-        f = rng.standard_normal((5, 3, 3, 3))
-        spec = ConvSpec(3, 5, kernel=3, padding=1)
-        out = roi_conv_forward(x, f, full_mask(10, 10), spec)
-        assert np.max(np.abs(out - conv2d_forward(x, f, spec))) < 1e-12
+    @pytest.mark.parametrize("shape", [(2, 3, 3, 3), (3, 3, 3, 2), (3, 2, 9)])
+    def test_filters_of_another_shape_raise_shape_error(self, rng, shape):
+        """Filters of the right size but the wrong shape are rejected, as
+        conv2d_forward rejects them, not reshaped into a filter bank."""
+        spec = ConvSpec(2, 3, kernel=3, padding=1)
+        x = rng.standard_normal((2, 8, 8))
+        f = rng.standard_normal(shape)
+        with pytest.raises(ShapeError, match="filters"):
+            conv2d_forward(x, f, spec)
+        with pytest.raises(ShapeError, match="filters"):
+            roi_conv_forward(x, f, full_mask(8, 8), spec)
 
     def test_zero_mask_zero_output_zero_macs(self, rng):
         x = rng.standard_normal((2, 8, 8))
@@ -361,7 +353,7 @@ class TestRoiConvForward:
         assert not roi_conv_forward(x, f, mask, spec).any()
         assert roi_conv_macs(mask, spec) == 0
 
-    @pytest.mark.parametrize("density", [0.05, 0.3, 0.7])
+    @pytest.mark.parametrize("density", [0.05, 0.3, 0.7, 1.0])
     def test_masked_positions_match_dense(self, rng, density):
         x = rng.standard_normal((4, 12, 12))
         f = rng.standard_normal((6, 4, 3, 3))
@@ -370,7 +362,7 @@ class TestRoiConvForward:
         out = roi_conv_forward(x, f, mask, spec)
         dense = conv2d_forward(x, f, spec)
         assert np.max(np.abs((out - dense)[:, mask.bits])) < 1e-12
-        assert not out[:, ~mask.bits].any()
+        assert_positive_zero_outside(out, mask)
         assert roi_conv_macs(mask, spec) == mask.ones_count * 4 * 9 * 6
 
     def test_single_precision(self, rng):
@@ -382,7 +374,7 @@ class TestRoiConvForward:
         dense = conv2d_forward(x, f, spec)
         assert out.dtype == np.float32
         assert np.max(np.abs((out - dense)[:, mask.bits])) < 1e-5
-        assert not out[:, ~mask.bits].any()
+        assert_positive_zero_outside(out, mask)
 
     @pytest.mark.parametrize("density", [0.4, 1.0])
     @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 1), (7, 2, 3)])
@@ -392,8 +384,8 @@ class TestRoiConvForward:
         """The masked conv computes in its input's dtype, as the dense one:
         it gives the bytes of the same call on the parameters cast to
         float32, and the dense oracle's float32 values to rounding (the
-        gathered matrix is column-major, so BLAS may sum in another order
-        even under a full mask)."""
+        oracle's gathered matrix is laid out otherwise than the lowering's,
+        so BLAS may sum in another order even under a full mask)."""
         x = rng.standard_normal((2, 13, 11)).astype(np.float32)
         f = rng.standard_normal((3, 2, kernel, kernel))
         b = rng.standard_normal(3)
@@ -406,7 +398,7 @@ class TestRoiConvForward:
         dense = conv_oracles.conv2d_forward(x, f32, spec, bias=b32)
         assert dense.dtype == np.float32
         assert np.max(np.abs((out - dense)[:, mask.bits])) < 1e-5 * np.abs(dense).max()
-        assert not out[:, ~mask.bits].any()
+        assert_positive_zero_outside(out, mask)
 
     @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
     def test_integer_input_is_promoted_to_float64_as_the_dense_conv(self, rng, density):
@@ -421,7 +413,7 @@ class TestRoiConvForward:
         dense = conv2d_forward(x, f, spec, bias=b)
         assert out.dtype == dense.dtype == np.float64
         np.testing.assert_allclose(out[:, mask.bits], dense[:, mask.bits], rtol=1e-12)
-        assert not out[:, ~mask.bits].any()
+        assert_positive_zero_outside(out, mask)
 
     @pytest.mark.parametrize("shape", [(8, 8), (1, 1, 8, 8)])
     def test_input_that_is_not_chw_raises_shape_error(self, rng, shape):
@@ -448,15 +440,77 @@ class TestRoiConvForward:
             assert out.shape == (3, oh, ow)
             assert out.flags.c_contiguous
 
-    def test_stride_two_mask_extents(self, rng):
-        x = rng.standard_normal((1, 16, 16))
-        f = rng.standard_normal((2, 1, 7, 7))
-        spec = ConvSpec(1, 2, kernel=7, stride=2, padding=3)
-        oh, ow = spec.out_size(16, 16)
-        mask = random_mask(rng, oh, ow, 0.5)
-        out = roi_conv_forward(x, f, mask, spec)
-        dense = conv2d_forward(x, f, spec)
+    @pytest.mark.parametrize("pattern", [
+        "random", "runs split by empty rows", "border frame", "corners",
+        "last row", "last column", "one bit",
+    ])
+    def test_stride_two_mask_extents(self, rng, pattern):
+        """rpn.conv1's geometry (K 7, stride 2, padding 3) on a 17x16 input:
+        masks of several row runs, and masks whose bands reach the padded
+        border on every side."""
+        x = rng.standard_normal((2, 17, 16))
+        f = rng.standard_normal((3, 2, 7, 7))
+        b = rng.standard_normal(3)
+        spec = ConvSpec(2, 3, kernel=7, stride=2, padding=3)
+        oh, ow = spec.out_size(17, 16)
+        bits = np.zeros((oh, ow), dtype=bool)
+        if pattern == "random":
+            bits = rng.random((oh, ow)) < 0.5
+        elif pattern == "runs split by empty rows":
+            bits[0, 3] = bits[2:4, 1:3] = bits[4:6, 6] = bits[8, :] = True
+        elif pattern == "border frame":
+            bits[[0, -1], :] = bits[:, [0, -1]] = True
+        elif pattern == "corners":
+            bits[0, 0] = bits[0, -1] = bits[-1, 0] = bits[-1, -1] = True
+        elif pattern == "last row":
+            bits[-1] = True
+        elif pattern == "last column":
+            bits[:, -1] = True
+        else:
+            bits[4, 5] = True
+        mask = RoiMask(bits)
+        out = roi_conv_forward(x, f, mask, spec, bias=b)
+        dense = conv2d_forward(x, f, spec, bias=b)
         assert np.max(np.abs((out - dense)[:, mask.bits])) < 1e-12
+        assert_positive_zero_outside(out, mask)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_band_over_the_byte_budget_runs_the_kernel_row_lowering(
+        self, rng, monkeypatch, dtype
+    ):
+        """The byte rule picks each band's lowering: a small band's patch
+        matrix fits IM2COL_BUDGET_BYTES, a large band's does not and runs
+        by kernel rows. Both match the dense conv to 1e-12 in float64 and
+        to float32 rounding in float32."""
+        x = rng.standard_normal((4, 96, 96)).astype(dtype)
+        f = rng.standard_normal((3, 4, 7, 7)).astype(dtype)
+        spec = ConvSpec(4, 3, kernel=7, stride=2, padding=3)
+        bits = np.zeros(spec.out_size(96, 96), dtype=bool)
+        bits[1:3, 5:9] = True  # a 2x4 band: kilobytes of patches, im2col
+        bits[6:45, 2:47] = rng.random((39, 45)) < 0.7
+        bits[6:45, [2, 46]] = True  # a 39x45 band: 1.4 MB or more, kernel rows
+        assert 4 * 49 * 39 * 45 * x.itemsize > nn.IM2COL_BUDGET_BYTES
+        lowered = []
+
+        def spy(name):
+            real = getattr(nn, name)
+
+            def recorded(*args):
+                lowered.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(nn, name, recorded)
+
+        spy("_patch_matrix")
+        spy("_kernel_row_product")
+        mask = RoiMask(bits)
+        out = roi_conv_forward(x, f, mask, spec)
+        assert lowered == ["_patch_matrix", "_kernel_row_product"]
+        dense = conv2d_forward(x, f, spec)
+        tol = 1e-12 if dtype == np.float64 else 1e-5 * np.abs(dense).max()
+        assert out.dtype == dtype
+        assert np.max(np.abs((out - dense)[:, mask.bits])) < tol
+        assert_positive_zero_outside(out, mask)
 
 
 class TestMaskPropagationSoundness:
