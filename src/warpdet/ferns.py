@@ -4,10 +4,12 @@ A fern is a depth-8 stack of pixel-difference tests on a 32x32 grayscale
 patch; its 8 bits index one of 256 partitions, each carrying a half-log-odds
 score. Ferns are trained stagewise with RealBoost, every fern gets a soft
 rejection threshold, and a sliding-window scan over an image pyramid turns
-the cascade into a candidate generator. Training scores each stage's whole
-candidate pool at once: one gather of pixel differences, one sort for the
-thresholds and, per class, one bincount for the per-partition weight sums of
-every candidate, each sum adding its partition's weights in sample order.
+the cascade into a candidate generator; the pyramid's levels share one
+float64 plane, so each stage is one gather over the windows of all levels.
+Training scores each stage's whole candidate pool at once: one gather of
+pixel differences, one sort for the thresholds and, per class, one bincount
+for the per-partition weight sums of every candidate, each sum adding its
+partition's weights in sample order.
 """
 
 from __future__ import annotations
@@ -202,65 +204,62 @@ def train_cascade(
     )
 
 
-def _scan_level(gray_flat, level_w, wins_x, wins_y, model, stride):
-    """Vectorized soft-cascade evaluation of all windows at one pyramid level.
-    Returns (alive window flat-positions, their cumulative scores)."""
-    wy, wx = np.divmod(np.arange(wins_y * wins_x), wins_x)
-    wy = wy * stride
-    wx = wx * stride
-    scores = np.zeros(wy.size)
-    alive = np.arange(wy.size)
+def scan_levels(image: np.ndarray, patch_size: int):
+    """The scan pyramid of one (H, W) grayscale plane: levels SCAN_SCALE_STEP
+    apart, from a patch_size window over a MIN_FACE face to the last level a
+    window fits, each resampled from the image and stacked below the last in
+    one float64 plane whose row pitch is the first level's width; no window
+    reads the zero padding of a narrower level. Returns (flat plane, pitch,
+    (L, 3) [first row, lh, lw] per level, every window's flat origin), the
+    windows SCAN_STRIDE level pixels apart, level by level, row-major."""
+    if image.ndim != 2:
+        raise ValueError(f"expected an (H, W) grayscale plane, got {image.shape}")
+    gray = image.astype(np.float64)
+    if not np.isfinite(gray).all():
+        raise ValueError("image must be finite")
+    h, w = gray.shape
+    sizes, factor = [], patch_size / float(MIN_FACE)
+    while min(size := (round(h * factor), round(w * factor))) >= patch_size:
+        sizes.append(size)
+        factor /= SCAN_SCALE_STEP
+    sizes = np.array(sizes, dtype=np.intp).reshape(-1, 2)
+    tops = np.cumsum(sizes[:, 0]) - sizes[:, 0]
+    pitch = int(sizes[0, 1]) if len(sizes) else 0
+    plane = np.zeros((sizes[:, 0].sum(), pitch))
+    origins = [np.empty(0, dtype=np.intp)]
+    for top, (lh, lw) in zip(tops, sizes):
+        plane[top : top + lh, :lw] = resize_bilinear(gray[None], (lh, lw))[0]
+        ys = np.arange(top, top + lh - patch_size + 1, SCAN_STRIDE)
+        xs = np.arange(0, lw - patch_size + 1, SCAN_STRIDE)
+        origins.append((ys[:, None] * pitch + xs).ravel())
+    return plane.ravel(), pitch, np.column_stack([tops, sizes]), np.concatenate(origins)
+
+
+def scan(image: np.ndarray, model: CascadeModel) -> np.ndarray:
+    """Slide the cascade over the windows of scan_levels, each fern stage
+    once over the alive windows of all levels; return the accepted windows,
+    in order, as one (N, 5) float64 array of [x, y, w, h, cumulative score]
+    rows in original coordinates. image is one finite (H, W) grayscale plane.
+
+    A box spans exactly the image its window samples: level pixel i of an
+    lw-px-wide level reads image coordinate (i + 0.5) * w / lw - 0.5, so the
+    window at level pixel (x0, y0) of an lw x lh level is the box (x0 * w /
+    lw - 0.5, y0 * h / lh - 0.5, ps * w / lw, ps * h / lh); on a square image
+    crop_patch of it samples the window's own pixels."""
+    ps = model.patch_size
+    plane, pitch, levels, origins = scan_levels(image, ps)
+    h, w = image.shape
+    scores = np.zeros(origins.size)
+    alive = np.arange(origins.size)
     for stage, fern in enumerate(model.ferns):
         if alive.size == 0:
             break
         x1, y1, x2, y2 = fern.coords.T
-        base = wy[alive, None] * level_w + wx[alive, None]
-        diffs = (
-            gray_flat[base + (y1 * level_w + x1)]
-            - gray_flat[base + (y2 * level_w + x2)]
-        )
+        base = origins[alive, None]
+        diffs = plane[base + (y1 * pitch + x1)] - plane[base + (y2 * pitch + x2)]
         scores[alive] += fern.scores[_partitions(diffs, fern.thresholds)]
-        keep = scores[alive] >= model.stage_thresholds[stage]
-        alive = alive[keep]
-    return alive, scores[alive]
-
-
-def scan(image: np.ndarray, model: CascadeModel) -> np.ndarray:
-    """Slide the cascade over an image pyramid; return the accepted windows
-    as one (N, 5) float64 array of [x, y, w, h, cumulative score] rows.
-
-    Pyramid levels shrink by SCAN_SCALE_STEP starting from the level where
-    the 32-pixel window covers a MIN_FACE-sized face; windows step by
-    SCAN_STRIDE level pixels. Rows run level by level in row-major window
-    order, in original coordinates. image is one (H, W) grayscale plane.
-
-    A box spans exactly the image its window samples: level pixel i of an
-    lw-px-wide level reads image coordinate (i + 0.5) * w / lw - 0.5, so
-    window (wx, wy) of an lw x lh level is the box (wx * stride * w / lw -
-    0.5, wy * stride * h / lh - 0.5, ps * w / lw, ps * h / lh), and on a
-    square image crop_patch of it samples the window's own pixels.
-    """
-    if image.ndim != 2:
-        raise ValueError(f"expected an (H, W) grayscale plane, got {image.shape}")
-    gray = image.astype(np.float64)
-    h, w = gray.shape
-    ps = model.patch_size
-    stride = SCAN_STRIDE
-    rows = []
-    factor = ps / float(MIN_FACE)
-    while True:
-        lh, lw = int(round(h * factor)), int(round(w * factor))
-        if lh < ps or lw < ps:
-            break
-        level = resize_bilinear(gray[None], (lh, lw))[0]
-        wins_y = (lh - ps) // stride + 1
-        wins_x = (lw - ps) // stride + 1
-        alive, scores = _scan_level(level.ravel(), lw, wins_x, wins_y, model, stride)
-        if alive.size:
-            wy, wx = np.divmod(alive, wins_x)
-            rows.append(np.column_stack(
-                [wx * stride * w / lw - 0.5, wy * stride * h / lh - 0.5,
-                 np.full(alive.size, ps * w / lw), np.full(alive.size, ps * h / lh),
-                 scores]))
-        factor /= SCAN_SCALE_STEP
-    return np.concatenate(rows) if rows else np.empty((0, 5))
+        alive = alive[scores[alive] >= model.stage_thresholds[stage]]
+    row, x0 = np.divmod(origins[alive], pitch)
+    top, lh, lw = levels[np.searchsorted(levels[:, 0], row, side="right") - 1].T
+    return np.column_stack([x0 * w / lw - 0.5, (row - top) * h / lh - 0.5,
+                            ps * w / lw, ps * h / lh, scores[alive]])

@@ -18,7 +18,6 @@ from warpdet.ferns import (
     TrainingError,
     _half_log_odds,
     _partition_sums,
-    _scan_level,
 )
 from warpdet.roiconv import MIN_FACE
 
@@ -32,7 +31,7 @@ def fern_index(patch: np.ndarray, fern: Fern) -> int:
 
 
 def cascade_score(patch: np.ndarray, model: CascadeModel, early_exit: bool = True):
-    """Scalar oracle of ferns._scan_level: cumulative fern score of one patch
+    """Scalar oracle of the scan's stage loop: cumulative fern score of one patch
     with soft-cascade early exit.
 
     Returns (score, rejected_at_stage) where rejected_at_stage is None for an
@@ -79,29 +78,38 @@ def resize_bilinear(image: np.ndarray, out_size: tuple[int, int]) -> np.ndarray:
     return top * (1 - by) + bot * by
 
 
+def scan_level_sizes(shape, patch_size: int) -> list[tuple[int, int]]:
+    """(lh, lw) of each scan pyramid level of an (H, W) image: from a
+    MIN_FACE-sized face over one window, SCAN_SCALE_STEP apart, down to the
+    last level a window fits."""
+    h, w = shape
+    sizes = []
+    factor = patch_size / float(MIN_FACE)
+    while True:
+        lh, lw = int(round(h * factor)), int(round(w * factor))
+        if lh < patch_size or lw < patch_size:
+            return sizes
+        sizes.append((lh, lw))
+        factor /= SCAN_SCALE_STEP
+
+
 def scan(image: np.ndarray, model: CascadeModel) -> np.ndarray:
-    """Per-window oracle of ferns.scan: each surviving window of each
-    pyramid level becomes one (x, y, w, h, score) row of Python floats, in
-    the scan's order; the rows come back as an (N, 5) float64 array."""
+    """Per-window oracle of ferns.scan: every window of every level of the
+    oracle resampler's pyramid is scored alone by cascade_score, and each
+    accepted one becomes an (x, y, w, h, score) row of Python floats, in the
+    scan's order; the rows come back as an (N, 5) float64 array."""
     gray = image.astype(np.float64)
     h, w = gray.shape
     ps = model.patch_size
-    stride = SCAN_STRIDE
     rows = []
-    factor = ps / float(MIN_FACE)
-    while True:
-        lh, lw = int(round(h * factor)), int(round(w * factor))
-        if lh < ps or lw < ps:
-            break
+    for lh, lw in scan_level_sizes(gray.shape, ps):
         level = resize_bilinear(gray[None], (lh, lw))[0]
-        wins_y = (lh - ps) // stride + 1
-        wins_x = (lw - ps) // stride + 1
-        alive, scores = _scan_level(level.ravel(), lw, wins_x, wins_y, model, stride)
-        for flat_pos, score in zip(alive, scores):
-            wy, wx = divmod(int(flat_pos), wins_x)
-            rows.append((wx * stride * w / lw - 0.5, wy * stride * h / lh - 0.5,
-                         ps * w / lw, ps * h / lh, float(score)))
-        factor /= SCAN_SCALE_STEP
+        for y0 in range(0, lh - ps + 1, SCAN_STRIDE):
+            for x0 in range(0, lw - ps + 1, SCAN_STRIDE):
+                score, rejected_at = cascade_score(level[y0 : y0 + ps, x0 : x0 + ps], model)
+                if rejected_at is None:
+                    rows.append((x0 * w / lw - 0.5, y0 * h / lh - 0.5,
+                                 ps * w / lw, ps * h / lh, float(score)))
     return np.array(rows, dtype=np.float64).reshape(-1, 5)
 
 

@@ -3,6 +3,9 @@ re-implementation, RealBoost partition scores, training behavior on separable
 synthetic data, pooled training against the per-candidate oracle, soft-cascade
 early exit, and the sliding-window scan."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +29,8 @@ from warpdet.ferns import (
     TrainingError,
     _draw_pool,
     _partition_sums,
-    _scan_level,
     scan,
+    scan_levels,
     train_cascade,
 )
 from warpdet.pipeline import crop_patch
@@ -395,6 +398,20 @@ class TestCascadeScore:
                 assert s_fast == pytest.approx(prefix)
 
 
+def planted_plane(rng, shape):
+    """Noise with the planted pattern drawn in boxes of 40 to 160 px, as
+    many as fit, at random places."""
+    img = np.clip(rng.normal(0.3, 0.1, size=shape), 0, 1.5)
+    h, w = shape
+    for size in (40, 56, 80, 112, 160):
+        if size > min(h, w):
+            break
+        y0, x0 = rng.integers(0, h - size + 1), rng.integers(0, w - size + 1)
+        off = size // 4
+        img[y0 + off : y0 + size - off, x0 + off : x0 + size - off] += 0.6
+    return img
+
+
 def planted_image(rng):
     """96x96 noise with one bright square pattern in a 40-px box at (30, 26)."""
     img = np.clip(rng.normal(0.3, 0.1, size=(96, 96)), 0, 1.5)
@@ -407,42 +424,34 @@ def planted_image(rng):
 
 
 class TestScan:
-    @pytest.mark.parametrize("offset", [0.0, -2.0, -5.0])
-    def test_scan_level_matches_scalar_cascade(self, trained, rng, offset):
-        img, _ = planted_image(rng)
-        # lowering every stage threshold lets more windows through
-        cascade = CascadeModel(
-            trained.ferns, trained.stage_thresholds + offset, trained.patch_size
-        )
-        stride, ps = SCAN_STRIDE, cascade.patch_size
-        wins_y = (img.shape[0] - ps) // stride + 1
-        wins_x = (img.shape[1] - ps) // stride + 1
-        alive, scores = _scan_level(img.ravel(), img.shape[1], wins_x, wins_y, cascade, stride)
-        expected, expected_scores = [], []
-        for pos in range(wins_y * wins_x):
-            wy, wx = divmod(pos, wins_x)
-            patch = img[wy * stride : wy * stride + ps, wx * stride : wx * stride + ps]
-            score, rejected_at = cascade_score(patch, cascade)
-            if rejected_at is None:
-                expected.append(pos)
-                expected_scores.append(score)
-        assert len(expected) > 0
-        np.testing.assert_array_equal(alive, expected)
-        np.testing.assert_array_equal(scores, expected_scores)
-
+    @pytest.mark.parametrize("offset", [None, 0.0, -2.0, -5.0])
     @pytest.mark.parametrize("seed, shape", [(0, (64, 64)), (1, (96, 80)),
-                                             (2, (50, 130)), (3, (120, 90))])
-    def test_scan_matches_the_per_window_oracle_byte_for_byte(self, seed, shape):
-        """On a cascade that passes every window, every row of every level
-        equals the oracle's Python-float row."""
+                                             (2, (50, 130)), (3, (120, 90)),
+                                             (4, (120, 160)), (5, (480, 640))])
+    def test_scan_matches_the_per_window_oracle_byte_for_byte(
+        self, trained, seed, shape, offset
+    ):
+        """Every row of every level equals the oracle's Python-float row, on
+        a cascade that passes every window (offset None) and on the trained
+        one with every stage threshold moved by offset."""
         rng = np.random.default_rng(seed)
-        cascade = open_cascade(rng)
-        img = rng.random(shape)
+        if offset is None:
+            cascade = open_cascade(rng)
+        else:
+            cascade = CascadeModel(trained.ferns, trained.stage_thresholds + offset)
+        img = planted_plane(rng, shape)
         got = scan(img, cascade)
         want = fern_oracles.scan(img, cascade)
         assert len(want) > 0
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixels_rejected(self, rng, bad):
+        img = rng.random((80, 80))
+        img[41, 17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            scan(img, open_cascade(rng))
 
     @pytest.mark.parametrize("shape", [(80, 80), (30, 30)])
     def test_an_empty_scan_is_0_by_5(self, rng, shape):
@@ -493,6 +502,63 @@ class TestScan:
             scale = 32.0 / w
             for origin in ((x + 0.5) * scale / SCAN_STRIDE, (y + 0.5) * scale / SCAN_STRIDE):
                 assert origin == pytest.approx(round(origin), abs=1e-6)
+
+
+SCAN_SHAPES = [(160, 160), (96, 96), (96, 80), (50, 130), (120, 160), (480, 640), (30, 30)]
+
+
+@pytest.fixture(scope="module")
+def spans():
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import spans
+    finally:
+        sys.path.remove(bench)
+    return spans
+
+
+class TestScanLevels:
+    @pytest.mark.parametrize("shape", SCAN_SHAPES)
+    def test_levels_stack_at_one_pitch_and_hold_the_oracle_levels(self, rng, shape):
+        """Levels sit top to bottom at the first level's width, each equal
+        to the oracle resampler's level bit for bit, with zero padding."""
+        img = rng.random(shape)
+        plane, pitch, levels, origins = scan_levels(img, 32)
+        sizes = fern_oracles.scan_level_sizes(shape, 32)
+        assert levels.shape == (len(sizes), 3)
+        np.testing.assert_array_equal(levels[:, 1:], np.reshape(sizes, (-1, 2)))
+        tops, heights, widths = levels.T
+        np.testing.assert_array_equal(tops, np.cumsum(heights) - heights)
+        assert pitch == (widths[0] if sizes else 0)
+        assert plane.dtype == np.float64 and plane.size == pitch * heights.sum()
+        grid = plane.reshape(-1, pitch) if pitch else plane
+        for top, lh, lw in levels:
+            level = fern_oracles.resize_bilinear(img[None], (lh, lw))[0]
+            assert grid[top : top + lh, :lw].tobytes() == level.tobytes()
+            assert not grid[top : top + lh, lw:].any()
+
+    @pytest.mark.parametrize("shape", SCAN_SHAPES)
+    def test_every_window_reads_only_its_own_level(self, rng, shape):
+        """Each window's 32-px footprint lies inside its own level's
+        rectangle, so pitch padding is never read; origins run level by
+        level in row-major order over each level's whole stride grid."""
+        ps = 32
+        _, pitch, levels, origins = scan_levels(rng.random(shape), ps)
+        row, col = np.divmod(origins, pitch)
+        level = np.searchsorted(levels[:, 0], row, side="right") - 1
+        top, lh, lw = levels[level].T
+        assert (level >= 0).all() and (np.diff(level) >= 0).all()
+        assert (row + ps <= top + lh).all() and (col + ps <= lw).all()
+        assert ((row - top) % SCAN_STRIDE == 0).all() and (col % SCAN_STRIDE == 0).all()
+        assert (np.diff(origins) > 0).all()
+        grid = ((levels[:, 1] - ps) // SCAN_STRIDE + 1) * ((levels[:, 2] - ps) // SCAN_STRIDE + 1)
+        np.testing.assert_array_equal(np.bincount(level, minlength=len(levels)), grid)
+
+    @pytest.mark.parametrize("shape", [(160, 160), (96, 96), (120, 160), (480, 640), (30, 30)])
+    def test_the_bench_window_count_is_the_generators(self, spans, shape):
+        """The bench's ferns.windows count is the scan's window count."""
+        assert spans.scan_windows(shape, 32) == scan_levels(np.zeros(shape), 32)[3].size
 
 
 class TestGrayscale:
