@@ -85,10 +85,11 @@ class CanonicalShape:
 
 @dataclass
 class TransformGradients:
-    """Loss gradients of the alignment layer with respect to the transform,
-    the landmarks and the canonical points; all finite, all zero when the
-    upstream gradient is zero. The source image gets no gradient: it is the
-    input, and nothing upstream of it learns."""
+    """Loss gradients of the warp with respect to the transform's (a, b) and
+    its four centroid coordinates; all finite, all zero when the upstream
+    gradient is zero. landmark_and_canonical_gradients chains them into the
+    landmarks and the canonical points. The source image gets no gradient:
+    it is the input, and nothing upstream of it learns."""
 
     d_a: float
     d_b: float
@@ -96,8 +97,6 @@ class TransformGradients:
     d_m_y: float
     d_m_xr: float
     d_m_yr: float
-    d_landmarks: np.ndarray | None = None
-    d_canonical: np.ndarray | None = None
 
 
 def _center(points: np.ndarray, name: str):
@@ -120,10 +119,11 @@ def _center(points: np.ndarray, name: str):
 def fit_similarity(landmarks, canonical):
     """Fit one (N, 2) landmark set, or each set of a (..., N, 2) stack, to
     one (N, 2) canonical layout. Returns the centroids (..., 2) and (2,),
-    the centered rows (..., 2, N) and (2, N), c1, c2, c3 (...), and the
-    landmarks' flag of _center (...): flagged sets give no scale to fit.
-    A flagged layout raises, as its a = b = 0 would make the inverse map
-    divide by zero; so does one flagged landmark set."""
+    the centered rows (..., 2, N) and (2, N), c1, c2, c3 (...), and a flag
+    (...), False where _center flags the landmarks or where c1 = c2 = 0:
+    such a set gives a = b = 0, whose inverse map divides by zero. A
+    flagged layout raises SingularTransformError; so does one flagged
+    landmark set."""
     src = np.asarray(landmarks, dtype=np.float64)
     dst = np.asarray(canonical, dtype=np.float64)
     if dst.ndim != 2 or dst.shape[1] != 2 or src.shape[-2:] != dst.shape:
@@ -137,6 +137,9 @@ def fit_similarity(landmarks, canonical):
     crossed = np.vecdot(rows, rows_r[::-1])  # X.Yr, Y.Xr
     c1 = straight[..., 0] + straight[..., 1]
     c2 = crossed[..., 1] - crossed[..., 0]
+    ok = ok & ((c1 != 0) | (c2 != 0))
+    if src.ndim == 2 and not ok:
+        raise SingularTransformError("landmarks fit the canonical points at zero scale")
     return m, m_r, rows, rows_r, c1, c2, c3, ok
 
 
@@ -270,8 +273,8 @@ def warp_backward(
 
     The transform-parameter gradients chain the upstream signal through the
     horizontal/vertical image derivatives of the bilinear interpolant and the
-    analytic derivatives of the inverse map. Landmark and canonical-point
-    gradients are completed separately by landmark_and_canonical_gradients.
+    analytic derivatives of the inverse map. landmark_and_canonical_gradients
+    chains these into the landmark and canonical-point gradients.
     """
     if upstream.ndim != 3 or source.ndim != 3 or upstream.shape[0] != source.shape[0]:
         raise ValueError(
@@ -307,10 +310,9 @@ def warp_backward(
     )
 
 
-def landmark_and_canonical_gradients(
-    grads: TransformGradients, landmarks, canonical
-) -> TransformGradients:
-    """Complete a TransformGradients with landmark and canonical-point terms.
+def landmark_and_canonical_gradients(grads: TransformGradients, landmarks, canonical):
+    """The (N, 2) gradients (d_landmarks, d_canonical) of the landmarks and
+    the canonical points.
 
     Chains the (a, b) and centroid gradients through the closed-form
     least-squares solution; must be called with the same point sets the
@@ -329,13 +331,8 @@ def landmark_and_canonical_gradients(
     # da/dxr = -db/dyr = X/c3 and da/dyr = db/dxr = Y/c3
     x3, y3 = X / c3, Y / c3
 
-    d_landmarks = np.empty((n, 2), dtype=np.float64)
-    d_landmarks[:, 0] = grads.d_a * da_dx + grads.d_b * db_dx + grads.d_m_x / n
-    d_landmarks[:, 1] = grads.d_a * da_dy + grads.d_b * db_dy + grads.d_m_y / n
-    d_canonical = np.empty((n, 2), dtype=np.float64)
-    d_canonical[:, 0] = grads.d_a * x3 + grads.d_b * y3 + grads.d_m_xr / n
-    d_canonical[:, 1] = grads.d_a * y3 - grads.d_b * x3 + grads.d_m_yr / n
-
-    grads.d_landmarks = d_landmarks
-    grads.d_canonical = d_canonical
-    return grads
+    d_landmarks = np.stack([grads.d_a * da_dx + grads.d_b * db_dx + grads.d_m_x / n,
+                            grads.d_a * da_dy + grads.d_b * db_dy + grads.d_m_y / n], axis=1)
+    d_canonical = np.stack([grads.d_a * x3 + grads.d_b * y3 + grads.d_m_xr / n,
+                            grads.d_a * y3 - grads.d_b * x3 + grads.d_m_yr / n], axis=1)
+    return d_landmarks, d_canonical

@@ -20,8 +20,8 @@ leading extents of the conv filters and rcnn.fc.weight, builds a skeleton
 from them and the flags, and requires the file's array names and shapes to
 equal the skeleton's. It raises ModelFormatError on a corrupt header, a file
 cut short or running on past its last array, an array listed twice, a
-non-finite array, arrays that differ from the skeleton's, or canonical
-points that coincide, onto which no candidate could be aligned.
+non-finite array, flags create_detector rejects, arrays unlike the skeleton's,
+or canonical points that coincide, onto which no candidate could be aligned.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .align import CanonicalShape, estimate_similarity
+from .align import CANONICAL_MARGIN, CanonicalShape, estimate_similarity
 from .ferns import CascadeModel, Fern
 from .nn import ConvSpec, uniform_init
 from .synthetic import GLYPH_LANDMARKS
@@ -161,6 +161,8 @@ def create_detector(rng, rpn_channels, rcnn_channels, rcnn_feature: int, *,
     rng in the order rpn conv1-3, score head, point head, rcnn conv1-2, fc,
     verdict; biases start at zero and the canonical shape at the glyph's
     landmark layout, scaled to the rect_size crop."""
+    if rect_size <= 2 * CANONICAL_MARGIN + 1:  # CanonicalShape.clamp needs 2 px of room
+        raise ValueError(f"rect_size {rect_size} leaves the canonical layout no room")
     f1, f2, f3 = rpn_channels
     r1, r2 = rcnn_channels
 
@@ -336,5 +338,5 @@ def _check_flags(flags) -> None:
         if type(flags[key]) is not bool:
             raise ModelFormatError(f"{key} must be true or false, got {flags[key]!r}")
     rect_size = flags["rect_size"]
-    if type(rect_size) is not int or rect_size < 1:
-        raise ModelFormatError(f"rect_size must be a positive integer, got {rect_size!r}")
+    if type(rect_size) is not int:  # create_detector checks its range
+        raise ModelFormatError(f"rect_size must be an integer, got {rect_size!r}")

@@ -17,11 +17,12 @@ pre-filter's candidates; the same forward loop halves the mask at each
 stride-2 conv and each pooling. The four net functions add only what
 differs: the 1x1 heads in the proposal net, and the fc feature, l2
 normalisation, concatenation and verdict head in the verification net.
-Inference decodes each level's eligible cells as arrays, one fancy index
-per head map, and fits all their landmark boxes in one closed-form pass; a
-joint training step decodes its sampled cells in the same one call. An
-image's proposals then travel as one (N, 5) [x, y, w, h, score] row array,
-with their landmarks and proposal features as arrays beside it, through
+Detection and the joint step hold their candidates in one record of two
+arrays gathered at proposal cells: the geometry, (N, 5, 2) landmarks or,
+from the box head, (N, 4) boxes, and the (N, C) proposal features, which
+verify_forward reads only with the concatenation. Inference fits a level's
+landmark boxes in one closed-form pass. An image's proposals travel as one
+(N, 5) [x, y, w, h, score] row array, the record beside it, through
 non-top-K, which returns the indices of the rows it keeps, into
 verification; the verified rows, scored by their verdicts, go on as one
 such array into the final NMS. Detection is only detect's output record.
@@ -359,29 +360,27 @@ class VerifyCache:
     trunk: list
     feat: np.ndarray
     feat_norm: float
-    rpn_feat: np.ndarray | None
+    rpn_feat: np.ndarray
     rpn_norm: float
     joint: np.ndarray
     logits: np.ndarray
 
 
 def verify_forward(model: DetectorModel, image: np.ndarray, transform,
-                   rpn_feat: np.ndarray | None) -> VerifyCache:
+                   rpn_feat: np.ndarray) -> VerifyCache:
     """Warp a candidate and run the verification net on the crop, in the
     image's dtype up to the fc layer, which numpy promotes against the
-    float64 weight."""
+    float64 weight. rpn_feat is read only with the concatenation."""
     crop = warp(image, transform, (model.rect_size, model.rect_size))
     crop = crop.astype(image.dtype, copy=False)
     out, _, records = _trunk_forward(model.rcnn.trunk(), crop)
     feat = nn.relu(nn.fully_connected(out.reshape(-1), model.rcnn.fc.weight,
                                       model.rcnn.fc.bias))
     feat_n, feat_norm = l2_normalize(feat)
+    joint, rpn_norm = feat_n, 1.0
     if model.use_concat:
         rpn_n, rpn_norm = l2_normalize(rpn_feat)
         joint = np.concatenate([rpn_n, feat_n])
-    else:
-        rpn_norm = 1.0
-        joint = feat_n
     logits = nn.fully_connected(joint, model.verdict.weight, model.verdict.bias)
     return VerifyCache(records, feat, feat_norm, rpn_feat, rpn_norm, joint, logits)
 
@@ -390,19 +389,17 @@ def verify_backward(model: DetectorModel, cache: VerifyCache, d_logits,
                     need_crop: bool):
     """Backward through the verdict head and the verification net.
 
-    Returns (R-CNN grads, verdict grads, each in model.params() order,
-    d_rpn_feat or None, d_crop); the caller chains d_crop into the warp.
-    d_crop is None unless need_crop is set.
+    Returns (the R-CNN and verdict grads as one list in model.params()
+    order, d_rpn_feat or None without the concatenation, d_crop); the caller
+    chains d_crop into the warp. d_crop is None unless need_crop is set.
     """
     d_joint, d_wv, d_bv = nn.fully_connected_backward(
         d_logits, cache.joint, model.verdict.weight
     )
+    d_rpn_feat, d_feat_n = None, d_joint
     if model.use_concat:
-        n_rpn = cache.rpn_feat.shape[0]
-        d_rpn_feat = l2_normalize_backward(d_joint[:n_rpn], cache.rpn_feat, cache.rpn_norm)
-        d_feat_n = d_joint[n_rpn:]
-    else:
-        d_rpn_feat, d_feat_n = None, d_joint
+        d_rpn_n, d_feat_n = np.split(d_joint, [len(cache.rpn_feat)])
+        d_rpn_feat = l2_normalize_backward(d_rpn_n, cache.rpn_feat, cache.rpn_norm)
     d_feat = l2_normalize_backward(d_feat_n, cache.feat, cache.feat_norm)
     trunk_out = cache.trunk[-1][2]
     d_flat, d_wfc, d_bfc = nn.fully_connected_backward(
@@ -411,7 +408,7 @@ def verify_backward(model: DetectorModel, cache: VerifyCache, d_logits,
     d_crop, conv_grads = _trunk_backward(
         model.rcnn.trunk(), cache.trunk, d_flat.reshape(trunk_out.shape), need_crop,
     )
-    return conv_grads + [d_wfc, d_bfc], [d_wv, d_bv], d_rpn_feat, d_crop
+    return conv_grads + [d_wfc, d_bfc, d_wv, d_bv], d_rpn_feat, d_crop
 
 
 # --------------------------------------------------------------------------
@@ -494,31 +491,32 @@ def _landmark_errors(state, targets):
 
 
 def _decode_cells(state: RpnState, ii, jj, multitask: bool, scale: float = 1.0):
-    """The regressions at proposal cells (ii[n], jj[n]), in pixels of the
+    """The geometry of proposal cells (ii[n], jj[n]), in pixels of the
     level's input times scale, each from one fancy index over all cells:
-    ((N, 5, 2) landmarks, None) from the landmark head, or (None, (N, 4)
-    square boxes) from the box head."""
+    (N, 5, 2) landmarks from the landmark head, or (N, 4) square boxes
+    from the box head."""
     xs, ys = cell_centers(state.point.shape[1], state.point.shape[2])
     reg = state.point[:, ii, jj]
     if multitask:
         centers = np.stack([xs[jj], ys[ii]], axis=1)[:, None, :]
-        return (reg.T.reshape(-1, 5, 2) * POINT_SCALE + centers) * scale, None
+        return (reg.T.reshape(-1, 5, 2) * POINT_SCALE + centers) * scale
     dx, dy, dlog = reg
     # an overflowing side decodes to inf, which crop_transform rejects
     with np.errstate(over="ignore"):
         side = POINT_SCALE * np.exp(dlog)
     x = xs[jj] + dx * POINT_SCALE - side / 2.0
     y = ys[ii] + dy * POINT_SCALE - side / 2.0
-    return None, np.stack([x * scale, y * scale, side * scale, side * scale], axis=1)
+    return np.stack([x * scale, y * scale, side * scale, side * scale], axis=1)
 
 
-def _candidate_transform(model: DetectorModel, landmarks, box):
-    """Map from a candidate onto the rectified grid: the similarity fit of its
-    landmarks to the canonical shape, or without a landmark head the crop of
-    its box. Raises SingularTransformError on a degenerate fit."""
+def _candidate_transform(model: DetectorModel, geometry):
+    """Map from a candidate's row of _decode_cells' geometry onto the
+    rectified grid: the similarity fit of its landmarks to the canonical
+    shape, or the crop of its box. Raises SingularTransformError on a
+    degenerate fit."""
     if model.multitask:
-        return estimate_similarity(landmarks, model.canonical.points)
-    return crop_transform(box, model.rect_size)
+        return estimate_similarity(geometry, model.canonical.points)
+    return crop_transform(geometry, model.rect_size)
 
 
 def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig):
@@ -529,7 +527,6 @@ def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig):
         raise ValueError("empty training corpus")
     rng = np.random.default_rng(config.seed + 2)
     params = model.params()
-    n_rpn = len(model.rpn.params())
     opt = SgdOptimizer(config.learning_rate, config.momentum)
     history = {
         "canonical_snapshots": [model.canonical.points.copy()],
@@ -547,34 +544,35 @@ def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig):
             state, targets, loss, d_score, d_point, probs = _proposal_step(
                 model, sample, epoch
             )
-            grads = [np.zeros_like(p) for p in params]  # model.params() order
+            verify_grads = [np.zeros_like(p)
+                            for p in model.rcnn.params() + model.verdict.params()]
+            d_canonical = np.zeros_like(model.canonical.points)
             d_feat_extra = np.zeros_like(state.feat)
 
             cells, labels = _sample_cells(targets, probs, rng)
-            lms, boxes = _decode_cells(state, cells[:, 0], cells[:, 1], model.multitask)
-            lms = [None] * len(cells) if lms is None else lms
-            boxes = [None] * len(cells) if boxes is None else boxes
+            ii, jj = cells.T
+            geometry = _decode_cells(state, ii, jj, model.multitask)
+            feats = state.feat[:, ii, jj].T.copy()
             verdict_losses = []
             loss_weight = 1.0 / max(1, len(cells))  # mean over the image's batch
-            for cell, label, landmarks, box in zip(cells, labels.tolist(), lms, boxes):
+            for cell, label, geom, feat in zip(cells, labels.tolist(), geometry, feats):
                 try:
-                    transform = _candidate_transform(model, landmarks, box)
+                    transform = _candidate_transform(model, geom)
                 except SingularTransformError:
                     history["singular_skips"] += 1
                     continue
                 vloss, correct = _candidate_step(
-                    model, sample.image, state, cell, label, landmarks, transform,
-                    grads[n_rpn:], d_point, d_feat_extra, config, loss_weight,
+                    model, sample.image, cell, label, geom, feat, transform,
+                    verify_grads, d_canonical, d_point, d_feat_extra, config, loss_weight,
                 )
                 verdict_losses.append(vloss)
                 verdict_correct += correct
                 verdict_total += 1
 
-            rpn_grads = rpn_backward(model.rpn, state, d_score, d_point, d_feat_extra)
-            for k, g in enumerate(rpn_grads):
-                grads[k] += g
+            grads = rpn_backward(model.rpn, state, d_score, d_point, d_feat_extra)
+            grads += verify_grads
             if model.supervised_transform:
-                grads[-1] *= config.canonical_lr_scale
+                grads.append(config.canonical_lr_scale * d_canonical)
             opt.step(params, grads)
             if model.supervised_transform:
                 model.canonical.clamp(model.rect_size, model.rect_size)
@@ -611,43 +609,37 @@ def _sample_cells(targets: RpnTargets, probs, rng):
     return np.concatenate([pos, neg]), np.repeat([1, 0], [len(pos), len(neg)])
 
 
-def _candidate_step(model, image, state, cell, label, lms, transform, head_grads,
-                    d_point, d_feat_extra, config, loss_weight=1.0):
+def _candidate_step(model, image, cell, label, geometry, rpn_feat, transform,
+                    verify_grads, d_canonical, d_point, d_feat_extra, config,
+                    loss_weight=1.0):
     """Forward + backward for one sampled verification candidate: proposal
-    cell (i, j), its label, its decoded landmarks (None from the box head)
-    and its map onto the rectified grid.
+    cell (i, j), its label, its rows of the step's geometry and proposal
+    features, and its map onto the rectified grid.
 
     Adds every gradient it makes into the step's accumulators in place: the
-    R-CNN, verdict and canonical ones into head_grads, the accumulators of
-    model.params() past the proposal net's, and those on the proposal maps
-    into d_point and d_feat_extra. Returns (verdict loss, correct flag).
+    R-CNN and verdict ones into verify_grads, in model.params() order, the
+    canonical layout's into d_canonical, and those on the proposal maps into
+    d_point and d_feat_extra. Returns (verdict loss, correct flag).
     """
     i, j = cell
-    rpn_feat = state.feat[:, i, j].copy() if model.use_concat else None
     cache = verify_forward(model, image, transform, rpn_feat)
     vloss, probs_v = nn.softmax_cross_entropy(cache.logits, label)
     d_logits = nn.softmax_cross_entropy_backward(probs_v, label) * loss_weight
     # geometry supervision from the verdict loss applies to true faces; a
     # background candidate's landmarks carry no pose to refine
     supervise = model.multitask and model.supervised_transform and label == 1
-    rcnn_grads, verdict_grads, d_rpn_feat, d_crop = verify_backward(
-        model, cache, d_logits, supervise
-    )
-    # zip stops before the canonical accumulator, head_grads' last with a learned layout
-    for acc, g in zip(head_grads, rcnn_grads + verdict_grads):
+    grads, d_rpn_feat, d_crop = verify_backward(model, cache, d_logits, supervise)
+    for acc, g in zip(verify_grads, grads, strict=True):
         acc += g
     if d_rpn_feat is not None:
         d_feat_extra[:, i, j] += config.concat_supervision_scale * d_rpn_feat
     if supervise:
-        grads = warp_backward(d_crop, image, transform)
-        grads = landmark_and_canonical_gradients(grads, lms, model.canonical.points)
+        d_landmarks, d_canon = landmark_and_canonical_gradients(
+            warp_backward(d_crop, image, transform), geometry, model.canonical.points)
         # landmarks came from the head as offsets scaled by POINT_SCALE
-        d_point[:, i, j] += (
-            config.warp_supervision_scale
-            * grads.d_landmarks.reshape(-1)
-            * POINT_SCALE
-        )
-        head_grads[-1] += grads.d_canonical
+        d_point[:, i, j] += (config.warp_supervision_scale * d_landmarks.reshape(-1)
+                             * POINT_SCALE)
+        d_canonical += d_canon
     return vloss, int(np.argmax(cache.logits) == label)
 
 
@@ -669,22 +661,20 @@ def _roi_levels(image: np.ndarray, work: np.ndarray, model: DetectorModel):
 def _level_candidates(model, state, octave):
     """Candidates proposed by one pyramid level's score map: its eligible
     cells decoded as arrays and, with the landmark head, their boxes fitted
-    in one pass, which drops each cell whose landmarks coincide. Returns
-    ((N, 5) float64 [x, y, w, h, score] rows, (N, 5, 2) landmarks or None
-    from the box head, (N, C) proposal features or None without the
-    concatenation), in row-major cell order."""
+    in one pass, which drops each cell whose fit box_from_landmarks flags.
+    Returns ((N, 5) float64 [x, y, w, h, score] rows, their _decode_cells
+    geometry, their (N, C) proposal features), in row-major cell order."""
     probs = np.exp(nn.log_softmax(state.score.reshape(2, -1).T))[:, 1]
     probs = probs.reshape(state.score.shape[1:])
     eligible = probs >= PROPOSAL_THRESHOLD
     if state.head_mask is not None:
         eligible &= state.head_mask.bits
     ii, jj = np.nonzero(eligible)
-    lms, boxes = _decode_cells(state, ii, jj, model.multitask, 2.0**octave)
-    if boxes is None:
-        boxes, ok = box_from_landmarks(lms)
-        ii, jj, lms, boxes = ii[ok], jj[ok], lms[ok], boxes[ok]
-    feats = state.feat[:, ii, jj].T.copy() if model.use_concat else None
-    return np.column_stack([boxes, probs[ii, jj]]), lms, feats
+    geometry = boxes = _decode_cells(state, ii, jj, model.multitask, 2.0**octave)
+    if model.multitask:
+        boxes, ok = box_from_landmarks(geometry)
+        ii, jj, geometry, boxes = ii[ok], jj[ok], geometry[ok], boxes[ok]
+    return np.column_stack([boxes, probs[ii, jj]]), geometry, state.feat[:, ii, jj].T.copy()
 
 
 @dataclass
@@ -720,8 +710,9 @@ def detect(image: np.ndarray, model: DetectorModel,
 
     found = [_level_candidates(model, rpn_forward(model.rpn, level_img, mask), octave)
              for octave, level_img, mask in levels]
-    rows, lms, feats = ([None if p[0] is None else np.concatenate(p) for p in zip(*found)]
-                        if found else (np.empty((0, 5)), None, None))
+    # with no level, every array is empty and read only by its length
+    rows, geometry, feats = ([np.concatenate(p) for p in zip(*found)]
+                             if found else (np.empty((0, 5)),) * 3)
 
     if options.suppression == "non_top_k":
         kept = non_top_k(rows)
@@ -729,21 +720,20 @@ def detect(image: np.ndarray, model: DetectorModel,
         kept = nms(rows)
     else:
         kept = range(len(rows))
-    rows = rows[kept]
-    lms = [None] * len(rows) if lms is None else lms[kept]
-    feats = [None] * len(rows) if feats is None else feats[kept]
+    rows, geometry, feats = rows[kept], geometry[kept], feats[kept]
 
     verified, logits = [], []
-    for n, ((x, y, w, h, _), landmarks, feature) in enumerate(zip(rows.tolist(), lms, feats)):
+    for n, (geom, feature) in enumerate(zip(geometry, feats)):
         try:
-            transform = _candidate_transform(model, landmarks, (x, y, w, h))
+            transform = _candidate_transform(model, geom)
         except SingularTransformError:
             continue
         verified.append(n)
         logits.append(verify_forward(model, work, transform, feature).logits)
     rows = rows[verified]
     rows[:, 4] = np.exp(nn.log_softmax(np.reshape(logits, (-1, 2))))[:, 1]
-    return [Detection(tuple(rows[n, :4].tolist()), float(rows[n, 4]), lms[verified[n]])
+    return [Detection(tuple(rows[n, :4].tolist()), float(rows[n, 4]),
+                      geometry[verified[n]] if model.multitask else None)
             for n in nms(rows)]
 
 

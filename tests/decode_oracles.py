@@ -28,24 +28,25 @@ def box_from_landmarks(landmarks) -> tuple:
 
 
 def decode_cell(state, i, j, multitask: bool, scale: float = 1.0):
-    """Oracle of one row of pipeline._decode_cells: (five landmarks, None)
-    from the landmark head, or (None, square box) from the box head."""
+    """Oracle of one row of pipeline._decode_cells: five landmarks from the
+    landmark head, or a square box from the box head."""
     xs, ys = cell_centers(state.point.shape[1], state.point.shape[2])
     if multitask:
         center = np.array([xs[j], ys[i]])
-        return (state.point[:, i, j].reshape(5, 2) * POINT_SCALE + center) * scale, None
+        return (state.point[:, i, j].reshape(5, 2) * POINT_SCALE + center) * scale
     dx, dy, dlog = state.point[:, i, j]
     cx = xs[j] + dx * POINT_SCALE
     cy = ys[i] + dy * POINT_SCALE
     side = POINT_SCALE * np.exp(dlog)
     x, y = cx - side / 2.0, cy - side / 2.0
-    return None, (x * scale, y * scale, side * scale, side * scale)
+    return (x * scale, y * scale, side * scale, side * scale)
 
 
 def level_candidates(model, state, octave):
     """Oracle of pipeline._level_candidates: every eligible cell decoded and
     fitted on its own, in row-major order; a cell whose fit raises
-    SingularTransformError proposes nothing."""
+    SingularTransformError proposes nothing. Every candidate carries its
+    proposal feature, and its landmarks from the landmark head."""
     probs = np.exp(nn.log_softmax(state.score.reshape(2, -1).T))[:, 1]
     probs = probs.reshape(state.score.shape[1:])
     eligible = probs >= PROPOSAL_THRESHOLD
@@ -53,18 +54,20 @@ def level_candidates(model, state, octave):
         eligible &= state.head_mask.bits
     out = []
     for i, j in np.argwhere(eligible):
-        lms, box = decode_cell(state, i, j, model.multitask, 2.0**octave)
-        if box is None:
+        lms = box = decode_cell(state, i, j, model.multitask, 2.0**octave)
+        if model.multitask:
             try:
                 box = box_from_landmarks(lms)
             except SingularTransformError:
                 continue
+        else:
+            lms = None
         out.append(
             Candidate(
                 box=box,
                 score=float(probs[i, j]),
                 landmarks=lms,
-                feature=state.feat[:, i, j].copy() if model.use_concat else None,
+                feature=state.feat[:, i, j].copy(),
             )
         )
     return out
@@ -72,14 +75,12 @@ def level_candidates(model, state, octave):
 
 def level_candidate_rows(model, state, octave):
     """level_candidates in the arrays that pipeline._level_candidates
-    returns: (N, 5) rows, (N, 5, 2) landmarks or None, (N, C) features in
-    the maps' dtype or None."""
+    returns: (N, 5) rows, the geometry ((N, 5, 2) landmarks, or (N, 4)
+    boxes from the box head) and (N, C) features in the maps' dtype."""
     cands = level_candidates(model, state, octave)
-    lms = feats = None
+    rows = np.array([[*c.box, c.score] for c in cands], dtype=np.float64).reshape(-1, 5)
+    geometry = rows[:, :4].copy()
     if model.multitask:
-        lms = np.array([c.landmarks for c in cands], dtype=np.float64).reshape(-1, 5, 2)
-    if model.use_concat:
-        feats = np.array([c.feature for c in cands], dtype=state.feat.dtype)
-        feats = feats.reshape(len(cands), len(state.feat))
-    rows = np.array([[*c.box, c.score] for c in cands], dtype=np.float64)
-    return rows.reshape(-1, 5), lms, feats
+        geometry = np.array([c.landmarks for c in cands], dtype=np.float64).reshape(-1, 5, 2)
+    feats = np.array([c.feature for c in cands], dtype=state.feat.dtype)
+    return rows, geometry, feats.reshape(len(cands), len(state.feat))

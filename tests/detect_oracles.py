@@ -30,7 +30,8 @@ def detect(image, model, options=pipeline.DetectOptions()):
     final = []
     for cand in candidates:
         try:
-            transform = pipeline._candidate_transform(model, cand.landmarks, cand.box)
+            geometry = cand.landmarks if model.multitask else cand.box
+            transform = pipeline._candidate_transform(model, geometry)
         except SingularTransformError:
             continue
         cache = pipeline.verify_forward(model, image, transform, cand.feature)

@@ -212,6 +212,10 @@ CORRUPTIONS = {
     "input channels disagree with filters": _reshaped({"rpn.conv2.filters": [12, 9, 7, 7]}),
     "string flag": _edit_header(lambda h: h["flags"].update(multitask="yes")),
     "rect_size 65": _edit_header(lambda h: h["flags"].update(rect_size=65)),
+    # consistent arrays, but no room for the canonical layout inside its margin
+    "rect_size 5 with its rcnn.fc width": lambda h, b: _reshape(
+        {**h, "flags": {**h["flags"], "rect_size": 5}}, b, {"rcnn.fc.weight": [48, 16]}
+    ),
     "zero-width rpn.conv1 and rpn.conv2": _reshaped(
         {"rpn.conv1.filters": [0, 1, 7, 7], "rpn.conv2.filters": [0, 0, 7, 7]}
     ),
@@ -250,6 +254,15 @@ def test_corrupt_header_raises_model_format_error(tmp_path, model_bytes, corrupt
 def test_zero_width_layer_is_rejected_at_build():
     with pytest.raises(ValueError, match="invalid conv spec"):
         pipeline.build_detector(pipeline.TrainConfig(rpn_channels=(0, 0, 4)))
+
+
+def test_rect_size_without_room_for_the_canonical_layout_is_rejected_at_build():
+    """CanonicalShape.clamp keeps points 2 px inside the crop, which a
+    rect_size of 5 or less squeezes to at most one point; 6 leaves two."""
+    for rect_size in (1, 5):
+        with pytest.raises(ValueError, match="rect_size"):
+            pipeline.build_detector(pipeline.TrainConfig(rect_size=rect_size))
+    assert pipeline.build_detector(pipeline.TrainConfig(rect_size=6)).rect_size == 6
 
 
 def test_skeleton_costs_no_memory_of_its_widths(tmp_path, model_bytes):

@@ -250,13 +250,15 @@ def box_head_model():
 def test_final_nms_takes_the_verified_rows_with_their_verdicts(
     tiny_run, box_head_model, held_out, monkeypatch, head, mode, every_other_singular
 ):
-    """detect's last nms call gets one (M, 5) float64 array: the box of
-    each kept candidate whose fit succeeded, in kept order, with the verdict
-    exp(log_softmax(logits))[1] of its verify_forward call. detect returns
-    the records of exactly the rows that call keeps, in its order: the box
-    as a tuple of floats, the verdict as a float, and the candidate's
-    landmarks, None from the box head. With every other fit made singular,
-    the verified rows are not a prefix of the kept ones."""
+    """Each kept candidate is fitted from its row of the proposals'
+    geometry, in kept order, and each whose fit succeeded is verified with
+    its proposal feature row. detect's last nms call gets one (M, 5)
+    float64 array: the box of each verified candidate, in kept order, with
+    the verdict exp(log_softmax(logits))[1] of its verify_forward call.
+    detect returns the records of exactly the rows that call keeps, in its
+    order: the box as a tuple of floats, the verdict as a float, and the
+    candidate's landmarks, None from the box head. With every other fit
+    made singular, the verified rows are not a prefix of the kept ones."""
     model = tiny_run[0] if head == "landmark" else box_head_model
     if every_other_singular:
         real_transform = pipeline._candidate_transform
@@ -275,28 +277,31 @@ def test_final_nms_takes_the_verified_rows_with_their_verdicts(
     ]:
         calls.clear()
         dets = pipeline.detect(image, model, pipeline.DetectOptions(suppression=mode))
-        proposals = np.concatenate(
-            [result[0] for name, _, result in calls if name == "_level_candidates"])
+        proposals, geometry, feats = (np.concatenate(parts) for parts in zip(
+            *[result for name, _, result in calls if name == "_level_candidates"]))
+        if head == "box":
+            assert np.array_equal(geometry, proposals[:, :4])
         *first, (name, (final,), keep) = [
             call for call in calls if call[0] in ("non_top_k", "nms")]
         assert name == "nms"
         assert [call[0] for call in first] == ([] if mode == "none" else [mode])
-        kept = first[0][2] if first else range(len(proposals))
+        kept = np.arange(len(proposals))[first[0][2] if first else slice(None)]
 
         fits = [call for call in calls if call[0] == "_candidate_transform"]
-        assert [args[2] for _, args, _ in fits] == [
-            tuple(box) for box in proposals[kept, :4].tolist()]
-        verified = [(args, transform) for _, args, transform in fits
-                    if transform is not None]
+        assert len(fits) == len(kept)
+        for (_, args, _), n in zip(fits, kept):
+            assert args[1].tobytes() == geometry[n].tobytes()
+        verified = [n for n, (_, _, transform) in enumerate(fits) if transform is not None]
         verifies = [(args, cache) for name, args, cache in calls
                     if name == "verify_forward"]
         assert len(verifies) == len(verified)
-        for (_, transform), (args, _) in zip(verified, verifies):
-            assert args[2] is transform
+        for n, (args, _) in zip(verified, verifies):
+            assert args[2] is fits[n][2]
+            assert args[3].tobytes() == feats[kept[n]].tobytes()
 
         assert type(final) is np.ndarray
         assert final.dtype == np.float64 and final.shape == (len(verified), 5)
-        assert final[:, :4].tolist() == [list(args[2]) for args, _ in verified]
+        assert final[:, :4].tolist() == proposals[kept[verified], :4].tolist()
         assert final[:, 4].tolist() == [
             float(np.exp(nn.log_softmax(cache.logits))[1]) for _, cache in verifies]
 
@@ -305,11 +310,10 @@ def test_final_nms_takes_the_verified_rows_with_their_verdicts(
             assert type(det.box) is tuple and {type(v) for v in det.box} == {float}
             assert det.box == tuple(final[n, :4].tolist())
             assert type(det.score) is float and det.score == final[n, 4]
-            landmarks = verified[n][0][1]
             if head == "box":
-                assert landmarks is None and det.landmarks is None
+                assert det.landmarks is None
             else:
-                assert np.array_equal(det.landmarks, landmarks)
+                assert np.array_equal(det.landmarks, geometry[kept[verified[n]]])
         boxes += len(dets)
     assert boxes > 0
 
@@ -395,17 +399,15 @@ def test_cell_decode_of_the_regression_targets_gives_back_the_face(multitask):
         state = pipeline.RpnState([], None, None, targets.reg_targets)
         ii, jj = np.nonzero(targets.labels == 1)
         assert len(ii) > 0
-        lms, boxes = pipeline._decode_cells(state, ii, jj, multitask)
+        geometry = pipeline._decode_cells(state, ii, jj, multitask)
+        assert geometry.shape == ((len(ii), 5, 2) if multitask else (len(ii), 4))
         for n, (i, j) in enumerate(zip(ii, jj)):
-            want_lms, want_box = decode_oracles.decode_cell(state, i, j, multitask)
+            want = decode_oracles.decode_cell(state, i, j, multitask)
+            assert geometry[n].tobytes() == np.array(want).tobytes()
             if multitask:
-                assert boxes is None and lms.shape == (len(ii), 5, 2)
-                assert lms[n].tobytes() == want_lms.tobytes()
-                np.testing.assert_allclose(lms[n], landmarks, rtol=0, atol=1e-9)
+                np.testing.assert_allclose(geometry[n], landmarks, rtol=0, atol=1e-9)
             else:
-                assert lms is None and boxes.shape == (len(ii), 4)
-                assert boxes[n].tobytes() == np.array(want_box).tobytes()
-                bx, by, side, side_y = boxes[n]
+                bx, by, side, side_y = geometry[n]
                 assert side == side_y
                 np.testing.assert_allclose(
                     [bx + side / 2, by + side / 2, side],
@@ -413,22 +415,21 @@ def test_cell_decode_of_the_regression_targets_gives_back_the_face(multitask):
                 )
 
 
-def _assert_same_candidates(got, want):
-    """The (rows, landmarks, features) arrays of _level_candidates agree with
+def _assert_same_candidates(model, got, want):
+    """The (rows, geometry, features) arrays of _level_candidates agree with
     the oracle's candidate list in order and in every byte of each box,
-    score, landmark set and feature column."""
-    rows, lms, feats = got
-    assert rows.dtype == np.float64
-    assert len(rows) == len(want)
+    score, landmark set or, from the box head, geometry box, and feature
+    column, with the concatenation or without."""
+    rows, geometry, feats = got
+    assert rows.dtype == geometry.dtype == np.float64
+    assert len(rows) == len(geometry) == len(feats) == len(want)
     for n, w in enumerate(want):
-        assert rows[n, :4].tobytes() == np.asarray(w.box, dtype=np.float64).tobytes()
+        box = np.asarray(w.box, dtype=np.float64)
+        assert rows[n, :4].tobytes() == box.tobytes()
         assert rows[n, 4].tobytes() == np.float64(w.score).tobytes()
-        for name, arrays in (("landmarks", lms), ("feature", feats)):
-            b = getattr(w, name)
-            assert (arrays is None) == (b is None), name
-            if arrays is not None:
-                a = arrays[n]
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        for a, b in ((geometry[n], w.landmarks if model.multitask else box),
+                     (feats[n], w.feature)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _seeded_level(rng, multitask, masked, shape=(9, 11), channels=4):
@@ -463,7 +464,7 @@ def test_level_candidates_match_the_per_cell_oracle_on_seeded_maps(multitask, ma
             state = _seeded_level(rng, multitask, masked)
             got = pipeline._level_candidates(model, state, octave)
             want = decode_oracles.level_candidates(model, state, octave)
-            _assert_same_candidates(got, want)
+            _assert_same_candidates(model, got, want)
             probs = np.exp(nn.log_softmax(state.score.reshape(2, -1).T))[:, 1]
             eligible = (probs >= pipeline.PROPOSAL_THRESHOLD).reshape(state.score.shape[1:])
             if masked:
@@ -497,7 +498,7 @@ def test_level_candidates_match_the_per_cell_oracle_on_trained_nets(
             state = pipeline.rpn_forward(model.rpn, level, mask)
             got = pipeline._level_candidates(model, state, octave)
             _assert_same_candidates(
-                got, decode_oracles.level_candidates(model, state, octave)
+                model, got, decode_oracles.level_candidates(model, state, octave)
             )
             found += len(got[0])
     assert found > 0
@@ -545,14 +546,15 @@ def test_verify_backward_through_warp_matches_central_differences():
     cache = pipeline.verify_forward(model, image, transform, rpn_feat)
     _, probs = nn.softmax_cross_entropy(cache.logits, label)
     d_logits = nn.softmax_cross_entropy_backward(probs, label)
-    _, _, d_rpn_feat, d_crop = pipeline.verify_backward(model, cache, d_logits, True)
+    _, d_rpn_feat, d_crop = pipeline.verify_backward(model, cache, d_logits, True)
     grads = pipeline.warp_backward(d_crop, image, transform)
-    grads = pipeline.landmark_and_canonical_gradients(grads, landmarks, canonical)
+    d_landmarks, d_canonical = pipeline.landmark_and_canonical_gradients(
+        grads, landmarks, canonical)
 
     step = 1e-5
     for points, analytic, as_landmarks in (
-        (landmarks, grads.d_landmarks, True),
-        (canonical, grads.d_canonical, False),
+        (landmarks, d_landmarks, True),
+        (canonical, d_canonical, False),
     ):
         numeric = np.empty_like(points)
         for idx in np.ndindex(points.shape):
@@ -595,14 +597,15 @@ def test_candidate_step_matches_central_differences_of_the_verdict_loss():
     state.point[:, i, j] = targets.reg_targets[:, i, j]
 
     def step():
-        (lms,), _ = pipeline._decode_cells(state, [i], [j], model.multitask)
-        transform = pipeline._candidate_transform(model, lms, None)
-        head_grads = [np.zeros_like(p) for p in model.params()[len(model.rpn.params()):]]
+        (lms,) = pipeline._decode_cells(state, [i], [j], model.multitask)
+        transform = pipeline._candidate_transform(model, lms)
+        verify_grads = [np.zeros_like(p) for p in model.rcnn.params() + model.verdict.params()]
+        d_canonical = np.zeros_like(model.canonical.points)
         d_point = np.zeros_like(state.point)
         d_feat_extra = np.zeros_like(state.feat)
         out = pipeline._candidate_step(
-            model, sample.image, state, (i, j), 1, lms, transform, head_grads,
-            d_point, d_feat_extra, config,
+            model, sample.image, (i, j), 1, lms, state.feat[:, i, j].copy(), transform,
+            verify_grads, d_canonical, d_point, d_feat_extra, config,
         )
         return out[0], d_point[:, i, j], d_feat_extra[:, i, j]
 
@@ -622,6 +625,82 @@ def test_candidate_step_matches_central_differences_of_the_verdict_loss():
             numeric[k] = (hi - lo) / (2.0 * step_size)
         assert np.abs(analytic).max() > 1e-6
         assert rel_err(analytic, numeric) < 1e-5
+
+
+def test_joint_step_hands_sgd_the_central_differences_of_its_loss(monkeypatch):
+    """The whole chain of one joint step: the gradients train_end_to_end
+    hands to nn.sgd_step, for every parameter array in model.params()
+    order, canonical layout included, are the central differences of the
+    proposal loss plus the mean verdict loss over the sampled cells, with
+    both supervision scales and canonical_lr_scale at 1. The step sends
+    nothing through a negative's fit, so the loss holds each negative's
+    transform fixed. Biases are seeded off zero: at zero, R-CNN crop pixels
+    outside the image would sit exactly on a ReLU kink. The step is 1e-7,
+    as a step of 1e-6 carries one sample of this chain across a kink."""
+    rng = np.random.default_rng(SEED)
+    config = pipeline.TrainConfig(
+        rpn_channels=(2, 3, 4), rcnn_channels=(2, 3), rcnn_feature=6, rect_size=16,
+        warp_supervision_scale=1.0, concat_supervision_scale=1.0,
+        canonical_lr_scale=1.0, epochs=1, seed=SEED,
+    )
+    model = pipeline.build_detector(config)
+    params = model.params()
+    for p in params:
+        if p.ndim == 1:  # a bias
+            p[:] = rng.uniform(0.02, 0.1, p.shape)
+    # the first image whose face has two positive cells
+    for sample in synthetic.generate_synthetic_corpus(SEED, 10):
+        cells_hw = sample.image.shape[1] // pipeline.CELL_STRIDE
+        targets = pipeline.rpn_targets(sample.faces, cells_hw, cells_hw)
+        if (targets.labels == 1).sum() >= 2:
+            break
+    pos, neg = np.argwhere(targets.labels == 1), np.argwhere(targets.labels == 0)
+    cells = np.concatenate([pos[:2], neg[:: len(neg) // 2][:2]])
+    labels = np.array([1, 1, 0, 0])
+    monkeypatch.setattr(pipeline, "_sample_cells", lambda *args: (cells, labels))
+    handed = []
+    monkeypatch.setattr(nn, "sgd_step", lambda ps, grads, *args: handed.append(grads))
+    _, history = pipeline.train_end_to_end([sample], model, config)
+    assert history["singular_skips"] == 0 and len(handed) == 1
+    (grads,) = handed
+    assert len(grads) == len(params) == 19
+
+    def landmarks(state):
+        return pipeline._decode_cells(state, *cells.T, True)
+
+    state = pipeline.rpn_forward(model.rpn, sample.image)
+    fixed = [pipeline.estimate_similarity(g, model.canonical.points) for g in landmarks(state)]
+
+    def loss():
+        state = pipeline.rpn_forward(model.rpn, sample.image)
+        verdicts = []
+        for (i, j), label, points, transform in zip(cells, labels, landmarks(state), fixed):
+            if label:
+                transform = pipeline.estimate_similarity(points, model.canonical.points)
+            cache = pipeline.verify_forward(model, sample.image, transform,
+                                            state.feat[:, i, j].copy())
+            verdicts.append(nn.softmax_cross_entropy(cache.logits, label)[0])
+        return pipeline.rpn_losses(state, targets)[0] + np.mean(verdicts)
+
+    step = 1e-7
+    for n, (p, g) in enumerate(zip(params, grads)):
+        assert g.shape == p.shape
+        # the largest entry and up to eight more
+        picks = {int(np.argmax(np.abs(g)))}
+        picks |= set(rng.choice(p.size, min(p.size, 8), replace=False).tolist())
+        analytic, numeric = [], []
+        for idx in zip(*np.unravel_index(sorted(picks), p.shape)):
+            orig = p[idx]
+            p[idx] = orig + step
+            hi = loss()
+            p[idx] = orig - step
+            lo = loss()
+            p[idx] = orig
+            analytic.append(g[idx])
+            numeric.append((hi - lo) / (2.0 * step))
+        scale = np.abs(numeric).max()
+        assert scale > 1e-3, n
+        assert np.abs(np.subtract(analytic, numeric)).max() <= 1e-5 * scale, n
 
 
 def _assert_sample_cells_match_the_oracle(labels, probs, seed):

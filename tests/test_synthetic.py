@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import decode_oracles
 import synthetic_oracles
+from warpdet import synthetic
 from warpdet.align import SingularTransformError
 from warpdet.suppress import iou
 from warpdet.synthetic import (
@@ -153,6 +154,17 @@ class TestBatchedBoxFit:
         rows[3][4, 0] = -np.inf
         ok = _assert_fit_matches_oracle(np.array(rows))
         assert ok.tolist() == [True, False, False, False]
+
+    def test_rows_fitting_the_layout_at_zero_scale_are_flagged(self, monkeypatch):
+        """A row that mirrors the layout fits it at a = b = 0: it is flagged
+        where the oracle raises, not boxed with NaN. The layout is a square,
+        onto which integer landmarks fit at exactly zero scale."""
+        layout = np.array([[0, 0], [2, 0], [0, 2], [2, 2], [1, 1]], dtype=np.float64)
+        for module in (synthetic, decode_oracles):
+            monkeypatch.setattr(module, "GLYPH_LANDMARKS", layout)
+        mirrored = [[10, 12], [12, 12], [10, 10], [12, 10], [11, 11]]
+        ok = _assert_fit_matches_oracle(np.array([3.0 * layout + 10.0, mirrored]))
+        assert ok.tolist() == [True, False]
 
     def test_no_rows(self):
         boxes, ok = box_from_landmarks(np.empty((0, 5, 2)))

@@ -44,6 +44,8 @@ def fit_terms(landmarks, canonical):
     m_x, m_y, X, Y, c3 = _centered(src, "landmarks")
     c1 = float(np.dot(Xr, X) + np.dot(Yr, Y))
     c2 = float(np.dot(Xr, Y) - np.dot(Yr, X))
+    if c1 == 0.0 and c2 == 0.0:
+        raise SingularTransformError("landmarks fit the canonical points at zero scale")
     return m_x, m_y, m_xr, m_yr, X, Y, Xr, Yr, c1, c2, c3
 
 
@@ -53,9 +55,9 @@ def estimate_similarity(landmarks, canonical) -> SimilarityTransform:
     return SimilarityTransform(c1 / c3, c2 / c3, m_x, m_y, m_xr, m_yr)
 
 
-def landmark_and_canonical_gradients(grads: TransformGradients, landmarks,
-                                     canonical) -> TransformGradients:
-    """Oracle of align.landmark_and_canonical_gradients."""
+def landmark_and_canonical_gradients(grads: TransformGradients, landmarks, canonical):
+    """Oracle of align.landmark_and_canonical_gradients: (d_landmarks,
+    d_canonical)."""
     *_, X, Y, Xr, Yr, c1, c2, c3 = fit_terms(landmarks, canonical)
     n = len(X)
     c3sq = c3 * c3
@@ -69,8 +71,7 @@ def landmark_and_canonical_gradients(grads: TransformGradients, landmarks,
     d_canonical = np.empty((n, 2), dtype=np.float64)
     d_canonical[:, 0] = grads.d_a * (X / c3) + grads.d_b * (Y / c3) + grads.d_m_xr / n
     d_canonical[:, 1] = grads.d_a * (Y / c3) + grads.d_b * (-X / c3) + grads.d_m_yr / n
-    return TransformGradients(grads.d_a, grads.d_b, grads.d_m_x, grads.d_m_y,
-                              grads.d_m_xr, grads.d_m_yr, d_landmarks, d_canonical)
+    return d_landmarks, d_canonical
 
 
 def inverse_map(t: SimilarityTransform, points) -> np.ndarray:
