@@ -494,21 +494,3 @@ def sgd_step(params, grads, velocities, learning_rate: float, momentum: float):
         v += g
         p -= learning_rate * v
     return params
-
-
-class SgdOptimizer:
-    """Holds per-parameter velocity state for sgd_step."""
-
-    def __init__(self, learning_rate: float, momentum: float = 0.0):
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocities: dict[int, np.ndarray] = {}
-
-    def step(self, params, grads) -> None:
-        vels = []
-        for i, p in enumerate(params):
-            if i not in self._velocities:
-                self._velocities[i] = np.zeros_like(p)
-            vels.append(self._velocities[i])
-        sgd_step(params, grads, vels, self.learning_rate, self.momentum)
-

@@ -55,7 +55,7 @@ from .align import (
 from .ferns import PATCH_SIZE, CascadeConfig, train_cascade
 from .ferns import scan as cascade_scan
 from .model import ConvLayer, DetectorModel, RpnNet, create_detector
-from .nn import SgdOptimizer, ShapeError
+from .nn import ShapeError
 from .roiconv import (
     RoiMask,
     RoiPyramid,
@@ -73,7 +73,7 @@ PROPOSAL_THRESHOLD = 0.5  # face probability at which a proposal cell is a candi
 L2_EPS = 1e-6
 NEGATIVES_PER_IMAGE = 3   # face-free crops per corpus image for the pre-filter
 PREFILTER_POOL = 60       # random fern candidates per pre-filter stage
-# The proposal stage's fixed choices. The regression head's outputs are
+# The training recipe's fixed choices. The regression head's outputs are
 # offsets in units of POINT_SCALE px, which the targets, the loss, the decode
 # and the warp supervision all read.
 POINT_SCALE = 48.0
@@ -81,6 +81,20 @@ POS_RADIUS = 0.15         # cells this near a face, as a share of its side, are 
 IGNORE_RADIUS = 0.55      # other cells this near are neither positive nor negative
 LAMBDA_LANDMARK = 3.0     # weight of the landmark loss against the score loss
 VERIFY_SAMPLES = 2        # positive and negative verification cells each, per image
+RPN_CHANNELS = (8, 12, 16)
+RCNN_CHANNELS = (8, 16)
+RCNN_FEATURE = 48
+RECT_SIZE = 64
+LEARNING_RATE = 0.01
+MOMENTUM = 0.9
+CANONICAL_LR_SCALE = 2.0
+# weight of the verdict loss's gradient on the predicted landmarks; the raw
+# chain is orders of magnitude stronger than the landmark MSE term and would
+# swamp the shared trunk at desk scale
+WARP_SUPERVISION_SCALE = 0.02
+# weight of the verdict loss's gradient on the proposal feature column; damps
+# the multi-task tug-of-war that otherwise erodes landmark accuracy
+CONCAT_SUPERVISION_SCALE = 0.1
 INFERENCE_DTYPE = np.float32  # dtype in which detect runs the proposal and verification nets
 
 
@@ -88,24 +102,18 @@ class DivergenceError(RuntimeError):
     pass
 
 
-@dataclass
+def _check_epochs(epochs):
+    if type(epochs) is not int or epochs < 0:
+        raise ValueError(f"epochs must be a non-negative int, got {epochs!r}")
+
+
+@dataclass(frozen=True)
 class TrainConfig:
-    rpn_channels: tuple[int, int, int] = (8, 12, 16)
-    rcnn_channels: tuple[int, int] = (8, 16)
-    rcnn_feature: int = 48
-    rect_size: int = 64
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    canonical_lr_scale: float = 2.0
-    # weight of the verdict loss's gradient on the predicted landmarks; the
-    # raw chain is orders of magnitude stronger than the landmark MSE term
-    # and would swamp the shared trunk at desk scale
-    warp_supervision_scale: float = 0.02
-    # weight of the verdict loss's gradient on the proposal feature column;
-    # damps the multi-task tug-of-war that otherwise erodes landmark accuracy
-    concat_supervision_scale: float = 0.1
-    epochs: int = 3
+    epochs: int = 3  # joint epochs
     seed: int = 0
+
+    def __post_init__(self):
+        _check_epochs(self.epochs)
 
 
 @dataclass(frozen=True)
@@ -123,10 +131,9 @@ def build_detector(config: TrainConfig, multitask: bool = True,
                    ) -> DetectorModel:
     """Randomly initialized detector; ablation switches select the variant."""
     return create_detector(
-        np.random.default_rng(config.seed), config.rpn_channels,
-        config.rcnn_channels, config.rcnn_feature, multitask=multitask,
-        use_concat=use_concat, supervised_transform=supervised_transform,
-        rect_size=config.rect_size,
+        np.random.default_rng(config.seed), RPN_CHANNELS, RCNN_CHANNELS,
+        RCNN_FEATURE, multitask=multitask, use_concat=use_concat,
+        supervised_transform=supervised_transform, rect_size=RECT_SIZE,
     )
 
 
@@ -420,9 +427,11 @@ SNAPSHOT_EVERY = 500  # joint-training images between canonical-shape snapshots
 def _proposal_step(model: DetectorModel, sample, epoch: int):
     """Proposal forward pass, targets and multi-task loss on one image.
 
-    Returns (state, targets, loss, d_score, d_point, probs); raises
-    DivergenceError when the loss is not finite.
+    Returns (state, targets, loss, d_score, d_point, probs). Raises ValueError
+    on non-finite pixels, and DivergenceError when the loss is not finite.
     """
+    if not np.isfinite(sample.image).all():
+        raise ValueError("training image has non-finite pixels")
     state = rpn_forward(model.rpn, sample.image)
     ch, cw = state.score.shape[1:]
     targets = rpn_targets(sample.faces, ch, cw, model.multitask)
@@ -432,24 +441,24 @@ def _proposal_step(model: DetectorModel, sample, epoch: int):
     return state, targets, loss, d_score, d_point, probs
 
 
-def train_rpn(corpus, config: TrainConfig, model: DetectorModel | None = None,
-              epochs: int | None = None):
+def train_rpn(corpus, config: TrainConfig, model: DetectorModel | None = None, *,
+              epochs: int):
     """Train the proposal net alone (classification + regression heads).
 
     Returns (model, history); history carries per-epoch classification
     accuracy and mean landmark error in pixels normalized to a 36-px face.
     """
+    _check_epochs(epochs)
     if len(corpus) == 0:
         raise ValueError("empty training corpus")
     if model is None:
         model = build_detector(config)
     rng = np.random.default_rng(config.seed + 1)
     params = model.rpn.params()
-    opt = SgdOptimizer(config.learning_rate, config.momentum)
+    velocities = [np.zeros_like(p) for p in params]
     history = {"epochs": []}
-    n_epochs = config.epochs if epochs is None else epochs
     order = np.arange(len(corpus))
-    for epoch in range(n_epochs):
+    for epoch in range(epochs):
         rng.shuffle(order)
         cls_correct = cls_total = 0
         lm_errors = []
@@ -459,7 +468,8 @@ def train_rpn(corpus, config: TrainConfig, model: DetectorModel | None = None,
                 model, corpus[idx], epoch
             )
             losses.append(loss)
-            opt.step(params, rpn_backward(model.rpn, state, d_score, d_point))
+            nn.sgd_step(params, rpn_backward(model.rpn, state, d_score, d_point),
+                        velocities, LEARNING_RATE, MOMENTUM)
 
             decided = targets.labels >= 0
             pred_cls = (probs[..., 1] > 0.5).astype(np.int64)
@@ -527,7 +537,7 @@ def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig):
         raise ValueError("empty training corpus")
     rng = np.random.default_rng(config.seed + 2)
     params = model.params()
-    opt = SgdOptimizer(config.learning_rate, config.momentum)
+    velocities = [np.zeros_like(p) for p in params]
     history = {
         "canonical_snapshots": [model.canonical.points.copy()],
         "epochs": [],
@@ -563,7 +573,7 @@ def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig):
                     continue
                 vloss, correct = _candidate_step(
                     model, sample.image, cell, label, geom, feat, transform,
-                    verify_grads, d_canonical, d_point, d_feat_extra, config, loss_weight,
+                    verify_grads, d_canonical, d_point, d_feat_extra, loss_weight,
                 )
                 verdict_losses.append(vloss)
                 verdict_correct += correct
@@ -572,8 +582,8 @@ def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig):
             grads = rpn_backward(model.rpn, state, d_score, d_point, d_feat_extra)
             grads += verify_grads
             if model.supervised_transform:
-                grads.append(config.canonical_lr_scale * d_canonical)
-            opt.step(params, grads)
+                grads.append(CANONICAL_LR_SCALE * d_canonical)
+            nn.sgd_step(params, grads, velocities, LEARNING_RATE, MOMENTUM)
             if model.supervised_transform:
                 model.canonical.clamp(model.rect_size, model.rect_size)
             losses.append(loss + float(np.mean(verdict_losses or [0.0])))
@@ -610,8 +620,7 @@ def _sample_cells(targets: RpnTargets, probs, rng):
 
 
 def _candidate_step(model, image, cell, label, geometry, rpn_feat, transform,
-                    verify_grads, d_canonical, d_point, d_feat_extra, config,
-                    loss_weight=1.0):
+                    verify_grads, d_canonical, d_point, d_feat_extra, loss_weight=1.0):
     """Forward + backward for one sampled verification candidate: proposal
     cell (i, j), its label, its rows of the step's geometry and proposal
     features, and its map onto the rectified grid.
@@ -632,13 +641,12 @@ def _candidate_step(model, image, cell, label, geometry, rpn_feat, transform,
     for acc, g in zip(verify_grads, grads, strict=True):
         acc += g
     if d_rpn_feat is not None:
-        d_feat_extra[:, i, j] += config.concat_supervision_scale * d_rpn_feat
+        d_feat_extra[:, i, j] += CONCAT_SUPERVISION_SCALE * d_rpn_feat
     if supervise:
         d_landmarks, d_canon = landmark_and_canonical_gradients(
             warp_backward(d_crop, image, transform), geometry, model.canonical.points)
         # landmarks came from the head as offsets scaled by POINT_SCALE
-        d_point[:, i, j] += (config.warp_supervision_scale * d_landmarks.reshape(-1)
-                             * POINT_SCALE)
+        d_point[:, i, j] += WARP_SUPERVISION_SCALE * d_landmarks.reshape(-1) * POINT_SCALE
         d_canonical += d_canon
     return vloss, int(np.argmax(cache.logits) == label)
 

@@ -18,6 +18,7 @@ import pytest
 
 from warpdet import pipeline, synthetic
 from warpdet.ferns import NUM_PARTITIONS, NUM_SPLITS, PATCH_SIZE, CascadeModel, Fern
+from warpdet.model import create_detector
 
 TINY_SEED = 5
 
@@ -82,6 +83,22 @@ def open_cascade(rng, n_ferns=4):
         for _ in range(n_ferns)
     ]
     return CascadeModel(ferns, np.full(n_ferns, -1e9))
+
+
+def make_detector(seed, rpn_channels=pipeline.RPN_CHANNELS,
+                  rcnn_channels=pipeline.RCNN_CHANNELS, rcnn_feature=pipeline.RCNN_FEATURE,
+                  rect_size=pipeline.RECT_SIZE):
+    """The detector build_detector draws from seed, all three switches on, at
+    the given widths and crop side."""
+    return create_detector(np.random.default_rng(seed), rpn_channels, rcnn_channels,
+                           rcnn_feature, multitask=True, use_concat=True,
+                           supervised_transform=True, rect_size=rect_size)
+
+
+def tiny_detector(seed):
+    """The full detector at widths small enough for central differences:
+    trunks of (2, 3, 4) and (2, 3) channels, a 6-wide feature, a 16-px crop."""
+    return make_detector(seed, (2, 3, 4), (2, 3), 6, 16)
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_detector
 from warpdet import pipeline
 from warpdet.ferns import NUM_PARTITIONS, NUM_SPLITS, CascadeModel, Fern
 from warpdet.model import FORMAT_VERSION, MAGIC, ModelFormatError, load_model, save_model
@@ -253,7 +254,7 @@ def test_corrupt_header_raises_model_format_error(tmp_path, model_bytes, corrupt
 
 def test_zero_width_layer_is_rejected_at_build():
     with pytest.raises(ValueError, match="invalid conv spec"):
-        pipeline.build_detector(pipeline.TrainConfig(rpn_channels=(0, 0, 4)))
+        make_detector(0, rpn_channels=(0, 0, 4))
 
 
 def test_rect_size_without_room_for_the_canonical_layout_is_rejected_at_build():
@@ -261,8 +262,8 @@ def test_rect_size_without_room_for_the_canonical_layout_is_rejected_at_build():
     rect_size of 5 or less squeezes to at most one point; 6 leaves two."""
     for rect_size in (1, 5):
         with pytest.raises(ValueError, match="rect_size"):
-            pipeline.build_detector(pipeline.TrainConfig(rect_size=rect_size))
-    assert pipeline.build_detector(pipeline.TrainConfig(rect_size=6)).rect_size == 6
+            make_detector(0, rect_size=rect_size)
+    assert make_detector(0, rect_size=6).rect_size == 6
 
 
 def test_skeleton_costs_no_memory_of_its_widths(tmp_path, model_bytes):

@@ -13,7 +13,6 @@ from warpdet.model import CONV_GEOMETRY
 from warpdet.nn import (
     ConvSpec,
     ShapeError,
-    SgdOptimizer,
     conv2d_backward,
     conv2d_forward,
     fully_connected,
@@ -757,13 +756,6 @@ class TestSgd:
     def test_non_finite_gradient_rejected(self):
         with pytest.raises(FloatingPointError):
             sgd_step([np.zeros(2)], [np.array([np.nan, 0.0])], [np.zeros(2)], 0.1, 0.0)
-
-    def test_optimizer_state(self):
-        opt = SgdOptimizer(learning_rate=1.0, momentum=0.5)
-        p = np.array([0.0])
-        opt.step([p], [np.array([1.0])])
-        opt.step([p], [np.array([1.0])])
-        np.testing.assert_allclose(p, [-2.5])  # v: 1, 1.5
 
 
 class TestInitAndLoss:

@@ -18,7 +18,8 @@ import detect_oracles
 import joint_oracles
 import warp_oracles
 from conftest import TINY_SEED as SEED
-from conftest import central_diff, open_cascade, rel_err, train_tiny
+from conftest import (central_diff, make_detector, open_cascade, rel_err, tiny_detector,
+                      train_tiny)
 from warpdet import ferns, nn, pipeline, roiconv, synthetic
 from warpdet.align import SingularTransformError
 from warpdet.model import load_model, save_model
@@ -117,11 +118,11 @@ def test_ablation_variant_trains_and_detects(variant, held_out):
 def test_rect_size_off_a_multiple_of_8_trains_detects_and_round_trips(tmp_path, held_out):
     """rcnn.fc takes the width of the pooled verification map, whose
     poolings round odd extents up: 60 -> 30 -> 15 -> 8."""
-    config = pipeline.TrainConfig(epochs=1, rect_size=60, seed=SEED)
-    model = pipeline.build_detector(config)
-    assert model.rcnn.fc.weight.shape[1] == config.rcnn_channels[1] * 8 * 8
+    model = make_detector(SEED, rect_size=60)
+    assert model.rcnn.fc.weight.shape[1] == pipeline.RCNN_CHANNELS[1] * 8 * 8
     corpus = synthetic.generate_synthetic_corpus(SEED, 2)
-    model, history = pipeline.train_end_to_end(corpus, model, config)
+    model, history = pipeline.train_end_to_end(
+        corpus, model, pipeline.TrainConfig(epochs=1, seed=SEED))
     assert np.isfinite(history["epochs"][0]["loss"])
     image = held_out[0].image
     dets = pipeline.detect(image, model)
@@ -356,8 +357,7 @@ def test_rpn_backward_matches_central_differences():
     """Whole proposal chain (conv, ReLU, pooling, both heads) against central
     differences of a fixed random projection of score and point."""
     rng = np.random.default_rng(SEED)
-    config = pipeline.TrainConfig(rpn_channels=(3, 4, 5), seed=SEED)
-    rpn = pipeline.build_detector(config).rpn
+    rpn = make_detector(SEED, rpn_channels=(3, 4, 5)).rpn
     image = rng.random((1, 32, 32))
     state = pipeline.rpn_forward(rpn, image)
     w_score = rng.standard_normal(state.score.shape)
@@ -526,15 +526,11 @@ def test_verify_backward_through_warp_matches_central_differences():
     and d_canonical against central differences, on a tiny net; and the
     verdict loss's gradient on the concatenated proposal feature."""
     rng = np.random.default_rng(SEED)
-    config = pipeline.TrainConfig(
-        rpn_channels=(2, 3, 4), rcnn_channels=(2, 3), rcnn_feature=6,
-        rect_size=16, seed=SEED,
-    )
-    model = pipeline.build_detector(config)
+    model = tiny_detector(SEED)
     image = rng.random((1, 40, 40))
     canonical = model.canonical.points.copy()
     landmarks = 20.0 + 9.0 * synthetic.GLYPH_LANDMARKS + rng.uniform(-1, 1, (5, 2))
-    rpn_feat = rng.standard_normal(config.rpn_channels[2])
+    rpn_feat = rng.standard_normal(model.rpn.conv3.spec.out_channels)
     label = 1
 
     def loss(lms, canon):
@@ -576,19 +572,16 @@ def test_verify_backward_through_warp_matches_central_differences():
     assert rel_err(d_rpn_feat, central_diff(loss_of_feat, rpn_feat.copy())) < 1e-5
 
 
-def test_candidate_step_matches_central_differences_of_the_verdict_loss():
+def test_candidate_step_matches_central_differences_of_the_verdict_loss(monkeypatch):
     """The last link of the joint chain: one positive cell's regression,
     decoded with POINT_SCALE into landmarks, fitted onto the canonical
     layout, warped, verified and judged. With both supervision scales at 1,
     _candidate_step's additions to d_point[:, i, j] and d_feat_extra[:, i, j]
     are the verdict loss's gradients on state.point[:, i, j] and
     state.feat[:, i, j]."""
-    config = pipeline.TrainConfig(
-        rpn_channels=(2, 3, 4), rcnn_channels=(2, 3), rcnn_feature=6,
-        rect_size=16, warp_supervision_scale=1.0, concat_supervision_scale=1.0,
-        seed=SEED,
-    )
-    model = pipeline.build_detector(config)
+    monkeypatch.setattr(pipeline, "WARP_SUPERVISION_SCALE", 1.0)
+    monkeypatch.setattr(pipeline, "CONCAT_SUPERVISION_SCALE", 1.0)
+    model = tiny_detector(SEED)
     sample = synthetic.generate_synthetic_corpus(SEED, 1)[0]
     state = pipeline.rpn_forward(model.rpn, sample.image)
     targets = pipeline.rpn_targets(sample.faces, *state.point.shape[1:])
@@ -605,7 +598,7 @@ def test_candidate_step_matches_central_differences_of_the_verdict_loss():
         d_feat_extra = np.zeros_like(state.feat)
         out = pipeline._candidate_step(
             model, sample.image, (i, j), 1, lms, state.feat[:, i, j].copy(), transform,
-            verify_grads, d_canonical, d_point, d_feat_extra, config,
+            verify_grads, d_canonical, d_point, d_feat_extra,
         )
         return out[0], d_point[:, i, j], d_feat_extra[:, i, j]
 
@@ -632,18 +625,15 @@ def test_joint_step_hands_sgd_the_central_differences_of_its_loss(monkeypatch):
     hands to nn.sgd_step, for every parameter array in model.params()
     order, canonical layout included, are the central differences of the
     proposal loss plus the mean verdict loss over the sampled cells, with
-    both supervision scales and canonical_lr_scale at 1. The step sends
+    both supervision scales and CANONICAL_LR_SCALE at 1. The step sends
     nothing through a negative's fit, so the loss holds each negative's
     transform fixed. Biases are seeded off zero: at zero, R-CNN crop pixels
     outside the image would sit exactly on a ReLU kink. The step is 1e-7,
     as a step of 1e-6 carries one sample of this chain across a kink."""
     rng = np.random.default_rng(SEED)
-    config = pipeline.TrainConfig(
-        rpn_channels=(2, 3, 4), rcnn_channels=(2, 3), rcnn_feature=6, rect_size=16,
-        warp_supervision_scale=1.0, concat_supervision_scale=1.0,
-        canonical_lr_scale=1.0, epochs=1, seed=SEED,
-    )
-    model = pipeline.build_detector(config)
+    for name in ("WARP_SUPERVISION_SCALE", "CONCAT_SUPERVISION_SCALE", "CANONICAL_LR_SCALE"):
+        monkeypatch.setattr(pipeline, name, 1.0)
+    model = tiny_detector(SEED)
     params = model.params()
     for p in params:
         if p.ndim == 1:  # a bias
@@ -660,7 +650,8 @@ def test_joint_step_hands_sgd_the_central_differences_of_its_loss(monkeypatch):
     monkeypatch.setattr(pipeline, "_sample_cells", lambda *args: (cells, labels))
     handed = []
     monkeypatch.setattr(nn, "sgd_step", lambda ps, grads, *args: handed.append(grads))
-    _, history = pipeline.train_end_to_end([sample], model, config)
+    _, history = pipeline.train_end_to_end(
+        [sample], model, pipeline.TrainConfig(epochs=1, seed=SEED))
     assert history["singular_skips"] == 0 and len(handed) == 1
     (grads,) = handed
     assert len(grads) == len(params) == 19
@@ -1171,10 +1162,101 @@ def test_train_prefilter_logs_the_negative_shortfall(prefilter_corpus):
 
 
 @pytest.mark.parametrize("train", [
-    lambda config: pipeline.train_rpn([], config),
+    lambda config: pipeline.train_rpn([], config, epochs=1),
     lambda config: pipeline.train_end_to_end([], pipeline.build_detector(config), config),
     lambda config: pipeline.train_prefilter([]),
 ], ids=["train_rpn", "train_end_to_end", "train_prefilter"])
 def test_training_on_an_empty_corpus_raises(train):
     with pytest.raises(ValueError, match="empty"):
         train(pipeline.TrainConfig())
+
+
+TRAIN_DRIVERS = {
+    "train_rpn": lambda corpus, model, config: pipeline.train_rpn(
+        corpus, config, model, epochs=config.epochs),
+    "train_end_to_end": pipeline.train_end_to_end,
+}
+
+
+@pytest.mark.parametrize("driver", sorted(TRAIN_DRIVERS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_training_rejects_non_finite_pixels(driver, bad):
+    """One bad pixel fails the step that reads it, before any arithmetic,
+    with the error detect raises: nothing warns and nothing diverges."""
+    corpus = synthetic.generate_synthetic_corpus(SEED, 2)
+    corpus[1].image[0, 10, 20] = bad
+    config = pipeline.TrainConfig(epochs=1, seed=SEED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite pixels"):
+            TRAIN_DRIVERS[driver](corpus, pipeline.build_detector(config), config)
+
+
+@pytest.mark.parametrize("driver", sorted(TRAIN_DRIVERS))
+def test_a_finite_image_whose_loss_overflows_raises_divergence(driver):
+    """Pixels of 1e300 are finite, but the proposal loss on them is not."""
+    corpus = synthetic.generate_synthetic_corpus(SEED, 1)
+    corpus[0].image[:] = 1e300
+    config = pipeline.TrainConfig(epochs=1, seed=SEED)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(pipeline.DivergenceError, match="diverged at epoch 0"):
+            TRAIN_DRIVERS[driver](corpus, pipeline.build_detector(config), config)
+
+
+@pytest.mark.parametrize("epochs", [-1, 1.5, True, None])
+def test_negative_or_non_integer_epochs_are_rejected(epochs):
+    """Both where a config is made and where train_rpn takes its own count;
+    a made config cannot be given one later."""
+    corpus = synthetic.generate_synthetic_corpus(SEED, 1)
+    with pytest.raises(ValueError, match="epochs"):
+        pipeline.TrainConfig(epochs=epochs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pipeline.TrainConfig().epochs = epochs
+    with pytest.raises(ValueError, match="epochs"):
+        pipeline.train_rpn(corpus, pipeline.TrainConfig(), epochs=epochs)
+
+
+@pytest.mark.parametrize("driver", sorted(TRAIN_DRIVERS))
+def test_zero_epochs_leave_the_model_untouched(driver):
+    corpus = synthetic.generate_synthetic_corpus(SEED, 1)
+    config = pipeline.TrainConfig(epochs=0, seed=SEED)
+    model = pipeline.build_detector(config)
+    before = [p.copy() for p in model.params()]
+    trained, history = TRAIN_DRIVERS[driver](corpus, model, config)
+    assert trained is model and history["epochs"] == []
+    for a, b in zip(model.params(), before, strict=True):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("driver", sorted(TRAIN_DRIVERS))
+def test_momentum_carries_across_one_driver_calls_steps(driver, monkeypatch):
+    """A driver makes one zeroed velocity per parameter array and hands the
+    same arrays, with LEARNING_RATE and MOMENTUM, to every nn.sgd_step of
+    its call: after two steps each parameter is
+    p0 - lr * g1 - lr * (momentum * g1 + g2)."""
+    calls = []
+    real_sgd_step = nn.sgd_step
+
+    def sgd_step(params, grads, velocities, learning_rate, momentum):
+        calls.append(SimpleNamespace(
+            params=[p.copy() for p in params], grads=[g.copy() for g in grads],
+            velocities=list(velocities), zero=all(not v.any() for v in velocities),
+            learning_rate=learning_rate, momentum=momentum))
+        return real_sgd_step(params, grads, velocities, learning_rate, momentum)
+
+    monkeypatch.setattr(nn, "sgd_step", sgd_step)
+    corpus = synthetic.generate_synthetic_corpus(SEED, 2)
+    config = pipeline.TrainConfig(epochs=1, seed=SEED)
+    model, _ = TRAIN_DRIVERS[driver](corpus, pipeline.build_detector(config), config)
+    first, second = calls
+    assert first.zero
+    assert all(a is b for a, b in zip(first.velocities, second.velocities, strict=True))
+    assert {(c.learning_rate, c.momentum) for c in calls} == {
+        (pipeline.LEARNING_RATE, pipeline.MOMENTUM)}
+    lr, momentum = pipeline.LEARNING_RATE, pipeline.MOMENTUM
+    params = model.rpn.params() if driver == "train_rpn" else model.params()
+    assert len(params) == len(first.params)
+    for p0, p1, p2, g1, g2 in zip(first.params, second.params, params,
+                                  first.grads, second.grads, strict=True):
+        np.testing.assert_array_equal(p1, p0 - lr * g1)
+        np.testing.assert_array_equal(p2, p1 - lr * (momentum * g1 + g2))

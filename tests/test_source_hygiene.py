@@ -1,9 +1,10 @@
 """Static checks on the source that no linter in the test environment
 makes: every name a module of the package, the tests or the benchmark
 imports is read by that module, every dataclass field and property the
-package defines is read as an attribute somewhere, and every top-level
+package defines is read as an attribute somewhere, every top-level
 function and class of the package is read by the package or the
-benchmark. The checks only read the files."""
+benchmark, and every option the package offers is set by a caller outside
+the unit tests. The checks only read the files."""
 
 import ast
 from pathlib import Path
@@ -16,6 +17,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(Path(warpdet.__file__).parent.glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py"), *BENCH])
+
+# The package's option records, and the callers outside the unit tests that
+# choose among their values: the benchmark and the two scripts.
+OPTION_RECORDS = ("TrainConfig", "DetectOptions")
+OPTION_CALLERS = [*BENCH, ROOT / "tests" / "quality.py", ROOT / "tests" / "fingerprint.py"]
 
 # The model file's writer and reader: the package's entry points for its
 # users, which neither the package nor the benchmark calls.
@@ -181,3 +187,40 @@ def test_an_unread_definition_is_reported():
     read = read_names(source)
     assert {"scan", "cascade_scan", "np", "zeros", "f", "size"} <= read
     assert not {"A", "g", "method"} & read
+
+
+def keywords_passed(source: str, classes) -> set[str]:
+    """Class.keyword of every keyword the module passes to a call of one of
+    classes, called by its name or as an attribute of any object."""
+    passed = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in classes:
+                passed.update(f"{name}.{kw.arg}" for kw in node.keywords if kw.arg)
+    return passed
+
+
+def test_every_option_is_set_by_a_caller_outside_the_unit_tests():
+    """An option that only the unit tests set has one value in use: it is a
+    module constant, and tests that need another value patch the constant."""
+    fields = [
+        name for path in PACKAGE for name in defined_attributes(path.read_text())
+        if name.split(".")[0] in OPTION_RECORDS
+    ]
+    assert {name.split(".")[0] for name in fields} == set(OPTION_RECORDS)
+    passed = set().union(*(keywords_passed(m.read_text(), OPTION_RECORDS)
+                           for m in OPTION_CALLERS))
+    assert [name for name in fields if name not in passed] == []
+
+
+def test_an_option_no_caller_sets_is_reported():
+    source = (
+        "import pipeline\n"
+        "from pipeline import TrainConfig\n"
+        "a = TrainConfig(epochs=1, **extra)\n"
+        "b = pipeline.DetectOptions(use_roi_conv=True)\n"
+        "c = Other(seed=2)\n"
+    )
+    assert keywords_passed(source, OPTION_RECORDS) == {
+        "TrainConfig.epochs", "DetectOptions.use_roi_conv"}
