@@ -21,6 +21,8 @@ import numpy as np
 from .roiconv import MIN_FACE, resize_bilinear
 
 PATCH_SIZE = 32
+CANDIDATE_POOL = 60            # random fern candidates drawn per training stage
+STAGE_DETECTION_TARGET = 0.99  # share of the training positives each stage keeps
 NUM_SPLITS = 8
 NUM_PARTITIONS = 1 << NUM_SPLITS
 # Laplace smoothing of partition scores, as a fraction of the total weight
@@ -31,6 +33,13 @@ SCAN_STRIDE = 4                       # window step in level pixels
 
 class TrainingError(RuntimeError):
     pass
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Reject, naming it, a value whose type is not int (so a bool too) or
+    that is below low."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
 
 
 def _partition_sums(partitions: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -62,10 +71,10 @@ class Fern:
         if self.scores.shape != (NUM_PARTITIONS,):
             raise ValueError(f"scores must be (256,), got {self.scores.shape}")
 
-    def validate_coords(self, patch_size: int) -> None:
-        if self.coords.min() < 0 or self.coords.max() >= patch_size:
+    def validate_coords(self) -> None:
+        if self.coords.min() < 0 or self.coords.max() >= PATCH_SIZE:
             raise ValueError(
-                f"split coordinates outside [0, {patch_size}): "
+                f"split coordinates outside [0, {PATCH_SIZE}): "
                 f"{self.coords.min()}..{self.coords.max()}"
             )
 
@@ -90,9 +99,9 @@ def _half_log_odds(pos: np.ndarray, neg: np.ndarray, weights: np.ndarray) -> np.
 class CascadeModel:
     """Ordered ferns with one soft rejection threshold per fern."""
 
+    patch_size = PATCH_SIZE  # side of the square window every fern reads
     ferns: list[Fern]
     stage_thresholds: np.ndarray
-    patch_size: int = PATCH_SIZE
     train_log: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -102,25 +111,7 @@ class CascadeModel:
         if self.stage_thresholds.shape != (len(self.ferns),):
             raise ValueError("one stage threshold per fern required")
         for fern in self.ferns:
-            fern.validate_coords(self.patch_size)
-
-
-@dataclass
-class CascadeConfig:
-    """Training knobs; the full-scale default is 1000 ferns from pools of 200
-    candidates at a 99% per-stage detection target, desk-scale runs use fewer
-    ferns and smaller pools."""
-
-    num_ferns: int = 1000
-    candidate_pool: int = 200
-    per_stage_detection_target: float = 0.99
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_ferns < 1 or self.candidate_pool < 1:
-            raise ValueError("num_ferns and candidate_pool must be at least 1")
-        if not 0.0 < self.per_stage_detection_target <= 1.0:
-            raise ValueError("detection target must be in (0, 1]")
+            fern.validate_coords()
 
 
 def _draw_pool(rng, pixels, size):
@@ -143,17 +134,20 @@ def _draw_pool(rng, pixels, size):
 
 
 def train_cascade(
-    positives: np.ndarray, negatives: np.ndarray, config: CascadeConfig
+    positives: np.ndarray, negatives: np.ndarray, num_ferns: int, seed: int
 ) -> CascadeModel:
-    """Greedy stagewise RealBoost over random fern candidates.
+    """Greedy stagewise RealBoost over random fern candidates: num_ferns
+    stages, drawn from a generator seeded by seed.
 
-    Per stage: draw a candidate pool, keep the fern minimizing the
+    Per stage: draw CANDIDATE_POOL candidates, keep the fern minimizing the
     Bhattacharyya-style error sum(2*sqrt(W+ * W-)) over partitions, set its
     partition scores, reweight with exp(-y*f) and renormalize, then calibrate
-    the stage threshold so at least the target fraction of training positives
-    keeps a cumulative score above it.
+    the stage threshold so at least STAGE_DETECTION_TARGET of the training
+    positives keep a cumulative score above it.
     """
     ps = PATCH_SIZE
+    check_int("num_ferns", num_ferns, 1)
+    check_int("seed", seed, 0)
     if positives.size == 0 or negatives.size == 0:
         raise ValueError("both classes must be non-empty")
     if positives.ndim != 3 or negatives.ndim != 3:
@@ -161,7 +155,7 @@ def train_cascade(
     if positives.shape[1:] != (ps, ps) or negatives.shape[1:] != (ps, ps):
         raise ValueError(f"patches must be {ps}x{ps}")
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     patches = np.concatenate([positives, negatives], dtype=np.float64)
     if not np.isfinite(patches).all():
         raise ValueError("patches must be finite")
@@ -171,13 +165,13 @@ def train_cascade(
     weights = np.full(n, 1.0 / n)
 
     ferns: list[Fern] = []
-    thresholds = np.empty(config.num_ferns)
+    thresholds = np.empty(num_ferns)
     cumulative = np.zeros(n)
     stage_losses = []
-    allowed_rejects = int(np.floor((1.0 - config.per_stage_detection_target) * n_pos))
+    allowed_rejects = int(np.floor((1.0 - STAGE_DETECTION_TARGET) * n_pos))
 
-    for stage in range(config.num_ferns):
-        coords, threshs, parts = _draw_pool(rng, pixels, config.candidate_pool)
+    for stage in range(num_ferns):
+        coords, threshs, parts = _draw_pool(rng, pixels, CANDIDATE_POOL)
         pos_sums = _partition_sums(parts[:n_pos], weights[:n_pos])
         neg_sums = _partition_sums(parts[n_pos:], weights[n_pos:])
         best = int(np.argmin(np.sqrt(pos_sums * neg_sums).sum(axis=1)))
@@ -204,9 +198,9 @@ def train_cascade(
     )
 
 
-def scan_levels(image: np.ndarray, patch_size: int):
+def scan_levels(image: np.ndarray):
     """The scan pyramid of one (H, W) grayscale plane: levels SCAN_SCALE_STEP
-    apart, from a patch_size window over a MIN_FACE face to the last level a
+    apart, from a PATCH_SIZE window over a MIN_FACE face to the last level a
     window fits, each resampled from the image and stacked below the last in
     one float64 plane whose row pitch is the first level's width; no window
     reads the zero padding of a narrower level. Returns (flat plane, pitch,
@@ -218,8 +212,8 @@ def scan_levels(image: np.ndarray, patch_size: int):
     if not np.isfinite(gray).all():
         raise ValueError("image must be finite")
     h, w = gray.shape
-    sizes, factor = [], patch_size / float(MIN_FACE)
-    while min(size := (round(h * factor), round(w * factor))) >= patch_size:
+    sizes, factor = [], PATCH_SIZE / float(MIN_FACE)
+    while min(size := (round(h * factor), round(w * factor))) >= PATCH_SIZE:
         sizes.append(size)
         factor /= SCAN_SCALE_STEP
     sizes = np.array(sizes, dtype=np.intp).reshape(-1, 2)
@@ -229,8 +223,8 @@ def scan_levels(image: np.ndarray, patch_size: int):
     origins = [np.empty(0, dtype=np.intp)]
     for top, (lh, lw) in zip(tops, sizes):
         plane[top : top + lh, :lw] = resize_bilinear(gray[None], (lh, lw))[0]
-        ys = np.arange(top, top + lh - patch_size + 1, SCAN_STRIDE)
-        xs = np.arange(0, lw - patch_size + 1, SCAN_STRIDE)
+        ys = np.arange(top, top + lh - PATCH_SIZE + 1, SCAN_STRIDE)
+        xs = np.arange(0, lw - PATCH_SIZE + 1, SCAN_STRIDE)
         origins.append((ys[:, None] * pitch + xs).ravel())
     return plane.ravel(), pitch, np.column_stack([tops, sizes]), np.concatenate(origins)
 
@@ -246,8 +240,8 @@ def scan(image: np.ndarray, model: CascadeModel) -> np.ndarray:
     window at level pixel (x0, y0) of an lw x lh level is the box (x0 * w /
     lw - 0.5, y0 * h / lh - 0.5, ps * w / lw, ps * h / lh); on a square image
     crop_patch of it samples the window's own pixels."""
-    ps = model.patch_size
-    plane, pitch, levels, origins = scan_levels(image, ps)
+    ps = PATCH_SIZE
+    plane, pitch, levels, origins = scan_levels(image)
     h, w = image.shape
     scores = np.zeros(origins.size)
     alive = np.arange(origins.size)

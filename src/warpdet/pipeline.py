@@ -52,7 +52,7 @@ from .align import (
     warp,
     warp_backward,
 )
-from .ferns import PATCH_SIZE, CascadeConfig, train_cascade
+from .ferns import PATCH_SIZE, check_int, train_cascade
 from .ferns import scan as cascade_scan
 from .model import ConvLayer, DetectorModel, RpnNet, create_detector
 from .nn import ShapeError
@@ -72,7 +72,6 @@ CELL_OFFSET = 3.0
 PROPOSAL_THRESHOLD = 0.5  # face probability at which a proposal cell is a candidate
 L2_EPS = 1e-6
 NEGATIVES_PER_IMAGE = 3   # face-free crops per corpus image for the pre-filter
-PREFILTER_POOL = 60       # random fern candidates per pre-filter stage
 # The training recipe's fixed choices. The regression head's outputs are
 # offsets in units of POINT_SCALE px, which the targets, the loss, the decode
 # and the warp supervision all read.
@@ -102,18 +101,14 @@ class DivergenceError(RuntimeError):
     pass
 
 
-def _check_epochs(epochs):
-    if type(epochs) is not int or epochs < 0:
-        raise ValueError(f"epochs must be a non-negative int, got {epochs!r}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 3  # joint epochs
     seed: int = 0
 
     def __post_init__(self):
-        _check_epochs(self.epochs)
+        check_int("epochs", self.epochs, 0)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -448,7 +443,7 @@ def train_rpn(corpus, config: TrainConfig, model: DetectorModel | None = None, *
     Returns (model, history); history carries per-epoch classification
     accuracy and mean landmark error in pixels normalized to a 36-px face.
     """
-    _check_epochs(epochs)
+    check_int("epochs", epochs, 0)
     if len(corpus) == 0:
         raise ValueError("empty training corpus")
     if model is None:
@@ -832,14 +827,14 @@ def harvest_cascade_patches(corpus, rng):
     return np.array(pos), np.array(neg)
 
 
-def train_prefilter(corpus, num_ferns: int = 120, seed: int = 0):
+def train_prefilter(corpus, num_ferns: int, seed: int):
     """Train the fern cascade on corpus-derived patches. Its train_log
     also records the negative slots requested and the crops harvested, so
     a shortfall shows."""
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed + 3)
     pos, neg = harvest_cascade_patches(corpus, rng)
-    cfg = CascadeConfig(num_ferns=num_ferns, candidate_pool=PREFILTER_POOL, seed=seed)
-    cascade = train_cascade(pos, neg, cfg)
+    cascade = train_cascade(pos, neg, num_ferns, seed)
     cascade.train_log["negatives_requested"] = NEGATIVES_PER_IMAGE * len(corpus)
     cascade.train_log["negatives_harvested"] = len(neg)
     return cascade

@@ -24,6 +24,7 @@ row plus one column, the same sums as over a full grid.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +66,21 @@ class CorpusParams:
         low, high = self.size_range
         if not 0 < low <= high:
             raise ValueError(f"size_range must hold 0 < low <= high, got {self.size_range}")
+        for name in ("image_size", "max_clutter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not self.image_size >= 1.1 * high:  # a face keeps 0.55 * size off each side
             raise ValueError(f"image_size {self.image_size} is under 1.1 * size_range[1]")
         if not self.max_clutter >= 0:
             raise ValueError(f"max_clutter must be >= 0, got {self.max_clutter}")
         if self.max_clutter > 0 and self.image_size < 16:  # centers lie in [8, n - 8]
             raise ValueError(f"image_size {self.image_size} is under 16 with clutter")
+        for name in ("rotation_deg", "noise", "background", "face_contrast"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.rotation_deg >= 0:
+            raise ValueError(f"rotation_deg must be >= 0, got {self.rotation_deg}")
         if not self.noise >= 0:
             raise ValueError(f"noise must be >= 0, got {self.noise}")
         if not 0 <= self.no_face_rate <= 1:

@@ -5,6 +5,7 @@ resampler, ``roiconv.resize_bilinear``."""
 
 import numpy as np
 
+import warpdet.ferns
 from warpdet.ferns import (
     NUM_PARTITIONS,
     NUM_SPLITS,
@@ -12,7 +13,6 @@ from warpdet.ferns import (
     SCAN_SCALE_STEP,
     SCAN_STRIDE,
     SMOOTHING_FRACTION,
-    CascadeConfig,
     CascadeModel,
     Fern,
     TrainingError,
@@ -188,9 +188,10 @@ def _draw_candidate(rng, patches_flat, patch_size):
 
 
 def train_cascade_reference(
-    positives: np.ndarray, negatives: np.ndarray, config: CascadeConfig
+    positives: np.ndarray, negatives: np.ndarray, num_ferns: int, seed: int
 ) -> CascadeModel:
-    """Greedy stagewise RealBoost over random fern candidates.
+    """Greedy stagewise RealBoost over random fern candidates, reading the
+    pool size and the stage target from warpdet.ferns when it is called.
 
     Per stage: draw a candidate pool, keep the fern minimizing the
     Bhattacharyya-style error sum(2*sqrt(W+ * W-)) over partitions, set its
@@ -206,7 +207,7 @@ def train_cascade_reference(
     if positives.shape[1:] != (ps, ps) or negatives.shape[1:] != (ps, ps):
         raise ValueError(f"patches must be {ps}x{ps}")
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     patches = np.concatenate([positives, negatives]).astype(np.float64)
     flat = patches.reshape(len(patches), -1)
     labels = np.concatenate(
@@ -217,15 +218,15 @@ def train_cascade_reference(
     weights = np.full(n, 1.0 / n)
 
     ferns: list[Fern] = []
-    thresholds = np.empty(config.num_ferns)
+    thresholds = np.empty(num_ferns)
     cumulative = np.zeros(n)
     stage_losses = []
     n_pos = len(positives)
-    allowed_rejects = int(np.floor((1.0 - config.per_stage_detection_target) * n_pos))
+    allowed_rejects = int(np.floor((1.0 - warpdet.ferns.STAGE_DETECTION_TARGET) * n_pos))
 
-    for stage in range(config.num_ferns):
+    for stage in range(num_ferns):
         best = None
-        for _ in range(config.candidate_pool):
+        for _ in range(warpdet.ferns.CANDIDATE_POOL):
             coords, threshs = _draw_candidate(rng, flat, ps)
             cand = Fern(coords, threshs, np.zeros(NUM_PARTITIONS))
             parts = _indices_flat(flat, cand, ps)

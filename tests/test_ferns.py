@@ -4,6 +4,8 @@ synthetic data, pooled training against the per-candidate oracle, soft-cascade
 early exit, and the sliding-window scan."""
 
 import sys
+from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +21,12 @@ from fern_oracles import (
     partition_scores,
     train_cascade_reference,
 )
+from warpdet import ferns
 from warpdet.ferns import (
     NUM_PARTITIONS,
+    PATCH_SIZE,
     SCAN_STRIDE,
     SMOOTHING_FRACTION,
-    CascadeConfig,
     CascadeModel,
     Fern,
     TrainingError,
@@ -66,6 +69,15 @@ def separable_patches(rng, n_pos, n_neg, contrast=0.6, noise=0.1, jitter=0):
         p[cy - half : cy + half, cx - half : cx + half] += contrast
     neg = rng.normal(0.3, noise, size=(n_neg, 32, 32))
     return np.clip(pos, 0, 1.5), np.clip(neg, 0, 1.5)
+
+
+@contextmanager
+def recipe(pool, target=ferns.STAGE_DETECTION_TARGET):
+    """Train under another candidate pool and per-stage detection target."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ferns, "CANDIDATE_POOL", pool)
+        patch.setattr(ferns, "STAGE_DETECTION_TARGET", target)
+        yield
 
 
 def training_error(model, pos, neg):
@@ -159,42 +171,39 @@ class TestPartitionScores:
 class TestTrainCascade:
     def test_separable_task_reaches_zero_training_error(self, rng):
         pos, neg = separable_patches(rng, 120, 160)
-        cfg = CascadeConfig(num_ferns=50, candidate_pool=40, seed=3)
-        model = train_cascade(pos, neg, cfg)
+        with recipe(pool=40):
+            model = train_cascade(pos, neg, 50, 3)
         assert training_error(model, pos, neg) == 0.0
 
     def test_full_target_rejects_no_positive(self, rng):
         pos, neg = separable_patches(rng, 60, 80)
-        cfg = CascadeConfig(
-            num_ferns=12, candidate_pool=30, per_stage_detection_target=1.0, seed=5
-        )
-        model = train_cascade(pos, neg, cfg)
+        with recipe(pool=30, target=1.0):
+            model = train_cascade(pos, neg, 12, 5)
         for p in pos:
             _, rejected_at = cascade_score(p, model)
             assert rejected_at is None
 
     def test_seeded_training_is_bit_reproducible(self, rng):
         pos, neg = separable_patches(rng, 40, 50)
-        cfg = CascadeConfig(num_ferns=6, candidate_pool=15, seed=2)
-        a = train_cascade(pos, neg, cfg)
-        b = train_cascade(pos, neg, cfg)
+        with recipe(pool=15):
+            a = train_cascade(pos, neg, 6, 2)
+            b = train_cascade(pos, neg, 6, 2)
         np.testing.assert_array_equal(a.stage_thresholds, b.stage_thresholds)
         for fa, fb in zip(a.ferns, b.ferns):
             np.testing.assert_array_equal(fa.scores, fb.scores)
 
     def test_exponential_loss_non_increasing(self, rng):
         pos, neg = separable_patches(rng, 80, 100)
-        cfg = CascadeConfig(num_ferns=25, candidate_pool=30, seed=7)
-        model = train_cascade(pos, neg, cfg)
+        with recipe(pool=30):
+            model = train_cascade(pos, neg, 25, 7)
         losses = model.train_log["stage_partition_losses"]
         assert all(z <= 1.0 + 1e-12 for z in losses)
 
     def test_degenerate_pool_raises(self):
         pos = np.full((10, 32, 32), 0.5)
         neg = np.full((12, 32, 32), 0.5)
-        cfg = CascadeConfig(num_ferns=3, candidate_pool=10, seed=0)
-        with pytest.raises(TrainingError):
-            train_cascade(pos, neg, cfg)
+        with recipe(pool=10), pytest.raises(TrainingError):
+            train_cascade(pos, neg, 3, 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_patch_rejected(self, rng, bad):
@@ -202,26 +211,41 @@ class TestTrainCascade:
         partition 0; training refuses it and infinities instead."""
         pos, neg = separable_patches(rng, 10, 12)
         neg[3, 5, 7] = bad
-        with pytest.raises(ValueError, match="finite"):
-            train_cascade(pos, neg, CascadeConfig(num_ferns=1, candidate_pool=1))
+        with recipe(pool=1), pytest.raises(ValueError, match="finite"):
+            train_cascade(pos, neg, 1, 0)
 
     def test_empty_class_rejected(self, rng):
         pos, _ = separable_patches(rng, 5, 5)
         with pytest.raises(ValueError):
-            train_cascade(pos, np.zeros((0, 32, 32)), CascadeConfig(num_ferns=1))
+            train_cascade(pos, np.zeros((0, 32, 32)), 1, 0)
 
 
-class TestCascadeConfig:
-    @pytest.mark.parametrize("field", ["num_ferns", "candidate_pool"])
-    @pytest.mark.parametrize("size", [0, -1])
-    def test_sizes_below_one_rejected(self, field, size):
-        with pytest.raises(ValueError):
-            CascadeConfig(**{field: size})
+class TestTrainCascadeArguments:
+    @pytest.mark.parametrize("name, num_ferns, seed", [
+        ("num_ferns", 0, 0), ("num_ferns", -1, 0), ("num_ferns", 2.0, 0),
+        ("num_ferns", True, 0), ("seed", 2, -1), ("seed", 2, 1.5), ("seed", 2, True),
+    ])
+    def test_a_count_or_seed_that_is_no_int_in_range_is_rejected(
+        self, rng, name, num_ferns, seed
+    ):
+        """Float and bool counts and a float seed used to fail inside numpy
+        with a TypeError, a negative seed with numpy's own ValueError; a
+        bool seed trained as 0 or 1."""
+        pos, neg = separable_patches(rng, 10, 12)
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            train_cascade(pos, neg, num_ferns, seed)
 
     def test_smallest_sizes_train(self, rng):
         pos, neg = separable_patches(rng, 10, 12)
-        model = train_cascade(pos, neg, CascadeConfig(num_ferns=1, candidate_pool=1))
+        with recipe(pool=1):
+            model = train_cascade(pos, neg, 1, 0)
         assert len(model.ferns) == 1
+
+
+def test_the_window_side_is_the_constant_not_a_field():
+    """No model file stores the side, so it is no constructor argument."""
+    assert CascadeModel.patch_size == PATCH_SIZE
+    assert "patch_size" not in {f.name for f in fields(CascadeModel)}
 
 
 def assert_same_cascade(a, b):
@@ -255,10 +279,11 @@ class TestPooledTrainingMatchesOracle:
         pos, neg = separable_patches(rng, n_pos, n_neg, jitter=2)
         if duplicated:
             pos, neg = np.repeat(pos, 2, axis=0), np.repeat(neg, 2, axis=0)
-        cfg = CascadeConfig(num_ferns=num_ferns, candidate_pool=pool, seed=seed)
-        assert_same_cascade(
-            train_cascade(pos, neg, cfg), train_cascade_reference(pos, neg, cfg)
-        )
+        with recipe(pool=pool):
+            assert_same_cascade(
+                train_cascade(pos, neg, num_ferns, seed),
+                train_cascade_reference(pos, neg, num_ferns, seed),
+            )
 
     @pytest.mark.parametrize("n_pos, n_neg", [(5, 6), (37, 51)])
     def test_every_pool_candidate_matches_the_oracle_draw(self, n_pos, n_neg):
@@ -290,11 +315,11 @@ class TestPooledTrainingMatchesOracle:
         if varying_row:
             pos[:, 0, :] = rng.uniform(0.6, 1.0, size=(20, 32))
             neg[:, 0, :] = rng.uniform(0.0, 0.4, size=(24, 32))
-        cfg = CascadeConfig(num_ferns=30, candidate_pool=2, seed=5)
-        with pytest.raises(TrainingError) as pooled:
-            train_cascade(pos, neg, cfg)
-        with pytest.raises(TrainingError) as reference:
-            train_cascade_reference(pos, neg, cfg)
+        with recipe(pool=2):
+            with pytest.raises(TrainingError) as pooled:
+                train_cascade(pos, neg, 30, 5)
+            with pytest.raises(TrainingError) as reference:
+                train_cascade_reference(pos, neg, 30, 5)
         assert str(pooled.value) == str(reference.value)
         assert ("at stage 0:" in str(pooled.value)) != varying_row
 
@@ -348,18 +373,16 @@ class TestPooledFold:
 def model():
     rng = np.random.default_rng(0)
     pos, neg = separable_patches(rng, 80, 100)
-    return train_cascade(
-        pos, neg, CascadeConfig(num_ferns=20, candidate_pool=30, seed=1)
-    ), pos, neg
+    with recipe(pool=30):
+        return train_cascade(pos, neg, 20, 1), pos, neg
 
 
 @pytest.fixture(scope="module")
 def trained():
     rng = np.random.default_rng(21)
     pos, neg = separable_patches(rng, 300, 400, jitter=3)
-    return train_cascade(
-        pos, neg, CascadeConfig(num_ferns=30, candidate_pool=40, seed=4)
-    )
+    with recipe(pool=40):
+        return train_cascade(pos, neg, 30, 4)
 
 
 class TestCascadeScore:
@@ -375,9 +398,7 @@ class TestCascadeScore:
     def test_early_reject_costs_one_stage(self, model):
         cascade, _, _ = model
         # craft thresholds that reject everything immediately
-        strict = CascadeModel(
-            cascade.ferns, np.full(len(cascade.ferns), 1e9), cascade.patch_size
-        )
+        strict = CascadeModel(cascade.ferns, np.full(len(cascade.ferns), 1e9))
         _, rejected_at = cascade_score(np.zeros((32, 32)), strict)
         assert rejected_at == 0
 
@@ -524,7 +545,7 @@ class TestScanLevels:
         """Levels sit top to bottom at the first level's width, each equal
         to the oracle resampler's level bit for bit, with zero padding."""
         img = rng.random(shape)
-        plane, pitch, levels, origins = scan_levels(img, 32)
+        plane, pitch, levels, origins = scan_levels(img)
         sizes = fern_oracles.scan_level_sizes(shape, 32)
         assert levels.shape == (len(sizes), 3)
         np.testing.assert_array_equal(levels[:, 1:], np.reshape(sizes, (-1, 2)))
@@ -544,7 +565,7 @@ class TestScanLevels:
         rectangle, so pitch padding is never read; origins run level by
         level in row-major order over each level's whole stride grid."""
         ps = 32
-        _, pitch, levels, origins = scan_levels(rng.random(shape), ps)
+        _, pitch, levels, origins = scan_levels(rng.random(shape))
         row, col = np.divmod(origins, pitch)
         level = np.searchsorted(levels[:, 0], row, side="right") - 1
         top, lh, lw = levels[level].T
@@ -558,7 +579,7 @@ class TestScanLevels:
     @pytest.mark.parametrize("shape", [(160, 160), (96, 96), (120, 160), (480, 640), (30, 30)])
     def test_the_bench_window_count_is_the_generators(self, spans, shape):
         """The bench's ferns.windows count is the scan's window count."""
-        assert spans.scan_windows(shape, 32) == scan_levels(np.zeros(shape), 32)[3].size
+        assert spans.scan_windows(shape, 32) == scan_levels(np.zeros(shape))[3].size
 
 
 class TestGrayscale:

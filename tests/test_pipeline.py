@@ -1155,8 +1155,7 @@ def test_train_prefilter_logs_the_negative_shortfall(prefilter_corpus):
     requested = pipeline.NEGATIVES_PER_IMAGE * len(prefilter_corpus)
     assert cascade.train_log["negatives_requested"] == requested
     assert cascade.train_log["negatives_harvested"] == len(neg) < requested
-    direct = ferns.train_cascade(pos, neg, ferns.CascadeConfig(
-        num_ferns=8, candidate_pool=pipeline.PREFILTER_POOL, seed=SEED))
+    direct = ferns.train_cascade(pos, neg, 8, SEED)
     for a, b in zip(_cascade_arrays(cascade), _cascade_arrays(direct), strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -1164,7 +1163,7 @@ def test_train_prefilter_logs_the_negative_shortfall(prefilter_corpus):
 @pytest.mark.parametrize("train", [
     lambda config: pipeline.train_rpn([], config, epochs=1),
     lambda config: pipeline.train_end_to_end([], pipeline.build_detector(config), config),
-    lambda config: pipeline.train_prefilter([]),
+    lambda config: pipeline.train_prefilter([], num_ferns=1, seed=0),
 ], ids=["train_rpn", "train_end_to_end", "train_prefilter"])
 def test_training_on_an_empty_corpus_raises(train):
     with pytest.raises(ValueError, match="empty"):
@@ -1214,6 +1213,18 @@ def test_negative_or_non_integer_epochs_are_rejected(epochs):
         pipeline.TrainConfig().epochs = epochs
     with pytest.raises(ValueError, match="epochs"):
         pipeline.train_rpn(corpus, pipeline.TrainConfig(), epochs=epochs)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+def test_negative_or_non_integer_seeds_are_rejected(seed):
+    """Where a config is made and where train_prefilter takes its own seed,
+    before it harvests. True used to train silently as seed 1; -1 and 1.5
+    failed only once training handed them to numpy."""
+    with pytest.raises(ValueError, match="^seed must be an int >= 0"):
+        pipeline.TrainConfig(seed=seed)
+    corpus = synthetic.generate_synthetic_corpus(SEED, 1)
+    with pytest.raises(ValueError, match="^seed must be an int >= 0"):
+        pipeline.train_prefilter(corpus, num_ferns=1, seed=seed)
 
 
 @pytest.mark.parametrize("driver", sorted(TRAIN_DRIVERS))

@@ -1,7 +1,8 @@
 """The newest quality ledger entry, ``QUALITY_<n>.json`` at the repository
 root, is one complete run of ``tests/quality.py --out`` at the reference
 scale on the validation corpus. The checks read the file and re-derive its
-summary from its rows; nothing is trained."""
+summary from its rows; one more runs the script's ``main`` at a tiny scale,
+so its training and scoring calls are exercised too."""
 
 import json
 import re
@@ -56,9 +57,8 @@ def test_is_a_reference_scale_run_on_the_validation_corpus(quality, entry):
         quality.WORKLOAD_SEED, quality.VALIDATION_STREAM)
 
 
-def test_rows_are_scores_per_seed_and_the_summary_is_their_median_and_min(
-    quality, entry
-):
+def check_rows_and_summary(quality, entry):
+    """The rows are scores per seed, and the summary is their median and min."""
     forms = ["float64", "float32"] if entry["reference"] else ["float32"]
     keys = [key for key, _, _ in quality.METRICS]
     rows = entry["rows"]
@@ -78,3 +78,27 @@ def test_rows_are_scores_per_seed_and_the_summary_is_their_median_and_min(
             form: {key: float(reduce([row[form][key] for row in rows])) for key in keys}
             for form in forms
         }
+
+
+def test_rows_are_scores_per_seed_and_the_summary_is_their_median_and_min(
+    quality, entry
+):
+    check_rows_and_summary(quality, entry)
+
+
+def test_main_trains_scores_and_prints_the_run_as_its_last_line(quality, capsys):
+    """Two seeds at the smallest scale, with the box head and NMS, which
+    keep it to a few seconds; without --out, which reads git."""
+    argv = ["--images", "8", "--seeds", "0", "1", "--rpn-epochs", "1",
+            "--joint-epochs", "1", "--no-multitask", "--suppression", "nms"]
+    quality.main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6  # header, two seeds, median, min, JSON
+    record = json.loads(lines[-1])
+    args = vars(quality.parse_args(argv))
+    assert args.pop("out") is None
+    assert set(record) == {*args, "workload_seed", "stream", "rows", "median", "min"}
+    assert {key: record[key] for key in args} == args
+    assert (record["workload_seed"], record["stream"]) == (
+        quality.WORKLOAD_SEED, quality.VALIDATION_STREAM)
+    check_rows_and_summary(quality, record)

@@ -230,6 +230,44 @@ class TestCorpusParamsRejections:
         with pytest.raises(ValueError, match="no_face_rate"):
             CorpusParams(no_face_rate=rate)
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise", float("inf")), ("background", float("inf")),
+        ("background", float("nan")), ("face_contrast", float("nan")),
+        ("face_contrast", -float("inf")), ("rotation_deg", float("nan")),
+        ("rotation_deg", float("inf")),
+    ])
+    def test_a_non_finite_level_or_angle(self, field, value):
+        """Non-finite levels rendered non-finite images without a warning;
+        a NaN angle failed inside generate_sample with an OverflowError."""
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            CorpusParams(**{field: value})
+
+    def test_a_negative_rotation_bound(self):
+        """It used to fail inside generate_sample with numpy's ValueError."""
+        with pytest.raises(ValueError, match="^rotation_deg must be >= 0"):
+            CorpusParams(rotation_deg=-10.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("image_size", 96.5), ("image_size", 96.0), ("image_size", True),
+        ("max_clutter", 1.5), ("max_clutter", float("inf")),
+    ])
+    def test_a_size_or_count_that_is_no_integer(self, field, value):
+        """An image_size of 96.5 used to render a 97 x 97 canvas, a
+        max_clutter of 1.5 drew at most 1 distractor, and one of inf failed
+        inside generate_sample with an OverflowError."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            CorpusParams(**{field: value})
+
+    @pytest.mark.parametrize("size", [np.int64(96), np.int32(96), np.uint16(96)])
+    def test_numpy_integer_sizes_draw_the_default_corpus(self, size):
+        want = generate_synthetic_corpus(5, 2)
+        got = generate_synthetic_corpus(
+            5, 2, CorpusParams(image_size=size, max_clutter=size // 32))
+        for a, b in zip(got, want, strict=True):
+            assert a.image.tobytes() == b.image.tobytes()
+            for (box_a, points_a), (box_b, points_b) in zip(a.faces, b.faces, strict=True):
+                assert box_a == box_b and points_a.tobytes() == points_b.tobytes()
+
 
 def largest_face(n: int) -> float:
     """The largest face side CorpusParams admits on an n-px image."""
