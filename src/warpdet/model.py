@@ -35,7 +35,7 @@ from operator import attrgetter
 import numpy as np
 
 from .align import CANONICAL_MARGIN, CanonicalShape, estimate_similarity
-from .ferns import CascadeModel, Fern
+from .ferns import CascadeModel, Fern, check_int
 from .nn import ConvSpec, uniform_init
 from .synthetic import GLYPH_LANDMARKS
 
@@ -161,8 +161,11 @@ def create_detector(rng, rpn_channels, rcnn_channels, rcnn_feature: int, *,
     rng in the order rpn conv1-3, score head, point head, rcnn conv1-2, fc,
     verdict; biases start at zero and the canonical shape at the glyph's
     landmark layout, scaled to the rect_size crop."""
-    if rect_size <= 2 * CANONICAL_MARGIN + 1:  # CanonicalShape.clamp needs 2 px of room
-        raise ValueError(f"rect_size {rect_size} leaves the canonical layout no room")
+    for key, flag in zip(_BOOL_FLAGS, (multitask, use_concat, supervised_transform)):
+        if type(flag) is not bool:
+            raise ValueError(f"{key} must be a bool, got {flag!r}")
+    # CanonicalShape.clamp needs 2 px of room for the layout
+    check_int("rect_size", rect_size, 2 * CANONICAL_MARGIN + 2)
     f1, f2, f3 = rpn_channels
     r1, r2 = rcnn_channels
 
@@ -296,7 +299,8 @@ def _parse_model(buf: bytes) -> DetectorModel:
         arrays[name] = a
 
     flags = header["flags"]
-    _check_flags(flags)
+    if sorted(flags) != sorted(_FLAGS):
+        raise ModelFormatError(f"model flags {sorted(flags)}, expected {sorted(_FLAGS)}")
     cascade = None
     if "cascade.coords" in arrays:
         parts = zip(
@@ -330,13 +334,3 @@ def _parse_model(buf: bytes) -> DetectorModel:
     model.cascade = cascade
     return model
 
-
-def _check_flags(flags) -> None:
-    if sorted(flags) != sorted(_FLAGS):
-        raise ModelFormatError(f"model flags {sorted(flags)}, expected {sorted(_FLAGS)}")
-    for key in _BOOL_FLAGS:
-        if type(flags[key]) is not bool:
-            raise ModelFormatError(f"{key} must be true or false, got {flags[key]!r}")
-    rect_size = flags["rect_size"]
-    if type(rect_size) is not int:  # create_detector checks its range
-        raise ModelFormatError(f"rect_size must be an integer, got {rect_size!r}")

@@ -117,6 +117,8 @@ class DetectOptions:
     suppression: str = "non_top_k"  # non_top_k | nms | none
 
     def __post_init__(self):
+        if type(self.use_roi_conv) is not bool:
+            raise ValueError(f"use_roi_conv must be a bool, got {self.use_roi_conv!r}")
         if self.suppression not in ("non_top_k", "nms", "none"):
             raise ValueError(f"unknown suppression mode {self.suppression!r}")
 
@@ -560,19 +562,35 @@ def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig):
             feats = state.feat[:, ii, jj].T.copy()
             verdict_losses = []
             loss_weight = 1.0 / max(1, len(cells))  # mean over the image's batch
-            for cell, label, geom, feat in zip(cells, labels.tolist(), geometry, feats):
+            for (i, j), label, geom, feat in zip(cells, labels.tolist(), geometry, feats):
                 try:
                     transform = _candidate_transform(model, geom)
                 except SingularTransformError:
                     history["singular_skips"] += 1
                     continue
-                vloss, correct = _candidate_step(
-                    model, sample.image, cell, label, geom, feat, transform,
-                    verify_grads, d_canonical, d_point, d_feat_extra, loss_weight,
-                )
+                cache = verify_forward(model, sample.image, transform, feat)
+                vloss, probs_v = nn.softmax_cross_entropy(cache.logits, label)
+                d_logits = nn.softmax_cross_entropy_backward(probs_v, label) * loss_weight
+                # geometry supervision from the verdict loss applies to true faces;
+                # a background candidate's landmarks carry no pose to refine
+                supervise = model.multitask and model.supervised_transform and label == 1
+                grads, d_rpn_feat, d_crop = verify_backward(model, cache, d_logits, supervise)
+                for acc, g in zip(verify_grads, grads, strict=True):
+                    acc += g
+                if d_rpn_feat is not None:
+                    d_feat_extra[:, i, j] += CONCAT_SUPERVISION_SCALE * d_rpn_feat
+                if supervise:
+                    d_landmarks, d_canon = landmark_and_canonical_gradients(
+                        warp_backward(d_crop, sample.image, transform), geom,
+                        model.canonical.points)
+                    # landmarks came from the head as offsets scaled by POINT_SCALE
+                    d_point[:, i, j] += (WARP_SUPERVISION_SCALE * d_landmarks.reshape(-1)
+                                         * POINT_SCALE)
+                    d_canonical += d_canon
                 verdict_losses.append(vloss)
-                verdict_correct += correct
+                verdict_correct += int(np.argmax(cache.logits) == label)
                 verdict_total += 1
+                del cache, grads  # so the next candidate reuses their memory
 
             grads = rpn_backward(model.rpn, state, d_score, d_point, d_feat_extra)
             grads += verify_grads
@@ -612,38 +630,6 @@ def _sample_cells(targets: RpnTargets, probs, rng):
         rand = rest[rng.choice(len(rest), size=n_rand, replace=False)]
         neg = neg[np.sort(np.concatenate([hard, rand]))]
     return np.concatenate([pos, neg]), np.repeat([1, 0], [len(pos), len(neg)])
-
-
-def _candidate_step(model, image, cell, label, geometry, rpn_feat, transform,
-                    verify_grads, d_canonical, d_point, d_feat_extra, loss_weight=1.0):
-    """Forward + backward for one sampled verification candidate: proposal
-    cell (i, j), its label, its rows of the step's geometry and proposal
-    features, and its map onto the rectified grid.
-
-    Adds every gradient it makes into the step's accumulators in place: the
-    R-CNN and verdict ones into verify_grads, in model.params() order, the
-    canonical layout's into d_canonical, and those on the proposal maps into
-    d_point and d_feat_extra. Returns (verdict loss, correct flag).
-    """
-    i, j = cell
-    cache = verify_forward(model, image, transform, rpn_feat)
-    vloss, probs_v = nn.softmax_cross_entropy(cache.logits, label)
-    d_logits = nn.softmax_cross_entropy_backward(probs_v, label) * loss_weight
-    # geometry supervision from the verdict loss applies to true faces; a
-    # background candidate's landmarks carry no pose to refine
-    supervise = model.multitask and model.supervised_transform and label == 1
-    grads, d_rpn_feat, d_crop = verify_backward(model, cache, d_logits, supervise)
-    for acc, g in zip(verify_grads, grads, strict=True):
-        acc += g
-    if d_rpn_feat is not None:
-        d_feat_extra[:, i, j] += CONCAT_SUPERVISION_SCALE * d_rpn_feat
-    if supervise:
-        d_landmarks, d_canon = landmark_and_canonical_gradients(
-            warp_backward(d_crop, image, transform), geometry, model.canonical.points)
-        # landmarks came from the head as offsets scaled by POINT_SCALE
-        d_point[:, i, j] += WARP_SUPERVISION_SCALE * d_landmarks.reshape(-1) * POINT_SCALE
-        d_canonical += d_canon
-    return vloss, int(np.argmax(cache.logits) == label)
 
 
 # --------------------------------------------------------------------------

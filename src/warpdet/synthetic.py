@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .align import fit_similarity, inverse_offsets
+from .ferns import check_int
 
 # Landmark layout in face-local units (x right, y down, face spans ~[-0.5, 0.5]).
 GLYPH_LANDMARKS = np.array(
@@ -63,7 +64,11 @@ class CorpusParams:
 
     def __post_init__(self):
         """Reject, naming the field, what generate_sample cannot draw."""
-        low, high = self.size_range
+        pair = self.size_range
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) for v in pair)):
+            raise ValueError(f"size_range must be a pair of numbers, got {pair!r}")
+        low, high = pair
         if not 0 < low <= high:
             raise ValueError(f"size_range must hold 0 < low <= high, got {self.size_range}")
         for name in ("image_size", "max_clutter"):
@@ -256,6 +261,8 @@ def generate_synthetic_corpus(
     seed: int, count: int, params: CorpusParams | None = None
 ) -> list[AnnotatedSample]:
     """Deterministic corpus: a fixed seed yields a bit-identical sample list."""
+    check_int("seed", seed, 0)
+    check_int("count", count, 0)
     params = params or CorpusParams()
     rng = np.random.default_rng(seed)
     return [

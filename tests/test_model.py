@@ -266,6 +266,21 @@ def test_rect_size_without_room_for_the_canonical_layout_is_rejected_at_build():
     assert make_detector(0, rect_size=6).rect_size == 6
 
 
+@pytest.mark.parametrize("flag", ["multitask", "use_concat", "supervised_transform"])
+@pytest.mark.parametrize("value", ["yes", None, 1, np.bool_(True)])
+def test_a_switch_that_is_no_bool_is_rejected_at_build(flag, value):
+    """build_detector(config, multitask="yes") used to build a detector
+    that detected, and that save_model wrote to a file load_model rejects."""
+    with pytest.raises(ValueError, match=f"^{flag} must be a bool"):
+        pipeline.build_detector(pipeline.TrainConfig(), **{flag: value})
+
+
+@pytest.mark.parametrize("rect_size", [64.0, True, "64", None])
+def test_a_rect_size_that_is_no_int_is_rejected_at_build(rect_size):
+    with pytest.raises(ValueError, match="^rect_size must be an int >= 6"):
+        make_detector(0, rect_size=rect_size)
+
+
 def test_skeleton_costs_no_memory_of_its_widths(tmp_path, model_bytes):
     """A rect_size of 1200 asks for a 138 MB rcnn.fc; the loader must reject
     the file without allocating it."""

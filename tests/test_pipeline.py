@@ -91,6 +91,13 @@ def test_detect_options_reject_an_unknown_suppression_mode():
         pipeline.DetectOptions(suppression="soft")
 
 
+@pytest.mark.parametrize("value", ["no", None, 1, np.bool_(True)])
+def test_detect_options_reject_a_use_roi_conv_that_is_no_bool(value):
+    """use_roi_conv="no" used to run the ROI path."""
+    with pytest.raises(ValueError, match="^use_roi_conv must be a bool"):
+        pipeline.DetectOptions(use_roi_conv=value)
+
+
 def test_detect_options_are_frozen():
     options = pipeline.DetectOptions()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -575,10 +582,12 @@ def test_verify_backward_through_warp_matches_central_differences():
 def test_candidate_step_matches_central_differences_of_the_verdict_loss(monkeypatch):
     """The last link of the joint chain: one positive cell's regression,
     decoded with POINT_SCALE into landmarks, fitted onto the canonical
-    layout, warped, verified and judged. With both supervision scales at 1,
-    _candidate_step's additions to d_point[:, i, j] and d_feat_extra[:, i, j]
-    are the verdict loss's gradients on state.point[:, i, j] and
-    state.feat[:, i, j]."""
+    layout, warped, verified and judged. With the step's one sampled cell
+    and both supervision scales at 1, what the joint step adds to
+    rpn_losses' d_point[:, i, j] and to d_feat_extra[:, i, j] before
+    rpn_backward are the verdict loss's gradients on state.point[:, i, j]
+    and state.feat[:, i, j]. The whole chain, to every parameter, is
+    test_joint_step_hands_sgd_the_central_differences_of_its_loss."""
     monkeypatch.setattr(pipeline, "WARP_SUPERVISION_SCALE", 1.0)
     monkeypatch.setattr(pipeline, "CONCAT_SUPERVISION_SCALE", 1.0)
     model = tiny_detector(SEED)
@@ -589,20 +598,31 @@ def test_candidate_step_matches_central_differences_of_the_verdict_loss(monkeypa
     # the cell regresses the face exactly, so the crop lands on it
     state.point[:, i, j] = targets.reg_targets[:, i, j]
 
-    def step():
+    reached = {}
+
+    def rpn_backward(rpn, state, d_score, d_point, d_feat_extra):
+        reached.update(d_point=d_point.copy(), d_feat=d_feat_extra.copy())
+        return []  # sgd_step is a no-op below
+
+    monkeypatch.setattr(pipeline, "rpn_forward", lambda *args: state)
+    monkeypatch.setattr(pipeline, "_sample_cells",
+                        lambda *args: (np.array([[i, j]]), np.array([1])))
+    monkeypatch.setattr(pipeline, "rpn_backward", rpn_backward)
+    monkeypatch.setattr(nn, "sgd_step", lambda *args: None)
+    _, history = pipeline.train_end_to_end(
+        [sample], model, pipeline.TrainConfig(epochs=1, seed=SEED))
+    assert history["singular_skips"] == 0
+    own_d_point = pipeline.rpn_losses(state, targets)[2]
+    d_point = (reached["d_point"] - own_d_point)[:, i, j]
+    d_feat = reached["d_feat"][:, i, j]
+
+    def verdict_loss():
         (lms,) = pipeline._decode_cells(state, [i], [j], model.multitask)
         transform = pipeline._candidate_transform(model, lms)
-        verify_grads = [np.zeros_like(p) for p in model.rcnn.params() + model.verdict.params()]
-        d_canonical = np.zeros_like(model.canonical.points)
-        d_point = np.zeros_like(state.point)
-        d_feat_extra = np.zeros_like(state.feat)
-        out = pipeline._candidate_step(
-            model, sample.image, (i, j), 1, lms, state.feat[:, i, j].copy(), transform,
-            verify_grads, d_canonical, d_point, d_feat_extra,
-        )
-        return out[0], d_point[:, i, j], d_feat_extra[:, i, j]
+        cache = pipeline.verify_forward(model, sample.image, transform,
+                                        state.feat[:, i, j].copy())
+        return nn.softmax_cross_entropy(cache.logits, 1)[0]
 
-    _, d_point, d_feat = step()
     for column, analytic, step_size in (
         (state.point[:, i, j], d_point, 1e-7),  # a landmark moves POINT_SCALE times as far
         (state.feat[:, i, j], d_feat, 1e-5),
@@ -611,9 +631,9 @@ def test_candidate_step_matches_central_differences_of_the_verdict_loss(monkeypa
         for k in range(column.size):
             orig = column[k]
             column[k] = orig + step_size
-            hi = step()[0]
+            hi = verdict_loss()
             column[k] = orig - step_size
-            lo = step()[0]
+            lo = verdict_loss()
             column[k] = orig
             numeric[k] = (hi - lo) / (2.0 * step_size)
         assert np.abs(analytic).max() > 1e-6

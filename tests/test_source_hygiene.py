@@ -3,8 +3,9 @@ makes: every name a module of the package, the tests or the benchmark
 imports is read by that module, every dataclass field and property the
 package defines is read as an attribute somewhere, every top-level
 function and class of the package is read by the package or the
-benchmark, and every option the package offers is set by a caller outside
-the unit tests. The checks only read the files."""
+benchmark, every option the package offers is set by a caller outside
+the unit tests, and no package function writes into its arguments. The
+checks only read the files."""
 
 import ast
 from pathlib import Path
@@ -26,6 +27,10 @@ OPTION_CALLERS = [*BENCH, ROOT / "tests" / "quality.py", ROOT / "tests" / "finge
 # The model file's writer and reader: the package's entry points for its
 # users, which neither the package nor the benchmark calls.
 ENTRY_POINTS = {"save_model", "load_model"}
+
+# The package's functions that write into an argument: the glyph renderers,
+# which exist to draw into the canvas they are handed.
+DRAWS_INTO = {"synthetic.render_face: canvas", "synthetic._render_clutter: canvas"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -224,3 +229,77 @@ def test_an_option_no_caller_sets_is_reported():
     )
     assert keywords_passed(source, OPTION_RECORDS) == {
         "TrainConfig.epochs", "DetectOptions.use_roi_conv"}
+
+
+def _written_names(target) -> list[str]:
+    """Names an assignment target writes into rather than binds: the
+    array under a subscript, through any chain of subscripts."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [n for elt in target.elts for n in _written_names(elt)]
+    if not isinstance(target, ast.Subscript):
+        return []
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return [target.id] if isinstance(target, ast.Name) else []
+
+
+def argument_writes(source: str) -> list[str]:
+    """function: parameter for every augmented assignment to a parameter
+    and every assignment to a subscript of one, in any function the module
+    defines, methods and nested functions included. A write through another
+    name bound to the same array is not seen."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        args = func.args
+        params = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg] if a is not None}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            written = [n for t in targets for n in _written_names(t)]
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                written.append(node.target.id)
+            found.update(f"{func.name}: {name}" for name in written if name in params)
+    return sorted(found)
+
+
+def test_no_package_function_writes_into_its_arguments():
+    """A function that adds into arrays its caller hands it splits one
+    computation over two places; the caller owns its arrays and writes
+    them itself."""
+    found = {
+        f"{path.stem}.{write}" for path in PACKAGE
+        for write in argument_writes(path.read_text())
+    }
+    assert found == DRAWS_INTO
+
+
+def test_a_write_into_an_argument_is_reported():
+    source = (
+        "def f(a, b, c, *rest, d, **kw):\n"
+        "    a += 1\n"
+        "    b[0] = 2\n"
+        "    c[1][2] -= 3\n"
+        "    x, rest[0] = 4, 5\n"
+        "    kw['k']: int = 6\n"
+        "    d = d + 1\n"
+        "    d.y = 7\n"
+        "    d.z[0] = 8\n"
+        "    for acc in b:\n"
+        "        acc += 9\n"
+        "    def g(e):\n"
+        "        e[:] = 0\n"
+        "        return e\n"
+        "    return g\n"
+        "class A:\n"
+        "    def m(self, v):\n"
+        "        v[...] *= 2\n"
+    )
+    assert argument_writes(source) == [
+        "f: a", "f: b", "f: c", "f: kw", "f: rest", "g: e", "m: v"]

@@ -193,6 +193,23 @@ class TestCorpusShape:
         assert "seed=13" in sample.provenance
 
 
+class TestCorpusArgumentRejections:
+    @pytest.mark.parametrize("name, value", [
+        ("seed", None), ("seed", -1), ("seed", 1.0), ("seed", True), ("seed", np.int64(1)),
+        ("count", -1), ("count", True), ("count", 2.0), ("count", None),
+    ])
+    def test_a_seed_or_count_that_is_no_int_from_0(self, name, value):
+        """count=-1 used to return an empty corpus and count=True one image;
+        seed=None drew a different corpus on every call."""
+        args = {"seed": 0, "count": 1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an int >= 0"):
+            generate_synthetic_corpus(**args)
+
+    def test_seed_and_count_0_are_accepted(self):
+        assert generate_synthetic_corpus(0, 0) == []
+        assert len(generate_synthetic_corpus(0, 1)) == 1
+
+
 class TestCorpusParamsRejections:
     def test_every_default_and_boundary_setting_constructs(self):
         CorpusParams()
@@ -205,6 +222,22 @@ class TestCorpusParamsRejections:
     def test_size_range_outside_0_lt_low_le_high(self, size_range):
         with pytest.raises(ValueError, match="size_range"):
             CorpusParams(size_range=size_range)
+
+    @pytest.mark.parametrize("size_range", [
+        (38.0, 64.0, 70.0), (64.0,), 64, 64.0, None, "ab", (38.0, "64"), (True, 64.0),
+    ])
+    def test_size_range_that_is_no_pair_of_numbers(self, size_range):
+        """A triple used to fail with "too many values to unpack", and a
+        bare number with an untyped TypeError."""
+        with pytest.raises(ValueError, match="^size_range must be a pair of numbers"):
+            CorpusParams(size_range=size_range)
+
+    def test_a_size_range_list_or_numpy_pair_draws_the_default_corpus(self):
+        want = generate_synthetic_corpus(5, 2)
+        for pair in ([38.0, 64.0], (np.float64(38.0), np.int64(64))):
+            got = generate_synthetic_corpus(5, 2, CorpusParams(size_range=pair))
+            for a, b in zip(got, want, strict=True):
+                assert a.image.tobytes() == b.image.tobytes()
 
     def test_a_face_wider_than_the_image_allows(self):
         """Its margin of 0.55 * size on each side leaves no room for the
