@@ -127,13 +127,13 @@ class DetectorModel:
     rcnn: RcnnNet
     verdict: FcLayer
     canonical: CanonicalShape
-    cascade: CascadeModel | None = None
-    multitask: bool = True
-    use_concat: bool = True
-    rect_size: int = 64
+    multitask: bool
+    use_concat: bool
+    rect_size: int
     # whether joint training sends the verdict loss through the warp into the
     # landmarks and trains the canonical shape
-    supervised_transform: bool = True
+    supervised_transform: bool
+    cascade: CascadeModel | None = None
 
     def params(self):
         ps = self.rpn.params() + self.rcnn.params() + self.verdict.params()

@@ -1,10 +1,15 @@
-"""Parametric synthetic face corpus.
+"""Synthetic face corpus.
 
 Each face is a soft-edged ellipse carrying two eye disks, a nose bar and a
 mouth bar, rendered at a random size, rotation and position over a noisy
 background with optional featureless clutter. Ground-truth boxes and the five
 landmarks (eye centers, nose tip, mouth corners) come straight from the
 render parameters, so every annotation is analytically exact.
+
+The recipe's values (face sizes, rotation, noise, levels, clutter, the
+face-free share) are module constants, read when a sample is drawn; a test
+that needs another value patches one. CorpusParams holds only the image
+side, the one value callers choose.
 
 Each glyph is drawn into the canvas view over its footprint, clipped to the
 canvas: for a face, the square of half-side 0.48 * size + FOOTPRINT_MARGIN
@@ -24,7 +29,6 @@ row plus one column, the same sums as over a full grid.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,46 +54,23 @@ ELLIPSE_AXES = (0.42, 0.48)
 # Pixels added around each glyph's extent on every side of its footprint.
 FOOTPRINT_MARGIN = 2.0
 
+SIZE_RANGE = (38.0, 64.0)  # face side in pixels, drawn uniformly
+ROTATION_DEG = 45.0        # in-plane rotation, drawn uniformly in +-this
+NOISE = 0.03               # standard deviation of the additive pixel noise
+BACKGROUND = 0.35          # mean background level
+FACE_CONTRAST = 0.35       # face level over the background; sets every glyph's gain
+MAX_CLUTTER = 3            # distractors per image, drawn uniformly in [0, this]
+NO_FACE_RATE = 0.0         # share of images drawn without a face
+
 
 @dataclass
 class CorpusParams:
     image_size: int = 96
-    size_range: tuple[float, float] = (38.0, 64.0)
-    rotation_deg: float = 45.0
-    noise: float = 0.03
-    background: float = 0.35
-    face_contrast: float = 0.35
-    max_clutter: int = 3
-    no_face_rate: float = 0.0
 
     def __post_init__(self):
-        """Reject, naming the field, what generate_sample cannot draw."""
-        pair = self.size_range
-        if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool) for v in pair)):
-            raise ValueError(f"size_range must be a pair of numbers, got {pair!r}")
-        low, high = pair
-        if not 0 < low <= high:
-            raise ValueError(f"size_range must hold 0 < low <= high, got {self.size_range}")
-        for name in ("image_size", "max_clutter"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not self.image_size >= 1.1 * high:  # a face keeps 0.55 * size off each side
-            raise ValueError(f"image_size {self.image_size} is under 1.1 * size_range[1]")
-        if not self.max_clutter >= 0:
-            raise ValueError(f"max_clutter must be >= 0, got {self.max_clutter}")
-        if self.max_clutter > 0 and self.image_size < 16:  # centers lie in [8, n - 8]
-            raise ValueError(f"image_size {self.image_size} is under 16 with clutter")
-        for name in ("rotation_deg", "noise", "background", "face_contrast"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.rotation_deg >= 0:
-            raise ValueError(f"rotation_deg must be >= 0, got {self.rotation_deg}")
-        if not self.noise >= 0:
-            raise ValueError(f"noise must be >= 0, got {self.noise}")
-        if not 0 <= self.no_face_rate <= 1:
-            raise ValueError(f"no_face_rate must lie in [0, 1], got {self.no_face_rate}")
+        """Reject, naming it, an image side that cannot hold the largest
+        face: a face keeps 0.55 * size off each side."""
+        check_int("image_size", self.image_size, int(np.ceil(1.1 * SIZE_RANGE[1])))
 
 
 @dataclass
@@ -144,9 +125,9 @@ def box_from_landmarks(landmarks) -> tuple[np.ndarray, np.ndarray]:
         return np.stack([ox - hw, oy - hh, 2 * hw, 2 * hh], axis=1), ok
 
 
-def _soft_edge(distance: np.ndarray, width: float = 0.9) -> np.ndarray:
-    """1 inside, 0 outside, linear ramp of `width` pixels at the boundary."""
-    return np.clip(distance / width + 0.5, 0.0, 1.0)
+def _soft_edge(distance: np.ndarray) -> np.ndarray:
+    """1 inside, 0 outside, linear ramp of 0.9 pixels at the boundary."""
+    return np.clip(distance / 0.9 + 0.5, 0.0, 1.0)
 
 
 def _bar(u, v, cx, cy, half_len, half_thick):
@@ -168,8 +149,7 @@ def _footprint(canvas: np.ndarray, center, half: float):
     return canvas[spans[0], spans[1]], xs, ys
 
 
-def render_face(canvas: np.ndarray, center, size: float, angle: float,
-                contrast: float = 0.35) -> None:
+def render_face(canvas: np.ndarray, center, size: float, angle: float) -> None:
     """Additively render one face glyph onto a 2-D canvas, inside its
     footprint."""
     canvas, xs, ys = _footprint(canvas, center, max(ELLIPSE_AXES) * size + FOOTPRINT_MARGIN)
@@ -181,20 +161,19 @@ def render_face(canvas: np.ndarray, center, size: float, angle: float,
     ax, ay = ELLIPSE_AXES[0] * size, ELLIPSE_AXES[1] * size
     rho = np.sqrt((u / ax) ** 2 + (v / ay) ** 2)
     face = _soft_edge((1.0 - rho) * min(ax, ay))
-    canvas += contrast * face
+    canvas += FACE_CONTRAST * face
 
     eye_r = 0.065 * size
     for ex, ey in (GLYPH_LANDMARKS[0], GLYPH_LANDMARKS[1]):
         d = np.hypot(u - ex * size, v - ey * size)
-        canvas -= 1.15 * contrast * _soft_edge(eye_r - d)
+        canvas -= 1.15 * FACE_CONTRAST * _soft_edge(eye_r - d)
     nx, ny = GLYPH_LANDMARKS[2] * size
-    canvas -= 0.55 * contrast * _bar(u, v, nx, ny, 0.045 * size, 0.10 * size)
+    canvas -= 0.55 * FACE_CONTRAST * _bar(u, v, nx, ny, 0.045 * size, 0.10 * size)
     my = GLYPH_LANDMARKS[3, 1] * size
-    canvas -= contrast * _bar(u, v, 0.0, my, 0.17 * size, 0.045 * size)
+    canvas -= FACE_CONTRAST * _bar(u, v, 0.0, my, 0.17 * size, 0.045 * size)
 
 
-def _render_clutter(canvas: np.ndarray, rng: np.random.Generator,
-                    face_box, contrast: float) -> None:
+def _render_clutter(canvas: np.ndarray, rng: np.random.Generator, face_box) -> None:
     """One featureless distractor (bare ellipse, dark disk, or bar) placed
     away from the face, drawn inside its footprint."""
     h, w = canvas.shape
@@ -215,45 +194,46 @@ def _render_clutter(canvas: np.ndarray, rng: np.random.Generator,
         a = size * rng.uniform(0.7, 1.0)
         b = size * rng.uniform(0.7, 1.0)
         rho = np.sqrt((dx / a) ** 2 + (dy / b) ** 2)
-        canvas += rng.uniform(0.6, 1.0) * contrast * _soft_edge((1 - rho) * min(a, b))
+        canvas += rng.uniform(0.6, 1.0) * FACE_CONTRAST * _soft_edge((1 - rho) * min(a, b))
     elif kind == 1:  # dark disk
         d = np.hypot(dx, dy)
-        canvas -= rng.uniform(0.5, 1.0) * contrast * _soft_edge(size * 0.4 - d)
+        canvas -= rng.uniform(0.5, 1.0) * FACE_CONTRAST * _soft_edge(size * 0.4 - d)
     else:  # bar
         angle = rng.uniform(0, np.pi)
         c, s = np.cos(angle), np.sin(angle)
         u = c * dx + s * dy
         v = -s * dx + c * dy
-        canvas += rng.uniform(-1.0, 1.0) * contrast * _bar(
+        canvas += rng.uniform(-1.0, 1.0) * FACE_CONTRAST * _bar(
             u, v, 0.0, 0.0, size * 0.6, size * 0.12
         )
 
 
 def generate_sample(rng: np.random.Generator, params: CorpusParams,
                     provenance: str = "") -> AnnotatedSample:
-    """Render one annotated image with params-driven randomness."""
+    """Render one annotated image of params.image_size pixels a side under
+    the module's recipe constants."""
     n = params.image_size
     line = np.arange(n, dtype=np.float64)
     gx, gy = rng.uniform(-0.06, 0.06, size=2)
-    canvas = (params.background + gx * (line / n - 0.5)) + gy * (line[:, None] / n - 0.5)
+    canvas = (BACKGROUND + gx * (line / n - 0.5)) + gy * (line[:, None] / n - 0.5)
 
     faces = []
     face_box = None
-    if rng.random() >= params.no_face_rate:
-        size = rng.uniform(*params.size_range)
-        angle = np.deg2rad(rng.uniform(-params.rotation_deg, params.rotation_deg))
+    if rng.random() >= NO_FACE_RATE:
+        size = rng.uniform(*SIZE_RANGE)
+        angle = np.deg2rad(rng.uniform(-ROTATION_DEG, ROTATION_DEG))
         margin = 0.55 * size
         cx = rng.uniform(margin, n - margin)
         cy = rng.uniform(margin, n - margin)
-        render_face(canvas, (cx, cy), size, angle, params.face_contrast)
+        render_face(canvas, (cx, cy), size, angle)
         face_box = glyph_box((cx, cy), size, angle)
         faces.append((face_box, glyph_landmarks((cx, cy), size, angle)))
 
-    for _ in range(rng.integers(0, params.max_clutter + 1)):
-        _render_clutter(canvas, rng, face_box, params.face_contrast)
+    for _ in range(rng.integers(0, MAX_CLUTTER + 1)):
+        _render_clutter(canvas, rng, face_box)
 
-    if params.noise > 0:
-        canvas = canvas + rng.normal(0.0, params.noise, size=canvas.shape)
+    if NOISE > 0:
+        canvas = canvas + rng.normal(0.0, NOISE, size=canvas.shape)
     return AnnotatedSample(canvas[None].copy(), faces, provenance)
 
 

@@ -1,10 +1,13 @@
 """Full-canvas reference forms of ``warpdet.synthetic``'s renderer, kept in
 the tests as oracles: every glyph and the background gradient are evaluated
 over a full np.mgrid of the canvas, so each glyph term is computed (and is
-exactly 0) at every pixel outside its footprint too."""
+exactly 0) at every pixel outside its footprint too. The recipe constants
+are read from ``warpdet.synthetic`` when a sample is drawn, so a test's
+patch reaches both the package and the oracle."""
 
 import numpy as np
 
+from warpdet import synthetic
 from warpdet.synthetic import (
     ELLIPSE_AXES,
     GLYPH_LANDMARKS,
@@ -16,9 +19,9 @@ from warpdet.synthetic import (
 )
 
 
-def render_face(canvas: np.ndarray, center, size: float, angle: float,
-                contrast: float = 0.35) -> None:
+def render_face(canvas: np.ndarray, center, size: float, angle: float) -> None:
     """Additively render one face glyph onto a 2-D canvas."""
+    contrast = synthetic.FACE_CONTRAST
     h, w = canvas.shape
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     dx = xs - center[0]
@@ -41,10 +44,10 @@ def render_face(canvas: np.ndarray, center, size: float, angle: float,
     canvas -= contrast * _bar(u, v, 0.0, my, 0.17 * size, 0.045 * size)
 
 
-def _render_clutter(canvas: np.ndarray, rng: np.random.Generator,
-                    face_box, contrast: float) -> None:
+def _render_clutter(canvas: np.ndarray, rng: np.random.Generator, face_box) -> None:
     """One featureless distractor (bare ellipse, dark disk, or bar) placed
     away from the face."""
+    contrast = synthetic.FACE_CONTRAST
     h, w = canvas.shape
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     for _ in range(10):
@@ -82,32 +85,32 @@ def background(rng: np.random.Generator, params) -> np.ndarray:
     n = params.image_size
     ys, xs = np.mgrid[0:n, 0:n].astype(np.float64)
     gx, gy = rng.uniform(-0.06, 0.06, size=2)
-    return params.background + gx * (xs / n - 0.5) + gy * (ys / n - 0.5)
+    return synthetic.BACKGROUND + gx * (xs / n - 0.5) + gy * (ys / n - 0.5)
 
 
 def generate_sample(rng: np.random.Generator, params,
                     provenance: str = "") -> AnnotatedSample:
-    """Render one annotated image with params-driven randomness."""
+    """Render one annotated image under synthetic's recipe constants."""
     n = params.image_size
     canvas = background(rng, params)
 
     faces = []
     face_box = None
-    if rng.random() >= params.no_face_rate:
-        size = rng.uniform(*params.size_range)
-        angle = np.deg2rad(rng.uniform(-params.rotation_deg, params.rotation_deg))
+    if rng.random() >= synthetic.NO_FACE_RATE:
+        size = rng.uniform(*synthetic.SIZE_RANGE)
+        angle = np.deg2rad(rng.uniform(-synthetic.ROTATION_DEG, synthetic.ROTATION_DEG))
         margin = 0.55 * size
         cx = rng.uniform(margin, n - margin)
         cy = rng.uniform(margin, n - margin)
-        render_face(canvas, (cx, cy), size, angle, params.face_contrast)
+        render_face(canvas, (cx, cy), size, angle)
         face_box = glyph_box((cx, cy), size, angle)
         faces.append((face_box, glyph_landmarks((cx, cy), size, angle)))
 
-    for _ in range(rng.integers(0, params.max_clutter + 1)):
-        _render_clutter(canvas, rng, face_box, params.face_contrast)
+    for _ in range(rng.integers(0, synthetic.MAX_CLUTTER + 1)):
+        _render_clutter(canvas, rng, face_box)
 
-    if params.noise > 0:
-        canvas = canvas + rng.normal(0.0, params.noise, size=canvas.shape)
+    if synthetic.NOISE > 0:
+        canvas = canvas + rng.normal(0.0, synthetic.NOISE, size=canvas.shape)
     return AnnotatedSample(canvas[None].copy(), faces, provenance)
 
 

@@ -1060,9 +1060,9 @@ def test_evaluate_ap_is_one_when_every_detection_matches_a_distinct_truth(images
 @pytest.fixture(scope="module")
 def prefilter_corpus():
     """Ten 96-px images, some of them face-free."""
-    return synthetic.generate_synthetic_corpus(
-        SEED, 10, synthetic.CorpusParams(no_face_rate=0.3)
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synthetic, "NO_FACE_RATE", 0.3)
+        return synthetic.generate_synthetic_corpus(SEED, 10)
 
 
 def test_harvest_crops_every_face_once_and_only_face_free_negatives(
@@ -1103,8 +1103,9 @@ def test_harvest_crops_every_face_once_and_only_face_free_negatives(
 def test_harvest_draws_every_negative_inside_a_small_image(monkeypatch):
     """On 64-px images a 36-72 px square can be wider than the image; each
     negative's side is capped so the box lies inside its image."""
+    monkeypatch.setattr(synthetic, "SIZE_RANGE", (20.0, 30.0))
     corpus = synthetic.generate_synthetic_corpus(
-        SEED, 8, synthetic.CorpusParams(image_size=64, size_range=(20.0, 30.0)))
+        SEED, 8, synthetic.CorpusParams(image_size=64))
     faces = {tuple(box) for sample in corpus for box, _ in sample.faces}
     negatives = []
     real_crop = pipeline.crop_patch
@@ -1123,9 +1124,10 @@ def test_harvest_draws_every_negative_inside_a_small_image(monkeypatch):
         assert 0 <= y and y + h <= image.shape[1]
 
 
-def test_harvest_leaves_the_slots_of_an_image_under_36_px_empty():
+def test_harvest_leaves_the_slots_of_an_image_under_36_px_empty(monkeypatch):
+    monkeypatch.setattr(synthetic, "SIZE_RANGE", (12.0, 16.0))
     corpus = synthetic.generate_synthetic_corpus(
-        SEED, 3, synthetic.CorpusParams(image_size=32, size_range=(12.0, 16.0)))
+        SEED, 3, synthetic.CorpusParams(image_size=32))
     pos, neg = pipeline.harvest_cascade_patches(corpus, np.random.default_rng(0))
     assert len(pos) == 3 and len(neg) == 0
 

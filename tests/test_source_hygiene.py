@@ -19,9 +19,10 @@ PACKAGE = sorted(Path(warpdet.__file__).parent.glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py"), *BENCH])
 
-# The package's option records, and the callers outside the unit tests that
-# choose among their values: the benchmark and the two scripts.
-OPTION_RECORDS = ("TrainConfig", "DetectOptions")
+# The package's option records (training's, detection's and the synthetic
+# corpus's), and the callers outside the unit tests that choose among their
+# values: the benchmark and the two scripts.
+OPTION_RECORDS = ("TrainConfig", "DetectOptions", "CorpusParams")
 OPTION_CALLERS = [*BENCH, ROOT / "tests" / "quality.py", ROOT / "tests" / "fingerprint.py"]
 
 # The model file's writer and reader: the package's entry points for its
