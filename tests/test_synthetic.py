@@ -385,3 +385,129 @@ class TestFootprintMatchesFullCanvasOracle:
             assert len(xs)
             assert np.abs(xs - center[0]).max() <= half - 1.0
             assert np.abs(ys - center[1]).max() <= half - 1.0
+
+
+def eye_frame(landmarks):
+    """The face side and the rotation in degrees that a glyph's eye centers
+    give: they lie level at zero rotation, one layout eye-gap times the side
+    apart."""
+    gap = np.hypot(*(GLYPH_LANDMARKS[1] - GLYPH_LANDMARKS[0]))
+    dx, dy = landmarks[1] - landmarks[0]
+    return np.hypot(dx, dy) / gap, np.degrees(np.arctan2(dy, dx))
+
+
+class TestRecipeConstants:
+    """generate_sample reads each recipe constant when it runs, and each
+    constant sets what its comment in synthetic says."""
+
+    def test_the_defaults_are_the_recipe_every_corpus_is_drawn_with(self):
+        assert synthetic.SIZE_RANGE == (38.0, 64.0)
+        assert (synthetic.ROTATION_DEG, synthetic.NOISE) == (45.0, 0.03)
+        assert (synthetic.BACKGROUND, synthetic.FACE_CONTRAST) == (0.35, 0.35)
+        assert (synthetic.MAX_CLUTTER, synthetic.NO_FACE_RATE) == (3, 0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("SIZE_RANGE", (20.0, 30.0)), ("ROTATION_DEG", 10.0), ("NOISE", 0.0),
+        ("BACKGROUND", 0.5), ("FACE_CONTRAST", 0.7), ("MAX_CLUTTER", 0),
+        ("NO_FACE_RATE", 0.5),
+    ])
+    def test_a_patched_constant_reaches_the_draw_and_the_oracle(self, name, value):
+        default = generate_synthetic_corpus(21, 4)
+        with recipe(**{name: value}):
+            got = generate_synthetic_corpus(21, 4)
+            assert_same_corpus(got, synthetic_oracles.generate_synthetic_corpus(
+                21, 4, CorpusParams()))
+        assert any(a.image.tobytes() != b.image.tobytes() for a, b in zip(got, default))
+
+    @pytest.mark.parametrize("size_range", [(20.0, 20.0), (10.0, 30.0), (38.0, 64.0)])
+    def test_face_sides_are_drawn_across_size_range(self, size_range):
+        with recipe(SIZE_RANGE=size_range, MAX_CLUTTER=0, NOISE=0.0):
+            corpus = generate_synthetic_corpus(5, 30)
+        sides = np.array([eye_frame(lms)[0] for s in corpus for _, lms in s.faces])
+        low, high = size_range
+        assert len(sides) == 30
+        assert sides.min() >= low - 1e-9 and sides.max() <= high + 1e-9
+        assert np.ptp(sides) >= 0.8 * (high - low)
+
+    @pytest.mark.parametrize("bound", [0.0, 10.0, 45.0, 90.0])
+    def test_rotations_are_drawn_within_plus_minus_rotation_deg(self, bound):
+        with recipe(ROTATION_DEG=bound, MAX_CLUTTER=0, NOISE=0.0):
+            corpus = generate_synthetic_corpus(6, 30)
+        angles = np.array([eye_frame(lms)[1] for s in corpus for _, lms in s.faces])
+        assert np.abs(angles).max() <= bound + 1e-9
+        assert angles.min() <= -0.8 * bound and angles.max() >= 0.8 * bound
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01, 0.03, 0.1])
+    def test_noise_is_the_deviation_of_the_pixel_noise(self, noise):
+        """The noise is a sample's last draw, so the first sample drawn under
+        NOISE = 0 is the same image without it."""
+        with recipe(NOISE=0.0):
+            clean = generate_synthetic_corpus(8, 1)[0].image
+        with recipe(NOISE=noise):
+            residual = generate_synthetic_corpus(8, 1)[0].image - clean
+        if noise == 0.0:
+            assert not residual.any()
+        else:
+            assert residual.std() == pytest.approx(noise, rel=0.05)
+            assert abs(residual.mean()) < 4 * noise / np.sqrt(residual.size)
+
+    @pytest.mark.parametrize("level", [0.0, 0.35, 0.8])
+    def test_a_bare_image_is_a_gentle_plane_through_the_background_level(self, level):
+        """Each side's gradient is drawn in +-0.06 over the image, centred on
+        its middle pixel."""
+        with recipe(BACKGROUND=level, NO_FACE_RATE=1.0, MAX_CLUTTER=0, NOISE=0.0):
+            image = generate_synthetic_corpus(9, 1)[0].image[0]
+        n = image.shape[0]
+        assert image[n // 2, n // 2] == level
+        assert np.abs(image - level).max() <= 0.06
+        for axis in (0, 1):
+            np.testing.assert_allclose(np.diff(image, 2, axis=axis), 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("glyph", ["face", 0, 1, 2])
+    def test_face_contrast_is_every_glyphs_gain(self, glyph):
+        """On a zero canvas, doubling FACE_CONTRAST doubles the face or
+        distractor of each kind, and 0 draws nothing."""
+        def draw():
+            canvas = np.zeros((80, 80))
+            if glyph == "face":
+                render_face(canvas, (40.0, 40.0), 50.0, 0.3)
+            else:
+                draws = distractor_draws(glyph, (40.0, 40.0), 25.0,
+                                         np.random.default_rng(glyph))
+                _render_clutter(canvas, ScriptedRng(draws), None)
+            return canvas
+
+        with recipe(FACE_CONTRAST=0.35):
+            base = draw()
+        with recipe(FACE_CONTRAST=0.7):
+            doubled = draw()
+        with recipe(FACE_CONTRAST=0.0):
+            blank = draw()
+        assert base.any() and not blank.any()
+        np.testing.assert_allclose(doubled, 2.0 * base, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("most", [0, 1, 3, 6])
+    def test_each_image_draws_0_to_max_clutter_distractors(self, monkeypatch, most):
+        calls = []
+        monkeypatch.setattr(synthetic, "_render_clutter",
+                            lambda canvas, rng, face_box: calls.append(face_box))
+        rng = np.random.default_rng(10)
+        counts = []
+        with recipe(MAX_CLUTTER=most, NOISE=0.0):
+            for _ in range(60):
+                before = len(calls)
+                sample = synthetic.generate_sample(rng, CorpusParams())
+                counts.append(len(calls) - before)
+                assert all(box is sample.faces[0][0] for box in calls[before:])
+        assert set(counts) == set(range(most + 1))
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.7])
+    def test_no_face_rate_is_the_face_free_share(self, rate):
+        with recipe(NO_FACE_RATE=rate, MAX_CLUTTER=0, NOISE=0.0):
+            corpus = generate_synthetic_corpus(12, 200, CorpusParams(image_size=71))
+        assert all(len(s.faces) <= 1 for s in corpus)
+        free = np.mean([not s.faces for s in corpus])
+        if rate == 0.0:
+            assert free == 0.0
+        else:
+            assert abs(free - rate) < 0.1
