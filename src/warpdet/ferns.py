@@ -6,10 +6,11 @@ score. Ferns are trained stagewise with RealBoost, every fern gets a soft
 rejection threshold, and a sliding-window scan over an image pyramid turns
 the cascade into a candidate generator; the pyramid's levels share one
 float64 plane, so each stage is one gather over the windows of all levels.
-Training scores each stage's whole candidate pool at once: one gather of
-pixel differences, one sort for the thresholds and, per class, one bincount
-for the per-partition weight sums of every candidate, each sum adding its
-partition's weights in sample order.
+Training reads one pixel-major copy of the patches and scores each stage's
+candidate pool in chunks that fit the convolutions' scratch budget: per
+chunk, one gather of pixel differences and one sort for the thresholds; then,
+per class, one bincount gives the per-partition weight sums of every
+candidate, each sum adding its partition's weights in sample order.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nn
 from .roiconv import MIN_FACE, resize_bilinear
 
 PATCH_SIZE = 32
@@ -121,16 +123,28 @@ def _draw_pool(rng, pixels, size):
     empirical pixel-difference distribution; each threshold is the order
     statistic np.quantile(method="inverted_cdf") takes, n*q - 1 rounded up
     (never below 0, as q > 0), so it depends only on the difference multiset.
+    The candidates are scored in chunks, each of at least one candidate,
+    whose (chunk, 8, n) differences take at most a third of
+    nn.IM2COL_BUDGET_BYTES, as their gather temporary and their sorted copy
+    are as large; each row is sorted and compared as in one whole-pool pass.
     Returns (coords (P, 8, 4), thresholds (P, 8), partitions (n, P))."""
     draws = [(rng.integers(0, PATCH_SIZE, size=(NUM_SPLITS, 4)),
               rng.uniform(0.05, 0.95, size=NUM_SPLITS)) for _ in range(size)]
     coords, qs = map(np.array, zip(*draws))
-    x1, y1, x2, y2 = np.moveaxis(coords, -1, 0)
-    diffs = pixels[y1 * PATCH_SIZE + x1]  # (P, 8, n): one row per test
-    diffs -= pixels[y2 * PATCH_SIZE + x2]
-    rank = np.ceil(diffs.shape[-1] * qs - 1).astype(np.intp)
-    thresholds = np.take_along_axis(np.sort(diffs), rank[..., None], axis=-1)[..., 0]
-    return coords, thresholds, _partitions(diffs.transpose(0, 2, 1), thresholds[:, None]).T
+    n = pixels.shape[1]
+    rank = np.ceil(n * qs - 1).astype(np.intp)
+    thresholds = np.empty((size, NUM_SPLITS))
+    partitions = np.empty((size, n), dtype=np.uint8)
+    chunk = max(1, nn.IM2COL_BUDGET_BYTES // (3 * NUM_SPLITS * n * pixels.itemsize))
+    for lo in range(0, size, chunk):
+        hi = lo + chunk
+        x1, y1, x2, y2 = np.moveaxis(coords[lo:hi], -1, 0)
+        diffs = pixels[y1 * PATCH_SIZE + x1]  # (chunk, 8, n): one row per test
+        diffs -= pixels[y2 * PATCH_SIZE + x2]
+        thresholds[lo:hi] = np.take_along_axis(
+            np.sort(diffs), rank[lo:hi, :, None], axis=-1)[..., 0]
+        partitions[lo:hi] = _partitions(diffs.transpose(0, 2, 1), thresholds[lo:hi, None])
+    return coords, thresholds, partitions.T
 
 
 def train_cascade(
@@ -155,12 +169,15 @@ def train_cascade(
     if positives.shape[1:] != (ps, ps) or negatives.shape[1:] != (ps, ps):
         raise ValueError(f"patches must be {ps}x{ps}")
 
-    rng = np.random.default_rng(seed)
-    patches = np.concatenate([positives, negatives], dtype=np.float64)
-    if not np.isfinite(patches).all():
+    if not (np.isfinite(positives).all() and np.isfinite(negatives).all()):
         raise ValueError("patches must be finite")
-    pixels = np.ascontiguousarray(patches.reshape(len(patches), -1).T)
-    n_pos, n = len(positives), len(patches)  # positives come first
+
+    rng = np.random.default_rng(seed)
+    n_pos, n = len(positives), len(positives) + len(negatives)
+    pixels = np.empty((ps * ps, n))  # pixel-major, positives first
+    planes = pixels.reshape(ps, ps, n)
+    planes[..., :n_pos] = np.moveaxis(positives, 0, -1)
+    planes[..., n_pos:] = np.moveaxis(negatives, 0, -1)
     signs = np.repeat([1.0, -1.0], [n_pos, n - n_pos])
     weights = np.full(n, 1.0 / n)
 

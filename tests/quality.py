@@ -5,7 +5,7 @@ Run from the repository root:
     python tests/quality.py [--images N] [--rpn-epochs N] [--joint-epochs N]
         [--seeds S ...] [--no-multitask] [--no-concat]
         [--no-supervised-transform] [--suppression MODE] [--reference] [--test]
-        [--out PATH]
+        [--jobs N] [--out PATH]
 
 For each init seed it trains a detector on the first --images images of the
 benchmark's set-up corpus (96 px, corpus seed 0): the proposal net for
@@ -19,6 +19,8 @@ which recipe choices are made; --test scores the benchmark's test images of
 workload seed 11 instead, which are only for reporting. --reference also
 scores ``tests/detect_oracles.detect``, which runs both nets in float64 as
 training does, beside ``pipeline.detect``, which runs them in float32.
+--jobs runs the seeds in N worker processes, each on one BLAS thread; the
+rows, their order and every number are those of --jobs 1.
 
 The table gives one row per seed, then the median and the minimum over the
 seeds; the last line is the run as one JSON object. --out also writes that
@@ -41,8 +43,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import multiprocessing  # noqa: E402
 import subprocess  # noqa: E402
 import time  # noqa: E402
+from concurrent.futures import ProcessPoolExecutor  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -75,9 +79,14 @@ def parse_args(argv=None):
                         help="also score the float64 reference detect")
     parser.add_argument("--test", action="store_true",
                         help="score the benchmark's test images, not the validation corpus")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes that train and score the seeds")
     parser.add_argument("--out", type=Path,
                         help="also write the JSON line, with its provenance, to this file")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    return args
 
 
 def git(*args) -> str:
@@ -104,6 +113,31 @@ def print_row(first, scores, forms):
     print(f"{first:>6} " + " ".join(cells))
 
 
+def score_seed(seed, run):
+    """Train one init seed's detector on the run's corpus and score it with
+    each of the run's detects; returns its row."""
+    args, corpus, samples, detects = run
+    config = pipeline.TrainConfig(epochs=args.joint_epochs, seed=seed)
+    model = pipeline.build_detector(
+        config, multitask=args.multitask, use_concat=args.use_concat,
+        supervised_transform=args.supervised_transform)
+    model, _ = pipeline.train_rpn(corpus, config, model, epochs=args.rpn_epochs)
+    model, _ = pipeline.train_end_to_end(corpus, model, config)
+    options = pipeline.DetectOptions(suppression=args.suppression)
+    return {"seed": seed, **{form: quality(samples, detect, model, options)
+                             for form, detect in detects.items()}}
+
+
+def scored_rows(run, seeds, jobs):
+    """Each seed's row, in seed order: scored in this process, or by a pool
+    of jobs spawned worker processes, each sent the run with its seed."""
+    if jobs == 1:
+        yield from (score_seed(seed, run) for seed in seeds)
+        return
+    with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+        yield from pool.map(score_seed, seeds, [run] * len(seeds))
+
+
 def main(argv=None):
     start = time.perf_counter()
     args = parse_args(argv)
@@ -120,25 +154,17 @@ def main(argv=None):
         workloads.held_out_seed(WORKLOAD_SEED, stream), workloads.DETECT_IMAGES,
         synthetic.CorpusParams(image_size=workloads.DETECT_IMAGE_SIZE),
     )
-    options = pipeline.DetectOptions(suppression=args.suppression)
     detects = {"float32": pipeline.detect}
     if args.reference:
         detects = {"float64": detect_oracles.detect, **detects}
-    variant = {"multitask": args.multitask, "use_concat": args.use_concat,
-               "supervised_transform": args.supervised_transform}
+    run = (args, corpus, samples, detects)
 
     print(f"{'seed':>6} " + " ".join(f"{label} f{form[-2:]}".rjust(len(label) + 4)
                                      for _, label, _ in METRICS for form in detects))
     rows = []
-    for seed in args.seeds:
-        config = pipeline.TrainConfig(epochs=args.joint_epochs, seed=seed)
-        model = pipeline.build_detector(config, **variant)
-        model, _ = pipeline.train_rpn(corpus, config, model, epochs=args.rpn_epochs)
-        model, _ = pipeline.train_end_to_end(corpus, model, config)
-        row = {form: quality(samples, detect, model, options)
-               for form, detect in detects.items()}
-        print_row(seed, row, detects)
-        rows.append({"seed": seed, **row})
+    for row in scored_rows(run, args.seeds, args.jobs):
+        print_row(row["seed"], row, detects)
+        rows.append(row)
     summary = {
         stat: {form: {key: float(reduce([row[form][key] for row in rows]))
                       for key, _, _ in METRICS} for form in detects}
@@ -147,7 +173,8 @@ def main(argv=None):
     for stat, scores in summary.items():
         print_row(stat, scores, detects)
     record = {"workload_seed": WORKLOAD_SEED, "stream": stream,
-              **{key: value for key, value in vars(args).items() if key != "out"},
+              **{key: value for key, value in vars(args).items()
+                 if key not in ("out", "jobs")},
               "rows": rows, **summary}
     print(json.dumps(record))
     if args.out is not None:

@@ -4,6 +4,7 @@ synthetic data, pooled training against the per-candidate oracle, soft-cascade
 early exit, and the sliding-window scan."""
 
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
@@ -21,9 +22,10 @@ from fern_oracles import (
     partition_scores,
     train_cascade_reference,
 )
-from warpdet import ferns
+from warpdet import ferns, nn
 from warpdet.ferns import (
     NUM_PARTITIONS,
+    NUM_SPLITS,
     PATCH_SIZE,
     SCAN_STRIDE,
     SMOOTHING_FRACTION,
@@ -219,6 +221,22 @@ class TestTrainCascade:
         with pytest.raises(ValueError):
             train_cascade(pos, np.zeros((0, 32, 32)), 1, 0)
 
+    def test_peak_memory_stays_near_one_copy_of_the_stacks(self):
+        """Training keeps one pixel-major copy of the stacks and scores the
+        pool in chunks; a concatenated copy beside it and the whole pool's
+        differences, gathered and sorted, took about three times the
+        stacks' bytes."""
+        rng = np.random.default_rng(0)
+        pos = rng.uniform(0.0, 1.0, size=(500, 32, 32))
+        neg = rng.uniform(0.0, 1.0, size=(1000, 32, 32))
+        tracemalloc.start()
+        try:
+            train_cascade(pos, neg, 2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (pos.nbytes + neg.nbytes) + 2**20
+
 
 class TestTrainCascadeArguments:
     @pytest.mark.parametrize("name, num_ferns, seed", [
@@ -261,10 +279,42 @@ def assert_same_cascade(a, b):
     assert losses_a.tobytes() == losses_b.tobytes()
 
 
-class TestPooledTrainingMatchesOracle:
-    """train_cascade scores a stage's whole candidate pool at once; the
-    per-candidate trainer in fern_oracles must produce the same bytes."""
+@contextmanager
+def pool_chunks(per_chunk, n):
+    """Score each candidate pool over n samples per_chunk candidates at a
+    time, or the whole pool at once when per_chunk is None, by the scratch
+    budget; yields the list of the chunk sizes scored."""
+    if per_chunk is None:
+        budget = sys.maxsize
+    elif per_chunk == 1:
+        budget = 0  # below one candidate's differences, which still get a chunk
+    else:
+        budget = per_chunk * 3 * NUM_SPLITS * n * 8
+    sizes = []
+    partitions = ferns._partitions
 
+    def counted(diffs, thresholds):
+        sizes.append(len(diffs))
+        return partitions(diffs, thresholds)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nn, "IM2COL_BUDGET_BYTES", budget)
+        patch.setattr(ferns, "_partitions", counted)
+        yield sizes
+
+
+def chunk_sizes(pool, per_chunk):
+    per_chunk = per_chunk or pool
+    return [min(per_chunk, pool - lo) for lo in range(0, pool, per_chunk)]
+
+
+class TestPooledTrainingMatchesOracle:
+    """train_cascade scores a stage's candidate pool in chunks; for one
+    candidate per chunk, an uneven split whose last chunk is short, and the
+    whole pool in one chunk, the per-candidate trainer in fern_oracles must
+    produce the same bytes."""
+
+    @pytest.mark.parametrize("per_chunk", [1, 7, None])
     @pytest.mark.parametrize(
         "n_pos, n_neg, duplicated, num_ferns, pool, seed",
         [
@@ -274,27 +324,32 @@ class TestPooledTrainingMatchesOracle:
             (40, 50, False, 6, 60, 0),    # a pool as large as the pre-filter's
         ],
     )
-    def test_byte_equal_cascades(self, n_pos, n_neg, duplicated, num_ferns, pool, seed):
+    def test_byte_equal_cascades(
+        self, n_pos, n_neg, duplicated, num_ferns, pool, seed, per_chunk
+    ):
         rng = np.random.default_rng(seed)
         pos, neg = separable_patches(rng, n_pos, n_neg, jitter=2)
         if duplicated:
             pos, neg = np.repeat(pos, 2, axis=0), np.repeat(neg, 2, axis=0)
         with recipe(pool=pool):
-            assert_same_cascade(
-                train_cascade(pos, neg, num_ferns, seed),
-                train_cascade_reference(pos, neg, num_ferns, seed),
-            )
+            with pool_chunks(per_chunk, len(pos) + len(neg)) as sizes:
+                pooled = train_cascade(pos, neg, num_ferns, seed)
+            assert sizes == chunk_sizes(pool, per_chunk) * num_ferns
+            assert_same_cascade(pooled, train_cascade_reference(pos, neg, num_ferns, seed))
 
+    @pytest.mark.parametrize("per_chunk", [1, 7, None])
     @pytest.mark.parametrize("n_pos, n_neg", [(5, 6), (37, 51)])
-    def test_every_pool_candidate_matches_the_oracle_draw(self, n_pos, n_neg):
+    def test_every_pool_candidate_matches_the_oracle_draw(self, n_pos, n_neg, per_chunk):
         """Coordinates and inverted-CDF thresholds of every candidate, not
         only the kept ones; at 11 samples the lowest quantiles take the
         minimum. The pool reads the pixel-major copy train_cascade keeps, the
         oracle the sample-major patches."""
         pos, neg = separable_patches(np.random.default_rng(n_pos), n_pos, n_neg)
         flat = np.concatenate([pos, neg]).reshape(n_pos + n_neg, -1)
-        coords, thresholds, parts = _draw_pool(
-            np.random.default_rng(9), np.ascontiguousarray(flat.T), 200)
+        with pool_chunks(per_chunk, n_pos + n_neg) as sizes:
+            coords, thresholds, parts = _draw_pool(
+                np.random.default_rng(9), np.ascontiguousarray(flat.T), 200)
+        assert sizes == chunk_sizes(200, per_chunk)
         oracle_rng = np.random.default_rng(9)
         for c in range(200):
             want_coords, want_thresholds = fern_oracles._draw_candidate(

@@ -1,12 +1,15 @@
 """The newest quality ledger entry, ``QUALITY_<n>.json`` at the repository
 root, is one complete run of ``tests/quality.py --out`` at the reference
 scale on the validation corpus. The checks read the file and re-derive its
-summary from its rows; one more runs the script's ``main`` at a tiny scale,
-so its training and scoring calls are exercised too."""
+summary from its rows; two more run the script's ``main`` at a tiny scale,
+so its training and scoring calls are exercised too, in this process and in
+a pool of workers."""
 
+import io
 import json
 import re
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +43,7 @@ def entry():
 def test_records_its_provenance_and_the_command_that_wrote_it(quality, entry):
     args = vars(quality.parse_args(entry["argv"]))
     assert args.pop("out").name == LEDGERS[-1].name
+    args.pop("jobs")
     assert set(entry) == {*args, "workload_seed", "stream", "rows", "median", "min",
                           "commit", "modified", "argv", "numpy", "wall_s"}
     assert {key: entry[key] for key in args} == args
@@ -86,19 +90,45 @@ def test_rows_are_scores_per_seed_and_the_summary_is_their_median_and_min(
     check_rows_and_summary(quality, entry)
 
 
-def test_main_trains_scores_and_prints_the_run_as_its_last_line(quality, capsys):
-    """Two seeds at the smallest scale, with the box head and NMS, which
-    keep it to a few seconds; without --out, which reads git."""
-    argv = ["--images", "8", "--seeds", "0", "1", "--rpn-epochs", "1",
-            "--joint-epochs", "1", "--no-multitask", "--suppression", "nms"]
-    quality.main(argv)
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 6  # header, two seeds, median, min, JSON
-    record = json.loads(lines[-1])
-    args = vars(quality.parse_args(argv))
+# Two seeds at the smallest scale, with the box head and NMS, which keep it to
+# a few seconds; without --out, which reads git.
+TINY_ARGV = ["--images", "8", "--seeds", "0", "1", "--rpn-epochs", "1",
+             "--joint-epochs", "1", "--no-multitask", "--suppression", "nms"]
+
+
+def printed_lines(quality, argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        quality.main(argv)
+    return out.getvalue().splitlines()
+
+
+@pytest.fixture(scope="module")
+def tiny_run(quality):
+    return printed_lines(quality, TINY_ARGV)
+
+
+def test_main_trains_scores_and_prints_the_run_as_its_last_line(quality, tiny_run):
+    assert len(tiny_run) == 6  # header, two seeds, median, min, JSON
+    record = json.loads(tiny_run[-1])
+    args = vars(quality.parse_args(TINY_ARGV))
     assert args.pop("out") is None
+    args.pop("jobs")
     assert set(record) == {*args, "workload_seed", "stream", "rows", "median", "min"}
     assert {key: record[key] for key in args} == args
     assert (record["workload_seed"], record["stream"]) == (
         quality.WORKLOAD_SEED, quality.VALIDATION_STREAM)
     check_rows_and_summary(quality, record)
+
+
+def test_a_pool_of_workers_prints_the_same_run(quality, tiny_run):
+    """The seeds' rows come back in seed order with every number of the
+    in-process run, and the printed table and record are the same."""
+    assert printed_lines(quality, [*TINY_ARGV, "--jobs", "2"]) == tiny_run
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_fewer_than_one_job_is_rejected(quality, jobs, capsys):
+    with pytest.raises(SystemExit):
+        quality.parse_args(["--jobs", jobs])
+    assert "--jobs must be >= 1" in capsys.readouterr().err
