@@ -5,7 +5,7 @@ Run from the repository root:
     python tests/quality.py [--images N] [--rpn-epochs N] [--joint-epochs N]
         [--seeds S ...] [--no-multitask] [--no-concat]
         [--no-supervised-transform] [--suppression MODE] [--reference] [--test]
-        [--jobs N] [--out PATH]
+        [--out PATH]
 
 For each init seed it trains a detector on the first --images images of the
 benchmark's set-up corpus (96 px, corpus seed 0): the proposal net for
@@ -19,8 +19,9 @@ which recipe choices are made; --test scores the benchmark's test images of
 workload seed 11 instead, which are only for reporting. --reference also
 scores ``tests/detect_oracles.detect``, which runs both nets in float64 as
 training does, beside ``pipeline.detect``, which runs them in float32.
---jobs runs the seeds in N worker processes, each on one BLAS thread; the
-rows, their order and every number are those of --jobs 1.
+The seeds run in a pool of worker processes, one per seed up to the host's
+CPUs, each on one BLAS thread, or in this process on a one-CPU host; the
+rows, their order and every number do not depend on the pool.
 
 The table gives one row per seed, then the median and the minimum over the
 seeds; the last line is the run as one JSON object. --out also writes that
@@ -79,14 +80,9 @@ def parse_args(argv=None):
                         help="also score the float64 reference detect")
     parser.add_argument("--test", action="store_true",
                         help="score the benchmark's test images, not the validation corpus")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes that train and score the seeds")
     parser.add_argument("--out", type=Path,
                         help="also write the JSON line, with its provenance, to this file")
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    return args
+    return parser.parse_args(argv)
 
 
 def git(*args) -> str:
@@ -128,9 +124,11 @@ def score_seed(seed, run):
                              for form, detect in detects.items()}}
 
 
-def scored_rows(run, seeds, jobs):
-    """Each seed's row, in seed order: scored in this process, or by a pool
-    of jobs spawned worker processes, each sent the run with its seed."""
+def scored_rows(run, seeds):
+    """Each seed's row, in seed order: scored by a pool of spawned worker
+    processes, one per seed up to the host's CPUs, each sent the run with its
+    seed, or in this process when that is one."""
+    jobs = min(len(seeds), os.cpu_count() or 1)
     if jobs == 1:
         yield from (score_seed(seed, run) for seed in seeds)
         return
@@ -162,7 +160,7 @@ def main(argv=None):
     print(f"{'seed':>6} " + " ".join(f"{label} f{form[-2:]}".rjust(len(label) + 4)
                                      for _, label, _ in METRICS for form in detects))
     rows = []
-    for row in scored_rows(run, args.seeds, args.jobs):
+    for row in scored_rows(run, args.seeds):
         print_row(row["seed"], row, detects)
         rows.append(row)
     summary = {
@@ -173,8 +171,7 @@ def main(argv=None):
     for stat, scores in summary.items():
         print_row(stat, scores, detects)
     record = {"workload_seed": WORKLOAD_SEED, "stream": stream,
-              **{key: value for key, value in vars(args).items()
-                 if key not in ("out", "jobs")},
+              **{key: value for key, value in vars(args).items() if key != "out"},
               "rows": rows, **summary}
     print(json.dumps(record))
     if args.out is not None:

@@ -2,8 +2,8 @@
 root, is one complete run of ``tests/quality.py --out`` at the reference
 scale on the validation corpus. The checks read the file and re-derive its
 summary from its rows; two more run the script's ``main`` at a tiny scale,
-so its training and scoring calls are exercised too, in this process and in
-a pool of workers."""
+so its training and scoring calls are exercised too, as on a one-CPU host in
+this process and as on a four-CPU host in a pool of one worker per seed."""
 
 import io
 import json
@@ -43,7 +43,6 @@ def entry():
 def test_records_its_provenance_and_the_command_that_wrote_it(quality, entry):
     args = vars(quality.parse_args(entry["argv"]))
     assert args.pop("out").name == LEDGERS[-1].name
-    args.pop("jobs")
     assert set(entry) == {*args, "workload_seed", "stream", "rows", "median", "min",
                           "commit", "modified", "argv", "numpy", "wall_s"}
     assert {key: entry[key] for key in args} == args
@@ -96,24 +95,35 @@ TINY_ARGV = ["--images", "8", "--seeds", "0", "1", "--rpn-epochs", "1",
              "--joint-epochs", "1", "--no-multitask", "--suppression", "nms"]
 
 
-def printed_lines(quality, argv):
-    out = io.StringIO()
-    with redirect_stdout(out):
-        quality.main(argv)
-    return out.getvalue().splitlines()
+def printed_lines(quality, cpus):
+    """The tiny run's printed lines and the sizes of the worker pools it
+    started, as main runs on a host of cpus CPUs."""
+    out, pools = io.StringIO(), []
+    executor = quality.ProcessPoolExecutor
+
+    def counted(jobs, **kwargs):
+        pools.append(jobs)
+        return executor(jobs, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(out):
+        patch.setattr(quality.os, "cpu_count", lambda: cpus)
+        patch.setattr(quality, "ProcessPoolExecutor", counted)
+        quality.main(TINY_ARGV)
+    return out.getvalue().splitlines(), pools
 
 
 @pytest.fixture(scope="module")
 def tiny_run(quality):
-    return printed_lines(quality, TINY_ARGV)
+    return printed_lines(quality, 1)
 
 
 def test_main_trains_scores_and_prints_the_run_as_its_last_line(quality, tiny_run):
-    assert len(tiny_run) == 6  # header, two seeds, median, min, JSON
-    record = json.loads(tiny_run[-1])
+    lines, pools = tiny_run
+    assert pools == []  # one CPU: the seeds run in this process
+    assert len(lines) == 6  # header, two seeds, median, min, JSON
+    record = json.loads(lines[-1])
     args = vars(quality.parse_args(TINY_ARGV))
     assert args.pop("out") is None
-    args.pop("jobs")
     assert set(record) == {*args, "workload_seed", "stream", "rows", "median", "min"}
     assert {key: record[key] for key in args} == args
     assert (record["workload_seed"], record["stream"]) == (
@@ -122,13 +132,9 @@ def test_main_trains_scores_and_prints_the_run_as_its_last_line(quality, tiny_ru
 
 
 def test_a_pool_of_workers_prints_the_same_run(quality, tiny_run):
-    """The seeds' rows come back in seed order with every number of the
-    in-process run, and the printed table and record are the same."""
-    assert printed_lines(quality, [*TINY_ARGV, "--jobs", "2"]) == tiny_run
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_fewer_than_one_job_is_rejected(quality, jobs, capsys):
-    with pytest.raises(SystemExit):
-        quality.parse_args(["--jobs", jobs])
-    assert "--jobs must be >= 1" in capsys.readouterr().err
+    """Four CPUs start one worker per seed; the seeds' rows come back in
+    seed order with every number of the in-process run, and the printed
+    table and record are the same."""
+    lines, pools = printed_lines(quality, 4)
+    assert pools == [2]
+    assert lines == tiny_run[0]
