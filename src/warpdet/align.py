@@ -163,17 +163,17 @@ def similarity_from_pose(
     scale: float, angle: float, src_center, dst_center
 ) -> SimilarityTransform:
     """Transform whose inverse map is: scale * rotate(angle) about dst_center,
-    then translate to src_center. `scale` is source pixels per rectified pixel."""
+    then translate to src_center. `scale` is source pixels per rectified pixel.
+    A scale at which norm_sq = a^2 + b^2, the inverse map's divisor,
+    underflows to 0 or overflows raises SingularTransformError."""
     if scale <= 0:
         raise ValueError("scale must be positive")
-    return SimilarityTransform(
-        a=float(np.cos(angle)) / scale,
-        b=float(np.sin(angle)) / scale,
-        m_x=float(src_center[0]),
-        m_y=float(src_center[1]),
-        m_xr=float(dst_center[0]),
-        m_yr=float(dst_center[1]),
-    )
+    t = SimilarityTransform(float(np.cos(angle)) / scale, float(np.sin(angle)) / scale,
+                            float(src_center[0]), float(src_center[1]),
+                            float(dst_center[0]), float(dst_center[1]))
+    if not 0.0 < t.norm_sq < np.inf:
+        raise SingularTransformError(f"scale {scale:g} gives a^2 + b^2 = {t.norm_sq:g}")
+    return t
 
 
 def inverse_offsets(a, b, u, v):

@@ -6,6 +6,8 @@ score. Ferns are trained stagewise with RealBoost, every fern gets a soft
 rejection threshold, and a sliding-window scan over an image pyramid turns
 the cascade into a candidate generator; the pyramid's levels share one
 float64 plane, so each stage is one gather over the windows of all levels.
+A CascadeModel holds its ferns as stacked arrays, row f for stage f, as the
+model file stores them.
 Training reads one pixel-major copy of the patches and scores each stage's
 candidate pool in chunks that fit the convolutions' scratch budget: per
 chunk, one gather of pixel differences and one sort for the thresholds; then,
@@ -16,6 +18,7 @@ candidate, each sum adding its partition's weights in sample order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,31 +57,12 @@ def _partition_sums(partitions: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return sums.reshape(cols, NUM_PARTITIONS)
 
 
-@dataclass
-class Fern:
-    """Eight pixel-difference splits plus one score per bit partition."""
+class Fern(NamedTuple):
+    """One stage of a CascadeModel: a row of each of its fern arrays."""
 
-    coords: np.ndarray      # (8, 4) int: x1, y1, x2, y2 in patch coordinates
-    thresholds: np.ndarray  # (8,) float
-    scores: np.ndarray      # (256,) float
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=np.int64)
-        self.thresholds = np.asarray(self.thresholds, dtype=np.float64)
-        self.scores = np.asarray(self.scores, dtype=np.float64)
-        if self.coords.shape != (NUM_SPLITS, 4):
-            raise ValueError(f"coords must be (8, 4), got {self.coords.shape}")
-        if self.thresholds.shape != (NUM_SPLITS,):
-            raise ValueError(f"thresholds must be (8,), got {self.thresholds.shape}")
-        if self.scores.shape != (NUM_PARTITIONS,):
-            raise ValueError(f"scores must be (256,), got {self.scores.shape}")
-
-    def validate_coords(self) -> None:
-        if self.coords.min() < 0 or self.coords.max() >= PATCH_SIZE:
-            raise ValueError(
-                f"split coordinates outside [0, {PATCH_SIZE}): "
-                f"{self.coords.min()}..{self.coords.max()}"
-            )
+    coords: np.ndarray      # (8, 4) int64: x1, y1, x2, y2 in patch coordinates
+    thresholds: np.ndarray  # (8,) float64
+    scores: np.ndarray      # (256,) float64
 
 
 def _partitions(diffs: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -99,21 +83,40 @@ def _half_log_odds(pos: np.ndarray, neg: np.ndarray, weights: np.ndarray) -> np.
 
 @dataclass
 class CascadeModel:
-    """Ordered ferns with one soft rejection threshold per fern."""
+    """F fern stages as stacked arrays, row f for stage f, each with one soft
+    rejection threshold."""
 
     patch_size = PATCH_SIZE  # side of the square window every fern reads
-    ferns: list[Fern]
-    stage_thresholds: np.ndarray
+    coords: np.ndarray            # (F, 8, 4) int64: x1, y1, x2, y2 in patch coordinates
+    thresholds: np.ndarray        # (F, 8) float64 split thresholds
+    scores: np.ndarray            # (F, 256) float64 partition scores
+    stage_thresholds: np.ndarray  # (F,) float64
     train_log: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.coords = np.asarray(self.coords, dtype=np.int64)
+        self.thresholds = np.asarray(self.thresholds, dtype=np.float64)
+        self.scores = np.asarray(self.scores, dtype=np.float64)
         self.stage_thresholds = np.asarray(self.stage_thresholds, dtype=np.float64)
-        if not self.ferns:
+        f = self.coords.shape[0] if self.coords.ndim else 0
+        if f == 0:
             raise ValueError("a cascade needs at least one fern")
-        if self.stage_thresholds.shape != (len(self.ferns),):
+        if self.stage_thresholds.shape != (f,):
             raise ValueError("one stage threshold per fern required")
-        for fern in self.ferns:
-            fern.validate_coords()
+        for name, shape in (("coords", (f, NUM_SPLITS, 4)), ("thresholds", (f, NUM_SPLITS)),
+                            ("scores", (f, NUM_PARTITIONS))):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must be {shape}, got {getattr(self, name).shape}")
+        if self.coords.min() < 0 or self.coords.max() >= PATCH_SIZE:
+            raise ValueError(
+                f"split coordinates outside [0, {PATCH_SIZE}): "
+                f"{self.coords.min()}..{self.coords.max()}"
+            )
+
+    @property
+    def ferns(self) -> list[Fern]:
+        """Each stage's row of coords, thresholds and scores, as views."""
+        return [Fern(*row) for row in zip(self.coords, self.thresholds, self.scores)]
 
 
 def _draw_pool(rng, pixels, size):
@@ -181,8 +184,8 @@ def train_cascade(
     signs = np.repeat([1.0, -1.0], [n_pos, n - n_pos])
     weights = np.full(n, 1.0 / n)
 
-    ferns: list[Fern] = []
-    thresholds = np.empty(num_ferns)
+    chosen = []  # (coords, thresholds, scores) of each stage's fern
+    stage_thresholds = np.empty(num_ferns)
     cumulative = np.zeros(n)
     stage_losses = []
     allowed_rejects = int(np.floor((1.0 - STAGE_DETECTION_TARGET) * n_pos))
@@ -197,22 +200,20 @@ def train_cascade(
                 f"degenerate fern pool at stage {stage}: best candidate keeps "
                 "all samples in one partition"
             )
-        fern = Fern(coords[best].copy(), threshs[best].copy(),
-                    _half_log_odds(pos_sums[best], neg_sums[best], weights))
-        ferns.append(fern)
+        fern_scores = _half_log_odds(pos_sums[best], neg_sums[best], weights)
+        chosen.append((coords[best].copy(), threshs[best].copy(), fern_scores))
 
-        sample_scores = fern.scores[parts[:, best]]
+        sample_scores = fern_scores[parts[:, best]]
         weights = weights * np.exp(-signs * sample_scores)
         total = weights.sum()
         stage_losses.append(total)
         weights = weights / total
 
         cumulative = cumulative + sample_scores
-        thresholds[stage] = np.sort(cumulative[:n_pos])[min(allowed_rejects, n_pos - 1)]
+        stage_thresholds[stage] = np.sort(cumulative[:n_pos])[min(allowed_rejects, n_pos - 1)]
 
-    return CascadeModel(
-        ferns, thresholds, train_log={"stage_partition_losses": stage_losses}
-    )
+    return CascadeModel(*map(np.array, zip(*chosen)), stage_thresholds,
+                        train_log={"stage_partition_losses": stage_losses})
 
 
 def scan_levels(image: np.ndarray):
@@ -262,14 +263,16 @@ def scan(image: np.ndarray, model: CascadeModel) -> np.ndarray:
     h, w = image.shape
     scores = np.zeros(origins.size)
     alive = np.arange(origins.size)
-    for stage, fern in enumerate(model.ferns):
+    x1, y1, x2, y2 = np.moveaxis(model.coords, -1, 0)
+    stages = zip(y1 * pitch + x1, y2 * pitch + x2, model.thresholds, model.scores,
+                 model.stage_thresholds)
+    for first, second, thresholds, fern_scores, stage_threshold in stages:
         if alive.size == 0:
             break
-        x1, y1, x2, y2 = fern.coords.T
         base = origins[alive, None]
-        diffs = plane[base + (y1 * pitch + x1)] - plane[base + (y2 * pitch + x2)]
-        scores[alive] += fern.scores[_partitions(diffs, fern.thresholds)]
-        alive = alive[scores[alive] >= model.stage_thresholds[stage]]
+        diffs = plane[base + first] - plane[base + second]
+        scores[alive] += fern_scores[_partitions(diffs, thresholds)]
+        alive = alive[scores[alive] >= stage_threshold]
     row, x0 = np.divmod(origins[alive], pitch)
     top, lh, lw = levels[np.searchsorted(levels[:, 0], row, side="right") - 1].T
     return np.column_stack([x0 * w / lw - 0.5, (row - top) * h / lh - 0.5,

@@ -11,17 +11,17 @@ A model file (format 4) is one container of named arrays:
 - a UTF-8 JSON header {"flags": {...}, "arrays": [[name, dtype, shape], ...]};
 - the raw little-endian bytes of each array, in header order.
 
-Array names are attribute paths ("rpn.score_head.filters", "rcnn.fc.weight",
-"canonical.points"); the fern cascade is stored as stacked arrays
-("cascade.coords" (F, 8, 4) int64, "cascade.scores" (F, 256), ...). Every
+Every array name is an attribute path ("rpn.score_head.filters",
+"canonical.points", "cascade.coords", "cascade.stage_thresholds"). Every
 array is "<f8" except the "<i8" cascade.coords, and none is read through
 pickle. Round trips are bit-exact. The loader takes the layer widths from the
 leading extents of the conv filters and rcnn.fc.weight, builds a skeleton
-from them and the flags, and requires the file's array names and shapes to
-equal the skeleton's. It raises ModelFormatError on a corrupt header, a file
-cut short or running on past its last array, an array listed twice, a
-non-finite array, flags create_detector rejects, arrays unlike the skeleton's,
-or canonical points that coincide, onto which no candidate could be aligned.
+from them, the flags and the file's cascade arrays, and requires the file's
+array names and shapes to equal the skeleton's. It raises ModelFormatError on
+a corrupt header, a file cut short or running on past its last array, an
+array listed twice, a non-finite array, flags create_detector or cascade
+arrays CascadeModel rejects, arrays unlike the skeleton's, or canonical
+points that coincide, onto which no candidate could be aligned.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from operator import attrgetter
 import numpy as np
 
 from .align import CANONICAL_MARGIN, CanonicalShape, estimate_similarity
-from .ferns import CascadeModel, Fern, check_int
+from .ferns import CascadeModel, check_int
 from .nn import ConvSpec, uniform_init
 from .synthetic import GLYPH_LANDMARKS
 
@@ -57,6 +57,7 @@ CONV_GEOMETRY = {
 _FC_ROLES = ("rcnn.fc", "verdict")
 _BOOL_FLAGS = ("multitask", "use_concat", "supervised_transform")
 _FLAGS = _BOOL_FLAGS + ("rect_size",)
+_CASCADE_ARRAYS = ("coords", "thresholds", "scores", "stage_thresholds")
 
 
 class ModelFormatError(ValueError):
@@ -216,11 +217,8 @@ def _named_arrays(model: DetectorModel) -> dict[str, np.ndarray]:
         arrays[role + ".bias"] = layer.bias
     arrays["canonical.points"] = model.canonical.points
     if model.cascade is not None:
-        for attr in ("coords", "thresholds", "scores"):
-            arrays["cascade." + attr] = np.array(
-                [getattr(fern, attr) for fern in model.cascade.ferns]
-            )
-        arrays["cascade.stage_thresholds"] = model.cascade.stage_thresholds
+        for attr in _CASCADE_ARRAYS:
+            arrays["cascade." + attr] = getattr(model.cascade, attr)
     return arrays
 
 
@@ -301,17 +299,6 @@ def _parse_model(buf: bytes) -> DetectorModel:
     flags = header["flags"]
     if sorted(flags) != sorted(_FLAGS):
         raise ModelFormatError(f"model flags {sorted(flags)}, expected {sorted(_FLAGS)}")
-    cascade = None
-    if "cascade.coords" in arrays:
-        parts = zip(
-            arrays.pop("cascade.coords"),
-            arrays.pop("cascade.thresholds"),
-            arrays.pop("cascade.scores"),
-            strict=True,
-        )
-        cascade = CascadeModel(
-            [Fern(*p) for p in parts], arrays.pop("cascade.stage_thresholds")
-        )
     model = create_detector(
         _ShapeOnly(),
         [len(arrays[f"rpn.conv{i}.filters"]) for i in (1, 2, 3)],
@@ -319,6 +306,8 @@ def _parse_model(buf: bytes) -> DetectorModel:
         len(arrays["rcnn.fc.weight"]),
         **flags,
     )
+    if "cascade.coords" in arrays:
+        model.cascade = CascadeModel(*(arrays["cascade." + attr] for attr in _CASCADE_ARRAYS))
     expected = {name: a.shape for name, a in _named_arrays(model).items()}
     found = {name: a.shape for name, a in arrays.items()}
     if found != expected:
@@ -331,6 +320,5 @@ def _parse_model(buf: bytes) -> DetectorModel:
         setattr(attrgetter(owner)(model), attr, a)
     # a coincident layout raises SingularTransformError, a ValueError
     estimate_similarity(model.canonical.points, model.canonical.points)
-    model.cascade = cascade
     return model
 

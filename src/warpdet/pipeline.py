@@ -341,7 +341,8 @@ def l2_normalize_backward(d_out: np.ndarray, x: np.ndarray, norm: float):
 def crop_transform(box, rect_size: int):
     """Axis-aligned crop of a box's bounding square onto the rectified grid.
     Raises SingularTransformError when that square's side is not finite and
-    positive."""
+    positive, or is so large or small that the similarity's a^2 + b^2
+    underflows to 0 or overflows."""
     x, y, w, h = box
     side = max(w, h)
     if not 0.0 < side < np.inf:

@@ -26,10 +26,6 @@ from .nn import (ConvSpec, ShapeError, _conv_product, _filters_matrix, _padded_i
 # Smallest face the downstream network resolves; octave k covers sizes
 # [MIN_FACE * 2^k, 2 * MIN_FACE * 2^k).
 MIN_FACE = 36
-# group_candidates' floor. The fern scan's finest level is lw = round(w * 32 /
-# 36) >= 32 px wide, so its 32-px window spans 32 * w / lw >= 36 * (1 - 0.5 /
-# 32) image px; a side that rounding shrank below MIN_FACE still counts.
-MIN_CANDIDATE_SIDE = MIN_FACE * (1 - 0.5 / 32)
 # Largest mask footprint side: the receptive field of one proposal cell.
 DEFAULT_RF_CAP = 85
 # octave_levels' rule: at most MAX_LEVELS octaves, no side under MIN_LEVEL_SIDE px.
@@ -63,17 +59,14 @@ class RoiMask:
 def group_candidates(candidates) -> list[tuple[int, np.ndarray]]:
     """Bucket boxes into scale octaves by their larger side, in one pass:
     (octave k, (M, 4) float64 boxes) pairs in octave order, rows in input
-    order, from [x, y, w, h, ...] rows such as the pre-filter scan's. Boxes
-    under MIN_CANDIDATE_SIDE (35.4375 px, the smallest window side on the
-    fern scan's finest level) are discarded; every other box lands in octave
-    max(0, floor(log2(side / 36))): within [36, 72) px at scale 2^-k, or in
-    octave 0 for a side in [35.4375, 36)."""
+    order, from [x, y, w, h, ...] rows such as the pre-filter scan's. Each
+    box lands in octave max(0, floor(log2(side / 36))): within [36, 72) px
+    at scale 2^-k, or in octave 0 for a smaller side, such as a window of the
+    fern scan's finest level whose width rounding shrank below 36 px."""
     if len(candidates) == 0:
         return []
     boxes = np.asarray(candidates, dtype=np.float64)[:, :4]
     side = boxes[:, 2:].max(axis=1)
-    kept = side >= MIN_CANDIDATE_SIDE
-    boxes, side = boxes[kept], side[kept]
     octaves = np.maximum(np.floor(np.log2(side / MIN_FACE)), 0.0)
     return [(int(k), boxes[octaves == k]) for k in np.unique(octaves)]
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from warpdet import pipeline, synthetic
-from warpdet.ferns import NUM_PARTITIONS, NUM_SPLITS, PATCH_SIZE, CascadeModel, Fern
+from warpdet.ferns import NUM_PARTITIONS, NUM_SPLITS, PATCH_SIZE, CascadeModel
 from warpdet.model import create_detector
 
 TINY_SEED = 5
@@ -72,17 +72,23 @@ def rel_err(analytic, numeric):
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def open_cascade(rng, n_ferns=4):
-    """Random ferns whose stage thresholds let every window through."""
-    ferns = [
-        Fern(
+def random_fern_arrays(rng, n_ferns):
+    """Stacked coords, thresholds and scores of n_ferns random ferns, drawn
+    one fern at a time."""
+    rows = [
+        (
             rng.integers(0, PATCH_SIZE, size=(NUM_SPLITS, 4)),
             rng.standard_normal(NUM_SPLITS),
             rng.standard_normal(NUM_PARTITIONS),
         )
         for _ in range(n_ferns)
     ]
-    return CascadeModel(ferns, np.full(n_ferns, -1e9))
+    return [np.array(stack) for stack in zip(*rows)]
+
+
+def open_cascade(rng, n_ferns=4):
+    """Random ferns whose stage thresholds let every window through."""
+    return CascadeModel(*random_fern_arrays(rng, n_ferns), np.full(n_ferns, -1e9))
 
 
 def make_detector(seed, rpn_channels=pipeline.RPN_CHANNELS,

@@ -14,7 +14,6 @@ from warpdet.ferns import (
     SCAN_STRIDE,
     SMOOTHING_FRACTION,
     CascadeModel,
-    Fern,
     TrainingError,
     _half_log_odds,
     _partition_sums,
@@ -22,11 +21,12 @@ from warpdet.ferns import (
 from warpdet.roiconv import MIN_FACE
 
 
-def fern_index(patch: np.ndarray, fern: Fern) -> int:
-    """Scalar oracle of ferns._partitions: partition index of one patch;
-    bit i is set when p(x1_i, y1_i) - p(x2_i, y2_i) < threshold_i."""
-    x1, y1, x2, y2 = fern.coords.T
-    bits = (patch[y1, x1] - patch[y2, x2]) < fern.thresholds
+def fern_index(patch: np.ndarray, coords: np.ndarray, thresholds: np.ndarray) -> int:
+    """Scalar oracle of ferns._partitions: partition index of one patch under
+    one fern's (8, 4) split coordinates and (8,) thresholds; bit i is set
+    when p(x1_i, y1_i) - p(x2_i, y2_i) < threshold_i."""
+    x1, y1, x2, y2 = coords.T
+    bits = (patch[y1, x1] - patch[y2, x2]) < thresholds
     return int(bits @ (1 << np.arange(NUM_SPLITS)))
 
 
@@ -44,9 +44,10 @@ def cascade_score(patch: np.ndarray, model: CascadeModel, early_exit: bool = Tru
         )
     score = 0.0
     rejected_at = None
-    for stage, fern in enumerate(model.ferns):
-        score += fern.scores[fern_index(patch, fern)]
-        if score < model.stage_thresholds[stage]:
+    stages = zip(model.coords, model.thresholds, model.scores, model.stage_thresholds)
+    for stage, (coords, thresholds, scores, stage_threshold) in enumerate(stages):
+        score += scores[fern_index(patch, coords, thresholds)]
+        if score < stage_threshold:
             if early_exit:
                 return score, stage
             if rejected_at is None:
@@ -127,11 +128,13 @@ def _bucket_sums(partitions: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _indices_flat(patches_flat: np.ndarray, fern: Fern, patch_size: int) -> np.ndarray:
-    """Partition indices for (B, patch_size*patch_size) flattened patches."""
-    x1, y1, x2, y2 = fern.coords.T
+def _indices_flat(patches_flat: np.ndarray, coords: np.ndarray, thresholds: np.ndarray,
+                  patch_size: int) -> np.ndarray:
+    """Partition indices for (B, patch_size*patch_size) flattened patches
+    under one fern's split coordinates and thresholds."""
+    x1, y1, x2, y2 = coords.T
     diffs = patches_flat[:, y1 * patch_size + x1] - patches_flat[:, y2 * patch_size + x2]
-    bits = diffs < fern.thresholds
+    bits = diffs < thresholds
     return bits @ (1 << np.arange(NUM_SPLITS))
 
 
@@ -217,8 +220,10 @@ def train_cascade_reference(
     n = len(patches)
     weights = np.full(n, 1.0 / n)
 
-    ferns: list[Fern] = []
-    thresholds = np.empty(num_ferns)
+    coords = np.empty((num_ferns, NUM_SPLITS, 4), dtype=np.int64)
+    thresholds = np.empty((num_ferns, NUM_SPLITS))
+    scores = np.empty((num_ferns, NUM_PARTITIONS))
+    stage_thresholds = np.empty(num_ferns)
     cumulative = np.zeros(n)
     stage_losses = []
     n_pos = len(positives)
@@ -227,25 +232,23 @@ def train_cascade_reference(
     for stage in range(num_ferns):
         best = None
         for _ in range(warpdet.ferns.CANDIDATE_POOL):
-            coords, threshs = _draw_candidate(rng, flat, ps)
-            cand = Fern(coords, threshs, np.zeros(NUM_PARTITIONS))
-            parts = _indices_flat(flat, cand, ps)
+            cand = _draw_candidate(rng, flat, ps)
+            parts = _indices_flat(flat, *cand, ps)
             pos_sums = _bucket_sums(parts[labels == 1], weights[labels == 1])
             neg_sums = _bucket_sums(parts[labels == 0], weights[labels == 0])
             error = np.sqrt(pos_sums * neg_sums).sum()
             occupied = int(np.count_nonzero(pos_sums + neg_sums))
             if best is None or error < best[0]:
                 best = (error, cand, parts, occupied)
-        error, fern, parts, occupied = best
+        error, (coords[stage], thresholds[stage]), parts, occupied = best
         if occupied <= 1:
             raise TrainingError(
                 f"degenerate fern pool at stage {stage}: best candidate keeps "
                 "all samples in one partition"
             )
-        fern.scores = partition_scores_reference(parts, labels, weights)
-        ferns.append(fern)
+        scores[stage] = partition_scores_reference(parts, labels, weights)
 
-        sample_scores = fern.scores[parts]
+        sample_scores = scores[stage][parts]
         weights = weights * np.exp(-signs * sample_scores)
         total = weights.sum()
         stage_losses.append(total)
@@ -253,8 +256,7 @@ def train_cascade_reference(
 
         cumulative = cumulative + sample_scores
         pos_sorted = np.sort(cumulative[labels == 1])
-        thresholds[stage] = pos_sorted[min(allowed_rejects, n_pos - 1)]
+        stage_thresholds[stage] = pos_sorted[min(allowed_rejects, n_pos - 1)]
 
-    return CascadeModel(
-        ferns, thresholds, train_log={"stage_partition_losses": stage_losses}
-    )
+    return CascadeModel(coords, thresholds, scores, stage_thresholds,
+                        train_log={"stage_partition_losses": stage_losses})

@@ -7,7 +7,8 @@ Run from the repository root:
 The parts are:
 
 - setup models: set-up training of the full model and of the three ablation
-  variants (parameters and training histories);
+  variants (parameters and training histories), on the benchmark's set-up
+  recipe (the SETUP_* constants of ``bench/workloads.py``);
 - cascade: the fern pre-filter trained on the set-up corpus (every fern's
   coordinates, thresholds and scores, the stage thresholds and the training
   log);
@@ -37,7 +38,8 @@ from pathlib import Path
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import copy  # noqa: E402
 import hashlib  # noqa: E402
@@ -45,13 +47,10 @@ import tempfile  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import workloads  # noqa: E402
 from warpdet import pipeline, synthetic  # noqa: E402
 from warpdet.model import load_model, save_model  # noqa: E402
 
-SEED = 0
-SETUP_IMAGES = 60
-RPN_EPOCHS = 2
-FERNS = 40
 DETECT_IMAGES = 6
 JOINT_STEPS = 5
 VARIANTS = ({"multitask": False}, {"use_concat": False},
@@ -62,7 +61,8 @@ DETECT_RUNS = ("dense", "roi", "nms", "none")
 
 def trained(corpus, config, **variant):
     model = pipeline.build_detector(config, **variant)
-    model, rpn_history = pipeline.train_rpn(corpus, config, model, epochs=RPN_EPOCHS)
+    model, rpn_history = pipeline.train_rpn(corpus, config, model,
+                                            epochs=workloads.SETUP_RPN_EPOCHS)
     model, joint_history = pipeline.train_end_to_end(corpus, model, config)
     return model, [rpn_history, joint_history["epochs"], joint_history["singular_skips"]]
 
@@ -91,8 +91,8 @@ def update_model(digest, model):
 
 
 def update_cascade(digest, cascade):
-    for fern in cascade.ferns:
-        for array in (fern.coords, fern.thresholds, fern.scores):
+    for row in zip(cascade.coords, cascade.thresholds, cascade.scores):
+        for array in row:
             digest.update(array.tobytes())
     digest.update(cascade.stage_thresholds.tobytes())
     digest.update(cascade.patch_size.to_bytes(4, "little"))
@@ -113,8 +113,8 @@ def fingerprint() -> list[tuple[str, str]]:
     """(part, hex digest) pairs, the overall digest after the parts, then
     one digest per detect run."""
     parts = {name: hashlib.sha256() for name in PARTS}
-    corpus = synthetic.generate_synthetic_corpus(SEED, SETUP_IMAGES)
-    config = pipeline.TrainConfig(epochs=1, seed=SEED)
+    corpus = synthetic.generate_synthetic_corpus(workloads.SETUP_SEED, workloads.SETUP_IMAGES)
+    config = pipeline.TrainConfig(epochs=1, seed=workloads.SETUP_SEED)
 
     setup = parts["setup models"]
     model, history = trained(corpus, config)
@@ -125,12 +125,13 @@ def fingerprint() -> list[tuple[str, str]]:
         update_model(setup, variant_model)
         setup.update(repr(history).encode())
 
-    model.cascade = pipeline.train_prefilter(corpus, num_ferns=FERNS, seed=SEED)
+    model.cascade = pipeline.train_prefilter(corpus, num_ferns=workloads.SETUP_FERNS,
+                                             seed=workloads.SETUP_SEED)
     update_cascade(parts["cascade"], model.cascade)
     model = round_trip(model)
 
     held = synthetic.generate_synthetic_corpus(
-        SEED + 1, DETECT_IMAGES, synthetic.CorpusParams(image_size=160)
+        workloads.SETUP_SEED + 1, DETECT_IMAGES, synthetic.CorpusParams(image_size=160)
     )
     roi_model = copy.copy(model)
     roi_model.cascade = open_cascade(model.cascade)
@@ -147,7 +148,7 @@ def fingerprint() -> list[tuple[str, str]]:
             update_detections(parts["detect runs"], detections)
             update_detections(run_digests[name], detections)
 
-    steps = synthetic.generate_synthetic_corpus(SEED + 2, JOINT_STEPS)
+    steps = synthetic.generate_synthetic_corpus(workloads.SETUP_SEED + 2, JOINT_STEPS)
     stepped = copy.deepcopy(model)
     for sample in steps:
         _, history = pipeline.train_end_to_end([sample], stepped, config)

@@ -8,7 +8,6 @@ import conv_oracles
 from warpdet.roiconv import (
     DEFAULT_RF_CAP,
     MAX_LEVELS,
-    MIN_CANDIDATE_SIDE,
     MIN_FACE,
     MIN_LEVEL_SIDE,
 )
@@ -16,13 +15,10 @@ from warpdet.roiconv import (
 
 def group_candidates(candidates):
     """(octave, list of (x, y, w, h)) pairs in octave order, from boxes given
-    one at a time; boxes under MIN_CANDIDATE_SIDE are discarded, and those
-    under MIN_FACE join octave 0."""
+    one at a time; boxes under MIN_FACE join octave 0."""
     groups = {}
     for x, y, w, h in candidates:
         size = max(w, h)
-        if size < MIN_CANDIDATE_SIDE:
-            continue
         k = max(0, int(np.floor(np.log2(size / MIN_FACE))))
         groups.setdefault(k, []).append((x, y, w, h))
     return sorted(groups.items())

@@ -410,6 +410,13 @@ class TestInverseMap:
             back = inverse_map(t, canon)
             assert np.max(np.abs(back - lms)) < 1e-6
 
+    @pytest.mark.parametrize("scale", [1e217, 1e-200, np.inf, np.nan])
+    def test_a_scale_whose_divisor_under_or_overflows_is_singular(self, scale):
+        """At 1e217 source px per rectified px a^2 + b^2 underflows to 0, at
+        1e-200 it overflows; either way the inverse map would divide by it."""
+        with pytest.raises(SingularTransformError, match="a\\^2 \\+ b\\^2"):
+            similarity_from_pose(scale, 0.3, (0.0, 0.0), (31.5, 31.5))
+
 
 class TestWarp:
     def test_identity_reproduces_source(self, rng):

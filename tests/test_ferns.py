@@ -6,7 +6,7 @@ early exit, and the sliding-window scan."""
 import sys
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fern_oracles
-from conftest import open_cascade
+from conftest import open_cascade, random_fern_arrays
 from fern_oracles import (
     cascade_score,
     fern_index,
@@ -54,9 +54,8 @@ def bitwise_index_reference(patch, coords, thresholds):
 
 
 def make_fern(rng, patch_size=32):
-    coords = rng.integers(0, patch_size, size=(8, 4))
-    thresholds = rng.uniform(-0.5, 0.5, size=8)
-    return Fern(coords, thresholds, np.zeros(256))
+    """One fern's random (8, 4) split coordinates and (8,) thresholds."""
+    return rng.integers(0, patch_size, size=(8, 4)), rng.uniform(-0.5, 0.5, size=8)
 
 
 def separable_patches(rng, n_pos, n_neg, contrast=0.6, noise=0.1, jitter=0):
@@ -91,54 +90,83 @@ def training_error(model, pos, neg):
 
 class TestFernIndex:
     def test_constant_patch_positive_thresholds(self, rng):
-        fern = make_fern(rng)
-        fern.thresholds = np.full(8, 0.25)
-        assert fern_index(np.full((32, 32), 0.7), fern) == 255
+        coords, _ = make_fern(rng)
+        assert fern_index(np.full((32, 32), 0.7), coords, np.full(8, 0.25)) == 255
 
     def test_constant_patch_negative_thresholds(self, rng):
-        fern = make_fern(rng)
-        fern.thresholds = np.full(8, -0.25)
-        assert fern_index(np.full((32, 32), 0.7), fern) == 0
+        coords, _ = make_fern(rng)
+        assert fern_index(np.full((32, 32), 0.7), coords, np.full(8, -0.25)) == 0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_bitwise_reference(self, seed):
         rng = np.random.default_rng(seed)
         patch = rng.random((32, 32))
         fern = make_fern(rng)
-        assert fern_index(patch, fern) == bitwise_index_reference(
-            patch, fern.coords, fern.thresholds
-        )
+        assert fern_index(patch, *fern) == bitwise_index_reference(patch, *fern)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 7))
     def test_flipping_one_split_moves_index_by_its_power(self, seed, bit):
         rng = np.random.default_rng(seed)
         patch = rng.random((32, 32))
-        fern = make_fern(rng)
-        base = fern_index(patch, fern)
-        x1, y1, x2, y2 = fern.coords[bit]
+        coords, thresholds = make_fern(rng)
+        base = fern_index(patch, coords, thresholds)
+        x1, y1, x2, y2 = coords[bit]
         diff = patch[y1, x1] - patch[y2, x2]
         # move the threshold to the other side of the observed difference
-        flipped = fern.thresholds.copy()
-        flipped[bit] = diff - 1.0 if diff < fern.thresholds[bit] else diff + 1.0
-        other = Fern(fern.coords, flipped, fern.scores)
-        assert abs(fern_index(patch, other) - base) == 2**bit
+        flipped = thresholds.copy()
+        flipped[bit] = diff - 1.0 if diff < thresholds[bit] else diff + 1.0
+        assert abs(fern_index(patch, coords, flipped) - base) == 2**bit
 
-    def test_out_of_range_coords_rejected(self, rng):
-        fern = make_fern(rng)
-        fern.coords[0, 0] = 32
-        with pytest.raises(ValueError):
-            CascadeModel([fern], np.zeros(1))
+    @pytest.mark.parametrize("value", [32, -1])
+    def test_out_of_range_coords_rejected(self, rng, value):
+        coords, thresholds, scores = random_fern_arrays(rng, 2)
+        coords[1, 3, 2] = value
+        with pytest.raises(ValueError, match="split coordinates outside"):
+            CascadeModel(coords, thresholds, scores, np.zeros(2))
 
     @pytest.mark.parametrize("columns", [1, 2])
     def test_stage_thresholds_of_another_shape_rejected(self, rng, columns):
-        ferns = [make_fern(rng) for _ in range(3)]
         with pytest.raises(ValueError, match="one stage threshold per fern"):
-            CascadeModel(ferns, np.zeros((3, columns)))
+            CascadeModel(*random_fern_arrays(rng, 3), np.zeros((3, columns)))
 
     def test_empty_cascade_rejected(self):
         with pytest.raises(ValueError, match="at least one fern"):
-            CascadeModel([], np.zeros(0))
+            CascadeModel(np.zeros((0, NUM_SPLITS, 4), dtype=np.int64),
+                         np.zeros((0, NUM_SPLITS)), np.zeros((0, NUM_PARTITIONS)), np.zeros(0))
+
+    @pytest.mark.parametrize("name, shape", [
+        ("thresholds", (2, NUM_SPLITS)), ("scores", (2, NUM_PARTITIONS)),
+        ("coords", (3, NUM_SPLITS, 3)), ("thresholds", (3, NUM_SPLITS - 1)),
+        ("scores", (3, NUM_PARTITIONS + 1)), ("coords", (3, NUM_SPLITS * 4)),
+    ], ids=["thresholds_of_2_ferns", "scores_of_2_ferns", "coords_of_3_values",
+            "7_thresholds", "257_scores", "flat_coords"])
+    def test_fern_arrays_of_another_shape_rejected(self, rng, name, shape):
+        """Each fern array has one row per stage threshold, and each row the
+        shape of one fern's array."""
+        arrays = dict(zip(("coords", "thresholds", "scores"), random_fern_arrays(rng, 3)))
+        arrays[name] = np.zeros(shape, dtype=arrays[name].dtype)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            CascadeModel(**arrays, stage_thresholds=np.zeros(3))
+
+    def test_arrays_take_their_dtypes_and_ferns_views_their_rows(self, rng):
+        """Coordinates become int64 and the rest float64; ferns, which
+        bench/workloads.model_arrays reads, gives each stage's rows."""
+        coords, thresholds, scores = random_fern_arrays(rng, 3)
+        cascade = CascadeModel(coords.astype(np.int32), thresholds.astype(np.float32),
+                               scores, [0, 1, 2])
+        assert cascade.coords.dtype == np.int64 and cascade.stage_thresholds.dtype == np.float64
+        assert cascade.thresholds.dtype == cascade.scores.dtype == np.float64
+        assert Fern._fields == ("coords", "thresholds", "scores")
+        assert len(cascade.ferns) == 3
+        for f, fern in enumerate(cascade.ferns):
+            assert type(fern) is Fern
+            for attr in Fern._fields:
+                view = getattr(fern, attr)
+                assert view.base is getattr(cascade, attr)
+                assert np.array_equal(view, getattr(cascade, attr)[f])
+        with pytest.raises(AttributeError):
+            cascade.ferns = []
 
 
 class TestPartitionScores:
@@ -191,8 +219,7 @@ class TestTrainCascade:
             a = train_cascade(pos, neg, 6, 2)
             b = train_cascade(pos, neg, 6, 2)
         np.testing.assert_array_equal(a.stage_thresholds, b.stage_thresholds)
-        for fa, fb in zip(a.ferns, b.ferns):
-            np.testing.assert_array_equal(fa.scores, fb.scores)
+        np.testing.assert_array_equal(a.scores, b.scores)
 
     def test_exponential_loss_non_increasing(self, rng):
         pos, neg = separable_patches(rng, 80, 100)
@@ -257,7 +284,7 @@ class TestTrainCascadeArguments:
         pos, neg = separable_patches(rng, 10, 12)
         with recipe(pool=1):
             model = train_cascade(pos, neg, 1, 0)
-        assert len(model.ferns) == 1
+        assert len(model.stage_thresholds) == 1
 
 
 def test_the_window_side_is_the_constant_not_a_field():
@@ -268,12 +295,9 @@ def test_the_window_side_is_the_constant_not_a_field():
 
 def assert_same_cascade(a, b):
     """Byte equality of every trained array and of the stage losses."""
-    assert len(a.ferns) == len(b.ferns)
-    for fa, fb in zip(a.ferns, b.ferns):
-        for attr in ("coords", "thresholds", "scores"):
-            x, y = getattr(fa, attr), getattr(fb, attr)
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), attr
-    assert a.stage_thresholds.tobytes() == b.stage_thresholds.tobytes()
+    for attr in ("coords", "thresholds", "scores", "stage_thresholds"):
+        x, y = getattr(a, attr), getattr(b, attr)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), attr
     losses_a = np.array(a.train_log["stage_partition_losses"])
     losses_b = np.array(b.train_log["stage_partition_losses"])
     assert losses_a.tobytes() == losses_b.tobytes()
@@ -357,8 +381,8 @@ class TestPooledTrainingMatchesOracle:
             )
             assert coords[c].tobytes() == want_coords.tobytes()
             assert thresholds[c].tobytes() == want_thresholds.tobytes()
-            fern = Fern(want_coords, want_thresholds, np.zeros(NUM_PARTITIONS))
-            assert np.array_equal(parts[:, c], fern_oracles._indices_flat(flat, fern, 32))
+            assert np.array_equal(parts[:, c], fern_oracles._indices_flat(
+                flat, want_coords, want_thresholds, 32))
 
     @pytest.mark.parametrize("varying_row", [False, True])
     def test_degenerate_pool_raises_at_the_same_stage(self, varying_row):
@@ -446,14 +470,16 @@ class TestCascadeScore:
         score, rejected_at = cascade_score(pos[0], cascade)
         if rejected_at is None:
             full = sum(
-                fern.scores[fern_index(pos[0], fern)] for fern in cascade.ferns
+                scores[fern_index(pos[0], coords, thresholds)]
+                for coords, thresholds, scores in zip(cascade.coords, cascade.thresholds,
+                                                      cascade.scores)
             )
             assert score == pytest.approx(full)
 
     def test_early_reject_costs_one_stage(self, model):
         cascade, _, _ = model
         # craft thresholds that reject everything immediately
-        strict = CascadeModel(cascade.ferns, np.full(len(cascade.ferns), 1e9))
+        strict = replace(cascade, stage_thresholds=np.full(len(cascade.stage_thresholds), 1e9))
         _, rejected_at = cascade_score(np.zeros((32, 32)), strict)
         assert rejected_at == 0
 
@@ -469,8 +495,9 @@ class TestCascadeScore:
             else:
                 # the early-exit score is the cumulative prefix at rejection
                 prefix = 0.0
-                for fern in cascade.ferns[: r_fast + 1]:
-                    prefix += fern.scores[fern_index(patch, fern)]
+                for f in range(r_fast + 1):
+                    prefix += cascade.scores[f, fern_index(patch, cascade.coords[f],
+                                                           cascade.thresholds[f])]
                 assert s_fast == pytest.approx(prefix)
 
 
@@ -514,7 +541,7 @@ class TestScan:
         if offset is None:
             cascade = open_cascade(rng)
         else:
-            cascade = CascadeModel(trained.ferns, trained.stage_thresholds + offset)
+            cascade = replace(trained, stage_thresholds=trained.stage_thresholds + offset)
         img = planted_plane(rng, shape)
         got = scan(img, cascade)
         want = fern_oracles.scan(img, cascade)
@@ -534,7 +561,7 @@ class TestScan:
         """No window survives a cascade whose first stage rejects all, and
         an image below one window at the first level has no level."""
         opened = open_cascade(rng)
-        closed = CascadeModel(opened.ferns, np.full(len(opened.ferns), 1e9))
+        closed = replace(opened, stage_thresholds=np.full(len(opened.stage_thresholds), 1e9))
         empty = scan(rng.random(shape), closed)
         assert empty.shape == (0, 5) and empty.dtype == np.float64
 

@@ -10,22 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_detector
+from conftest import make_detector, random_fern_arrays
 from warpdet import pipeline
-from warpdet.ferns import NUM_PARTITIONS, NUM_SPLITS, CascadeModel, Fern
+from warpdet.ferns import NUM_PARTITIONS, NUM_SPLITS, CascadeModel
 from warpdet.model import FORMAT_VERSION, MAGIC, ModelFormatError, load_model, save_model
 
 
 def _cascade(rng, n_ferns=3):
-    ferns = [
-        Fern(
-            rng.integers(0, 32, size=(NUM_SPLITS, 4)),
-            rng.standard_normal(NUM_SPLITS),
-            rng.standard_normal(NUM_PARTITIONS),
-        )
-        for _ in range(n_ferns)
-    ]
-    return CascadeModel(ferns, rng.standard_normal(n_ferns))
+    return CascadeModel(*random_fern_arrays(rng, n_ferns), rng.standard_normal(n_ferns))
 
 
 @pytest.fixture(scope="module")
@@ -66,11 +58,25 @@ def test_round_trip_is_bit_exact(tmp_path, rng, supervised_transform):
     assert (loaded.multitask, loaded.use_concat) == (False, False)
     assert loaded.rect_size == model.rect_size
     assert loaded.cascade.patch_size == model.cascade.patch_size
-    assert np.array_equal(loaded.cascade.stage_thresholds, model.cascade.stage_thresholds)
-    for a, b in zip(model.cascade.ferns, loaded.cascade.ferns, strict=True):
-        assert np.array_equal(a.coords, b.coords)
-        assert np.array_equal(a.thresholds, b.thresholds)
-        assert np.array_equal(a.scores, b.scores)
+    for attr in ("coords", "thresholds", "scores", "stage_thresholds"):
+        a, b = getattr(model.cascade, attr), getattr(loaded.cascade, attr)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), attr
+
+
+def test_the_cascade_closes_the_file_in_its_format_4_layout(model_bytes):
+    """The cascade's four arrays end the header and the body in this order,
+    with these dtypes and shapes, as format 4 has always stored them."""
+    header, body = _split(model_bytes)
+    cascade = _cascade(np.random.default_rng(42))  # the fixture's
+    assert header["arrays"][-4:] == [
+        ["cascade.coords", "<i8", [3, NUM_SPLITS, 4]],
+        ["cascade.thresholds", "<f8", [3, NUM_SPLITS]],
+        ["cascade.scores", "<f8", [3, NUM_PARTITIONS]],
+        ["cascade.stage_thresholds", "<f8", [3]],
+    ]
+    arrays = (cascade.coords, cascade.thresholds, cascade.scores, cascade.stage_thresholds)
+    tail = b"".join(a.tobytes() for a in arrays)
+    assert body.endswith(tail)
 
 
 @pytest.mark.parametrize("keep", [0, 3, 6, 11, 14, 200, 0.5, -9, -1])
@@ -140,11 +146,12 @@ def _span(header, name):
     raise KeyError(name)
 
 
-def _overwrite_first(name, value):
-    """Corruption that overwrites the first element of one float array."""
+def _overwrite_first(name, value, fmt="<d"):
+    """Corruption that overwrites the first element of one array, a float
+    one unless fmt is "<q"."""
     def corrupt(header, body):
         start, _ = _span(header, name)
-        return _rebuild(header, body[:start] + struct.pack("<d", value) + body[start + 8 :])
+        return _rebuild(header, body[:start] + struct.pack(fmt, value) + body[start + 8 :])
     return corrupt
 
 
@@ -226,6 +233,10 @@ CORRUPTIONS = {
     "empty filters 2**40 wide": _reshaped({"rpn.conv1.filters": [2**40, 0, 7, 7]}),
     "float coords": _edit_entry("cascade.coords", 1, lambda d: "<f8"),
     "stage thresholds (3, 2)": _reshaped({"cascade.stage_thresholds": [3, 2]}),
+    # the model_bytes cascade has 3 ferns
+    "cascade.scores one fern short": _reshaped({"cascade.scores": [2, NUM_PARTITIONS]}),
+    "split coordinate 32": _overwrite_first("cascade.coords", 32, "<q"),
+    "cascade.thresholds (3, 7)": _reshaped({"cascade.thresholds": [3, NUM_SPLITS - 1]}),
     "zero ferns": _reshaped({
         "cascade.coords": [0, NUM_SPLITS, 4], "cascade.thresholds": [0, NUM_SPLITS],
         "cascade.scores": [0, NUM_PARTITIONS], "cascade.stage_thresholds": [0],

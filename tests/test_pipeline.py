@@ -906,14 +906,16 @@ def test_coincident_canonical_layout_counts_every_candidate_as_singular(monkeypa
 
 def _degenerate_box_head_model(log_side):
     """A box-head detector that proposes every cell, each with the side
-    POINT_SCALE * exp(log_side): 0 at -1000, an overflow to inf at +1000."""
+    POINT_SCALE * exp(log_side): 0 at -1000, an overflow to inf at +1000;
+    at 500 a finite side in float64, whose similarity's a^2 + b^2
+    underflows to 0, and inf in float32."""
     model = pipeline.build_detector(pipeline.TrainConfig(seed=0), multitask=False)
     model.rpn.score_head.bias[:] = [-10.0, 10.0]
     model.rpn.point_head.bias[2] = log_side
     return model
 
 
-@pytest.mark.parametrize("log_side", [-1000.0, 1000.0], ids=["zero", "inf"])
+@pytest.mark.parametrize("log_side", [-1000.0, 1000.0, 500.0], ids=["zero", "inf", "underflow"])
 def test_degenerate_box_head_sides_skip_every_candidate_in_detect(
     held_out, monkeypatch, log_side
 ):
@@ -923,7 +925,7 @@ def test_degenerate_box_head_sides_skip_every_candidate_in_detect(
         _degenerate_box_head_model(log_side), held_out, monkeypatch)
 
 
-@pytest.mark.parametrize("log_side", [-1000.0, 1000.0], ids=["zero", "inf"])
+@pytest.mark.parametrize("log_side", [-1000.0, 1000.0, 500.0], ids=["zero", "inf", "underflow"])
 def test_degenerate_box_head_sides_count_every_candidate_as_singular(
     monkeypatch, log_side
 ):
@@ -931,6 +933,14 @@ def test_degenerate_box_head_sides_count_every_candidate_as_singular(
     singular_skips, without a ValueError from the crop or the warp."""
     _joint_epoch_counting_every_candidate_as_singular(
         _degenerate_box_head_model(log_side), monkeypatch)
+
+
+@pytest.mark.parametrize("side", [0.0, -3.0, np.inf, np.nan, 4e289, 1e-300])
+def test_crop_transform_rejects_a_side_whose_similarity_it_cannot_invert(side):
+    """4e289 and 1e-300 are finite and positive, but a^2 + b^2 of their
+    similarity underflows to 0 or overflows, and warp would divide by it."""
+    with pytest.raises(SingularTransformError):
+        pipeline.crop_transform((0.0, 0.0, side, side), 64)
 
 
 def _chain_fingerprint(model, images, corpus, config):
@@ -1142,15 +1152,12 @@ def test_train_prefilter_rejects_a_face_crop_holding_a_nan(prefilter_corpus):
 
 
 def _cascade_arrays(cascade):
-    return [cascade.stage_thresholds] + [
-        getattr(fern, attr) for fern in cascade.ferns
-        for attr in ("coords", "thresholds", "scores")
-    ]
+    return [cascade.coords, cascade.thresholds, cascade.scores, cascade.stage_thresholds]
 
 
 def test_train_prefilter_is_reproducible_and_round_trips(prefilter_corpus, tmp_path):
     cascade = pipeline.train_prefilter(prefilter_corpus, num_ferns=8, seed=SEED)
-    assert len(cascade.ferns) == 8
+    assert len(cascade.stage_thresholds) == 8
     assert len(cascade.train_log["stage_partition_losses"]) == 8
     again = pipeline.train_prefilter(prefilter_corpus, num_ferns=8, seed=SEED)
     for a, b in zip(_cascade_arrays(cascade), _cascade_arrays(again), strict=True):

@@ -24,7 +24,6 @@ from warpdet.pipeline import (
 from warpdet.roiconv import (
     DEFAULT_RF_CAP,
     MAX_LEVELS,
-    MIN_CANDIDATE_SIDE,
     MIN_FACE,
     MIN_LEVEL_SIDE,
     RoiMask,
@@ -111,7 +110,7 @@ class TestGrouping:
     def test_octave_assignment(self):
         groups = group_candidates(boxes([(10, 10, 50, 50), (30, 30, 100, 100), (5, 5, 20, 20)]))
         assert [k for k, _ in groups] == [0, 1]
-        assert groups[0][1].tolist() == [[10, 10, 50, 50]]
+        assert groups[0][1].tolist() == [[10, 10, 50, 50], [5, 5, 20, 20]]
         assert groups[1][1].tolist() == [[30, 30, 100, 100]]
 
     def test_scan_rows_keep_their_box_columns_in_input_order(self):
@@ -121,14 +120,11 @@ class TestGrouping:
         assert groups[0][1].tolist() == [[1, 2, 40, 40], [5, 6, 50, 50]]
         assert groups[1][1].tolist() == [[3, 4, 90, 90]]
 
-    def test_small_faces_discarded(self):
-        assert group_candidates(boxes([(0, 0, 20, 20), (0, 0, 35, 35)])) == []
-
     def test_a_side_rounded_just_under_36_joins_octave_0(self):
-        rows = boxes([(0, 0, 35.96, 35.96), (1, 2, MIN_CANDIDATE_SIDE, 30), (0, 0, 35.43, 35.43)])
+        rows = boxes([(0, 0, 35.96, 35.96), (1, 2, 35.4375, 30), (0, 0, 35.43, 35.43)])
         groups = group_candidates(rows)
         assert [k for k, _ in groups] == [0]
-        assert groups[0][1].tolist() == rows[:2].tolist()
+        assert groups[0][1].tolist() == rows.tolist()
 
     def test_every_window_of_the_finest_scan_level_joins_octave_0(self):
         """The finest level is round(n * 32 / 36) px wide, so its windows
