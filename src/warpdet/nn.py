@@ -1,8 +1,10 @@
 """Minimal deterministic CNN kernel: im2col convolution, pooling, dense and
 softmax layers, all with hand-written backward passes.
 
-The forward convolution has two lowerings, and the byte size of the input's
-patch matrix, C*K*K*out_h*out_w elements of the input's dtype, picks one:
+The forward convolution has two lowerings. One function, _patch_blocks,
+reads the rule that picks one, the byte size of the input's patch matrix,
+C*K*K*out_h*out_w elements of the input's dtype, and returns that matrix
+as row blocks for the lowering it picks:
 
 - im2col, while that matrix fits in IM2COL_BUDGET_BYTES (512 KB, a quarter
   of a 2 MB L2 cache): the patches are gathered into a (C*K*K, P) matrix,
@@ -24,14 +26,15 @@ no caller picks a lowering. The masked convolution of roiconv runs on the
 same rule: it lowers each band of its mask as this forward lowers a whole
 input.
 
-The backward pass runs on the same rule. The filter gradient is the
-im2col product below the budget and one GEMM per kernel row above it,
-over the same row-phase copies. The input gradient of a conv of any
-stride s is itself one stride-1 convolution, with no scatter: the forward
-product of the output gradient with the filters split into their s*s
-stride phases of ceil(K/s) taps a side, flipped in both kernel axes and
-transposed, whose C*s*s output planes are interleaved depth to space and
-cropped to the input. At s = 1 that is the flipped filters at padding
+The backward pass runs on the same rule. The filter gradient takes its
+blocks from _patch_blocks too: one GEMM of the output gradient with each
+block's transpose, the whole patch matrix below the budget and each kernel
+row's view of the row-phase copies above it. The input gradient of a conv
+of any stride s is itself one stride-1 convolution, with no scatter: the
+forward product of the output gradient with the filters split into their
+s*s stride phases of ceil(K/s) taps a side, flipped in both kernel axes
+and transposed, whose C*s*s output planes are interleaved depth to space
+and cropped to the input. At s = 1 that is the flipped filters at padding
 K-1-p.
 
 Forward kernels compute only what the forward result needs. Max-pool
@@ -60,7 +63,7 @@ from functools import lru_cache
 import numpy as np
 
 
-# Largest im2col patch matrix, in bytes, that conv2d_forward builds: a
+# Largest im2col patch matrix, in bytes, that _patch_blocks builds: a
 # quarter of a 2 MB L2 cache, so the matrix, the filters and the output stay
 # in it while the GEMM reads them.
 IM2COL_BUDGET_BYTES = 512 * 1024
@@ -180,79 +183,51 @@ def conv2d_forward(
     return out.reshape(spec.out_channels, out_h, out_w)
 
 
-def _im2col_fits(xp: np.ndarray, spec: ConvSpec, out_h: int, out_w: int) -> bool:
-    """Whether the patch matrix of the padded input xp, C*K*K*out_h*out_w
-    elements of its dtype, fits in IM2COL_BUDGET_BYTES."""
-    patch_bytes = spec.in_channels * spec.kernel**2 * out_h * out_w * xp.itemsize
-    return patch_bytes <= IM2COL_BUDGET_BYTES
+def _patch_blocks(xp: np.ndarray, spec: ConvSpec, out_h: int,
+                  out_w: int) -> list[np.ndarray]:
+    """The patch matrix of the padded input xp as B row blocks, under the
+    lowering rule: with the matrix's rows split (C, B, K*K/B), block b
+    holds rows (c, b, j).
 
-
-def _conv_product(xp: np.ndarray, fmat: np.ndarray, spec: ConvSpec,
-                  out_h: int, out_w: int) -> np.ndarray:
-    """fmat @ im2col of the padded input xp, the (N, out_h*out_w) product:
-    one im2col GEMM while the patch matrix fits the budget, kernel rows
-    above it. The forward and the input gradient both run on it."""
-    if _im2col_fits(xp, spec, out_h, out_w):
-        return fmat @ _patch_matrix(xp, spec, out_h, out_w)
-    return _kernel_row_product(xp, fmat, spec, out_h, out_w)
-
-
-def _row_phases(xp: np.ndarray, spec: ConvSpec, out_h: int,
-                out_w: int) -> list[np.ndarray]:
-    """Row phase ph < min(s, K) of the padded input, each copied once as the
-    C-contiguous (C, K, rows, out_w) array L_ph[c, kx, r, ox] =
-    xp[c, s*r + ph, kx + s*ox], about K/s times smaller than the patch
-    matrix."""
+    While the matrix, C*K*K*out_h*out_w elements of xp's dtype, fits in
+    IM2COL_BUDGET_BYTES, B = 1 and the block is the matrix. Above it B = K:
+    each row phase ph < min(s, K) of xp is copied once as the C-contiguous
+    (C, K, rows, out_w) array L_ph[c, kx, r, ox] = xp[c, s*r + ph, kx + s*ox],
+    about K/s times smaller than the matrix, and kernel row ky = s*q + ph's
+    block is the (C*K, out_h*out_w) view of rows q .. q + out_h of L_ph,
+    with unit inner stride, which BLAS reads in place."""
     c, k, s = spec.in_channels, spec.kernel, spec.stride
+    if c * k * k * out_h * out_w * xp.itemsize <= IM2COL_BUDGET_BYTES:
+        return [_patch_matrix(xp, spec, out_h, out_w)]
     sc, sy, sx = xp.strides
-    return [
+    phases = [
         np.ascontiguousarray(_read_only_view(
             xp, (c, k, (k - 1 - ph) // s + out_h, out_w),
             (sc, sx, s * sy, s * sx), ph * sy))
         for ph in range(min(s, k))
     ]
+    return [phases[ky % s][:, :, ky // s : ky // s + out_h].reshape(c * k, -1)
+            for ky in range(k)]
 
 
-def _kernel_row(phases: list[np.ndarray], ky: int, spec: ConvSpec,
-                out_h: int) -> np.ndarray:
-    """Kernel row ky's rows of the patch matrix, a (C*K, out_h*out_w) view
-    of rows q .. q + out_h of L_ph, ky = s*q + ph, with unit inner stride,
-    which BLAS reads in place."""
-    q, ph = divmod(ky, spec.stride)
-    return phases[ph][:, :, q : q + out_h].reshape(spec.in_channels * spec.kernel, -1)
-
-
-def _kernel_row_product(xp: np.ndarray, fmat: np.ndarray, spec: ConvSpec,
-                        out_h: int, out_w: int) -> np.ndarray:
-    """fmat @ im2col, the (N, out_h*out_w) product, without the patch matrix.
-
-    Each kernel row's (C*K, P) view of the row phases meets that row's
-    (N, C*K) filter slice in one GEMM. The K products are summed in
-    kernel-row order, each written into one reused buffer."""
-    c, k = spec.in_channels, spec.kernel
-    phases = _row_phases(xp, spec, out_h, out_w)
-    rows = np.ascontiguousarray(
-        fmat.reshape(-1, c, k, k).transpose(2, 0, 1, 3)).reshape(k, -1, c * k)
-    out = rows[0] @ _kernel_row(phases, 0, spec, out_h)
-    term = np.empty_like(out)
-    for ky in range(1, k):
-        np.matmul(rows[ky], _kernel_row(phases, ky, spec, out_h), out=term)
+def _conv_product(xp: np.ndarray, fmat: np.ndarray, spec: ConvSpec,
+                  out_h: int, out_w: int) -> np.ndarray:
+    """fmat @ im2col of the padded input xp, the (N, out_h*out_w) product.
+    fmat's columns are regrouped as (B, N, C*K*K/B), a copy only for B > 1,
+    so that each of _patch_blocks' B blocks meets its own columns in one
+    GEMM; the products are summed in block order, each written into one
+    reused buffer. The forward, the input gradient and roiconv's bands all
+    run on it."""
+    first, *rest = _patch_blocks(xp, spec, out_h, out_w)
+    n, b = len(fmat), 1 + len(rest)
+    rows = (fmat.reshape(n, spec.in_channels, b, -1)
+            .transpose(2, 0, 1, 3).reshape(b, n, -1))
+    out = rows[0] @ first
+    term = np.empty_like(out) if rest else None
+    for row, block in zip(rows[1:], rest):
+        np.matmul(row, block, out=term)
         out += term
     return out
-
-
-def _kernel_row_filter_grad(xp: np.ndarray, gmat: np.ndarray, spec: ConvSpec,
-                            out_h: int, out_w: int) -> np.ndarray:
-    """gmat @ im2col.T in the filters' (N, C, K, K) shape, without the patch
-    matrix: the adjoint of _kernel_row_product. Kernel row ky's (N, C*K)
-    slice of the filter gradient is one GEMM of the (N, P) output gradient
-    with the transpose of that row's view of the row phases."""
-    c, k = spec.in_channels, spec.kernel
-    phases = _row_phases(xp, spec, out_h, out_w)
-    grad_rows = np.empty((k, gmat.shape[0], c * k), np.result_type(gmat, xp))
-    for ky in range(k):
-        np.matmul(gmat, _kernel_row(phases, ky, spec, out_h).T, out=grad_rows[ky])
-    return np.ascontiguousarray(grad_rows.reshape(k, -1, c, k).transpose(1, 2, 0, 3))
 
 
 def _flipped_filter_product(grad_out: np.ndarray, filters: np.ndarray,
@@ -308,9 +283,9 @@ def conv2d_backward(
     input_grad is False, and then none of its work runs.
 
     The filter gradient is gmat @ im2col(x).T under the forward's rule:
-    from the patch matrix while it fits IM2COL_BUDGET_BYTES, by kernel rows
-    above it. Its copy of the input is freed before the input gradient
-    starts.
+    one GEMM with the transpose of each of _patch_blocks' blocks, put back
+    together in the filters' shape. Its copy of the input is freed before
+    the input gradient starts.
 
     The input gradient, at every stride, is the forward product of grad_out
     with the filters split into stride phases, flipped and transposed,
@@ -325,14 +300,13 @@ def conv2d_backward(
             f"grad_out shape {grad_out.shape}, expected "
             f"{(spec.out_channels, out_h, out_w)}"
         )
-    gmat = grad_out.reshape(spec.out_channels, -1)  # (N, P)
-    if _im2col_fits(xp, spec, out_h, out_w):
-        cols = _patch_matrix(xp, spec, out_h, out_w)
-        grad_filters = (gmat @ cols.T).reshape(filters.shape)
-        del cols
-    else:
-        grad_filters = _kernel_row_filter_grad(xp, gmat, spec, out_h, out_w)
-    del xp
+    n, c = spec.out_channels, spec.in_channels
+    gmat = grad_out.reshape(n, -1)  # (N, P)
+    blocks = _patch_blocks(xp, spec, out_h, out_w)
+    grad_filters = np.concatenate(
+        [(gmat @ block.T).reshape(n, c, 1, -1) for block in blocks], axis=2
+    ).reshape(filters.shape)
+    del xp, blocks  # the input's copies go before the input gradient's
     grad_bias = gmat.sum(axis=1)
     if not input_grad:
         return None, grad_filters, grad_bias

@@ -4,9 +4,9 @@ The pre-filter's candidate boxes stay one float64 array from the scan to
 the masks: group_candidates buckets them into scale octaves, and each
 octave gets its level of octave_levels, the one pyramid both detect paths
 run, plus a binary occupancy mask. A masked convolution runs the dense
-conv's own lowering, under the same im2col/kernel-row byte rule, once per
-band: a run of output rows holding a mask bit, over the columns between
-its first and last bit. It then writes the band's masked positions, so
+conv's own product, nn._conv_product, whose lowering nn._patch_blocks'
+one byte rule picks, once per band: a run of output rows holding a mask
+bit, over the columns between its first and last bit. It then writes the band's masked positions, so
 every other position stays +0.0. Rows without a bit cost nothing, and a
 band computes its whole rectangle. Under a full mask the one band is the
 dense conv, bit for bit; otherwise masked positions agree with it to

@@ -82,7 +82,11 @@ def parse_args(argv=None):
                         help="score the benchmark's test images, not the validation corpus")
     parser.add_argument("--out", type=Path,
                         help="also write the JSON line, with its provenance, to this file")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    repeated = [seed for i, seed in enumerate(args.seeds) if seed in args.seeds[:i]]
+    if repeated:
+        parser.error(f"--seeds repeats seed {repeated[0]}")
+    return args
 
 
 def git(*args) -> str:

@@ -26,6 +26,7 @@ from warpdet.nn import (
     softmax_cross_entropy_backward,
     uniform_init,
 )
+from warpdet.roiconv import RoiMask, roi_conv_forward
 
 
 def _patch_matrix(x, spec):
@@ -509,25 +510,41 @@ class TestKernelRowLowering:
         assert got.dtype == dtype and got.shape == want.shape
         assert np.all(np.abs(got - want) <= _rounding_bound(x, filters, spec, bias))
 
+    @pytest.mark.parametrize("product",
+                             ["forward", "filter gradient", "full-mask roi conv"])
     @pytest.mark.parametrize("width,lowered", [(256, False), (257, True)])
-    def test_the_patch_bytes_pick_the_lowering(self, rng, monkeypatch, width, lowered):
+    def test_the_patch_bytes_pick_the_lowering(
+        self, rng, monkeypatch, width, lowered, product
+    ):
         """A 1x1 float64 conv over 256 x 256 positions has a patch matrix
-        of exactly the budget and runs im2col, bit for bit the oracle; one
-        column more runs the kernel-row product."""
+        of exactly the budget: the forward, the filter gradient and a
+        full-mask roi_conv_forward each build it once and give the oracle's
+        bytes. One column more builds none and runs by kernel rows."""
         spec = ConvSpec(1, 2, kernel=1)
         x = rng.standard_normal((1, 256, width))
         filters = rng.standard_normal((2, 1, 1, 1))
         bias = rng.standard_normal(2)
-        calls = []
-        real = nn._kernel_row_product
-        monkeypatch.setattr(nn, "_kernel_row_product",
-                            lambda *a: calls.append(a) or real(*a))
-        got = conv2d_forward(x, filters, spec, bias=bias)
+        g = rng.standard_normal((2, 256, width))
+        built = []
+        real = nn._patch_matrix
+        monkeypatch.setattr(nn, "_patch_matrix",
+                            lambda *a: built.append(a) or real(*a))
+        if product == "filter gradient":
+            got = conv2d_backward(g, x, filters, spec, False)[1]
+            want = conv_oracles.conv2d_backward(g, x, filters, spec)[1]
+            bound = _backward_rounding_bounds(g, x, filters, spec)[1]
+        else:
+            if product == "forward":
+                got = conv2d_forward(x, filters, spec, bias=bias)
+            else:
+                mask = RoiMask(np.ones((256, width), dtype=bool))
+                got = roi_conv_forward(x, filters, mask, spec, bias=bias)
+            want = conv_oracles.conv2d_forward(x, filters, spec, bias=bias)
+            bound = _rounding_bound(x, filters, spec, bias)
         assert (_patch_bytes(x, spec) > nn.IM2COL_BUDGET_BYTES) == lowered
-        assert bool(calls) == lowered
-        want = conv_oracles.conv2d_forward(x, filters, spec, bias=bias)
+        assert len(built) == (0 if lowered else 1)
         if lowered:
-            assert np.all(np.abs(got - want) <= _rounding_bound(x, filters, spec, bias))
+            assert np.all(np.abs(got - want) <= bound)
         else:
             assert got.tobytes() == want.tobytes()
 

@@ -1063,6 +1063,51 @@ def test_evaluate_ap_is_one_when_every_detection_matches_a_distinct_truth(images
         assert report.recall_at_false_alarms(0) == 1.0
 
 
+def _crowded_image(rng):
+    """Up to 6 scored detections and 4 truths, sides 10-14 px, corners
+    within 6 px of each other, so every pair overlaps and many reach IoU
+    0.5."""
+    def boxes(n):
+        return [tuple(row) for row in np.column_stack(
+            [rng.uniform(0, 6, (n, 2)), rng.uniform(10, 14, (n, 2))]).tolist()]
+
+    dets, truths = boxes(rng.integers(0, 7)), boxes(rng.integers(0, 5))
+    scores = rng.random(len(dets)).tolist()
+    return [pipeline.Detection(box=b, score=s) for b, s in zip(dets, scores)], truths
+
+
+def test_evaluate_matches_no_more_than_the_maximum_matching():
+    """On seeded crowded images evaluate's greedy true positives never
+    exceed the one-to-one maximum matching, and equal it on every image
+    where no detection reaches IoU 0.5 with two truths."""
+    rng = np.random.default_rng(SEED)
+    crowded = short = 0
+    for _ in range(300):
+        dets, truths = _crowded_image(rng)
+        greedy = int(pipeline.evaluate([dets], [truths]).tp_flags.sum())
+        most = detect_oracles.max_matching([d.box for d in dets], truths)
+        assert greedy <= most
+        short += greedy < most
+        if all(sum(iou(d.box, t) >= 0.5 for t in truths) < 2 for d in dets):
+            assert greedy == most
+        else:
+            crowded += 1
+    assert 0 < crowded < 300 and short > 0  # both kinds of image are drawn
+
+
+def test_evaluate_scores_below_the_maximum_matching_on_two_close_truths():
+    """The one known divergence: the first detection takes the truth it
+    overlaps most, (3, 0), and leaves the second one only (0, 0), at IoU
+    0.25. The maximum matching pairs them the other way and matches both."""
+    truths = [(0.0, 0.0, 10.0, 10.0), (3.0, 0.0, 10.0, 10.0)]
+    dets = [pipeline.Detection(box=(2.0, 0.0, 10.0, 10.0), score=0.9),
+            pipeline.Detection(box=(6.0, 0.0, 10.0, 10.0), score=0.8)]
+    report = pipeline.evaluate([dets], [truths])
+    assert report.tp_flags.tolist() == [1, 0]
+    assert report.average_precision() == 0.5
+    assert detect_oracles.max_matching([d.box for d in dets], truths) == 2
+
+
 # --------------------------------------------------------------------------
 # fern pre-filter training
 

@@ -60,6 +60,14 @@ def test_is_a_reference_scale_run_on_the_validation_corpus(quality, entry):
         quality.WORKLOAD_SEED, quality.VALIDATION_STREAM)
 
 
+def test_a_repeated_seed_is_rejected(quality, capsys):
+    """A run that trains a seed twice is no ledger entry, so the script
+    refuses it before training, naming the seed."""
+    with pytest.raises(SystemExit):
+        quality.parse_args(["--seeds", "0", "1", "0"])
+    assert "seed 0" in capsys.readouterr().err
+
+
 def check_rows_and_summary(quality, entry):
     """The rows are scores per seed, and the summary is their median and min."""
     forms = ["float64", "float32"] if entry["reference"] else ["float32"]

@@ -475,9 +475,9 @@ class TestRoiConvForward:
         self, rng, monkeypatch, dtype
     ):
         """The byte rule picks each band's lowering: a small band's patch
-        matrix fits IM2COL_BUDGET_BYTES, a large band's does not and runs
-        by kernel rows. Both match the dense conv to 1e-12 in float64 and
-        to float32 rounding in float32."""
+        matrix fits IM2COL_BUDGET_BYTES and is one block, a large band's
+        does not and comes as one block per kernel row. Both match the
+        dense conv to 1e-12 in float64 and to float32 rounding in float32."""
         x = rng.standard_normal((4, 96, 96)).astype(dtype)
         f = rng.standard_normal((3, 4, 7, 7)).astype(dtype)
         spec = ConvSpec(4, 3, kernel=7, stride=2, padding=3)
@@ -487,21 +487,17 @@ class TestRoiConvForward:
         bits[6:45, [2, 46]] = True  # a 39x45 band: 1.4 MB or more, kernel rows
         assert 4 * 49 * 39 * 45 * x.itemsize > nn.IM2COL_BUDGET_BYTES
         lowered = []
+        real = nn._patch_blocks
 
-        def spy(name):
-            real = getattr(nn, name)
+        def recorded(*args):
+            blocks = real(*args)
+            lowered.append([block.shape for block in blocks])
+            return blocks
 
-            def recorded(*args):
-                lowered.append(name)
-                return real(*args)
-
-            monkeypatch.setattr(nn, name, recorded)
-
-        spy("_patch_matrix")
-        spy("_kernel_row_product")
+        monkeypatch.setattr(nn, "_patch_blocks", recorded)
         mask = RoiMask(bits)
         out = roi_conv_forward(x, f, mask, spec)
-        assert lowered == ["_patch_matrix", "_kernel_row_product"]
+        assert lowered == [[(4 * 49, 2 * 4)], [(4 * 7, 39 * 45)] * 7]
         dense = conv2d_forward(x, f, spec)
         tol = 1e-12 if dtype == np.float64 else 1e-5 * np.abs(dense).max()
         assert out.dtype == dtype
