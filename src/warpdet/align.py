@@ -10,9 +10,14 @@ canonical positions themselves (which makes the canonical layout learnable).
 The sampler is the bilinear one of Spatial Transformer Networks (Jaderberg et
 al., 2015). warp and warp_backward share one tap gather, which reads a
 zero-bordered window of the source over the crop's footprint, so no tap
-needs a validity mask. The backward pass recomputes the sample positions and
-taps from the transform and the source, so warp stores nothing for a
-backward pass that detection never runs.
+needs a validity mask. The footprint is an affine image of the rectified
+grid, so the grid's four corners bound it. warp computes in its source's
+floating dtype, float64 for an integer source, as the nn kernels compute in
+their input's: detection's float32 image gives float32 positions, taps,
+weights and crop. warp_backward computes in float64 whatever the source's
+dtype. It recomputes the sample positions and taps from the transform and
+the source, so warp stores nothing for a backward pass that detection never
+runs.
 
 The transform is parameterized as
 
@@ -187,12 +192,15 @@ def inverse_offsets(a, b, u, v):
     return x_off, y_off
 
 
-def _sample_points(t: SimilarityTransform, out_h: int, out_w: int):
+def _sample_points(t: SimilarityTransform, out_h: int, out_w: int,
+                   dtype: np.dtype = np.dtype(np.float64)):
     """The inverse map of the rectified grid, from a row u and a column v of
-    offsets from the canonical centroid. Returns (u, v, x - m_x, y - m_y)."""
-    u = np.arange(out_w, dtype=np.float64) - t.m_xr
-    v = np.arange(out_h, dtype=np.float64)[:, None] - t.m_yr
-    return (u, v, *inverse_offsets(t.a, t.b, u, v))
+    offsets from the canonical centroid, computed in dtype: the transform's
+    numbers are cast to it first. Returns (u, v, x - m_x, y - m_y)."""
+    a, b, m_xr, m_yr = (dtype.type(n) for n in (t.a, t.b, t.m_xr, t.m_yr))
+    u = np.arange(out_w, dtype=dtype) - m_xr
+    v = np.arange(out_h, dtype=dtype)[:, None] - m_yr
+    return (u, v, *inverse_offsets(a, b, u, v))
 
 
 # Tap coordinates are clipped to the image plus this many pixels on each side.
@@ -201,40 +209,50 @@ def _sample_points(t: SimilarityTransform, out_h: int, out_w: int):
 TAP_BORDER = 2
 
 
+def _corner_span(grid: np.ndarray) -> tuple[int, int]:
+    """(least, greatest) of a 2-D grid that is monotone along each axis,
+    read off its four corners."""
+    ends = (grid[0, 0], grid[0, -1], grid[-1, 0], grid[-1, -1])
+    return int(min(ends)), int(max(ends))
+
+
 def _window_taps(source: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     """Bilinear taps of (H, W) sample points with zero padding: one new
-    (C, H, W) array per tap in tl, tr, bl, br order, read as float64 whatever
-    the source's dtype, so an integer source's tap differences cannot wrap;
-    then bx and by.
+    (C, H, W) array per tap in tl, tr, bl, br order, read in the sample
+    points' floating dtype whatever the source's, so an integer source's tap
+    differences cannot wrap; then bx and by.
 
     The taps come from a zero-bordered copy of the source window that
     covers their footprint, clipped to the image plus TAP_BORDER pixels, so
     no tap needs a validity mask and the window is at most (H+4) x (W+4)
-    however far the footprint reaches. The flat tap index is formed in
-    place, in float64, where every window offset is an exact integer."""
+    however far the footprint reaches. The points are an affine image of
+    the rectified grid, so along each grid axis each coordinate, rounded,
+    floored and clipped, is monotone, and the window's bounds are read off
+    the grid's four corners (one or two where the grid is a row or a
+    column). The flat tap index is formed in intp, exact at any window
+    size, as a float32 index is not past 2**24 window pixels."""
     c, h, w = source.shape
     cols = np.floor(xs)
     rows = np.floor(ys)
     bx = xs - cols
     by = ys - rows
-    np.clip(cols, -TAP_BORDER, w, out=cols)
-    np.clip(rows, -TAP_BORDER, h, out=rows)
-    x0, y0 = int(cols.min()), int(rows.min())
-    win_w = int(cols.max()) - x0 + 2
-    win_h = int(rows.max()) - y0 + 2
-    window = np.zeros((c, win_h, win_w))
+    cols = np.minimum(np.maximum(cols, -TAP_BORDER, out=cols), w, out=cols).astype(np.intp)
+    rows = np.minimum(np.maximum(rows, -TAP_BORDER, out=rows), h, out=rows).astype(np.intp)
+    x0, x1 = _corner_span(cols)
+    y0, y1 = _corner_span(rows)
+    win_w, win_h = x1 - x0 + 2, y1 - y0 + 2
+    window = np.zeros((c, win_h, win_w), dtype=xs.dtype)
     top, left = max(y0, 0), max(x0, 0)
     bottom, right = min(y0 + win_h, h), min(x0 + win_w, w)
     window[:, top - y0 : bottom - y0, left - x0 : right - x0] = (
         source[:, top:bottom, left:right]
     )
-    rows -= y0
-    rows *= win_w
-    cols -= x0
-    rows += cols
-    index = rows.astype(np.intp)
+    index = rows
+    index *= win_w
+    index += cols
+    index -= y0 * win_w + x0
     flat = window.reshape(c, -1)
-    values = [np.take(flat[:, offset:], index, axis=1)
+    values = [flat[:, offset:].take(index, axis=1)
               for offset in (0, 1, win_w, win_w + 1)]
     return values, bx, by
 
@@ -243,18 +261,21 @@ def warp(source: np.ndarray, t: SimilarityTransform, out_size: tuple[int, int]) 
     """Rectify a CHW image: sample the source at the inverse map of every
     rectified grid point, bilinearly, with zero padding outside the image.
 
-    The taps, read as float64, are weighted in place and summed in tl, tr,
-    bl, br order from the first weighted tap, not from zero: only a crop
-    pixel whose four products are zeros and whose top-left tap reads a -0.0
-    source pixel comes out -0.0 rather than +0.0."""
+    The warp computes in the source's floating dtype, float64 for an
+    integer source: the sample positions, the taps, their weights and the
+    crop. The weighted taps are summed in place in tl, tr, bl, br order
+    from the first weighted tap, not from zero: only a crop pixel whose
+    four products are zeros and whose top-left tap reads a -0.0 source
+    pixel comes out -0.0 rather than +0.0."""
     if source.ndim != 3:
         raise ValueError(f"expected CHW source, got shape {source.shape}")
     out_h, out_w = out_size
     if out_h < 1 or out_w < 1:
         raise ValueError(f"output size must be positive, got {out_size}")
-    _, _, xs, ys = _sample_points(t, out_h, out_w)
-    xs += t.m_x
-    ys += t.m_y
+    dtype = source.dtype if source.dtype.kind == "f" else np.dtype(np.float64)
+    _, _, xs, ys = _sample_points(t, out_h, out_w, dtype)
+    xs += dtype.type(t.m_x)
+    ys += dtype.type(t.m_y)
     (out, v_tr, v_bl, v_br), bx, by = _window_taps(source, xs, ys)
     ax, ay = 1.0 - bx, 1.0 - by
     weight = ax * ay
@@ -269,7 +290,8 @@ def warp_backward(
     upstream: np.ndarray, source: np.ndarray, t: SimilarityTransform
 ) -> TransformGradients:
     """Backward pass of warp: gradients for (a, b) and the four centroids.
-    The source pixels get none.
+    The source pixels get none. The positions and taps are float64 whatever
+    the source's dtype, so the six sums keep float64 precision.
 
     The transform-parameter gradients chain the upstream signal through the
     horizontal/vertical image derivatives of the bilinear interpolant and the

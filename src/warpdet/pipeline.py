@@ -30,10 +30,10 @@ such array into the final NMS. Detection is only detect's output record.
 Training runs in float64. Detection runs every convolution of both nets in
 INFERENCE_DTYPE, float32: detect casts the image once, and the conv kernels
 cast the float64 model's filters to the dtype of the map they convolve. warp
-samples each candidate crop in float64, which verify_forward casts back to
-float32 for the verification trunk; the verification net's fc layer, l2
-normalisation and verdict then run in float64, as numpy promotes the float32
-trunk output against the float64 weights. The fern pre-filter scans the
+samples each candidate crop in the image's dtype, so the verification trunk
+reads a float32 crop; the verification net's fc layer, l2 normalisation and
+verdict then run in float64, as numpy promotes the float32 trunk output
+against the float64 weights. The fern pre-filter scans the
 caller's image.
 """
 
@@ -374,10 +374,10 @@ class VerifyCache:
 def verify_forward(model: DetectorModel, image: np.ndarray, transform,
                    rpn_feat: np.ndarray) -> VerifyCache:
     """Warp a candidate and run the verification net on the crop, in the
-    image's dtype up to the fc layer, which numpy promotes against the
-    float64 weight. rpn_feat is read only with the concatenation."""
+    image's floating dtype, in which warp samples the crop, up to the fc
+    layer, which numpy promotes against the float64 weight. rpn_feat is
+    read only with the concatenation."""
     crop = warp(image, transform, (model.rect_size, model.rect_size))
-    crop = crop.astype(image.dtype, copy=False)
     out, _, records = _trunk_forward(model.rcnn.trunk(), crop)
     feat = nn.relu(nn.fully_connected(out.reshape(-1), model.rcnn.fc.weight,
                                       model.rcnn.fc.bias))
@@ -653,13 +653,18 @@ def _level_candidates(model, state, octave):
     cells decoded as arrays and, with the landmark head, their boxes fitted
     in one pass, which drops each cell whose fit box_from_landmarks flags.
     Returns ((N, 5) float64 [x, y, w, h, score] rows, their _decode_cells
-    geometry, their (N, C) proposal features), in row-major cell order."""
+    geometry, their (N, C) proposal features), in row-major cell order. A
+    level with no eligible cell returns these arrays empty, with neither
+    decode nor fit."""
     probs = np.exp(nn.log_softmax(state.score.reshape(2, -1).T))[:, 1]
     probs = probs.reshape(state.score.shape[1:])
     eligible = probs >= PROPOSAL_THRESHOLD
     if state.head_mask is not None:
         eligible &= state.head_mask.bits
     ii, jj = np.nonzero(eligible)
+    if not len(ii):
+        return (np.empty((0, 5)), np.empty((0, 5, 2) if model.multitask else (0, 4)),
+                np.empty((0, len(state.feat)), state.feat.dtype))
     geometry = boxes = _decode_cells(state, ii, jj, model.multitask, 2.0**octave)
     if model.multitask:
         boxes, ok = box_from_landmarks(geometry)

@@ -12,10 +12,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import warp_oracles
 from conftest import rel_err
 from warp_oracles import inverse_map
+from warpdet import align
 from warpdet.align import (
     CanonicalShape,
     SimilarityTransform,
@@ -662,10 +665,15 @@ class TestMatchesScatterOracle:
             assert ones.max() > 0.5 and ones.min() == 0.0
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.uint8, np.int64])
-def test_a_source_of_another_dtype_gives_the_oracle_float64_crop(dtype):
-    """The crop is float64 whatever the source's dtype, and equals the
-    oracle's, which promotes each tap as it weights it."""
+@pytest.mark.parametrize("dtype, crop_dtype", [(np.float32, np.float32),
+                                               (np.uint8, np.float64),
+                                               (np.int64, np.float64)])
+def test_a_source_of_another_dtype_gives_the_oracle_crop_in_its_floating_dtype(
+    dtype, crop_dtype
+):
+    """The crop is computed in the source's floating dtype, float64 for an
+    integer source, and equals the oracle's byte for byte, which computes
+    in that dtype too and promotes each integer tap as it weights it."""
     for seed in range(10):
         rng = np.random.default_rng(seed)
         src = (30.0 * (smooth_image(rng, 30, 34, 2) + 4.0)).astype(dtype)  # in [0, 240]
@@ -673,7 +681,7 @@ def test_a_source_of_another_dtype_gives_the_oracle_float64_crop(dtype):
                                  rng.uniform(0.0, 34.0, size=2), (7.5, 6.5))
         crop = warp(src, t, (14, 16))
         want = warp_oracles.warp(src, t, (14, 16))
-        assert crop.dtype == np.float64
+        assert crop.dtype == want.dtype == crop_dtype
         assert crop.tobytes() == want.tobytes()
 
 
@@ -803,6 +811,71 @@ class TestWindowedGather:
         warp(src, t, (16, 16))
         peak = self._peak_bytes(lambda: warp(src, t, (16, 16)))
         assert peak <= self.OUTPUT_ARRAYS * 16 * 16 * 8 < src.nbytes // 10
+
+
+# Crop centres and scales around a 30 x 34 source for the 1-px outputs:
+# inside, wholly outside, on an edge, on a corner, and a footprint of 1,000
+# source pixels per rectified pixel.
+THIN_PLACEMENTS = {"inside": ((17.0, 15.0), 0.7), "outside": ((-60.0, 15.0), 1.5),
+                   "edge": ((33.0, 15.0), 1.3), "corner": ((0.0, 29.0), 1.3),
+                   "huge": ((17.0, 15.0), 1e3)}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("where", sorted(THIN_PLACEMENTS))
+@pytest.mark.parametrize("out_size", [(1, 16), (14, 1), (1, 1)], ids=str)
+def test_one_pixel_wide_outputs_equal_the_oracles(out_size, where, dtype):
+    """A row, a column or a single pixel of output: the window's bounds come
+    from fewer than four distinct corners, and warp and warp_backward still
+    equal the oracles byte for byte, in either source dtype."""
+    centre, scale = THIN_PLACEMENTS[where]
+    for seed in range(6):
+        rng = np.random.default_rng([seed, *out_size])
+        src = smooth_image(rng, 30, 34, 1 + seed % 2).astype(dtype)
+        t = similarity_from_pose(scale, rng.uniform(-np.pi, np.pi), centre,
+                                 ((out_size[1] - 1) / 2.0, (out_size[0] - 1) / 2.0))
+        upstream = rng.standard_normal(src.shape[:1] + out_size)
+        crop = _assert_bytes_equal_oracles(src, t, out_size, upstream)
+        assert crop.dtype == dtype
+        if where == "outside":
+            assert not crop.any()
+
+
+@pytest.mark.parametrize("where", ["outside", "straddling", "huge"])
+def test_float32_footprints_outside_straddling_and_huge_equal_the_oracles(where):
+    """TestWindowedGather's footprints on a float32 source: its crop is
+    float32, and warp and warp_backward equal the oracles byte for byte."""
+    cases = {"outside": [(c, 1.5) for c in OUTSIDE.values()],
+             "straddling": [(c, 1.3) for c in STRADDLING.values()],
+             "huge": [((17.0, 15.0), 1e3), ((0.4, 29.6), 1e3), ((-3.0, 40.0), 1e3)]}[where]
+    for seed in range(4):
+        for centre, scale in cases:
+            src, t, out_size, upstream = TestWindowedGather._case(
+                seed, centre, scale, channels=1 + seed % 2)
+            crop = _assert_bytes_equal_oracles(src.astype(np.float32), t, out_size, upstream)
+            assert crop.dtype == np.float32
+            if where == "outside":
+                assert not crop.any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(-np.pi, np.pi),
+       st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0)),
+       st.tuples(st.floats(-40.0, 100.0), st.floats(-40.0, 100.0)),
+       st.integers(1, 70), st.integers(1, 70),
+       st.sampled_from([np.float32, np.float64]))
+def test_the_corners_of_the_tap_grid_span_its_whole_range(scale, angle, centre, canon,
+                                                          out_h, out_w, dtype):
+    """The oracle's sample positions of any rectified grid, floored and
+    clipped as the tap gather clips them, have their least and greatest
+    value at a corner of the grid, so the window the corners bound is the
+    one the whole grid bounds."""
+    t = similarity_from_pose(scale, angle, centre, canon)
+    gx, gy = warp_oracles.rect_grid(out_h, out_w, dtype)
+    pts = inverse_map(t, np.stack([gx, gy], axis=-1), dtype)
+    for axis, size in ((0, 34), (1, 30)):
+        taps = np.clip(np.floor(pts[..., axis]), -align.TAP_BORDER, size)
+        assert align._corner_span(taps) == (int(taps.min()), int(taps.max()))
 
 
 class TestCanonicalShape:

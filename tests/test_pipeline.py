@@ -331,7 +331,9 @@ def test_training_passes_run_in_float64_and_detect_nets_in_float32(
 ):
     """The nets compute in the dtype of the image they are given: training
     hands them the float64 corpus image, detect its float32 copy. Only the
-    verdict head's fc layer promotes a float32 feature to float64."""
+    verdict head's fc layer promotes a float32 feature to float64. warp
+    samples in the image's dtype: float32 crops in detect, float64 crops
+    in a joint training step."""
     model = tiny_run[0]
     image = held_out[0].image
     transform = pipeline.crop_transform((20.0, 24.0, 40.0, 40.0), model.rect_size)
@@ -353,11 +355,24 @@ def test_training_passes_run_in_float64_and_detect_nets_in_float32(
             return real(net, image, *args)
         return wrapper
 
+    def warp_spy(source, transform, out_size):
+        crop = warp(source, transform, out_size)
+        seen.append(("warp", crop.dtype))
+        return crop
+
+    warp = pipeline.warp
     for name in ("rpn_forward", "verify_forward"):
         monkeypatch.setattr(pipeline, name, spy(name))
+    monkeypatch.setattr(pipeline, "warp", warp_spy)
     assert pipeline.detect(image, model)
-    assert {name for name, _ in seen} == {"rpn_forward", "verify_forward"}
+    assert {name for name, _ in seen} == {"rpn_forward", "verify_forward", "warp"}
     assert {dtype for _, dtype in seen} == {np.dtype(pipeline.INFERENCE_DTYPE)}
+
+    seen.clear()
+    pipeline.train_end_to_end(held_out[:1], copy.deepcopy(model),
+                              pipeline.TrainConfig(epochs=1, seed=SEED))
+    assert {name for name, _ in seen} >= {"rpn_forward", "verify_forward", "warp"}
+    assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
 
 
 def test_rpn_backward_matches_central_differences():
@@ -509,6 +524,40 @@ def test_level_candidates_match_the_per_cell_oracle_on_trained_nets(
             )
             found += len(got[0])
     assert found > 0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("masked", [False, True], ids=["dense", "roi"])
+@pytest.mark.parametrize("multitask", [True, False], ids=["landmarks", "box_head"])
+def test_a_level_with_no_eligible_cell_returns_the_full_paths_empty_arrays(
+    multitask, masked, dtype, monkeypatch
+):
+    """No cell over the threshold, or none inside the mask: the level
+    returns (0, 5) float64 rows, (0, 5, 2) landmarks or (0, 4) boxes in
+    float64, and (0, C) features in the maps' dtype, the oracle's arrays,
+    without decoding a cell or fitting a box."""
+    def never(*args):
+        raise AssertionError("an empty level was decoded or fitted")
+
+    rng = np.random.default_rng([SEED, multitask, masked])
+    state = _seeded_level(rng, multitask, masked, channels=5)
+    if masked:
+        state.head_mask = roiconv.RoiMask(np.zeros_like(state.head_mask.bits))
+    else:
+        state.score[0], state.score[1] = 1.0, -1.0
+    state = pipeline.RpnState([], *(m.astype(dtype) for m in
+                                    (state.feat, state.score, state.point)),
+                              state.head_mask)
+    model = SimpleNamespace(multitask=multitask, use_concat=True)
+    want = decode_oracles.level_candidate_rows(model, state, 1)
+    monkeypatch.setattr(pipeline, "_decode_cells", never)
+    monkeypatch.setattr(pipeline, "box_from_landmarks", never)
+    got = pipeline._level_candidates(model, state, 1)
+    shapes = [(0, 5), (0, 5, 2) if multitask else (0, 4), (0, 5)]
+    dtypes = [np.float64, np.float64, dtype]
+    for g, w, shape, kind in zip(got, want, shapes, dtypes, strict=True):
+        assert g.shape == w.shape == shape
+        assert g.dtype == w.dtype == kind
 
 
 def test_smoke_bench_scale_training_detects_faces():

@@ -2,7 +2,11 @@
 ``warpdet.align``, kept in the tests as oracles: the fit handles one point
 set at a time with scalar np.dot sums over column views, the sample grid
 goes through ``inverse_map`` as an (out_h, out_w, 2) point array and every
-tap is a 2-D fancy-index read."""
+tap is a 2-D fancy-index read. The warp computes in the source's floating
+dtype, float64 for an integer source, as ``warpdet.align.warp`` does; the
+backward pass in float64."""
+
+import dataclasses
 
 import numpy as np
 
@@ -74,17 +78,19 @@ def landmark_and_canonical_gradients(grads: TransformGradients, landmarks, canon
     return d_landmarks, d_canonical
 
 
-def inverse_map(t: SimilarityTransform, points) -> np.ndarray:
+def inverse_map(t: SimilarityTransform, points, dtype=np.float64) -> np.ndarray:
     """Rectified-image points -> source-image points, one point at a time
-    along the last axis of an (..., 2) array."""
-    pts = np.asarray(points, dtype=np.float64)
-    d = t.norm_sq
-    u = pts[..., 0] - t.m_xr
-    v = pts[..., 1] - t.m_yr
+    along the last axis of an (..., 2) array, computed in dtype, to which
+    the transform's numbers are cast first."""
+    pts = np.asarray(points, dtype=dtype)
+    a, b, m_x, m_y, m_xr, m_yr = (pts.dtype.type(n) for n in dataclasses.astuple(t))
+    d = a * a + b * b
+    u = pts[..., 0] - m_xr
+    v = pts[..., 1] - m_yr
     return np.stack(
         [
-            (t.a * u - t.b * v) / d + t.m_x,
-            (t.b * u + t.a * v) / d + t.m_y,
+            (a * u - b * v) / d + m_x,
+            (b * u + a * v) / d + m_y,
         ],
         axis=-1,
     )
@@ -120,18 +126,20 @@ def bilinear_taps(source: np.ndarray, xs: np.ndarray, ys: np.ndarray):
     return values, weights, coords, valids, bx, by
 
 
-def rect_grid(out_h: int, out_w: int):
+def rect_grid(out_h: int, out_w: int, dtype=np.float64):
     ys, xs = np.mgrid[0:out_h, 0:out_w]
-    return xs.astype(np.float64), ys.astype(np.float64)
+    return xs.astype(dtype), ys.astype(dtype)
 
 
 def warp(source: np.ndarray, t: SimilarityTransform, out_size) -> np.ndarray:
-    """Oracle of align.warp."""
+    """Oracle of align.warp, in the source's floating dtype, float64 for an
+    integer source."""
+    dtype = source.dtype if source.dtype.kind == "f" else np.float64
     out_h, out_w = out_size
-    gx, gy = rect_grid(out_h, out_w)
-    src_pts = inverse_map(t, np.stack([gx, gy], axis=-1))
+    gx, gy = rect_grid(out_h, out_w, dtype)
+    src_pts = inverse_map(t, np.stack([gx, gy], axis=-1), dtype)
     values, weights, _, _, _, _ = bilinear_taps(source, src_pts[..., 0], src_pts[..., 1])
-    out = np.zeros((source.shape[0], out_h, out_w), dtype=np.float64)
+    out = np.zeros((source.shape[0], out_h, out_w), dtype=dtype)
     for val, wgt in zip(values, weights):
         out += val * wgt
     return out
