@@ -717,6 +717,16 @@ def _assert_bytes_equal_oracles(src, t, out_size, upstream):
     return crop
 
 
+def _assert_both_dtypes_equal_oracles(src, t, out_size, upstream):
+    """_assert_bytes_equal_oracles on a float64 source and on its float32
+    copy, whose crop is float32; returns the two crops."""
+    crops = []
+    for dtype in (np.float64, np.float32):
+        crops.append(_assert_bytes_equal_oracles(src.astype(dtype), t, out_size, upstream))
+        assert crops[-1].dtype == dtype
+    return crops
+
+
 # Crop centres around a 30 x 34 source (x, y): far past each side, then on
 # each edge and each corner.
 OUTSIDE = {"left": (-60.0, 15.0), "right": (100.0, 15.0),
@@ -731,7 +741,7 @@ class TestWindowedGather:
     """The taps are read from a zero-bordered window over the crop's
     footprint, clipped to the image plus a 2-px border. Wherever the
     footprint lies, warp and warp_backward equal the masked oracles byte
-    for byte."""
+    for byte, on a float64 source and on its float32 copy."""
 
     @staticmethod
     def _case(seed, centre, scale, channels=1):
@@ -746,8 +756,8 @@ class TestWindowedGather:
     def test_footprint_wholly_outside_gives_zero_crop(self, side):
         for seed in range(10):
             case = self._case(seed, OUTSIDE[side], 1.5, channels=1 + seed % 2)
-            crop = _assert_bytes_equal_oracles(*case)
-            assert not crop.any()
+            for crop in _assert_both_dtypes_equal_oracles(*case):
+                assert not crop.any()
 
     def test_footprint_just_past_an_edge_reads_only_border_zeros(self):
         """Translations whose taps end one column left of the image, and
@@ -756,14 +766,14 @@ class TestWindowedGather:
         upstream = np.random.default_rng(1).standard_normal((1, 6, 7))
         for t in (SimilarityTransform(1.0, 0.0, -7.75, 10.0, 0.0, 0.0),
                   SimilarityTransform(1.0, 0.0, 5.0, 30.25, 0.0, 0.0)):
-            crop = _assert_bytes_equal_oracles(src, t, (6, 7), upstream)
-            assert not crop.any()
+            for crop in _assert_both_dtypes_equal_oracles(src, t, (6, 7), upstream):
+                assert not crop.any()
 
     @pytest.mark.parametrize("where", sorted(STRADDLING))
     def test_footprint_straddling_an_edge_or_corner(self, where):
         for seed in range(10):
             case = self._case(seed, STRADDLING[where], 1.3, channels=1 + seed % 2)
-            _assert_bytes_equal_oracles(*case)
+            _assert_both_dtypes_equal_oracles(*case)
             ones = warp(np.ones_like(case[0]), case[1], case[2])
             assert ones.max() > 0.5 and ones.min() == 0.0
 
@@ -775,8 +785,8 @@ class TestWindowedGather:
         for m_x, m_y in ((17.0, 15.0), (0.4, 29.6), (-3.0, 40.0)):
             t = SimilarityTransform(1e-3, 0.0, m_x, m_y, 31.5, 31.5)
             upstream = rng.standard_normal((1, 64, 64))
-            crop = _assert_bytes_equal_oracles(src, t, (64, 64), upstream)
-            assert np.count_nonzero(crop) <= 4
+            for crop in _assert_both_dtypes_equal_oracles(src, t, (64, 64), upstream):
+                assert np.count_nonzero(crop) <= 4
 
     @staticmethod
     def _peak_bytes(fn):
@@ -821,39 +831,20 @@ THIN_PLACEMENTS = {"inside": ((17.0, 15.0), 0.7), "outside": ((-60.0, 15.0), 1.5
                    "huge": ((17.0, 15.0), 1e3)}
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("where", sorted(THIN_PLACEMENTS))
 @pytest.mark.parametrize("out_size", [(1, 16), (14, 1), (1, 1)], ids=str)
-def test_one_pixel_wide_outputs_equal_the_oracles(out_size, where, dtype):
+def test_one_pixel_wide_outputs_equal_the_oracles(out_size, where):
     """A row, a column or a single pixel of output: the window's bounds come
     from fewer than four distinct corners, and warp and warp_backward still
     equal the oracles byte for byte, in either source dtype."""
     centre, scale = THIN_PLACEMENTS[where]
     for seed in range(6):
         rng = np.random.default_rng([seed, *out_size])
-        src = smooth_image(rng, 30, 34, 1 + seed % 2).astype(dtype)
+        src = smooth_image(rng, 30, 34, 1 + seed % 2)
         t = similarity_from_pose(scale, rng.uniform(-np.pi, np.pi), centre,
                                  ((out_size[1] - 1) / 2.0, (out_size[0] - 1) / 2.0))
         upstream = rng.standard_normal(src.shape[:1] + out_size)
-        crop = _assert_bytes_equal_oracles(src, t, out_size, upstream)
-        assert crop.dtype == dtype
-        if where == "outside":
-            assert not crop.any()
-
-
-@pytest.mark.parametrize("where", ["outside", "straddling", "huge"])
-def test_float32_footprints_outside_straddling_and_huge_equal_the_oracles(where):
-    """TestWindowedGather's footprints on a float32 source: its crop is
-    float32, and warp and warp_backward equal the oracles byte for byte."""
-    cases = {"outside": [(c, 1.5) for c in OUTSIDE.values()],
-             "straddling": [(c, 1.3) for c in STRADDLING.values()],
-             "huge": [((17.0, 15.0), 1e3), ((0.4, 29.6), 1e3), ((-3.0, 40.0), 1e3)]}[where]
-    for seed in range(4):
-        for centre, scale in cases:
-            src, t, out_size, upstream = TestWindowedGather._case(
-                seed, centre, scale, channels=1 + seed % 2)
-            crop = _assert_bytes_equal_oracles(src.astype(np.float32), t, out_size, upstream)
-            assert crop.dtype == np.float32
+        for crop in _assert_both_dtypes_equal_oracles(src, t, out_size, upstream):
             if where == "outside":
                 assert not crop.any()
 
