@@ -39,11 +39,16 @@ over centered coordinates. A rectified point maps back to the source via
 set, for the warp, or a (..., N, 2) stack, for synthetic.box_from_landmarks.
 A set fits to the same bits alone or stacked: its sums are np.vecdot over
 C-contiguous rows, equal to np.dot bit for bit (strided views round apart).
+A canonical layout is centred once per value: its centroid and centered
+rows are cached, read-only, under the layout's bytes, so the many fits of
+one detection or one joint step to the same layout share them, and a
+layout that training moves in place is centred again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,6 +126,19 @@ def _center(points: np.ndarray, name: str):
     return mean, rows, spread, ok
 
 
+@lru_cache(maxsize=32)
+def _centred_layout(shape: tuple[int, int], data: bytes):
+    """Read-only centroid (2,) and centered rows (2, N) of the (N, 2)
+    float64 layout whose bytes are data, as _center gives them. Keyed on
+    the bytes, so a layout updated in place (by CanonicalShape.clamp or an
+    SGD step) is centred again; a singular layout raises on every call, as
+    nothing is cached for it."""
+    mean, rows, _, _ = _center(np.frombuffer(data).reshape(shape), "canonical points")
+    mean.flags.writeable = False
+    rows.flags.writeable = False
+    return mean, rows
+
+
 def fit_similarity(landmarks, canonical):
     """Fit one (N, 2) landmark set, or each set of a (..., N, 2) stack, to
     one (N, 2) canonical layout. Returns the centroids (..., 2) and (2,),
@@ -128,7 +146,8 @@ def fit_similarity(landmarks, canonical):
     (...), False where _center flags the landmarks or where c1 = c2 = 0:
     such a set gives a = b = 0, whose inverse map divides by zero. A
     flagged layout raises SingularTransformError; so does one flagged
-    landmark set."""
+    landmark set. The layout's centroid and rows are read-only, centred
+    once per value of the layout (_centred_layout)."""
     src = np.asarray(landmarks, dtype=np.float64)
     dst = np.asarray(canonical, dtype=np.float64)
     if dst.ndim != 2 or dst.shape[1] != 2 or src.shape[-2:] != dst.shape:
@@ -136,7 +155,7 @@ def fit_similarity(landmarks, canonical):
                          f"got shapes {src.shape} and {dst.shape}")
     if len(dst) < 2:
         raise ValueError("need at least 2 landmark pairs")
-    m_r, rows_r, _, _ = _center(dst, "canonical points")
+    m_r, rows_r = _centred_layout(dst.shape, dst.tobytes())
     m, rows, c3, ok = _center(src, "landmarks")
     straight = np.vecdot(rows, rows_r)        # X.Xr, Y.Yr
     crossed = np.vecdot(rows, rows_r[::-1])  # X.Yr, Y.Xr
@@ -196,8 +215,16 @@ def _sample_points(t: SimilarityTransform, out_h: int, out_w: int,
                    dtype: np.dtype = np.dtype(np.float64)):
     """The inverse map of the rectified grid, from a row u and a column v of
     offsets from the canonical centroid, computed in dtype: the transform's
-    numbers are cast to it first. Returns (u, v, x - m_x, y - m_y)."""
+    numbers are cast to it first. Returns (u, v, x - m_x, y - m_y). Raises
+    SingularTransformError when the map's divisor a^2 + b^2 underflows to 0
+    or overflows in dtype, as it does in float32 at a scale that float64
+    still holds. The check runs in numpy's error state, which ignores an
+    underflow: an np.errstate block here cost about 1% of a joint step."""
     a, b, m_xr, m_yr = (dtype.type(n) for n in (t.a, t.b, t.m_xr, t.m_yr))
+    norm_sq = a * a + b * b
+    if not 0 < norm_sq < np.inf:
+        raise SingularTransformError(
+            f"a^2 + b^2 = {norm_sq:g} in {dtype.name} (a = {t.a:g}, b = {t.b:g})")
     u = np.arange(out_w, dtype=dtype) - m_xr
     v = np.arange(out_h, dtype=dtype)[:, None] - m_yr
     return (u, v, *inverse_offsets(a, b, u, v))

@@ -38,9 +38,14 @@ and cropped to the input. At s = 1 that is the flipped filters at padding
 K-1-p.
 
 Forward kernels compute only what the forward result needs. Max-pool
-returns the pooled values and no argmax: its backward re-derives each
-block's winner from the stored input and output, so detection, which never
-runs a backward pass, pays nothing for one.
+returns the pooled values and no argmax, taking each block's maximum in two
+np.maximum calls, over column pairs and then over row pairs: its backward
+re-derives each block's winner from the stored input and output, so
+detection, which never runs a backward pass, pays nothing for one.
+
+Softmax cross-entropy scores one (K,) row with an int label as it is, with
+no batch around it, and a (B, K) batch with (B,) integer labels; a label
+that is not an integer in [0, K) is rejected on either form.
 
 Conventions used throughout the package:
 
@@ -57,6 +62,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -213,18 +219,21 @@ def _patch_blocks(xp: np.ndarray, spec: ConvSpec, out_h: int,
 def _conv_product(xp: np.ndarray, fmat: np.ndarray, spec: ConvSpec,
                   out_h: int, out_w: int) -> np.ndarray:
     """fmat @ im2col of the padded input xp, the (N, out_h*out_w) product.
-    fmat's columns are regrouped as (B, N, C*K*K/B), a copy only for B > 1,
-    so that each of _patch_blocks' B blocks meets its own columns in one
-    GEMM; the products are summed in block order, each written into one
-    reused buffer. The forward, the input gradient and roiconv's bands all
-    run on it."""
-    first, *rest = _patch_blocks(xp, spec, out_h, out_w)
-    n, b = len(fmat), 1 + len(rest)
+    One block is the whole patch matrix, and its product is one GEMM with
+    fmat as it is. For B > 1 blocks, fmat's columns are regrouped as (B, N,
+    C*K*K/B), a copy, so that each of _patch_blocks' blocks meets its own
+    columns in one GEMM; the products are summed in block order, each
+    written into one reused buffer. The forward, the input gradient and
+    roiconv's bands all run on it."""
+    blocks = _patch_blocks(xp, spec, out_h, out_w)
+    if len(blocks) == 1:
+        return fmat @ blocks[0]
+    n, b = len(fmat), len(blocks)
     rows = (fmat.reshape(n, spec.in_channels, b, -1)
             .transpose(2, 0, 1, 3).reshape(b, n, -1))
-    out = rows[0] @ first
-    term = np.empty_like(out) if rest else None
-    for row, block in zip(rows[1:], rest):
+    out = rows[0] @ blocks[0]
+    term = np.empty_like(out)
+    for row, block in zip(rows[1:], blocks[1:]):
         np.matmul(row, block, out=term)
         out += term
     return out
@@ -284,8 +293,9 @@ def conv2d_backward(
 
     The filter gradient is gmat @ im2col(x).T under the forward's rule:
     one GEMM with the transpose of each of _patch_blocks' blocks, put back
-    together in the filters' shape. Its copy of the input is freed before
-    the input gradient starts.
+    together in the filters' shape (one block's product is that shape
+    already, and is not copied). Its copy of the input is freed before the
+    input gradient starts.
 
     The input gradient, at every stride, is the forward product of grad_out
     with the filters split into stride phases, flipped and transposed,
@@ -303,9 +313,12 @@ def conv2d_backward(
     n, c = spec.out_channels, spec.in_channels
     gmat = grad_out.reshape(n, -1)  # (N, P)
     blocks = _patch_blocks(xp, spec, out_h, out_w)
-    grad_filters = np.concatenate(
-        [(gmat @ block.T).reshape(n, c, 1, -1) for block in blocks], axis=2
-    ).reshape(filters.shape)
+    if len(blocks) == 1:
+        grad_filters = (gmat @ blocks[0].T).reshape(filters.shape)
+    else:
+        grad_filters = np.concatenate(
+            [(gmat @ block.T).reshape(n, c, 1, -1) for block in blocks], axis=2
+        ).reshape(filters.shape)
     del xp, blocks  # the input's copies go before the input gradient's
     grad_bias = gmat.sum(axis=1)
     if not input_grad:
@@ -314,16 +327,21 @@ def conv2d_backward(
     return grad_input, grad_filters, grad_bias
 
 
-def block_taps(x: np.ndarray):
-    """The four (C, ceil(H/2), ceil(W/2)) taps of every 2x2 block of a CHW
-    array, in tl, tr, bl, br order, as strided views. Odd extents are
-    edge-replicated first, so a block on the last row or column reads its
-    source cell twice."""
+def _even_extents(x: np.ndarray) -> np.ndarray:
+    """A CHW array with odd extents edge-replicated to even ones, so a 2x2
+    block on the last row or column reads its source cell twice."""
     if x.ndim != 3:
         raise ShapeError(f"expected CHW input, got shape {x.shape}")
     _, h, w = x.shape
     if h % 2 or w % 2:
         x = np.pad(x, ((0, 0), (0, h % 2), (0, w % 2)), mode="edge")
+    return x
+
+
+def block_taps(x: np.ndarray):
+    """The four (C, ceil(H/2), ceil(W/2)) taps of every 2x2 block of a CHW
+    array, in tl, tr, bl, br order, as strided views of its even extents."""
+    x = _even_extents(x)
     return x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
 
 
@@ -343,12 +361,15 @@ def maxpool2x2(x: np.ndarray) -> np.ndarray:
 
     Returns only the pooled values: the backward pass re-derives each
     block's winner from the input and this output, so detection stores
-    nothing for it. On a tie np.maximum returns its second argument, so
-    maximum(maximum(br, bl), maximum(tr, tl)) keeps the first tap in tl,
-    tr, bl, br order, and with it the sign of a tied zero.
+    nothing for it. The pairs are taken in two np.maximum calls, columns
+    and then rows, which is the tree maximum(maximum(br, bl), maximum(tr,
+    tl)). On a tie np.maximum returns its second argument, so the tree
+    keeps the first tap in tl, tr, bl, br order, and with it the sign of a
+    tied zero.
     """
-    tl, tr, bl, br = block_taps(x)
-    return np.maximum(np.maximum(br, bl), np.maximum(tr, tl))
+    x = _even_extents(x)
+    cols = np.maximum(x[:, :, 1::2], x[:, :, 0::2])
+    return np.maximum(cols[:, 1::2], cols[:, 0::2])
 
 
 def maxpool2x2_backward(grad_out: np.ndarray, x: np.ndarray,
@@ -397,46 +418,80 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _class_labels(labels, shape):
+    """labels as class indices for (K,) or (B, K) logits or probabilities
+    of this shape: one int for a row, a (B,) integer array for a batch.
+    Raises ShapeError on another rank, an empty class axis or a label count
+    that does not match the rows, and ValueError on a label that is not an
+    integer or lies outside [0, K)."""
+    if len(shape) not in (1, 2):
+        raise ShapeError(f"expected (K,) or (B, K) logits, got shape {shape}")
+    k = shape[-1]
+    if k == 0:
+        raise ShapeError("softmax over an empty class axis")
+    if len(shape) == 1:
+        try:
+            label = operator.index(labels)
+        except TypeError:
+            raise ValueError(f"label {labels!r} is not an integer") from None
+        if not 0 <= label < k:
+            raise ValueError(f"label {label} outside [0, {k})")
+        return label
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels of dtype {labels.dtype} are not integers")
+    if labels.shape != shape[:1]:
+        raise ShapeError(f"{labels.shape} labels for {shape[0]} rows")
+    if len(labels) and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"labels outside [0, {k})")
+    return labels
+
+
 def softmax_cross_entropy(
     logits: np.ndarray, labels, weights: np.ndarray | None = None
 ):
     """Softmax cross-entropy over the last axis.
 
-    logits: (K,) with an int label, or (B, K) with (B,) int labels.
-    weights: optional per-row weights; without them rows are averaged.
+    logits: (K,) with an int label, or (B, K) with (B,) integer labels,
+    each in [0, K). weights: optional (B,) row weights of a batch; without
+    them its rows are averaged. One row is scored as it is, with no batch
+    around it: its loss is the bytes of the (1, K) batch's.
     Returns (loss, probs); pair with softmax_cross_entropy_backward.
     """
     logits = np.asarray(logits)
-    if logits.shape[-1] == 0:
-        raise ShapeError("softmax over an empty class axis")
-    single = logits.ndim == 1
-    lm = logits.reshape(1, -1) if single else logits
-    labs = np.atleast_1d(np.asarray(labels, dtype=np.intp))
-    if labs.shape[0] != lm.shape[0]:
-        raise ShapeError(f"{labs.shape[0]} labels for {lm.shape[0]} rows")
-    logp = log_softmax(lm)
+    labels = _class_labels(labels, logits.shape)
+    logp = log_softmax(logits)
     probs = np.exp(logp)
-    per_row = -logp[np.arange(lm.shape[0]), labs]
+    if logits.ndim == 1:
+        if weights is not None:
+            raise ShapeError("one row takes no row weights")
+        # + 0.0 as the batch's mean sums from 0.0: a zero loss is +0.0
+        return -logp[labels] + 0.0, probs
+    per_row = -logp[np.arange(len(logp)), labels]
     if weights is None:
         loss = per_row.mean()
     else:
         loss = float(np.dot(per_row, weights))
-    return loss, (probs[0] if single else probs)
+    return loss, probs
 
 
 def softmax_cross_entropy_backward(
     probs: np.ndarray, labels, weights: np.ndarray | None = None
 ) -> np.ndarray:
     """Gradient of softmax_cross_entropy's loss with respect to the logits."""
-    single = probs.ndim == 1
-    pm = probs.reshape(1, -1).copy() if single else probs.copy()
-    labs = np.atleast_1d(np.asarray(labels, dtype=np.intp))
-    pm[np.arange(pm.shape[0]), labs] -= 1.0
+    labels = _class_labels(labels, probs.shape)
+    grad = probs.copy()
+    if probs.ndim == 1:
+        if weights is not None:
+            raise ShapeError("one row takes no row weights")
+        grad[labels] -= 1.0
+        return grad
+    grad[np.arange(len(grad)), labels] -= 1.0
     if weights is None:
-        pm /= pm.shape[0]
+        grad /= len(grad)
     else:
-        pm *= np.asarray(weights).reshape(-1, 1)
-    return pm[0] if single else pm
+        grad *= np.asarray(weights).reshape(-1, 1)
+    return grad
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int,
@@ -459,7 +514,7 @@ def sgd_step(params, grads, velocities, learning_rate: float, momentum: float):
             raise ShapeError(
                 f"entry {i}: param {p.shape}, grad {g.shape}, velocity {v.shape}"
             )
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise FloatingPointError(
                 f"non-finite gradient in entry {i} (max abs "
                 f"{np.max(np.abs(g[np.isfinite(g)]), initial=0.0):g})"

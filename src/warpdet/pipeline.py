@@ -176,14 +176,19 @@ def _trunk_backward(trunk, records, d_out, input_grad):
     A pooling stores no argmax: its backward re-derives the routing from the
     relu and pooled maps, which is exact on the dense path, the only one
     training runs. The relu's backward reads its output, which is positive
-    exactly where its input is. Returns (gradient of the trunk's input, or
-    None unless input_grad is set, [d_w, d_b] of each block in block order)."""
+    exactly where its input is. A pooled block gates the relu at pooled
+    resolution, before the routing: a pooled gradient reaches only its
+    block's winner, whose relu output is the pooled value, so on a finite map
+    this is relu_backward of the routed gradient, byte for byte, on a quarter
+    of the cells. Returns (gradient of the trunk's input, or None unless
+    input_grad is set, [d_w, d_b] of each block in block order)."""
     grads = []
     for n, ((layer, _), (x, a, p)) in enumerate(
             zip(reversed(trunk), reversed(records)), start=1):
-        if p is not None:
-            d_out = nn.maxpool2x2_backward(d_out, a, p)
-        d_z = nn.relu_backward(d_out, a)
+        if p is None:
+            d_z = nn.relu_backward(d_out, a)
+        else:
+            d_z = nn.maxpool2x2_backward(d_out * (p > 0), a, p)
         d_out, d_w, d_b = nn.conv2d_backward(
             d_z, x, layer.filters, layer.spec, input_grad or n < len(trunk))
         grads[:0] = [d_w, d_b]
@@ -403,7 +408,8 @@ def verify_backward(model: DetectorModel, cache: VerifyCache, d_logits,
     )
     d_rpn_feat, d_feat_n = None, d_joint
     if model.use_concat:
-        d_rpn_n, d_feat_n = np.split(d_joint, [len(cache.rpn_feat)])
+        cut = len(cache.rpn_feat)
+        d_rpn_n, d_feat_n = d_joint[:cut], d_joint[cut:]
         d_rpn_feat = l2_normalize_backward(d_rpn_n, cache.rpn_feat, cache.rpn_norm)
     d_feat = l2_normalize_backward(d_feat_n, cache.feat, cache.feat_norm)
     trunk_out = cache.trunk[-1][2]
@@ -566,10 +572,10 @@ def train_end_to_end(corpus, model: DetectorModel, config: TrainConfig):
             for (i, j), label, geom, feat in zip(cells, labels.tolist(), geometry, feats):
                 try:
                     transform = _candidate_transform(model, geom)
+                    cache = verify_forward(model, sample.image, transform, feat)
                 except SingularTransformError:
                     history["singular_skips"] += 1
                     continue
-                cache = verify_forward(model, sample.image, transform, feat)
                 vloss, probs_v = nn.softmax_cross_entropy(cache.logits, label)
                 d_logits = nn.softmax_cross_entropy_backward(probs_v, label) * loss_weight
                 # geometry supervision from the verdict loss applies to true faces;
@@ -688,7 +694,8 @@ def detect(image: np.ndarray, model: DetectorModel,
 
     The proposal and verification nets run on one INFERENCE_DTYPE copy of
     the image; the fern pre-filter scans the image as given. A pixel that
-    is not finite in either raises ValueError."""
+    is not finite in either raises ValueError. A candidate whose fit or
+    crop is singular (SingularTransformError) is dropped unverified."""
     if image.ndim != 3 or image.shape[0] != 1:
         raise ShapeError(f"expected a (1, H, W) grayscale image, got {image.shape}")
     # a pixel beyond the copy's range becomes inf, so one check covers both
@@ -721,10 +728,10 @@ def detect(image: np.ndarray, model: DetectorModel,
     for n, (geom, feature) in enumerate(zip(geometry, feats)):
         try:
             transform = _candidate_transform(model, geom)
+            logits.append(verify_forward(model, work, transform, feature).logits)
         except SingularTransformError:
             continue
         verified.append(n)
-        logits.append(verify_forward(model, work, transform, feature).logits)
     rows = rows[verified]
     rows[:, 4] = np.exp(nn.log_softmax(np.reshape(logits, (-1, 2))))[:, 1]
     return [Detection(tuple(rows[n, :4].tolist()), float(rows[n, 4]),

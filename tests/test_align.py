@@ -9,6 +9,7 @@ integers (and from the image border) before finite differences run.
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import warp_oracles
 from conftest import rel_err
 from warp_oracles import inverse_map
-from warpdet import align
+from warpdet import align, nn
 from warpdet.align import (
     CanonicalShape,
     SimilarityTransform,
@@ -469,6 +470,38 @@ class TestWarp:
             warp(src, SimilarityTransform(1, 0, 0, 0, 0, 0), (0, 8))
 
 
+class TestDivisorInTheSamplingDtype:
+    """warp samples in its source's floating dtype and divides by the
+    transform's a^2 + b^2 there, so a divisor that underflows in that dtype
+    raises SingularTransformError rather than dividing by zero into a NaN
+    crop."""
+
+    @pytest.mark.parametrize("scale, dtype, singular", [
+        (1e22, np.float32, False), (1e23, np.float32, True), (1e23, np.float64, False)])
+    def test_the_float32_warp_raises_where_its_divisor_underflows(
+            self, rng, scale, dtype, singular):
+        src = rng.random((1, 160, 160)).astype(dtype)
+        t = similarity_from_pose(scale, 0.3, (80.0, 80.0), (31.5, 31.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if singular:
+                with pytest.raises(SingularTransformError, match="float32"):
+                    warp(src, t, (64, 64))
+                return
+            crop = warp(src, t, (64, 64))
+        assert crop.dtype == dtype and np.isfinite(crop).all()
+
+    def test_both_float64_passes_raise_where_theirs_underflows(self, rng):
+        src = rng.random((1, 40, 40))
+        t = SimilarityTransform(1e-170, 0.0, 20.0, 20.0, 7.5, 7.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularTransformError, match="float64"):
+                warp(src, t, (16, 16))
+            with pytest.raises(SingularTransformError, match="float64"):
+                warp_backward(np.ones((1, 16, 16)), src, t)
+
+
 class TestWarpBackward:
     def test_zero_upstream_gives_zero(self, rng):
         src, t, upstream = draw_safe_case(rng)
@@ -867,6 +900,70 @@ def test_the_corners_of_the_tap_grid_span_its_whole_range(scale, angle, centre, 
     for axis, size in ((0, 34), (1, 30)):
         taps = np.clip(np.floor(pts[..., axis]), -align.TAP_BORDER, size)
         assert align._corner_span(taps) == (int(taps.min()), int(taps.max()))
+
+
+def _centred_afresh(points):
+    """A layout's centroid and centered rows, computed without the cache."""
+    mean, rows, _, _ = align._center(np.array(points), "canonical points")
+    return mean, rows
+
+
+class TestLayoutCentredOnce:
+    """fit_similarity centres a canonical layout once per value of it and
+    hands out its centroid and rows read-only."""
+
+    def test_the_layout_arrays_are_read_only(self, rng):
+        lms, canon = rng.uniform(0, 60, size=(2, 5, 2))
+        for fit in (fit_similarity(lms, canon), fit_similarity(lms[None], canon)):
+            _, m_r, _, rows_r, *_ = fit
+            for cached in (m_r, rows_r):
+                assert not cached.flags.writeable
+                with pytest.raises(ValueError):
+                    cached[0] = 1.0
+            _assert_same_bytes([m_r, rows_r], _centred_afresh(canon))
+
+    def test_a_layout_is_centred_once_per_value(self, rng, monkeypatch):
+        centred = []
+        real_center = align._center
+
+        def center(points, name):
+            centred.append(name)
+            return real_center(points, name)
+
+        monkeypatch.setattr(align, "_center", center)
+        align._centred_layout.cache_clear()
+        lms, canon = rng.uniform(0, 60, size=(2, 5, 2))
+        for layout in (canon, canon.copy(), canon + 0.0, canon, canon.copy()):
+            estimate_similarity(lms, layout)
+        assert centred.count("canonical points") == 1
+        estimate_similarity(lms, canon + 1.0)
+        assert centred.count("canonical points") == 2
+
+    @pytest.mark.parametrize("update", ["clamp", "sgd_step"])
+    def test_a_layout_updated_in_place_is_centred_again(self, rng, update):
+        """The cache keys on the layout's bytes, not on its array: clamp
+        and an SGD step write into the same array, and the next fit reads
+        the new layout's centroid and rows."""
+        shape = CanonicalShape(rng.uniform(10, 50, size=(5, 2)))
+        shape.points[0] = [-3.0, 80.0]  # outside the crop, so clamp moves it
+        points = shape.points
+        lms = rng.uniform(0, 60, size=(5, 2))
+        before = fit_similarity(lms, shape.points)
+        if update == "clamp":
+            shape.clamp(64, 64)
+        else:
+            nn.sgd_step([shape.points], [rng.standard_normal((5, 2))],
+                        [np.zeros((5, 2))], 0.5, 0.9)
+        assert shape.points is points
+        _, m_r, _, rows_r, *_ = fit_similarity(lms, shape.points)
+        assert m_r.tobytes() != before[1].tobytes()
+        _assert_same_bytes([m_r, rows_r], _centred_afresh(shape.points))
+        t = estimate_similarity(lms, shape.points)
+        want = warp_oracles.estimate_similarity(lms, shape.points)
+        _assert_same_bytes(dataclasses.astuple(t), dataclasses.astuple(want))
+
+    def test_the_cache_is_bounded(self):
+        assert align._centred_layout.cache_info().maxsize is not None
 
 
 class TestCanonicalShape:

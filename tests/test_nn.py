@@ -743,6 +743,65 @@ class TestSimpleOps:
         np.testing.assert_allclose(gb, w)
 
 
+class TestCrossEntropyLabels:
+    """A label must be an integer class index in [0, K). numpy would read
+    -1 as the last class, truncate 1.7 to 1, and raise IndexError on K."""
+
+    LOGITS = np.array([0.0, 2.0])
+
+    @pytest.mark.parametrize("label", [-1, 1.7, 2], ids=["negative", "fraction", "K"])
+    def test_one_row_rejects_the_label(self, label):
+        _, probs = softmax_cross_entropy(self.LOGITS, 1)
+        with pytest.raises(ValueError, match="label"):
+            softmax_cross_entropy(self.LOGITS, label)
+        with pytest.raises(ValueError, match="label"):
+            softmax_cross_entropy_backward(probs, label)
+
+    @pytest.mark.parametrize("label", [-1, 1.7, 2], ids=["negative", "fraction", "K"])
+    def test_a_batch_rejects_the_label(self, label):
+        logits = np.stack([self.LOGITS, self.LOGITS[::-1]])
+        labels = np.array([0, label])
+        _, probs = softmax_cross_entropy(logits, [0, 1])
+        for weights in (None, np.array([0.25, 0.75])):
+            with pytest.raises(ValueError, match="label"):
+                softmax_cross_entropy(logits, labels, weights)
+            with pytest.raises(ValueError, match="label"):
+                softmax_cross_entropy_backward(probs, labels, weights)
+
+    def test_a_label_count_unlike_the_rows_is_a_shape_error(self):
+        with pytest.raises(ShapeError):
+            softmax_cross_entropy(np.zeros((3, 2)), [0, 1])
+        with pytest.raises(ShapeError):
+            softmax_cross_entropy_backward(np.full((3, 2), 0.5), [0, 1, 1, 0])
+
+    def test_one_row_takes_no_row_weights(self):
+        with pytest.raises(ShapeError):
+            softmax_cross_entropy(self.LOGITS, 1, np.ones(1))
+        with pytest.raises(ShapeError):
+            softmax_cross_entropy_backward(np.full(2, 0.5), 1, np.ones(1))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_row_gives_the_bytes_of_the_one_row_batch(self, rng, dtype):
+        """A (K,) row with an int label scores as the (1, K) batch with a
+        (1,) label: the same loss bytes and dtype, probabilities and
+        gradient, also where a class's probability underflows."""
+        rows = [rng.standard_normal(k) * 10.0 ** rng.uniform(-3, 3)
+                for k in rng.integers(1, 7, size=200)]
+        rows += [np.array([0.0, 800.0]), np.array([-0.0, 0.0]), np.array([300.0, -700.0])]
+        for row in rows:
+            row = row.astype(dtype)
+            for label in (0, len(row) - 1, np.int64(len(row) // 2)):
+                loss, probs = softmax_cross_entropy(row, label)
+                want_loss, want_probs = softmax_cross_entropy(row[None], np.array([label]))
+                assert np.asarray(loss).dtype == np.asarray(want_loss).dtype
+                assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
+                assert probs.tobytes() == want_probs[0].tobytes()
+                grad = softmax_cross_entropy_backward(probs, label)
+                want_grad = softmax_cross_entropy_backward(want_probs, np.array([label]))
+                assert grad.shape == row.shape
+                assert grad.tobytes() == want_grad[0].tobytes()
+
+
 class TestSgd:
     def test_zero_lr_keeps_params(self, rng):
         p = rng.standard_normal(5)

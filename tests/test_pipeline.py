@@ -21,8 +21,8 @@ from conftest import TINY_SEED as SEED
 from conftest import (central_diff, make_detector, open_cascade, rel_err, tiny_detector,
                       train_tiny)
 from warpdet import ferns, nn, pipeline, roiconv, synthetic
-from warpdet.align import SingularTransformError
-from warpdet.model import load_model, save_model
+from warpdet.align import SimilarityTransform, SingularTransformError, similarity_from_pose
+from warpdet.model import ConvLayer, load_model, save_model
 from warpdet.nn import ShapeError
 from warpdet.suppress import iou
 
@@ -324,6 +324,41 @@ def test_final_nms_takes_the_verified_rows_with_their_verdicts(
                 assert np.array_equal(det.landmarks, geometry[kept[verified[n]]])
         boxes += len(dets)
     assert boxes > 0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("extent", [(6, 8), (5, 7), (4, 1), (1, 1)])
+def test_a_pooled_block_gates_the_relu_at_pooled_resolution(monkeypatch, dtype, extent):
+    """_trunk_backward hands the conv backward of a pooled block the bytes
+    of relu_backward(maxpool2x2_backward(d, a, p), a): on finite relu maps
+    with tied taps, signed zeros and odd extents, and upstream gradients
+    with infinities and NaNs. (Only a NaN in the forward map may route
+    otherwise, and the training step rejects such a map either way.)"""
+    rng = np.random.default_rng(sum(extent))
+    spec = nn.ConvSpec(2, 3, 3, padding=1)
+    layer = ConvLayer(spec, rng.standard_normal((3, 2, 3, 3)), np.zeros(3))
+    handed = []
+    real_backward = nn.conv2d_backward
+
+    def conv_backward(d_z, *args):
+        handed.append(d_z)
+        return real_backward(d_z, *args)
+
+    monkeypatch.setattr(nn, "conv2d_backward", conv_backward)
+    for _ in range(40):
+        x = rng.standard_normal((2, *extent)).astype(dtype)
+        a = rng.choice([-1.5, -0.0, 0.0, 0.0, 0.75, 0.75, 2.0],
+                       size=(3, *extent)).astype(dtype)
+        p = nn.maxpool2x2(a)
+        d_out = rng.choice([-1.0, -0.0, 0.0, 0.5, 3.0, np.inf, -np.inf, np.nan],
+                           size=p.shape).astype(dtype)
+        handed.clear()
+        with np.errstate(invalid="ignore"):
+            pipeline._trunk_backward([(layer, True)], [(x, a, p)], d_out, True)
+            want = nn.relu_backward(nn.maxpool2x2_backward(d_out, a, p), a)
+        (got,) = handed
+        assert got.dtype == want.dtype and got.shape == want.shape == a.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_training_passes_run_in_float64_and_detect_nets_in_float32(
@@ -897,8 +932,8 @@ def _coincident_layout_model():
 
 
 def _assert_detect_finds_nothing_without_a_warning(model, images, monkeypatch):
-    """Every kept candidate's fit raises, so the final nms gets a (0, 5)
-    float64 array and detect returns []."""
+    """Every kept candidate's fit or crop raises, so the final nms gets a
+    (0, 5) float64 array and detect returns []."""
     calls = _spy_on_detect(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -982,6 +1017,32 @@ def test_degenerate_box_head_sides_count_every_candidate_as_singular(
     singular_skips, without a ValueError from the crop or the warp."""
     _joint_epoch_counting_every_candidate_as_singular(
         _degenerate_box_head_model(log_side), monkeypatch)
+
+
+def _always(transform):
+    """A _candidate_transform that maps every candidate by transform."""
+    return lambda model, geometry: transform
+
+
+def test_a_crop_whose_float32_divisor_underflows_is_skipped_in_detect(
+    held_out, monkeypatch
+):
+    """At 1e23 source pixels per crop pixel, a^2 + b^2 is finite in float64
+    but 0 in float32, the dtype in which detect warps: each such candidate
+    is dropped unverified, with no NaN score and no warning."""
+    monkeypatch.setattr(pipeline, "_candidate_transform", _always(
+        similarity_from_pose(1e23, 0.3, (48.0, 48.0), (31.5, 31.5))))
+    _assert_detect_finds_nothing_without_a_warning(
+        pipeline.build_detector(pipeline.TrainConfig(seed=SEED)), held_out, monkeypatch)
+
+
+def test_a_crop_whose_float64_divisor_underflows_counts_as_singular(monkeypatch):
+    """A joint step skips each candidate whose float64 warp cannot divide
+    by a^2 + b^2 and counts it in singular_skips."""
+    monkeypatch.setattr(pipeline, "_candidate_transform", _always(
+        SimilarityTransform(1e-170, 0.0, 48.0, 48.0, 31.5, 31.5)))
+    _joint_epoch_counting_every_candidate_as_singular(
+        pipeline.build_detector(pipeline.TrainConfig(seed=SEED)), monkeypatch)
 
 
 @pytest.mark.parametrize("side", [0.0, -3.0, np.inf, np.nan, 4e289, 1e-300])
