@@ -35,18 +35,25 @@ over centered coordinates. A rectified point maps back to the source via
     x = ( a*(xr - mxr) - b*(yr - myr)) / (a^2 + b^2) + mx
     y = ( b*(xr - mxr) + a*(yr - myr)) / (a^2 + b^2) + my
 
-(inverse_offsets). The one fit, fit_similarity, takes one (N, 2) landmark
-set, for the warp, or a (..., N, 2) stack, for synthetic.box_from_landmarks.
-A set fits to the same bits alone or stacked: its sums are np.vecdot over
-C-contiguous rows, equal to np.dot bit for bit (strided views round apart).
-A canonical layout is centred once per value: its centroid and centered
-rows are cached, read-only, under the layout's bytes, so the many fits of
-one detection or one joint step to the same layout share them, and a
-layout that training moves in place is centred again.
+(inverse_offsets). Whether a transform can be warped is decided in one
+place, _sample_points, which runs before every warp and warp_backward: it
+raises SingularTransformError, and warns of nothing, when a centroid
+coordinate or a^2 + b^2 is not finite or exceeds the sampling dtype's
+largest value, or when a^2 + b^2 underflows to 0 in that dtype.
+
+The one fit, fit_similarity, takes one (N, 2) landmark set, for the warp,
+or a (..., N, 2) stack, for synthetic.box_from_landmarks. A set fits to
+the same bits alone or stacked: its sums are np.vecdot over C-contiguous
+rows, equal to np.dot bit for bit (strided views round apart). A canonical
+layout is centred once per value: its centroid and centered rows are
+cached, read-only, under the layout's bytes, so the many fits of one
+detection or one joint step to the same layout share them, and a layout
+that training moves in place is centred again.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,7 +64,8 @@ CANONICAL_MARGIN = 2  # pixels between a canonical point and the crop border
 
 
 class SingularTransformError(ValueError):
-    """Landmarks are (near-)coincident or not finite; the fit is degenerate."""
+    """Landmarks are (near-)coincident or not finite, so the fit is
+    degenerate, or a transform's inverse map cannot be computed."""
 
 
 @dataclass(frozen=True)
@@ -183,23 +191,6 @@ def estimate_similarity(landmarks, canonical) -> SimilarityTransform:
     return SimilarityTransform(c1 / c3, c2 / c3, m_x, m_y, m_xr, m_yr)
 
 
-def similarity_from_pose(
-    scale: float, angle: float, src_center, dst_center
-) -> SimilarityTransform:
-    """Transform whose inverse map is: scale * rotate(angle) about dst_center,
-    then translate to src_center. `scale` is source pixels per rectified pixel.
-    A scale at which norm_sq = a^2 + b^2, the inverse map's divisor,
-    underflows to 0 or overflows raises SingularTransformError."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    t = SimilarityTransform(float(np.cos(angle)) / scale, float(np.sin(angle)) / scale,
-                            float(src_center[0]), float(src_center[1]),
-                            float(dst_center[0]), float(dst_center[1]))
-    if not 0.0 < t.norm_sq < np.inf:
-        raise SingularTransformError(f"scale {scale:g} gives a^2 + b^2 = {t.norm_sq:g}")
-    return t
-
-
 def inverse_offsets(a, b, u, v):
     """Source offsets (x - m_x, y - m_y) of rectified offsets (u, v) =
     (xr - m_xr, yr - m_yr) under the similarity (a, b), all four broadcast."""
@@ -215,19 +206,27 @@ def _sample_points(t: SimilarityTransform, out_h: int, out_w: int,
                    dtype: np.dtype = np.dtype(np.float64)):
     """The inverse map of the rectified grid, from a row u and a column v of
     offsets from the canonical centroid, computed in dtype: the transform's
-    numbers are cast to it first. Returns (u, v, x - m_x, y - m_y). Raises
-    SingularTransformError when the map's divisor a^2 + b^2 underflows to 0
-    or overflows in dtype, as it does in float32 at a scale that float64
-    still holds. The check runs in numpy's error state, which ignores an
-    underflow: an np.errstate block here cost about 1% of a joint step."""
-    a, b, m_xr, m_yr = (dtype.type(n) for n in (t.a, t.b, t.m_xr, t.m_yr))
-    norm_sq = a * a + b * b
-    if not 0 < norm_sq < np.inf:
-        raise SingularTransformError(
-            f"a^2 + b^2 = {norm_sq:g} in {dtype.name} (a = {t.a:g}, b = {t.b:g})")
-    u = np.arange(out_w, dtype=dtype) - m_xr
-    v = np.arange(out_h, dtype=dtype)[:, None] - m_yr
-    return (u, v, *inverse_offsets(a, b, u, v))
+    numbers are cast to it first. Returns (u, v, x - m_x, y - m_y).
+
+    This is the one validity gate of a SimilarityTransform, run before every
+    warp and warp_backward. It raises SingularTransformError when a centroid
+    coordinate or a^2 + b^2 is not finite or exceeds dtype's largest value
+    (float64's, for a wider dtype), or when a^2 + b^2, the map's divisor,
+    underflows to 0 in dtype. The range tests compare Python floats, which
+    never warn, before any number is cast to dtype; the underflow test runs
+    in dtype, where numpy ignores an underflow. (An np.errstate block here
+    cost about 1% of a joint step.)"""
+    a, b, m_x, m_y, m_xr, m_yr = map(float, (t.a, t.b, t.m_x, t.m_y, t.m_xr, t.m_yr))
+    top = min(float(np.finfo(dtype).max), sys.float_info.max)
+    if (a * a + b * b <= top and abs(m_x) <= top and abs(m_y) <= top
+            and abs(m_xr) <= top and abs(m_yr) <= top):
+        cast = dtype.type
+        a, b, m_xr, m_yr = cast(a), cast(b), cast(m_xr), cast(m_yr)
+        if a * a + b * b > 0:
+            u = np.arange(out_w, dtype=dtype) - m_xr
+            v = np.arange(out_h, dtype=dtype)[:, None] - m_yr
+            return (u, v, *inverse_offsets(a, b, u, v))
+    raise SingularTransformError(f"{t} has no inverse map in {dtype.name}")
 
 
 # Tap coordinates are clipped to the image plus this many pixels on each side.

@@ -45,10 +45,10 @@ import numpy as np
 
 from . import nn
 from .align import (
+    SimilarityTransform,
     SingularTransformError,
     estimate_similarity,
     landmark_and_canonical_gradients,
-    similarity_from_pose,
     warp,
     warp_backward,
 )
@@ -344,20 +344,19 @@ def l2_normalize_backward(d_out: np.ndarray, x: np.ndarray, norm: float):
 
 
 def crop_transform(box, rect_size: int):
-    """Axis-aligned crop of a box's bounding square onto the rectified grid.
-    Raises SingularTransformError when that square's side is not finite and
-    positive, or is so large or small that the similarity's a^2 + b^2
-    underflows to 0 or overflows."""
+    """Axis-aligned crop of a box's bounding square onto the rectified grid:
+    the similarity whose inverse map scales the crop by side / rect_size
+    source pixels per crop pixel about its centre and moves that centre onto
+    the box's. Raises SingularTransformError when that scale is not finite
+    and positive; the warp's gate (align._sample_points) rejects the rest,
+    a centre that is not finite or a^2 + b^2 that under- or overflows."""
     x, y, w, h = box
-    side = max(w, h)
-    if not 0.0 < side < np.inf:
+    side = float(max(w, h))  # so 1 / a subnormal scale is inf, not a numpy warning
+    if not 0.0 < side / rect_size < np.inf:
         raise SingularTransformError(f"box side {side:g}")
-    return similarity_from_pose(
-        side / rect_size,
-        0.0,
-        (x + w / 2.0, y + h / 2.0),
-        ((rect_size - 1) / 2.0, (rect_size - 1) / 2.0),
-    )
+    c = (rect_size - 1) / 2.0
+    return SimilarityTransform(1.0 / (side / rect_size), 0.0,
+                               x + w / 2.0, y + h / 2.0, c, c)
 
 
 @dataclass

@@ -62,11 +62,15 @@ def group_candidates(candidates) -> list[tuple[int, np.ndarray]]:
     order, from [x, y, w, h, ...] rows such as the pre-filter scan's. Each
     box lands in octave max(0, floor(log2(side / 36))): within [36, 72) px
     at scale 2^-k, or in octave 0 for a smaller side, such as a window of the
-    fern scan's finest level whose width rounding shrank below 36 px."""
+    fern scan's finest level whose width rounding shrank below 36 px.
+    Raises ValueError for a box it cannot place: one whose x, y, w or h is
+    not finite, or whose larger side is not positive."""
     if len(candidates) == 0:
         return []
     boxes = np.asarray(candidates, dtype=np.float64)[:, :4]
     side = boxes[:, 2:].max(axis=1)
+    if not (np.isfinite(boxes).all() and (side > 0).all()):
+        raise ValueError("candidate boxes need finite x, y, w, h and a positive side")
     octaves = np.maximum(np.floor(np.log2(side / MIN_FACE)), 0.0)
     return [(int(k), boxes[octaves == k]) for k in np.unique(octaves)]
 

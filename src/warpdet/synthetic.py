@@ -77,7 +77,6 @@ class CorpusParams:
 class AnnotatedSample:
     image: np.ndarray  # (1, H, W) float64 grayscale
     faces: list        # (box (x, y, w, h), landmarks (5, 2)) pairs
-    provenance: str = ""
 
 
 def _rot(angle: float) -> np.ndarray:
@@ -208,8 +207,7 @@ def _render_clutter(canvas: np.ndarray, rng: np.random.Generator, face_box) -> N
         )
 
 
-def generate_sample(rng: np.random.Generator, params: CorpusParams,
-                    provenance: str = "") -> AnnotatedSample:
+def generate_sample(rng: np.random.Generator, params: CorpusParams) -> AnnotatedSample:
     """Render one annotated image of params.image_size pixels a side under
     the module's recipe constants."""
     n = params.image_size
@@ -234,7 +232,7 @@ def generate_sample(rng: np.random.Generator, params: CorpusParams,
 
     if NOISE > 0:
         canvas = canvas + rng.normal(0.0, NOISE, size=canvas.shape)
-    return AnnotatedSample(canvas[None].copy(), faces, provenance)
+    return AnnotatedSample(canvas[None].copy(), faces)
 
 
 def generate_synthetic_corpus(
@@ -245,7 +243,4 @@ def generate_synthetic_corpus(
     check_int("count", count, 0)
     params = params or CorpusParams()
     rng = np.random.default_rng(seed)
-    return [
-        generate_sample(rng, params, provenance=f"seed={seed} index={i}")
-        for i in range(count)
-    ]
+    return [generate_sample(rng, params) for _ in range(count)]

@@ -88,8 +88,7 @@ def background(rng: np.random.Generator, params) -> np.ndarray:
     return synthetic.BACKGROUND + gx * (xs / n - 0.5) + gy * (ys / n - 0.5)
 
 
-def generate_sample(rng: np.random.Generator, params,
-                    provenance: str = "") -> AnnotatedSample:
+def generate_sample(rng: np.random.Generator, params) -> AnnotatedSample:
     """Render one annotated image under synthetic's recipe constants."""
     n = params.image_size
     canvas = background(rng, params)
@@ -111,13 +110,10 @@ def generate_sample(rng: np.random.Generator, params,
 
     if synthetic.NOISE > 0:
         canvas = canvas + rng.normal(0.0, synthetic.NOISE, size=canvas.shape)
-    return AnnotatedSample(canvas[None].copy(), faces, provenance)
+    return AnnotatedSample(canvas[None].copy(), faces)
 
 
 def generate_synthetic_corpus(seed: int, count: int, params) -> list[AnnotatedSample]:
     """A seeded corpus, drawn in the package's order."""
     rng = np.random.default_rng(seed)
-    return [
-        generate_sample(rng, params, provenance=f"seed={seed} index={i}")
-        for i in range(count)
-    ]
+    return [generate_sample(rng, params) for _ in range(count)]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import warp_oracles
 from conftest import rel_err
-from warp_oracles import inverse_map
+from warp_oracles import inverse_map, similarity_from_pose
 from warpdet import align, nn
 from warpdet.align import (
     CanonicalShape,
@@ -28,7 +28,6 @@ from warpdet.align import (
     estimate_similarity,
     fit_similarity,
     landmark_and_canonical_gradients,
-    similarity_from_pose,
     warp,
     warp_backward,
 )
@@ -414,13 +413,6 @@ class TestInverseMap:
             back = inverse_map(t, canon)
             assert np.max(np.abs(back - lms)) < 1e-6
 
-    @pytest.mark.parametrize("scale", [1e217, 1e-200, np.inf, np.nan])
-    def test_a_scale_whose_divisor_under_or_overflows_is_singular(self, scale):
-        """At 1e217 source px per rectified px a^2 + b^2 underflows to 0, at
-        1e-200 it overflows; either way the inverse map would divide by it."""
-        with pytest.raises(SingularTransformError, match="a\\^2 \\+ b\\^2"):
-            similarity_from_pose(scale, 0.3, (0.0, 0.0), (31.5, 31.5))
-
 
 class TestWarp:
     def test_identity_reproduces_source(self, rng):
@@ -470,11 +462,85 @@ class TestWarp:
             warp(src, SimilarityTransform(1, 0, 0, 0, 0, 0), (0, 8))
 
 
+def _assert_both_passes_raise(src, t, out_size=(8, 8)):
+    """warp and warp_backward of t on src each raise SingularTransformError,
+    under warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularTransformError, match="has no inverse map"):
+            warp(src, t, out_size)
+        with pytest.raises(SingularTransformError, match="in float64"):
+            warp_backward(np.ones((src.shape[0], *out_size)), src, t)
+
+
+def _assert_both_passes_finite(src, t, out_size=(8, 8)):
+    """warp and warp_backward of t on src give a finite crop and finite
+    gradients, under warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(warp(src, t, out_size)).all()
+        grads = warp_backward(np.ones((src.shape[0], *out_size)), src, t)
+    assert np.isfinite(dataclasses.astuple(grads)).all()
+
+
+# A transform that both passes invert on a 40-px source.
+PLAIN = SimilarityTransform(0.9, 0.2, 20.0, 20.0, 3.5, 3.5)
+
+
 class TestDivisorInTheSamplingDtype:
-    """warp samples in its source's floating dtype and divides by the
-    transform's a^2 + b^2 there, so a divisor that underflows in that dtype
-    raises SingularTransformError rather than dividing by zero into a NaN
-    crop."""
+    """_sample_points is the one gate of a transform. warp samples in its
+    source's floating dtype and warp_backward in float64, and before either
+    samples, the gate raises SingularTransformError, with no numpy warning,
+    when a centroid coordinate or a^2 + b^2 is not finite or exceeds that
+    dtype's largest value, or when a^2 + b^2, the inverse map's divisor,
+    underflows to 0 there: never a NaN crop, an OverflowError or a warning."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["a", "b", "m_x", "m_y", "m_xr", "m_yr"])
+    def test_a_number_that_is_not_finite_is_singular(self, rng, name, value, dtype):
+        """A NaN m_x used to give an all-NaN crop and a cast warning, an
+        infinite m_xr an OverflowError."""
+        src = rng.random((1, 40, 40)).astype(dtype)
+        _assert_both_passes_raise(src, dataclasses.replace(PLAIN, **{name: value}))
+
+    @pytest.mark.parametrize("name", ["m_x", "m_y", "m_xr", "m_yr"])
+    def test_a_centroid_beyond_float32_is_singular_on_a_float32_source_only(
+            self, rng, name):
+        """1e39 is finite in float64 but beyond float32's largest value: the
+        float32 warp used to cast it to inf and give NaN pixels. warp_backward
+        samples in float64, so it takes such a centroid on either source."""
+        src = rng.random((1, 40, 40))
+        t = dataclasses.replace(PLAIN, **{name: 1e39})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularTransformError, match="in float32"):
+                warp(src.astype(np.float32), t, (8, 8))
+            grads = warp_backward(np.ones((1, 8, 8)), src.astype(np.float32), t)
+        assert np.isfinite(dataclasses.astuple(grads)).all()
+        _assert_both_passes_finite(src, t)
+
+    def test_an_a_whose_square_overflows_float32_is_singular_there_without_a_warning(
+            self, rng):
+        """a = 1e20 gives a^2 + b^2 = inf in float32, which the gate used to
+        find only after numpy warned of the overflow."""
+        src = rng.random((1, 40, 40))
+        t = dataclasses.replace(PLAIN, a=1e20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularTransformError, match="in float32"):
+                warp(src.astype(np.float32), t, (8, 8))
+        _assert_both_passes_finite(src, t)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scale", [1e217, 1e-200, np.inf, np.nan])
+    def test_a_scale_whose_divisor_under_or_overflows_is_singular(self, rng, scale, dtype):
+        """At 1e217 source px per rectified px a^2 + b^2 underflows to 0, at
+        1e-200 it overflows, in float64 and so in float32; an infinite scale
+        gives a = b = 0, a NaN one a NaN a and b."""
+        src = rng.random((1, 40, 40)).astype(dtype)
+        _assert_both_passes_raise(
+            src, similarity_from_pose(scale, 0.3, (20.0, 20.0), (3.5, 3.5)))
 
     @pytest.mark.parametrize("scale, dtype, singular", [
         (1e22, np.float32, False), (1e23, np.float32, True), (1e23, np.float64, False)])

@@ -8,7 +8,7 @@ import pytest
 
 import conv_oracles
 from conftest import central_diff, conv2d_reference, rel_err
-from warpdet import nn
+from warpdet import nn, pipeline
 from warpdet.model import CONV_GEOMETRY
 from warpdet.nn import (
     ConvSpec,
@@ -271,18 +271,37 @@ def _backward_rounding_bounds(g, x, filters, spec):
     return 2 * n_input * eps * grad_input, 2 * n_filter * eps * grad_filters
 
 
-# (in channels, out channels, input extent) of each conv in a joint step of
-# the benchmark: the proposal net on a 96-px image, the verification net on
-# a 64-px crop. Kernel, stride and padding come from CONV_GEOMETRY.
-BENCH_GEOMETRIES = {
-    "rpn.conv1": (1, 8, (96, 96)),
-    "rpn.conv2": (8, 12, (24, 24)),
-    "rpn.conv3": (12, 16, (12, 12)),
-    "rpn.score_head": (16, 2, (12, 12)),
-    "rpn.point_head": (16, 10, (12, 12)),
-    "rcnn.conv1": (1, 8, (64, 64)),
-    "rcnn.conv2": (8, 16, (16, 16)),
-}
+def _bench_geometries():
+    """(in channels, out channels, input extent) of each conv in a joint step
+    of the benchmark, read off the detector pipeline.build_detector builds:
+    the proposal trunk on a 96-px training image, its heads on the trunk's
+    output, the verification trunk on a model.rect_size crop. A 2x2 pooling
+    rounds an odd extent up, as model.verification_width does. Kernel,
+    stride and padding come from CONV_GEOMETRY."""
+    model = pipeline.build_detector(pipeline.TrainConfig())
+    extents = {}
+
+    def walk(net, side):
+        for layer, pooled in net.trunk():
+            extents[id(layer)] = (side, side)
+            side = layer.spec.out_size(side, side)[0]
+            if pooled:
+                side = -(-side // 2)
+        return side
+
+    head = walk(model.rpn, 96)
+    extents[id(model.rpn.score_head)] = extents[id(model.rpn.point_head)] = (head, head)
+    walk(model.rcnn, model.rect_size)
+    geometries = {}
+    for role in CONV_GEOMETRY:
+        net, name = role.split(".")
+        layer = getattr(getattr(model, net), name)
+        geometries[role] = (layer.spec.in_channels, layer.spec.out_channels,
+                            extents[id(layer)])
+    return geometries
+
+
+BENCH_GEOMETRIES = _bench_geometries()
 
 
 def _bench_case(rng, role, dtype=np.float64):

@@ -21,7 +21,7 @@ from conftest import TINY_SEED as SEED
 from conftest import (central_diff, make_detector, open_cascade, rel_err, tiny_detector,
                       train_tiny)
 from warpdet import ferns, nn, pipeline, roiconv, synthetic
-from warpdet.align import SimilarityTransform, SingularTransformError, similarity_from_pose
+from warpdet.align import SimilarityTransform, SingularTransformError, warp
 from warpdet.model import ConvLayer, load_model, save_model
 from warpdet.nn import ShapeError
 from warpdet.suppress import iou
@@ -1031,7 +1031,7 @@ def test_a_crop_whose_float32_divisor_underflows_is_skipped_in_detect(
     but 0 in float32, the dtype in which detect warps: each such candidate
     is dropped unverified, with no NaN score and no warning."""
     monkeypatch.setattr(pipeline, "_candidate_transform", _always(
-        similarity_from_pose(1e23, 0.3, (48.0, 48.0), (31.5, 31.5))))
+        warp_oracles.similarity_from_pose(1e23, 0.3, (48.0, 48.0), (31.5, 31.5))))
     _assert_detect_finds_nothing_without_a_warning(
         pipeline.build_detector(pipeline.TrainConfig(seed=SEED)), held_out, monkeypatch)
 
@@ -1045,12 +1045,46 @@ def test_a_crop_whose_float64_divisor_underflows_counts_as_singular(monkeypatch)
         pipeline.build_detector(pipeline.TrainConfig(seed=SEED)), monkeypatch)
 
 
-@pytest.mark.parametrize("side", [0.0, -3.0, np.inf, np.nan, 4e289, 1e-300])
+def test_a_crop_with_a_nan_centre_is_skipped_in_detect(held_out, monkeypatch):
+    """crop_transform checks the side alone, so a box with a NaN origin gives
+    a NaN-centred transform; the warp's gate drops each such candidate
+    unverified, with no NaN score and no warning."""
+    monkeypatch.setattr(pipeline, "_candidate_transform", _always(
+        pipeline.crop_transform((np.nan, 0.0, 10.0, 10.0), 64)))
+    _assert_detect_finds_nothing_without_a_warning(
+        pipeline.build_detector(pipeline.TrainConfig(seed=SEED)), held_out, monkeypatch)
+
+
+def test_a_crop_with_a_nan_centre_counts_as_singular(monkeypatch):
+    """A joint step skips each candidate whose transform has a NaN centre
+    and counts it in singular_skips."""
+    monkeypatch.setattr(pipeline, "_candidate_transform", _always(
+        pipeline.crop_transform((np.nan, 0.0, 10.0, 10.0), 64)))
+    _joint_epoch_counting_every_candidate_as_singular(
+        pipeline.build_detector(pipeline.TrainConfig(seed=SEED)), monkeypatch)
+
+
+@pytest.mark.parametrize("side", [0.0, -3.0, np.inf, np.nan, 1e-323])
 def test_crop_transform_rejects_a_side_whose_similarity_it_cannot_invert(side):
-    """4e289 and 1e-300 are finite and positive, but a^2 + b^2 of their
-    similarity underflows to 0 or overflows, and warp would divide by it."""
-    with pytest.raises(SingularTransformError):
+    """1e-323 is positive, but side / 64 underflows to 0, whose reciprocal
+    is no scale."""
+    with pytest.raises(SingularTransformError, match="box side"):
         pipeline.crop_transform((0.0, 0.0, side, side), 64)
+
+
+@pytest.mark.parametrize("side", [4e289, 1e-300, np.float64(1e-310)])
+def test_the_warp_of_a_crop_whose_similarity_it_cannot_invert_raises(side):
+    """4e289 and 1e-300 are finite and positive, but a^2 + b^2 of their
+    crop's similarity underflows to 0 or overflows, and warp would divide
+    by it; at 1e-310, a numpy float as _decode_cells gives, 1 / scale
+    overflows to inf. crop_transform returns each transform, and the warp's
+    gate rejects it in either dtype, with no warning from either."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        transform = pipeline.crop_transform((0.0, 0.0, side, side), 64)
+        for dtype in (np.float32, np.float64):
+            with pytest.raises(SingularTransformError):
+                warp(np.zeros((1, 96, 96), dtype), transform, (64, 64))
 
 
 def _chain_fingerprint(model, images, corpus, config):

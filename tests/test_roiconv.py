@@ -1,6 +1,7 @@
 """Tests for masked convolution, octave grouping, mask propagation, and the
 receptive-field cap, checked against the dense convolution oracle."""
 
+import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -150,6 +151,22 @@ class TestGrouping:
     def test_empty_input(self):
         assert group_candidates(np.empty((0, 5))) == []
         assert group_candidates([]) == []
+
+    @pytest.mark.parametrize("row", [
+        (5.0, 5.0, 0.0, 0.0), (5.0, 5.0, -4.0, -2.0), (np.nan, 5.0, 40.0, 40.0),
+        (5.0, -np.inf, 40.0, 40.0), (5.0, 5.0, np.inf, 40.0), (5.0, 5.0, 40.0, np.nan),
+    ], ids=["zero side", "negative side", "nan origin", "inf origin", "inf width",
+            "nan height"])
+    def test_a_box_it_cannot_place_is_rejected_without_a_warning(self, row):
+        """A zero side used to warn in log2, a NaN origin to give an octave-0
+        level with an empty mask, and an infinite width to end in an
+        OverflowError from int(); each now raises ValueError, as does any
+        row whose x, y, w or h is not finite or whose side is not positive."""
+        rows = np.array([[10.0, 10.0, 50.0, 50.0, 1.0], [*row, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite x, y, w, h and a positive side"):
+                group_candidates(rows)
 
 
 class TestArrayCandidatesMatchPerBoxOracles:

@@ -4,7 +4,8 @@ set at a time with scalar np.dot sums over column views, the sample grid
 goes through ``inverse_map`` as an (out_h, out_w, 2) point array and every
 tap is a 2-D fancy-index read. The warp computes in the source's floating
 dtype, float64 for an integer source, as ``warpdet.align.warp`` does; the
-backward pass in float64."""
+backward pass in float64. ``similarity_from_pose`` builds the tests'
+rotated, scaled transforms, unchecked."""
 
 import dataclasses
 
@@ -76,6 +77,16 @@ def landmark_and_canonical_gradients(grads: TransformGradients, landmarks, canon
     d_canonical[:, 0] = grads.d_a * (X / c3) + grads.d_b * (Y / c3) + grads.d_m_xr / n
     d_canonical[:, 1] = grads.d_a * (Y / c3) + grads.d_b * (-X / c3) + grads.d_m_yr / n
     return d_landmarks, d_canonical
+
+
+def similarity_from_pose(scale, angle, src_center, dst_center) -> SimilarityTransform:
+    """Transform whose inverse map is: scale * rotate(angle) about dst_center,
+    then translate to src_center. `scale` is source pixels per rectified
+    pixel. Nothing is checked: the warp's gate rejects what it cannot
+    invert."""
+    return SimilarityTransform(float(np.cos(angle)) / scale, float(np.sin(angle)) / scale,
+                               float(src_center[0]), float(src_center[1]),
+                               float(dst_center[0]), float(dst_center[1]))
 
 
 def inverse_map(t: SimilarityTransform, points, dtype=np.float64) -> np.ndarray:
