@@ -39,7 +39,8 @@ over centered coordinates. A rectified point maps back to the source via
 place, _sample_points, which runs before every warp and warp_backward: it
 raises SingularTransformError, and warns of nothing, when a centroid
 coordinate or a^2 + b^2 is not finite or exceeds the sampling dtype's
-largest value, or when a^2 + b^2 underflows to 0 in that dtype.
+largest value, when a^2 + b^2 underflows to 0 in that dtype, or when it is
+so small that warp_backward's derivatives of the map would overflow.
 
 The one fit, fit_similarity, takes one (N, 2) landmark set, for the warp,
 or a (..., N, 2) stack, for synthetic.box_from_landmarks. A set fits to
@@ -211,14 +212,22 @@ def _sample_points(t: SimilarityTransform, out_h: int, out_w: int,
     This is the one validity gate of a SimilarityTransform, run before every
     warp and warp_backward. It raises SingularTransformError when a centroid
     coordinate or a^2 + b^2 is not finite or exceeds dtype's largest value
-    (float64's, for a wider dtype), or when a^2 + b^2, the map's divisor,
-    underflows to 0 in dtype. The range tests compare Python floats, which
+    (float64's, for a wider dtype), when a^2 + b^2, the map's divisor,
+    underflows to 0 in dtype, or when the grid's largest |u| + |v| over
+    a^2 + b^2 overflows float64. That quotient bounds the derivatives of
+    the map in (a, b), which warp_backward computes in float64 whatever the
+    dtype, so a scale it would turn into an inf or a NaN gradient is
+    rejected by warp too. The range tests compare Python floats, which
     never warn, before any number is cast to dtype; the underflow test runs
     in dtype, where numpy ignores an underflow. (An np.errstate block here
     cost about 1% of a joint step.)"""
     a, b, m_x, m_y, m_xr, m_yr = map(float, (t.a, t.b, t.m_x, t.m_y, t.m_xr, t.m_yr))
+    norm_sq = a * a + b * b
+    reach = (max(abs(m_xr), abs(out_w - 1 - m_xr))
+             + max(abs(m_yr), abs(out_h - 1 - m_yr)))
     top = min(float(np.finfo(dtype).max), sys.float_info.max)
-    if (a * a + b * b <= top and abs(m_x) <= top and abs(m_y) <= top
+    if (norm_sq <= top and reach <= norm_sq * sys.float_info.max
+            and abs(m_x) <= top and abs(m_y) <= top
             and abs(m_xr) <= top and abs(m_yr) <= top):
         cast = dtype.type
         a, b, m_xr, m_yr = cast(a), cast(b), cast(m_xr), cast(m_yr)

@@ -427,12 +427,22 @@ def verify_backward(model: DetectorModel, cache: VerifyCache, d_logits,
 SNAPSHOT_EVERY = 500  # joint-training images between canonical-shape snapshots
 
 
+def _check_real_pixels(image: np.ndarray):
+    """Raise ValueError unless image's dtype is bool, integer or float: a
+    complex, object or string image fails here, before any arithmetic,
+    rather than be read through a cast or a warning."""
+    if image.dtype.kind not in "biuf":
+        raise ValueError(f"image dtype {image.dtype} is not bool, integer or float")
+
+
 def _proposal_step(model: DetectorModel, sample, epoch: int):
     """Proposal forward pass, targets and multi-task loss on one image.
 
     Returns (state, targets, loss, d_score, d_point, probs). Raises ValueError
-    on non-finite pixels, and DivergenceError when the loss is not finite.
+    on pixels that are not real numbers or not finite, and DivergenceError
+    when the loss is not finite.
     """
+    _check_real_pixels(sample.image)
     if not np.isfinite(sample.image).all():
         raise ValueError("training image has non-finite pixels")
     state = rpn_forward(model.rpn, sample.image)
@@ -448,8 +458,7 @@ def train_rpn(corpus, config: TrainConfig, model: DetectorModel | None = None, *
               epochs: int):
     """Train the proposal net alone (classification + regression heads).
 
-    Returns (model, history); history carries per-epoch classification
-    accuracy and mean landmark error in pixels normalized to a 36-px face.
+    Returns (model, history); history holds each epoch's mean proposal loss.
     """
     check_int("epochs", epochs, 0)
     if len(corpus) == 0:
@@ -463,44 +472,14 @@ def train_rpn(corpus, config: TrainConfig, model: DetectorModel | None = None, *
     order = np.arange(len(corpus))
     for epoch in range(epochs):
         rng.shuffle(order)
-        cls_correct = cls_total = 0
-        lm_errors = []
         losses = []
         for idx in order:
-            state, targets, loss, d_score, d_point, probs = _proposal_step(
-                model, corpus[idx], epoch
-            )
+            state, _, loss, d_score, d_point, _ = _proposal_step(model, corpus[idx], epoch)
             losses.append(loss)
             nn.sgd_step(params, rpn_backward(model.rpn, state, d_score, d_point),
                         velocities, LEARNING_RATE, MOMENTUM)
-
-            decided = targets.labels >= 0
-            pred_cls = (probs[..., 1] > 0.5).astype(np.int64)
-            cls_correct += int((pred_cls[decided] == targets.labels[decided]).sum())
-            cls_total += int(decided.sum())
-            if model.multitask:
-                lm_errors.extend(_landmark_errors(state, targets))
-        history["epochs"].append(
-            {
-                "loss": float(np.mean(losses)),
-                "cls_accuracy": cls_correct / max(1, cls_total),
-                "landmark_error_36px": float(np.mean(lm_errors)) if lm_errors else None,
-            }
-        )
+        history["epochs"].append({"loss": float(np.mean(losses))})
     return model, history
-
-
-def _landmark_errors(state, targets):
-    """Per-positive-cell mean landmark error, rescaled to a 36-px face."""
-    pos = targets.labels == 1
-    if not pos.any():
-        return []
-    pred = state.point[:, pos] * POINT_SCALE
-    tgt = targets.reg_targets[:, pos] * POINT_SCALE
-    diff = (pred - tgt).T.reshape(-1, 5, 2)
-    err = np.linalg.norm(diff, axis=2).mean(axis=1)
-    scale = 36.0 / targets.face_size[pos]
-    return list(err * scale)
 
 
 def _decode_cells(state: RpnState, ii, jj, multitask: bool, scale: float = 1.0):
@@ -692,11 +671,13 @@ def detect(image: np.ndarray, model: DetectorModel,
     """Full two-stage detection on one (1, H, W) grayscale image.
 
     The proposal and verification nets run on one INFERENCE_DTYPE copy of
-    the image; the fern pre-filter scans the image as given. A pixel that
-    is not finite in either raises ValueError. A candidate whose fit or
-    crop is singular (SingularTransformError) is dropped unverified."""
+    the image; the fern pre-filter scans the image as given. An image whose
+    dtype is not bool, integer or float, or a pixel that is not finite in
+    either, raises ValueError. A candidate whose fit or crop is singular
+    (SingularTransformError) is dropped unverified."""
     if image.ndim != 3 or image.shape[0] != 1:
         raise ShapeError(f"expected a (1, H, W) grayscale image, got {image.shape}")
+    _check_real_pixels(image)
     # a pixel beyond the copy's range becomes inf, so one check covers both
     with np.errstate(over="ignore"):
         work = image.astype(INFERENCE_DTYPE)
@@ -828,8 +809,11 @@ def harvest_cascade_patches(corpus, rng):
 def train_prefilter(corpus, num_ferns: int, seed: int):
     """Train the fern cascade on corpus-derived patches. Its train_log
     also records the negative slots requested and the crops harvested, so
-    a shortfall shows."""
+    a shortfall shows. Raises ValueError on an image whose dtype is not
+    bool, integer or float, before it harvests."""
     check_int("seed", seed, 0)
+    for sample in corpus:
+        _check_real_pixels(sample.image)
     rng = np.random.default_rng(seed + 3)
     pos, neg = harvest_cascade_patches(corpus, rng)
     cascade = train_cascade(pos, neg, num_ferns, seed)

@@ -6,9 +6,12 @@ Run from the repository root:
 
 The parts are:
 
-- setup models: set-up training of the full model and of the three ablation
-  variants (parameters and training histories), on the benchmark's set-up
-  recipe (the SETUP_* constants of ``bench/workloads.py``);
+- setup models: the parameters of the full model and of the three ablation
+  variants after set-up training, on the benchmark's set-up recipe (the
+  SETUP_* constants of ``bench/workloads.py``);
+- setup histories: the training histories of those four set-up runs, apart
+  from their parameters, so a change to what a driver records moves this
+  line and leaves setup models as it is;
 - cascade: the fern pre-filter trained on the set-up corpus (every fern's
   coordinates, thresholds and scores, the stage thresholds and the training
   log);
@@ -20,7 +23,7 @@ The detect runs and the joint steps start from the set-up full model as
 ``save_model`` writes it and ``load_model`` reads it back, so their digests
 also cover the model file.
 
-The fifth line is one digest over all parts. Two commits that print the
+The sixth line is one digest over all parts. Two commits that print the
 same lines compute the same bytes on all of it, so a refactor that claims
 to change no output can be checked by running this script before and
 after, and a change that means to move one part shows which parts moved.
@@ -55,7 +58,7 @@ DETECT_IMAGES = 6
 JOINT_STEPS = 5
 VARIANTS = ({"multitask": False}, {"use_concat": False},
             {"supervised_transform": False})
-PARTS = ("setup models", "cascade", "detect runs", "joint steps")
+PARTS = ("setup models", "setup histories", "cascade", "detect runs", "joint steps")
 DETECT_RUNS = ("dense", "roi", "nms", "none")
 
 
@@ -116,14 +119,13 @@ def fingerprint() -> list[tuple[str, str]]:
     corpus = synthetic.generate_synthetic_corpus(workloads.SETUP_SEED, workloads.SETUP_IMAGES)
     config = pipeline.TrainConfig(epochs=1, seed=workloads.SETUP_SEED)
 
-    setup = parts["setup models"]
     model, history = trained(corpus, config)
-    update_model(setup, model)
-    setup.update(repr(history).encode())
+    update_model(parts["setup models"], model)
+    parts["setup histories"].update(repr(history).encode())
     for variant in VARIANTS:
         variant_model, history = trained(corpus, config, **variant)
-        update_model(setup, variant_model)
-        setup.update(repr(history).encode())
+        update_model(parts["setup models"], variant_model)
+        parts["setup histories"].update(repr(history).encode())
 
     model.cascade = pipeline.train_prefilter(corpus, num_ferns=workloads.SETUP_FERNS,
                                              seed=workloads.SETUP_SEED)
@@ -165,4 +167,4 @@ def fingerprint() -> list[tuple[str, str]]:
 
 if __name__ == "__main__":
     for name, digest in fingerprint():
-        print(f"{name:<13} {digest}")
+        print(f"{name:<15} {digest}")

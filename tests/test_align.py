@@ -492,8 +492,10 @@ class TestDivisorInTheSamplingDtype:
     source's floating dtype and warp_backward in float64, and before either
     samples, the gate raises SingularTransformError, with no numpy warning,
     when a centroid coordinate or a^2 + b^2 is not finite or exceeds that
-    dtype's largest value, or when a^2 + b^2, the inverse map's divisor,
-    underflows to 0 there: never a NaN crop, an OverflowError or a warning."""
+    dtype's largest value, when a^2 + b^2, the inverse map's divisor,
+    underflows to 0 there, or when it is so small that warp_backward's
+    derivatives of the map overflow float64: never a NaN crop, a NaN
+    gradient, an OverflowError or a warning."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -556,6 +558,17 @@ class TestDivisorInTheSamplingDtype:
                 return
             crop = warp(src, t, (64, 64))
         assert crop.dtype == dtype and np.isfinite(crop).all()
+
+    @pytest.mark.parametrize("a", [1e-154, 1e-155, 1e-160, 1e-161])
+    def test_a_scale_whose_backward_derivatives_overflow_is_singular_in_both_passes(
+            self, rng, a):
+        """Here a^2 + b^2 is positive in float64 and warp gave a finite crop,
+        but warp_backward's derivatives of the map in (a, b), about
+        |u| / (a^2 + b^2) each, overflowed: it warned and returned NaN d_a
+        and d_b. Both passes now raise instead."""
+        src = rng.random((1, 40, 40))
+        _assert_both_passes_raise(
+            src, SimilarityTransform(a, 0.0, 20.0, 20.0, 31.5, 31.5), (64, 64))
 
     def test_both_float64_passes_raise_where_theirs_underflows(self, rng):
         src = rng.random((1, 40, 40))

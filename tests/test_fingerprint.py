@@ -8,8 +8,8 @@ import sys
 import pytest
 
 NAMES = [
-    "setup models", "cascade", "detect runs", "joint steps", "overall",
-    "detect dense", "detect roi", "detect nms", "detect none",
+    "setup models", "setup histories", "cascade", "detect runs", "joint steps",
+    "overall", "detect dense", "detect roi", "detect nms", "detect none",
 ]
 
 

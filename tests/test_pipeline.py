@@ -184,6 +184,21 @@ def test_detect_rejects_non_finite_pixels(bad):
             pipeline.detect(image, model)
 
 
+NOT_REAL = pytest.mark.parametrize("dtype", [np.complex128, object, np.str_],
+                                   ids=["complex", "object", "string"])
+
+
+@NOT_REAL
+def test_detect_rejects_an_image_that_is_not_real_numbers(untrained, held_out, dtype):
+    """A complex image used to be cast with a ComplexWarning, an object or
+    string one read as numbers; each now raises before any arithmetic."""
+    image = held_out[0].image.astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="is not bool, integer or float"):
+            pipeline.detect(image, untrained)
+
+
 DETECT_OPTIONS = [
     pipeline.DetectOptions(),
     pipeline.DetectOptions(suppression="nms"),
@@ -1045,6 +1060,18 @@ def test_a_crop_whose_float64_divisor_underflows_counts_as_singular(monkeypatch)
         pipeline.build_detector(pipeline.TrainConfig(seed=SEED)), monkeypatch)
 
 
+@pytest.mark.parametrize("a", [1e-154, 1e-161])
+def test_a_crop_whose_backward_derivatives_overflow_counts_as_singular(monkeypatch, a):
+    """a^2 + b^2 is positive in float64 at these scales, but warp_backward's
+    derivatives of the map overflow: a joint step skips each such candidate
+    and counts it in singular_skips, rather than hand NaN gradients to
+    nn.sgd_step."""
+    monkeypatch.setattr(pipeline, "_candidate_transform", _always(
+        SimilarityTransform(a, 0.0, 48.0, 48.0, 31.5, 31.5)))
+    _joint_epoch_counting_every_candidate_as_singular(
+        pipeline.build_detector(pipeline.TrainConfig(seed=SEED)), monkeypatch)
+
+
 def test_a_crop_with_a_nan_centre_is_skipped_in_detect(held_out, monkeypatch):
     """crop_transform checks the side alone, so a box with a NaN origin gives
     a NaN-centred transform; the warp's gate drops each such candidate
@@ -1407,6 +1434,54 @@ def test_training_rejects_non_finite_pixels(driver, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite pixels"):
             TRAIN_DRIVERS[driver](corpus, pipeline.build_detector(config), config)
+
+
+@NOT_REAL
+@pytest.mark.parametrize("driver", sorted(TRAIN_DRIVERS) + ["train_prefilter"])
+def test_training_rejects_an_image_that_is_not_real_numbers(driver, dtype):
+    """The proposal drivers used to fail inside numpy with a TypeError, and
+    the pre-filter trained on such a corpus; each now raises ValueError,
+    and nothing warns."""
+    corpus = synthetic.generate_synthetic_corpus(SEED, 2)
+    corpus[1].image = corpus[1].image.astype(dtype)
+    config = pipeline.TrainConfig(epochs=1, seed=SEED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="is not bool, integer or float"):
+            if driver == "train_prefilter":
+                pipeline.train_prefilter(corpus, num_ferns=1, seed=SEED)
+            else:
+                TRAIN_DRIVERS[driver](corpus, pipeline.build_detector(config), config)
+
+
+def test_train_rpn_trains_the_proposal_net_alone_and_records_its_mean_loss(monkeypatch):
+    """train_rpn steps the proposal net alone: the verification net, the
+    verdict head and the canonical layout keep their bytes. Its history is
+    one record per epoch, the mean of the losses its proposal steps gave."""
+    losses = []
+    real_proposal_step = pipeline._proposal_step
+
+    def proposal_step(*args):
+        step = real_proposal_step(*args)
+        losses.append(step[2])
+        return step
+
+    monkeypatch.setattr(pipeline, "_proposal_step", proposal_step)
+    corpus = synthetic.generate_synthetic_corpus(SEED, 2)
+    config = pipeline.TrainConfig(seed=SEED)
+    model = pipeline.build_detector(config)
+    kept = model.rcnn.params() + model.verdict.params() + [model.canonical.points]
+    before = [p.copy() for p in kept]
+    rpn_before = [p.copy() for p in model.rpn.params()]
+    trained, history = pipeline.train_rpn(corpus, config, model, epochs=2)
+    assert trained is model
+    for p, p0 in zip(kept, before, strict=True):
+        assert p.dtype == p0.dtype and p.tobytes() == p0.tobytes()
+    assert not any(np.array_equal(p, p0)
+                   for p, p0 in zip(model.rpn.params(), rpn_before, strict=True))
+    assert len(losses) == 4
+    assert history == {"epochs": [{"loss": float(np.mean(losses[:2]))},
+                                  {"loss": float(np.mean(losses[2:]))}]}
 
 
 @pytest.mark.parametrize("driver", sorted(TRAIN_DRIVERS))
